@@ -12,11 +12,13 @@ use std::path::PathBuf;
 
 use relax::core::{parse_functions, IRModule};
 use relax::models::llama::{
-    build_decode, build_decode_paged, build_decode_paged_multi, LlamaConfig,
+    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig,
 };
 use relax::models::llava::{build_vision_encoder, LlavaConfig};
-use relax::models::moe::build_dispatch;
-use relax::models::whisper::{build_decoder_step, WhisperConfig};
+use relax::models::moe::{build_dense_ffn, build_dispatch, build_ffn_with_assignments};
+use relax::models::whisper::{
+    build_cross_kv, build_decoder_step, build_decoder_step_paged, build_encoder, WhisperConfig,
+};
 use relax::models::MoeConfig;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -25,10 +27,10 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.relax"))
 }
 
-fn check_roundtrip(name: &str, module: &IRModule) {
+/// Golden comparison (RELAX_BLESS=1 regenerates); returns the printed
+/// text.
+fn check_golden(name: &str, module: &IRModule) -> String {
     let text = module.to_string();
-
-    // 1. Golden comparison (RELAX_BLESS=1 regenerates).
     let path = golden_path(name);
     if std::env::var("RELAX_BLESS").as_deref() == Ok("1") {
         std::fs::write(&path, &text).unwrap_or_else(|e| panic!("bless {name}: {e}"));
@@ -41,8 +43,13 @@ fn check_roundtrip(name: &str, module: &IRModule) {
         "{name}: printed IR diverged from {path:?}; if intentional, \
          regenerate with RELAX_BLESS=1"
     );
+    text
+}
 
-    // 2. Structural round trip: parse the printed text and require the
+fn check_roundtrip(name: &str, module: &IRModule) {
+    let text = check_golden(name, module);
+
+    // Structural round trip: parse the printed text and require the
     // reparse to print identically (print∘parse is a fixed point).
     let mut reparsed = IRModule::new();
     parse_functions(&text, &mut reparsed)
@@ -104,4 +111,35 @@ fn spec_decode_draft_verify_roundtrips() {
         module.add_function(name.clone(), func.clone());
     }
     check_roundtrip("spec_decode_draft_verify", &module);
+}
+
+/// The copy-cache prefill, and the 4-bit-quantized decode — golden
+/// only: its `decode_q4` tensor programs print alongside the graph
+/// function and the textual parser reads graph functions only.
+#[test]
+fn llama_prefill_and_q4_decode_roundtrip() {
+    let ir = build_prefill(&LlamaConfig::tiny()).unwrap();
+    check_roundtrip("llama_tiny_prefill", &ir.module);
+    let ir = build_decode(&LlamaConfig::tiny().quantized()).unwrap();
+    check_golden("llama_tiny_q4_decode", &ir.module);
+}
+
+#[test]
+fn whisper_paged_step_encoder_and_cross_kv_roundtrip() {
+    let cfg = WhisperConfig::tiny();
+    let ir = build_decoder_step_paged(&cfg).unwrap();
+    check_roundtrip("whisper_tiny_decoder_step_paged", &ir.module);
+    let ir = build_encoder(&cfg).unwrap();
+    check_roundtrip("whisper_tiny_encoder", &ir.module);
+    let ir = build_cross_kv(&cfg).unwrap();
+    check_roundtrip("whisper_tiny_cross_kv", &ir.module);
+}
+
+#[test]
+fn moe_ffn_variants_roundtrip() {
+    let cfg = MoeConfig::tiny();
+    let ir = build_ffn_with_assignments(&cfg).unwrap();
+    check_roundtrip("moe_tiny_ffn_with_assignments", &ir.module);
+    let ir = build_dense_ffn(&cfg).unwrap();
+    check_roundtrip("moe_tiny_dense_ffn", &ir.module);
 }
