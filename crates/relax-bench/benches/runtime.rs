@@ -1,14 +1,14 @@
 //! Runtime micro-benchmarks: VM decode steps on the executable tiny model,
 //! raw tensor-program execution comparing the reference interpreter
 //! against shape-specialized kernel plans (serial and multi-threaded),
-//! serving throughput through the `relax-serve` worker pool (1 vs 4
-//! workers, shared vs private plan cache), the kv-append kernel pair
+//! serving throughput through the `relax-serve` worker pool (1, 4 and 8
+//! workers over the shared plan cache), the kv-append kernel pair
 //! (scalar reference vs row-copy), and mixed-traffic session serving
 //! (continuous paged batching vs the shape-batched copy baseline).
 //!
 //! Plain `std::time::Instant` harness (see `relax_bench::timing`); run with
 //! `cargo bench -p relax-bench --bench runtime`. Writes the medians to
-//! `BENCH_runtime.json` at the repository root.
+//! `BENCH_runtime.json` at the repository root (`target/` in fast mode).
 
 use std::sync::Arc;
 
@@ -419,7 +419,6 @@ fn bench_kv_append(rows: &mut Vec<(String, f64)>) {
 struct ServingRow {
     name: String,
     workers: usize,
-    shared_cache: bool,
     /// Host CPUs actually available to this row's worker threads. On a
     /// 1-core host a 4-worker row cannot beat 1 worker — the honest
     /// ceiling for CPU-bound decode is parity, and this column is what
@@ -443,7 +442,7 @@ struct ServingRow {
 /// signatures) through a fresh engine, `repeats` waves, and keeps the
 /// best wall time. The report from shutdown supplies the cache and
 /// latency columns.
-fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) -> ServingRow {
+fn serve_run(name: &str, workers: usize, requests: usize) -> ServingRow {
     let ir = relax_models::llama::build_decode(&LlamaConfig::tiny()).unwrap();
     let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
     let arg_sets = [tiny_decode_args(&ir, 1, 4), tiny_decode_args(&ir, 2, 8)];
@@ -453,7 +452,6 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
         ServeConfig {
             workers,
             queue_capacity: requests + 1,
-            shared_plan_cache: shared_cache,
             ..ServeConfig::default()
         },
     );
@@ -482,7 +480,6 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
     ServingRow {
         name: name.to_string(),
         workers,
-        shared_cache,
         host_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -499,15 +496,13 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
 }
 
 /// Serving throughput: the same decode workload through 1, 4 and 8
-/// workers over the shared plan cache, and 4 workers with private
-/// caches (the compile-redundancy baseline).
+/// workers over the shared plan cache.
 fn bench_serving(rows: &mut Vec<(String, f64)>) -> Vec<ServingRow> {
     let requests = if fast_mode() { 8 } else { 32 };
     let runs = vec![
-        serve_run("serve/decode/workers1_shared", 1, true, requests),
-        serve_run("serve/decode/workers4_shared", 4, true, requests),
-        serve_run("serve/decode/workers4_private", 4, false, requests),
-        serve_run("serve/decode/workers8_shared", 8, true, requests),
+        serve_run("serve/decode/workers1_shared", 1, requests),
+        serve_run("serve/decode/workers4_shared", 4, requests),
+        serve_run("serve/decode/workers8_shared", 8, requests),
     ];
     for r in &runs {
         rows.push((r.name.clone(), r.ns_per_req));
@@ -1184,20 +1179,33 @@ fn bench_spec_decode(rows: &mut Vec<(String, f64)>) -> Vec<DynamicRow> {
     vec![spec_row, plain_row]
 }
 
+/// Where a bench artifact is written: the committed `BENCH_runtime.json`
+/// of a full run goes to the repository root; smoke-sized (`--fast`)
+/// numbers and the multi-megabyte trace go under `target/`, so neither a
+/// CI run nor a trace ever rewrites a committed file.
+fn artifact_path(name: &str, committed: bool) -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    if committed && !fast_mode() {
+        return format!("{root}/{name}");
+    }
+    std::fs::create_dir_all(format!("{root}/target")).expect("create target/");
+    format!("{root}/target/{name}")
+}
+
 /// Re-runs the 4-worker shared-cache serving wave with tracing captured
-/// and writes the Chrome trace-event export to `BENCH_trace.json` next
-/// to `BENCH_runtime.json`. The export is validated with the in-repo
-/// checker before it is written; a bad trace fails the bench run.
+/// and writes the Chrome trace-event export to `target/BENCH_trace.json`.
+/// The export is validated with the in-repo checker before it is
+/// written; a bad trace fails the bench run.
 fn export_serving_trace() {
     let capture = relax_trace::Capture::begin();
     let requests = if fast_mode() { 8 } else { 32 };
-    serve_run("serve/decode/workers4_traced", 4, true, requests);
+    serve_run("serve/decode/workers4_traced", 4, requests);
     let trace = capture.finish();
     trace.validate().expect("serving trace is well-formed");
     let json = trace.chrome_json();
     let stats = relax_trace::validate_chrome_trace(&json).expect("chrome export passes the checker");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(path, &json).expect("write BENCH_trace.json");
+    let path = artifact_path("BENCH_trace.json", false);
+    std::fs::write(&path, &json).expect("write BENCH_trace.json");
     println!(
         "wrote {path} ({} events, {} request spans, {} threads, {} dropped)",
         stats.events, stats.async_pairs, stats.threads, stats.dropped
@@ -1252,14 +1260,12 @@ fn write_json(
     for (i, r) in serving.iter().enumerate() {
         let sep = if i + 1 < serving.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"workers\": {}, \"shared_cache\": {}, \
-             \"host_threads\": {}, \
+            "    {{\"name\": \"{}\", \"workers\": {}, \"host_threads\": {}, \
              \"total_ns\": {:.0}, \"ns_per_req\": {:.1}, \"plan_compiles\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \"cold_keys\": {}, \
              \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}{sep}\n",
             r.name,
             r.workers,
-            r.shared_cache,
             r.host_threads,
             r.total_ns,
             r.ns_per_req,
@@ -1385,7 +1391,6 @@ fn write_json(
         ("tir/matmul_96x64x64/plan_par4", 25158966.0),
         ("serve/decode/workers1_shared", 884310.8),
         ("serve/decode/workers4_shared", 1162575.2),
-        ("serve/decode/workers4_private", 1174027.7),
     ];
     for (i, (name, ns)) in baseline.iter().enumerate() {
         let sep = if i + 1 < baseline.len() { "," } else { "" };
@@ -1398,8 +1403,8 @@ fn write_json(
     out.push_str("      \"matmul_large_par4_vs_plan1\": 1.00,\n");
     out.push_str("      \"serve_decode_4w_vs_1w\": 0.76\n");
     out.push_str("    }\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    std::fs::write(path, out).expect("write BENCH_runtime.json");
+    let path = artifact_path("BENCH_runtime.json", true);
+    std::fs::write(&path, out).expect("write BENCH_runtime.json");
     println!("wrote {path}");
 }
 
@@ -1438,7 +1443,7 @@ fn main() {
         ),
         (
             "serve_decode_8w_vs_1w",
-            serving[0].total_ns / serving[3].total_ns,
+            serving[0].total_ns / serving[2].total_ns,
         ),
         // Mixed-traffic sessions: continuous paged batching over the
         // shape-batched copy baseline (same schedule, same tokens).

@@ -4,7 +4,7 @@
 use relax_arith::{DataType, PrimExpr, Var as SymVar};
 use relax_core::{Expr, IRModule, StructInfo};
 
-use crate::nn::{ModelBuilder, ModelError};
+use crate::nn::{tensor_param, KvMode, ModelBuilder, ModelError};
 
 /// Configuration of a decoder-only LLM.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,76 +223,156 @@ fn weight_param_specs(config: &LlamaConfig) -> Vec<(String, StructInfo)> {
     let h = config.hidden;
     let q_out = config.n_heads * config.head_dim;
     let kv_out = config.n_kv_heads * config.head_dim;
-    let mut params = vec![(
-        "embed".to_string(),
-        StructInfo::tensor(vec![config.vocab.into(), h.into()], dt),
-    )];
+    let mut params = vec![tensor_param("embed".to_string(), &[config.vocab, h], dt)];
     let linear = |name: &str, k: i64, n: i64| -> Vec<(String, StructInfo)> {
         if config.quant4 {
             vec![
-                (
-                    format!("{name}_q"),
-                    StructInfo::tensor(vec![k.into(), (n / 8).into()], DataType::U32),
-                ),
-                (
-                    format!("{name}_s"),
-                    StructInfo::tensor(vec![k.into(), (n / 32).into()], dt),
-                ),
+                tensor_param(format!("{name}_q"), &[k, n / 8], DataType::U32),
+                tensor_param(format!("{name}_s"), &[k, n / 32], dt),
             ]
         } else {
-            vec![(
-                name.to_string(),
-                StructInfo::tensor(vec![k.into(), n.into()], dt),
-            )]
+            vec![tensor_param(name.to_string(), &[k, n], dt)]
         }
     };
     for l in 0..config.n_layers {
-        params.push((
-            format!("l{l}.attn_norm"),
-            StructInfo::tensor(vec![h.into()], dt),
-        ));
+        params.push(tensor_param(format!("l{l}.attn_norm"), &[h], dt));
         params.extend(linear(&format!("l{l}.wq"), h, q_out));
         params.extend(linear(&format!("l{l}.wk"), h, kv_out));
         params.extend(linear(&format!("l{l}.wv"), h, kv_out));
         params.extend(linear(&format!("l{l}.wo"), q_out, h));
-        params.push((
-            format!("l{l}.ffn_norm"),
-            StructInfo::tensor(vec![h.into()], dt),
-        ));
+        params.push(tensor_param(format!("l{l}.ffn_norm"), &[h], dt));
         params.extend(linear(&format!("l{l}.w_gate"), h, config.intermediate));
         params.extend(linear(&format!("l{l}.w_up"), h, config.intermediate));
         params.extend(linear(&format!("l{l}.w_down"), config.intermediate, h));
     }
-    params.push((
-        "final_norm".to_string(),
-        StructInfo::tensor(vec![h.into()], dt),
-    ));
+    params.push(tensor_param("final_norm".to_string(), &[h], dt));
     params.extend(linear("lm_head", h, config.vocab));
     params
 }
 
-struct LayerWeights;
-
-impl LayerWeights {
-    /// Applies the (possibly quantized) linear layer named `name` with
-    /// weight shape `(k, n)`.
-    fn linear(
-        mb: &mut ModelBuilder,
-        config: &LlamaConfig,
-        name: &str,
-        x: relax_core::Var,
-        k: i64,
-        n: i64,
-    ) -> Result<relax_core::Var, ModelError> {
-        if config.quant4 {
-            let wd = mb.param(&format!("{name}_q"))?;
-            let ws = mb.param(&format!("{name}_s"))?;
-            mb.q4_linear(x, wd, ws, k, n, config.dtype)
-        } else {
-            let w = mb.param(name)?;
-            mb.matmul(x, w)
-        }
+/// Applies the (possibly quantized) linear layer named `name` with
+/// weight shape `(k, n)`.
+fn linear(
+    mb: &mut ModelBuilder,
+    config: &LlamaConfig,
+    name: &str,
+    x: relax_core::Var,
+    k: i64,
+    n: i64,
+) -> Result<relax_core::Var, ModelError> {
+    if config.quant4 {
+        let wd = mb.param(&format!("{name}_q"))?;
+        let ws = mb.param(&format!("{name}_s"))?;
+        mb.q4_linear(x, wd, ws, k, n, config.dtype)
+    } else {
+        let w = mb.param(name)?;
+        mb.matmul(x, w)
     }
+}
+
+/// How many tokens per sequence one call feeds.
+#[derive(Clone, Copy)]
+enum Feed {
+    /// One: `tokens` is `(batch, 1)` and the model's other symbolic
+    /// dimension is the cache length `kv_len`.
+    One,
+    /// A symbolic `seq`: `tokens` is `(batch, seq)`.
+    Seq,
+}
+
+/// The one model body behind the four public entry points: embedding,
+/// `n_layers` × (attention over the KV mode's cache + SwiGLU MLP), and —
+/// unless the function only emits caches — final norm and LM head.
+fn build(
+    config: &LlamaConfig,
+    func: &str,
+    cache: KvMode,
+    feed: Feed,
+) -> Result<ModelIr, ModelError> {
+    let b = SymVar::new("batch");
+    let seq = SymVar::new(match feed {
+        Feed::One => "kv_len",
+        Feed::Seq => "seq",
+    });
+    let h = config.hidden;
+    let hd = config.head_dim;
+    let nh = config.n_heads;
+    let nkv = config.n_kv_heads;
+    let be: PrimExpr = b.clone().into();
+    let se: PrimExpr = match feed {
+        Feed::One => 1.into(),
+        Feed::Seq => seq.clone().into(),
+    };
+
+    let mut params: Vec<(String, StructInfo)> = vec![(
+        "tokens".to_string(),
+        StructInfo::tensor(vec![be.clone(), se.clone()], DataType::I64),
+    )];
+    match cache {
+        KvMode::Copy => {
+            let cache = StructInfo::tensor(
+                vec![be.clone(), nkv.into(), seq.clone().into(), hd.into()],
+                config.dtype,
+            );
+            for l in 0..config.n_layers {
+                params.push((format!("l{l}.k_cache"), cache.clone()));
+                params.push((format!("l{l}.v_cache"), cache.clone()));
+            }
+        }
+        KvMode::Paged => params.push(("kv_cache".to_string(), StructInfo::Object)),
+        KvMode::Emit => {}
+    }
+    params.extend(weight_param_specs(config));
+
+    let mut mb = ModelBuilder::begin(IRModule::new(), func, params.clone());
+    let tokens = mb.param("tokens")?;
+    let embed = mb.param("embed")?;
+    let mut x = mb.take(embed, tokens)?; // (b, s, h)
+    let mut kv = mb.kv_begin(cache)?;
+    let scale = 1.0 / (hd as f64).sqrt();
+
+    for l in 0..config.n_layers {
+        let p = format!("l{l}");
+        let attn_norm = mb.param(&format!("{p}.attn_norm"))?;
+        let hn = mb.rms_norm(x.clone(), attn_norm)?;
+        let q = linear(&mut mb, config, &format!("{p}.wq"), hn.clone(), h, nh * hd)?;
+        let k = linear(&mut mb, config, &format!("{p}.wk"), hn.clone(), h, nkv * hd)?;
+        let v = linear(&mut mb, config, &format!("{p}.wv"), hn, h, nkv * hd)?;
+        let q = mb.split_heads(q, &be, &se, nh, hd)?;
+        let k = mb.split_heads(k, &be, &se, nkv, hd)?;
+        let v = mb.split_heads(v, &be, &se, nkv, hd)?;
+        let att = mb.attend_cached(&mut kv, &p, l, q, k, v, scale)?;
+        let att = mb.merge_heads(att, &be, &se, nh * hd)?;
+        let o = linear(&mut mb, config, &format!("{p}.wo"), att, nh * hd, h)?;
+        x = mb.add(x, o)?;
+        // Feed-forward with SwiGLU.
+        let ffn_norm = mb.param(&format!("{p}.ffn_norm"))?;
+        let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
+        let inter = config.intermediate;
+        let gate = linear(&mut mb, config, &format!("{p}.w_gate"), hn2.clone(), h, inter)?;
+        let gate = mb.silu(gate)?;
+        let up = linear(&mut mb, config, &format!("{p}.w_up"), hn2, h, inter)?;
+        let act = mb.mul(gate, up)?;
+        let down = linear(&mut mb, config, &format!("{p}.w_down"), act, inter, h)?;
+        x = mb.add(x, down)?;
+    }
+
+    let mut ret: Vec<Expr> = Vec::new();
+    if !matches!(cache, KvMode::Emit) {
+        let final_norm = mb.param("final_norm")?;
+        let xn = mb.rms_norm(x, final_norm)?;
+        let logits = linear(&mut mb, config, "lm_head", xn, h, config.vocab)?;
+        ret.push(mb.output(logits.into())?.into());
+    }
+    ret.extend(mb.kv_finish(kv)?);
+    let module = mb.finish(Expr::Tuple(ret))?;
+    Ok(ModelIr {
+        module,
+        func: func.into(),
+        params,
+        batch: b,
+        seq,
+    })
 }
 
 /// Builds the single-step decode function: takes the next token ids and
@@ -304,123 +384,7 @@ impl LayerWeights {
 ///
 /// Propagates IR construction failures.
 pub fn build_decode(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
-    let b = SymVar::new("batch");
-    let kv_len = SymVar::new("kv_len");
-    let dt = config.dtype;
-    let h = config.hidden;
-    let hd = config.head_dim;
-    let nh = config.n_heads;
-    let nkv = config.n_kv_heads;
-
-    let mut params: Vec<(String, StructInfo)> = vec![(
-        "tokens".to_string(),
-        StructInfo::tensor(vec![b.clone().into(), 1.into()], DataType::I64),
-    )];
-    for l in 0..config.n_layers {
-        let cache = StructInfo::tensor(
-            vec![
-                b.clone().into(),
-                nkv.into(),
-                kv_len.clone().into(),
-                hd.into(),
-            ],
-            dt,
-        );
-        params.push((format!("l{l}.k_cache"), cache.clone()));
-        params.push((format!("l{l}.v_cache"), cache));
-    }
-    params.extend(weight_param_specs(config));
-
-    let mut mb = ModelBuilder::begin(IRModule::new(), "decode", params.clone());
-    let tokens = mb.param("tokens")?;
-    let embed = mb.param("embed")?;
-    let mut x = mb.take(embed, tokens)?; // (b, 1, h)
-
-    let scale = 1.0 / (hd as f64).sqrt();
-    let mut new_caches: Vec<relax_core::Var> = Vec::new();
-    let be: PrimExpr = b.clone().into();
-
-    for l in 0..config.n_layers {
-        let attn_norm = mb.param(&format!("l{l}.attn_norm"))?;
-        let hn = mb.rms_norm(x.clone(), attn_norm)?;
-        let q = LayerWeights::linear(&mut mb, config, &format!("l{l}.wq"), hn.clone(), h, nh * hd)?;
-        let k = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.wk"),
-            hn.clone(),
-            h,
-            nkv * hd,
-        )?;
-        let v = LayerWeights::linear(&mut mb, config, &format!("l{l}.wv"), hn, h, nkv * hd)?;
-        // (b, 1, H*hd) -> (b, H, 1, hd)
-        let q = mb.reshape(q, vec![be.clone(), 1.into(), nh.into(), hd.into()])?;
-        let q = mb.permute(q, &[0, 2, 1, 3])?;
-        let k = mb.reshape(k, vec![be.clone(), 1.into(), nkv.into(), hd.into()])?;
-        let k = mb.permute(k, &[0, 2, 1, 3])?;
-        let v = mb.reshape(v, vec![be.clone(), 1.into(), nkv.into(), hd.into()])?;
-        let v = mb.permute(v, &[0, 2, 1, 3])?;
-        // Append to the cache along the sequence axis.
-        let k_cache = mb.param(&format!("l{l}.k_cache"))?;
-        let v_cache = mb.param(&format!("l{l}.v_cache"))?;
-        let k_all = mb.kv_append(k_cache, k)?;
-        let v_all = mb.kv_append(v_cache, v)?;
-        let k_out = mb.output(k_all.clone().into())?;
-        let v_out = mb.output(v_all.clone().into())?;
-        new_caches.push(k_out);
-        new_caches.push(v_out);
-        let att = mb.attention(q, k_all, v_all, scale, true)?;
-        // (b, H, 1, hd) -> (b, 1, H*hd)
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), 1.into(), (nh * hd).into()])?;
-        let o = LayerWeights::linear(&mut mb, config, &format!("l{l}.wo"), att, nh * hd, h)?;
-        x = mb.add(x, o)?;
-        // Feed-forward with SwiGLU.
-        let ffn_norm = mb.param(&format!("l{l}.ffn_norm"))?;
-        let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
-        let gate = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_gate"),
-            hn2.clone(),
-            h,
-            config.intermediate,
-        )?;
-        let gate = mb.silu(gate)?;
-        let up = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_up"),
-            hn2,
-            h,
-            config.intermediate,
-        )?;
-        let act = mb.mul(gate, up)?;
-        let down = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_down"),
-            act,
-            config.intermediate,
-            h,
-        )?;
-        x = mb.add(x, down)?;
-    }
-    let final_norm = mb.param("final_norm")?;
-    let xn = mb.rms_norm(x, final_norm)?;
-    let logits = LayerWeights::linear(&mut mb, config, "lm_head", xn, h, config.vocab)?;
-    let logits = mb.output(logits.into())?;
-
-    let mut ret_items: Vec<Expr> = vec![logits.into()];
-    ret_items.extend(new_caches.into_iter().map(Expr::Var));
-    let module = mb.finish(Expr::Tuple(ret_items))?;
-    Ok(ModelIr {
-        module,
-        func: "decode".into(),
-        params,
-        batch: b,
-        seq: kv_len,
-    })
+    build(config, "decode", KvMode::Copy, Feed::One)
 }
 
 /// Builds the single-step decode function over a **paged** KV cache:
@@ -439,100 +403,7 @@ pub fn build_decode(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
 ///
 /// Propagates IR construction failures.
 pub fn build_decode_paged(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
-    let b = SymVar::new("batch");
-    let kv_len = SymVar::new("kv_len");
-    let h = config.hidden;
-    let hd = config.head_dim;
-    let nh = config.n_heads;
-    let nkv = config.n_kv_heads;
-
-    let mut params: Vec<(String, StructInfo)> = vec![
-        (
-            "tokens".to_string(),
-            StructInfo::tensor(vec![b.clone().into(), 1.into()], DataType::I64),
-        ),
-        ("kv_cache".to_string(), StructInfo::Object),
-    ];
-    params.extend(weight_param_specs(config));
-
-    let mut mb = ModelBuilder::begin(IRModule::new(), "decode_paged", params.clone());
-    let tokens = mb.param("tokens")?;
-    let embed = mb.param("embed")?;
-    let mut x = mb.take(embed, tokens)?; // (b, 1, h)
-    let mut cache = mb.param("kv_cache")?;
-    let be: PrimExpr = b.clone().into();
-
-    for l in 0..config.n_layers {
-        let attn_norm = mb.param(&format!("l{l}.attn_norm"))?;
-        let hn = mb.rms_norm(x.clone(), attn_norm)?;
-        let q = LayerWeights::linear(&mut mb, config, &format!("l{l}.wq"), hn.clone(), h, nh * hd)?;
-        let k = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.wk"),
-            hn.clone(),
-            h,
-            nkv * hd,
-        )?;
-        let v = LayerWeights::linear(&mut mb, config, &format!("l{l}.wv"), hn, h, nkv * hd)?;
-        let q = mb.reshape(q, vec![be.clone(), 1.into(), nh.into(), hd.into()])?;
-        let q = mb.permute(q, &[0, 2, 1, 3])?;
-        let k = mb.reshape(k, vec![be.clone(), 1.into(), nkv.into(), hd.into()])?;
-        let k = mb.permute(k, &[0, 2, 1, 3])?;
-        let v = mb.reshape(v, vec![be.clone(), 1.into(), nkv.into(), hd.into()])?;
-        let v = mb.permute(v, &[0, 2, 1, 3])?;
-        // In-place paged appends; the handle chain orders them.
-        cache = mb.kv_append_paged(cache, k, 2 * l)?;
-        cache = mb.kv_append_paged(cache, v, 2 * l + 1)?;
-        let att = mb.kv_attention_paged(q, cache.clone(), 2 * l, 2 * l + 1, true)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), 1.into(), (nh * hd).into()])?;
-        let o = LayerWeights::linear(&mut mb, config, &format!("l{l}.wo"), att, nh * hd, h)?;
-        x = mb.add(x, o)?;
-        let ffn_norm = mb.param(&format!("l{l}.ffn_norm"))?;
-        let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
-        let gate = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_gate"),
-            hn2.clone(),
-            h,
-            config.intermediate,
-        )?;
-        let gate = mb.silu(gate)?;
-        let up = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_up"),
-            hn2,
-            h,
-            config.intermediate,
-        )?;
-        let act = mb.mul(gate, up)?;
-        let down = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_down"),
-            act,
-            config.intermediate,
-            h,
-        )?;
-        x = mb.add(x, down)?;
-    }
-    let final_norm = mb.param("final_norm")?;
-    let xn = mb.rms_norm(x, final_norm)?;
-    let logits = LayerWeights::linear(&mut mb, config, "lm_head", xn, h, config.vocab)?;
-    let logits = mb.output(logits.into())?;
-    let cache_out = mb.output(cache.into())?;
-
-    let module = mb.finish(Expr::Tuple(vec![logits.into(), cache_out.into()]))?;
-    Ok(ModelIr {
-        module,
-        func: "decode_paged".into(),
-        params,
-        batch: b,
-        seq: kv_len,
-    })
+    build(config, "decode_paged", KvMode::Paged, Feed::One)
 }
 
 /// Builds the **multi-token** paged decode function: like
@@ -548,100 +419,7 @@ pub fn build_decode_paged(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
 ///
 /// Propagates IR construction failures.
 pub fn build_decode_paged_multi(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
-    let b = SymVar::new("batch");
-    let s = SymVar::new("seq");
-    let h = config.hidden;
-    let hd = config.head_dim;
-    let nh = config.n_heads;
-    let nkv = config.n_kv_heads;
-
-    let mut params: Vec<(String, StructInfo)> = vec![
-        (
-            "tokens".to_string(),
-            StructInfo::tensor(vec![b.clone().into(), s.clone().into()], DataType::I64),
-        ),
-        ("kv_cache".to_string(), StructInfo::Object),
-    ];
-    params.extend(weight_param_specs(config));
-
-    let mut mb = ModelBuilder::begin(IRModule::new(), "decode_paged_multi", params.clone());
-    let tokens = mb.param("tokens")?;
-    let embed = mb.param("embed")?;
-    let mut x = mb.take(embed, tokens)?; // (b, s, h)
-    let mut cache = mb.param("kv_cache")?;
-    let be: PrimExpr = b.clone().into();
-    let se: PrimExpr = s.clone().into();
-
-    for l in 0..config.n_layers {
-        let attn_norm = mb.param(&format!("l{l}.attn_norm"))?;
-        let hn = mb.rms_norm(x.clone(), attn_norm)?;
-        let q = LayerWeights::linear(&mut mb, config, &format!("l{l}.wq"), hn.clone(), h, nh * hd)?;
-        let k = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.wk"),
-            hn.clone(),
-            h,
-            nkv * hd,
-        )?;
-        let v = LayerWeights::linear(&mut mb, config, &format!("l{l}.wv"), hn, h, nkv * hd)?;
-        let q = mb.reshape(q, vec![be.clone(), se.clone(), nh.into(), hd.into()])?;
-        let q = mb.permute(q, &[0, 2, 1, 3])?;
-        let k = mb.reshape(k, vec![be.clone(), se.clone(), nkv.into(), hd.into()])?;
-        let k = mb.permute(k, &[0, 2, 1, 3])?;
-        let v = mb.reshape(v, vec![be.clone(), se.clone(), nkv.into(), hd.into()])?;
-        let v = mb.permute(v, &[0, 2, 1, 3])?;
-        cache = mb.kv_append_paged(cache, k, 2 * l)?;
-        cache = mb.kv_append_paged(cache, v, 2 * l + 1)?;
-        let att = mb.kv_attention_paged(q, cache.clone(), 2 * l, 2 * l + 1, true)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), se.clone(), (nh * hd).into()])?;
-        let o = LayerWeights::linear(&mut mb, config, &format!("l{l}.wo"), att, nh * hd, h)?;
-        x = mb.add(x, o)?;
-        let ffn_norm = mb.param(&format!("l{l}.ffn_norm"))?;
-        let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
-        let gate = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_gate"),
-            hn2.clone(),
-            h,
-            config.intermediate,
-        )?;
-        let gate = mb.silu(gate)?;
-        let up = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_up"),
-            hn2,
-            h,
-            config.intermediate,
-        )?;
-        let act = mb.mul(gate, up)?;
-        let down = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_down"),
-            act,
-            config.intermediate,
-            h,
-        )?;
-        x = mb.add(x, down)?;
-    }
-    let final_norm = mb.param("final_norm")?;
-    let xn = mb.rms_norm(x, final_norm)?;
-    let logits = LayerWeights::linear(&mut mb, config, "lm_head", xn, h, config.vocab)?;
-    let logits = mb.output(logits.into())?;
-    let cache_out = mb.output(cache.into())?;
-
-    let module = mb.finish(Expr::Tuple(vec![logits.into(), cache_out.into()]))?;
-    Ok(ModelIr {
-        module,
-        func: "decode_paged_multi".into(),
-        params,
-        batch: b,
-        seq: s,
-    })
+    build(config, "decode_paged_multi", KvMode::Paged, Feed::Seq)
 }
 
 /// Builds the prefill function: consumes the whole prompt `(b, s)` and
@@ -651,98 +429,7 @@ pub fn build_decode_paged_multi(config: &LlamaConfig) -> Result<ModelIr, ModelEr
 ///
 /// Propagates IR construction failures.
 pub fn build_prefill(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
-    let b = SymVar::new("batch");
-    let s = SymVar::new("seq");
-    let dt = config.dtype;
-    let h = config.hidden;
-    let hd = config.head_dim;
-    let nh = config.n_heads;
-    let nkv = config.n_kv_heads;
-
-    let mut params: Vec<(String, StructInfo)> = vec![(
-        "tokens".to_string(),
-        StructInfo::tensor(vec![b.clone().into(), s.clone().into()], DataType::I64),
-    )];
-    params.extend(weight_param_specs(config));
-
-    let mut mb = ModelBuilder::begin(IRModule::new(), "prefill", params.clone());
-    let tokens = mb.param("tokens")?;
-    let embed = mb.param("embed")?;
-    let mut x = mb.take(embed, tokens)?; // (b, s, h)
-    let _ = dt;
-
-    let scale = 1.0 / (hd as f64).sqrt();
-    let be: PrimExpr = b.clone().into();
-    let se: PrimExpr = s.clone().into();
-    let mut caches: Vec<relax_core::Var> = Vec::new();
-
-    for l in 0..config.n_layers {
-        let attn_norm = mb.param(&format!("l{l}.attn_norm"))?;
-        let hn = mb.rms_norm(x.clone(), attn_norm)?;
-        let q = LayerWeights::linear(&mut mb, config, &format!("l{l}.wq"), hn.clone(), h, nh * hd)?;
-        let k = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.wk"),
-            hn.clone(),
-            h,
-            nkv * hd,
-        )?;
-        let v = LayerWeights::linear(&mut mb, config, &format!("l{l}.wv"), hn, h, nkv * hd)?;
-        let q = mb.reshape(q, vec![be.clone(), se.clone(), nh.into(), hd.into()])?;
-        let q = mb.permute(q, &[0, 2, 1, 3])?;
-        let k = mb.reshape(k, vec![be.clone(), se.clone(), nkv.into(), hd.into()])?;
-        let k = mb.permute(k, &[0, 2, 1, 3])?;
-        let v = mb.reshape(v, vec![be.clone(), se.clone(), nkv.into(), hd.into()])?;
-        let v = mb.permute(v, &[0, 2, 1, 3])?;
-        let k_out = mb.output(k.clone().into())?;
-        let v_out = mb.output(v.clone().into())?;
-        caches.push(k_out);
-        caches.push(v_out);
-        let att = mb.attention(q, k.clone(), v.clone(), scale, true)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), se.clone(), (nh * hd).into()])?;
-        let o = LayerWeights::linear(&mut mb, config, &format!("l{l}.wo"), att, nh * hd, h)?;
-        x = mb.add(x, o)?;
-        let ffn_norm = mb.param(&format!("l{l}.ffn_norm"))?;
-        let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
-        let gate = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_gate"),
-            hn2.clone(),
-            h,
-            config.intermediate,
-        )?;
-        let gate = mb.silu(gate)?;
-        let up = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_up"),
-            hn2,
-            h,
-            config.intermediate,
-        )?;
-        let act = mb.mul(gate, up)?;
-        let down = LayerWeights::linear(
-            &mut mb,
-            config,
-            &format!("l{l}.w_down"),
-            act,
-            config.intermediate,
-            h,
-        )?;
-        x = mb.add(x, down)?;
-    }
-
-    let module = mb.finish(Expr::Tuple(caches.into_iter().map(Expr::Var).collect()))?;
-    Ok(ModelIr {
-        module,
-        func: "prefill".into(),
-        params,
-        batch: b,
-        seq: s,
-    })
+    build(config, "prefill", KvMode::Emit, Feed::Seq)
 }
 
 #[cfg(test)]

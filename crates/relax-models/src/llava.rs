@@ -5,7 +5,7 @@ use relax_arith::{DataType, PrimExpr, Var as SymVar};
 use relax_core::{IRModule, StructInfo};
 
 use crate::llama::{LlamaConfig, ModelIr};
-use crate::nn::{ModelBuilder, ModelError};
+use crate::nn::{encoder_layer_params, tensor_param, ModelBuilder, ModelError};
 
 /// Configuration of the LLaVA vision tower + projector.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,72 +86,25 @@ pub fn build_vision_encoder(config: &LlavaConfig) -> Result<ModelIr, ModelError>
     let b = SymVar::new("batch");
     let d = config.vision_dim;
     let nh = config.vision_heads;
-    let hd = d / nh;
-    let p = config.patches;
     let dt = config.dtype;
-    let scale = 1.0 / (hd as f64).sqrt();
 
     let mut params: Vec<(String, StructInfo)> = vec![(
         "patches".to_string(),
-        StructInfo::tensor(vec![b.clone().into(), p.into(), d.into()], dt),
+        StructInfo::tensor(vec![b.clone().into(), config.patches.into(), d.into()], dt),
     )];
     for l in 0..config.vision_layers {
-        params.push((
-            format!("v{l}.norm1"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        for w in ["wq", "wk", "wv", "wo"] {
-            params.push((
-                format!("v{l}.{w}"),
-                StructInfo::tensor(vec![d.into(), d.into()], dt),
-            ));
-        }
-        params.push((
-            format!("v{l}.norm2"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("v{l}.w_up"),
-            StructInfo::tensor(vec![d.into(), config.vision_ffn.into()], dt),
-        ));
-        params.push((
-            format!("v{l}.w_down"),
-            StructInfo::tensor(vec![config.vision_ffn.into(), d.into()], dt),
-        ));
+        params.extend(encoder_layer_params(&format!("v{l}"), d, config.vision_ffn, dt));
     }
-    params.push((
-        "projector".to_string(),
-        StructInfo::tensor(vec![d.into(), config.llm.hidden.into()], dt),
-    ));
+    params.push(tensor_param("projector".to_string(), &[d, config.llm.hidden], dt));
 
     let mut mb = ModelBuilder::begin(IRModule::new(), "encode_image", params.clone());
     let mut x = mb.param("patches")?;
     let be: PrimExpr = b.clone().into();
-
+    let pe: PrimExpr = config.patches.into();
     for l in 0..config.vision_layers {
-        let norm1 = mb.param(&format!("v{l}.norm1"))?;
-        let hn = mb.rms_norm(x.clone(), norm1)?;
-        let q = mb.matmul(hn.clone(), mb.param(&format!("v{l}.wq"))?)?;
-        let k = mb.matmul(hn.clone(), mb.param(&format!("v{l}.wk"))?)?;
-        let v = mb.matmul(hn, mb.param(&format!("v{l}.wv"))?)?;
-        let heads = |mb: &mut ModelBuilder, t| -> Result<_, ModelError> {
-            let t = mb.reshape(t, vec![be.clone(), p.into(), nh.into(), hd.into()])?;
-            mb.permute(t, &[0, 2, 1, 3])
-        };
-        let q = heads(&mut mb, q)?;
-        let k = heads(&mut mb, k)?;
-        let v = heads(&mut mb, v)?;
-        let att = mb.attention(q, k, v, scale, false)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), p.into(), d.into()])?;
-        let o = mb.matmul(att, mb.param(&format!("v{l}.wo"))?)?;
-        x = mb.add(x, o)?;
-        let norm2 = mb.param(&format!("v{l}.norm2"))?;
-        let hn2 = mb.rms_norm(x.clone(), norm2)?;
-        let up = mb.matmul(hn2, mb.param(&format!("v{l}.w_up"))?)?;
-        let up = mb.gelu(up)?;
-        let down = mb.matmul(up, mb.param(&format!("v{l}.w_down"))?)?;
-        x = mb.add(x, down)?;
+        let p = format!("v{l}");
+        x = mb.self_attention(x, &p, &be, &pe, nh, d / nh, None)?;
+        x = mb.gelu_mlp(x, &p)?;
     }
     let proj = mb.param("projector")?;
     let embedded = mb.matmul(x, proj)?;

@@ -263,6 +263,135 @@ impl ModelBuilder {
         })?)
     }
 
+    /// `(b, s, heads * hd)` → `(b, heads, s, hd)`.
+    pub(crate) fn split_heads(
+        &mut self,
+        x: Var,
+        b: &PrimExpr,
+        s: &PrimExpr,
+        heads: i64,
+        hd: i64,
+    ) -> Result<Var, ModelError> {
+        let x = self.reshape(x, vec![b.clone(), s.clone(), heads.into(), hd.into()])?;
+        self.permute(x, &[0, 2, 1, 3])
+    }
+
+    /// `(b, heads, s, hd)` → `(b, s, width)`, the inverse of
+    /// [`Self::split_heads`] with `width = heads * hd`.
+    pub(crate) fn merge_heads(
+        &mut self,
+        x: Var,
+        b: &PrimExpr,
+        s: &PrimExpr,
+        width: i64,
+    ) -> Result<Var, ModelError> {
+        let x = self.permute(x, &[0, 2, 1, 3])?;
+        self.reshape(x, vec![b.clone(), s.clone(), width.into()])
+    }
+
+    /// Opens a decoder's KV state under `mode`; a paged decoder threads
+    /// its `kv_cache` handle parameter.
+    pub(crate) fn kv_begin(&self, mode: KvMode) -> Result<KvState, ModelError> {
+        let handle = match mode {
+            KvMode::Paged => Some(self.param("kv_cache")?),
+            KvMode::Copy | KvMode::Emit => None,
+        };
+        Ok(KvState {
+            mode,
+            handle,
+            outs: Vec::new(),
+        })
+    }
+
+    /// Causal self-attention of decoder layer `l` (parameters prefixed
+    /// `p`) over head-split `q`/`k`/`v`, storing the fed keys and values
+    /// the way `kv`'s mode says.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn attend_cached(
+        &mut self,
+        kv: &mut KvState,
+        p: &str,
+        l: usize,
+        q: Var,
+        k: Var,
+        v: Var,
+        scale: f64,
+    ) -> Result<Var, ModelError> {
+        let (k, v) = match kv.mode {
+            KvMode::Paged => {
+                // In-place paged appends; the handle chain orders them.
+                let cache = kv.handle.take().expect("paged KV state holds its handle");
+                let cache = self.kv_append_paged(cache, k, 2 * l)?;
+                let cache = self.kv_append_paged(cache, v, 2 * l + 1)?;
+                kv.handle = Some(cache.clone());
+                return self.kv_attention_paged(q, cache, 2 * l, 2 * l + 1, true);
+            }
+            KvMode::Copy => {
+                // Append to the cache along the sequence axis.
+                let k_cache = self.param(&format!("{p}.k_cache"))?;
+                let v_cache = self.param(&format!("{p}.v_cache"))?;
+                (self.kv_append(k_cache, k)?, self.kv_append(v_cache, v)?)
+            }
+            KvMode::Emit => (k, v),
+        };
+        kv.outs.push(self.output(k.clone().into())?);
+        kv.outs.push(self.output(v.clone().into())?);
+        self.attention(q, k, v, scale, true)
+    }
+
+    /// Closes a decoder's KV state into the values its function returns
+    /// after the logits: the cache tensors, or the paged handle (returning
+    /// it keeps the append chain alive through purity-based cleanups).
+    pub(crate) fn kv_finish(&mut self, kv: KvState) -> Result<Vec<Expr>, ModelError> {
+        match kv.handle {
+            Some(handle) => Ok(vec![self.output(handle.into())?.into()]),
+            None => Ok(kv.outs.into_iter().map(Expr::Var).collect()),
+        }
+    }
+
+    /// Pre-norm self-attention block with residual over `(b, s, heads *
+    /// hd)` states, weights `{p}.norm1` and `{p}.{wq,wk,wv,wo}`: causal
+    /// over `kv` for decoder layer `l`, bidirectional without one.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn self_attention(
+        &mut self,
+        x: Var,
+        p: &str,
+        b: &PrimExpr,
+        s: &PrimExpr,
+        heads: i64,
+        hd: i64,
+        kv: Option<(&mut KvState, usize)>,
+    ) -> Result<Var, ModelError> {
+        let scale = 1.0 / (hd as f64).sqrt();
+        let norm1 = self.param(&format!("{p}.norm1"))?;
+        let hn = self.rms_norm(x.clone(), norm1)?;
+        let q = self.matmul(hn.clone(), self.param(&format!("{p}.wq"))?)?;
+        let k = self.matmul(hn.clone(), self.param(&format!("{p}.wk"))?)?;
+        let v = self.matmul(hn, self.param(&format!("{p}.wv"))?)?;
+        let q = self.split_heads(q, b, s, heads, hd)?;
+        let k = self.split_heads(k, b, s, heads, hd)?;
+        let v = self.split_heads(v, b, s, heads, hd)?;
+        let att = match kv {
+            Some((kv, l)) => self.attend_cached(kv, p, l, q, k, v, scale)?,
+            None => self.attention(q, k, v, scale, false)?,
+        };
+        let att = self.merge_heads(att, b, s, heads * hd)?;
+        let o = self.matmul(att, self.param(&format!("{p}.wo"))?)?;
+        self.add(x, o)
+    }
+
+    /// Pre-norm GELU feed-forward block with residual, weights
+    /// `{p}.norm2`, `{p}.w_up` and `{p}.w_down`.
+    pub(crate) fn gelu_mlp(&mut self, x: Var, p: &str) -> Result<Var, ModelError> {
+        let norm2 = self.param(&format!("{p}.norm2"))?;
+        let hn = self.rms_norm(x.clone(), norm2)?;
+        let up = self.matmul(hn, self.param(&format!("{p}.w_up"))?)?;
+        let up = self.gelu(up)?;
+        let down = self.matmul(up, self.param(&format!("{p}.w_down"))?)?;
+        self.add(x, down)
+    }
+
     /// Refines a value's shape through `match_cast`, introducing the
     /// symbolic variables of `sinfo` with a runtime check — the
     /// data-dependent-shape idiom of the paper's Figure 3 (an MoE
@@ -376,6 +505,53 @@ impl ModelBuilder {
         self.bb.finish_function(ret, None)?;
         Ok(self.bb.finish())
     }
+}
+
+/// Where a decoder layer's fed keys and values go.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KvMode {
+    /// Appended to per-layer `(b, h, s, hd)` cache tensor parameters
+    /// (`{p}.k_cache`/`{p}.v_cache`) by the copy-based `kv_append`; the
+    /// grown caches are returned.
+    Copy,
+    /// Appended in place to streams `2l`/`2l+1` of the one first-class
+    /// `kv_cache` handle, which is returned.
+    Paged,
+    /// Returned as they are — a prefill producing the initial caches.
+    Emit,
+}
+
+/// What a decoder threads through its layers under a [`KvMode`].
+pub(crate) struct KvState {
+    mode: KvMode,
+    /// The paged handle after the latest append.
+    handle: Option<Var>,
+    /// Cache tensors to return, `k` then `v` per layer.
+    outs: Vec<Var>,
+}
+
+/// A named constant-shape tensor parameter.
+pub(crate) fn tensor_param(name: String, dims: &[i64], dtype: DataType) -> (String, StructInfo) {
+    let dims = dims.iter().map(|&d| d.into()).collect();
+    (name, StructInfo::tensor(dims, dtype))
+}
+
+/// The parameters of one [`ModelBuilder::self_attention`] +
+/// [`ModelBuilder::gelu_mlp`] encoder layer of width `d` prefixed `p`.
+pub(crate) fn encoder_layer_params(
+    p: &str,
+    d: i64,
+    ffn: i64,
+    dtype: DataType,
+) -> Vec<(String, StructInfo)> {
+    let mut params = vec![tensor_param(format!("{p}.norm1"), &[d], dtype)];
+    for w in ["wq", "wk", "wv", "wo"] {
+        params.push(tensor_param(format!("{p}.{w}"), &[d, d], dtype));
+    }
+    params.push(tensor_param(format!("{p}.norm2"), &[d], dtype));
+    params.push(tensor_param(format!("{p}.w_up"), &[d, ffn], dtype));
+    params.push(tensor_param(format!("{p}.w_down"), &[ffn, d], dtype));
+    params
 }
 
 /// Builds the `decode_q4` tensor program of Figure 9:

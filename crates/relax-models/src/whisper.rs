@@ -4,7 +4,7 @@ use relax_arith::{DataType, PrimExpr, Var as SymVar};
 use relax_core::{Expr, IRModule, StructInfo};
 
 use crate::llama::ModelIr;
-use crate::nn::{ModelBuilder, ModelError};
+use crate::nn::{encoder_layer_params, tensor_param, KvMode, ModelBuilder, ModelError};
 
 /// Configuration of an encoder–decoder speech model.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,37 +102,6 @@ impl WhisperConfig {
     }
 }
 
-fn encoder_param_specs(config: &WhisperConfig) -> Vec<(String, StructInfo)> {
-    let d = config.d_model;
-    let dt = config.dtype;
-    let mut params = Vec::new();
-    for l in 0..config.enc_layers {
-        params.push((
-            format!("e{l}.norm1"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        for w in ["wq", "wk", "wv", "wo"] {
-            params.push((
-                format!("e{l}.{w}"),
-                StructInfo::tensor(vec![d.into(), d.into()], dt),
-            ));
-        }
-        params.push((
-            format!("e{l}.norm2"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("e{l}.w_up"),
-            StructInfo::tensor(vec![d.into(), config.ffn.into()], dt),
-        ));
-        params.push((
-            format!("e{l}.w_down"),
-            StructInfo::tensor(vec![config.ffn.into(), d.into()], dt),
-        ));
-    }
-    params
-}
-
 /// Builds the audio encoder: `(b, s_audio, d_model)` features to hidden
 /// states of the same shape (the sequence length is symbolic, so shorter
 /// audio windows reuse the same compilation).
@@ -144,9 +113,6 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     let b = SymVar::new("batch");
     let s = SymVar::new("s_audio");
     let d = config.d_model;
-    let nh = config.n_heads;
-    let hd = config.head_dim();
-    let scale = 1.0 / (hd as f64).sqrt();
 
     let mut params: Vec<(String, StructInfo)> = vec![(
         "features".to_string(),
@@ -155,38 +121,19 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
             config.dtype,
         ),
     )];
-    params.extend(encoder_param_specs(config));
+    for l in 0..config.enc_layers {
+        params.extend(encoder_layer_params(&format!("e{l}"), d, config.ffn, config.dtype));
+    }
 
     let mut mb = ModelBuilder::begin(IRModule::new(), "encode", params.clone());
     let mut x = mb.param("features")?;
     let be: PrimExpr = b.clone().into();
     let se: PrimExpr = s.clone().into();
-
     for l in 0..config.enc_layers {
-        let norm1 = mb.param(&format!("e{l}.norm1"))?;
-        let hn = mb.rms_norm(x.clone(), norm1)?;
-        let q = mb.matmul(hn.clone(), mb.param(&format!("e{l}.wq"))?)?;
-        let k = mb.matmul(hn.clone(), mb.param(&format!("e{l}.wk"))?)?;
-        let v = mb.matmul(hn, mb.param(&format!("e{l}.wv"))?)?;
-        let to_heads = |mb: &mut ModelBuilder, t| -> Result<_, ModelError> {
-            let t = mb.reshape(t, vec![be.clone(), se.clone(), nh.into(), hd.into()])?;
-            mb.permute(t, &[0, 2, 1, 3])
-        };
-        let q = to_heads(&mut mb, q)?;
-        let k = to_heads(&mut mb, k)?;
-        let v = to_heads(&mut mb, v)?;
+        let p = format!("e{l}");
         // Bidirectional self-attention (not causal).
-        let att = mb.attention(q, k, v, scale, false)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), se.clone(), d.into()])?;
-        let o = mb.matmul(att, mb.param(&format!("e{l}.wo"))?)?;
-        x = mb.add(x, o)?;
-        let norm2 = mb.param(&format!("e{l}.norm2"))?;
-        let hn2 = mb.rms_norm(x.clone(), norm2)?;
-        let up = mb.matmul(hn2, mb.param(&format!("e{l}.w_up"))?)?;
-        let up = mb.gelu(up)?;
-        let down = mb.matmul(up, mb.param(&format!("e{l}.w_down"))?)?;
-        x = mb.add(x, down)?;
+        x = mb.self_attention(x, &p, &be, &se, config.n_heads, config.head_dim(), None)?;
+        x = mb.gelu_mlp(x, &p)?;
     }
     let out = mb.output(x.into())?;
     let module = mb.finish(out.into())?;
@@ -199,14 +146,15 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     })
 }
 
-/// Builds the decoder step: next token + self KV caches + encoder states,
-/// returning `(logits, new self K/V caches...)`. Cross-attention keys and
-/// values are computed from the encoder states.
-///
-/// # Errors
-///
-/// Propagates IR construction failures.
-pub fn build_decoder_step(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
+/// The one decoder step behind [`build_decoder_step`] and
+/// [`build_decoder_step_paged`]: per layer, causal self-attention over
+/// the KV mode's cache, cross-attention over the precomputed encoder
+/// keys/values, and the GELU MLP; then the tied-embedding LM head.
+fn build_decoder(
+    config: &WhisperConfig,
+    func: &str,
+    cache: KvMode,
+) -> Result<ModelIr, ModelError> {
     let b = SymVar::new("batch");
     let kv_len = SymVar::new("kv_len");
     let s_audio = SymVar::new("s_audio");
@@ -215,145 +163,93 @@ pub fn build_decoder_step(config: &WhisperConfig) -> Result<ModelIr, ModelError>
     let hd = config.head_dim();
     let dt = config.dtype;
     let scale = 1.0 / (hd as f64).sqrt();
+    let be: PrimExpr = b.clone().into();
+    let one: PrimExpr = 1.into();
 
     let mut params: Vec<(String, StructInfo)> = vec![(
         "tokens".to_string(),
-        StructInfo::tensor(vec![b.clone().into(), 1.into()], DataType::I64),
+        StructInfo::tensor(vec![be.clone(), one.clone()], DataType::I64),
     )];
+    if matches!(cache, KvMode::Paged) {
+        params.push(("kv_cache".to_string(), StructInfo::Object));
+    }
+    let per_head = |len: &SymVar| {
+        StructInfo::tensor(vec![be.clone(), nh.into(), len.clone().into(), hd.into()], dt)
+    };
     for l in 0..config.dec_layers {
-        let cache = StructInfo::tensor(
-            vec![
-                b.clone().into(),
-                nh.into(),
-                kv_len.clone().into(),
-                hd.into(),
-            ],
-            dt,
-        );
-        params.push((format!("d{l}.k_cache"), cache.clone()));
-        params.push((format!("d{l}.v_cache"), cache));
+        if matches!(cache, KvMode::Copy) {
+            params.push((format!("d{l}.k_cache"), per_head(&kv_len)));
+            params.push((format!("d{l}.v_cache"), per_head(&kv_len)));
+        }
         // Cross-attention keys/values are precomputed once per utterance
         // by `build_cross_kv` (as real Whisper deployments do).
-        let cross = StructInfo::tensor(
-            vec![
-                b.clone().into(),
-                nh.into(),
-                s_audio.clone().into(),
-                hd.into(),
-            ],
-            dt,
-        );
-        params.push((format!("d{l}.cross_k"), cross.clone()));
-        params.push((format!("d{l}.cross_v"), cross));
+        params.push((format!("d{l}.cross_k"), per_head(&s_audio)));
+        params.push((format!("d{l}.cross_v"), per_head(&s_audio)));
     }
-    params.push((
-        "embed".to_string(),
-        StructInfo::tensor(vec![config.vocab.into(), d.into()], dt),
-    ));
+    params.push(tensor_param("embed".to_string(), &[config.vocab, d], dt));
     for l in 0..config.dec_layers {
-        params.push((
-            format!("d{l}.norm1"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
+        params.push(tensor_param(format!("d{l}.norm1"), &[d], dt));
         for w in ["wq", "wk", "wv", "wo", "cq", "co"] {
-            params.push((
-                format!("d{l}.{w}"),
-                StructInfo::tensor(vec![d.into(), d.into()], dt),
-            ));
+            params.push(tensor_param(format!("d{l}.{w}"), &[d, d], dt));
         }
-        params.push((
-            format!("d{l}.norm_x"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.norm2"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.w_up"),
-            StructInfo::tensor(vec![d.into(), config.ffn.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.w_down"),
-            StructInfo::tensor(vec![config.ffn.into(), d.into()], dt),
-        ));
+        params.push(tensor_param(format!("d{l}.norm_x"), &[d], dt));
+        params.push(tensor_param(format!("d{l}.norm2"), &[d], dt));
+        params.push(tensor_param(format!("d{l}.w_up"), &[d, config.ffn], dt));
+        params.push(tensor_param(format!("d{l}.w_down"), &[config.ffn, d], dt));
     }
-    params.push((
-        "final_norm".to_string(),
-        StructInfo::tensor(vec![d.into()], dt),
-    ));
+    params.push(tensor_param("final_norm".to_string(), &[d], dt));
 
-    let mut mb = ModelBuilder::begin(IRModule::new(), "decode", params.clone());
+    let mut mb = ModelBuilder::begin(IRModule::new(), func, params.clone());
     let tokens = mb.param("tokens")?;
     let embed = mb.param("embed")?;
     let mut x = mb.take(embed.clone(), tokens)?;
-    let be: PrimExpr = b.clone().into();
-    let mut new_caches = Vec::new();
+    let mut kv = mb.kv_begin(cache)?;
 
     for l in 0..config.dec_layers {
+        let p = format!("d{l}");
         // Causal self-attention with cache.
-        let norm1 = mb.param(&format!("d{l}.norm1"))?;
-        let hn = mb.rms_norm(x.clone(), norm1)?;
-        let q = mb.matmul(hn.clone(), mb.param(&format!("d{l}.wq"))?)?;
-        let k = mb.matmul(hn.clone(), mb.param(&format!("d{l}.wk"))?)?;
-        let v = mb.matmul(hn, mb.param(&format!("d{l}.wv"))?)?;
-        let head1 = |mb: &mut ModelBuilder, t| -> Result<_, ModelError> {
-            let t = mb.reshape(t, vec![be.clone(), 1.into(), nh.into(), hd.into()])?;
-            mb.permute(t, &[0, 2, 1, 3])
-        };
-        let q = head1(&mut mb, q)?;
-        let k = head1(&mut mb, k)?;
-        let v = head1(&mut mb, v)?;
-        let k_cache = mb.param(&format!("d{l}.k_cache"))?;
-        let v_cache = mb.param(&format!("d{l}.v_cache"))?;
-        let k_all = mb.kv_append(k_cache, k)?;
-        let v_all = mb.kv_append(v_cache, v)?;
-        new_caches.push(mb.output(k_all.clone().into())?);
-        new_caches.push(mb.output(v_all.clone().into())?);
-        let att = mb.attention(q, k_all, v_all, scale, true)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), 1.into(), d.into()])?;
-        let o = mb.matmul(att, mb.param(&format!("d{l}.wo"))?)?;
-        x = mb.add(x, o)?;
+        x = mb.self_attention(x, &p, &be, &one, nh, hd, Some((&mut kv, l)))?;
 
         // Cross-attention over the precomputed encoder keys/values.
-        let norm_x = mb.param(&format!("d{l}.norm_x"))?;
+        let norm_x = mb.param(&format!("{p}.norm_x"))?;
         let hx = mb.rms_norm(x.clone(), norm_x)?;
-        let cq = mb.matmul(hx, mb.param(&format!("d{l}.cq"))?)?;
-        let cq = head1(&mut mb, cq)?;
-        let ck = mb.param(&format!("d{l}.cross_k"))?;
-        let cv = mb.param(&format!("d{l}.cross_v"))?;
+        let cq = mb.matmul(hx, mb.param(&format!("{p}.cq"))?)?;
+        let cq = mb.split_heads(cq, &be, &one, nh, hd)?;
+        let ck = mb.param(&format!("{p}.cross_k"))?;
+        let cv = mb.param(&format!("{p}.cross_v"))?;
         let catt = mb.attention(cq, ck, cv, scale, false)?;
-        let catt = mb.permute(catt, &[0, 2, 1, 3])?;
-        let catt = mb.reshape(catt, vec![be.clone(), 1.into(), d.into()])?;
-        let co = mb.matmul(catt, mb.param(&format!("d{l}.co"))?)?;
+        let catt = mb.merge_heads(catt, &be, &one, d)?;
+        let co = mb.matmul(catt, mb.param(&format!("{p}.co"))?)?;
         x = mb.add(x, co)?;
 
-        // Feed-forward.
-        let norm2 = mb.param(&format!("d{l}.norm2"))?;
-        let hn2 = mb.rms_norm(x.clone(), norm2)?;
-        let up = mb.matmul(hn2, mb.param(&format!("d{l}.w_up"))?)?;
-        let up = mb.gelu(up)?;
-        let down = mb.matmul(up, mb.param(&format!("d{l}.w_down"))?)?;
-        x = mb.add(x, down)?;
+        x = mb.gelu_mlp(x, &p)?;
     }
     let final_norm = mb.param("final_norm")?;
     let xn = mb.rms_norm(x, final_norm)?;
     // Tied embedding: logits = x @ embed^T.
     let embed_t = mb.permute(embed, &[1, 0])?;
     let logits = mb.matmul(xn, embed_t)?;
-    let logits = mb.output(logits.into())?;
-
-    let mut ret: Vec<Expr> = vec![logits.into()];
-    ret.extend(new_caches.into_iter().map(Expr::Var));
+    let mut ret: Vec<Expr> = vec![mb.output(logits.into())?.into()];
+    ret.extend(mb.kv_finish(kv)?);
     let module = mb.finish(Expr::Tuple(ret))?;
     Ok(ModelIr {
         module,
-        func: "decode".into(),
+        func: func.into(),
         params,
         batch: b,
         seq: kv_len,
     })
+}
+
+/// Builds the decoder step: next token + self KV caches + encoder states,
+/// returning `(logits, new self K/V caches...)`. Cross-attention keys and
+/// values are computed from the encoder states.
+///
+/// # Errors
+///
+/// Propagates IR construction failures.
+pub fn build_decoder_step(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
+    build_decoder(config, "decode", KvMode::Copy)
 }
 
 /// Builds the decoder step over a **paged** self-attention KV cache:
@@ -366,137 +262,7 @@ pub fn build_decoder_step(config: &WhisperConfig) -> Result<ModelIr, ModelError>
 ///
 /// Propagates IR construction failures.
 pub fn build_decoder_step_paged(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
-    let b = SymVar::new("batch");
-    let kv_len = SymVar::new("kv_len");
-    let s_audio = SymVar::new("s_audio");
-    let d = config.d_model;
-    let nh = config.n_heads;
-    let hd = config.head_dim();
-    let dt = config.dtype;
-    let scale = 1.0 / (hd as f64).sqrt();
-
-    let mut params: Vec<(String, StructInfo)> = vec![
-        (
-            "tokens".to_string(),
-            StructInfo::tensor(vec![b.clone().into(), 1.into()], DataType::I64),
-        ),
-        ("kv_cache".to_string(), StructInfo::Object),
-    ];
-    for l in 0..config.dec_layers {
-        let cross = StructInfo::tensor(
-            vec![
-                b.clone().into(),
-                nh.into(),
-                s_audio.clone().into(),
-                hd.into(),
-            ],
-            dt,
-        );
-        params.push((format!("d{l}.cross_k"), cross.clone()));
-        params.push((format!("d{l}.cross_v"), cross));
-    }
-    params.push((
-        "embed".to_string(),
-        StructInfo::tensor(vec![config.vocab.into(), d.into()], dt),
-    ));
-    for l in 0..config.dec_layers {
-        params.push((
-            format!("d{l}.norm1"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        for w in ["wq", "wk", "wv", "wo", "cq", "co"] {
-            params.push((
-                format!("d{l}.{w}"),
-                StructInfo::tensor(vec![d.into(), d.into()], dt),
-            ));
-        }
-        params.push((
-            format!("d{l}.norm_x"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.norm2"),
-            StructInfo::tensor(vec![d.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.w_up"),
-            StructInfo::tensor(vec![d.into(), config.ffn.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.w_down"),
-            StructInfo::tensor(vec![config.ffn.into(), d.into()], dt),
-        ));
-    }
-    params.push((
-        "final_norm".to_string(),
-        StructInfo::tensor(vec![d.into()], dt),
-    ));
-
-    let mut mb = ModelBuilder::begin(IRModule::new(), "decode_paged", params.clone());
-    let tokens = mb.param("tokens")?;
-    let embed = mb.param("embed")?;
-    let mut x = mb.take(embed.clone(), tokens)?;
-    let mut cache = mb.param("kv_cache")?;
-    let be: PrimExpr = b.clone().into();
-
-    for l in 0..config.dec_layers {
-        // Causal self-attention over the paged cache.
-        let norm1 = mb.param(&format!("d{l}.norm1"))?;
-        let hn = mb.rms_norm(x.clone(), norm1)?;
-        let q = mb.matmul(hn.clone(), mb.param(&format!("d{l}.wq"))?)?;
-        let k = mb.matmul(hn.clone(), mb.param(&format!("d{l}.wk"))?)?;
-        let v = mb.matmul(hn, mb.param(&format!("d{l}.wv"))?)?;
-        let head1 = |mb: &mut ModelBuilder, t| -> Result<_, ModelError> {
-            let t = mb.reshape(t, vec![be.clone(), 1.into(), nh.into(), hd.into()])?;
-            mb.permute(t, &[0, 2, 1, 3])
-        };
-        let q = head1(&mut mb, q)?;
-        let k = head1(&mut mb, k)?;
-        let v = head1(&mut mb, v)?;
-        cache = mb.kv_append_paged(cache, k, 2 * l)?;
-        cache = mb.kv_append_paged(cache, v, 2 * l + 1)?;
-        let att = mb.kv_attention_paged(q, cache.clone(), 2 * l, 2 * l + 1, true)?;
-        let att = mb.permute(att, &[0, 2, 1, 3])?;
-        let att = mb.reshape(att, vec![be.clone(), 1.into(), d.into()])?;
-        let o = mb.matmul(att, mb.param(&format!("d{l}.wo"))?)?;
-        x = mb.add(x, o)?;
-
-        // Cross-attention over the precomputed encoder keys/values.
-        let norm_x = mb.param(&format!("d{l}.norm_x"))?;
-        let hx = mb.rms_norm(x.clone(), norm_x)?;
-        let cq = mb.matmul(hx, mb.param(&format!("d{l}.cq"))?)?;
-        let cq = head1(&mut mb, cq)?;
-        let ck = mb.param(&format!("d{l}.cross_k"))?;
-        let cv = mb.param(&format!("d{l}.cross_v"))?;
-        let catt = mb.attention(cq, ck, cv, scale, false)?;
-        let catt = mb.permute(catt, &[0, 2, 1, 3])?;
-        let catt = mb.reshape(catt, vec![be.clone(), 1.into(), d.into()])?;
-        let co = mb.matmul(catt, mb.param(&format!("d{l}.co"))?)?;
-        x = mb.add(x, co)?;
-
-        // Feed-forward.
-        let norm2 = mb.param(&format!("d{l}.norm2"))?;
-        let hn2 = mb.rms_norm(x.clone(), norm2)?;
-        let up = mb.matmul(hn2, mb.param(&format!("d{l}.w_up"))?)?;
-        let up = mb.gelu(up)?;
-        let down = mb.matmul(up, mb.param(&format!("d{l}.w_down"))?)?;
-        x = mb.add(x, down)?;
-    }
-    let final_norm = mb.param("final_norm")?;
-    let xn = mb.rms_norm(x, final_norm)?;
-    let embed_t = mb.permute(embed, &[1, 0])?;
-    let logits = mb.matmul(xn, embed_t)?;
-    let logits = mb.output(logits.into())?;
-    let cache_out = mb.output(cache.into())?;
-
-    let module = mb.finish(Expr::Tuple(vec![logits.into(), cache_out.into()]))?;
-    Ok(ModelIr {
-        module,
-        func: "decode_paged".into(),
-        params,
-        batch: b,
-        seq: kv_len,
-    })
+    build_decoder(config, "decode_paged", KvMode::Paged)
 }
 
 /// Builds the once-per-utterance cross-attention projection: encoder
@@ -510,8 +276,6 @@ pub fn build_cross_kv(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     let b = SymVar::new("batch");
     let s_audio = SymVar::new("s_audio");
     let d = config.d_model;
-    let nh = config.n_heads;
-    let hd = config.head_dim();
     let dt = config.dtype;
 
     let mut params: Vec<(String, StructInfo)> = vec![(
@@ -519,14 +283,8 @@ pub fn build_cross_kv(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
         StructInfo::tensor(vec![b.clone().into(), s_audio.clone().into(), d.into()], dt),
     )];
     for l in 0..config.dec_layers {
-        params.push((
-            format!("d{l}.ck"),
-            StructInfo::tensor(vec![d.into(), d.into()], dt),
-        ));
-        params.push((
-            format!("d{l}.cv"),
-            StructInfo::tensor(vec![d.into(), d.into()], dt),
-        ));
+        params.push(tensor_param(format!("d{l}.ck"), &[d, d], dt));
+        params.push(tensor_param(format!("d{l}.cv"), &[d, d], dt));
     }
 
     let mut mb = ModelBuilder::begin(IRModule::new(), "cross_kv", params.clone());
@@ -537,12 +295,8 @@ pub fn build_cross_kv(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     for l in 0..config.dec_layers {
         let ck = mb.matmul(enc.clone(), mb.param(&format!("d{l}.ck"))?)?;
         let cv = mb.matmul(enc.clone(), mb.param(&format!("d{l}.cv"))?)?;
-        let heads = |mb: &mut ModelBuilder, t| -> Result<_, ModelError> {
-            let t = mb.reshape(t, vec![be.clone(), sa.clone(), nh.into(), hd.into()])?;
-            mb.permute(t, &[0, 2, 1, 3])
-        };
-        let ck = heads(&mut mb, ck)?;
-        let cv = heads(&mut mb, cv)?;
+        let ck = mb.split_heads(ck, &be, &sa, config.n_heads, config.head_dim())?;
+        let cv = mb.split_heads(cv, &be, &sa, config.n_heads, config.head_dim())?;
         outs.push(mb.output(ck.into())?);
         outs.push(mb.output(cv.into())?);
     }

@@ -5,8 +5,8 @@
 //! pool of worker threads, each running its own [`relax_vm::Vm`] built with
 //! [`relax_vm::Vm::from_parts`] — per-invocation state (register frame, memory
 //! pool, telemetry) is private to the worker, while the executable, the
-//! foreign-function registry and (by default) the kernel-plan cache are
-//! shared. Requests flow through a bounded queue with backpressure;
+//! foreign-function registry and the kernel-plan cache are shared.
+//! Requests flow through a bounded queue with backpressure;
 //! stale requests are shed against their deadline instead of executed
 //! late; and the dequeue path batches queued requests with identical
 //! concrete shapes so a plan compiled for one session is reused by the
@@ -202,17 +202,11 @@ pub struct ServeConfig {
     /// Deadline applied to every request submitted without an explicit
     /// one. `None` means requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Kernel-plan cache capacity (per cache).
+    /// Capacity of the kernel-plan cache all workers share (a shape
+    /// compiled by any worker is a hit for every other). Worker VMs run
+    /// kernels with parallelism 1: inter-request parallelism comes from
+    /// the pool.
     pub plan_cache_capacity: usize,
-    /// `true` (default): all workers share one plan cache, so a shape
-    /// compiled by any worker is a hit for every other. `false`: each
-    /// worker gets a private cache (the baseline the bench compares
-    /// against).
-    pub shared_plan_cache: bool,
-    /// Intra-kernel parallelism for each worker VM (see
-    /// [`relax_vm::Vm::set_parallelism`]). Serving parallelism usually wants this
-    /// at 1: inter-request parallelism comes from the pool.
-    pub vm_parallelism: usize,
     /// Deterministic fault plans installed on specific workers at
     /// startup, for fault-isolation and chaos testing: `(worker index,
     /// plan)`. VM sites go to the worker's `Vm`; serving sites
@@ -229,10 +223,11 @@ pub struct ServeConfig {
     /// How long a *busy* worker may go without a heartbeat before the
     /// supervisor declares it wedged and replaces it.
     pub stall_timeout: Duration,
-    /// Capacity of the bounded latency reservoir (O(1) memory however
-    /// many requests complete).
-    pub latency_sample_capacity: usize,
 }
+
+/// Capacity of the bounded latency reservoir (O(1) memory however many
+/// requests complete).
+const LATENCY_SAMPLE_CAPACITY: usize = 2048;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -242,14 +237,11 @@ impl Default for ServeConfig {
             max_batch: 8,
             default_deadline: None,
             plan_cache_capacity: 64,
-            shared_plan_cache: true,
-            vm_parallelism: 1,
             worker_faults: Vec::new(),
             retry: None,
             overload: None,
             restart_budget: 3,
             stall_timeout: Duration::from_secs(1),
-            latency_sample_capacity: 2048,
         }
     }
 }
@@ -386,12 +378,9 @@ pub(crate) struct Core {
     pub(crate) epoch: Instant,
     pub(crate) exec: Arc<Executable>,
     pub(crate) registry: Arc<Registry>,
-    /// One handle per worker slot; all clones of the same cache when
-    /// shared. Respawned workers reuse their slot's cache, so a healed
-    /// pool keeps its warm plans.
-    pub(crate) caches: Vec<SharedPlanCache>,
-    pub(crate) shared_cache: bool,
-    pub(crate) vm_parallelism: usize,
+    /// The one plan cache every worker VM (respawned ones included)
+    /// probes, so a healed pool keeps its warm plans.
+    pub(crate) plan_cache: SharedPlanCache,
     pub(crate) max_batch: usize,
     pub(crate) retry: Option<RetryPolicy>,
     pub(crate) restart_budget: u32,
@@ -406,25 +395,6 @@ impl Core {
     /// Nanoseconds since the engine epoch (heartbeat clock).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// Aggregate plan-cache counters: the shared cache's stats when the
-    /// cache is shared, otherwise the sum over private caches.
-    fn plan_cache_stats(&self) -> relax_vm::PlanCacheStats {
-        if self.shared_cache {
-            return self.caches.first().map(|c| c.stats()).unwrap_or_default();
-        }
-        let mut total = relax_vm::PlanCacheStats::default();
-        for c in &self.caches {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.probes += s.probes;
-            total.evictions += s.evictions;
-            total.len += s.len;
-            total.capacity += s.capacity;
-        }
-        total
     }
 
     /// A point-in-time snapshot of the engine counters.
@@ -447,7 +417,7 @@ impl Core {
             quarantined: c.quarantined.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             batched_extra: c.batched_extra.load(Ordering::Relaxed),
-            plan_cache: self.plan_cache_stats(),
+            plan_cache: self.plan_cache.stats(),
             latency: lock(&self.latencies).summary(),
         }
     }
@@ -612,31 +582,16 @@ impl ServeEngine {
         let registry = Arc::new(registry);
         let workers = config.workers.max(1);
 
-        let shared = SharedPlanCache::new(config.plan_cache_capacity);
-        let mut caches = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            caches.push(if config.shared_plan_cache {
-                shared.clone()
-            } else {
-                SharedPlanCache::new(config.plan_cache_capacity)
-            });
-        }
-
         // Seed chosen once; the reservoir is deterministic per engine.
         const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
         let core = Arc::new(Core {
             queue: RequestQueue::new(config.queue_capacity, config.overload),
             counters: Counters::default(),
-            latencies: Mutex::new(LatencyReservoir::new(
-                config.latency_sample_capacity,
-                LATENCY_SEED,
-            )),
+            latencies: Mutex::new(LatencyReservoir::new(LATENCY_SAMPLE_CAPACITY, LATENCY_SEED)),
             epoch: Instant::now(),
             exec,
             registry,
-            caches,
-            shared_cache: config.shared_plan_cache,
-            vm_parallelism: config.vm_parallelism,
+            plan_cache: SharedPlanCache::new(config.plan_cache_capacity),
             max_batch: config.max_batch.max(1),
             retry: config.retry.clone(),
             restart_budget: config.restart_budget,
@@ -803,14 +758,12 @@ impl ServeEngine {
         self.core.stats()
     }
 
-    /// Stops admitting requests, flushes pending retries, drains the
-    /// queue, joins every worker incarnation (and the supervisor) and
-    /// returns the final stats plus per-incarnation VM snapshots.
-    ///
-    /// Never panics — a worker that died uncontained is reported as
-    /// [`crate::WorkerExit::Panicked`] in the [`EngineReport`] instead.
-    pub fn shutdown(mut self) -> EngineReport {
-        let core = self.core.clone();
+    /// The one teardown behind [`ServeEngine::shutdown`] and `Drop`:
+    /// stops admission, lets the supervisor flush pending retries, drains
+    /// the queue, joins every worker incarnation and reports each. A
+    /// second call finds nothing left to join.
+    fn teardown(&mut self) -> Vec<WorkerReport> {
+        let core = &*self.core;
         core.stopping.store(true, Ordering::Release);
         core.sup.wake.notify_all();
         // The supervisor's final pass flushes pending retries back into
@@ -821,12 +774,9 @@ impl ServeEngine {
         core.queue.close();
 
         let mut workers: Vec<WorkerReport> = Vec::new();
-        {
-            let mut slots = lock(&core.sup.slots);
-            for slot in slots.iter_mut() {
-                if let Some(h) = slot.handle.take() {
-                    workers.push(supervisor::join_report(h, slot.idx, slot.generation));
-                }
+        for slot in lock(&core.sup.slots).iter_mut() {
+            if let Some(h) = slot.handle.take() {
+                workers.push(supervisor::join_report(h, slot.idx, slot.generation));
             }
         }
         for (idx, generation, h) in lock(&core.sup.abandoned).drain(..) {
@@ -844,11 +794,21 @@ impl ServeEngine {
             .map(|d| d.req)
             .collect();
         for req in orphans {
-            resolve_err(&core, req, ServeError::ShuttingDown);
+            resolve_err(core, req, ServeError::ShuttingDown);
         }
+        workers
+    }
 
+    /// Stops admitting requests, flushes pending retries, drains the
+    /// queue, joins every worker incarnation (and the supervisor) and
+    /// returns the final stats plus per-incarnation VM snapshots.
+    ///
+    /// Never panics — a worker that died uncontained is reported as
+    /// [`crate::WorkerExit::Panicked`] in the [`EngineReport`] instead.
+    pub fn shutdown(mut self) -> EngineReport {
+        let workers = self.teardown();
         EngineReport {
-            stats: core.stats(),
+            stats: self.core.stats(),
             workers,
         }
     }
@@ -856,32 +816,7 @@ impl ServeEngine {
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        let core = &self.core;
-        core.stopping.store(true, Ordering::Release);
-        core.sup.wake.notify_all();
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        core.queue.close();
-        {
-            let mut slots = lock(&core.sup.slots);
-            for slot in slots.iter_mut() {
-                if let Some(h) = slot.handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
-        for (_, _, h) in lock(&core.sup.abandoned).drain(..) {
-            let _ = h.join();
-        }
-        let orphans: Vec<Request> = lock(&core.sup.retries)
-            .heap
-            .drain()
-            .map(|d| d.req)
-            .collect();
-        for req in orphans {
-            resolve_err(core, req, ServeError::ShuttingDown);
-        }
+        self.teardown();
     }
 }
 

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use relax_arith::DataType;
 use relax_tir::NDArray;
-use relax_vm::registry::Registry;
+use relax_vm::registry::{KernelError, Registry};
 use relax_vm::{
     Executable, FaultInjector, FaultPlan, FaultSite, KvCache, KvCacheConfig, KvPagePool,
     KvPageStats, PlanCacheStats, SharedPlanCache, Value, Vm, VmError, VmErrorKind,
@@ -690,47 +690,66 @@ struct WorkerVms {
 }
 
 fn build_vms(ctx: &WorkerCtx) -> WorkerVms {
-    let mut decode = Vm::from_parts(
-        ctx.spec.decode.clone(),
-        ctx.registry.clone(),
-        ctx.decode_cache.clone(),
-    );
-    decode.set_kv_pool(ctx.pool.clone());
-    decode.inject_faults(ctx.vm_plan.clone());
-    let prefill = ctx.spec.prefill.as_ref().map(|exec| {
-        let mut vm = Vm::from_parts(exec.clone(), ctx.registry.clone(), ctx.prefill_cache.clone());
+    // Every VM shares the registry and the page pool; the serving model's
+    // VMs (decode, verify) also carry the injected VM-site faults.
+    let vm = |exec: &Arc<Executable>, plans: &SharedPlanCache, faulty: bool| {
+        let mut vm = Vm::from_parts(exec.clone(), ctx.registry.clone(), plans.clone());
         vm.set_kv_pool(ctx.pool.clone());
-        vm
-    });
-    let (draft, verify) = match ctx.spec.speculative.as_ref() {
-        Some(sp) => {
-            let mut d = Vm::from_parts(sp.draft.clone(), ctx.registry.clone(), ctx.draft_cache.clone());
-            d.set_kv_pool(ctx.pool.clone());
-            let mut v =
-                Vm::from_parts(sp.verify.clone(), ctx.registry.clone(), ctx.verify_cache.clone());
-            v.set_kv_pool(ctx.pool.clone());
-            v.inject_faults(ctx.vm_plan.clone());
-            (Some(d), Some(v))
+        if faulty {
+            vm.inject_faults(ctx.vm_plan.clone());
         }
-        None => (None, None),
+        vm
     };
+    let spec = &ctx.spec;
+    let sp = spec.speculative.as_ref();
     WorkerVms {
-        decode,
-        prefill,
-        draft,
-        verify,
+        decode: vm(&spec.decode, &ctx.decode_cache, true),
+        prefill: spec.prefill.as_ref().map(|exec| vm(exec, &ctx.prefill_cache, false)),
+        draft: sp.map(|sp| vm(&sp.draft, &ctx.draft_cache, false)),
+        verify: sp.map(|sp| vm(&sp.verify, &ctx.verify_cache, true)),
     }
 }
 
-/// Classifies a VM error: page-pool exhaustion is retryable after the
+/// Classifies a VM error: page-pool exhaustion (the typed cause the KV
+/// cache attaches, not the message text) is retryable after the
 /// scheduler frees pages; everything else is deterministic.
 fn classify(e: VmError) -> StepOutcome {
-    if let VmErrorKind::Kernel(k) = &e.kind {
-        if k.detail.contains("kv page pool exhausted") {
-            return StepOutcome::PoolExhausted(k.detail.clone());
+    match &e.kind {
+        VmErrorKind::Kernel(k) if k.pool_exhausted.is_some() => {
+            StepOutcome::PoolExhausted(k.detail.clone())
         }
+        _ => StepOutcome::Failed(e),
     }
-    StepOutcome::Failed(e)
+}
+
+/// A failed direct call into the KV cache (append, truncate).
+fn kernel_failure(e: KernelError) -> StepOutcome {
+    classify(VmError::new(VmErrorKind::Kernel(e)))
+}
+
+fn type_mismatch(expected: &'static str, actual: &'static str) -> StepOutcome {
+    StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch { expected, actual }))
+}
+
+/// Feeds `tokens` as one `(1, n)` step of `func` over `cache` and returns
+/// the logits — the one VM call behind decode, draft catch-up, draft
+/// proposal and verify. A failure comes back already classified.
+fn feed(
+    vm: &mut Vm,
+    func: &str,
+    tokens: &[i64],
+    cache: &KvCache,
+    weights: &[Value],
+) -> Result<NDArray, StepOutcome> {
+    let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.to_vec())
+        .expect("token tensor");
+    let mut args = vec![Value::Tensor(t), Value::KvCache(cache.clone())];
+    args.extend(weights.iter().cloned());
+    let out = vm.run(func, &args).map_err(classify)?;
+    match out.as_tuple().and_then(|items| items.first()) {
+        Some(Value::Tensor(logits)) => Ok(logits.clone()),
+        _ => Err(type_mismatch("tuple of (logits, kv_cache)", out.kind())),
+    }
 }
 
 fn argmax(logits: &NDArray) -> i64 {
@@ -788,7 +807,7 @@ fn run_speculate(
     job: &Job,
     draft_feed: &[i64],
     lookahead: usize,
-) -> StepOutcome {
+) -> Result<StepOutcome, StepOutcome> {
     let spec = ctx
         .spec
         .speculative
@@ -809,27 +828,10 @@ fn run_speculate(
         } else {
             proposals[i - draft_feed.len()]
         };
-        let t = NDArray::from_i64(&[1, 1], DataType::I64, vec![tok]).expect("draft token tensor");
-        let mut args = vec![Value::Tensor(t), Value::KvCache(draft_cache.clone())];
-        args.extend(spec.draft_weights.iter().cloned());
-        match draft_vm.run(&spec.draft_func, &args) {
-            Ok(out) => {
-                if i + 1 >= draft_feed.len() {
-                    match out.as_tuple().and_then(|items| items.first()) {
-                        Some(Value::Tensor(logits)) => {
-                            let pos = fed + 1 + proposals.len();
-                            proposals.push(corrupt(spec, job.session, pos, argmax(logits)));
-                        }
-                        _ => {
-                            return StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch {
-                                expected: "tuple of (logits, kv_cache)",
-                                actual: out.kind(),
-                            }))
-                        }
-                    }
-                }
-            }
-            Err(e) => return classify(e),
+        let logits = feed(draft_vm, &spec.draft_func, &[tok], draft_cache, &spec.draft_weights)?;
+        if i + 1 >= draft_feed.len() {
+            let pos = fed + 1 + proposals.len();
+            proposals.push(corrupt(spec, job.session, pos, argmax(&logits)));
         }
     }
 
@@ -849,30 +851,12 @@ fn run_speculate(
     let mut window = Vec::with_capacity(1 + k);
     window.push(*draft_feed.last().expect("non-empty draft feed"));
     window.extend(proposals.iter().copied());
-    let t = NDArray::from_i64(&[1, window.len()], DataType::I64, window.clone())
-        .expect("verify token tensor");
-    let mut args = vec![Value::Tensor(t), Value::KvCache(job.cache.clone())];
-    args.extend(ctx.spec.weights.iter().cloned());
     let verify_vm = vms.verify.as_mut().expect("speculate step without verify VM");
-    let logits = match verify_vm.run(&spec.verify_func, &args) {
-        Ok(out) => match out.as_tuple().and_then(|items| items.first()) {
-            Some(Value::Tensor(l)) => l.clone(),
-            _ => {
-                return StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch {
-                    expected: "tuple of (logits, kv_cache)",
-                    actual: out.kind(),
-                }))
-            }
-        },
-        Err(e) => return classify(e),
-    };
+    let logits = feed(verify_vm, &spec.verify_func, &window, &job.cache, &ctx.spec.weights)?;
     let vocab = logits.shape().last().copied().unwrap_or(1).max(1);
     let vals = logits.to_f64_vec();
     if vals.len() < window.len() * vocab {
-        return StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch {
-            expected: "(1, s, vocab) verify logits",
-            actual: "short logits tensor",
-        }));
+        return Err(type_mismatch("(1, s, vocab) verify logits", "short logits tensor"));
     }
 
     // Commit loop: proposals up to the first disagreement, then the
@@ -891,19 +875,42 @@ fn run_speculate(
 
     // Roll the rejected tail off both paged caches.
     let keep = fed + 1 + accepted as usize;
-    let lens = vec![keep; job.pre_lens.len()];
-    if let Err(e) = job.cache.truncate_to(&lens) {
-        return classify(VmError::new(VmErrorKind::Kernel(e)));
-    }
+    job.cache
+        .truncate_to(&vec![keep; job.pre_lens.len()])
+        .map_err(kernel_failure)?;
     let draft_keep: Vec<usize> = draft_cache.lens().iter().map(|&l| l.min(keep)).collect();
-    if let Err(e) = draft_cache.truncate_to(&draft_keep) {
-        return classify(VmError::new(VmErrorKind::Kernel(e)));
-    }
-    StepOutcome::Speculated {
+    draft_cache.truncate_to(&draft_keep).map_err(kernel_failure)?;
+    Ok(StepOutcome::Speculated {
         committed,
         proposed: k as u64,
         accepted,
+    })
+}
+
+/// The prefill step: runs the prefill function over the prompt prefix
+/// and bit-copies the K/V tensor it returns per stream into the pages.
+fn run_prefill(
+    vm: &mut Vm,
+    ctx: &WorkerCtx,
+    job: &Job,
+    tokens: &[i64],
+) -> Result<StepOutcome, StepOutcome> {
+    let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.to_vec())
+        .expect("prefill token tensor");
+    let mut args = vec![Value::Tensor(t)];
+    args.extend(ctx.spec.weights.iter().cloned());
+    let out = vm.run(&ctx.spec.prefill_func, &args).map_err(classify)?;
+    let items = match out.as_tuple() {
+        Some(items) => items.to_vec(),
+        None => vec![out],
+    };
+    for (stream, item) in items.iter().enumerate() {
+        let tensor = item
+            .as_tensor()
+            .ok_or_else(|| type_mismatch("tensor", item.kind()))?;
+        job.cache.append(stream, tensor).map_err(kernel_failure)?;
     }
+    Ok(StepOutcome::Prefilled(tokens.len()))
 }
 
 /// Runs one step body. Called inside `catch_unwind`; an injected
@@ -925,62 +932,20 @@ fn run_step(vms: &mut WorkerVms, ctx: &WorkerCtx, job: &Job) -> StepOutcome {
     }
     let outcome = match &job.kind {
         StepKind::Prefill(tokens) => {
-            let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.clone())
-                .expect("prefill token tensor");
-            let mut args = vec![Value::Tensor(t)];
-            args.extend(ctx.spec.weights.iter().cloned());
             let vm = vms.prefill.as_mut().expect("prefill job without prefill VM");
-            match vm.run(&ctx.spec.prefill_func, &args) {
-                Ok(out) => {
-                    let items = match out.as_tuple() {
-                        Some(items) => items.to_vec(),
-                        None => vec![out],
-                    };
-                    let mut failed = None;
-                    for (stream, item) in items.iter().enumerate() {
-                        let tensor = match item.as_tensor() {
-                            Some(t) => t,
-                            None => {
-                                failed = Some(StepOutcome::Failed(VmError::new(
-                                    VmErrorKind::TypeMismatch {
-                                        expected: "tensor",
-                                        actual: item.kind(),
-                                    },
-                                )));
-                                break;
-                            }
-                        };
-                        if let Err(e) = job.cache.append(stream, tensor) {
-                            failed = Some(classify(VmError::new(VmErrorKind::Kernel(e))));
-                            break;
-                        }
-                    }
-                    failed.unwrap_or(StepOutcome::Prefilled(tokens.len()))
-                }
-                Err(e) => classify(e),
-            }
+            run_prefill(vm, ctx, job, tokens)
         }
         StepKind::Decode(token) => {
-            let t = NDArray::from_i64(&[1, 1], DataType::I64, vec![*token])
-                .expect("decode token tensor");
-            let mut args = vec![Value::Tensor(t), Value::KvCache(job.cache.clone())];
-            args.extend(ctx.spec.weights.iter().cloned());
-            match vms.decode.run(&ctx.spec.decode_func, &args) {
-                Ok(out) => match out.as_tuple().and_then(|items| items.first()) {
-                    Some(Value::Tensor(logits)) => StepOutcome::Decoded(argmax(logits)),
-                    _ => StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch {
-                        expected: "tuple of (logits, kv_cache)",
-                        actual: out.kind(),
-                    })),
-                },
-                Err(e) => classify(e),
-            }
+            let spec = &ctx.spec;
+            feed(&mut vms.decode, &spec.decode_func, &[*token], &job.cache, &spec.weights)
+                .map(|logits| StepOutcome::Decoded(argmax(&logits)))
         }
         StepKind::Speculate {
             draft_feed,
             lookahead,
         } => run_speculate(vms, ctx, job, draft_feed, *lookahead),
-    };
+    }
+    .unwrap_or_else(|failed| failed);
     sp.finish_with(|| relax_trace::Payload::Session {
         session: job.session,
         phase,
@@ -1198,6 +1163,7 @@ fn scheduler_loop(
             };
             let s = &mut running[i];
             let mut remove: Option<(SessionResult, relax_trace::SessionPhase, bool)> = None;
+            pressure |= matches!(result.outcome, StepOutcome::PoolExhausted(_));
             match result.outcome {
                 StepOutcome::Prefilled(fed) => {
                     s.attempts = 0;
@@ -1211,22 +1177,6 @@ fn scheduler_loop(
                     if s.fed >= s.prompt.len() {
                         s.generated.push(next);
                         Counters::bump(&shared.counters.tokens);
-                    }
-                    if s.done() {
-                        let kv = if config.return_kv {
-                            gather_kv(&s.cache)
-                        } else {
-                            None
-                        };
-                        remove = Some((
-                            Ok(SessionOutput {
-                                session: s.id,
-                                tokens: std::mem::take(&mut s.generated),
-                                kv,
-                            }),
-                            relax_trace::SessionPhase::Retire,
-                            true,
-                        ));
                     }
                 }
                 StepOutcome::Speculated {
@@ -1267,41 +1217,13 @@ fn scheduler_loop(
                             let _ = d.truncate_to(&dk);
                         }
                     }
-                    if s.done() {
-                        let kv = if config.return_kv {
-                            gather_kv(&s.cache)
-                        } else {
-                            None
-                        };
-                        remove = Some((
-                            Ok(SessionOutput {
-                                session: s.id,
-                                tokens: std::mem::take(&mut s.generated),
-                                kv,
-                            }),
-                            relax_trace::SessionPhase::Retire,
-                            true,
-                        ));
-                    }
                 }
-                StepOutcome::PoolExhausted(detail) => {
-                    rollback(&shared, s, &result.pre_lens, &result.draft_pre_lens);
-                    s.attempts += 1;
-                    pressure = true;
-                    if s.attempts > config.max_attempts {
-                        remove = Some((
-                            Err(SessionError::RetriesExhausted(detail)),
-                            relax_trace::SessionPhase::Fail,
-                            false,
-                        ));
-                    }
-                }
-                StepOutcome::Panicked(msg) => {
+                StepOutcome::PoolExhausted(why) | StepOutcome::Panicked(why) => {
                     rollback(&shared, s, &result.pre_lens, &result.draft_pre_lens);
                     s.attempts += 1;
                     if s.attempts > config.max_attempts {
                         remove = Some((
-                            Err(SessionError::RetriesExhausted(msg)),
+                            Err(SessionError::RetriesExhausted(why)),
                             relax_trace::SessionPhase::Fail,
                             false,
                         ));
@@ -1315,6 +1237,20 @@ fn scheduler_loop(
                         false,
                     ));
                 }
+            }
+            // A landed step that filled the token budget retires the
+            // session (failed steps never add tokens, so never get here).
+            if remove.is_none() && s.done() {
+                let kv = config.return_kv.then(|| gather_kv(&s.cache)).flatten();
+                remove = Some((
+                    Ok(SessionOutput {
+                        session: s.id,
+                        tokens: std::mem::take(&mut s.generated),
+                        kv,
+                    }),
+                    relax_trace::SessionPhase::Retire,
+                    true,
+                ));
             }
             match remove {
                 Some((result, phase, retired)) => {
@@ -1443,4 +1379,33 @@ fn gather_kv(cache: &KvCache) -> Option<Vec<NDArray>> {
         }
     }
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Retry-vs-fail hangs on the typed cause the KV cache attaches to
+    /// the error, so rewording the message cannot turn pool pressure
+    /// into a hard failure (or a hard failure into a retry).
+    #[test]
+    fn pool_pressure_is_classified_by_its_typed_cause_not_its_message() {
+        let cfg = KvCacheConfig {
+            streams: 1,
+            batch: 1,
+            heads: 1,
+            head_dim: 2,
+            dtype: DataType::F32,
+        };
+        let cache = KvCache::new(cfg, Arc::new(KvPagePool::with_capacity(2, 1)));
+        let rows = |n| NDArray::zeros(&[1, 1, n, 2], DataType::F32);
+        cache.append(0, &rows(2)).expect("the one page holds two tokens");
+        let mut err = cache.append(0, &rows(1)).expect_err("a third token needs a second page");
+        err.detail = "reworded".to_string();
+        let outcome = kernel_failure(err.clone());
+        assert!(matches!(outcome, StepOutcome::PoolExhausted(d) if d == "reworded"));
+        err.pool_exhausted = None;
+        let outcome = kernel_failure(err);
+        assert!(matches!(outcome, StepOutcome::Failed(_)));
+    }
 }

@@ -190,8 +190,7 @@ pub(crate) fn spawn_worker(
         retired: Arc::new(AtomicBool::new(false)),
     };
     let (vm_plan, serve_plan) = faults.unwrap_or_default().split_serving();
-    let mut vm = Vm::from_parts(core.exec.clone(), core.registry.clone(), core.caches[idx].clone());
-    vm.set_parallelism(core.vm_parallelism);
+    let mut vm = Vm::from_parts(core.exec.clone(), core.registry.clone(), core.plan_cache.clone());
     if !vm_plan.is_empty() {
         vm.inject_faults(vm_plan);
     }

@@ -109,7 +109,6 @@ fn eight_workers_match_single_threaded_bitwise() {
         ServeConfig {
             workers: 8,
             queue_capacity: 64,
-            shared_plan_cache: true,
             ..ServeConfig::default()
         },
     );

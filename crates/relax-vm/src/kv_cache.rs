@@ -100,10 +100,7 @@ impl fmt::Debug for KvCache {
 }
 
 fn kerr(op: &str, detail: impl Into<String>) -> KernelError {
-    KernelError {
-        kernel: format!("{KV_CACHE_PREFIX}{op}"),
-        detail: detail.into(),
-    }
+    KernelError::new(format!("{KV_CACHE_PREFIX}{op}"), detail)
 }
 
 impl KvCache {
@@ -212,7 +209,9 @@ impl KvCache {
                     for page in fresh {
                         self.inner.pool.release(page);
                     }
-                    return Err(kerr(OP, e.to_string()));
+                    let mut err = kerr(OP, e.to_string());
+                    err.pool_exhausted = Some(e);
+                    return Err(err);
                 }
             }
         }

@@ -34,10 +34,7 @@ use crate::value::Value;
 pub const MOE_PREFIX: &str = "vm.builtin.moe.";
 
 fn kerr(op: &str, detail: impl Into<String>) -> KernelError {
-    KernelError {
-        kernel: format!("{MOE_PREFIX}{op}"),
-        detail: detail.into(),
-    }
+    KernelError::new(format!("{MOE_PREFIX}{op}"), detail)
 }
 
 fn want_tensor<'a>(op: &str, v: Option<&'a Value>) -> Result<&'a NDArray, KernelError> {

@@ -11,6 +11,8 @@ use std::fmt;
 
 use relax_tir::{NDArray, Scalar};
 
+use crate::memory::KvPoolExhausted;
+
 /// Error raised by a library kernel or builtin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelError {
@@ -18,6 +20,19 @@ pub struct KernelError {
     pub kernel: String,
     /// What went wrong.
     pub detail: String,
+    /// The typed cause when a KV page pool refused an acquire — what
+    /// callers match on to tell retryable pressure from a broken call.
+    pub pool_exhausted: Option<KvPoolExhausted>,
+}
+
+impl KernelError {
+    pub(crate) fn new(kernel: impl Into<String>, detail: impl Into<String>) -> Self {
+        KernelError {
+            kernel: kernel.into(),
+            detail: detail.into(),
+            pool_exhausted: None,
+        }
+    }
 }
 
 impl fmt::Display for KernelError {
@@ -165,14 +180,11 @@ impl Registry {
         inputs: &[NDArray],
         outputs: &[NDArray],
     ) -> Result<(), KernelError> {
-        let kernel = self.libs.get(name).ok_or_else(|| KernelError {
-            kernel: name.to_string(),
-            detail: "not registered".to_string(),
-        })?;
-        kernel(inputs, outputs).map_err(|detail| KernelError {
-            kernel: name.to_string(),
-            detail,
-        })
+        let kernel = self
+            .libs
+            .get(name)
+            .ok_or_else(|| KernelError::new(name, "not registered"))?;
+        kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
     }
 
     /// Invokes a value-returning builtin.
@@ -181,14 +193,11 @@ impl Registry {
     ///
     /// Returns [`KernelError`] for unknown builtins or failures.
     pub fn call_builtin(&self, name: &str, inputs: &[NDArray]) -> Result<NDArray, KernelError> {
-        let func = self.builtins.get(name).ok_or_else(|| KernelError {
-            kernel: name.to_string(),
-            detail: "not registered".to_string(),
-        })?;
-        func(inputs).map_err(|detail| KernelError {
-            kernel: name.to_string(),
-            detail,
-        })
+        let func = self
+            .builtins
+            .get(name)
+            .ok_or_else(|| KernelError::new(name, "not registered"))?;
+        func(inputs).map_err(|detail| KernelError::new(name, detail))
     }
 }
 

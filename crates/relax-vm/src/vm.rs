@@ -1038,11 +1038,7 @@ fn checked_tensor_bytes(dims: &[usize], dtype: DataType) -> Result<usize, VmErro
 
 /// An injected kernel failure, attributed to the faulting kernel.
 fn injected_kernel_fault(kernel: &str) -> VmError {
-    VmErrorKind::Kernel(KernelError {
-        kernel: kernel.to_string(),
-        detail: "injected fault".to_string(),
-    })
-    .into()
+    VmErrorKind::Kernel(KernelError::new(kernel, "injected fault")).into()
 }
 
 /// Renders an instruction for a frame-trace entry. Capture regions print

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Runs the runtime micro-benchmarks and writes BENCH_runtime.json at the
-# repository root (median ns/iter per benchmark plus interpreter-vs-plan
-# and 1-vs-N-thread speedups). The JSON also carries a "compile_passes"
-# section (per-pass wall time and changed flags for one full default
+# Runs the runtime micro-benchmarks and writes BENCH_runtime.json — at the
+# repository root for a full run, under target/ with --fast, so the CI
+# smoke never rewrites the committed numbers. It holds median ns/iter per
+# benchmark plus interpreter-vs-plan and 1-vs-N-thread speedups, and
+# carries a "compile_passes" section (per-pass wall time and changed flags for one full default
 # compile of the tiny decode module, from `compile_with_report`) and a
 # "serving" section: decode throughput through the relax-serve worker
-# pool — 1 vs 4 vs 8 workers and shared vs private plan cache, with
+# pool — 1 vs 4 vs 8 workers over the shared plan cache, with
 # per-request p50/p95/p99 latency and cross-worker compile counts.
 # Interpret the worker-scaling rows against each row's "host_threads":
 # a 1-core host cannot show a multi-worker win (parity is the honest
@@ -49,21 +50,24 @@
 # supervision on, recording completed/submitted availability, retry and
 # restart counts, and p99 latency under faults.
 #
-# Also writes BENCH_trace.json next to it: a Chrome trace-event export of
-# one traced 4-worker serving wave (open in chrome://tracing or Perfetto),
-# validated by the in-repo checker before it is written.
+# Also writes target/BENCH_trace.json (never committed: it is megabytes):
+# a Chrome trace-event export of one traced 4-worker serving wave (open
+# in chrome://tracing or Perfetto), validated by the in-repo checker
+# before it is written.
 #
 # Usage: scripts/bench.sh [--fast]
 #   --fast   smoke sizing (RELAX_BENCH_FAST=1): a few small batches, for CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+out=BENCH_runtime.json
 if [ "${1:-}" = "--fast" ]; then
     export RELAX_BENCH_FAST=1
+    out=target/BENCH_runtime.json
 fi
 
 cargo bench -p relax-bench --bench runtime
-echo "==> BENCH_runtime.json"
-cat BENCH_runtime.json
-echo "==> BENCH_trace.json"
-test -s BENCH_trace.json
+echo "==> $out"
+cat "$out"
+echo "==> target/BENCH_trace.json"
+test -s target/BENCH_trace.json

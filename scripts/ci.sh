@@ -68,8 +68,12 @@ echo "==> trace smoke (RELAX_TRACE=1, Chrome export checked in-process)"
 RELAX_TRACE=1 cargo run --release -q --example trace_smoke >/dev/null
 test -s target/trace_smoke.json
 
-echo "==> runtime bench smoke (RELAX_BENCH_FAST)"
+echo "==> runtime bench smoke (RELAX_BENCH_FAST; writes under target/ only)"
 scripts/bench.sh --fast >/dev/null
-test -s BENCH_runtime.json
+test -s target/BENCH_runtime.json
+
+echo "==> benchmark package: contract tests + 2-second smoke of every workload"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --fast >/dev/null
 
 echo "CI gate passed."

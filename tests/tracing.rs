@@ -89,6 +89,15 @@ fn traced_compiles_are_well_formed_and_agree_with_report() {
         let exec = compile_with_context(module, &CompileOptions::default(), &mut ctx)
             .unwrap_or_else(|e| panic!("seed {seed}: pipeline failed: {e}"));
         let report = ctx.take_report();
+        // The compiled executable still runs — inside the capture window:
+        // tracing is process-global, so a VM run after `finish()` would
+        // emit its `plan:*` spans into whichever capture the other test
+        // holds at that moment and leave one open when that one finishes.
+        let x = NDArray::zeros(&[3, 8], DataType::F32);
+        let w = NDArray::zeros(&[8, 8], DataType::F32);
+        Vm::new(exec)
+            .run("main", &[Value::Tensor(x), Value::Tensor(w)])
+            .unwrap_or_else(|e| panic!("seed {seed}: vm failed: {e}"));
         let trace = capture.finish();
 
         trace
@@ -114,13 +123,6 @@ fn traced_compiles_are_well_formed_and_agree_with_report() {
         let stats = relax::trace::validate_chrome_trace(&trace.chrome_json())
             .unwrap_or_else(|e| panic!("seed {seed}: chrome export invalid: {e}"));
         assert_eq!(stats.events, trace.events.len());
-
-        // The compiled executable still runs.
-        let x = NDArray::zeros(&[3, 8], DataType::F32);
-        let w = NDArray::zeros(&[8, 8], DataType::F32);
-        Vm::new(exec)
-            .run("main", &[Value::Tensor(x), Value::Tensor(w)])
-            .unwrap_or_else(|e| panic!("seed {seed}: vm failed: {e}"));
     }
 }
 
