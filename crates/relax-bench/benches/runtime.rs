@@ -708,11 +708,10 @@ fn serve_sessions_paged(schedule: &[SessionRequest], workers: usize) -> Continuo
     }
 }
 
-/// The baseline: the same workload through the shape-batched
+/// The baseline: the same workload as stateless requests through
 /// [`ServeEngine`] on the copy-based decode — each step re-materializes
 /// every KV cache through `vm.builtin.kv_append` and threads the grown
-/// tensors back through the next submission, in lockstep rounds (the
-/// engine's shape batching groups same-length steps within a round).
+/// tensors back through the next submission, in lockstep rounds.
 fn serve_sessions_copy_baseline(schedule: &[SessionRequest], workers: usize) -> ContinuousRow {
     let cfg = LlamaConfig::tiny();
     let decode_ir = relax_models::llama::build_decode(&cfg).unwrap();

@@ -18,15 +18,15 @@
 //! - **Availability**: `completed / submitted`, which retry and
 //!   supervision should hold near 1.0 at low fault rates.
 
-use std::sync::Once;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Once};
+use std::time::Duration;
 
-use relax_vm::{Executable, FaultPlan, Value, Vm};
+use relax_vm::{Executable, FaultPlan, FaultSite, Value, Vm};
 
-use crate::engine::{OverloadPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError, Ticket};
+pub use crate::clock::ManualClock;
+use crate::engine::{OverloadPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError};
 use crate::session::{
-    SessionConfig, SessionError, SessionManager, SessionModelSpec, SessionRequest, SessionStats,
-    SessionTicket,
+    SessionConfig, SessionManager, SessionModelSpec, SessionOutput, SessionRequest, SessionStats,
 };
 use crate::telemetry::EngineReport;
 
@@ -45,7 +45,7 @@ pub struct ChaosConfig {
     /// Base engine configuration (workers, retry, overload, budgets).
     pub engine: ServeConfig,
     /// Duration of injected worker stalls. Should comfortably exceed
-    /// `engine.stall_timeout` so the supervisor provably notices.
+    /// `engine.stall_timeout` so the loop provably notices.
     pub stall: Duration,
     /// Per-ticket resolution guard: a ticket still unresolved after
     /// this long is counted in [`ChaosReport::unresolved`] instead of
@@ -183,40 +183,32 @@ pub fn flatten_value(v: &Value) -> Vec<f64> {
     out
 }
 
-/// Builds the per-worker fault schedule: `round(requests × fault_rate)`
-/// faults spread over the workers, each a uniformly chosen site
-/// (panic / stall / dropped reply / kernel fault) at a uniformly chosen
-/// occurrence within the worker's expected share of the load.
+/// The one schedule builder: `faults` faults spread uniformly over
+/// `plans` fault plans, each a uniformly chosen site from `sites` at a
+/// uniformly chosen occurrence within `steps` (a plan's expected share
+/// of the load). Kernel faults count kernel calls, not steps, so their
+/// occurrence is scaled by `kernels_per_step`.
 fn build_schedule(
     rng: &mut Rng,
-    workers: usize,
-    requests: usize,
-    kernels_per_request: u64,
-    fault_rate: f64,
+    plans: usize,
+    faults: u64,
+    sites: &[FaultSite],
+    steps: u64,
+    kernels_per_step: u64,
     stall: Duration,
-) -> (Vec<(usize, FaultPlan)>, u64) {
-    let n_faults = ((requests as f64) * fault_rate).round() as u64;
-    let per_worker = ((requests / workers.max(1)).max(1)) as u64;
-    let mut plans: Vec<FaultPlan> = (0..workers).map(|_| FaultPlan::new()).collect();
-    for _ in 0..n_faults {
-        let worker = rng.below(workers as u64) as usize;
-        let nth = 1 + rng.below(per_worker);
-        let plan = std::mem::take(&mut plans[worker]);
-        plans[worker] = match rng.below(4) {
-            0 => plan.fail_worker_panic(nth),
-            1 => plan.stall_worker(nth, stall),
-            2 => plan.drop_reply(nth),
-            // Kernel faults count kernel calls, not requests: scale the
-            // occurrence by the measured kernels-per-request.
-            _ => plan.fail_kernel(1 + rng.below(per_worker * kernels_per_request.max(1))),
+) -> Vec<FaultPlan> {
+    let mut schedule: Vec<FaultPlan> = (0..plans).map(|_| FaultPlan::new()).collect();
+    for _ in 0..faults {
+        let slot = &mut schedule[rng.below(plans as u64) as usize];
+        let nth = 1 + rng.below(steps);
+        let plan = std::mem::take(slot);
+        *slot = match sites[rng.below(sites.len() as u64) as usize] {
+            FaultSite::WorkerStall => plan.stall_worker(nth, stall),
+            FaultSite::Kernel => plan.fail_kernel(1 + rng.below(steps * kernels_per_step.max(1))),
+            site => plan.fail_at(site, nth),
         };
     }
-    let schedule = plans
-        .into_iter()
-        .enumerate()
-        .filter(|(_, p)| !p.is_empty())
-        .collect();
-    (schedule, n_faults)
+    schedule
 }
 
 /// Runs `workload` through a chaos-configured engine and reports what
@@ -236,22 +228,34 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
         .iter()
         .map(|(func, args)| reference_vm.run(func, args).ok().map(|v| flatten_value(&v)))
         .collect();
-    let kernels_per_request = reference_vm.telemetry().kernel_launches / workload.len().max(1) as u64;
+    let kernels_per_request =
+        reference_vm.telemetry().kernel_launches / workload.len().max(1) as u64;
 
     let mut engine_config = config.engine.clone();
     let workers = engine_config.workers.max(1);
-    let (schedule, scheduled_faults) = build_schedule(
+    let scheduled_faults = ((workload.len() as f64) * config.fault_rate).round() as u64;
+    let schedule = build_schedule(
         &mut rng,
         workers,
-        workload.len(),
+        scheduled_faults,
+        &[
+            FaultSite::WorkerPanic,
+            FaultSite::WorkerStall,
+            FaultSite::ReplyDrop,
+            FaultSite::Kernel,
+        ],
+        (workload.len() / workers).max(1) as u64,
         kernels_per_request,
-        config.fault_rate,
         config.stall,
     );
-    engine_config.worker_faults = schedule;
+    engine_config.worker_faults = schedule
+        .into_iter()
+        .enumerate()
+        .filter(|(_, p)| !p.is_empty())
+        .collect();
 
     let engine = ServeEngine::new(exec, engine_config);
-    let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(workload.len());
+    let mut tickets = Vec::with_capacity(workload.len());
     let mut rejected = 0u64;
     for (i, (func, args)) in workload.iter().enumerate() {
         match engine.submit(func, args) {
@@ -266,15 +270,7 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
     let mut unresolved = 0u64;
     let mut mismatches = 0u64;
     for (i, ticket) in tickets {
-        let started = Instant::now();
-        let resolution = loop {
-            match ticket.wait_timeout(Duration::from_millis(50)) {
-                Some(r) => break Some(r),
-                None if started.elapsed() > config.guard => break None,
-                None => {}
-            }
-        };
-        match resolution {
+        match ticket.wait_timeout(config.guard) {
             Some(Ok(value)) => {
                 completed += 1;
                 if reference[i].as_deref() != Some(&flatten_value(&value)[..]) {
@@ -380,91 +376,70 @@ pub fn run_session_chaos(
 ) -> SessionChaosReport {
     silence_injected_panics();
     let mut rng = Rng(config.seed);
+    // What a retired session is compared on: its tokens and final KV.
+    let observed = |out: SessionOutput| {
+        let kv: Vec<f64> = out
+            .kv
+            .iter()
+            .flatten()
+            .flat_map(|t| t.to_f64_vec())
+            .collect();
+        (out.tokens, kv)
+    };
 
     let mut reference_cfg = config.manager.clone();
     reference_cfg.workers = 1;
     reference_cfg.faults = FaultPlan::new();
     reference_cfg.return_kv = true;
     let reference_mgr = SessionManager::new(spec.clone(), reference_cfg);
-    let tickets: Vec<SessionTicket> = workload
+    let tickets: Vec<_> = workload
         .iter()
         .map(|r| reference_mgr.submit(r.clone()))
         .collect();
-    let reference: Vec<Option<(Vec<i64>, Vec<f64>)>> = tickets
+    let reference: Vec<_> = tickets
         .into_iter()
-        .map(|t| {
-            t.wait().ok().map(|out| {
-                let kv: Vec<f64> = out
-                    .kv
-                    .iter()
-                    .flatten()
-                    .flat_map(|t| t.to_f64_vec())
-                    .collect();
-                (out.tokens, kv)
-            })
-        })
+        .map(|t| t.wait().ok().map(observed))
         .collect();
     let ref_stats = reference_mgr.shutdown();
-    // Steps the workload needs end to end; fault occurrences land in
-    // this range so they actually fire.
+    // Fault-window openings the workload needs end to end (a speculation
+    // opens it twice); fault occurrences land in this range so they
+    // actually fire.
     let total_steps =
         (ref_stats.prefills + ref_stats.decodes + 2 * ref_stats.speculations).max(1);
 
     let mut faulty_cfg = config.manager.clone();
     faulty_cfg.return_kv = true;
-    let mut plan = FaultPlan::new();
-    for _ in 0..config.faults {
-        let nth = 1 + rng.below(total_steps);
-        plan = if rng.below(2) == 0 {
-            plan.fail_worker_panic(nth)
-        } else {
-            plan.stall_worker(nth, faulty_cfg.stall)
-        };
-    }
+    let plan = build_schedule(
+        &mut rng,
+        1,
+        config.faults as u64,
+        &[FaultSite::WorkerPanic, FaultSite::WorkerStall],
+        total_steps,
+        0,
+        faulty_cfg.stall,
+    )
+    .remove(0);
     let scheduled_faults = plan.len() as u64;
     faulty_cfg.faults = plan;
 
     let mgr = SessionManager::new(spec, faulty_cfg);
     let pool = mgr.pool().clone();
-    let tickets: Vec<SessionTicket> = workload.iter().map(|r| mgr.submit(r.clone())).collect();
+    let tickets: Vec<_> = workload.iter().map(|r| mgr.submit(r.clone())).collect();
 
     let mut retired = 0u64;
     let mut errored = 0u64;
     let mut unresolved = 0u64;
     let mut mismatches = 0u64;
     for (i, ticket) in tickets.into_iter().enumerate() {
-        let started = Instant::now();
-        let resolution = loop {
-            if let Some(r) = ticket.try_wait() {
-                break Some(r);
-            }
-            if started.elapsed() > config.guard {
-                break None;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        match resolution {
-            Some(Ok(out)) => {
+        match ticket.result.recv_timeout(config.guard) {
+            Ok(Ok(out)) => {
                 retired += 1;
-                let kv: Vec<f64> = out
-                    .kv
-                    .iter()
-                    .flatten()
-                    .flat_map(|t| t.to_f64_vec())
-                    .collect();
-                if reference[i] != Some((out.tokens, kv)) {
+                if reference[i] != Some(observed(out)) {
                     mismatches += 1;
                 }
             }
-            Some(Err(
-                SessionError::Evicted
-                | SessionError::DeadlineExceeded
-                | SessionError::ShuttingDown
-                | SessionError::Rejected(_)
-                | SessionError::RetriesExhausted(_)
-                | SessionError::Vm(_),
-            )) => errored += 1,
-            None => unresolved += 1,
+            Ok(Err(_)) | Err(mpsc::RecvTimeoutError::Disconnected) => errored += 1,
+            Err(mpsc::RecvTimeoutError::Timeout) => unresolved += 1,
         }
     }
 

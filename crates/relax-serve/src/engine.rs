@@ -1,62 +1,40 @@
-//! The serving engine: one executable, many sessions, self-healing
-//! workers.
+//! [`ServeEngine`]: stateless requests over the serving core.
 //!
-//! A [`ServeEngine`] owns a single immutable [`Executable`] and a fixed
-//! pool of worker threads, each running its own [`relax_vm::Vm`] built with
-//! [`relax_vm::Vm::from_parts`] — per-invocation state (register frame, memory
-//! pool, telemetry) is private to the worker, while the executable, the
-//! foreign-function registry and the kernel-plan cache are shared.
-//! Requests flow through a bounded queue with backpressure;
-//! stale requests are shed against their deadline instead of executed
-//! late; and the dequeue path batches queued requests with identical
-//! concrete shapes so a plan compiled for one session is reused by the
-//! rest of the batch without even a cache probe race.
+//! `submit(func, args)` admits a *one-step, cache-less unit* whose single
+//! step is `vm.run(func, args)`; everything else — the bounded deque and
+//! its watermarks, deadline shedding, retry with backoff, panic
+//! containment and respawn, stall detection, drain on shutdown — is the
+//! [`crate::core`] loop, configured from [`ServeConfig`]. Each worker owns
+//! a private [`relax_vm::Vm`] built with [`relax_vm::Vm::from_parts`]:
+//! register frame, memory pool and telemetry are the worker's, while the
+//! executable, the foreign-function registry and the kernel-plan cache
+//! are shared.
 //!
-//! Engine failures are *typed*, never panics: VM-level faults keep their
-//! full [`VmError`] taxonomy and frame trace inside
-//! [`ServeError::Vm`], and admission-control outcomes (queue full,
-//! overload, deadline missed, shutdown) get their own variants so
-//! callers can distinguish "retry later" from "this request is wrong".
-//! Even a worker thread *panicking* mid-request stays inside the
-//! taxonomy: the panic is contained at the worker loop, the in-flight
-//! request resolves as [`ServeError::WorkerLost`] (or is retried), and
-//! a supervisor thread respawns a fresh VM into the slot — see
-//! [`crate::supervisor`].
-//!
-//! Three optional policies harden the engine under faults and load:
-//!
-//! - [`RetryPolicy`]: transient failures (lost workers, queue-full /
-//!   overload refusals, kernel faults) are re-enqueued with exponential
-//!   backoff instead of surfacing to the caller, within an attempt
-//!   budget and the request's own deadline.
-//! - [`OverloadPolicy`]: queue-depth watermarks drive admission — below
-//!   the shed watermark everything is accepted; above it each admission
-//!   evicts the queued request with the least deadline budget (when one
-//!   expires sooner than the newcomer); above the reject watermark new
-//!   work is refused outright.
-//! - supervision knobs ([`ServeConfig::restart_budget`],
-//!   [`ServeConfig::stall_timeout`]): how patiently the supervisor
-//!   waits on a wedged worker and how many respawns a slot gets before
-//!   quarantine.
+//! Failures are *typed*, never panics: VM-level faults keep their full
+//! [`VmError`] taxonomy and frame trace inside [`ServeError::Vm`], and
+//! admission-control outcomes (queue full, overload, deadline missed,
+//! shutdown) get their own variants so callers can distinguish "retry
+//! later" from "this request is wrong". Even a worker thread *panicking*
+//! mid-request stays inside the taxonomy: the request resolves as
+//! [`ServeError::WorkerLost`] (or is retried) and a fresh VM takes over
+//! the slot.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
+use relax_trace::RequestPhase;
 use relax_vm::registry::Registry;
-use relax_vm::{Executable, FaultPlan, SharedPlanCache, Value, VmError, VmErrorKind};
+use relax_vm::{
+    Executable, FaultInjector, FaultPlan, KernelStat, SharedPlanCache, Telemetry, Value, Vm,
+    VmError,
+};
 
-use crate::queue::{PushError, PushOutcome, Request, RequestQueue};
-use crate::supervisor::{self, SupervisorState};
-use crate::telemetry::{EngineReport, EngineStats, LatencyReservoir, WorkerReport};
-
-/// Locks a mutex, ignoring poisoning: engine state stays readable even
-/// if a holder panicked (panics are contained, but stay defensive).
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use crate::admission::Refusal;
+use crate::clock::{Clock, SystemClock};
+use crate::core::{get, Core, Exit, Failure, Limits, StepCtx, Work, WorkerFaults};
+use crate::telemetry::{EngineReport, EngineStats, WorkerReport};
 
 /// Which failure classes the engine retries. All `true` by default.
 #[derive(Debug, Clone, Copy)]
@@ -64,8 +42,8 @@ pub struct RetryOn {
     /// [`ServeError::WorkerLost`]: the worker died (panic) before
     /// replying — the request itself may be fine.
     pub worker_lost: bool,
-    /// [`ServeError::QueueFull`] / [`ServeError::Overloaded`]: admission
-    /// refusals that a moment of backoff may clear.
+    /// Page-pool pressure: a step the KV page pool refused, which the
+    /// eviction it triggers may clear.
     pub overload: bool,
     /// [`ServeError::Vm`] with a kernel failure — the transient-looking
     /// VM error class (and the one fault injection exercises).
@@ -84,17 +62,17 @@ impl Default for RetryOn {
     }
 }
 
-/// Retry budget for transient failures. A failed request is re-enqueued
-/// with exponential backoff (`backoff`, `2×backoff`, `4×backoff`, …
-/// capped at `max_backoff`) until it has consumed `max_attempts` total
-/// attempts or its deadline passes — whichever comes first. A deadline
-/// that expires mid-backoff resolves the request as
-/// [`ServeError::DeadlineExceeded`]; retries never extend a request's
-/// budget.
+/// Retry budget for transient failures. A failed step is rolled back
+/// and becomes eligible again after exponential backoff (`backoff`,
+/// `2×backoff`, `4×backoff`, … capped at `max_backoff`) until it has
+/// consumed `max_attempts` consecutive attempts or the deadline passes —
+/// whichever comes first. A deadline that expires mid-backoff resolves
+/// the request as [`ServeError::DeadlineExceeded`]; retries never extend
+/// a request's budget.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Total attempts a request may consume (first execution included).
-    /// Clamped to at least 1; `1` disables retries.
+    /// Consecutive attempts one step may consume (first execution
+    /// included). Clamped to at least 1; `1` disables retries.
     pub max_attempts: u32,
     /// Backoff before the first retry; doubles per subsequent retry.
     pub backoff: Duration,
@@ -126,8 +104,11 @@ impl RetryPolicy {
     }
 }
 
-/// Queue-depth watermarks for overload control (the `queue` module's
-/// docs describe the mechanism).
+/// Queue-depth watermarks for overload control: below the shed
+/// watermark everything is accepted; above it each admission evicts the
+/// waiting request with the least deadline budget (when one expires
+/// sooner than the newcomer); above the reject watermark new work is
+/// refused outright.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadPolicy {
     /// At or above this depth, admission requires evicting the queued
@@ -196,8 +177,9 @@ pub struct ServeConfig {
     /// Bounded queue capacity; submissions beyond it are rejected with
     /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum requests a worker dequeues per batch (same function,
-    /// same concrete shapes).
+    /// Requests per worker in one scheduler iteration: at most
+    /// `workers × max_batch` requests are in flight at a time, the rest
+    /// wait in the queue.
     pub max_batch: usize,
     /// Deadline applied to every request submitted without an explicit
     /// one. `None` means requests never expire.
@@ -209,9 +191,9 @@ pub struct ServeConfig {
     pub plan_cache_capacity: usize,
     /// Deterministic fault plans installed on specific workers at
     /// startup, for fault-isolation and chaos testing: `(worker index,
-    /// plan)`. VM sites go to the worker's `Vm`; serving sites
-    /// (panic/stall/reply-drop) to the worker loop. Respawned
-    /// generations carry no faults.
+    /// plan)`. VM sites go to the worker's first `Vm`; serving sites
+    /// (panic/stall/reply-drop) to the worker loop, where a fault that
+    /// fired stays spent across respawns.
     pub worker_faults: Vec<(usize, FaultPlan)>,
     /// Retry budget for transient failures; `None` (default) fails fast.
     pub retry: Option<RetryPolicy>,
@@ -220,14 +202,10 @@ pub struct ServeConfig {
     pub overload: Option<OverloadPolicy>,
     /// Respawns a worker slot gets before it is quarantined.
     pub restart_budget: u32,
-    /// How long a *busy* worker may go without a heartbeat before the
-    /// supervisor declares it wedged and replaces it.
+    /// How long a worker may spend on one step before it is declared
+    /// wedged and replaced.
     pub stall_timeout: Duration,
 }
-
-/// Capacity of the bounded latency reservoir (O(1) memory however many
-/// requests complete).
-const LATENCY_SAMPLE_CAPACITY: usize = 2048;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -267,7 +245,7 @@ pub enum ServeError {
         missed_by: Duration,
     },
     /// The worker handling the request disappeared before replying
-    /// (panic, dropped reply channel).
+    /// (panic, dropped reply).
     WorkerLost,
     /// The engine is shutting down and no longer admits requests.
     ShuttingDown,
@@ -313,25 +291,21 @@ impl From<VmError> for ServeError {
 /// A handle to an in-flight request; redeem it with [`Ticket::wait`]
 /// (or poll it with [`Ticket::wait_timeout`] / [`Ticket::try_wait`]).
 ///
-/// A ticket always resolves: every admitted request either replies,
-/// fails typed, or — if its worker vanished in a way nobody could
-/// report — resolves as [`ServeError::WorkerLost`] when the reply
-/// channel closes. It never hangs forever.
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<Value, ServeError>>,
-}
+/// A ticket always resolves: every admitted request either replies or
+/// fails typed — at the latest as [`ServeError::WorkerLost`] when the
+/// engine lets go of it without an answer. It never hangs forever.
+pub struct Ticket(mpsc::Receiver<Result<Value, ServeError>>);
 
 impl Ticket {
     /// Blocks until the request completes, is shed, or its worker dies.
     pub fn wait(self) -> Result<Value, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::WorkerLost))
+        self.0.recv().unwrap_or(Err(ServeError::WorkerLost))
     }
 
     /// Waits up to `timeout` for the request to resolve. `None` means
-    /// still in flight; a closed reply channel (the worker vanished
-    /// without reporting) resolves as [`ServeError::WorkerLost`].
+    /// still in flight.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Value, ServeError>> {
-        match self.rx.recv_timeout(timeout) {
+        match self.0.recv_timeout(timeout) {
             Ok(result) => Some(result),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
             Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::WorkerLost)),
@@ -340,234 +314,101 @@ impl Ticket {
 
     /// Non-blocking poll; same contract as [`Ticket::wait_timeout`].
     pub fn try_wait(&self) -> Option<Result<Value, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::WorkerLost)),
-        }
+        self.wait_timeout(Duration::ZERO)
     }
 }
 
-/// Shared admission/completion counters (lock-free; workers bump them).
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) accepted: AtomicU64,
-    pub(crate) rejected_full: AtomicU64,
-    pub(crate) rejected_overload: AtomicU64,
-    pub(crate) timed_out: AtomicU64,
-    pub(crate) shed_overload: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) replies_dropped: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) restarts: AtomicU64,
-    pub(crate) quarantined: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_extra: AtomicU64,
-}
-
-/// Everything the worker pool, the supervisor and the engine handle
-/// share. One `Arc<Core>` per engine; workers and the supervisor each
-/// hold a clone so the engine handle can be dropped independently.
-pub(crate) struct Core {
-    pub(crate) queue: RequestQueue,
-    pub(crate) counters: Counters,
-    pub(crate) latencies: Mutex<LatencyReservoir>,
-    /// Heartbeats are nanoseconds since this instant (a shared epoch so
-    /// they fit an `AtomicU64`).
-    pub(crate) epoch: Instant,
-    pub(crate) exec: Arc<Executable>,
-    pub(crate) registry: Arc<Registry>,
+/// What every request of one engine shares.
+pub(crate) struct CallModel {
+    exec: Arc<Executable>,
+    registry: Arc<Registry>,
     /// The one plan cache every worker VM (respawned ones included)
     /// probes, so a healed pool keeps its warm plans.
-    pub(crate) plan_cache: SharedPlanCache,
-    pub(crate) max_batch: usize,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) restart_budget: u32,
-    pub(crate) stall_timeout: Duration,
-    /// Set once at the start of shutdown; workers and the retry path
-    /// stop scheduling new work and resolve everything typed.
-    pub(crate) stopping: AtomicBool,
-    pub(crate) sup: SupervisorState,
+    plan_cache: SharedPlanCache,
 }
 
-impl Core {
-    /// Nanoseconds since the engine epoch (heartbeat clock).
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// A point-in-time snapshot of the engine counters.
-    pub(crate) fn stats(&self) -> EngineStats {
-        let c = &self.counters;
-        EngineStats {
-            queue_depth: self.queue.depth(),
-            queue_capacity: self.queue.capacity(),
-            admission: self.queue.level(),
-            accepted: c.accepted.load(Ordering::Relaxed),
-            rejected_full: c.rejected_full.load(Ordering::Relaxed),
-            rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            shed_overload: c.shed_overload.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            replies_dropped: c.replies_dropped.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            restarts: c.restarts.load(Ordering::Relaxed),
-            quarantined: c.quarantined.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_extra: c.batched_extra.load(Ordering::Relaxed),
-            plan_cache: self.plan_cache.stats(),
-            latency: lock(&self.latencies).summary(),
-        }
-    }
+/// A stateless request: one step, no cache.
+pub(crate) struct Call {
+    func: String,
+    args: Vec<Value>,
+    out: Option<Value>,
+    /// The request span, opened on the submit thread and closed wherever
+    /// the request resolves; worker-side spans nest under it.
+    trace: relax_trace::SpanId,
+    reply: mpsc::Sender<Result<Value, ServeError>>,
 }
 
-/// Resolves a request successfully: counters, latency sample, span end,
-/// reply.
-pub(crate) fn resolve_ok(core: &Core, req: Request, value: Value) {
-    core.counters.completed.fetch_add(1, Ordering::Relaxed);
-    let ns = req.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    lock(&core.latencies).push(ns);
-    relax_trace::async_end("serve", "request", req.trace, || {
-        relax_trace::Payload::Request {
-            request: req.id,
-            phase: relax_trace::RequestPhase::Reply,
-        }
-    });
-    let _ = req.reply.send(Ok(value));
+fn request_payload(request: u64, phase: RequestPhase) -> relax_trace::Payload {
+    relax_trace::Payload::Request { request, phase }
 }
 
-/// Resolves a request with a *final* error: classifies it into the
-/// counter buckets (deadline/overload sheds are `timed_out`, the rest
-/// `failed`), closes the request span and replies. Use
-/// [`fail_or_retry`] instead when the failure may still be retried.
-pub(crate) fn resolve_err(core: &Core, req: Request, err: ServeError) {
-    let shed = match &err {
-        ServeError::DeadlineExceeded { .. } => {
-            core.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        ServeError::Overloaded { .. } => {
-            core.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            core.counters.shed_overload.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        _ => {
-            core.counters.failed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    };
-    let phase = if shed {
-        relax_trace::RequestPhase::Shed
-    } else {
-        relax_trace::RequestPhase::Reply
-    };
-    if shed {
-        relax_trace::instant(
-            "serve",
-            || format!("shed:{}", req.id),
-            || relax_trace::Payload::Request {
-                request: req.id,
-                phase: relax_trace::RequestPhase::Shed,
-            },
+impl Work for Call {
+    type Model = CallModel;
+    type Vms = Vm;
+
+    fn build_vms(model: &CallModel, vm_faults: FaultPlan) -> Vm {
+        let mut vm = Vm::from_parts(
+            model.exec.clone(),
+            model.registry.clone(),
+            model.plan_cache.clone(),
         );
+        vm.inject_faults(vm_faults);
+        vm
     }
-    relax_trace::async_end("serve", "request", req.trace, || {
-        relax_trace::Payload::Request {
-            request: req.id,
-            phase,
-        }
-    });
-    let _ = req.reply.send(Err(err));
-}
 
-/// Maps a queue refusal to its typed error.
-pub(crate) fn refusal_error(core: &Core, why: PushError) -> ServeError {
-    match why {
-        PushError::Full => ServeError::QueueFull {
-            depth: core.queue.depth(),
-            capacity: core.queue.capacity(),
-        },
-        PushError::Overloaded => ServeError::Overloaded {
-            depth: core.queue.depth(),
-        },
-        PushError::Closed => ServeError::ShuttingDown,
+    fn telemetry(vm: &Vm) -> (Telemetry, HashMap<String, KernelStat>) {
+        (vm.telemetry(), vm.kernel_stats().clone())
     }
-}
 
-/// Resolves a failed request — or, when the engine has a retry policy
-/// that covers this failure class and the request has attempt budget
-/// left, schedules it for re-enqueue after exponential backoff instead.
-/// The request's deadline is *not* checked here: it is checked when the
-/// backoff elapses, so a deadline expiring mid-backoff resolves as
-/// [`ServeError::DeadlineExceeded`], never as a retry past budget.
-pub(crate) fn fail_or_retry(core: &Core, mut req: Request, err: ServeError) {
-    if !core.stopping.load(Ordering::Acquire) {
-        if let Some(policy) = &core.retry {
-            let class_ok = match &err {
-                ServeError::WorkerLost => policy.retry_on.worker_lost,
-                ServeError::QueueFull { .. } | ServeError::Overloaded { .. } => {
-                    policy.retry_on.overload
-                }
-                ServeError::Vm(e) => {
-                    policy.retry_on.kernel_faults && matches!(e.kind, VmErrorKind::Kernel(_))
-                }
-                _ => false,
-            };
-            if class_ok && req.attempt + 1 < policy.max_attempts.max(1) {
-                req.attempt += 1;
-                core.counters.retries.fetch_add(1, Ordering::Relaxed);
-                relax_trace::instant(
-                    "serve",
-                    || format!("retry:{}", req.id),
-                    || relax_trace::Payload::Request {
-                        request: req.id,
-                        phase: relax_trace::RequestPhase::Retry,
-                    },
-                );
-                let due = Instant::now() + policy.backoff_for(req.attempt);
-                supervisor::schedule_retry(core, req, due);
-                return;
-            }
-        }
+    fn done(&self) -> bool {
+        self.out.is_some()
     }
-    resolve_err(core, req, err);
-}
 
-/// The concrete shape signature of an argument list — the batching key.
-/// Tensors contribute their shapes, shape values contribute themselves,
-/// tuples recurse; scalars contribute a marker so arity still matters.
-fn shape_signature(args: &[Value]) -> Vec<Vec<usize>> {
-    fn walk(v: &Value, out: &mut Vec<Vec<usize>>) {
-        match v {
-            Value::Tensor(t) => out.push(t.shape().to_vec()),
-            Value::Shape(dims) => {
-                out.push(dims.iter().map(|&d| d.max(0) as usize).collect())
-            }
-            Value::Tuple(items) => {
-                for item in items {
-                    walk(item, out);
-                }
-            }
-            _ => out.push(Vec::new()),
-        }
+    fn step(&mut self, request: u64, cx: StepCtx<Self>) -> Result<(), VmError> {
+        let span =
+            relax_trace::span_under("serve", Some(self.trace), || format!("execute:{request}"));
+        let out = cx.vms.run(&self.func, &self.args);
+        span.finish_with(|| request_payload(request, RequestPhase::Execute));
+        (cx.window)();
+        self.out = Some(out?);
+        Ok(())
     }
-    let mut sig = Vec::with_capacity(args.len());
-    for a in args {
-        walk(a, &mut sig);
+
+    fn resolve(mut self, request: u64, exit: Exit, _: &CallModel) {
+        let result = match exit {
+            Exit::Retired => Ok(self.out.take().expect("a retired request has its value")),
+            Exit::Shed { missed_by } => Err(ServeError::DeadlineExceeded { missed_by }),
+            Exit::Evicted { depth } => Err(ServeError::Overloaded { depth }),
+            Exit::Failed(Failure::Lost(_)) => Err(ServeError::WorkerLost),
+            Exit::Failed(Failure::Pressure(e) | Failure::Vm(e)) => Err(ServeError::Vm(e)),
+            Exit::ShuttingDown => Err(ServeError::ShuttingDown),
+        };
+        let shed = matches!(
+            result,
+            Err(ServeError::DeadlineExceeded { .. } | ServeError::Overloaded { .. })
+        );
+        let phase = if shed {
+            relax_trace::instant(
+                "serve",
+                || format!("shed:{request}"),
+                || request_payload(request, RequestPhase::Shed),
+            );
+            RequestPhase::Shed
+        } else {
+            RequestPhase::Reply
+        };
+        relax_trace::async_end("serve", "request", self.trace, || {
+            request_payload(request, phase)
+        });
+        let _ = self.reply.send(result);
     }
-    sig
 }
 
 /// Multi-session serving engine over one executable. See the module
 /// docs for the architecture; see [`ServeConfig`] for the knobs.
 pub struct ServeEngine {
-    core: Arc<Core>,
-    /// Dense request-id source (first request gets 1).
-    next_request_id: AtomicU64,
+    core: Core<Call>,
     default_deadline: Option<Duration>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 impl ServeEngine {
@@ -578,66 +419,64 @@ impl ServeEngine {
 
     /// Builds an engine with a custom foreign-function registry.
     pub fn with_registry(exec: Executable, registry: Registry, config: ServeConfig) -> Self {
-        let exec = Arc::new(exec);
-        let registry = Arc::new(registry);
-        let workers = config.workers.max(1);
+        Self::with_clock(exec, registry, config, Arc::new(SystemClock))
+    }
 
-        // Seed chosen once; the reservoir is deterministic per engine.
-        const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-        let core = Arc::new(Core {
-            queue: RequestQueue::new(config.queue_capacity, config.overload),
-            counters: Counters::default(),
-            latencies: Mutex::new(LatencyReservoir::new(LATENCY_SAMPLE_CAPACITY, LATENCY_SEED)),
-            epoch: Instant::now(),
-            exec,
-            registry,
+    pub(crate) fn with_clock(
+        exec: Executable,
+        registry: Registry,
+        config: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let workers = config.workers.max(1);
+        let model = CallModel {
+            exec: Arc::new(exec),
+            registry: Arc::new(registry),
             plan_cache: SharedPlanCache::new(config.plan_cache_capacity),
-            max_batch: config.max_batch.max(1),
-            retry: config.retry.clone(),
+        };
+        let limits = Limits {
+            capacity: config.queue_capacity,
+            overload: config.overload,
+            // One iteration hands every worker up to a batch of requests.
+            max_running: workers * config.max_batch.max(1),
+            retry: config.retry.clone().unwrap_or(RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            }),
             restart_budget: config.restart_budget,
             stall_timeout: config.stall_timeout.max(Duration::from_millis(1)),
-            stopping: AtomicBool::new(false),
-            sup: SupervisorState::new(),
-        });
-
-        {
-            let mut slots = lock(&core.sup.slots);
-            for idx in 0..workers {
-                let faults = config
+            drain_on_stop: true,
+        };
+        let faults = (0..workers)
+            .map(|idx| {
+                let plan = config
                     .worker_faults
                     .iter()
-                    .filter(|(target, _)| *target == idx)
-                    .map(|(_, plan)| plan.clone())
-                    .next_back();
-                slots.push(supervisor::new_slot(&core, idx, faults));
-            }
-        }
-
-        let supervisor = std::thread::Builder::new()
-            .name("relax-serve-supervisor".into())
-            .spawn({
-                let core = core.clone();
-                move || supervisor::supervisor_loop(core)
+                    .rev()
+                    .find(|(target, _)| *target == idx)?;
+                let (vm, serving) = plan.1.clone().split_serving();
+                Some(WorkerFaults {
+                    vm,
+                    serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
+                    stall: Duration::ZERO,
+                })
             })
-            .expect("spawn serve supervisor");
-
+            .collect();
         ServeEngine {
-            core,
-            next_request_id: AtomicU64::new(0),
+            core: Core::start(model, limits, faults, clock),
             default_deadline: config.default_deadline,
-            supervisor: Some(supervisor),
         }
     }
 
     /// Submits a request under the engine's default deadline. Returns a
     /// [`Ticket`] immediately, or the backpressure/shutdown error if the
-    /// request was not admitted (and could not be scheduled for retry).
+    /// request was not admitted.
     pub fn submit(&self, func: &str, args: &[Value]) -> Result<Ticket, ServeError> {
         self.submit_with_deadline(func, args, self.default_deadline)
     }
 
     /// Submits a request that must *start* within `deadline` of now;
-    /// requests still queued (or backing off between retries) past it
+    /// requests still waiting (or backing off between retries) past it
     /// are shed with [`ServeError::DeadlineExceeded`] instead of
     /// executing late.
     pub fn submit_with_deadline(
@@ -646,106 +485,40 @@ impl ServeEngine {
         args: &[Value],
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        let core = &*self.core;
-        let now = Instant::now();
-        let id = self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let id = self.core.next_id();
         // The request span opens *before* the push: once the request is
-        // in the queue a worker may finish it at any moment, and the
-        // async end must never precede its begin.
+        // waiting a worker may finish it at any moment, and the async end
+        // must never precede its begin.
         let trace = relax_trace::async_begin("serve", "request", || {
-            relax_trace::Payload::Request {
-                request: id,
-                phase: relax_trace::RequestPhase::Queue,
-            }
+            request_payload(id, RequestPhase::Queue)
         });
         let admit = relax_trace::span("serve", || format!("admit:{id}"));
-        let (tx, rx) = mpsc::channel();
-        let req = Request {
-            id,
+        let (reply, ticket) = mpsc::channel();
+        let call = Call {
+            func: func.into(),
+            args: args.into(),
+            out: None,
             trace,
-            func: func.to_string(),
-            args: args.to_vec(),
-            shape_sig: shape_signature(args),
-            deadline: deadline.map(|d| now + d),
-            enqueued: now,
-            attempt: 0,
-            reply: tx,
+            reply,
         };
-        let outcome = core.queue.push(req);
-        admit.finish_with(|| relax_trace::Payload::Request {
-            request: id,
-            phase: relax_trace::RequestPhase::Admit,
+        let pushed = self.core.submit(id, deadline, call);
+        admit.finish_with(|| request_payload(id, RequestPhase::Admit));
+        let Err((call, why, depth)) = pushed else {
+            return Ok(Ticket(ticket));
+        };
+        // Refused outright: the request never waited; close its span here
+        // so the trace stays balanced.
+        relax_trace::async_end("serve", "request", call.trace, || {
+            request_payload(id, RequestPhase::Reply)
         });
-        match outcome {
-            PushOutcome::Admitted { shed } => {
-                core.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(victim) = shed {
-                    // Overload control evicted the queued request with
-                    // the least deadline budget to admit this one.
-                    resolve_err(
-                        core,
-                        victim,
-                        ServeError::Overloaded {
-                            depth: core.queue.depth(),
-                        },
-                    );
-                }
-                Ok(Ticket { rx })
-            }
-            PushOutcome::Refused { mut req, why } => {
-                // A refusal the retry policy covers becomes a deferred
-                // admission: the engine takes responsibility for the
-                // ticket and re-enqueues after backoff.
-                if !matches!(why, PushError::Closed) && !core.stopping.load(Ordering::Acquire) {
-                    if let Some(policy) = &core.retry {
-                        if policy.retry_on.overload && req.attempt + 1 < policy.max_attempts.max(1)
-                        {
-                            req.attempt += 1;
-                            core.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            core.counters.retries.fetch_add(1, Ordering::Relaxed);
-                            relax_trace::instant(
-                                "serve",
-                                || format!("retry:{id}"),
-                                || relax_trace::Payload::Request {
-                                    request: id,
-                                    phase: relax_trace::RequestPhase::Retry,
-                                },
-                            );
-                            let due = Instant::now() + policy.backoff_for(req.attempt);
-                            supervisor::schedule_retry(core, req, due);
-                            return Ok(Ticket { rx });
-                        }
-                    }
-                }
-                // Refused outright: the request never entered the queue;
-                // close its span here so the trace stays balanced.
-                relax_trace::async_end("serve", "request", req.trace, || {
-                    relax_trace::Payload::Request {
-                        request: id,
-                        phase: relax_trace::RequestPhase::Reply,
-                    }
-                });
-                let err = match why {
-                    PushError::Full => {
-                        core.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                        ServeError::QueueFull {
-                            depth: core.queue.depth(),
-                            capacity: core.queue.capacity(),
-                        }
-                    }
-                    PushError::Overloaded => {
-                        core.counters
-                            .rejected_overload
-                            .fetch_add(1, Ordering::Relaxed);
-                        ServeError::Overloaded {
-                            depth: core.queue.depth(),
-                        }
-                    }
-                    PushError::Closed => ServeError::ShuttingDown,
-                };
-                Err(err)
-            }
-        }
+        Err(match why {
+            Refusal::Full => ServeError::QueueFull {
+                depth,
+                capacity: self.core.queue().1,
+            },
+            Refusal::Overloaded => ServeError::Overloaded { depth },
+            Refusal::Closed => ServeError::ShuttingDown,
+        })
     }
 
     /// Convenience: submit and wait in one call (single-session use).
@@ -753,89 +526,52 @@ impl ServeEngine {
         self.submit(func, args)?.wait()
     }
 
-    /// A point-in-time snapshot of the engine counters.
+    /// A point-in-time snapshot of the engine counters: the request view
+    /// of the core's accounting (a completed request is a retired unit).
     pub fn stats(&self) -> EngineStats {
-        self.core.stats()
+        let c = self.core.counters();
+        let (queue_depth, queue_capacity, admission) = self.core.queue();
+        EngineStats {
+            queue_depth,
+            queue_capacity,
+            admission,
+            accepted: get(&c.submitted),
+            rejected_full: get(&c.rejected_full),
+            rejected_overload: get(&c.rejected_overload),
+            timed_out: get(&c.shed) + get(&c.evicted),
+            shed_overload: get(&c.evicted),
+            completed: get(&c.retired),
+            failed: get(&c.failed),
+            replies_dropped: get(&c.replies_dropped),
+            retries: get(&c.retries),
+            restarts: get(&c.restarts),
+            quarantined: get(&c.quarantined),
+            batches: get(&c.iterations),
+            batched_extra: get(&c.steps).saturating_sub(get(&c.iterations)),
+            plan_cache: self.core.model().plan_cache.stats(),
+            latency: self.core.latencies().summary(),
+        }
     }
 
-    /// The one teardown behind [`ServeEngine::shutdown`] and `Drop`:
-    /// stops admission, lets the supervisor flush pending retries, drains
-    /// the queue, joins every worker incarnation and reports each. A
-    /// second call finds nothing left to join.
-    fn teardown(&mut self) -> Vec<WorkerReport> {
-        let core = &*self.core;
-        core.stopping.store(true, Ordering::Release);
-        core.sup.wake.notify_all();
-        // The supervisor's final pass flushes pending retries back into
-        // the (still open) queue so workers drain them.
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        core.queue.close();
-
-        let mut workers: Vec<WorkerReport> = Vec::new();
-        for slot in lock(&core.sup.slots).iter_mut() {
-            if let Some(h) = slot.handle.take() {
-                workers.push(supervisor::join_report(h, slot.idx, slot.generation));
-            }
-        }
-        for (idx, generation, h) in lock(&core.sup.abandoned).drain(..) {
-            workers.push(supervisor::join_report(h, idx, generation));
-        }
-        workers.extend(lock(&core.sup.reaped).drain(..));
-        workers.sort_by_key(|w| (w.worker, w.generation));
-
-        // Retries scheduled in the race window after the supervisor
-        // exited have nobody to re-enqueue them: resolve them typed so
-        // no ticket ever hangs.
-        let orphans: Vec<Request> = lock(&core.sup.retries)
-            .heap
-            .drain()
-            .map(|d| d.req)
-            .collect();
-        for req in orphans {
-            resolve_err(core, req, ServeError::ShuttingDown);
-        }
-        workers
-    }
-
-    /// Stops admitting requests, flushes pending retries, drains the
-    /// queue, joins every worker incarnation (and the supervisor) and
-    /// returns the final stats plus per-incarnation VM snapshots.
+    /// Stops admitting requests, drains what was admitted (pending
+    /// retries included, without waiting out their backoff), joins every
+    /// worker incarnation and returns the final stats plus
+    /// per-incarnation VM snapshots.
     ///
     /// Never panics — a worker that died uncontained is reported as
     /// [`crate::WorkerExit::Panicked`] in the [`EngineReport`] instead.
     pub fn shutdown(mut self) -> EngineReport {
-        let workers = self.teardown();
+        let workers: Vec<WorkerReport> = self.core.stop();
         EngineReport {
-            stats: self.core.stats(),
+            stats: self.stats(),
             workers,
         }
-    }
-}
-
-impl Drop for ServeEngine {
-    fn drop(&mut self) {
-        self.teardown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shape_signature_covers_tensors_shapes_tuples_and_scalars() {
-        use relax_arith::DataType;
-        use relax_tir::NDArray;
-        let t = NDArray::zeros(&[2, 3], DataType::F32);
-        let sig = shape_signature(&[
-            Value::Tensor(t.clone()),
-            Value::Shape(vec![4, 5]),
-            Value::Tuple(vec![Value::Tensor(t)]),
-        ]);
-        assert_eq!(sig, vec![vec![2, 3], vec![4, 5], vec![2, 3]]);
-    }
 
     #[test]
     fn backoff_is_exponential_and_capped() {

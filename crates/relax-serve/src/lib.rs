@@ -2,51 +2,31 @@
 //!
 //! The paper's runtime story ends with one VM executing one program; a
 //! serving deployment runs *many sessions of the same program* at once,
-//! and keeps running them when workers fail. This crate supplies the
-//! missing layer:
+//! and keeps running them when workers fail. This crate supplies that
+//! layer as **one serving core** with two thin entry points:
 //!
-//! - **[`ServeEngine`]** — owns one immutable [`relax_vm::Executable`]
-//!   and a fixed pool of worker threads, each with a private
-//!   [`relax_vm::Vm`] built from shared read-only parts
-//!   ([`relax_vm::Vm::from_parts`]).
-//! - **Bounded request queue** — submissions beyond capacity are
-//!   rejected with [`ServeError::QueueFull`] (backpressure), never
-//!   buffered unboundedly.
-//! - **Deadlines** — requests still queued past their deadline are shed
-//!   with [`ServeError::DeadlineExceeded`] instead of executing late.
-//! - **Shape batching** — the dequeue path groups queued requests whose
-//!   arguments have identical concrete shapes, so one compiled kernel
-//!   plan serves the whole batch.
-//! - **Shared plan cache** — all workers share one
-//!   [`relax_vm::SharedPlanCache`] by default: a shape specialized by
-//!   any worker is a cache hit for every other.
-//! - **Self-healing** — worker panics are contained at the worker loop
-//!   and a supervisor thread respawns fresh VMs into failed slots (up
-//!   to a restart budget, then quarantine); wedged workers are detected
-//!   by heartbeat and replaced. In-flight requests on a lost worker
-//!   resolve as [`ServeError::WorkerLost`] — a [`Ticket`] never hangs.
-//! - **Retry with budgets** — an optional [`RetryPolicy`] re-enqueues
-//!   transient failures (lost workers, overload refusals, kernel
-//!   faults) with exponential backoff, bounded by an attempt budget and
-//!   the request's own deadline.
-//! - **Overload control** — an optional [`OverloadPolicy`] adds
-//!   queue-depth watermarks: accept, then shed-lowest-deadline, then
-//!   reject-new ([`AdmissionLevel`]).
-//! - **Session serving** — [`SessionManager`] layers *stateful*
-//!   generation sessions on top: each session owns a paged KV cache on
-//!   a shared [`relax_vm::KvPagePool`], and a continuous-batching
-//!   scheduler admits and retires sessions between decode iterations,
-//!   interleaves prefill with decode, rolls failed steps back to their
-//!   pre-step cache lengths, and evicts the earliest-deadline session
-//!   under page-pool pressure.
-//! - **Chaos harness** — [`chaos`] drives a workload under seeded
-//!   random fault schedules and checks the engine's robustness
-//!   invariants (typed resolution, bitwise-correct survivors,
-//!   availability).
-//! - **Telemetry** — [`EngineStats`] (queue depth, admission counters,
-//!   retry/restart/quarantine counts, p50/p95/p99 latency from a
-//!   bounded reservoir, aggregate cache hit rate) plus per-incarnation
-//!   [`WorkerReport`]s at shutdown.
+//! - the **core** (`core.rs`, DESIGN.md "Serving core") — a bounded
+//!   admission deque with shed/reject watermarks, an iteration loop that
+//!   dispatches one step per running unit to a supervised worker pool,
+//!   deadline shedding, retry with backoff, earliest-deadline eviction
+//!   under page-pool pressure, panic containment and respawn, stall
+//!   detection, and one accounting identity
+//!   (`submitted == retired + evicted + failed + shed`);
+//! - **[`SessionManager`]** — *stateful* generation sessions: each owns a
+//!   paged KV cache on a shared [`relax_vm::KvPagePool`] and steps through
+//!   prefill, decode and speculative decode with continuous batching;
+//! - **[`ServeEngine`]** — *stateless* requests: `submit(func, args)` is a
+//!   one-step session with no cache. Refusals and failures are typed
+//!   ([`ServeError`]); a [`Ticket`] never hangs. [`EngineStats`] and
+//!   per-incarnation [`WorkerReport`]s are the request view of the core's
+//!   counters.
+//!
+//! All worker VMs of an engine share one [`relax_vm::SharedPlanCache`]: a
+//! shape specialized by any worker is a cache hit for every other.
+//! [`chaos`] drives either entry point under seeded random fault
+//! schedules and checks the robustness invariants (typed resolution,
+//! bitwise-correct survivors, availability, page-pool reconciliation);
+//! it also holds the [`chaos::ManualClock`] tests use to move time.
 //!
 //! ```
 //! use relax_serve::{ServeConfig, ServeEngine};
@@ -65,11 +45,12 @@
 
 #![forbid(unsafe_code)]
 
+mod admission;
 pub mod chaos;
+mod clock;
+mod core;
 mod engine;
-mod queue;
 mod session;
-mod supervisor;
 mod telemetry;
 
 pub use engine::{

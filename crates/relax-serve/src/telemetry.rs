@@ -1,5 +1,5 @@
-//! Engine-level observability: request counters, latency percentiles and
-//! per-worker VM snapshots.
+//! Engine-level observability: the request view of the core's counters,
+//! latency percentiles and per-worker VM snapshots.
 
 use std::collections::HashMap;
 
@@ -67,6 +67,11 @@ impl LatencyReservoir {
         }
     }
 
+    /// The retained samples.
+    pub(crate) fn into_samples(self) -> Vec<u64> {
+        self.samples
+    }
+
     /// Summarises the current reservoir. `count` is the total number of
     /// observations; the percentiles are estimated from the retained
     /// sample.
@@ -112,7 +117,7 @@ impl LatencySummary {
 /// the aggregate plan-cache view and the latency distribution so far.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Requests currently queued (not yet picked up by a worker).
+    /// Requests currently queued (admitted, not yet in an iteration).
     pub queue_depth: usize,
     /// Queue capacity (backpressure threshold).
     pub queue_capacity: usize,
@@ -137,17 +142,17 @@ pub struct EngineStats {
     pub failed: u64,
     /// Of `failed`: replies dropped by an injected `ReplyDrop` fault.
     pub replies_dropped: u64,
-    /// Retry attempts re-enqueued under the engine's [`crate::RetryPolicy`].
+    /// Retry attempts granted under the engine's [`crate::RetryPolicy`].
     pub retries: u64,
-    /// Workers respawned by the supervisor (panics and stalls).
+    /// Workers respawned after a panic or a stall.
     pub restarts: u64,
     /// Worker slots quarantined after exhausting their restart budget.
     pub quarantined: u64,
-    /// Batches dequeued by workers.
+    /// Scheduler iterations: each dispatches the requests in flight (up
+    /// to `workers × max_batch`) to the pool as one batch.
     pub batches: u64,
-    /// Requests that rode along in a batch behind the batch head —
-    /// `accepted - batches - shed` when batching is effective, `0` when
-    /// every request dequeues alone.
+    /// Requests that shared an iteration with another — executed steps
+    /// minus `batches`; `0` when every request runs alone.
     pub batched_extra: u64,
     /// Aggregate plan-cache counters across every worker sharing the
     /// cache (hit rate here is the *cross-worker* rate).
@@ -167,8 +172,8 @@ pub enum WorkerExit {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The supervisor declared the worker wedged and replaced it; the
-    /// original noticed on its next heartbeat and exited.
+    /// The scheduler declared the worker wedged and replaced it; the
+    /// original finished the step it held and exited.
     Retired,
 }
 

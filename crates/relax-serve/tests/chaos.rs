@@ -4,82 +4,22 @@
 //! seeded chaos harness invariants (typed resolution, bitwise-correct
 //! survivors, availability under faults).
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use relax_core::{DataType, ShapeDesc, StructInfo};
-use relax_models::llama::{build_decode, LlamaConfig, ModelIr};
 use relax_passes::{compile, CompileOptions};
-use relax_serve::chaos::{run_chaos, silence_injected_panics, ChaosConfig, ChaosRequest};
+use relax_serve::chaos::{run_chaos, silence_injected_panics, ChaosConfig, ChaosRequest, ManualClock};
 use relax_serve::{
     AdmissionLevel, OverloadPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError, Ticket,
     WorkerExit,
 };
-use relax_tir::NDArray;
-use relax_vm::{Executable, FaultPlan, Value, Vm};
+use relax_vm::{FaultPlan, Value, Vm};
 
-fn random_arr(shape: &[usize], dtype: DataType, seed: &mut u64) -> NDArray {
-    let n: usize = shape.iter().product();
-    let vals: Vec<f64> = (0..n)
-        .map(|_| {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5) * 0.2
-        })
-        .collect();
-    NDArray::from_f64(shape, dtype, vals).unwrap()
-}
-
-fn concrete(ir: &ModelIr, sinfo: &StructInfo, batch: i64, kv: i64) -> (Vec<usize>, DataType) {
-    let mut env = HashMap::new();
-    env.insert(ir.batch.clone(), batch);
-    env.insert(ir.seq.clone(), kv);
-    match sinfo {
-        StructInfo::Tensor {
-            shape: ShapeDesc::Known(dims),
-            dtype,
-        } => (
-            dims.iter()
-                .map(|d| d.eval(&env).unwrap() as usize)
-                .collect(),
-            dtype.unwrap(),
-        ),
-        other => panic!("unexpected annotation {other}"),
-    }
-}
-
-fn decode_args(ir: &ModelIr, batch: i64, kv: i64, seed: &mut u64) -> Vec<Value> {
-    ir.params
-        .iter()
-        .map(|(name, sinfo)| {
-            let (dims, dt) = concrete(ir, sinfo, batch, kv);
-            if name == "tokens" {
-                Value::Tensor(NDArray::from_i64(&dims, dt, vec![3; dims.iter().product()]).unwrap())
-            } else {
-                Value::Tensor(random_arr(&dims, dt, seed))
-            }
-        })
-        .collect()
-}
-
-fn tiny_exec() -> (ModelIr, Executable) {
-    let ir = build_decode(&LlamaConfig::tiny()).unwrap();
-    let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
-    (ir, exec)
-}
-
-fn flatten_output(v: &Value) -> Vec<Vec<f64>> {
-    v.as_tuple()
-        .unwrap()
-        .iter()
-        .map(|e| e.as_tensor().unwrap().to_f64_vec())
-        .collect()
-}
+mod common;
+use common::{decode_args, flatten_output, spin_until, tiny_exec};
 
 /// Satellite regression: a worker panic mid-request must not panic
 /// `shutdown()`. The panic is contained, the in-flight request resolves
-/// as [`ServeError::WorkerLost`], the supervisor respawns the slot, and
+/// as [`ServeError::WorkerLost`], the scheduler respawns the slot, and
 /// the report carries the `Panicked` incarnation alongside its healed
 /// successor.
 #[test]
@@ -136,6 +76,39 @@ fn panicked_worker_is_contained_respawned_and_reported() {
     assert_eq!(report.slots_drained(), 1, "the pool healed");
 }
 
+/// A pool that has spent its restart budget fails what it can no longer
+/// run, typed, instead of holding it until shutdown.
+#[test]
+fn quarantined_pool_resolves_requests_worker_lost() {
+    silence_injected_panics();
+    let (ir, exec) = tiny_exec();
+    let engine = ServeEngine::new(
+        exec,
+        ServeConfig {
+            workers: 1,
+            max_batch: 1,
+            worker_faults: vec![(0, FaultPlan::new().fail_worker_panic(1))],
+            restart_budget: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let mut seed = 43u64;
+    let args = decode_args(&ir, 1, 1, &mut seed);
+    let tickets: Vec<Ticket> = (0..3)
+        .map(|_| engine.submit("decode", &args).unwrap())
+        .collect();
+    for t in tickets {
+        match t.wait() {
+            Err(ServeError::WorkerLost) => {}
+            other => panic!("expected a typed lost-worker resolution, got {other:?}"),
+        }
+    }
+    let report = engine.shutdown();
+    assert_eq!((report.stats.quarantined, report.stats.restarts), (1, 0));
+    assert_eq!((report.stats.failed, report.stats.completed), (3, 0));
+    assert_eq!(report.slots_drained(), 0);
+}
+
 /// Satellite: a reply sender dropped by the worker resolves the ticket
 /// as [`ServeError::WorkerLost`] via [`Ticket::wait_timeout`] — never a
 /// hang — and [`Ticket::try_wait`] polls without blocking.
@@ -165,7 +138,7 @@ fn dropped_reply_resolves_worker_lost_instead_of_hanging() {
     let out = loop {
         match next.try_wait() {
             Some(r) => break r,
-            None => std::thread::sleep(Duration::from_millis(2)),
+            None => std::thread::yield_now(),
         }
     };
     out.unwrap();
@@ -214,13 +187,14 @@ fn transient_kernel_fault_retries_to_success() {
 #[test]
 fn deadline_expiring_mid_backoff_is_shed_typed() {
     let (ir, exec) = tiny_exec();
-    let engine = ServeEngine::new(
+    let clock = ManualClock::new();
+    let engine = clock.serve_engine(
         exec,
         ServeConfig {
             workers: 1,
             worker_faults: vec![(0, FaultPlan::new().fail_kernel(1))],
             // Backoff far beyond the deadline: the one retry is always
-            // redelivered after expiry.
+            // due after expiry.
             retry: Some(RetryPolicy {
                 max_attempts: 5,
                 backoff: Duration::from_millis(600),
@@ -235,6 +209,10 @@ fn deadline_expiring_mid_backoff_is_shed_typed() {
     let ticket = engine
         .submit_with_deadline("decode", &args, Some(Duration::from_millis(150)))
         .unwrap();
+    // Let the first attempt fail into its backoff, then let the deadline
+    // pass while it waits there.
+    spin_until(|| engine.stats().retries == 1);
+    clock.advance(Duration::from_millis(200));
     match ticket.wait() {
         Err(ServeError::DeadlineExceeded { missed_by }) => {
             assert!(missed_by > Duration::ZERO)
@@ -262,7 +240,8 @@ fn deadline_expiring_mid_backoff_is_shed_typed() {
 #[test]
 fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
     let (ir, exec) = tiny_exec();
-    let engine = ServeEngine::new(
+    let clock = ManualClock::new();
+    let engine = clock.serve_engine(
         exec,
         ServeConfig {
             workers: 1,
@@ -273,7 +252,7 @@ fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
                 reject_depth: 6,
             }),
             // Wedge the worker long enough to build queue depth, but
-            // keep the supervisor from declaring it dead.
+            // keep the scheduler from declaring it dead.
             worker_faults: vec![(0, FaultPlan::new().stall_worker(1, Duration::from_millis(600)))],
             stall_timeout: Duration::from_secs(30),
             ..ServeConfig::default()
@@ -285,12 +264,11 @@ fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
         engine.submit_with_deadline("decode", &args, Some(Duration::from_secs(budget_secs)))
     };
 
-    // The first request is popped and wedges the worker; wait until the
-    // queue is empty again so the depths below are exact.
+    // The first request is popped and wedges the worker; once it sits in
+    // its stall the queue is empty again and the depths below are exact.
     let head = sub(600).unwrap();
-    while engine.stats().queue_depth > 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    clock.await_sleepers(1);
+    assert_eq!(engine.stats().queue_depth, 0);
 
     // Fill to the shed watermark with decreasing deadlines.
     let fillers: Vec<Ticket> = [60, 50, 40, 30].map(sub).map(Result::unwrap).into();
@@ -308,7 +286,9 @@ fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
     }
     assert_eq!(engine.stats().admission, AdmissionLevel::Reject);
 
-    // The evicted 30 s request resolved typed as overload shedding.
+    // Let the wedge run its course. The evicted 30 s request resolved
+    // typed as overload shedding.
+    clock.advance(Duration::from_millis(600));
     let mut outcomes: Vec<Result<Value, ServeError>> = Vec::new();
     for t in fillers.into_iter().chain([late]).chain(climb) {
         outcomes.push(t.wait());
@@ -336,7 +316,8 @@ fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
 #[test]
 fn stalled_worker_is_replaced_and_queue_drains() {
     let (ir, exec) = tiny_exec();
-    let engine = ServeEngine::new(
+    let clock = ManualClock::new();
+    let engine = clock.serve_engine(
         exec,
         ServeConfig {
             workers: 1,
@@ -351,6 +332,12 @@ fn stalled_worker_is_replaced_and_queue_drains() {
     let tickets: Vec<Ticket> = (0..3)
         .map(|_| engine.submit("decode", &args).unwrap())
         .collect();
+    // Past the stall timeout the wedged worker is replaced; past the
+    // stall itself it finishes what it held.
+    clock.await_sleepers(1);
+    clock.advance(Duration::from_millis(31));
+    spin_until(|| engine.stats().restarts == 1);
+    clock.advance(Duration::from_millis(400));
     for t in tickets {
         t.wait().unwrap();
     }

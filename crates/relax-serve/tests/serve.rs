@@ -3,76 +3,15 @@
 //! fault isolation between workers, backpressure, deadline shedding and
 //! cross-worker plan-cache sharing.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use relax_core::{DataType, ShapeDesc, StructInfo};
-use relax_models::llama::{build_decode, LlamaConfig, ModelIr};
 use relax_passes::{compile, CompileOptions};
+use relax_serve::chaos::ManualClock;
 use relax_serve::{ServeConfig, ServeEngine, ServeError, Ticket};
-use relax_tir::NDArray;
-use relax_vm::{Executable, FaultPlan, Value, Vm, VmErrorKind};
+use relax_vm::{FaultPlan, Value, Vm, VmErrorKind};
 
-fn random_arr(shape: &[usize], dtype: DataType, seed: &mut u64) -> NDArray {
-    let n: usize = shape.iter().product();
-    let vals: Vec<f64> = (0..n)
-        .map(|_| {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5) * 0.2
-        })
-        .collect();
-    NDArray::from_f64(shape, dtype, vals).unwrap()
-}
-
-fn concrete(ir: &ModelIr, sinfo: &StructInfo, batch: i64, kv: i64) -> (Vec<usize>, DataType) {
-    let mut env = HashMap::new();
-    env.insert(ir.batch.clone(), batch);
-    env.insert(ir.seq.clone(), kv);
-    match sinfo {
-        StructInfo::Tensor {
-            shape: ShapeDesc::Known(dims),
-            dtype,
-        } => (
-            dims.iter()
-                .map(|d| d.eval(&env).unwrap() as usize)
-                .collect(),
-            dtype.unwrap(),
-        ),
-        other => panic!("unexpected annotation {other}"),
-    }
-}
-
-fn decode_args(ir: &ModelIr, batch: i64, kv: i64, seed: &mut u64) -> Vec<Value> {
-    ir.params
-        .iter()
-        .map(|(name, sinfo)| {
-            let (dims, dt) = concrete(ir, sinfo, batch, kv);
-            if name == "tokens" {
-                Value::Tensor(NDArray::from_i64(&dims, dt, vec![3; dims.iter().product()]).unwrap())
-            } else {
-                Value::Tensor(random_arr(&dims, dt, seed))
-            }
-        })
-        .collect()
-}
-
-fn tiny_exec() -> (ModelIr, Executable) {
-    let ir = build_decode(&LlamaConfig::tiny()).unwrap();
-    let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
-    (ir, exec)
-}
-
-/// Flattens every tuple element of a decode output (logits + grown KV
-/// caches) to `f64`, for bitwise comparison.
-fn flatten_output(v: &Value) -> Vec<Vec<f64>> {
-    v.as_tuple()
-        .unwrap()
-        .iter()
-        .map(|e| e.as_tensor().unwrap().to_f64_vec())
-        .collect()
-}
+mod common;
+use common::{decode_args, flatten_output, tiny_exec};
 
 /// The CI smoke test: a small engine serves a few decode steps end to
 /// end and the counters add up.
@@ -252,7 +191,8 @@ fn queue_backpressure_rejects_when_full() {
 #[test]
 fn deadline_expired_requests_are_shed() {
     let (ir, exec) = tiny_exec();
-    let engine = ServeEngine::new(
+    let clock = ManualClock::new();
+    let engine = clock.serve_engine(
         exec,
         ServeConfig {
             workers: 1,
@@ -262,12 +202,13 @@ fn deadline_expired_requests_are_shed() {
     let mut seed = 67u64;
     let args = decode_args(&ir, 1, 1, &mut seed);
 
-    // First request occupies the single worker; the second's deadline
-    // is already due when it is admitted, so it must be shed.
+    // The second request's deadline is already due when it is admitted,
+    // and time only moves on from there, so it must be shed.
     let first = engine.submit("decode", &args).unwrap();
     let doomed = engine
         .submit_with_deadline("decode", &args, Some(Duration::ZERO))
         .unwrap();
+    clock.advance(Duration::from_millis(1));
     first.wait().unwrap();
     match doomed.wait() {
         Err(ServeError::DeadlineExceeded { .. }) => {}

@@ -323,6 +323,40 @@ fn pool_pressure_evicts_and_survivors_stay_bitwise_correct() {
     assert_eq!(ps.in_use, 0, "pages leaked: {ps:?}");
 }
 
+/// A session waiting behind a full running set is shed from the waiting
+/// deque the moment its deadline passes — not held until a slot frees,
+/// admitted (cache, span, `admitted` count) and shed in the same pass.
+#[test]
+fn overdue_waiting_session_is_shed_without_being_admitted() {
+    let fx = fixture();
+    let mgr = SessionManager::new(
+        fx.spec.clone(),
+        SessionConfig {
+            workers: 1,
+            max_running: 1,
+            ..SessionConfig::default()
+        },
+    );
+    let long = mgr.submit(SessionRequest {
+        prompt: vec![3; 4],
+        max_new_tokens: 200,
+        deadline: None,
+    });
+    let overdue = mgr.submit(SessionRequest {
+        prompt: vec![5; 4],
+        max_new_tokens: 4,
+        deadline: Some(Duration::ZERO),
+    });
+    match overdue.wait() {
+        Err(SessionError::DeadlineExceeded) => {}
+        other => panic!("expected the waiting session to be shed, got {other:?}"),
+    }
+    assert!(long.try_wait().is_none(), "the running session is still generating");
+    assert_eq!(long.wait().expect("the long session retires").tokens.len(), 200);
+    let stats = mgr.shutdown();
+    assert_eq!((stats.retired, stats.shed, stats.admitted), (1, 1, 1), "{stats:?}");
+}
+
 /// The CI release-mode smoke: mixed traffic (hundreds of tokens across
 /// concurrent sessions with varied context lengths) and the accounting
 /// identities hold.

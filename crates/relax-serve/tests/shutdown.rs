@@ -4,48 +4,12 @@
 //! the drain. The whole run records a trace whose request spans must
 //! balance across the submit/worker thread boundary.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use relax_core::{DataType, ShapeDesc, StructInfo};
-use relax_models::llama::{build_decode, LlamaConfig, ModelIr};
-use relax_passes::{compile, CompileOptions};
 use relax_serve::{ServeConfig, ServeEngine, ServeError};
-use relax_tir::NDArray;
-use relax_vm::Value;
 
-fn concrete(ir: &ModelIr, sinfo: &StructInfo, batch: i64, kv: i64) -> (Vec<usize>, DataType) {
-    let mut env = HashMap::new();
-    env.insert(ir.batch.clone(), batch);
-    env.insert(ir.seq.clone(), kv);
-    match sinfo {
-        StructInfo::Tensor {
-            shape: ShapeDesc::Known(dims),
-            dtype,
-        } => (
-            dims.iter()
-                .map(|d| d.eval(&env).unwrap() as usize)
-                .collect(),
-            dtype.unwrap(),
-        ),
-        other => panic!("unexpected annotation {other}"),
-    }
-}
-
-fn decode_args(ir: &ModelIr, batch: i64, kv: i64) -> Vec<Value> {
-    ir.params
-        .iter()
-        .map(|(name, sinfo)| {
-            let (dims, dt) = concrete(ir, sinfo, batch, kv);
-            let n: usize = dims.iter().product();
-            if name == "tokens" {
-                Value::Tensor(NDArray::from_i64(&dims, dt, vec![3; n]).unwrap())
-            } else {
-                Value::Tensor(NDArray::from_f64(&dims, dt, vec![0.01; n]).unwrap())
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{decode_args, tiny_exec};
 
 /// Floods a 2-worker engine with 96 requests (a mix of undeadlined work
 /// and already-expired requests), calls `shutdown()` immediately — while
@@ -57,8 +21,7 @@ fn decode_args(ir: &ModelIr, batch: i64, kv: i64) -> Vec<Value> {
 fn shutdown_under_load_resolves_every_request() {
     let capture = relax_trace::Capture::begin();
 
-    let ir = build_decode(&LlamaConfig::tiny()).unwrap();
-    let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
+    let (ir, exec) = tiny_exec();
     let engine = ServeEngine::new(
         exec,
         ServeConfig {
@@ -69,7 +32,7 @@ fn shutdown_under_load_resolves_every_request() {
         },
     );
 
-    let args = decode_args(&ir, 2, 4);
+    let args = decode_args(&ir, 2, 4, &mut 0x5EED_0009);
     const TOTAL: usize = 96;
     let mut tickets = Vec::with_capacity(TOTAL);
     for i in 0..TOTAL {
@@ -142,8 +105,7 @@ fn shutdown_under_load_resolves_every_request() {
 fn refused_submissions_do_not_leak_request_spans() {
     let capture = relax_trace::Capture::begin();
 
-    let ir = build_decode(&LlamaConfig::tiny()).unwrap();
-    let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
+    let (ir, exec) = tiny_exec();
     let engine = ServeEngine::new(
         exec,
         ServeConfig {
@@ -153,7 +115,7 @@ fn refused_submissions_do_not_leak_request_spans() {
         },
     );
 
-    let args = decode_args(&ir, 2, 4);
+    let args = decode_args(&ir, 2, 4, &mut 0x5EED_0009);
     let mut tickets = Vec::new();
     let mut refused = 0u64;
     for _ in 0..64 {
