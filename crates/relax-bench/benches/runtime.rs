@@ -655,13 +655,11 @@ fn serve_sessions_paged(schedule: &[SessionRequest], workers: usize) -> Continuo
     let cfg = LlamaConfig::tiny();
     let paged_ir = relax_models::llama::build_decode_paged(&cfg).unwrap();
     let paged_exec = compile(paged_ir.module.clone(), &CompileOptions::default()).unwrap();
-    let prefill_ir = relax_models::llama::build_prefill(&cfg).unwrap();
-    let prefill_exec = compile(prefill_ir.module.clone(), &CompileOptions::default()).unwrap();
     let spec = SessionModelSpec {
         decode: Arc::new(paged_exec),
         decode_func: "decode_paged".into(),
-        prefill: Some(Arc::new(prefill_exec)),
-        prefill_func: "prefill".into(),
+        prefill: None,
+        prefill_func: String::new(),
         weights: session_weights(&paged_ir),
         cache: KvCacheConfig {
             streams: 2 * cfg.n_layers,
@@ -1049,13 +1047,6 @@ fn bench_spec_decode(rows: &mut Vec<(String, f64)>) -> Vec<DynamicRow> {
     let dcfg = spec_bench_cfg(1);
     let paged_ir = relax_models::llama::build_decode_paged(&vcfg).unwrap();
     let paged_exec = Arc::new(compile(paged_ir.module.clone(), &CompileOptions::default()).unwrap());
-    let prefill_exec = Arc::new(
-        compile(
-            relax_models::llama::build_prefill(&vcfg).unwrap().module,
-            &CompileOptions::default(),
-        )
-        .unwrap(),
-    );
     let multi_exec = Arc::new(
         compile(
             relax_models::llama::build_decode_paged_multi(&vcfg)
@@ -1079,8 +1070,8 @@ fn bench_spec_decode(rows: &mut Vec<(String, f64)>) -> Vec<DynamicRow> {
     let spec = SessionModelSpec {
         decode: paged_exec,
         decode_func: "decode_paged".into(),
-        prefill: Some(prefill_exec),
-        prefill_func: "prefill".into(),
+        prefill: None,
+        prefill_func: String::new(),
         weights,
         cache: kv(vcfg.n_layers),
         speculative: Some(SpeculativeSpec {

@@ -280,16 +280,24 @@ fn legalize_reshape(
     let o = Buffer::new("O", out_dims.clone(), dtype_of(&out_sinfo));
     let (ivs, nest) = named_grid(&out_dims);
     let out_idx = ivs_to_idx(&ivs);
-    // Linearize the output index, then delinearize into the input space.
+    // Leading dims the two shapes share index one-to-one. Only the rest is
+    // linearized and delinearized, so no div/mod by a shared dim is emitted
+    // — for a symbolic one (`batch`, `seq`) the simplifier could not fold it.
+    let shared = out_dims
+        .iter()
+        .zip(&in_dims)
+        .take_while(|(o, i)| o == i)
+        .count();
     let mut linear = PrimExpr::Int(0);
-    for (iv, d) in out_idx.iter().zip(&out_dims) {
+    for (iv, d) in out_idx.iter().zip(&out_dims).skip(shared) {
         linear = linear * d.clone() + iv.clone();
     }
-    let mut in_idx = vec![PrimExpr::Int(0); in_dims.len()];
+    let mut in_idx = out_idx[..shared].to_vec();
+    in_idx.resize(in_dims.len(), PrimExpr::Int(0));
     let mut rem = linear;
-    for i in (0..in_dims.len()).rev() {
-        if i == 0 {
-            in_idx[0] = rem.clone();
+    for i in (shared..in_dims.len()).rev() {
+        if i == shared {
+            in_idx[i] = rem.clone();
         } else {
             in_idx[i] = rem.clone().floor_mod(in_dims[i].clone());
             rem = rem.floor_div(in_dims[i].clone());
@@ -1026,22 +1034,27 @@ mod tests {
 
     #[test]
     fn reshape_flatten_round_trip() {
-        let n = Var::new("n");
+        let (n, s) = (Var::new("n"), Var::new("s"));
         let f = legalize(
             Op::Reshape,
             &OpAttrs::new(),
             &[
-                t32(vec![n.clone().into(), 2.into(), 2.into()]),
-                StructInfo::shape(vec![n.into(), 4.into()]),
+                t32(vec![n.clone().into(), s.clone().into(), 2.into(), 2.into()]),
+                StructInfo::shape(vec![n.into(), s.into(), 4.into()]),
             ],
             "reshape",
         )
         .unwrap();
-        let x = NDArray::from_f64(&[1, 2, 2], DataType::F32, vec![1., 2., 3., 4.]).unwrap();
-        let o = NDArray::zeros(&[1, 4], DataType::F32);
+        let vals: Vec<f64> = (0..24).map(f64::from).collect();
+        let x = NDArray::from_f64(&[2, 3, 2, 2], DataType::F32, vals.clone()).unwrap();
+        let o = NDArray::zeros(&[2, 3, 4], DataType::F32);
         interp::run(&f, &[x, o.clone()]).unwrap();
-        assert_eq!(o.to_f64_vec(), vec![1., 2., 3., 4.]);
+        assert_eq!(o.to_f64_vec(), vals);
         assert_eq!(analysis::pattern_kind(&f), analysis::PatternKind::Injective);
+        // The shared leading dims are indexed one-to-one: nothing divides
+        // by a symbolic dim.
+        let text = f.to_string();
+        assert!(!text.contains("// s") && !text.contains("% s"), "{text}");
     }
 
     #[test]

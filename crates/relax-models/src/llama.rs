@@ -214,7 +214,8 @@ pub struct ModelIr {
     pub params: Vec<(String, StructInfo)>,
     /// The symbolic batch-size variable.
     pub batch: SymVar,
-    /// The symbolic KV-cache length (decode) or prompt length (prefill).
+    /// The symbolic KV-cache length (copy-based decode) or the number of
+    /// tokens fed per sequence (paged decode, prefill).
     pub seq: SymVar,
 }
 
@@ -387,13 +388,20 @@ pub fn build_decode(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
     build(config, "decode", KvMode::Copy, Feed::One)
 }
 
-/// Builds the single-step decode function over a **paged** KV cache:
-/// takes the next token ids and one first-class cache handle (streams
+/// Builds the decode function over a **paged** KV cache: takes `(b, s)`
+/// token ids with a symbolic `s` and one first-class cache handle (streams
 /// `2l`/`2l+1` hold layer `l`'s K/V), appends in place through
 /// `vm.builtin.kv_cache.append_paged`, and attends directly over the
-/// pages. Returns `(logits, cache handle)` — the handle is threaded
-/// through every append so the in-place updates stay ordered, and
-/// returning it keeps the chain alive through purity-based cleanups.
+/// pages. Returns `(logits (b, s, vocab), cache handle)` — one logits row
+/// per fed position; the handle is threaded through every append so the
+/// in-place updates stay ordered, and returning it keeps the chain alive
+/// through purity-based cleanups.
+///
+/// One compilation serves every feed length: a whole prompt, a single
+/// decoded token (`s = 1`), or a window of speculative proposals. Causal
+/// attention over the paged cache gives row `i` exactly the attended set
+/// a sequential single-token decode would see, so the per-row logits are
+/// bitwise-identical to feeding the same tokens one at a time.
 ///
 /// Unlike [`build_decode`], no `(b, h, s, hd)` cache tensors cross the
 /// call boundary and no step re-materializes the cache: KV memory is
@@ -403,17 +411,12 @@ pub fn build_decode(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
 ///
 /// Propagates IR construction failures.
 pub fn build_decode_paged(config: &LlamaConfig) -> Result<ModelIr, ModelError> {
-    build(config, "decode_paged", KvMode::Paged, Feed::One)
+    build(config, "decode_paged", KvMode::Paged, Feed::Seq)
 }
 
-/// Builds the **multi-token** paged decode function: like
-/// [`build_decode_paged`] but consuming `(b, s)` token ids with a
-/// symbolic `s` and producing `(b, s, vocab)` logits — one row per fed
-/// position. Speculative decoding feeds the draft proposals through
-/// this function in one step: causal attention over the paged cache
-/// gives row `i` exactly the attended set a sequential single-token
-/// decode would see, so the per-row logits are bitwise-identical to
-/// feeding the same tokens one at a time.
+/// [`build_decode_paged`] under the name `decode_paged_multi` — the same
+/// body, kept as a second public name for the callers that compile a
+/// separate verify executable for speculative decoding.
 ///
 /// # Errors
 ///
@@ -608,6 +611,18 @@ mod structure_tests {
         // Same weights as the copy-based decode, minus the cache tensors.
         let d = build_decode(&cfg).unwrap();
         assert_eq!(ir.params.len() + 2 * cfg.n_layers, d.params.len() + 1);
+    }
+
+    /// `decode_paged_multi` is a second name, not a second body.
+    #[test]
+    fn decode_paged_and_multi_differ_only_in_name() {
+        let cfg = LlamaConfig::tiny();
+        let one = build_decode_paged(&cfg).unwrap();
+        let multi = build_decode_paged_multi(&cfg).unwrap().module.to_string();
+        assert_eq!(
+            one.module.to_string(),
+            multi.replace("decode_paged_multi", "decode_paged")
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   (`submitted == retired + evicted + failed + shed`);
 //! - **[`SessionManager`]** — *stateful* generation sessions: each owns a
 //!   paged KV cache on a shared [`relax_vm::KvPagePool`] and steps through
-//!   prefill, decode and speculative decode with continuous batching;
+//!   its prompt, decode and speculative decode with continuous batching;
 //! - **[`ServeEngine`]** — *stateless* requests: `submit(func, args)` is a
 //!   one-step session with no cache. Refusals and failures are typed
 //!   ([`ServeError`]); a [`Ticket`] never hangs. [`EngineStats`] and

@@ -8,16 +8,24 @@
 //! the scheduling — admit up to `max_running`, shed on deadline, one step
 //! per running session per iteration, roll failed steps back, evict the
 //! earliest deadline under page-pool pressure. This module says what a
-//! session's steps *are*:
+//! session's step *is*, and one rule says it:
 //!
-//! - **Prefill** — the whole prompt prefix through the copy-based prefill
-//!   function, bit-copied into the session's pages;
-//! - **Decode** — one token through the paged `decode_paged` function,
-//!   appending in place;
-//! - **Speculate** — draft proposals verified in one multi-token feed
-//!   (see [`SpeculativeSpec`]).
+//! > A step feeds the committed tokens the cache has not yet seen, as one
+//! > `(1, n)` call of the one paged function, and samples the next token
+//! > from the last logits row.
 //!
-//! Prefill and decode steps of different sessions share an iteration. A
+//! On a session's first step the unseen tokens are the whole prompt
+//! (`n = prompt.len()`); on every later step they are the one token the
+//! previous step sampled (`n = 1`). [`SessionStats`] counts a step with
+//! `n > 1` in `prefills` and one with `n = 1` in `decodes`, and the trace
+//! names them `prefill:{n}` and `decode`, but both are the same call of
+//! the same compiled function — its `seq` dimension is symbolic —
+//! appending in place to the session's pages. With a [`SpeculativeSpec`],
+//! a step with one unseen token *speculates* instead: the draft model
+//! catches its own cache up by the same rule and proposes, and one
+//! multi-token feed verifies.
+//!
+//! Steps of different sessions share an iteration whatever their `n`. A
 //! failed step is rolled back to its pre-step lengths on both caches
 //! (`KvCache::truncate_to`), so no step is ever half-applied, and the page
 //! pool's `allocated == in_use + free` invariant survives every panic,
@@ -45,23 +53,24 @@ use crate::engine::{RetryOn, RetryPolicy};
 /// The compiled model a [`SessionManager`] serves.
 ///
 /// `decode` must contain a function taking
-/// `(tokens (1,1) i64, kv_cache handle, weights...)` and returning
-/// `(logits, handle)` — see `relax_models::llama::build_decode_paged`.
-/// `prefill`, when present, takes `(tokens (1,s) i64, weights...)` and
-/// returns the per-stream K/V tensors to seed the cache; without it,
-/// prompts are fed one token at a time through the decode function.
+/// `(tokens (1,s) i64, kv_cache handle, weights...)` for **any** `s ≥ 1`
+/// and returning `(logits (1,s,vocab), handle)` — see
+/// `relax_models::llama::build_decode_paged`. It serves the prompt
+/// (`s = prompt.len()`) and every decoded token (`s = 1`) alike.
 #[derive(Clone)]
 pub struct SessionModelSpec {
     /// Executable holding the paged decode function.
     pub decode: Arc<Executable>,
     /// Name of the paged decode function.
     pub decode_func: String,
-    /// Executable holding the prefill function, if any.
+    /// Unread: prompts go through `decode`. Still here only because the
+    /// `benchmark` package, which a product change may not edit, names it
+    /// in a struct literal; pass `None`.
     pub prefill: Option<Arc<Executable>>,
-    /// Name of the prefill function.
+    /// Unread, for the same reason as `prefill`.
     pub prefill_func: String,
     /// Weight arguments, in parameter order after the token/cache
-    /// parameters (shared by prefill and decode).
+    /// parameters.
     pub weights: Vec<Value>,
     /// Geometry of every session's cache (`batch` must be 1).
     pub cache: KvCacheConfig,
@@ -74,8 +83,9 @@ pub struct SessionModelSpec {
 /// Draft/verify configuration for speculative decoding.
 ///
 /// Each speculation step proposes `lookahead` tokens through the draft
-/// model (one single-token paged decode per proposal, on a per-session
-/// draft cache sharing the manager's page pool), then verifies them in
+/// model (one feed of whatever committed tokens its per-session cache has
+/// not seen, then one single-token feed per further proposal; the draft
+/// cache shares the manager's page pool), then verifies them in
 /// **one** multi-token feed of the serving model (`verify_func`, see
 /// `relax_models::llama::build_decode_paged_multi`). Proposals are
 /// committed up to the first disagreement with the verify model's
@@ -89,7 +99,8 @@ pub struct SessionModelSpec {
 pub struct SpeculativeSpec {
     /// Executable holding the draft model's paged decode function.
     pub draft: Arc<Executable>,
-    /// Name of the draft decode function (`(1,1)` tokens).
+    /// Name of the draft decode function (`(1,s)` tokens for any `s`,
+    /// like [`SessionModelSpec::decode_func`]).
     pub draft_func: String,
     /// Draft weight arguments, after the token/cache parameters.
     pub draft_weights: Vec<Value>,
@@ -233,9 +244,12 @@ pub struct SessionStats {
     pub shed: u64,
     /// Scheduler iterations executed.
     pub iterations: u64,
-    /// Prefill steps executed successfully.
+    /// Successful steps that fed more than one token — a prompt longer
+    /// than one token, on the session's first step (span `prefill:{n}`).
     pub prefills: u64,
-    /// Decode steps executed successfully.
+    /// Successful steps that fed exactly one token (span `decode`). Each
+    /// step counted here or in `prefills` yields exactly one generated
+    /// token, so without speculation `prefills + decodes == tokens`.
     pub decodes: u64,
     /// Generated tokens across all sessions.
     pub tokens: u64,
@@ -291,7 +305,6 @@ pub(crate) struct GenModel {
     registry: Arc<Registry>,
     pool: Arc<KvPagePool>,
     decode_plans: SharedPlanCache,
-    prefill_plans: SharedPlanCache,
     draft_plans: SharedPlanCache,
     verify_plans: SharedPlanCache,
     return_kv: bool,
@@ -299,7 +312,6 @@ pub(crate) struct GenModel {
 
 pub(crate) struct WorkerVms {
     decode: Vm,
-    prefill: Option<Vm>,
     draft: Option<Vm>,
     verify: Option<Vm>,
 }
@@ -311,7 +323,7 @@ pub(crate) struct Generation {
     cache: KvCache,
     /// Draft-model cache on the same shared pool (speculative only).
     draft: Option<KvCache>,
-    /// Prompt/generated tokens already consumed by the model.
+    /// Committed tokens (prompt, then generated) the cache has seen.
     fed: usize,
     generated: Vec<i64>,
     /// Per-stream lengths of both caches before the step in flight; a
@@ -328,7 +340,7 @@ fn session_payload(session: u64, phase: SessionPhase) -> relax_trace::Payload {
     relax_trace::Payload::Session { session, phase }
 }
 
-/// A failed direct call into the KV cache (append, truncate).
+/// A failed direct call into the KV cache (truncate).
 fn kernel_failure(e: KernelError) -> VmError {
     VmError::new(VmErrorKind::Kernel(e))
 }
@@ -338,8 +350,8 @@ fn type_mismatch(expected: &'static str, actual: &'static str) -> VmError {
 }
 
 /// Feeds `tokens` as one `(1, n)` step of `func` over `cache` and returns
-/// the logits — the one VM call behind decode, draft catch-up, draft
-/// proposal and verify.
+/// the `(1, n, vocab)` logits — the one VM call behind prompt, decode,
+/// draft catch-up, draft proposal and verify.
 fn feed(
     vm: &mut Vm,
     func: &str,
@@ -358,8 +370,11 @@ fn feed(
     }
 }
 
-fn argmax(logits: &NDArray) -> i64 {
-    argmax_slice(&logits.to_f64_vec())
+/// The greedy choice of the last row of `(1, n, vocab)` logits.
+fn argmax_last(logits: &NDArray) -> i64 {
+    let vals = logits.to_f64_vec();
+    let vocab = logits.shape().last().copied().unwrap_or(0);
+    argmax_slice(&vals[vals.len().saturating_sub(vocab)..])
 }
 
 fn argmax_slice(vals: &[f64]) -> i64 {
@@ -414,63 +429,42 @@ impl Generation {
         }
     }
 
-    /// The prefill step: runs the prefill function over the prompt prefix
-    /// and bit-copies the K/V tensor it returns per stream into the pages.
-    fn prefill(&mut self, cx: StepCtx<Self>) -> Result<(), VmError> {
-        let tokens = &self.prompt[..self.prompt.len() - 1];
-        let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.to_vec())
-            .expect("prefill token tensor");
-        let mut args = vec![Value::Tensor(t)];
-        args.extend(cx.model.spec.weights.iter().cloned());
-        let vm = cx
-            .vms
-            .prefill
-            .as_mut()
-            .expect("prefill step without prefill VM");
-        let out = vm.run(&cx.model.spec.prefill_func, &args)?;
-        let items = match out.as_tuple() {
-            Some(items) => items.to_vec(),
-            None => vec![out],
-        };
-        for (stream, item) in items.iter().enumerate() {
-            let tensor = item
-                .as_tensor()
-                .ok_or_else(|| type_mismatch("tensor", item.kind()))?;
-            self.cache.append(stream, tensor).map_err(kernel_failure)?;
-        }
-        (cx.window)();
-        self.fed = self.prompt.len() - 1;
-        bump(&cx.counters.prefills);
-        Ok(())
+    /// The committed tokens from absolute position `from` on.
+    fn tokens_from(&self, from: usize) -> Vec<i64> {
+        (from..self.prompt.len() + self.generated.len())
+            .map(|p| self.token_at(p))
+            .collect()
     }
 
-    /// The decode step: one token through the paged decode function —
-    /// teacher-forcing through the prompt, then the session's own
-    /// generations.
-    fn decode(&mut self, cx: StepCtx<Self>) -> Result<(), VmError> {
+    /// The plain step: feeds `unseen`, the committed tokens the cache has
+    /// not seen — the whole prompt first, the last sampled token after —
+    /// and samples the next token from the last logits row.
+    fn advance(&mut self, unseen: &[i64], cx: StepCtx<Self>) -> Result<(), VmError> {
         let spec = &cx.model.spec;
-        let token = self.token_at(self.fed);
         let logits = feed(
             &mut cx.vms.decode,
             &spec.decode_func,
-            &[token],
+            unseen,
             &self.cache,
             &spec.weights,
         )?;
         (cx.window)();
-        self.fed += 1;
-        bump(&cx.counters.decodes);
-        if self.fed >= self.prompt.len() {
-            self.generated.push(argmax(&logits));
-            bump(&cx.counters.tokens);
-        }
+        self.fed += unseen.len();
+        bump(if unseen.len() > 1 {
+            &cx.counters.prefills
+        } else {
+            &cx.counters.decodes
+        });
+        self.generated.push(argmax_last(&logits));
+        bump(&cx.counters.tokens);
         Ok(())
     }
 
-    /// One speculation step: draft catch-up + proposals (single-token paged
-    /// decodes on the draft cache), a mid-verify fault window, one
-    /// multi-token verify feed on the session cache, the commit loop, and
-    /// the `truncate_to` rollback of both caches to the committed prefix.
+    /// One speculation step: draft catch-up (one feed of what the draft
+    /// cache has not seen) + proposals (single-token feeds), a mid-verify
+    /// fault window, one multi-token verify feed on the session cache, the
+    /// commit loop, and the `truncate_to` rollback of both caches to the
+    /// committed prefix.
     fn speculate(
         &mut self,
         session: u64,
@@ -488,33 +482,23 @@ impl Generation {
             .expect("speculate step without draft VM");
         let k = spec.lookahead.max(1);
         let fed = self.fed;
-        // The committed tokens the draft cache has not seen, ending with
-        // the next input token.
-        let draft_feed: Vec<i64> = (draft_cache.len(0)..=fed)
-            .map(|p| self.token_at(p))
-            .collect();
-
-        // Draft phase: feed the tokens the draft cache is missing, then
-        // its own proposals; every feed past the catch-up prefix yields the
-        // next proposal.
+        // Draft phase: catch the draft cache up on the committed tokens it
+        // has not seen (ending with the next input token), then feed it its
+        // own proposals one at a time; every feed yields the next proposal.
+        let mut next = self.tokens_from(draft_cache.len(0));
+        let input = *next.last().expect("an unseen committed token");
         let mut proposals: Vec<i64> = Vec::with_capacity(k);
-        for i in 0..draft_feed.len() + k - 1 {
-            let tok = if i < draft_feed.len() {
-                draft_feed[i]
-            } else {
-                proposals[i - draft_feed.len()]
-            };
+        for i in 0..k {
             let logits = feed(
                 draft_vm,
                 &spec.draft_func,
-                &[tok],
+                &next,
                 draft_cache,
                 &spec.draft_weights,
             )?;
-            if i + 1 >= draft_feed.len() {
-                let pos = fed + 1 + proposals.len();
-                proposals.push(corrupt(spec, session, pos, argmax(&logits)));
-            }
+            let proposal = corrupt(spec, session, fed + 1 + i, argmax_last(&logits));
+            proposals.push(proposal);
+            next = vec![proposal];
         }
 
         // Mid-verify fault window: a stall or panic here leaves the draft
@@ -526,7 +510,7 @@ impl Generation {
         // token plus every proposal; row `i` of the logits is bitwise what
         // a sequential single-token decode would produce at that position.
         let mut verify_feed = Vec::with_capacity(1 + k);
-        verify_feed.push(*draft_feed.last().expect("non-empty draft feed"));
+        verify_feed.push(input);
         verify_feed.extend(proposals.iter().copied());
         let verify_vm = cx
             .vms
@@ -624,10 +608,6 @@ impl Work for Generation {
         let sp = spec.speculative.as_ref();
         WorkerVms {
             decode: vm(&spec.decode, &model.decode_plans, true),
-            prefill: spec
-                .prefill
-                .as_ref()
-                .map(|exec| vm(exec, &model.prefill_plans, false)),
             draft: sp.map(|sp| vm(&sp.draft, &model.draft_plans, false)),
             verify: sp.map(|sp| vm(&sp.verify, &model.verify_plans, true)),
         }
@@ -651,23 +631,20 @@ impl Work for Generation {
         let (model, counters) = (cx.model, cx.counters);
         self.pre_lens = self.cache.lens();
         self.draft_pre_lens = self.draft.as_ref().map(|d| d.lens()).unwrap_or_default();
-        let prefill = self.fed == 0 && self.prompt.len() > 1 && model.spec.prefill.is_some();
-        // Speculate only once every remaining feed produces a model-chosen
-        // token; teacher-forced prompt tokens go through plain decode.
-        let speculative = model
-            .spec
-            .speculative
-            .as_ref()
-            .filter(|_| self.fed + 1 >= self.prompt.len());
+        let unseen = self.tokens_from(self.fed);
+        let n = unseen.len();
+        // Speculate only from a single unseen token: everything a
+        // speculation feeds past it is a proposal.
+        let speculative = model.spec.speculative.as_ref().filter(|_| n == 1);
         let sp = relax_trace::span_under("serve", Some(self.span), || match speculative {
-            _ if prefill => format!("prefill:{}", self.prompt.len() - 1),
             Some(spec) => format!("speculate:{}", spec.lookahead.max(1)),
+            None if n > 1 => format!("prefill:{n}"),
             None => "decode".to_string(),
         });
         let (phase, landed) = match speculative {
-            _ if prefill => (SessionPhase::Prefill, self.prefill(cx)),
             Some(spec) => (SessionPhase::Decode, self.speculate(session, spec, cx)),
-            None => (SessionPhase::Decode, self.decode(cx)),
+            None if n > 1 => (SessionPhase::Prefill, self.advance(&unseen, cx)),
+            None => (SessionPhase::Decode, self.advance(&unseen, cx)),
         };
         sp.finish_with(|| session_payload(session, phase));
         let in_use = model.pool.stats().in_use as u64;
@@ -720,7 +697,7 @@ impl Work for Generation {
 
 /// A worker silent for this long mid-step is declared wedged and
 /// replaced. Generous: a replacement costs a thread, a false alarm on a
-/// long prefill should be rare.
+/// long prompt should be rare.
 const STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Continuous-batching scheduler over paged KV caches.
@@ -753,7 +730,6 @@ impl SessionManager {
                 config.pool_pages,
             )),
             decode_plans: SharedPlanCache::new(64),
-            prefill_plans: SharedPlanCache::new(64),
             draft_plans: SharedPlanCache::new(64),
             verify_plans: SharedPlanCache::new(64),
             return_kv: config.return_kv,

@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 use relax_core::DataType;
 use relax_models::llama::{
-    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig,
-    ModelIr,
+    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig, ModelIr,
 };
 use relax_passes::{compile, CompileOptions};
 use relax_tir::NDArray;
@@ -143,9 +142,21 @@ impl Fixture {
         let cache = self.cache();
         let (head, tail) = prompt.split_at(split.unwrap_or(0));
         if !head.is_empty() {
-            feed(&mut self.multi, "decode_paged_multi", head, &cache, &self.weights);
+            feed(
+                &mut self.multi,
+                "decode_paged_multi",
+                head,
+                &cache,
+                &self.weights,
+            );
         }
-        let logits = feed(&mut self.multi, "decode_paged_multi", tail, &cache, &self.weights);
+        let logits = feed(
+            &mut self.multi,
+            "decode_paged_multi",
+            tail,
+            &cache,
+            &self.weights,
+        );
         self.fed(&logits, &cache)
     }
 
@@ -190,8 +201,15 @@ fn every_route_to_the_cache_is_bitwise_the_same() {
             })
             .collect();
         let oracle = fx.copy_prefill(&prompt);
-        assert_eq!(oracle.streams[0].len(), n * fx.cfg.n_kv_heads as usize * fx.cfg.head_dim as usize);
-        assert_eq!(fx.paged_feed(&prompt, None), oracle, "one feed of {n} tokens");
+        assert_eq!(
+            oracle.streams[0].len(),
+            n * fx.cfg.n_kv_heads as usize * fx.cfg.head_dim as usize
+        );
+        assert_eq!(
+            fx.paged_feed(&prompt, None),
+            oracle,
+            "one feed of {n} tokens"
+        );
         for split in [1, 15, 16, n.saturating_sub(1)] {
             if 0 < split && split < n {
                 assert_eq!(

@@ -282,7 +282,7 @@ impl KvCache {
     /// # Errors
     ///
     /// Returns a [`KernelError`] when `lens` disagrees with the stream
-    /// count or would *grow* a stream.
+    /// count or would *grow* a stream; no stream is changed then.
     pub fn truncate_to(&self, lens: &[usize]) -> Result<(), KernelError> {
         const OP: &str = "truncate";
         let p = self.inner.pool.page_tokens();
@@ -293,13 +293,15 @@ impl KvCache {
                 format!("{} lengths for {} streams", lens.len(), streams.len()),
             ));
         }
+        // Validate every length before touching any stream: a refusal
+        // must leave the whole cache as it was.
+        if let Some((st, &target)) = streams.iter().zip(lens).find(|(st, &t)| t > st.len) {
+            return Err(kerr(
+                OP,
+                format!("cannot grow a stream from {} to {target}", st.len),
+            ));
+        }
         for (st, &target) in streams.iter_mut().zip(lens) {
-            if target > st.len {
-                return Err(kerr(
-                    OP,
-                    format!("cannot grow a stream from {} to {target}", st.len),
-                ));
-            }
             st.len = target;
             let keep = target.div_ceil(p);
             while st.pages.len() > keep {

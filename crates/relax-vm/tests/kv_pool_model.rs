@@ -97,8 +97,9 @@ fn check(pool: &KvPagePool, caches: &[Tracked], ctx: &str) {
     }
 }
 
-/// Runs one seeded sequence; returns how many appends the pool refused.
-fn run_seed(seed: u64) -> usize {
+/// Runs one seeded sequence; returns how many appends the pool refused
+/// and how many refused truncates mixed a shrink with a grow.
+fn run_seed(seed: u64) -> (usize, usize) {
     let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let page_tokens = 1 + rng.below(4);
     let capacity = 6 + rng.below(10);
@@ -111,7 +112,7 @@ fn run_seed(seed: u64) -> usize {
         dtype: DataType::F32,
     };
     let mut caches: Vec<Tracked> = Vec::new();
-    let mut refused = 0;
+    let (mut refused, mut mixed) = (0, 0);
 
     for op in 0..OPS {
         let ctx = format!("seed {seed} op {op}");
@@ -167,10 +168,17 @@ fn run_seed(seed: u64) -> usize {
                 c.model[s].truncate(l * HEADS * HEAD_DIM);
             }
         } else if pick == 8 {
-            // A growing truncate is refused and changes nothing.
+            // A truncate that would grow a stream is refused and changes
+            // nothing (`check` below compares every length, view and page
+            // count) — on alternate ops also when an earlier stream's
+            // length, taken alone, is a valid shrink.
             let i = rng.below(caches.len());
             let c = &caches[i];
-            let lens: Vec<usize> = (0..STREAMS).map(|s| c.len(s) + 1).collect();
+            let mut lens: Vec<usize> = (0..STREAMS).map(|s| c.len(s) + 1).collect();
+            if op % 2 == 1 && c.len(0) > 0 {
+                lens[0] = 0;
+                mixed += 1;
+            }
             assert!(c.cache.truncate_to(&lens).is_err(), "{ctx}: truncate grew a stream");
         } else {
             // Drop a cache through an aliasing clone: the pages go back
@@ -192,11 +200,14 @@ fn run_seed(seed: u64) -> usize {
     let stats = pool.stats();
     assert!(stats.reconciles(), "seed {seed}: pool does not reconcile at the end: {stats:?}");
     assert_eq!(stats.in_use, 0, "seed {seed}: pages leaked after every cache dropped");
-    refused
+    (refused, mixed)
 }
 
 #[test]
 fn random_cache_sequences_match_the_model_and_reconcile() {
-    let refused: usize = (1..=SEEDS).map(run_seed).sum();
+    let (refused, mixed) = (1..=SEEDS)
+        .map(run_seed)
+        .fold((0, 0), |(r, m), (dr, dm)| (r + dr, m + dm));
     assert!(refused > 0, "no sequence ever exhausted the pool");
+    assert!(mixed > 0, "no refused truncate ever mixed a shrink with a grow");
 }

@@ -76,5 +76,13 @@ test -s target/BENCH_runtime.json
 echo "==> benchmark package: contract tests + 2-second smoke of every workload"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --fast >/dev/null
+# The binary exits 0 even when outputs mismatch the goldens; the rows say so.
+python3 - target/benchmark/benchmark.json <<'PY'
+import json, sys
+rows = json.load(open(sys.argv[1]))
+bad = [(r["workload"], r["trace"]) for r in rows if r["correct"] is not True or r["failed"] != 0]
+if bad or not rows:
+    sys.exit(f"benchmark smoke: rows missing, incorrect or with failed operations: {bad}")
+PY
 
 echo "CI gate passed."
