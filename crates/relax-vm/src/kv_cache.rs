@@ -653,75 +653,93 @@ mod tests {
     }
 
     /// The paged attention builtin is bitwise-identical to the TIR
-    /// program `relax_core::legalize` emits for `Op::Attention`, run by
-    /// the reference interpreter — GQA and causal masking included.
+    /// program `relax_core::legalize` emits for `Op::Attention`, run as a
+    /// compiled kernel plan (and by the reference interpreter too while
+    /// the context is short enough for it). A sweep over page sizes 3 and
+    /// 16 × GQA group 1 and 2 × f32 and f16: one cache per combination
+    /// grows a token at a time through every length 1..=40 — every
+    /// remainder of an interleave width, page boundaries at both sizes —
+    /// and each length is read causal and not with `s` in `{1, 2}` query
+    /// rows; the quadratic `s = skv` read takes every third length,
+    /// rotated so each length meets it under some combination.
     #[test]
     fn paged_attention_matches_legalized_tir_bitwise() {
         use relax_core::{legalize, Op, OpAttrs, StructInfo};
-        use relax_tir::interp;
+        use relax_tir::{interp, plan};
 
-        let (b, hq, hkv, hd) = (2usize, 4usize, 2usize, 8usize);
-        let pool = Arc::new(KvPagePool::unbounded(3));
-        let cache = KvCache::new(
-            KvCacheConfig {
+        let (b, hq, hd) = (2usize, 2usize, 4usize);
+        let mut seed = 0xBADBEEF;
+        let mut cases = 0usize;
+        let combos = [3usize, 16].into_iter().flat_map(|page_tokens| {
+            let dtypes = [DataType::F32, DataType::F16];
+            let groups = [1usize, 2].into_iter();
+            groups.flat_map(move |group| dtypes.map(|dtype| (page_tokens, group, dtype)))
+        });
+        for (combo, (page_tokens, group, dtype)) in combos.enumerate() {
+            let hkv = hq / group;
+            let rand = |shape: &[usize], seed: &mut u64| {
+                let t = rand_tensor(shape, seed);
+                let vals = t.to_f64_vec().into_iter().map(|v| round_to_dtype(v, dtype));
+                NDArray::from_f64(shape, dtype, vals.collect()).unwrap()
+            };
+            let sinfo = |h: usize, n: usize| {
+                let dims = [b, h, n, hd].map(|d| (d as i64).into());
+                StructInfo::tensor(dims.to_vec(), dtype)
+            };
+            let pool = Arc::new(KvPagePool::unbounded(page_tokens));
+            let cfg = KvCacheConfig {
                 streams: 2,
                 batch: b,
                 heads: hkv,
                 head_dim: hd,
-                dtype: DataType::F32,
-            },
-            Arc::clone(&pool),
-        );
-        let mut seed = 0xBADBEEF;
-        for (s, skv_extra, causal) in [(1usize, 6usize, true), (3, 4, true), (2, 5, false)] {
-            // Grow the cache so skv = s + skv_extra, appending in chunks.
-            let cache = cache.clone();
-            let pre = rand_tensor(&[b, hkv, skv_extra, hd], &mut seed);
-            let step = rand_tensor(&[b, hkv, s, hd], &mut seed);
-            let base = cache.lens();
-            cache.append(0, &pre).unwrap();
-            cache.append(0, &step).unwrap();
-            cache.append(1, &pre).unwrap();
-            cache.append(1, &step).unwrap();
-            let q = rand_tensor(&[b, hq, s, hd], &mut seed);
-            let got = cache.attention(&q, 0, 1, causal).unwrap();
-
-            // Oracle: legalized Op::Attention on the gathered streams.
-            let skv = s + skv_extra + base[0];
-            let sinfo = |h: usize, n: usize| {
-                StructInfo::tensor(
-                    vec![
-                        (b as i64).into(),
-                        (h as i64).into(),
-                        (n as i64).into(),
-                        (hd as i64).into(),
-                    ],
-                    DataType::F32,
-                )
+                dtype,
             };
-            let mut attrs = OpAttrs::new();
-            attrs.insert("scale".into(), format!("{}", 1.0 / (hd as f64).sqrt()));
-            attrs.insert("causal".into(), if causal { "true" } else { "false" }.into());
-            let prim = legalize(
-                Op::Attention,
-                &attrs,
-                &[sinfo(hq, s), sinfo(hkv, skv), sinfo(hkv, skv)],
-                "attn_oracle",
-            )
-            .unwrap();
-            let expected = NDArray::zeros(&[b, hq, s, hd], DataType::F32);
-            interp::run(
-                &prim,
-                &[
-                    q,
-                    cache.view(0).unwrap(),
-                    cache.view(1).unwrap(),
-                    expected.clone(),
-                ],
-            )
-            .unwrap();
-            assert_eq!(got, expected, "s={s} skv={skv} causal={causal}");
+            let cache = KvCache::new(cfg, Arc::clone(&pool));
+            for skv in 1..=40usize {
+                cache.append(0, &rand(&[b, hkv, 1, hd], &mut seed)).unwrap();
+                cache.append(1, &rand(&[b, hkv, 1, hd], &mut seed)).unwrap();
+                let (k, v) = (cache.view(0).unwrap(), cache.view(1).unwrap());
+                let mut rows = vec![1, 2];
+                if (skv + combo) % 3 == 0 {
+                    rows.push(skv);
+                }
+                rows.retain(|&s| s <= skv);
+                rows.dedup();
+                for s in rows {
+                    let q = rand(&[b, hq, s, hd], &mut seed);
+                    for causal in [true, false] {
+                        let got = cache.attention(&q, 0, 1, causal).unwrap();
+                        // Oracle: legalized Op::Attention on the gathered streams.
+                        let mut attrs = OpAttrs::new();
+                        attrs.insert("scale".into(), format!("{}", 1.0 / (hd as f64).sqrt()));
+                        attrs.insert("causal".into(), causal.to_string());
+                        let prim = legalize(
+                            Op::Attention,
+                            &attrs,
+                            &[sinfo(hq, s), sinfo(hkv, skv), sinfo(hkv, skv)],
+                            "attn_oracle",
+                        )
+                        .unwrap();
+                        let case = format!(
+                            "page={page_tokens} group={group} {dtype} s={s} skv={skv} causal={causal}"
+                        );
+                        let expected = NDArray::zeros(&[b, hq, s, hd], dtype);
+                        let args = [q.clone(), k.clone(), v.clone(), expected.clone()];
+                        let shapes: Vec<_> = args.iter().map(|a| a.shape().to_vec()).collect();
+                        let compiled = plan::compile(&prim, &shapes).unwrap();
+                        compiled.run(&args, 1).unwrap();
+                        assert_eq!(got, expected, "{case}");
+                        if skv <= 4 {
+                            expected.fill(Scalar::F(0.0));
+                            interp::run(&prim, &args).unwrap();
+                            assert_eq!(got, expected, "interpreted, {case}");
+                        }
+                        cases += 1;
+                    }
+                }
+            }
         }
+        assert_eq!(cases, 1466, "the sweep lost or gained cases");
     }
 
     /// Truncation rolls back logical lengths, releases now-empty pages,
