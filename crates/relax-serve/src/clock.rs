@@ -68,7 +68,7 @@ struct ManualState {
     sleepers: usize,
 }
 
-struct Manual {
+pub(crate) struct Manual {
     base: Instant,
     state: Mutex<ManualState>,
     moved: Condvar,
@@ -107,7 +107,7 @@ impl Clock for Manual {
 /// and managers built through it are otherwise identical to
 /// [`ServeEngine::new`] / [`SessionManager::new`].
 #[derive(Clone)]
-pub struct ManualClock(Arc<Manual>);
+pub struct ManualClock(pub(crate) Arc<Manual>);
 
 impl Default for ManualClock {
     fn default() -> Self {

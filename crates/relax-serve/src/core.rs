@@ -13,8 +13,14 @@
 //! - **Deadline.** A unit whose deadline has passed is shed before its
 //!   next step is dispatched — waiting or running alike.
 //! - **Iteration.** Each pass admits waiting units into the running set
-//!   (up to `max_running`), dispatches one step per eligible running unit
-//!   to the worker pool, and collects every result before applying any.
+//!   (up to `max_running`) and dispatches one step per eligible running
+//!   unit to the worker pool, first steps first. A unit whose last step
+//!   lands is retired by the worker that ran it, so its ticket resolves
+//!   there; every other result — a unit with steps left, a failed, lost or
+//!   reply-dropped step — is collected, and none is applied before all
+//!   are in. The barrier orders what needs ordering (rollbacks, retries,
+//!   pool-pressure eviction, replacing a dead worker's slot) and no longer
+//!   delays a finished unit, which has nothing left to order.
 //! - **Retry.** A retryable failure (lost worker, pool pressure, kernel
 //!   fault) rolls the unit back, consumes an attempt and makes it
 //!   ineligible until `now + backoff(attempt)`; the loop's own wait is
@@ -143,6 +149,8 @@ struct Unit<W> {
     attempts: u32,
     /// Retry backoff: not dispatched before this.
     not_before: Option<Instant>,
+    /// Steps landed so far; an iteration runs first steps first.
+    landed: u64,
     work: W,
 }
 
@@ -220,9 +228,10 @@ pub(crate) fn get(field: &AtomicU64) -> u64 {
     field.load(Ordering::Relaxed)
 }
 
-/// A unit coming back from its step. The worker hands the whole unit
-/// back, so once the loop holds every result of an iteration no
-/// worker-side cache handle pins pages.
+/// A unit coming back from its step: one that failed, was lost, had its
+/// reply dropped or has steps left. The worker hands the whole unit back
+/// (or finishes it, see [`Shared::finish_landed`]), so once an iteration
+/// is complete no worker-side cache handle pins pages.
 struct StepResult<W: Work> {
     unit: Unit<W>,
     outcome: Result<(), Failure>,
@@ -238,7 +247,8 @@ struct State<W: Work> {
     /// Units of the iteration in flight no worker has taken yet.
     jobs: VecDeque<Unit<W>>,
     results: Vec<StepResult<W>>,
-    /// Steps the iteration in flight dispatched.
+    /// Steps of the iteration in flight the loop is still owed a result
+    /// for: the steps dispatched, less the units a worker finished.
     in_flight: usize,
     /// Bumped by every submit and stop, so the loop can tell under the
     /// lock whether anything happened since it last looked.
@@ -268,6 +278,17 @@ impl<W: Work> Shared<W> {
         let urgent = result.died.is_some();
         st.results.push(result);
         if urgent || st.results.len() == st.in_flight {
+            self.wake.notify_all();
+        }
+    }
+
+    /// A unit's last step landed: the worker that ran it retires it there,
+    /// not at the barrier, and the loop is owed one result less.
+    fn finish_landed(&self, unit: Unit<W>) {
+        self.finish(unit, Exit::Retired);
+        let mut st = lock(&self.state);
+        st.in_flight -= 1;
+        if st.results.len() == st.in_flight {
             self.wake.notify_all();
         }
     }
@@ -374,6 +395,7 @@ impl<W: Work> Core<W> {
             submitted: now,
             attempts: 0,
             not_before: None,
+            landed: 0,
             work,
         };
         let (pushed, depth) = {
@@ -627,11 +649,15 @@ fn worker_loop<W: Work>(
             }
         };
         *lock(&flags.busy_since) = None;
-        shared.publish(StepResult {
-            unit,
-            outcome,
-            died,
-        });
+        if outcome.is_ok() && unit.work.done() {
+            shared.finish_landed(unit);
+        } else {
+            shared.publish(StepResult {
+                unit,
+                outcome,
+                died,
+            });
+        }
         if died.is_some() {
             break;
         }
@@ -672,9 +698,11 @@ impl<W: Work> Scheduler<W> {
     /// for something to change. `false` once the core has stopped.
     fn pass(&mut self) -> bool {
         let sh = self.shared.clone();
-        let now = sh.clock.now();
-        let (stopping, overdue, fresh, left, seen) = {
+        let (now, stopping, overdue, fresh, left, seen) = {
             let mut st = lock(&sh.state);
+            // Under the lock `submit` pushes under, so no unit taken below
+            // was stamped later: one born expired is overdue, not dispatched.
+            let now = sh.clock.now();
             let stopping = st.pending.is_closed();
             let overdue = st.pending.take_overdue(now);
             let room = if stopping && !self.limits.drain_on_stop {
@@ -686,7 +714,7 @@ impl<W: Work> Scheduler<W> {
                     .saturating_sub(self.running.len())
             };
             let fresh = st.pending.take(room);
-            (stopping, overdue, fresh, st.pending.depth(), st.events)
+            (now, stopping, overdue, fresh, st.pending.depth(), st.events)
         };
         for unit in overdue {
             let exit = unit.overdue(now).expect("taken as overdue");
@@ -746,19 +774,22 @@ impl<W: Work> Scheduler<W> {
     }
 
     /// One iteration: dispatch a step per eligible unit, collect every
-    /// result (supervising the pool meanwhile), then advance, retire,
-    /// retry or fail each unit and relieve pool pressure. `false` when no
-    /// unit was eligible.
+    /// result the workers did not finish themselves (supervising the pool
+    /// meanwhile), then advance, retry or fail each unit and relieve pool
+    /// pressure. `false` when no unit was eligible.
     fn iteration(&mut self, now: Instant, stopping: bool) -> bool {
         let sh = self.shared.clone();
         // On stop, backoffs count as elapsed: the drain does not wait.
         let due = |u: &Unit<W>| stopping || u.not_before.is_none_or(|t| t <= now);
-        let (go, stay): (Vec<_>, Vec<_>) = self.running.drain(..).partition(due);
+        let (mut go, stay): (Vec<_>, Vec<_>) = self.running.drain(..).partition(due);
         self.running = stay;
         let dispatched = go.len();
         if dispatched == 0 {
             return false;
         }
+        // First steps first: a unit that has landed nothing yet is the one
+        // whose submitter has seen nothing yet.
+        go.sort_by_key(|u| u.landed > 0);
         let span = relax_trace::span("serve", || format!("iteration:{dispatched}"));
         let started = sh.clock.now();
         {
@@ -772,7 +803,7 @@ impl<W: Work> Scheduler<W> {
         let results = loop {
             let next_check = self.supervise();
             let mut st = lock(&sh.state);
-            if st.results.len() < dispatched && st.results.iter().all(|r| r.died.is_none()) {
+            if st.results.len() < st.in_flight && st.results.iter().all(|r| r.died.is_none()) {
                 st = wait_until(&*sh.clock, &sh.wake, st, Some(next_check));
             }
             let dead: Vec<(usize, u32)> = st
@@ -781,7 +812,7 @@ impl<W: Work> Scheduler<W> {
                 .filter_map(|r| r.died.take())
                 .collect();
             let complete =
-                (st.results.len() == dispatched).then(|| std::mem::take(&mut st.results));
+                (st.results.len() == st.in_flight).then(|| std::mem::take(&mut st.results));
             drop(st);
             for (idx, generation) in dead {
                 // Unless a stall already had the incarnation replaced.
@@ -804,10 +835,12 @@ impl<W: Work> Scheduler<W> {
         } in results
         {
             let exit = match outcome {
+                // Steps are left, or the worker would have finished it.
                 Ok(()) => {
                     unit.attempts = 0;
                     unit.not_before = None;
-                    unit.work.done().then_some(Exit::Retired)
+                    unit.landed += 1;
+                    None
                 }
                 // Any failed step is rolled back, so none is half-applied.
                 Err(failure) => {
@@ -915,3 +948,6 @@ impl<W: Work> Scheduler<W> {
 }
 
 const STRANDED: &str = "every worker slot is quarantined";
+
+#[cfg(test)]
+mod tests;

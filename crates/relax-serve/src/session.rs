@@ -25,11 +25,14 @@
 //! catches its own cache up by the same rule and proposes, and one
 //! multi-token feed verifies.
 //!
-//! Steps of different sessions share an iteration whatever their `n`. A
-//! failed step is rolled back to its pre-step lengths on both caches
-//! (`KvCache::truncate_to`), so no step is ever half-applied, and the page
-//! pool's `allocated == in_use + free` invariant survives every panic,
-//! stall, eviction and rollback (the chaos harness asserts it).
+//! Steps of different sessions share an iteration whatever their `n`; a
+//! session's first step runs ahead of the others' next ones, and the step
+//! that lands its last token resolves its ticket there, without waiting
+//! for the rest of the iteration. A failed step is rolled back to its
+//! pre-step lengths on both caches (`KvCache::truncate_to`), so no step is
+//! ever half-applied, and the page pool's `allocated == in_use + free`
+//! invariant survives every panic, stall, eviction and rollback (the
+//! chaos harness asserts it).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -372,9 +375,11 @@ fn feed(
 
 /// The greedy choice of the last row of `(1, n, vocab)` logits.
 fn argmax_last(logits: &NDArray) -> i64 {
-    let vals = logits.to_f64_vec();
-    let vocab = logits.shape().last().copied().unwrap_or(0);
-    argmax_slice(&vals[vals.len().saturating_sub(vocab)..])
+    let vocab = logits.shape().last().map_or(0, |&v| v.min(logits.numel()));
+    let mut row = vec![0.0; vocab];
+    let read = logits.read_f64_range(logits.numel() - vocab, &mut row);
+    read.expect("the last row lies inside the tensor");
+    argmax_slice(&row)
 }
 
 fn argmax_slice(vals: &[f64]) -> i64 {

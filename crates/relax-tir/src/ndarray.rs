@@ -473,6 +473,37 @@ impl NDArray {
         }
     }
 
+    /// Copies the `dst.len()` elements starting at flat index `off` into
+    /// `dst` as `f64` — [`NDArray::to_f64_vec`] for a range, so a reader
+    /// of one row does not copy the tensor around it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NDArrayError::IndexOutOfBounds`] when the range exceeds
+    /// the array.
+    pub fn read_f64_range(&self, off: usize, dst: &mut [f64]) -> Result<(), NDArrayError> {
+        let end = off.saturating_add(dst.len());
+        if end > self.numel() {
+            return Err(NDArrayError::IndexOutOfBounds {
+                index: end,
+                len: self.numel(),
+            });
+        }
+        match &*self.data {
+            DataBuf::F(v) => {
+                for (d, c) in dst.iter_mut().zip(&v[off..end]) {
+                    *d = f64::from_bits(c.load(Ordering::Relaxed));
+                }
+            }
+            DataBuf::I(v) => {
+                for (d, c) in dst.iter_mut().zip(&v[off..end]) {
+                    *d = c.load(Ordering::Relaxed) as f64;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Copies the contents to an `i64` vector (floats truncate toward zero).
     pub fn to_i64_vec(&self) -> Vec<i64> {
         match &*self.data {
@@ -604,6 +635,20 @@ mod tests {
         let h2 = NDArray::zeros(&[1], DataType::F16);
         h2.copy_range_from(0, &h, 0, 1).unwrap();
         assert_eq!(h.get(0).unwrap(), h2.get(0).unwrap());
+    }
+
+    #[test]
+    fn read_range_agrees_with_the_whole_copy() {
+        let a = NDArray::from_f64(&[2, 3], DataType::F32, vec![0., 1., 2., 3., 4., 5.]).unwrap();
+        let mut row = [0.0; 3];
+        a.read_f64_range(3, &mut row).unwrap();
+        assert_eq!(row, a.to_f64_vec()[3..]);
+        let ints = NDArray::from_i64(&[4], DataType::I64, vec![7, 8, 9, 10]).unwrap();
+        ints.read_f64_range(1, &mut row).unwrap();
+        assert_eq!(row, [8., 9., 10.]);
+        a.read_f64_range(6, &mut []).unwrap();
+        assert!(a.read_f64_range(4, &mut row).is_err());
+        assert!(a.read_f64_range(7, &mut []).is_err());
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //!
 //! Bit-exactness contract: [`KvCache::attention`] mirrors the TIR
 //! program produced by `relax_core::legalize` for `Op::Attention` —
-//! same five passes, same loop structure, same f32 rounding on every
-//! store into the local `scores`/`row_max`/`row_sum` buffers, the same
-//! `-1e9` causal mask and grouped-query head mapping — so a paged
-//! decode step produces exactly the bits the legalized kernel produces
-//! on the gathered cache.
+//! same five passes, same f32 rounding on every store into the local
+//! `scores`/`row_max`/`row_sum` buffers, the same `-1e9` causal mask and
+//! grouped-query head mapping — so a paged decode step produces exactly
+//! the bits the legalized kernel produces on the gathered cache. The
+//! loops are not the kernel's: a stored value's rounding chain keeps its
+//! order, but chains of different elements (the spatial axes of a
+//! reduction block) run interleaved, which is where the time goes.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use relax_arith::DataType;
-use relax_tir::{round_to_dtype, NDArray, Scalar};
+use relax_tir::{round_to_dtype, NDArray};
 
 use crate::memory::KvPagePool;
 use crate::registry::KernelError;
@@ -316,7 +318,8 @@ impl KvCache {
     /// against the K/V streams, reading pages directly — no per-step
     /// gather of the cache into a contiguous tensor.
     ///
-    /// Bitwise-mirrors the legalized `Op::Attention` tensor program:
+    /// Bitwise-mirrors the legalized `Op::Attention` tensor program, one
+    /// `(b, h, i)` query row at a time over a `skv`-long scores row:
     /// five passes over f32 local buffers with per-store rounding, the
     /// causal mask `j <= i + skv - s` with `-1e9` fill, grouped-query
     /// head mapping `kv_head = h / (q_heads / kv_heads)`, and the scale
@@ -375,114 +378,82 @@ impl KvCache {
         if skv == 0 {
             return Err(kerr(OP, "attention over empty streams"));
         }
+        if hd == 0 {
+            return Ok(NDArray::zeros(&qs, q.dtype()));
+        }
         let p = self.inner.pool.page_tokens();
-        // Flatten pages once per call (f64 host values, already rounded
-        // on store, so the bits match a gathered tensor exactly).
-        let gather = |st: &StreamState| -> Vec<f64> {
-            let len = st.len;
-            let mut out = vec![0.0f64; b * hkv * len * hd];
-            for (pi, page) in st.pages.iter().enumerate() {
-                let rows = (len.saturating_sub(pi * p)).min(p);
-                if rows == 0 {
-                    break;
-                }
-                let pv = page.to_f64_vec();
-                for bi in 0..b {
-                    for hi in 0..hkv {
-                        let src = (bi * hkv + hi) * p * hd;
-                        let dst = ((bi * hkv + hi) * len + pi * p) * hd;
-                        out[dst..dst + rows * hd].copy_from_slice(&pv[src..src + rows * hd]);
-                    }
-                }
-            }
-            out
-        };
-        let kv = gather(kst);
-        let vv = gather(vst);
-        drop(streams);
+        let page_err = |e: relax_tir::NDArrayError| kerr(OP, e.to_string());
         let qv = q.to_f64_vec();
         let scale = 1.0 / (hd as f64).sqrt();
         let r32 = |x: f64| round_to_dtype(x, DataType::F32);
         let odt = q.dtype();
-        let out = NDArray::zeros(&[b, hq, s, hd], odt);
 
-        // Local f32 buffers, exactly like the legalized kernel.
-        let mut scores = vec![0.0f64; b * hq * s * skv];
-        // Pass 1: scores[b,h,i,j] = sum_kd q·k with per-step rounding.
-        for bi in 0..b {
-            for hi in 0..hq {
-                let kvh = if group == 1 { hi } else { hi / group };
-                for i in 0..s {
-                    let q_base = ((bi * hq + hi) * s + i) * hd;
-                    for j in 0..skv {
-                        let k_base = ((bi * hkv + kvh) * skv + j) * hd;
-                        let mut acc = 0.0f64;
-                        for kd in 0..hd {
-                            acc = r32(acc + qv[q_base + kd] * kv[k_base + kd]);
+        // One query row at a time. Every stored value goes through the
+        // rounding chain the legalized kernel gives it, in that kernel's
+        // order; only chains that never meet are interleaved.
+        let mut out = vec![0.0f64; b * hq * s * hd];
+        let mut scores = vec![0.0f64; skv];
+        let mut exps = vec![0.0f64; skv];
+        // One head's rows of one page (f64 host values, already rounded on
+        // store, so the bits match a gathered tensor exactly), then slack
+        // for the lanes a short last block computes and drops.
+        let mut page_rows = vec![0.0f64; (p + LANES) * hd];
+        for (row, (q_row, o_row)) in qv.chunks(hd).zip(out.chunks_mut(hd)).enumerate() {
+            let (bi, hi, i) = (row / (hq * s), row / s % hq, row % s);
+            let head_rows = (bi * hkv + hi / group) * p * hd;
+            // Pass 1: scores[j] = sum_kd q·k with per-step rounding, LANES
+            // scores in flight.
+            for (page, in_page) in kst.pages.iter().zip(scores.chunks_mut(p)) {
+                let k_rows = &mut page_rows[..in_page.len() * hd];
+                page.read_f64_range(head_rows, k_rows).map_err(page_err)?;
+                let blocks = page_rows.chunks_exact(LANES * hd);
+                for (acc, k_rows) in in_page.chunks_mut(LANES).zip(blocks) {
+                    let mut sums = [0.0f64; LANES];
+                    for (kd, &qk) in q_row.iter().enumerate() {
+                        for (sum, k_row) in sums.iter_mut().zip(k_rows.chunks_exact(hd)) {
+                            *sum = r32(*sum + qk * k_row[kd]);
                         }
-                        scores[((bi * hq + hi) * s + i) * skv + j] = acc;
+                    }
+                    acc.copy_from_slice(&sums[..acc.len()]);
+                }
+            }
+            // Pass 2: scale + causal mask (both branches in f64, one store);
+            // queries align to the cache tail.
+            let last_allowed = if causal { i as i64 + skv as i64 - s as i64 } else { i64::MAX };
+            for (j, score) in scores.iter_mut().enumerate() {
+                *score = r32(if j as i64 <= last_allowed { *score * scale } else { -1e9 });
+            }
+            // Pass 3: row max.
+            let row_max = scores
+                .iter()
+                .fold(r32(f64::NEG_INFINITY), |rm, &x| r32(rm.max(x)));
+            // Pass 4: exp-sum; each exponential is kept for pass 5.
+            let mut row_sum = 0.0f64;
+            for (e, &x) in exps.iter_mut().zip(&scores) {
+                *e = (x - row_max).exp();
+                row_sum = r32(row_sum + *e);
+            }
+            // Pass 5: weighted sum over V, accumulated in the output dtype;
+            // `j` ascends for every `kd`, like the grid's innermost loop.
+            o_row.fill(round_to_dtype(0.0, odt));
+            for (page, in_page) in vst.pages.iter().zip(exps.chunks(p)) {
+                let v_rows = &mut page_rows[..in_page.len() * hd];
+                page.read_f64_range(head_rows, v_rows).map_err(page_err)?;
+                for (&e, v_row) in in_page.iter().zip(v_rows.chunks(hd)) {
+                    let w = e / row_sum;
+                    for (acc, &v_el) in o_row.iter_mut().zip(v_row) {
+                        *acc = round_to_dtype(*acc + w * v_el, odt);
                     }
                 }
             }
         }
-        // Pass 2: scale + causal mask (both branches in f64, one store).
-        for bi in 0..b {
-            for hi in 0..hq {
-                for i in 0..s {
-                    for j in 0..skv {
-                        let idx = ((bi * hq + hi) * s + i) * skv + j;
-                        let scaled = scores[idx] * scale;
-                        let masked = if causal {
-                            let allowed = (j as i64) <= (i as i64) + (skv as i64) - (s as i64);
-                            if allowed {
-                                scaled
-                            } else {
-                                -1e9
-                            }
-                        } else {
-                            scaled
-                        };
-                        scores[idx] = r32(masked);
-                    }
-                }
-            }
-        }
-        // Passes 3-5 share the (b,h,i) row loop; each pass folds over j
-        // in the same order as the legalized grid.
-        for bi in 0..b {
-            for hi in 0..hq {
-                let kvh = if group == 1 { hi } else { hi / group };
-                for i in 0..s {
-                    let row = ((bi * hq + hi) * s + i) * skv;
-                    // Pass 3: row max.
-                    let mut rm = r32(f64::NEG_INFINITY);
-                    for j in 0..skv {
-                        rm = r32(rm.max(scores[row + j]));
-                    }
-                    // Pass 4: exp-sum.
-                    let mut rs = 0.0f64;
-                    for j in 0..skv {
-                        rs = r32(rs + (scores[row + j] - rm).exp());
-                    }
-                    // Pass 5: weighted sum over V, accumulated in the
-                    // output dtype (j innermost, like the grid).
-                    let o_base = ((bi * hq + hi) * s + i) * hd;
-                    for kd in 0..hd {
-                        let mut acc = round_to_dtype(0.0, odt);
-                        for j in 0..skv {
-                            let w = (scores[row + j] - rm).exp() / rs;
-                            let v_el = vv[((bi * hkv + kvh) * skv + j) * hd + kd];
-                            acc = round_to_dtype(acc + w * v_el, odt);
-                        }
-                        out.set(o_base + kd, Scalar::F(acc))
-                            .map_err(|e| kerr(OP, e.to_string()))?;
-                    }
-                }
-            }
-        }
-        Ok(out)
+        NDArray::from_f64(&qs, odt, out).map_err(page_err)
     }
 }
+
+/// Scores pass 1 of [`KvCache::attention`] keeps in flight: independent
+/// rounding chains, so the count changes no bit of any result.
+const LANES: usize = 8;
 
 fn want_cache<'a>(op: &str, v: Option<&'a Value>) -> Result<&'a KvCache, KernelError> {
     match v {
@@ -665,7 +636,7 @@ mod tests {
     #[test]
     fn paged_attention_matches_legalized_tir_bitwise() {
         use relax_core::{legalize, Op, OpAttrs, StructInfo};
-        use relax_tir::{interp, plan};
+        use relax_tir::{interp, plan, Scalar};
 
         let (b, hq, hd) = (2usize, 2usize, 4usize);
         let mut seed = 0xBADBEEF;
@@ -721,7 +692,7 @@ mod tests {
                         )
                         .unwrap();
                         let case = format!(
-                            "page={page_tokens} group={group} {dtype} s={s} skv={skv} causal={causal}"
+                            "page={page_tokens} group={group} {dtype} s={s} skv={skv} {causal}"
                         );
                         let expected = NDArray::zeros(&[b, hq, s, hd], dtype);
                         let args = [q.clone(), k.clone(), v.clone(), expected.clone()];
@@ -740,6 +711,25 @@ mod tests {
             }
         }
         assert_eq!(cases, 1466, "the sweep lost or gained cases");
+    }
+
+    /// A cache `create` was given zero-wide heads for is degenerate, not a
+    /// panic: attention over it is the empty tensor.
+    #[test]
+    fn attention_over_zero_wide_heads_is_empty() {
+        let cfg = KvCacheConfig {
+            streams: 2,
+            batch: 1,
+            heads: 1,
+            head_dim: 0,
+            dtype: DataType::F32,
+        };
+        let cache = KvCache::new(cfg, Arc::new(KvPagePool::unbounded(4)));
+        let row = NDArray::zeros(&[1, 1, 1, 0], DataType::F32);
+        cache.append(0, &row).unwrap();
+        cache.append(1, &row).unwrap();
+        let out = cache.attention(&row, 0, 1, true).unwrap();
+        assert_eq!(out.shape(), &[1, 1, 1, 0]);
     }
 
     /// Truncation rolls back logical lengths, releases now-empty pages,

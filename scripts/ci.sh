@@ -43,6 +43,13 @@ if command -v taskset >/dev/null 2>&1; then one_core="taskset -c 0"; fi
 for _ in 1 2 3; do
     $one_core cargo test -p relax-serve --release -q -- --test-threads 1
 done
+# A born-expired request must be shed, never dispatched: the race this
+# once lost about 1 run in 100 (the loop read the clock before taking
+# the lock submit pushes under) cannot come back unseen.
+for _ in $(seq 50); do
+    $one_core cargo test -p relax-serve --release -q --test shutdown \
+        shutdown_under_load_resolves_every_request >/dev/null
+done
 
 echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (release)"
 # The two end-to-end dynamic workloads, differentially tested: the
@@ -54,13 +61,17 @@ cargo test --release -q --test moe_diff
 cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test golden_roundtrip
 
-echo "==> kernel-schedule ablation smoke (release)"
+echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
 # Scheduled (macro-op) plans against unscheduled plans and the reference
 # interpreter, bitwise, across every schedule-primitive combination, plus
 # the 32-config pipeline ablation that toggles kernel_schedule with the
 # other pipeline knobs.
 cargo test -p relax-tir --release -q --test schedule_diff
 cargo test --release -q --test pipeline_ablation
+# The one hand-written kernel on the serving path: the paged-attention
+# builtin against the legalized Op::Attention, bitwise, over context
+# length x page size x query rows x GQA x mask x dtype.
+cargo test -p relax-vm --release -q --lib paged_attention_matches_legalized_tir_bitwise
 
 echo "==> cargo doc --workspace --no-deps"
 cargo doc --workspace --no-deps -q
