@@ -68,7 +68,7 @@ struct ManualState {
     sleepers: usize,
 }
 
-pub(crate) struct Manual {
+struct Manual {
     base: Instant,
     state: Mutex<ManualState>,
     moved: Condvar,
@@ -107,7 +107,7 @@ impl Clock for Manual {
 /// and managers built through it are otherwise identical to
 /// [`ServeEngine::new`] / [`SessionManager::new`].
 #[derive(Clone)]
-pub struct ManualClock(pub(crate) Arc<Manual>);
+pub struct ManualClock(Arc<Manual>);
 
 impl Default for ManualClock {
     fn default() -> Self {
@@ -141,13 +141,18 @@ impl ManualClock {
         }
     }
 
+    /// This clock, as the core takes it.
+    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
+        self.0.clone()
+    }
+
     /// [`ServeEngine::new`] on this clock.
     pub fn serve_engine(&self, exec: Executable, config: ServeConfig) -> ServeEngine {
-        ServeEngine::with_clock(exec, Default::default(), config, self.0.clone())
+        ServeEngine::with_clock(exec, Default::default(), config, self.clock())
     }
 
     /// [`SessionManager::new`] on this clock.
     pub fn session_manager(&self, spec: SessionModelSpec, config: SessionConfig) -> SessionManager {
-        SessionManager::with_clock(spec, config, self.0.clone())
+        SessionManager::with_clock(spec, config, self.clock())
     }
 }

@@ -16,11 +16,10 @@
 //!   (up to `max_running`) and dispatches one step per eligible running
 //!   unit to the worker pool, first steps first. A unit whose last step
 //!   lands is retired by the worker that ran it, so its ticket resolves
-//!   there; every other result — a unit with steps left, a failed, lost or
-//!   reply-dropped step — is collected, and none is applied before all
-//!   are in. The barrier orders what needs ordering (rollbacks, retries,
-//!   pool-pressure eviction, replacing a dead worker's slot) and no longer
-//!   delays a finished unit, which has nothing left to order.
+//!   there; every other result — steps left, a failed, lost or
+//!   reply-dropped step — is collected, and none is applied before all are
+//!   in: the barrier orders rollbacks, retries, pool-pressure eviction and
+//!   dead-slot replacement, and a finished unit has nothing left to order.
 //! - **Retry.** A retryable failure (lost worker, pool pressure, kernel
 //!   fault) rolls the unit back, consumes an attempt and makes it
 //!   ineligible until `now + backoff(attempt)`; the loop's own wait is
@@ -149,8 +148,8 @@ struct Unit<W> {
     attempts: u32,
     /// Retry backoff: not dispatched before this.
     not_before: Option<Instant>,
-    /// Steps landed so far; an iteration runs first steps first.
-    landed: u64,
+    /// A step has landed; an iteration runs first steps first.
+    landed: bool,
     work: W,
 }
 
@@ -395,7 +394,7 @@ impl<W: Work> Core<W> {
             submitted: now,
             attempts: 0,
             not_before: None,
-            landed: 0,
+            landed: false,
             work,
         };
         let (pushed, depth) = {
@@ -789,7 +788,7 @@ impl<W: Work> Scheduler<W> {
         }
         // First steps first: a unit that has landed nothing yet is the one
         // whose submitter has seen nothing yet.
-        go.sort_by_key(|u| u.landed > 0);
+        go.sort_by_key(|u| u.landed);
         let span = relax_trace::span("serve", || format!("iteration:{dispatched}"));
         let started = sh.clock.now();
         {
@@ -839,7 +838,7 @@ impl<W: Work> Scheduler<W> {
                 Ok(()) => {
                     unit.attempts = 0;
                     unit.not_before = None;
-                    unit.landed += 1;
+                    unit.landed = true;
                     None
                 }
                 // Any failed step is rolled back, so none is half-applied.

@@ -127,7 +127,7 @@ fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Core<Toy> {
         serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
         stall: STALL,
     };
-    Core::start(model, limits, vec![Some(faults); workers], clock.0.clone())
+    Core::start(model, limits, vec![Some(faults); workers], clock.clock())
 }
 
 fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {

@@ -27,12 +27,11 @@
 //!
 //! Steps of different sessions share an iteration whatever their `n`; a
 //! session's first step runs ahead of the others' next ones, and the step
-//! that lands its last token resolves its ticket there, without waiting
-//! for the rest of the iteration. A failed step is rolled back to its
-//! pre-step lengths on both caches (`KvCache::truncate_to`), so no step is
-//! ever half-applied, and the page pool's `allocated == in_use + free`
-//! invariant survives every panic, stall, eviction and rollback (the
-//! chaos harness asserts it).
+//! that lands its last token resolves its ticket there, not at the end of
+//! the iteration. A failed step is rolled back to its pre-step lengths on
+//! both caches (`KvCache::truncate_to`), so no step is ever half-applied,
+//! and the page pool's `allocated == in_use + free` invariant survives
+//! every panic, stall, eviction and rollback (the chaos harness asserts it).
 
 use std::collections::HashMap;
 use std::fmt;

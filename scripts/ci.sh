@@ -46,9 +46,10 @@ done
 # A born-expired request must be shed, never dispatched: the race this
 # once lost about 1 run in 100 (the loop read the clock before taking
 # the lock submit pushes under) cannot come back unseen.
-for _ in $(seq 50); do
-    $one_core cargo test -p relax-serve --release -q --test shutdown \
-        shutdown_under_load_resolves_every_request >/dev/null
+for run in $(seq 50); do
+    out=$($one_core cargo test -p relax-serve --release -q --test shutdown \
+        shutdown_under_load_resolves_every_request 2>&1) ||
+        { echo "$out"; echo "shutdown_under_load failed on run $run of 50"; exit 1; }
 done
 
 echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (release)"
