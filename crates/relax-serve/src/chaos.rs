@@ -301,13 +301,14 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
 }
 
 /// Knobs for a **session** chaos run (the continuous-batching
-/// scheduler under worker panics and stalls mid-iteration).
+/// scheduler under worker panics, stalls and dropped replies
+/// mid-iteration).
 #[derive(Debug, Clone)]
 pub struct SessionChaosConfig {
     /// RNG seed for the fault schedule.
     pub seed: u64,
-    /// Worker faults to schedule across the run (panics and stalls,
-    /// alternating pseudo-randomly).
+    /// Worker faults to schedule across the run (panics, stalls and
+    /// dropped replies, drawn pseudo-randomly).
     pub faults: usize,
     /// Base manager configuration; its `faults` plan is replaced by
     /// the generated schedule and `return_kv` is forced on so final
@@ -364,9 +365,10 @@ pub struct SessionChaosReport {
 
 /// Drives `workload` through a [`SessionManager`] twice — once
 /// fault-free on one worker to obtain reference tokens and final KV
-/// caches, once under a seeded schedule of worker panics and stalls
-/// fired **mid-iteration** (after a step's in-place appends landed,
-/// before its result was reported) — and checks the scheduler's
+/// caches, once under a seeded schedule of worker panics, stalls and
+/// dropped replies fired **mid-iteration** (after a step's in-place
+/// appends landed, before its result was reported or as it was) — and
+/// checks the scheduler's
 /// invariants: retired sessions are bitwise equal to the reference,
 /// and the page pool reconciles with zero leaked pages after healing.
 pub fn run_session_chaos(
@@ -401,11 +403,11 @@ pub fn run_session_chaos(
         .map(|t| t.wait().ok().map(observed))
         .collect();
     let ref_stats = reference_mgr.shutdown();
-    // Fault-window openings the workload needs end to end (a speculation
-    // opens it twice); fault occurrences land in this range so they
-    // actually fire.
-    let total_steps =
-        (ref_stats.prefills + ref_stats.decodes + 2 * ref_stats.speculations).max(1);
+    // Steps the workload needs end to end, counted as the calls that ran
+    // them — sessions decoding together share one. Each opens the fault
+    // window at least once and is one reply, and more workers only split
+    // them further, so a fault occurrence in this range fires.
+    let total_steps = (ref_stats.step_calls + ref_stats.speculations).max(1);
 
     let mut faulty_cfg = config.manager.clone();
     faulty_cfg.return_kv = true;
@@ -413,7 +415,11 @@ pub fn run_session_chaos(
         &mut rng,
         1,
         config.faults as u64,
-        &[FaultSite::WorkerPanic, FaultSite::WorkerStall],
+        &[
+            FaultSite::WorkerPanic,
+            FaultSite::WorkerStall,
+            FaultSite::ReplyDrop,
+        ],
         total_steps,
         0,
         faulty_cfg.stall,

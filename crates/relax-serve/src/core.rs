@@ -14,16 +14,23 @@
 //!   next step is dispatched — waiting or running alike.
 //! - **Iteration.** Each pass admits waiting units into the running set
 //!   (up to `max_running`) and dispatches one step per eligible running
-//!   unit to the worker pool, first steps first. A unit whose last step
+//!   unit to the worker pool as **jobs**: first steps first, each alone;
+//!   then the units whose next step can be shared ([`Work::shares`], on
+//!   their first attempt at it), as one job per live worker of
+//!   `ceil(n / workers)` units each; then the rest, each alone. A worker
+//!   runs a job as one step with one outcome. A unit whose last step
 //!   lands is retired by the worker that ran it, so its ticket resolves
 //!   there; every other result — steps left, a failed, lost or
-//!   reply-dropped step — is collected, and none is applied before all are
-//!   in: the barrier orders rollbacks, retries, pool-pressure eviction and
-//!   dead-slot replacement, and a finished unit has nothing left to order.
+//!   reply-dropped step — is collected per unit, and none is applied
+//!   before all are in: the barrier orders rollbacks, retries,
+//!   pool-pressure eviction and dead-slot replacement, and a finished unit
+//!   has nothing left to order.
 //! - **Retry.** A retryable failure (lost worker, pool pressure, kernel
 //!   fault) rolls the unit back, consumes an attempt and makes it
 //!   ineligible until `now + backoff(attempt)`; the loop's own wait is
-//!   the timer.
+//!   the timer. A failed shared step costs every unit that shared it an
+//!   attempt, and a unit with a failed attempt behind it shares nothing:
+//!   the retries run one by one, which finds the unit that cannot land.
 //! - **Eviction.** Under page-pool pressure the earliest-deadline running
 //!   unit is evicted so the others' retries can land — never the last.
 //! - **Supervision.** A worker contains a panic at its step boundary,
@@ -59,7 +66,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Why a step did not land.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Failure {
     /// The worker panicked mid-step, or its report was dropped.
     Lost(String),
@@ -120,11 +127,19 @@ pub(crate) trait Work: Send + Sized + 'static {
     fn admit(&mut self, _id: u64) {}
     /// No step is left.
     fn done(&self) -> bool;
-    /// Runs the next step on a worker. The step opens `cx.window` once its
-    /// writes have landed, and only then commits what it learned to `self`
-    /// (and to `cx.counters`); a step with a state worth crashing in the
-    /// middle of opens it there too.
-    fn step(&mut self, id: u64, cx: StepCtx<'_, Self>) -> Result<(), VmError>;
+    /// The next step can run as one step with other units' that say so.
+    fn shares(&self) -> bool {
+        false
+    }
+    /// Runs the next step of every `(id, unit)` of `group` on a worker, as
+    /// one step with one outcome; more than one unit only when each
+    /// [`Work::shares`]. The step opens `cx.window` once its writes have
+    /// landed (a step with a state worth crashing in the middle of opens it
+    /// there too), and what it learned is no unit's before [`Work::commit`].
+    fn step(group: &mut [(u64, &mut Self)], cx: StepCtx<'_, Self>) -> Result<(), VmError>;
+    /// The step landed and its reply was kept: takes what the step learned
+    /// into the unit and its counts into `counters`.
+    fn commit(&mut self, _counters: &Counters) {}
     /// Undoes whatever a failed step left behind.
     fn rollback(&mut self) {}
     /// Closes the unit's span and resolves its ticket.
@@ -206,6 +221,7 @@ pub(crate) struct Counters {
     pub(crate) iterations: AtomicU64,
     pub(crate) steps: AtomicU64,
     pub(crate) rollbacks: AtomicU64,
+    pub(crate) step_calls: AtomicU64,
     pub(crate) prefills: AtomicU64,
     pub(crate) decodes: AtomicU64,
     pub(crate) tokens: AtomicU64,
@@ -243,8 +259,9 @@ struct StepResult<W: Work> {
 struct State<W: Work> {
     /// Closed once the core is stopping.
     pending: Admission<Unit<W>>,
-    /// Units of the iteration in flight no worker has taken yet.
-    jobs: VecDeque<Unit<W>>,
+    /// Jobs of the iteration in flight no worker has taken yet: the units
+    /// of one step.
+    jobs: VecDeque<Vec<Unit<W>>>,
     results: Vec<StepResult<W>>,
     /// Steps of the iteration in flight the loop is still owed a result
     /// for: the steps dispatched, less the units a worker finished.
@@ -270,12 +287,12 @@ struct Shared<W: Work> {
 }
 
 impl<W: Work> Shared<W> {
-    /// Hands a result to the loop, waking it only when it has something
+    /// Hands results to the loop, waking it only when it has something
     /// to do: the iteration is complete, or a worker needs replacing.
-    fn publish(&self, result: StepResult<W>) {
+    fn publish(&self, results: Vec<StepResult<W>>) {
         let mut st = lock(&self.state);
-        let urgent = result.died.is_some();
-        st.results.push(result);
+        let urgent = results.iter().any(|r| r.died.is_some());
+        st.results.extend(results);
         if urgent || st.results.len() == st.in_flight {
             self.wake.notify_all();
         }
@@ -574,8 +591,9 @@ fn spawn_worker<W: Work>(
     Worker { handle, flags }
 }
 
-/// One worker incarnation: take a step, run it under panic containment
-/// and the fault window, drop the step, publish the result.
+/// One worker incarnation: take a job, run its one step under panic
+/// containment and the fault window, commit it, finish the units it left
+/// done and publish the others.
 fn worker_loop<W: Work>(
     shared: Arc<Shared<W>>,
     idx: usize,
@@ -613,22 +631,25 @@ fn worker_loop<W: Work>(
             }
             st.jobs.pop_front()
         };
-        let Some(mut unit) = job else { break };
+        let Some(mut job) = job else { break };
         *lock(&flags.busy_since) = Some(shared.clock.now());
-        steps += 1;
+        steps += job.len() as u64;
         let reply_dropped = fires(FaultSite::ReplyDrop).is_some();
         // Containment boundary: a panic anywhere in the step — injected or
         // real, inside the VM — must not unwind past the worker.
         // `AssertUnwindSafe` is sound because poisoned VMs never run again
         // (the incarnation exits below and its successor builds fresh
-        // ones) and the unit is rolled back before its next step.
+        // ones) and every unit is rolled back before its next step.
         let cx = StepCtx {
             vms: &mut vms,
             model: &shared.model,
             counters: &shared.counters,
             window: &mut window,
         };
-        let ran = panic::catch_unwind(AssertUnwindSafe(|| unit.work.step(unit.id, cx)));
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut group: Vec<_> = job.iter_mut().map(|u| (u.id, &mut u.work)).collect();
+            W::step(&mut group, cx)
+        }));
         let mut died = None;
         let outcome = match ran {
             Ok(_) if reply_dropped => {
@@ -648,15 +669,21 @@ fn worker_loop<W: Work>(
             }
         };
         *lock(&flags.busy_since) = None;
-        if outcome.is_ok() && unit.work.done() {
-            shared.finish_landed(unit);
-        } else {
-            shared.publish(StepResult {
-                unit,
-                outcome,
-                died,
-            });
+        // The one outcome is every member's: all commit or none does.
+        let mut results = Vec::new();
+        for mut unit in job {
+            if outcome.is_ok() {
+                unit.work.commit(&shared.counters);
+                if unit.work.done() {
+                    shared.finish_landed(unit);
+                    continue;
+                }
+            }
+            let died = died.filter(|_| results.is_empty());
+            let outcome = outcome.clone();
+            results.push(StepResult { unit, outcome, died });
         }
+        shared.publish(results);
         if died.is_some() {
             break;
         }
@@ -786,14 +813,35 @@ impl<W: Work> Scheduler<W> {
         if dispatched == 0 {
             return false;
         }
-        // First steps first: a unit that has landed nothing yet is the one
-        // whose submitter has seen nothing yet.
-        go.sort_by_key(|u| u.landed);
+        // First steps first, each alone: a unit that has landed nothing yet
+        // is the one whose submitter has seen nothing yet. Then the units
+        // that can share their step, then the rest. A unit retrying a step
+        // shares nothing, so a shared step that failed is re-run one unit
+        // at a time.
+        let rank = |u: &Unit<W>| match u.landed {
+            false => 0,
+            true if u.attempts == 0 && u.work.shares() => 1,
+            true => 2,
+        };
+        go.sort_by_key(rank);
+        // One shared job per live worker, so a pool keeps its parallelism.
+        let sharers = go.iter().filter(|u| rank(u) == 1).count();
+        let live = self.slots.iter().filter(|s| s.live.is_some()).count();
+        let per_job = sharers.div_ceil(live.max(1));
+        let mut jobs: Vec<Vec<Unit<W>>> = Vec::new();
+        for unit in go {
+            match jobs.last_mut() {
+                Some(job) if rank(&unit) == 1 && rank(&job[0]) == 1 && job.len() < per_job => {
+                    job.push(unit)
+                }
+                _ => jobs.push(vec![unit]),
+            }
+        }
         let span = relax_trace::span("serve", || format!("iteration:{dispatched}"));
         let started = sh.clock.now();
         {
             let mut st = lock(&sh.state);
-            st.jobs.extend(go);
+            st.jobs.extend(jobs);
             st.in_flight = dispatched;
         }
         sh.jobs_wake.notify_all();
@@ -934,14 +982,13 @@ impl<W: Work> Scheduler<W> {
         bump(&self.shared.counters.quarantined);
         worker_instant(idx, WorkerEvent::Quarantine);
         if self.slots.iter().all(|s| s.live.is_none()) {
-            let orphans: Vec<Unit<W>> = lock(&self.shared.state).jobs.drain(..).collect();
-            for unit in orphans {
-                self.shared.publish(StepResult {
-                    unit,
-                    outcome: Err(Failure::Lost(STRANDED.to_string())),
-                    died: None,
-                });
-            }
+            let orphans: Vec<Unit<W>> = lock(&self.shared.state).jobs.drain(..).flatten().collect();
+            let lost = |unit| StepResult {
+                unit,
+                outcome: Err(Failure::Lost(STRANDED.to_string())),
+                died: None,
+            };
+            self.shared.publish(orphans.into_iter().map(lost).collect());
         }
     }
 }

@@ -1,6 +1,7 @@
-//! The loop's ordering and accounting, observed through a toy [`Work`]
-//! whose steps block on a gate the test opens one permit at a time. Time
-//! is a [`ManualClock`]; nothing here sleeps, and every wait is guarded.
+//! The loop's ordering, grouping and accounting, observed through a toy
+//! [`Work`] whose steps block on a gate the test opens one permit at a
+//! time and which records the units of every step. Time is a
+//! [`ManualClock`]; nothing here sleeps, and every wait is guarded.
 
 use std::sync::mpsc;
 
@@ -20,6 +21,8 @@ const STALL: Duration = Duration::from_millis(50);
 struct Gate {
     /// Unit ids in the order their steps began.
     started: Vec<u64>,
+    /// The units of every step, in the order the steps began.
+    groups: Vec<Vec<u64>>,
     /// Steps each unit may still run.
     permits: HashMap<u64, u32>,
 }
@@ -49,9 +52,11 @@ impl ToyModel {
 /// A unit of `left` steps; each appends one token to a paged cache.
 struct Toy {
     left: u32,
+    /// Its steps can be shared with other units'.
+    shares: bool,
     cache: KvCache,
-    /// `(left, cache lengths)` before the step in flight.
-    pre: (u32, Vec<usize>),
+    /// Cache lengths before the step in flight.
+    pre: Vec<usize>,
     /// `(how it left, tokens its cache held)`.
     reply: mpsc::Sender<(&'static str, usize)>,
 }
@@ -70,26 +75,40 @@ impl Work for Toy {
         self.left == 0
     }
 
-    fn step(&mut self, id: u64, cx: StepCtx<'_, Self>) -> Result<(), VmError> {
-        self.pre = (self.left, self.cache.lens());
+    fn shares(&self) -> bool {
+        self.shares
+    }
+
+    /// Begins once for the whole group (`started` gets its ids in a row),
+    /// takes a permit of every member, appends a token to the stack of
+    /// their caches and opens the fault window once.
+    fn step(group: &mut [(u64, &mut Self)], cx: StepCtx<'_, Self>) -> Result<(), VmError> {
         let mut gate = lock(&cx.model.gate);
-        gate.started.push(id);
+        gate.started.extend(group.iter().map(|(id, _)| *id));
+        gate.groups.push(group.iter().map(|(id, _)| *id).collect());
         cx.model.moved.notify_all();
-        while gate.permits.get(&id).is_none_or(|&p| p == 0) {
-            gate = cx.model.moved.wait(gate).unwrap();
+        for (id, toy) in group.iter_mut() {
+            toy.pre = toy.cache.lens();
+            while gate.permits.get(id).is_none_or(|&p| p == 0) {
+                gate = cx.model.moved.wait(gate).unwrap();
+            }
+            *gate.permits.get_mut(id).unwrap() -= 1;
         }
-        *gate.permits.get_mut(&id).unwrap() -= 1;
         drop(gate);
-        let row = NDArray::zeros(&[1, 1, 1, 2], DataType::F32);
-        self.cache.append(0, &row).expect("unbounded pool");
+        let caches: Vec<KvCache> = group.iter().map(|(_, toy)| toy.cache.clone()).collect();
+        let rows = NDArray::zeros(&[caches.len(), 1, 1, 2], DataType::F32);
+        let stack = KvCache::stack(&caches).expect("distinct caches of one pool");
+        stack.append(0, &rows).expect("unbounded pool");
         (cx.window)();
-        self.left -= 1;
         Ok(())
     }
 
+    fn commit(&mut self, _: &Counters) {
+        self.left -= 1;
+    }
+
     fn rollback(&mut self) {
-        self.left = self.pre.0;
-        self.cache.truncate_to(&self.pre.1).expect("shrinks");
+        self.cache.truncate_to(&self.pre).expect("shrinks");
     }
 
     fn resolve(self, _: u64, exit: Exit, _: &ToyModel) {
@@ -131,6 +150,10 @@ fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Core<Toy> {
 }
 
 fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {
+    submit_as(core, steps, false)
+}
+
+fn submit_as(core: &Core<Toy>, steps: u32, shares: bool) -> (u64, Ticket) {
     let cfg = KvCacheConfig {
         streams: 1,
         batch: 1,
@@ -141,8 +164,9 @@ fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {
     let (reply, ticket) = mpsc::channel();
     let toy = Toy {
         left: steps,
+        shares,
         cache: KvCache::new(cfg, core.model().pool.clone()),
-        pre: (steps, Vec::new()),
+        pre: Vec::new(),
         reply,
     };
     let id = core.next_id();
@@ -154,9 +178,15 @@ fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {
 /// submitted, so they all share the second one. Returns the tickets with
 /// the blocker's last; no unit holds a permit yet.
 fn one_iteration_of(core: &Core<Toy>, steps: &[u32]) -> Vec<(u64, Ticket)> {
+    let units: Vec<_> = steps.iter().map(|&n| (n, false)).collect();
+    one_iteration_of_units(core, &units)
+}
+
+/// [`one_iteration_of`] for `(steps, shares)` units.
+fn one_iteration_of_units(core: &Core<Toy>, units: &[(u32, bool)]) -> Vec<(u64, Ticket)> {
     let blocker = submit(core, 1);
     core.model().await_started(1);
-    let mut units: Vec<_> = steps.iter().map(|&n| submit(core, n)).collect();
+    let mut units: Vec<_> = units.iter().map(|&(n, shares)| submit_as(core, n, shares)).collect();
     core.model().permit(blocker.0, 1);
     assert_eq!(blocker.1.recv_timeout(GUARD), Ok(("retired", 1)));
     units.push(blocker);
@@ -246,6 +276,129 @@ fn accounting_survives_early_finishers_among_lost_stalled_and_dropped_steps() {
     assert_eq!((get(&c.replies_dropped), get(&c.worker_panics)), (1, 1));
     assert_eq!((get(&c.rollbacks), get(&c.retries), get(&c.restarts)), (2, 2, 1));
     assert_eq!(get(&c.iterations), 3);
+    let stats = pool.stats();
+    assert!(stats.reconciles() && stats.in_use == 0, "{stats:?}");
+}
+
+/// The identity every unit's exit feeds exactly one term of.
+fn assert_all_accounted(core: &Core<Toy>, submitted: u64) {
+    let c = core.counters();
+    let left = get(&c.retired) + get(&c.evicted) + get(&c.failed) + get(&c.shed);
+    assert_eq!((get(&c.submitted), left), (submitted, submitted));
+}
+
+/// Two workers, so which unit lands first is open and only the shape of an
+/// iteration is fixed: its sharers in `ceil(n / workers)`-unit jobs, one
+/// per worker, everything else alone — and nothing shares its first step.
+#[test]
+fn sharers_form_one_job_per_live_worker_and_the_rest_run_alone() {
+    let mut core = start(2, FaultPlan::new(), &ManualClock::new());
+    let shape = [(3, true), (2, true), (3, true), (3, true), (3, true), (3, false), (3, false)];
+    let units = one_iteration_of_units(&core, &shape);
+    let sharer = |id: &u64| units.iter().zip(&shape).any(|((u, _), (_, shares))| u == id && *shares);
+    for ((id, _), (steps, _)) in units.iter().zip(&shape) {
+        core.model().permit(*id, *steps);
+    }
+    for ((_, ticket), (steps, _)) in units.iter().zip(&shape) {
+        assert_eq!(ticket.recv_timeout(GUARD), Ok(("retired", *steps as usize)));
+    }
+    core.stop();
+    let groups = lock(&core.model().gate).groups.clone();
+    // Sorted job sizes of the steps `range` of the log.
+    let sizes = |range: std::ops::Range<usize>| {
+        let mut sizes: Vec<usize> = groups[range].iter().map(Vec::len).collect();
+        sizes.sort();
+        sizes
+    };
+    // The blocker, then every unit's first step alone.
+    assert_eq!(sizes(0..8), [1; 8]);
+    // Five sharers over two workers, then the four that have a step left.
+    assert_eq!(sizes(8..12), [1, 1, 2, 3]);
+    assert_eq!(sizes(12..16), [1, 1, 2, 2]);
+    assert_eq!(groups.len(), 16);
+    for group in groups.iter().filter(|g| g.len() > 1) {
+        assert!(group.iter().all(sharer), "{group:?} holds a unit that shares nothing");
+    }
+    assert_eq!(get(&core.counters().iterations), 4);
+    assert_all_accounted(&core, 8);
+}
+
+/// One worker: the shared step of `a` and `b` lands, then `c`'s is held at
+/// the gate. `a` had no step left and has resolved by then; `b` has one
+/// and waits for the barrier with `c`.
+#[test]
+fn a_member_that_finishes_inside_a_shared_step_resolves_on_the_worker() {
+    let mut core = start(1, FaultPlan::new(), &ManualClock::new());
+    let units = one_iteration_of_units(&core, &[(2, true), (3, true), (2, false)]);
+    let [(a, a_ticket), (b, b_ticket), (c, c_ticket), _] = &units[..] else {
+        unreachable!("three units and the blocker");
+    };
+    for id in [a, b, c] {
+        core.model().permit(*id, 1);
+    }
+    // The blocker, the three first steps alone, then `a` and `b` together.
+    assert_eq!(core.model().await_started(6)[4..], [*a, *b]);
+    core.model().permit(*a, 1);
+    core.model().permit(*b, 1);
+    assert_eq!(a_ticket.recv_timeout(GUARD), Ok(("retired", 2)));
+    assert_eq!(core.model().await_started(7)[6], *c);
+    assert_eq!(get(&core.counters().iterations), 2, "the barrier has not been reached");
+    assert!(b_ticket.try_recv().is_err());
+    core.model().permit(*c, 1);
+    core.model().permit(*b, 1);
+    assert_eq!(b_ticket.recv_timeout(GUARD), Ok(("retired", 3)));
+    assert_eq!(c_ticket.recv_timeout(GUARD), Ok(("retired", 2)));
+    core.stop();
+    let groups = lock(&core.model().gate).groups.clone();
+    assert_eq!(groups[4..], [vec![*a, *b], vec![*c], vec![*b]]);
+    assert_eq!(get(&core.counters().iterations), 4);
+    assert_all_accounted(&core, 4);
+}
+
+/// One worker, so the schedule is exact. Fault windows open once per step:
+/// the blocker's is the first, the three first steps are 2 to 4, the shared
+/// second step is the 5th and panics. All three are rolled back and charged
+/// an attempt, so the retries (windows 6 to 8) run one by one; `b`'s
+/// panics again. That is `b`'s second attempt and nobody else's: `a` and
+/// `c` landed, share their third step, and `b` retries alone once more.
+#[test]
+fn a_failed_shared_step_charges_every_member_and_is_retried_one_by_one() {
+    silence_injected_panics();
+    let faults = FaultPlan::new().fail_worker_panic(5).fail_worker_panic(7);
+    let mut core = start(1, faults, &ManualClock::new());
+    let pool = core.model().pool.clone();
+    let units = one_iteration_of_units(&core, &[(3, true), (3, true), (3, true)]);
+    let (a, b, c) = (units[0].0, units[1].0, units[2].0);
+    for id in [a, b, c] {
+        // A step a panic interrupts has taken its permit.
+        core.model().permit(id, 5);
+    }
+    for (_, ticket) in &units[..3] {
+        // Three tokens each: no failed step left one behind.
+        assert_eq!(ticket.recv_timeout(GUARD), Ok(("retired", 3)));
+    }
+    core.stop();
+    let groups = lock(&core.model().gate).groups.clone();
+    let blocker = units[3].0;
+    let expected: [&[u64]; 11] = [
+        &[blocker],
+        &[a],
+        &[b],
+        &[c],
+        &[a, b, c], // panics
+        &[a],
+        &[b], // panics
+        &[c],
+        &[a, c],
+        &[b],
+        &[b],
+    ];
+    assert_eq!(groups, expected);
+    let counters = core.counters();
+    assert_eq!((get(&counters.worker_panics), get(&counters.restarts)), (2, 2));
+    assert_eq!((get(&counters.rollbacks), get(&counters.retries)), (4, 4));
+    assert_eq!(get(&counters.retired), 4);
+    assert_all_accounted(&core, 4);
     let stats = pool.stats();
     assert!(stats.reconciles() && stats.in_use == 0, "{stats:?}");
 }

@@ -364,13 +364,17 @@ impl Work for Call {
         self.out.is_some()
     }
 
-    fn step(&mut self, request: u64, cx: StepCtx<Self>) -> Result<(), VmError> {
-        let span =
-            relax_trace::span_under("serve", Some(self.trace), || format!("execute:{request}"));
-        let out = cx.vms.run(&self.func, &self.args);
-        span.finish_with(|| request_payload(request, RequestPhase::Execute));
-        (cx.window)();
-        self.out = Some(out?);
+    /// A request shares no step: `group` is the one request.
+    fn step(group: &mut [(u64, &mut Self)], cx: StepCtx<Self>) -> Result<(), VmError> {
+        for (request, call) in group {
+            let request = *request;
+            let span =
+                relax_trace::span_under("serve", Some(call.trace), || format!("execute:{request}"));
+            let out = cx.vms.run(&call.func, &call.args);
+            span.finish_with(|| request_payload(request, RequestPhase::Execute));
+            (cx.window)();
+            call.out = Some(out?);
+        }
         Ok(())
     }
 

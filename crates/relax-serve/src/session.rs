@@ -3,35 +3,44 @@
 //! batching**.
 //!
 //! A *session* is a prompt, a growing paged KV cache and a token budget;
-//! its decode steps interleave with other sessions' steps so short
+//! its decode steps run together with other sessions' steps so short
 //! requests are not stuck behind long ones. The [`crate::core`] loop does
 //! the scheduling — admit up to `max_running`, shed on deadline, one step
 //! per running session per iteration, roll failed steps back, evict the
 //! earliest deadline under page-pool pressure. This module says what a
-//! session's step *is*, and one rule says it:
+//! step *is*, and one rule says it:
 //!
-//! > A step feeds the committed tokens the cache has not yet seen, as one
-//! > `(1, n)` call of the one paged function, and samples the next token
-//! > from the last logits row.
+//! > A step feeds the committed tokens its sessions' caches have not yet
+//! > seen, as one `(b, n)` call of the one paged function over the stack
+//! > of their caches, and samples each session's next token from the last
+//! > logits row of its batch row.
 //!
 //! On a session's first step the unseen tokens are the whole prompt
-//! (`n = prompt.len()`); on every later step they are the one token the
-//! previous step sampled (`n = 1`). [`SessionStats`] counts a step with
-//! `n > 1` in `prefills` and one with `n = 1` in `decodes`, and the trace
-//! names them `prefill:{n}` and `decode`, but both are the same call of
-//! the same compiled function — its `seq` dimension is symbolic —
-//! appending in place to the session's pages. With a [`SpeculativeSpec`],
-//! a step with one unseen token *speculates* instead: the draft model
-//! catches its own cache up by the same rule and proposes, and one
-//! multi-token feed verifies.
+//! (`n = prompt.len()`), and the session is alone in it (`b = 1`); on
+//! every later step they are the one token the previous step sampled
+//! (`n = 1`), and the core hands the worker every session in that state
+//! as one group (`b` of them, see `core.rs`). [`SessionStats`] counts a
+//! session's step with `n > 1` in `prefills` and one with `n = 1` in
+//! `decodes`, whatever `b` was, and each call in `step_calls`; the trace
+//! names the calls `prefill:{n}` and `decode`. All are the same call of the
+//! same compiled function — its `batch` and `seq` dimensions are symbolic
+//! — appending in place to each session's own pages
+//! (`KvCache::stack`), and since no stored element's rounding chain
+//! crosses a batch row, a session's stream and pages are bitwise what it
+//! produces alone. With a [`SpeculativeSpec`], a step with one unseen token
+//! *speculates* instead, one session per step: the draft model catches its
+//! own cache up by the same rule and proposes, and one multi-token feed
+//! verifies.
 //!
-//! Steps of different sessions share an iteration whatever their `n`; a
-//! session's first step runs ahead of the others' next ones, and the step
-//! that lands its last token resolves its ticket there, not at the end of
-//! the iteration. A failed step is rolled back to its pre-step lengths on
-//! both caches (`KvCache::truncate_to`), so no step is ever half-applied,
-//! and the page pool's `allocated == in_use + free` invariant survives
-//! every panic, stall, eviction and rollback (the chaos harness asserts it).
+//! A session's first step runs ahead of the others' next ones, and the
+//! step that lands its last token resolves its ticket there, not at the
+//! end of the iteration. What a step learned is committed to its sessions
+//! only once it has landed and its reply was kept; a failed step is rolled
+//! back to its pre-step lengths on both caches (`KvCache::truncate_to`) in
+//! every session that shared it, so no step is ever half-applied, and the
+//! page pool's `allocated == in_use + free` invariant survives every panic,
+//! stall, dropped reply, eviction and rollback (the chaos harness asserts
+//! it).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,7 +50,7 @@ use std::time::Duration;
 
 use relax_arith::DataType;
 use relax_tir::NDArray;
-use relax_trace::SessionPhase;
+use relax_trace::{Payload, SessionPhase};
 use relax_vm::registry::{KernelError, Registry};
 use relax_vm::{
     Executable, FaultInjector, FaultPlan, KernelStat, KvCache, KvCacheConfig, KvPagePool,
@@ -49,16 +58,19 @@ use relax_vm::{
 };
 
 use crate::clock::{Clock, SystemClock};
-use crate::core::{add, bump, get, Core, Exit, Failure, Limits, StepCtx, Work, WorkerFaults};
+use crate::core::{
+    add, bump, get, Core, Counters, Exit, Failure, Limits, StepCtx, Work, WorkerFaults,
+};
 use crate::engine::{RetryOn, RetryPolicy};
 
 /// The compiled model a [`SessionManager`] serves.
 ///
 /// `decode` must contain a function taking
-/// `(tokens (1,s) i64, kv_cache handle, weights...)` for **any** `s ≥ 1`
-/// and returning `(logits (1,s,vocab), handle)` — see
-/// `relax_models::llama::build_decode_paged`. It serves the prompt
-/// (`s = prompt.len()`) and every decoded token (`s = 1`) alike.
+/// `(tokens (b,s) i64, kv_cache handle, weights...)` for **any** `b ≥ 1`
+/// and `s ≥ 1` and returning `(logits (b,s,vocab), handle)` — see
+/// `relax_models::llama::build_decode_paged`. It serves a prompt
+/// (`b = 1`, `s = prompt.len()`) and the next token of every session
+/// decoding at the time (`b` of them, `s = 1`) alike.
 #[derive(Clone)]
 pub struct SessionModelSpec {
     /// Executable holding the paged decode function.
@@ -206,7 +218,8 @@ pub struct SessionConfig {
     pub return_kv: bool,
     /// Deterministic fault schedule (chaos testing): VM sites are
     /// injected into every worker's decode VM, serving sites
-    /// (`WorkerPanic` / `WorkerStall`) fire across the worker pool.
+    /// (`WorkerPanic` / `WorkerStall` / `ReplyDrop`) fire across the
+    /// worker pool, once per step however many sessions share it.
     pub faults: FaultPlan,
     /// How long an injected `WorkerStall` sleeps.
     pub stall: Duration,
@@ -246,13 +259,19 @@ pub struct SessionStats {
     pub shed: u64,
     /// Scheduler iterations executed.
     pub iterations: u64,
-    /// Successful steps that fed more than one token — a prompt longer
-    /// than one token, on the session's first step (span `prefill:{n}`).
+    /// Successful steps that fed a session more than one token — a prompt
+    /// longer than one token, on the session's first step (span
+    /// `prefill:{n}`).
     pub prefills: u64,
-    /// Successful steps that fed exactly one token (span `decode`). Each
+    /// Successful steps that fed a session exactly one token (span
+    /// `decode`), counted per session however many shared the call. Each
     /// step counted here or in `prefills` yields exactly one generated
     /// token, so without speculation `prefills + decodes == tokens`.
     pub decodes: u64,
+    /// Calls of the paged function behind `prefills` and `decodes` that
+    /// landed: one per prompt, one per group of sessions decoding together,
+    /// so `decodes / step_calls` approaches the realised batch.
+    pub step_calls: u64,
     /// Generated tokens across all sessions.
     pub tokens: u64,
     /// Pre-step-length rollbacks (after panics or pool pressure).
@@ -325,21 +344,36 @@ pub(crate) struct Generation {
     cache: KvCache,
     /// Draft-model cache on the same shared pool (speculative only).
     draft: Option<KvCache>,
-    /// Committed tokens (prompt, then generated) the cache has seen.
-    fed: usize,
     generated: Vec<i64>,
     /// Per-stream lengths of both caches before the step in flight; a
     /// failed step is rolled back to these.
     pre_lens: Vec<usize>,
     draft_pre_lens: Vec<usize>,
+    /// What the step in flight learned; the session's once its reply is
+    /// kept.
+    landed: Option<Landed>,
     /// The session's async span; step spans (and the kernel spans the VM
     /// opens under them) nest session → step → kernel.
     span: relax_trace::SpanId,
     result: mpsc::Sender<SessionResult>,
 }
 
-fn session_payload(session: u64, phase: SessionPhase) -> relax_trace::Payload {
-    relax_trace::Payload::Session { session, phase }
+/// What a landed step learned: the tokens it sampled for the session, and
+/// what it counts as.
+struct Landed {
+    tokens: Vec<i64>,
+    kind: StepKind,
+}
+
+#[derive(Clone, Copy)]
+enum StepKind {
+    Prefill,
+    Decode,
+    Speculation { proposed: u64, accepted: u64 },
+}
+
+fn session_payload(session: u64, phase: SessionPhase) -> Payload {
+    Payload::Session { session, phase }
 }
 
 /// A failed direct call into the KV cache (truncate).
@@ -351,18 +385,20 @@ fn type_mismatch(expected: &'static str, actual: &'static str) -> VmError {
     VmError::new(VmErrorKind::TypeMismatch { expected, actual })
 }
 
-/// Feeds `tokens` as one `(1, n)` step of `func` over `cache` and returns
-/// the `(1, n, vocab)` logits — the one VM call behind prompt, decode,
-/// draft catch-up, draft proposal and verify.
+/// Feeds `tokens` — `rows` sequences' worth, row after row — as one
+/// `(rows, n)` step of `func` over `cache`, a stack of `rows` sequences,
+/// and returns the `(rows, n, vocab)` logits: the one VM call behind
+/// prompt, decode, draft catch-up, draft proposal and verify.
 fn feed(
     vm: &mut Vm,
     func: &str,
+    rows: usize,
     tokens: &[i64],
     cache: &KvCache,
     weights: &[Value],
 ) -> Result<NDArray, VmError> {
-    let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.to_vec())
-        .expect("token tensor");
+    let shape = [rows, tokens.len() / rows.max(1)];
+    let t = NDArray::from_i64(&shape, DataType::I64, tokens.to_vec()).expect("token tensor");
     let mut args = vec![Value::Tensor(t), Value::KvCache(cache.clone())];
     args.extend(weights.iter().cloned());
     let out = vm.run(func, &args)?;
@@ -372,13 +408,14 @@ fn feed(
     }
 }
 
-/// The greedy choice of the last row of `(1, n, vocab)` logits.
-fn argmax_last(logits: &NDArray) -> i64 {
-    let vocab = logits.shape().last().map_or(0, |&v| v.min(logits.numel()));
-    let mut row = vec![0.0; vocab];
-    let read = logits.read_f64_range(logits.numel() - vocab, &mut row);
-    read.expect("the last row lies inside the tensor");
-    argmax_slice(&row)
+/// The greedy choice of row `row` of `(b, n, vocab)` logits, rows counted
+/// across the batch.
+fn argmax_row(logits: &NDArray, row: usize) -> Result<i64, VmError> {
+    let mut vals = vec![0.0; logits.shape().last().copied().unwrap_or(0)];
+    logits
+        .read_f64_range(row * vals.len(), &mut vals)
+        .map_err(|_| type_mismatch("(b, n, vocab) logits", "short logits tensor"))?;
+    Ok(argmax_slice(&vals))
 }
 
 fn argmax_slice(vals: &[f64]) -> i64 {
@@ -440,28 +477,69 @@ impl Generation {
             .collect()
     }
 
-    /// The plain step: feeds `unseen`, the committed tokens the cache has
-    /// not seen — the whole prompt first, the last sampled token after —
-    /// and samples the next token from the last logits row.
-    fn advance(&mut self, unseen: &[i64], cx: StepCtx<Self>) -> Result<(), VmError> {
+    /// Committed tokens the cache has seen: none before the first step,
+    /// all but the last sampled one after any.
+    fn fed(&self) -> usize {
+        match self.generated.len() {
+            0 => 0,
+            sampled => self.prompt.len() + sampled - 1,
+        }
+    }
+
+    /// How many committed tokens the cache has not seen: the whole prompt
+    /// before the first step, the last sampled token after any.
+    fn unseen(&self) -> usize {
+        self.prompt.len() + self.generated.len() - self.fed()
+    }
+
+    /// The plain step of every session of `group`: feeds each one's unseen
+    /// tokens — a lone session's whole prompt, or the one token each of
+    /// the sessions last sampled — as one call over the stack of their
+    /// caches, and samples each one's next token from its own last logits
+    /// row.
+    fn advance(group: &mut [(u64, &mut Self)], cx: StepCtx<Self>) -> Result<(), VmError> {
         let spec = &cx.model.spec;
-        let logits = feed(
-            &mut cx.vms.decode,
-            &spec.decode_func,
-            unseen,
-            &self.cache,
-            &spec.weights,
-        )?;
-        (cx.window)();
-        self.fed += unseen.len();
-        bump(if unseen.len() > 1 {
-            &cx.counters.prefills
-        } else {
-            &cx.counters.decodes
+        let tokens: Vec<i64> = group
+            .iter()
+            .flat_map(|(_, g)| g.tokens_from(g.fed()))
+            .collect();
+        let (rows, n) = (group.len(), tokens.len() / group.len());
+        debug_assert!(group.iter().all(|(_, g)| g.unseen() == n), "a ragged group");
+        let (phase, kind) = match n {
+            1 => (SessionPhase::Decode, StepKind::Decode),
+            _ => (SessionPhase::Prefill, StepKind::Prefill),
+        };
+        // A lone session's step nests under its span; a shared one is
+        // nobody's child.
+        let parent = match group {
+            [(_, g)] => Some(g.span),
+            _ => None,
+        };
+        let sp = relax_trace::span_under("serve", parent, || match n {
+            1 => "decode".to_string(),
+            _ => format!("prefill:{n}"),
         });
-        self.generated.push(argmax_last(&logits));
-        bump(&cx.counters.tokens);
-        Ok(())
+        let caches: Vec<KvCache> = group.iter().map(|(_, g)| g.cache.clone()).collect();
+        let landed = KvCache::stack(&caches)
+            .map_err(kernel_failure)
+            .and_then(|stack| {
+                let vm = &mut cx.vms.decode;
+                feed(vm, &spec.decode_func, rows, &tokens, &stack, &spec.weights)
+            })
+            .and_then(|logits| {
+                bump(&cx.counters.step_calls);
+                (cx.window)();
+                for (row, (_, g)) in group.iter_mut().enumerate() {
+                    let tokens = vec![argmax_row(&logits, (row + 1) * n - 1)?];
+                    g.landed = Some(Landed { tokens, kind });
+                }
+                Ok(())
+            });
+        sp.finish_with(|| Payload::Batch {
+            sessions: rows as u64,
+            phase,
+        });
+        landed
     }
 
     /// One speculation step: draft catch-up (one feed of what the draft
@@ -485,7 +563,7 @@ impl Generation {
             .as_mut()
             .expect("speculate step without draft VM");
         let k = spec.lookahead.max(1);
-        let fed = self.fed;
+        let fed = self.fed();
         // Draft phase: catch the draft cache up on the committed tokens it
         // has not seen (ending with the next input token), then feed it its
         // own proposals one at a time; every feed yields the next proposal.
@@ -496,11 +574,13 @@ impl Generation {
             let logits = feed(
                 draft_vm,
                 &spec.draft_func,
+                1,
                 &next,
                 draft_cache,
                 &spec.draft_weights,
             )?;
-            let proposal = corrupt(spec, session, fed + 1 + i, argmax_last(&logits));
+            let choice = argmax_row(&logits, next.len() - 1)?;
+            let proposal = corrupt(spec, session, fed + 1 + i, choice);
             proposals.push(proposal);
             next = vec![proposal];
         }
@@ -524,6 +604,7 @@ impl Generation {
         let logits = feed(
             verify_vm,
             &spec.verify_func,
+            1,
             &verify_feed,
             &self.cache,
             &cx.model.spec.weights,
@@ -565,13 +646,11 @@ impl Generation {
             .map_err(kernel_failure)?;
 
         (cx.window)();
-        let c = cx.counters;
-        bump(&c.speculations);
-        add(&c.spec_proposed, k as u64);
-        add(&c.spec_accepted, accepted);
-        add(&c.tokens, committed.len() as u64);
-        self.fed += committed.len();
-        self.generated.extend(committed);
+        let proposed = k as u64;
+        self.landed = Some(Landed {
+            tokens: committed,
+            kind: StepKind::Speculation { proposed, accepted },
+        });
         Ok(())
     }
 }
@@ -631,26 +710,31 @@ impl Work for Generation {
         self.generated.len() >= self.max_new
     }
 
-    fn step(&mut self, session: u64, cx: StepCtx<Self>) -> Result<(), VmError> {
+    /// One token is unseen and no draft model proposes more: the step is
+    /// a `(1, 1)` feed, which is one row of a `(b, 1)` feed.
+    fn shares(&self) -> bool {
+        self.draft.is_none() && self.unseen() == 1
+    }
+
+    fn step(group: &mut [(u64, &mut Self)], cx: StepCtx<Self>) -> Result<(), VmError> {
         let (model, counters) = (cx.model, cx.counters);
-        self.pre_lens = self.cache.lens();
-        self.draft_pre_lens = self.draft.as_ref().map(|d| d.lens()).unwrap_or_default();
-        let unseen = self.tokens_from(self.fed);
-        let n = unseen.len();
-        // Speculate only from a single unseen token: everything a
-        // speculation feeds past it is a proposal.
-        let speculative = model.spec.speculative.as_ref().filter(|_| n == 1);
-        let sp = relax_trace::span_under("serve", Some(self.span), || match speculative {
-            Some(spec) => format!("speculate:{}", spec.lookahead.max(1)),
-            None if n > 1 => format!("prefill:{n}"),
-            None => "decode".to_string(),
-        });
-        let (phase, landed) = match speculative {
-            Some(spec) => (SessionPhase::Decode, self.speculate(session, spec, cx)),
-            None if n > 1 => (SessionPhase::Prefill, self.advance(&unseen, cx)),
-            None => (SessionPhase::Decode, self.advance(&unseen, cx)),
+        for (_, g) in group.iter_mut() {
+            g.pre_lens = g.cache.lens();
+            g.draft_pre_lens = g.draft.as_ref().map(|d| d.lens()).unwrap_or_default();
+        }
+        let landed = match (&model.spec.speculative, &mut *group) {
+            // Speculate only from a single unseen token: everything a
+            // speculation feeds past it is a proposal.
+            (Some(spec), [(session, g)]) if g.unseen() == 1 => {
+                let sp = relax_trace::span_under("serve", Some(g.span), || {
+                    format!("speculate:{}", spec.lookahead.max(1))
+                });
+                let landed = g.speculate(*session, spec, cx);
+                sp.finish_with(|| session_payload(*session, SessionPhase::Decode));
+                landed
+            }
+            _ => Self::advance(group, cx),
         };
-        sp.finish_with(|| session_payload(session, phase));
         let in_use = model.pool.stats().in_use as u64;
         counters
             .peak_pages_in_use
@@ -658,7 +742,25 @@ impl Work for Generation {
         landed
     }
 
+    fn commit(&mut self, c: &Counters) {
+        let Some(Landed { tokens, kind }) = self.landed.take() else {
+            return;
+        };
+        match kind {
+            StepKind::Prefill => bump(&c.prefills),
+            StepKind::Decode => bump(&c.decodes),
+            StepKind::Speculation { proposed, accepted } => {
+                bump(&c.speculations);
+                add(&c.spec_proposed, proposed);
+                add(&c.spec_accepted, accepted);
+            }
+        }
+        add(&c.tokens, tokens.len() as u64);
+        self.generated.extend(tokens);
+    }
+
     fn rollback(&mut self) {
+        self.landed = None;
         roll_back(&self.cache, &self.pre_lens);
         if let Some(d) = &self.draft {
             roll_back(d, &self.draft_pre_lens);
@@ -796,10 +898,10 @@ impl SessionManager {
             max_new: request.max_new_tokens,
             cache: KvCache::new(model.spec.cache, model.pool.clone()),
             draft: speculative.map(|sp| KvCache::new(sp.draft_cache, model.pool.clone())),
-            fed: 0,
             generated: Vec::new(),
             pre_lens: Vec::new(),
             draft_pre_lens: Vec::new(),
+            landed: None,
             span: 0,
             result,
         };
@@ -824,6 +926,7 @@ impl SessionManager {
             prefills: get(&c.prefills),
             decodes: get(&c.decodes),
             tokens: get(&c.tokens),
+            step_calls: get(&c.step_calls),
             rollbacks: get(&c.rollbacks),
             worker_panics: get(&c.worker_panics),
             peak_pages_in_use: get(&c.peak_pages_in_use),

@@ -452,8 +452,48 @@ fn worker_panic_mid_iteration_rolls_back_and_heals() {
     assert_eq!(ps.in_use, 0, "pages leaked through the panic: {ps:?}");
 }
 
-/// Satellite: the seeded chaos harness — random panics and stalls over
-/// a random schedule — upholds the same invariants end to end.
+/// A reply dropped after a step landed costs the session nothing but the
+/// retry: the step is rolled back whole — nothing it sampled or counted
+/// stays behind — whether it was a middle step or the one that produced
+/// the last token. One session on one worker, so replies count its steps:
+/// the prompt is the 1st, the first decode the 2nd (dropped) and 3rd, and
+/// the last decode the 5th (dropped) and 6th.
+#[test]
+fn dropped_reply_on_a_middle_and_on_the_last_step_keeps_the_stream() {
+    let fx = fixture();
+    let mgr = SessionManager::new(
+        fx.spec.clone(),
+        SessionConfig {
+            workers: 1,
+            return_kv: true,
+            faults: FaultPlan::new().drop_reply(2).drop_reply(5),
+            ..SessionConfig::default()
+        },
+    );
+    let (prompt, max_new) = (vec![3, 1, 4, 1], 4);
+    let out = mgr
+        .submit(SessionRequest {
+            prompt: prompt.clone(),
+            max_new_tokens: max_new,
+            deadline: None,
+        })
+        .wait()
+        .expect("the session outlives two dropped replies");
+    let (want_tokens, want_kv) = oracle_run(&fx, &prompt, max_new);
+    assert_eq!(out.tokens, want_tokens);
+    let got_kv: Vec<Vec<f64>> = out.kv.expect("return_kv").iter().map(|c| c.to_f64_vec()).collect();
+    assert_eq!(got_kv, want_kv);
+    let pool = mgr.pool().clone();
+    let stats = mgr.shutdown();
+    assert_eq!(stats.rollbacks, 2, "both replies were dropped: {stats:?}");
+    assert_eq!((stats.prefills, stats.decodes, stats.tokens), (1, 3, 4), "{stats:?}");
+    assert_eq!(stats.step_calls, 6, "four steps and two that were rolled back: {stats:?}");
+    let ps = pool.stats();
+    assert!(ps.reconciles() && ps.in_use == 0, "{ps:?}");
+}
+
+/// Satellite: the seeded chaos harness — random panics, stalls and dropped
+/// replies over a random schedule — upholds the same invariants end to end.
 #[test]
 fn session_chaos_reconciles_and_survivors_match() {
     let fx = fixture();

@@ -58,6 +58,9 @@ fn payload_args(p: &Payload) -> String {
         Payload::Session { session, phase } => {
             format!("\"session\":{session},\"phase\":\"{}\"", phase.label())
         }
+        Payload::Batch { sessions, phase } => {
+            format!("\"sessions\":{sessions},\"phase\":\"{}\"", phase.label())
+        }
         Payload::Worker { worker, event } => {
             format!("\"worker\":{worker},\"event\":\"{}\"", event.label())
         }

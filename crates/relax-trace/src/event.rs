@@ -85,10 +85,9 @@ impl RequestPhase {
 pub enum SessionPhase {
     /// The scheduler admitted the session into the running set.
     Admit,
-    /// A prefill iteration ran the prompt through the copy-based path
-    /// and seeded the paged cache.
+    /// A step fed a prompt of several tokens into the paged cache.
     Prefill,
-    /// A decode iteration appended one token into the paged cache.
+    /// A step appended one token into the paged cache.
     Decode,
     /// The session produced all requested tokens and released its
     /// pages back to the pool.
@@ -164,6 +163,9 @@ pub enum Payload {
     /// A session-lifecycle event: the scheduler-assigned session id
     /// and the lifecycle phase this event marks.
     Session { session: u64, phase: SessionPhase },
+    /// A step that several sessions may have shared — one call of the
+    /// model over all of them: how many, and which phase it was for each.
+    Batch { sessions: u64, phase: SessionPhase },
     /// A worker-lifecycle event: which worker slot, and what the
     /// supervisor observed or did.
     Worker { worker: u64, event: WorkerEvent },

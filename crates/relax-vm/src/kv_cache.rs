@@ -10,6 +10,15 @@
 //! copy-based kernel stays registered as the differential-test oracle:
 //! the paged path is asserted bitwise-equal to it.
 //!
+//! A handle may be a **stack** of several caches ([`KvCache::stack`]): the
+//! `b` sessions of one batched decode step, each with its own block tables
+//! and its own length. The builtins take it wherever they take a cache —
+//! batch row `bi` of `append_paged`'s tensor lands in member `bi`'s tail
+//! page, query row `bi` of `attention` reads member `bi`'s pages — and
+//! since no stored element's rounding chain touches another batch row, a
+//! row of a stacked step holds the bits of the same step on its member
+//! alone. A plain cache is the stack of one: there is one code path.
+//!
 //! Bit-exactness contract: [`KvCache::attention`] mirrors the TIR
 //! program produced by `relax_core::legalize` for `Op::Attention` —
 //! same five passes, same f32 rounding on every store into the local
@@ -58,13 +67,14 @@ struct StreamState {
     pages: Vec<NDArray>,
 }
 
-struct CacheInner {
+/// One cache's pages: what a plain handle owns and a stack lists.
+struct Member {
     cfg: KvCacheConfig,
     pool: Arc<KvPagePool>,
     streams: Mutex<Vec<StreamState>>,
 }
 
-impl Drop for CacheInner {
+impl Drop for Member {
     fn drop(&mut self) {
         let streams = self
             .streams
@@ -79,22 +89,35 @@ impl Drop for CacheInner {
     }
 }
 
-/// A shared handle to one session's paged KV cache.
+/// A shared handle to paged KV caches: one session's, or a **stack** of
+/// several sessions' ([`KvCache::stack`]).
 ///
 /// Cloning the handle aliases the same pages (the VM passes it through
-/// registers by clone); the last clone to drop releases every page back
-/// to the pool — the accounting the chaos harness reconciles.
+/// registers by clone); the last handle on a cache to drop releases its
+/// pages back to the pool — the accounting the chaos harness reconciles.
+/// A stack is only more handles on its members: it owns no page, and
+/// dropping it releases none while a member's own handle lives.
+///
+/// A stack of `k` caches of batch `mb` serves a `(k * mb, ..)` step: batch
+/// row `bi` of an appended tensor goes to member `bi / mb`, and query row
+/// `bi` attends over that member's block table at that member's own
+/// length, so the members need not be equally long. A plain cache is the
+/// stack of one, and every method runs the same code for both. The
+/// per-stream bookkeeping ([`KvCache::lens`], [`KvCache::len`],
+/// [`KvCache::truncate_to`]) lists a stack's streams member by member.
 #[derive(Clone)]
 pub struct KvCache {
-    inner: Arc<CacheInner>,
+    /// Never empty, all of one geometry and one pool, none twice.
+    members: Arc<[Arc<Member>]>,
 }
 
 impl fmt::Debug for KvCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "KvCache(streams={}, lens={:?}, pages={})",
-            self.inner.cfg.streams,
+            "KvCache(members={}, streams={}, lens={:?}, pages={})",
+            self.members.len(),
+            self.members[0].cfg.streams,
             self.lens(),
             self.pages_held()
         )
@@ -114,67 +137,109 @@ impl KvCache {
                 pages: Vec::new(),
             })
             .collect();
+        let member = Member {
+            cfg,
+            pool,
+            streams: Mutex::new(streams),
+        };
         KvCache {
-            inner: Arc::new(CacheInner {
-                cfg,
-                pool,
-                streams: Mutex::new(streams),
-            }),
+            members: Arc::new([Arc::new(member)]),
         }
     }
 
-    /// The cache geometry.
+    /// One handle over the members of `caches`, in order: the cache a
+    /// batched step runs over (see the type docs). Members keep their own
+    /// handles, lengths and pages.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`KernelError`] for an empty list, for members of
+    /// different geometry or pool, and for a member listed twice (one step
+    /// would append to it twice).
+    pub fn stack(caches: &[KvCache]) -> Result<KvCache, KernelError> {
+        const OP: &str = "stack";
+        let members: Vec<Arc<Member>> = caches
+            .iter()
+            .flat_map(|c| c.members.iter().cloned())
+            .collect();
+        let first = members
+            .first()
+            .ok_or_else(|| kerr(OP, "a stack needs at least one cache"))?;
+        for (i, m) in members.iter().enumerate() {
+            if m.cfg != first.cfg || !Arc::ptr_eq(&m.pool, &first.pool) {
+                return Err(kerr(
+                    OP,
+                    format!("member {i} differs from member 0 in geometry or page pool"),
+                ));
+            }
+            if members[..i].iter().any(|earlier| Arc::ptr_eq(earlier, m)) {
+                return Err(kerr(OP, format!("member {i} is listed twice")));
+            }
+        }
+        Ok(KvCache {
+            members: members.into(),
+        })
+    }
+
+    /// The cache geometry; a stack's `batch` is its members' summed.
     pub fn config(&self) -> KvCacheConfig {
-        self.inner.cfg
+        let cfg = self.members[0].cfg;
+        KvCacheConfig {
+            batch: cfg.batch * self.members.len(),
+            ..cfg
+        }
     }
 
     /// The pool this cache draws pages from.
     pub fn pool(&self) -> &Arc<KvPagePool> {
-        &self.inner.pool
+        &self.members[0].pool
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<StreamState>> {
-        self.inner
-            .streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// Every member's streams, locked in stack order. Two threads never
+    /// hold overlapping stacks in different orders: a session's cache is in
+    /// one step at a time.
+    fn lock(&self) -> Vec<MutexGuard<'_, Vec<StreamState>>> {
+        self.members
+            .iter()
+            .map(|m| m.streams.lock().unwrap_or_else(|e| e.into_inner()))
+            .collect()
     }
 
-    fn page_shape(&self) -> [usize; 4] {
-        let c = &self.inner.cfg;
-        [c.batch, c.heads, self.inner.pool.page_tokens(), c.head_dim]
-    }
-
-    /// Logical token count of one stream.
+    /// Logical token count of one stream (of a stack: in the order of
+    /// [`KvCache::lens`]).
     pub fn len(&self, stream: usize) -> usize {
-        self.lock().get(stream).map(|s| s.len).unwrap_or(0)
+        self.lens().get(stream).copied().unwrap_or(0)
     }
 
     /// `true` when no stream holds any token.
     pub fn is_empty(&self) -> bool {
-        self.lock().iter().all(|s| s.len == 0)
+        self.lens().iter().all(|&len| len == 0)
     }
 
-    /// Logical token count of every stream.
+    /// Logical token count of every stream, member by member.
     pub fn lens(&self) -> Vec<usize> {
-        self.lock().iter().map(|s| s.len).collect()
+        let members = self.lock();
+        members.iter().flat_map(|m| m.iter().map(|s| s.len)).collect()
     }
 
-    /// Total pages currently held across all streams.
+    /// Total pages currently held across all streams and members.
     pub fn pages_held(&self) -> usize {
-        self.lock().iter().map(|s| s.pages.len()).sum()
+        let members = self.lock();
+        members.iter().flat_map(|m| m.iter().map(|s| s.pages.len())).sum()
     }
 
     /// Appends `new` (`(batch, heads, n, head_dim)`) in place onto a
-    /// stream's pages, acquiring tail pages from the pool as needed.
+    /// stream's pages, acquiring tail pages from the pool as needed; each
+    /// member of a stack takes its own batch rows.
     ///
     /// # Errors
     ///
     /// Shape/dtype mismatches and pool exhaustion surface as
-    /// [`KernelError`]; on exhaustion no partial append is left behind.
+    /// [`KernelError`]; on exhaustion no partial append is left behind, in
+    /// any member.
     pub fn append(&self, stream: usize, new: &NDArray) -> Result<(), KernelError> {
         const OP: &str = "append_paged";
-        let cfg = self.inner.cfg;
+        let cfg = self.config();
         let ns = new.shape().to_vec();
         if ns.len() != 4 || ns[0] != cfg.batch || ns[1] != cfg.heads || ns[3] != cfg.head_dim {
             return Err(kerr(
@@ -191,25 +256,29 @@ impl KvCache {
                 format!("appended dtype {} != cache dtype {}", new.dtype(), cfg.dtype),
             ));
         }
+        if stream >= cfg.streams {
+            return Err(kerr(
+                OP,
+                format!("stream {stream} out of range ({})", cfg.streams),
+            ));
+        }
         let n = ns[2];
-        let (b, h, hd) = (cfg.batch, cfg.heads, cfg.head_dim);
-        let p = self.inner.pool.page_tokens();
-        let page_shape = self.page_shape();
-        let mut streams = self.lock();
-        let n_streams = streams.len();
-        let st = streams
-            .get_mut(stream)
-            .ok_or_else(|| kerr(OP, format!("stream {stream} out of range ({n_streams})")))?;
-        // Acquire every page up front so exhaustion cannot leave a
-        // half-appended stream: new pages are released again on failure.
-        let needed = (st.len + n).div_ceil(p);
-        let mut fresh: Vec<NDArray> = Vec::new();
-        while st.pages.len() + fresh.len() < needed {
-            match self.inner.pool.acquire(&page_shape, cfg.dtype) {
+        let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
+        let pool = self.pool();
+        let p = pool.page_tokens();
+        let mut members = self.lock();
+        // Acquire every page of every member up front so exhaustion cannot
+        // leave a half-appended stream or a half-appended stack: new pages
+        // are released again on failure.
+        let missing = |st: &StreamState| (st.len + n).div_ceil(p).saturating_sub(st.pages.len());
+        let wanted: usize = members.iter().map(|m| missing(&m[stream])).sum();
+        let mut fresh: Vec<NDArray> = Vec::with_capacity(wanted);
+        while fresh.len() < wanted {
+            match pool.acquire(&[mb, h, p, hd], cfg.dtype) {
                 Ok(page) => fresh.push(page),
                 Err(e) => {
                     for page in fresh {
-                        self.inner.pool.release(page);
+                        pool.release(page);
                     }
                     let mut err = kerr(OP, e.to_string());
                     err.pool_exhausted = Some(e);
@@ -217,24 +286,29 @@ impl KvCache {
                 }
             }
         }
-        st.pages.append(&mut fresh);
-        let mut t = 0usize;
-        while t < n {
-            let pos = st.len + t;
-            let page = &st.pages[pos / p];
-            let row = pos % p;
-            let run = (p - row).min(n - t);
-            for bi in 0..b {
-                for hi in 0..h {
-                    let dst = ((bi * h + hi) * p + row) * hd;
-                    let src = ((bi * h + hi) * n + t) * hd;
-                    page.copy_range_from(dst, new, src, run * hd)
-                        .map_err(|e| kerr(OP, e.to_string()))?;
+        let mut fresh = fresh.into_iter();
+        for (mi, streams) in members.iter_mut().enumerate() {
+            let st = &mut streams[stream];
+            let take = missing(st);
+            st.pages.extend(fresh.by_ref().take(take));
+            let mut t = 0usize;
+            while t < n {
+                let pos = st.len + t;
+                let page = &st.pages[pos / p];
+                let row = pos % p;
+                let run = (p - row).min(n - t);
+                for bi in 0..mb {
+                    for hi in 0..h {
+                        let dst = ((bi * h + hi) * p + row) * hd;
+                        let src = (((mi * mb + bi) * h + hi) * n + t) * hd;
+                        page.copy_range_from(dst, new, src, run * hd)
+                            .map_err(|e| kerr(OP, e.to_string()))?;
+                    }
                 }
+                t += run;
             }
-            t += run;
+            st.len += n;
         }
-        st.len += n;
         Ok(())
     }
 
@@ -244,33 +318,49 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`KernelError`] for an out-of-range stream.
+    /// Returns a [`KernelError`] for an out-of-range stream, and for a
+    /// stack whose members hold different lengths of it: no one tensor
+    /// holds them.
     pub fn view(&self, stream: usize) -> Result<NDArray, KernelError> {
         const OP: &str = "view";
-        let cfg = self.inner.cfg;
-        let (b, h, hd) = (cfg.batch, cfg.heads, cfg.head_dim);
-        let p = self.inner.pool.page_tokens();
-        let streams = self.lock();
-        let n_streams = streams.len();
-        let st = streams
-            .get(stream)
-            .ok_or_else(|| kerr(OP, format!("stream {stream} out of range ({n_streams})")))?;
-        let len = st.len;
-        let out = NDArray::zeros(&[b, h, len, hd], cfg.dtype);
-        let mut t = 0usize;
-        while t < len {
-            let page = &st.pages[t / p];
-            let row = t % p;
-            let run = (p - row).min(len - t);
-            for bi in 0..b {
-                for hi in 0..h {
-                    let dst = ((bi * h + hi) * len + t) * hd;
-                    let src = ((bi * h + hi) * p + row) * hd;
-                    out.copy_range_from(dst, page, src, run * hd)
-                        .map_err(|e| kerr(OP, e.to_string()))?;
+        let cfg = self.config();
+        let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
+        let p = self.pool().page_tokens();
+        if stream >= cfg.streams {
+            return Err(kerr(
+                OP,
+                format!("stream {stream} out of range ({})", cfg.streams),
+            ));
+        }
+        let members = self.lock();
+        let len = members[0][stream].len;
+        if let Some(other) = members.iter().find(|m| m[stream].len != len) {
+            return Err(kerr(
+                OP,
+                format!(
+                    "members of a stack hold {len} and {} tokens of stream {stream}",
+                    other[stream].len
+                ),
+            ));
+        }
+        let out = NDArray::zeros(&[cfg.batch, h, len, hd], cfg.dtype);
+        for (mi, streams) in members.iter().enumerate() {
+            let st = &streams[stream];
+            let mut t = 0usize;
+            while t < len {
+                let page = &st.pages[t / p];
+                let row = t % p;
+                let run = (p - row).min(len - t);
+                for bi in 0..mb {
+                    for hi in 0..h {
+                        let dst = (((mi * mb + bi) * h + hi) * len + t) * hd;
+                        let src = ((bi * h + hi) * p + row) * hd;
+                        out.copy_range_from(dst, page, src, run * hd)
+                            .map_err(|e| kerr(OP, e.to_string()))?;
+                    }
                 }
+                t += run;
             }
-            t += run;
         }
         Ok(out)
     }
@@ -287,28 +377,31 @@ impl KvCache {
     /// count or would *grow* a stream; no stream is changed then.
     pub fn truncate_to(&self, lens: &[usize]) -> Result<(), KernelError> {
         const OP: &str = "truncate";
-        let p = self.inner.pool.page_tokens();
-        let mut streams = self.lock();
-        if lens.len() != streams.len() {
+        let pool = self.pool();
+        let p = pool.page_tokens();
+        let mut members = self.lock();
+        let streams: usize = members.iter().map(|m| m.len()).sum();
+        if lens.len() != streams {
             return Err(kerr(
                 OP,
-                format!("{} lengths for {} streams", lens.len(), streams.len()),
+                format!("{} lengths for {streams} streams", lens.len()),
             ));
         }
         // Validate every length before touching any stream: a refusal
         // must leave the whole cache as it was.
-        if let Some((st, &target)) = streams.iter().zip(lens).find(|(st, &t)| t > st.len) {
+        let held = members.iter().flat_map(|m| m.iter());
+        if let Some((st, &target)) = held.zip(lens).find(|(st, &t)| t > st.len) {
             return Err(kerr(
                 OP,
                 format!("cannot grow a stream from {} to {target}", st.len),
             ));
         }
-        for (st, &target) in streams.iter_mut().zip(lens) {
+        for (st, &target) in members.iter_mut().flat_map(|m| m.iter_mut()).zip(lens) {
             st.len = target;
             let keep = target.div_ceil(p);
             while st.pages.len() > keep {
                 let page = st.pages.pop().expect("len checked");
-                self.inner.pool.release(page);
+                pool.release(page);
             }
         }
         Ok(())
@@ -316,7 +409,8 @@ impl KvCache {
 
     /// Computes attention of `q` (`(batch, q_heads, s, head_dim)`)
     /// against the K/V streams, reading pages directly — no per-step
-    /// gather of the cache into a contiguous tensor.
+    /// gather of the cache into a contiguous tensor. Over a stack, batch
+    /// row `bi` reads its own member's pages at that member's length.
     ///
     /// Bitwise-mirrors the legalized `Op::Attention` tensor program, one
     /// `(b, h, i)` query row at a time over a `skv`-long scores row:
@@ -337,7 +431,7 @@ impl KvCache {
         causal: bool,
     ) -> Result<NDArray, KernelError> {
         const OP: &str = "attention";
-        let cfg = self.inner.cfg;
+        let cfg = self.config();
         let qs = q.shape().to_vec();
         if qs.len() != 4 || qs[0] != cfg.batch || qs[3] != cfg.head_dim {
             return Err(kerr(
@@ -349,7 +443,7 @@ impl KvCache {
             ));
         }
         let (b, hq, s, hd) = (qs[0], qs[1], qs[2], qs[3]);
-        let hkv = cfg.heads;
+        let (mb, hkv) = (self.members[0].cfg.batch, cfg.heads);
         if hkv == 0 || hq % hkv != 0 {
             return Err(kerr(
                 OP,
@@ -357,31 +451,26 @@ impl KvCache {
             ));
         }
         let group = hq / hkv;
-        let streams = self.lock();
-        let n_streams = streams.len();
-        let (kst, vst) = match (streams.get(k_stream), streams.get(v_stream)) {
-            (Some(k), Some(v)) => (k, v),
-            _ => {
-                return Err(kerr(
-                    OP,
-                    format!("streams ({k_stream}, {v_stream}) out of range ({n_streams})"),
-                ))
-            }
-        };
-        let skv = kst.len;
-        if vst.len != skv {
+        if k_stream >= cfg.streams || v_stream >= cfg.streams {
             return Err(kerr(
                 OP,
-                format!("K length {skv} != V length {}", vst.len),
+                format!("streams ({k_stream}, {v_stream}) out of range ({})", cfg.streams),
             ));
         }
-        if skv == 0 {
-            return Err(kerr(OP, "attention over empty streams"));
+        let members = self.lock();
+        for streams in &members {
+            let (skv, v_len) = (streams[k_stream].len, streams[v_stream].len);
+            if v_len != skv {
+                return Err(kerr(OP, format!("K length {skv} != V length {v_len}")));
+            }
+            if skv == 0 {
+                return Err(kerr(OP, "attention over empty streams"));
+            }
         }
         if hd == 0 {
             return Ok(NDArray::zeros(&qs, q.dtype()));
         }
-        let p = self.inner.pool.page_tokens();
+        let p = self.pool().page_tokens();
         let page_err = |e: relax_tir::NDArrayError| kerr(OP, e.to_string());
         let qv = q.to_f64_vec();
         let scale = 1.0 / (hd as f64).sqrt();
@@ -391,15 +480,20 @@ impl KvCache {
         // One query row at a time. Every stored value goes through the
         // rounding chain the legalized kernel gives it, in that kernel's
         // order; only chains that never meet are interleaved.
+        let longest = members.iter().map(|m| m[k_stream].len).max().unwrap_or(0);
         let mut out = vec![0.0f64; b * hq * s * hd];
-        let mut scores = vec![0.0f64; skv];
-        let mut exps = vec![0.0f64; skv];
+        let mut scores = vec![0.0f64; longest];
+        let mut exps = vec![0.0f64; longest];
         // One head's rows of one page (f64 host values, already rounded on
         // store, so the bits match a gathered tensor exactly).
         let mut page_rows = vec![0.0f64; p * hd];
         for (row, (q_row, o_row)) in qv.chunks(hd).zip(out.chunks_mut(hd)).enumerate() {
             let (bi, hi, i) = (row / (hq * s), row / s % hq, row % s);
-            let head_rows = (bi * hkv + hi / group) * p * hd;
+            // The row's own member: its block tables, its length.
+            let (kst, vst) = (&members[bi / mb][k_stream], &members[bi / mb][v_stream]);
+            let skv = kst.len;
+            let (scores, exps) = (&mut scores[..skv], &mut exps[..skv]);
+            let head_rows = (bi % mb * hkv + hi / group) * p * hd;
             // Pass 1: scores[j] = sum_kd q·k with per-step rounding, LANES
             // scores in flight.
             for (page, in_page) in kst.pages.iter().zip(scores.chunks_mut(p)) {
@@ -427,7 +521,7 @@ impl KvCache {
                 .fold(r32(f64::NEG_INFINITY), |rm, &x| r32(rm.max(x)));
             // Pass 4: exp-sum; each exponential is kept for pass 5.
             let mut row_sum = 0.0f64;
-            for (e, &x) in exps.iter_mut().zip(&scores) {
+            for (e, &x) in exps.iter_mut().zip(scores.iter()) {
                 *e = (x - row_max).exp();
                 row_sum = r32(row_sum + *e);
             }
@@ -575,6 +669,31 @@ mod tests {
         NDArray::from_f64(shape, DataType::F32, vals).unwrap()
     }
 
+    /// [`rand_tensor`] in `dtype`, every value rounded to it.
+    fn rand_in(dtype: DataType, shape: &[usize], seed: &mut u64) -> NDArray {
+        let vals = rand_tensor(shape, seed).to_f64_vec();
+        let vals = vals.into_iter().map(|v| round_to_dtype(v, dtype)).collect();
+        NDArray::from_f64(shape, dtype, vals).unwrap()
+    }
+
+    /// What both attention sweeps cross: `(page_tokens, GQA group, dtype)`.
+    fn sweep_combos() -> impl Iterator<Item = (usize, usize, DataType)> {
+        [3usize, 16].into_iter().flat_map(|page_tokens| {
+            let dtypes = [DataType::F32, DataType::F16];
+            let groups = [1usize, 2].into_iter();
+            groups.flat_map(move |group| dtypes.map(|dtype| (page_tokens, group, dtype)))
+        })
+    }
+
+    /// Batch rows `[from, from + n)` of a `(b, ..)` tensor.
+    fn batch_rows(t: &NDArray, from: usize, n: usize) -> NDArray {
+        let per = t.numel() / t.shape()[0];
+        let mut shape = t.shape().to_vec();
+        shape[0] = n;
+        let vals = t.to_f64_vec()[from * per..(from + n) * per].to_vec();
+        NDArray::from_f64(&shape, t.dtype(), vals).unwrap()
+    }
+
     fn tiny_cache(pool: &Arc<KvPagePool>) -> KvCache {
         KvCache::new(
             KvCacheConfig {
@@ -643,18 +762,9 @@ mod tests {
         let (b, hq, hd) = (2usize, 4usize, 4usize);
         let mut seed = 0xBADBEEF;
         let (mut cases, mut interpreted) = (0usize, 0usize);
-        let combos = [3usize, 16].into_iter().flat_map(|page_tokens| {
-            let dtypes = [DataType::F32, DataType::F16];
-            let groups = [1usize, 2].into_iter();
-            groups.flat_map(move |group| dtypes.map(|dtype| (page_tokens, group, dtype)))
-        });
-        for (combo, (page_tokens, group, dtype)) in combos.enumerate() {
+        for (combo, (page_tokens, group, dtype)) in sweep_combos().enumerate() {
             let hkv = hq / group;
-            let rand = |shape: &[usize], seed: &mut u64| {
-                let t = rand_tensor(shape, seed);
-                let vals = t.to_f64_vec().into_iter().map(|v| round_to_dtype(v, dtype));
-                NDArray::from_f64(shape, dtype, vals.collect()).unwrap()
-            };
+            let rand = |shape: &[usize], seed: &mut u64| rand_in(dtype, shape, seed);
             let sinfo = |h: usize, n: usize| {
                 let dims = [b, h, n, hd].map(|d| (d as i64).into());
                 StructInfo::tensor(dims.to_vec(), dtype)
@@ -714,6 +824,164 @@ mod tests {
             }
         }
         assert_eq!((cases, interpreted), (1466, 298), "the sweep lost or gained cases");
+    }
+
+    /// One `append` / `attention` through a stack is bitwise the same
+    /// calls on each member alone. The sweep of
+    /// [`paged_attention_matches_legalized_tir_bitwise`] — both page sizes ×
+    /// GQA group 1 and 2 × f32 and f16 — over three members that start 0,
+    /// 5 and two-pages-and-one tokens long (so each meets a page boundary
+    /// at a step of its own) and grow through the stack for 24 steps of
+    /// `s` in `{1, 2}` tokens; every other combination stacks members of
+    /// batch 2, so a batch row's member and its row inside the member
+    /// differ. Each member has a twin fed the same rows alone.
+    #[test]
+    fn stacked_append_and_attention_match_each_member_alone_bitwise() {
+        const STEPS: usize = 24;
+        let (hq, hd) = (4usize, 4usize);
+        let mut seed = 0x57AC_CED5;
+        let mut cases = 0usize;
+        for (combo, (page_tokens, group, dtype)) in sweep_combos().enumerate() {
+            let (hkv, mb) = (hq / group, 1 + combo % 2);
+            let pool = Arc::new(KvPagePool::unbounded(page_tokens));
+            let cfg = KvCacheConfig {
+                streams: 2,
+                batch: mb,
+                heads: hkv,
+                head_dim: hd,
+                dtype,
+            };
+            let starts = [0, 5, 2 * page_tokens + 1];
+            let grown = |seed: &mut u64| -> Vec<KvCache> {
+                let caches = starts.map(|start| {
+                    let cache = KvCache::new(cfg, Arc::clone(&pool));
+                    for stream in 0..2 {
+                        let rows = rand_in(dtype, &[mb, hkv, start, hd], seed);
+                        cache.append(stream, &rows).unwrap();
+                    }
+                    cache
+                });
+                caches.to_vec()
+            };
+            // The same seed twice: a member and its twin start equal.
+            let members = grown(&mut seed.clone());
+            let twins = grown(&mut seed);
+            let stack = KvCache::stack(&members).unwrap();
+            let b = members.len() * mb;
+            assert_eq!(stack.config().batch, b);
+            for step in 0..STEPS {
+                let s = 1 + step % 2;
+                for stream in 0..2 {
+                    let new = rand_in(dtype, &[b, hkv, s, hd], &mut seed);
+                    stack.append(stream, &new).unwrap();
+                    for (mi, twin) in twins.iter().enumerate() {
+                        twin.append(stream, &batch_rows(&new, mi * mb, mb)).unwrap();
+                    }
+                }
+                let q = rand_in(dtype, &[b, hq, s, hd], &mut seed);
+                for causal in [true, false] {
+                    let got = stack.attention(&q, 0, 1, causal).unwrap();
+                    for (mi, twin) in twins.iter().enumerate() {
+                        let alone = twin.attention(&batch_rows(&q, mi * mb, mb), 0, 1, causal);
+                        let case = format!(
+                            "page={page_tokens} group={group} {dtype} mb={mb} step={step} \
+                             member={mi} {causal}"
+                        );
+                        assert_eq!(batch_rows(&got, mi * mb, mb), alone.unwrap(), "{case}");
+                        cases += 1;
+                    }
+                }
+                // The appended rows are in each member's own pages.
+                for (member, twin) in members.iter().zip(&twins) {
+                    assert_eq!(member.lens(), twin.lens());
+                    for stream in 0..2 {
+                        assert_eq!(member.view(stream).unwrap(), twin.view(stream).unwrap());
+                    }
+                }
+            }
+            let lens: Vec<usize> = members.iter().flat_map(|m| m.lens()).collect();
+            assert_eq!(stack.lens(), lens, "a stack lists its streams member by member");
+        }
+        assert_eq!(cases, 8 * STEPS * 2 * 3, "the sweep lost or gained cases");
+    }
+
+    /// What a stack is and is not: it refuses an empty list, a member
+    /// listed twice and a member of another geometry or pool; it owns no
+    /// page; `view` gathers members of one length and refuses ragged ones;
+    /// `truncate_to` takes the lengths `lens` gives, member by member.
+    #[test]
+    fn a_stack_is_only_handles_on_its_members() {
+        let pool = Arc::new(KvPagePool::with_capacity(4, 64));
+        let cfg = KvCacheConfig {
+            streams: 1,
+            batch: 1,
+            heads: 1,
+            head_dim: 2,
+            dtype: DataType::F32,
+        };
+        let (a, b) = (KvCache::new(cfg, pool.clone()), KvCache::new(cfg, pool.clone()));
+        assert!(KvCache::stack(&[]).is_err());
+        let twice = KvCache::stack(&[a.clone(), b.clone(), a.clone()]).unwrap_err();
+        assert!(twice.detail.contains("twice"), "{twice}");
+        let wide = KvCache::new(KvCacheConfig { heads: 2, ..cfg }, pool.clone());
+        assert!(KvCache::stack(&[a.clone(), wide]).is_err());
+        let elsewhere = KvCache::new(cfg, Arc::new(KvPagePool::unbounded(4)));
+        assert!(KvCache::stack(&[a.clone(), elsewhere]).is_err());
+
+        let mut seed = 5;
+        let stack = KvCache::stack(&[a.clone(), b.clone()]).unwrap();
+        stack.append(0, &rand_tensor(&[2, 1, 3, 2], &mut seed)).unwrap();
+        let both = stack.view(0).unwrap();
+        assert_eq!(batch_rows(&both, 0, 1), a.view(0).unwrap());
+        assert_eq!(batch_rows(&both, 1, 1), b.view(0).unwrap());
+        b.append(0, &rand_tensor(&[1, 1, 2, 2], &mut seed)).unwrap();
+        assert_eq!((stack.lens(), stack.len(1), stack.pages_held()), (vec![3, 5], 5, 3));
+        let ragged = stack.view(0).unwrap_err();
+        assert!(ragged.detail.contains("3 and 5"), "{ragged}");
+        // A stack of a stack lists the same members.
+        let nested = KvCache::stack(std::slice::from_ref(&stack)).unwrap();
+        assert_eq!(nested.lens(), vec![3, 5]);
+        assert!(stack.truncate_to(&[3]).is_err(), "one length for two streams");
+        assert!(stack.truncate_to(&[4, 5]).is_err(), "a grow");
+        stack.truncate_to(&[1, 4]).unwrap();
+        assert_eq!((a.len(0), b.len(0), pool.stats().in_use), (1, 4, 2));
+        drop((stack, nested));
+        assert_eq!(pool.stats().in_use, 2, "dropping a stack released a member's pages");
+        drop((a, b));
+        let st = pool.stats();
+        assert!(st.reconciles() && st.in_use == 0, "{st:?}");
+    }
+
+    /// A stacked append the pool cannot serve in full changes no member,
+    /// the ones before the member that ran out included.
+    #[test]
+    fn exhausted_stacked_append_is_atomic_across_members() {
+        let pool = Arc::new(KvPagePool::with_capacity(2, 4));
+        let cfg = KvCacheConfig {
+            streams: 1,
+            batch: 1,
+            heads: 1,
+            head_dim: 2,
+            dtype: DataType::F32,
+        };
+        let caches: Vec<KvCache> = (0..3).map(|_| KvCache::new(cfg, pool.clone())).collect();
+        let stack = KvCache::stack(&caches).unwrap();
+        let mut seed = 11;
+        // One token each: three of the four pages.
+        stack.append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed)).unwrap();
+        let before: Vec<NDArray> = caches.iter().map(|c| c.view(0).unwrap()).collect();
+        // Two more tokens each need a second page per member; one is left.
+        let err = stack.append(0, &rand_tensor(&[3, 1, 2, 2], &mut seed)).unwrap_err();
+        assert!(err.pool_exhausted.is_some(), "{err}");
+        for (cache, before) in caches.iter().zip(&before) {
+            assert_eq!((cache.len(0), cache.pages_held()), (1, 1));
+            assert_eq!(&cache.view(0).unwrap(), before);
+        }
+        let st = pool.stats();
+        assert!(st.reconciles() && st.in_use == 3, "{st:?}");
+        // One more token each fits the pages already held.
+        stack.append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed)).unwrap();
+        assert_eq!(stack.lens(), vec![2, 2, 2]);
     }
 
     /// A cache `create` was given zero-wide heads for is degenerate, not a

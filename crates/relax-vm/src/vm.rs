@@ -19,7 +19,7 @@ use crate::value::Value;
 
 /// What went wrong during VM execution (the error taxonomy; see
 /// DESIGN.md "Robustness & error taxonomy").
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum VmErrorKind {
     /// No function with the given name.
     UnknownFunction(String),
@@ -124,7 +124,7 @@ impl fmt::Display for FrameEntry {
 /// The trace is what turns "tensor program failed" into an actionable
 /// report: the exact instruction, its index, and the chain of VM calls
 /// that reached it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VmError {
     /// What failed.
     pub kind: VmErrorKind,

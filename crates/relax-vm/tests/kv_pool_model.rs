@@ -1,12 +1,14 @@
 //! Generative model test for the paged KV cache: seeded random
-//! create / append / view / truncate / drop sequences over several
-//! [`KvCache`]s sharing one small [`KvPagePool`], checked after every
-//! operation against a plain `Vec<Vec<f64>>` reference.
+//! create / append / stacked append / view / truncate / drop sequences
+//! over several [`KvCache`]s sharing one small [`KvPagePool`], checked
+//! after every operation against a plain `Vec<Vec<f64>>` reference.
 //!
 //! The hand-written serving schedules only reach the rollback paths a
 //! particular fault happens to hit; this walks them at random, including
-//! appends into an exhausted pool, and asserts the accounting invariants
+//! appends into an exhausted pool — one cache's, and a stack's that runs
+//! out at a later member — and asserts the accounting invariants
 //! (`allocated == in_use + free`, `in_use == Σ pages_held`) at every step.
+//! A stack owns no page, so the sum runs over the caches alone.
 
 use std::sync::Arc;
 
@@ -97,9 +99,27 @@ fn check(pool: &KvPagePool, caches: &[Tracked], ctx: &str) {
     }
 }
 
-/// Runs one seeded sequence; returns how many appends the pool refused
-/// and how many refused truncates mixed a shrink with a grow.
-fn run_seed(seed: u64) -> (usize, usize) {
+/// `n` tokens for one cache: the `(1, heads, n, head_dim)` tensor values
+/// and the same values as the model keeps them, token-major.
+fn random_tokens(rng: &mut XorShift, n: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut rows = vec![0.0; n * HEADS * HEAD_DIM];
+    let mut tensor = vec![0.0; n * HEADS * HEAD_DIM];
+    for h in 0..HEADS {
+        for t in 0..n {
+            for d in 0..HEAD_DIM {
+                let v = rng.value();
+                tensor[(h * n + t) * HEAD_DIM + d] = v;
+                rows[(t * HEADS + h) * HEAD_DIM + d] = v;
+            }
+        }
+    }
+    (tensor, rows)
+}
+
+/// Runs one seeded sequence; returns how many appends the pool refused,
+/// how many refused truncates mixed a shrink with a grow, and how many
+/// stacked appends ran out of pages past their first member.
+fn run_seed(seed: u64) -> (usize, usize, usize) {
     let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let page_tokens = 1 + rng.below(4);
     let capacity = 6 + rng.below(10);
@@ -112,11 +132,11 @@ fn run_seed(seed: u64) -> (usize, usize) {
         dtype: DataType::F32,
     };
     let mut caches: Vec<Tracked> = Vec::new();
-    let (mut refused, mut mixed) = (0, 0);
+    let (mut refused, mut mixed, mut mid_stack) = (0, 0, 0);
 
     for op in 0..OPS {
         let ctx = format!("seed {seed} op {op}");
-        let pick = rng.below(10);
+        let pick = rng.below(12);
         if caches.is_empty() || (pick == 0 && caches.len() < MAX_CACHES) {
             caches.push(Tracked {
                 cache: KvCache::new(cfg, pool.clone()),
@@ -128,19 +148,7 @@ fn run_seed(seed: u64) -> (usize, usize) {
             let i = rng.below(caches.len());
             let stream = rng.below(STREAMS);
             let n = 1 + rng.below(6);
-            // Tensor layout is (1, heads, n, head_dim); the model keeps
-            // token-major rows.
-            let mut rows = vec![0.0; n * HEADS * HEAD_DIM];
-            let mut tensor = vec![0.0; n * HEADS * HEAD_DIM];
-            for h in 0..HEADS {
-                for t in 0..n {
-                    for d in 0..HEAD_DIM {
-                        let v = rng.value();
-                        tensor[(h * n + t) * HEAD_DIM + d] = v;
-                        rows[(t * HEADS + h) * HEAD_DIM + d] = v;
-                    }
-                }
-            }
+            let (tensor, rows) = random_tokens(&mut rng, n);
             let new = NDArray::from_f64(&[1, HEADS, n, HEAD_DIM], DataType::F32, tensor).unwrap();
             let c = &mut caches[i];
             let len = c.len(stream);
@@ -155,6 +163,52 @@ fn run_seed(seed: u64) -> (usize, usize) {
                     assert!(e.pool_exhausted.is_some(), "{ctx}: unexpected append error {e}");
                     assert!(fresh > room, "{ctx}: append refused with {room} pages free");
                     refused += 1;
+                }
+            }
+        } else if pick >= 10 && caches.len() >= 2 {
+            // One append through a stack of two or more caches, drawn in a
+            // random order: every member gets its own rows or, when the
+            // pool cannot serve them all, none gets any (`check` below
+            // compares every cache with its model either way).
+            let mut order: Vec<usize> = (0..caches.len()).collect();
+            for i in 0..order.len() {
+                let j = i + rng.below(order.len() - i);
+                order.swap(i, j);
+            }
+            order.truncate(2 + rng.below(caches.len() - 1));
+            let stream = rng.below(STREAMS);
+            let n = 1 + rng.below(3);
+            let (mut tensor, mut rows) = (Vec::new(), Vec::new());
+            for _ in &order {
+                let (t, r) = random_tokens(&mut rng, n);
+                tensor.extend(t);
+                rows.push(r);
+            }
+            let shape = [order.len(), HEADS, n, HEAD_DIM];
+            let new = NDArray::from_f64(&shape, DataType::F32, tensor).unwrap();
+            let fresh = |i: &usize| {
+                let len = caches[*i].len(stream);
+                pages_for(len + n, page_tokens) - pages_for(len, page_tokens)
+            };
+            let wanted: usize = order.iter().map(fresh).sum();
+            let room = capacity - pool.stats().in_use;
+            let members: Vec<KvCache> = order.iter().map(|&i| caches[i].cache.clone()).collect();
+            let stack = KvCache::stack(&members).expect("distinct caches of one pool");
+            match stack.append(stream, &new) {
+                Ok(()) => {
+                    assert!(wanted <= room, "{ctx}: stacked append succeeded past the capacity");
+                    for (&i, r) in order.iter().zip(rows) {
+                        caches[i].model[stream].extend(r);
+                    }
+                }
+                Err(e) => {
+                    assert!(e.pool_exhausted.is_some(), "{ctx}: unexpected append error {e}");
+                    assert!(wanted > room, "{ctx}: stacked append refused with {room} pages free");
+                    refused += 1;
+                    // Pages were taken for the first member before a later
+                    // one found the pool empty.
+                    let first = fresh(&order[0]);
+                    mid_stack += usize::from(first > 0 && first <= room);
                 }
             }
         } else if pick <= 7 {
@@ -200,14 +254,15 @@ fn run_seed(seed: u64) -> (usize, usize) {
     let stats = pool.stats();
     assert!(stats.reconciles(), "seed {seed}: pool does not reconcile at the end: {stats:?}");
     assert_eq!(stats.in_use, 0, "seed {seed}: pages leaked after every cache dropped");
-    (refused, mixed)
+    (refused, mixed, mid_stack)
 }
 
 #[test]
 fn random_cache_sequences_match_the_model_and_reconcile() {
-    let (refused, mixed) = (1..=SEEDS)
+    let (refused, mixed, mid_stack) = (1..=SEEDS)
         .map(run_seed)
-        .fold((0, 0), |(r, m), (dr, dm)| (r + dr, m + dm));
+        .fold((0, 0, 0), |(r, m, s), (dr, dm, ds)| (r + dr, m + dm, s + ds));
     assert!(refused > 0, "no sequence ever exhausted the pool");
     assert!(mixed > 0, "no refused truncate ever mixed a shrink with a grow");
+    assert!(mid_stack > 0, "no stacked append ever ran out past its first member");
 }
