@@ -128,6 +128,14 @@ fn kerr(op: &str, detail: impl Into<String>) -> KernelError {
     KernelError::new(format!("{KV_CACHE_PREFIX}{op}"), detail)
 }
 
+fn stream_in_range(op: &str, stream: usize, cfg: &KvCacheConfig) -> Result<(), KernelError> {
+    if stream < cfg.streams {
+        return Ok(());
+    }
+    let streams = cfg.streams;
+    Err(kerr(op, format!("stream {stream} out of range ({streams})")))
+}
+
 impl KvCache {
     /// Creates an empty cache drawing pages from `pool`.
     pub fn new(cfg: KvCacheConfig, pool: Arc<KvPagePool>) -> Self {
@@ -256,12 +264,7 @@ impl KvCache {
                 format!("appended dtype {} != cache dtype {}", new.dtype(), cfg.dtype),
             ));
         }
-        if stream >= cfg.streams {
-            return Err(kerr(
-                OP,
-                format!("stream {stream} out of range ({})", cfg.streams),
-            ));
-        }
+        stream_in_range(OP, stream, &cfg)?;
         let n = ns[2];
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let pool = self.pool();
@@ -326,12 +329,7 @@ impl KvCache {
         let cfg = self.config();
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let p = self.pool().page_tokens();
-        if stream >= cfg.streams {
-            return Err(kerr(
-                OP,
-                format!("stream {stream} out of range ({})", cfg.streams),
-            ));
-        }
+        stream_in_range(OP, stream, &cfg)?;
         let members = self.lock();
         let len = members[0][stream].len;
         if let Some(other) = members.iter().find(|m| m[stream].len != len) {
@@ -451,12 +449,8 @@ impl KvCache {
             ));
         }
         let group = hq / hkv;
-        if k_stream >= cfg.streams || v_stream >= cfg.streams {
-            return Err(kerr(
-                OP,
-                format!("streams ({k_stream}, {v_stream}) out of range ({})", cfg.streams),
-            ));
-        }
+        stream_in_range(OP, k_stream, &cfg)?;
+        stream_in_range(OP, v_stream, &cfg)?;
         let members = self.lock();
         for streams in &members {
             let (skv, v_len) = (streams[k_stream].len, streams[v_stream].len);

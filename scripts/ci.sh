@@ -30,9 +30,11 @@ cargo test --workspace -q
 echo "==> relax-serve suite (release)"
 # The whole serving crate at once: the admission deque and clock unit
 # tests, requests (serve, stress8, shutdown), sessions over the paged KV
-# cache (sessions, spec_decode) and seeded fault injection (chaos). The
-# suites assert the accounting identity submitted == retired + evicted +
-# failed + shed and a reconciled page pool with nothing leaked.
+# cache (sessions, spec_decode, prompt_feed, and batched_decode: sessions
+# sharing their decode steps bitwise equal to each served alone) and
+# seeded fault injection (chaos). The suites assert the accounting
+# identity submitted == retired + evicted + failed + shed and a
+# reconciled page pool with nothing leaked.
 cargo test -p relax-serve --release -q
 
 echo "==> relax-serve suite x3, one test thread on one core (wall-clock-dependence gate)"
@@ -42,6 +44,10 @@ one_core=env
 if command -v taskset >/dev/null 2>&1; then one_core="taskset -c 0"; fi
 for _ in 1 2 3; do
     $one_core cargo test -p relax-serve --release -q -- --test-threads 1
+    # What a shared decode step rests on below the serving crate: append
+    # and attention through a stack of caches, bitwise each member alone.
+    $one_core cargo test -p relax-vm --release -q --lib \
+        stacked_append_and_attention_match_each_member_alone_bitwise -- --test-threads 1
 done
 # A born-expired request must be shed, never dispatched: the race this
 # once lost about 1 run in 100 (the loop read the clock before taking
