@@ -1,6 +1,6 @@
 //! Runtime micro-benchmarks: VM decode steps on the executable tiny model,
 //! raw tensor-program execution comparing the reference interpreter
-//! against shape-specialized kernel plans (serial and multi-threaded),
+//! against shape-specialized kernel plans,
 //! serving throughput through the `relax-serve` worker pool (1, 4 and 8
 //! workers over the shared plan cache), the kv-append kernel pair
 //! (scalar reference vs row-copy), and mixed-traffic session serving
@@ -72,11 +72,11 @@ fn bench_vm_decode(rows: &mut Vec<(String, f64)>) {
 }
 
 /// The decode loop with every kernel generated (no library dispatch), run
-/// three ways: reference interpreter (plan cache disabled), warm kernel
-/// plans on one thread, and warm plans chunked across 4 threads.
+/// two ways: reference interpreter (plan cache disabled) and warm kernel
+/// plans.
 ///
-/// Returns `(interp_ns, plan_ns, plan4_ns)`.
-fn bench_vm_decode_plan_modes(rows: &mut Vec<(String, f64)>) -> (f64, f64, f64) {
+/// Returns `(interp_ns, plan_ns)`.
+fn bench_vm_decode_plan_modes(rows: &mut Vec<(String, f64)>) -> (f64, f64) {
     let cfg = LlamaConfig::tiny();
     let ir = relax_models::llama::build_decode(&cfg).unwrap();
     let opts = CompileOptions {
@@ -92,21 +92,14 @@ fn bench_vm_decode_plan_modes(rows: &mut Vec<(String, f64)>) -> (f64, f64, f64) 
         vm.run("decode", std::hint::black_box(&args)).unwrap()
     });
 
-    let mut vm = Vm::new(exec.clone());
-    let plan_ns = bench("vm/decode_gen_kernels/plan", || {
-        vm.run("decode", std::hint::black_box(&args)).unwrap()
-    });
-
     let mut vm = Vm::new(exec);
-    vm.set_parallelism(4);
-    let plan4_ns = bench("vm/decode_gen_kernels/plan_par4", || {
+    let plan_ns = bench("vm/decode_gen_kernels/plan", || {
         vm.run("decode", std::hint::black_box(&args)).unwrap()
     });
 
     rows.push(("vm/decode_gen_kernels/interp".into(), interp_ns));
     rows.push(("vm/decode_gen_kernels/plan".into(), plan_ns));
-    rows.push(("vm/decode_gen_kernels/plan_par4".into(), plan4_ns));
-    (interp_ns, plan_ns, plan4_ns)
+    (interp_ns, plan_ns)
 }
 
 fn matmul_func() -> PrimFunc {
@@ -137,8 +130,7 @@ fn matmul_func() -> PrimFunc {
     PrimFunc::new("mm", vec![x, w, y], 1, body)
 }
 
-/// Raw symbolic-batch matmul: reference interpreter vs compiled plan,
-/// serial and on 4 threads.
+/// Raw symbolic-batch matmul: reference interpreter vs compiled plan.
 fn bench_tir_matmul(rows: &mut Vec<(String, f64)>) {
     let f = matmul_func();
     let xs = NDArray::from_f64(
@@ -167,15 +159,10 @@ fn bench_tir_matmul(rows: &mut Vec<(String, f64)>) {
         compiled.run(std::hint::black_box(&args), 1).unwrap()
     });
     rows.push(("tir/matmul_8x64x64/plan".into(), m));
-    let m = bench("tir/matmul_8x64x64/plan_par4", || {
-        compiled.run(std::hint::black_box(&args), 4).unwrap()
-    });
-    rows.push(("tir/matmul_8x64x64/plan_par4".into(), m));
 }
 
-/// A larger matmul (96×96×96) where the per-chunk work is big enough for
-/// thread chunking to pay for itself. Returns `(plan_ns, plan4_ns)`.
-fn bench_tir_matmul_large(rows: &mut Vec<(String, f64)>) -> (f64, f64) {
+/// A larger symbolic-batch matmul (96×64×64) on the scalar plan tape.
+fn bench_tir_matmul_large(rows: &mut Vec<(String, f64)>) {
     let f = matmul_func();
     let xs = NDArray::from_f64(
         &[96, 64],
@@ -197,11 +184,6 @@ fn bench_tir_matmul_large(rows: &mut Vec<(String, f64)>) -> (f64, f64) {
         compiled.run(std::hint::black_box(&args), 1).unwrap()
     });
     rows.push(("tir/matmul_96x64x64/plan".into(), plan_ns));
-    let plan4_ns = bench("tir/matmul_96x64x64/plan_par4", || {
-        compiled.run(std::hint::black_box(&args), 4).unwrap()
-    });
-    rows.push(("tir/matmul_96x64x64/plan_par4".into(), plan4_ns));
-    (plan_ns, plan4_ns)
 }
 
 /// One row of the kernel-schedule ablation: the same kernel executed
@@ -1374,11 +1356,8 @@ fn write_json(
     out.push_str("    \"results\": [\n");
     let baseline = [
         ("vm/decode_gen_kernels/plan", 4243233.8),
-        ("vm/decode_gen_kernels/plan_par4", 7819919.5),
         ("tir/matmul_8x64x64/plan", 2003014.6),
-        ("tir/matmul_8x64x64/plan_par4", 2241691.8),
         ("tir/matmul_96x64x64/plan", 25174184.0),
-        ("tir/matmul_96x64x64/plan_par4", 25158966.0),
         ("serve/decode/workers1_shared", 884310.8),
         ("serve/decode/workers4_shared", 1162575.2),
     ];
@@ -1389,8 +1368,6 @@ fn write_json(
         ));
     }
     out.push_str("    ],\n    \"speedup\": {\n");
-    out.push_str("      \"decode_plan4_vs_plan1\": 0.54,\n");
-    out.push_str("      \"matmul_large_par4_vs_plan1\": 1.00,\n");
     out.push_str("      \"serve_decode_4w_vs_1w\": 0.76\n");
     out.push_str("    }\n  }\n}\n");
     let path = artifact_path("BENCH_runtime.json", true);
@@ -1401,9 +1378,9 @@ fn write_json(
 fn main() {
     let mut rows: Vec<(String, f64)> = Vec::new();
     bench_vm_decode(&mut rows);
-    let (interp_ns, plan_ns, plan4_ns) = bench_vm_decode_plan_modes(&mut rows);
+    let (interp_ns, plan_ns) = bench_vm_decode_plan_modes(&mut rows);
     bench_tir_matmul(&mut rows);
-    let (big_plan, big_par4) = bench_tir_matmul_large(&mut rows);
+    bench_tir_matmul_large(&mut rows);
     let (schedule_rows, sched_speedup) = bench_kernel_schedule(&mut rows);
     bench_kv_append(&mut rows);
     let serving = bench_serving(&mut rows);
@@ -1423,9 +1400,7 @@ fn main() {
         .unwrap();
     let mut speedups = vec![
         ("decode_plan_vs_interp", interp_ns / plan_ns),
-        ("decode_plan4_vs_plan1", plan_ns / plan4_ns),
         ("matmul_plan_vs_interp", mm_interp / mm_plan),
-        ("matmul_large_par4_vs_plan1", big_plan / big_par4),
         ("matmul_scheduled_vs_unscheduled", sched_speedup),
         (
             "serve_decode_4w_vs_1w",

@@ -3,7 +3,8 @@
 //! time and which records the units of every step. Time is a
 //! [`ManualClock`]; nothing here sleeps, and every wait is guarded.
 
-use std::sync::mpsc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{mpsc, PoisonError};
 
 use relax_arith::DataType;
 use relax_tir::NDArray;
@@ -25,6 +26,8 @@ struct Gate {
     groups: Vec<Vec<u64>>,
     /// Steps each unit may still run.
     permits: HashMap<u64, u32>,
+    /// The test is over: every step may run.
+    open: bool,
 }
 
 struct ToyModel {
@@ -89,10 +92,16 @@ impl Work for Toy {
         cx.model.moved.notify_all();
         for (id, toy) in group.iter_mut() {
             toy.pre = toy.cache.lens();
-            while gate.permits.get(id).is_none_or(|&p| p == 0) {
-                gate = cx.model.moved.wait(gate).unwrap();
+            while !gate.open && gate.permits.get(id).is_none_or(|&p| p == 0) {
+                gate = cx
+                    .model
+                    .moved
+                    .wait(gate)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            *gate.permits.get_mut(id).unwrap() -= 1;
+            if !gate.open {
+                *gate.permits.get_mut(id).unwrap() -= 1;
+            }
         }
         drop(gate);
         let caches: Vec<KvCache> = group.iter().map(|(_, toy)| toy.cache.clone()).collect();
@@ -123,7 +132,34 @@ impl Work for Toy {
 
 type Ticket = mpsc::Receiver<(&'static str, usize)>;
 
-fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Core<Toy> {
+/// The core under test. Its drop opens the gate before the core's own drop
+/// joins the workers, so a test whose assertion trips while a step is
+/// parked at the gate fails instead of hanging.
+struct Served(Core<Toy>);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let model = self.0.model();
+        lock(&model.gate).open = true;
+        model.moved.notify_all();
+    }
+}
+
+impl Deref for Served {
+    type Target = Core<Toy>;
+
+    fn deref(&self) -> &Core<Toy> {
+        &self.0
+    }
+}
+
+impl DerefMut for Served {
+    fn deref_mut(&mut self) -> &mut Core<Toy> {
+        &mut self.0
+    }
+}
+
+fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Served {
     let model = ToyModel {
         gate: Mutex::default(),
         moved: Condvar::new(),
@@ -146,7 +182,12 @@ fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Core<Toy> {
         serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
         stall: STALL,
     };
-    Core::start(model, limits, vec![Some(faults); workers], clock.clock())
+    Served(Core::start(
+        model,
+        limits,
+        vec![Some(faults); workers],
+        clock.clock(),
+    ))
 }
 
 fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {
@@ -401,4 +442,15 @@ fn a_failed_shared_step_charges_every_member_and_is_retried_one_by_one() {
     assert_all_accounted(&core, 4);
     let stats = pool.stats();
     assert!(stats.reconciles() && stats.in_use == 0, "{stats:?}");
+}
+
+/// A step is parked at the gate when an assertion trips: the test must fail,
+/// not hang joining the parked worker.
+#[test]
+#[should_panic(expected = "tripped while parked")]
+fn a_failed_assertion_while_a_step_is_parked_fails_instead_of_hanging() {
+    let core = start(1, FaultPlan::new(), &ManualClock::new());
+    let (id, _ticket) = submit(&core, 1);
+    assert_eq!(core.model().await_started(1), [id]);
+    assert_eq!(get(&core.counters().retired), 1, "tripped while parked");
 }

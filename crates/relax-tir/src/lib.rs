@@ -29,7 +29,6 @@ mod func;
 pub mod interp;
 mod ndarray;
 pub mod plan;
-mod pool;
 mod printer;
 pub mod schedule;
 mod stmt;

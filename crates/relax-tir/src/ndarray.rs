@@ -56,15 +56,14 @@ impl std::error::Error for NDArrayError {}
 ///
 /// Elements live in per-cell atomics — `f64` values as their
 /// [`f64::to_bits`] pattern in an [`AtomicU64`], integers in an
-/// [`AtomicI64`] — so storage is shared without any lock: compiled
-/// kernel plans (`crate::plan`) and persistent pool workers address the
-/// cell slices directly, and accessors never block. All cell traffic
-/// uses [`Ordering::Relaxed`] (a plain load/store on x86): determinism
-/// does not come from ordering but from the planner's compile-time
-/// disjointness analysis, which guarantees parallel workers write
-/// non-overlapping index ranges; cross-thread visibility of a kernel's
-/// results is established by the pool's completion latch (an
-/// acquire/release edge) before any reader runs.
+/// [`AtomicI64`] — so storage is shared without any lock or `unsafe`:
+/// weights and KV pages are read by every serving worker, compiled
+/// kernel plans (`crate::plan`) address the cell slices directly, and
+/// accessors never block. All cell traffic uses [`Ordering::Relaxed`]
+/// (a plain load/store on x86): a kernel launch runs on one thread, and
+/// cross-thread visibility of its results comes from the hand-off that
+/// passes the array on (the serving core's lock, a channel, a thread
+/// join) before any other thread reads it.
 pub(crate) enum DataBuf {
     /// `f64` elements, stored as bit patterns.
     F(Vec<AtomicU64>),
@@ -252,10 +251,8 @@ impl NDArray {
         })
     }
 
-    /// The shared storage cells. Kernel plans clone the `Arc` so pool
-    /// workers can hold the buffer across a launch without borrowing
-    /// the `NDArray`.
-    pub(crate) fn storage(&self) -> &Arc<DataBuf> {
+    /// The shared storage cells, which kernel plans address directly.
+    pub(crate) fn storage(&self) -> &DataBuf {
         &self.data
     }
 

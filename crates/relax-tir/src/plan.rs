@@ -23,23 +23,13 @@
 //! bit-identical by construction (the tape reuses the interpreter's
 //! [`Scalar`] promotion rules) and the fallback covers the rest.
 //!
-//! On top of the flat representation, [`KernelPlan::run`] executes the
-//! outermost parallelizable loop data-parallel on the persistent worker
-//! pool (`crate::pool`): compile-time analysis proves that every access to
-//! a written buffer stays inside the flat range owned by one outer
-//! iteration, so contiguous ranges of outer iterations handed to different
-//! workers never touch the same element — no `unsafe`, no locks in the
-//! element loop (storage is per-element atomic cells, see [`NDArray`]),
-//! and bit-identical results because no value crosses
-//! a range boundary. A compile-time *work estimate* (total loop iterations
-//! × tape ops) gates the parallel path: plans below
-//! [`PAR_MIN_WORK`] op-units always run serial, so small kernels never pay
-//! pool hand-off overhead.
+//! [`KernelPlan::run`] executes the plan on the thread that launches it.
+//! Parallelism comes from the layer above — a serving core runs one step
+//! per worker, each on its own VM — not from inside a kernel.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use relax_arith::{DataType, EvalError, PrimExpr, Var};
 
@@ -47,23 +37,7 @@ use crate::expr::{Scalar, TirExpr};
 use crate::func::PrimFunc;
 use crate::interp::{self, InterpError};
 use crate::ndarray::{round_to_dtype, DataBuf, NDArray};
-use crate::pool::{self, Job, Latch, LatchGuard};
 use crate::stmt::Stmt;
-
-/// Minimum compile-time work estimate (loop iterations × tape ops) for a
-/// plan to use the parallel path. Below this, pool hand-off and latch
-/// synchronization cost more than the loop itself: a decode-step kernel is
-/// thousands of op-units, an `8×64×64` matmul ~260k, a `96×64×64` matmul
-/// ~3M — the cutoff keeps the first two serial.
-pub const PAR_MIN_WORK: u64 = 1_000_000;
-
-/// Parallelism cutoff for plans containing macro-op superinstructions
-/// (`PStmt::MacroMatmul`). Macro work units are whole multiply-
-/// accumulates executed without tape dispatch, so the pool hand-off
-/// amortizes at a much smaller unit count than scalar tape ops: a
-/// `96×64×64` blocked matmul is ~393k macro units and benefits from
-/// chunking, while decode-step kernels stay thousands of units — serial.
-pub const PAR_MIN_WORK_MACRO: u64 = 250_000;
 
 /// Error raised while compiling a kernel plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -388,47 +362,27 @@ struct BufDecl {
     param: Option<usize>,
 }
 
-/// Metadata for a top-level loop proven data-parallel. The disjointness
-/// proof lives in [`Compiler::analyze_parallel`]; only the trip count is
-/// needed at launch time (workers receive contiguous iteration ranges of
-/// the shared storage, not pre-cut chunks).
-#[derive(Debug, Clone)]
-struct ParInfo {
-    /// Concrete trip count.
-    extent: i64,
-}
-
-/// The owned body of a compiled plan. Fully owned (no `Rc`-backed IR nodes
-/// inside), hence `Send + Sync`; kept behind an `Arc` in [`KernelPlan`] so
-/// pool workers can hold the plan across a launch without borrowing.
+/// A compiled, shape-specialized tensor program. Fully owned (no
+/// `Rc`-backed IR nodes inside), hence `Send + Sync`: a plan cache shares
+/// one behind an `Arc` across VMs.
 #[derive(Debug)]
-struct PlanInner {
-    body: Vec<(PStmt, Option<ParInfo>)>,
+pub struct KernelPlan {
+    body: Vec<PStmt>,
     bufs: Vec<BufDecl>,
     written: Vec<bool>,
     num_params: usize,
     num_iters: usize,
     num_regs: usize,
-    /// Compile-time work estimate in op-units (Σ loop trip counts × tape
-    /// ops), used by the [`PAR_MIN_WORK`] parallelism cutoff.
-    work_estimate: u64,
     /// `true` when the body contains at least one macro-op
-    /// superinstruction; selects the [`PAR_MIN_WORK_MACRO`] cutoff.
+    /// superinstruction.
     has_macros: bool,
     /// The pre-macroization scalar body, kept only when macroization or
     /// sibling fusion rewrote the plan. Macro recognition proves
     /// operand/output **slots** distinct, but launch-time argument
     /// aliasing can still make them share storage, where the blocked
     /// loop order and fused statement order become observable — aliased
-    /// launches run this body serially instead.
+    /// launches run this body instead.
     scalar_body: Option<Vec<PStmt>>,
-}
-
-/// A compiled, shape-specialized tensor program. Cheap to clone (an `Arc`
-/// bump): clones share the immutable compiled body.
-#[derive(Debug, Clone)]
-pub struct KernelPlan {
-    inner: Arc<PlanInner>,
 }
 
 // ---------------------------------------------------------------------------
@@ -493,28 +447,15 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
         }
     }
 
-    let work_estimate = body
-        .iter()
-        .fold(0u64, |acc, s| acc.saturating_add(c.stmt_work(s)));
-    let annotated = body
-        .into_iter()
-        .map(|s| {
-            let par = c.analyze_parallel(&s);
-            (s, par)
-        })
-        .collect();
     Ok(KernelPlan {
-        inner: Arc::new(PlanInner {
-            body: annotated,
-            num_params: func.params().len(),
-            num_iters: c.iter_max.len(),
-            num_regs: c.num_regs,
-            bufs: c.bufs,
-            written: c.written,
-            work_estimate,
-            has_macros,
-            scalar_body,
-        }),
+        body,
+        num_params: func.params().len(),
+        num_iters: c.iter_max.len(),
+        num_regs: c.num_regs,
+        bufs: c.bufs,
+        written: c.written,
+        has_macros,
+        scalar_body,
     })
 }
 
@@ -925,94 +866,6 @@ impl Compiler {
         })
     }
 
-    // -- work estimation ---------------------------------------------------
-
-    /// Conservative op-unit estimate of one statement: loops multiply by
-    /// their max trip count (unknown extents count as 1, biasing small —
-    /// an underestimate only ever keeps a plan serial, never races one),
-    /// stores cost their tape length plus the store itself, and scratch
-    /// zeroing costs one unit per element.
-    fn stmt_work(&self, s: &PStmt) -> u64 {
-        match s {
-            PStmt::Loop { iter, body, .. } => {
-                let trips = self.iter_max[*iter]
-                    .map(|m| m.max(0) as u64)
-                    .unwrap_or(1);
-                trips.saturating_mul(
-                    body.iter()
-                        .fold(0u64, |acc, s| acc.saturating_add(self.stmt_work(s))),
-                )
-            }
-            PStmt::IfEq { then, .. } => then
-                .iter()
-                .fold(0u64, |acc, s| acc.saturating_add(self.stmt_work(s))),
-            PStmt::Store { tape, .. } => (tape.len() as u64).saturating_add(1),
-            PStmt::ZeroScratch { buf } => self.bufs[*buf].numel as u64,
-            // One macro unit per multiply-accumulate: far cheaper than a
-            // scalar tape element, hence the separate
-            // [`PAR_MIN_WORK_MACRO`] cutoff.
-            PStmt::MacroMatmul { nj, nk, .. } => {
-                ((*nj).max(0) as u64).saturating_mul((*nk).max(0) as u64)
-            }
-        }
-    }
-
-    // -- parallel-safety analysis ------------------------------------------
-
-    /// Decides whether a top-level loop can be chunked across threads: the
-    /// trip count must be a compile-time constant and every access (store
-    /// *or* load) touching a buffer written inside the loop must be a
-    /// proven-in-bounds flat affine whose outer-iteration stride `c`
-    /// satisfies `flat = c·i + r` with `0 <= r < c`. Then iteration `i`
-    /// only ever touches `[c·i, c·(i+1))` of each written buffer, chunks
-    /// are disjoint, and parallel execution is bitwise equal to serial.
-    fn analyze_parallel(&self, s: &PStmt) -> Option<ParInfo> {
-        let PStmt::Loop { iter, extent, body } = s else {
-            return None;
-        };
-        let n = extent.as_affine()?.as_const()?;
-        if n < 2 {
-            return None;
-        }
-        let mut scan = ParScan::default();
-        scan_stmts(body, &mut scan);
-        if scan.zeroes {
-            return None;
-        }
-        let written: HashSet<usize> = scan.stores.iter().map(|(b, _)| *b).collect();
-        if scan.dyn_bufs.iter().any(|b| written.contains(b)) {
-            return None;
-        }
-        let mut stride: HashMap<usize, i64> = HashMap::new();
-        for (buf, access) in scan.stores.iter().chain(&scan.loads) {
-            if !written.contains(buf) {
-                continue;
-            }
-            let Access::Flat(aff) = access else {
-                return None;
-            };
-            let c = aff.coeff(*iter);
-            if c <= 0 {
-                return None;
-            }
-            match stride.get(buf) {
-                Some(&prev) if prev != c => return None,
-                _ => {
-                    stride.insert(*buf, c);
-                }
-            }
-            let (lo, hi) = aff.without(*iter).range(&self.iter_max)?;
-            if lo < 0 || hi >= c {
-                return None;
-            }
-        }
-        if stride.is_empty() {
-            // A loop that writes nothing has no work worth chunking.
-            return None;
-        }
-        Some(ParInfo { extent: n })
-    }
-
     // -- superinstruction recognition --------------------------------------
 
     /// Rewrites every recognizable reduction nest in `stmts` into a
@@ -1307,7 +1160,7 @@ fn const_of(e: &IdxExpr) -> Option<i64> {
 
 /// Element count of a buffer, rejecting adversarial shapes whose product
 /// overflows `usize` (a wrapped count would defeat every downstream
-/// bounds proof and the work estimate).
+/// bounds proof).
 fn checked_numel(dims: &[usize]) -> Result<usize, PlanError> {
     dims.iter()
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
@@ -1342,7 +1195,7 @@ fn scan_stmts(stmts: &[PStmt], scan: &mut ParScan) {
             }
             // A macro reports the same accesses its scalar nest would:
             // the full affines still carry the consumed `j`/`k` terms,
-            // so the enclosing loop's disjointness analysis is unchanged.
+            // so row fusion's stride analysis is unchanged.
             PStmt::MacroMatmul {
                 y_buf,
                 y,
@@ -1450,8 +1303,8 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
 
 /// A borrowed view of one unique storage's atomic cells: float or integer
 /// representation. All cell traffic is `Relaxed` — a plain load/store on
-/// x86 — because determinism comes from the compile-time disjointness
-/// proof, not from ordering (see [`crate::ndarray::DataBuf`]).
+/// x86 — because a launch runs on one thread (see
+/// [`crate::ndarray::DataBuf`]).
 enum ViewData<'a> {
     F(&'a [AtomicU64]),
     I(&'a [AtomicI64]),
@@ -1505,45 +1358,15 @@ impl StorageView<'_> {
     }
 }
 
-/// Everything a launch binds at run time: the unique storages (parameter
-/// storages are `Arc`-shared with the caller's arrays, scratch is fresh),
-/// their actual dtypes and writability, and the buffer-slot → storage map.
-/// Lives in an `Arc` so pool jobs can own it without borrowing the
-/// arguments.
-struct Launch {
-    storages: Vec<Arc<DataBuf>>,
-    dtypes: Vec<DataType>,
-    writable: Vec<bool>,
-    /// Buffer slot → unique storage index (launch-dependent: clones alias).
-    storage_of: Vec<usize>,
-}
-
-impl Launch {
-    fn views(&self) -> Vec<StorageView<'_>> {
-        self.storages
-            .iter()
-            .enumerate()
-            .map(|(s, db)| StorageView {
-                data: match &**db {
-                    DataBuf::F(v) => ViewData::F(v),
-                    DataBuf::I(v) => ViewData::I(v),
-                },
-                writable: self.writable[s],
-                dtype: self.dtypes[s],
-            })
-            .collect()
-    }
-}
-
-/// Launch-time context shared by the serial machine and the workers.
-struct RunCtx<'p> {
-    plan: &'p PlanInner,
-    /// Buffer slot → unique storage index (launch-dependent: clones alias).
-    storage_of: &'p [usize],
-}
-
 fn oob(index: usize, len: usize) -> InterpError {
     InterpError::Array(crate::ndarray::NDArrayError::IndexOutOfBounds { index, len })
+}
+
+/// Launch-time context the [`Machine`] reads but never writes.
+struct RunCtx<'p> {
+    plan: &'p KernelPlan,
+    /// Buffer slot → unique storage index (launch-dependent: clones alias).
+    storage_of: &'p [usize],
 }
 
 /// The register machine walking a plan: flat counters instead of a hash-map
@@ -1877,81 +1700,32 @@ fn flat_of(indices: &[usize], dims: &[usize]) -> Result<usize, InterpError> {
 }
 
 impl KernelPlan {
-    /// `true` if at least one top-level loop was proven safe to chunk
-    /// across worker threads.
-    pub fn parallelizable(&self) -> bool {
-        self.inner.body.iter().any(|(_, p)| p.is_some())
-    }
-
-    /// The compile-time work estimate in op-units (Σ loop trip counts ×
-    /// tape ops) that feeds the [`PAR_MIN_WORK`] parallelism cutoff.
-    pub fn work_estimate(&self) -> u64 {
-        self.inner.work_estimate
-    }
-
-    /// `true` if a multi-threaded [`KernelPlan::run`] would actually take
-    /// the parallel path on a multi-core host: some top-level loop is
-    /// provably chunkable *and* the plan clears its work cutoff
-    /// ([`PAR_MIN_WORK`], or [`PAR_MIN_WORK_MACRO`] for scheduled plans).
-    /// Small plans report `parallel() == false` and run serial at any
-    /// thread count.
-    pub fn parallel(&self) -> bool {
-        self.parallelizable() && self.inner.work_estimate >= self.min_work()
-    }
-
     /// `true` if schedule-gated macro-op recognition rewrote this plan —
     /// its hot loops execute as blocked superinstructions instead of the
     /// scalar op tape.
     pub fn scheduled(&self) -> bool {
-        self.inner.has_macros
-    }
-
-    /// The parallelism cutoff this plan's [`KernelPlan::run`] applies.
-    fn min_work(&self) -> u64 {
-        if self.inner.has_macros {
-            PAR_MIN_WORK_MACRO
-        } else {
-            PAR_MIN_WORK
-        }
+        self.has_macros
     }
 
     /// Executes the plan on `args` (inputs then outputs, the calling
-    /// convention of [`interp::run`]), handing parallelizable loops to the
-    /// persistent worker pool as contiguous iteration ranges over at most
-    /// `threads` workers (`<= 1` runs serial). Plans whose work estimate
-    /// is below [`PAR_MIN_WORK`] always run serial. If launch-time
-    /// argument aliasing invalidates the compile-time disjointness proof,
-    /// the whole launch silently degrades to serial.
+    /// convention of [`interp::run`]) on the calling thread.
+    ///
+    /// `_threads` is unread: a plan always runs on the thread that
+    /// launches it. The argument stays only because the `benchmark`
+    /// package's probes call `run(&args, 1)`; pass `1`.
     ///
     /// # Errors
     ///
     /// The same errors, with the same payloads, as the reference
     /// interpreter on the same arguments.
-    pub fn run(&self, args: &[NDArray], threads: usize) -> Result<(), InterpError> {
-        self.run_with_cutoff(args, threads, self.min_work())
-    }
-
-    /// [`KernelPlan::run`] with an explicit minimum-work cutoff (`0`
-    /// forces the parallel path for any parallelizable plan; tests and
-    /// calibration use this to exercise the pool on small kernels).
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelPlan::run`].
-    pub fn run_with_cutoff(
-        &self,
-        args: &[NDArray],
-        threads: usize,
-        min_work: u64,
-    ) -> Result<(), InterpError> {
-        let inner = &self.inner;
-        if args.len() != inner.num_params {
+    pub fn run(&self, args: &[NDArray], _threads: usize) -> Result<(), InterpError> {
+        if args.len() != self.num_params {
             return Err(InterpError::ArgCountMismatch {
-                expected: inner.num_params,
+                expected: self.num_params,
                 actual: args.len(),
             });
         }
-        for decl in &inner.bufs {
+        for decl in &self.bufs {
             if let Some(p) = decl.param {
                 if args[p].shape() != decl.dims.as_slice() {
                     return Err(InterpError::ShapeMismatch {
@@ -1966,176 +1740,80 @@ impl KernelPlan {
             }
         }
 
-        // Bind buffer slots to unique storages. Cloned arguments alias one
-        // storage; aliasing voids the per-slot disjointness analysis, so it
-        // forces serial execution below. No lock is taken anywhere: the
-        // storages are atomic-cell buffers shared by `Arc` clone.
-        let mut storage_of = vec![usize::MAX; inner.bufs.len()];
-        let mut storages: Vec<Arc<DataBuf>> = Vec::new();
-        let mut dtypes: Vec<DataType> = Vec::new();
+        // Bind buffer slots to unique storages: parameters borrow the
+        // caller's arrays (cloned arguments alias one storage), scratch is
+        // fresh per launch.
+        let scratch: Vec<DataBuf> = self
+            .bufs
+            .iter()
+            .filter(|d| d.param.is_none())
+            .map(|d| DataBuf::zeros(d.dtype, d.numel))
+            .collect();
+        let mut storage_of = vec![usize::MAX; self.bufs.len()];
+        let mut storages: Vec<(&DataBuf, DataType)> = Vec::new();
         let mut by_id: HashMap<usize, usize> = HashMap::new();
         let mut aliased = false;
-        for (slot, decl) in inner.bufs.iter().enumerate() {
+        for (slot, decl) in self.bufs.iter().enumerate() {
             if let Some(p) = decl.param {
                 let arr = &args[p];
                 if let Some(&s) = by_id.get(&arr.storage_id()) {
                     aliased = true;
                     storage_of[slot] = s;
                 } else {
-                    let s = storages.len();
-                    storages.push(Arc::clone(arr.storage()));
-                    dtypes.push(arr.dtype());
-                    by_id.insert(arr.storage_id(), s);
-                    storage_of[slot] = s;
+                    by_id.insert(arr.storage_id(), storages.len());
+                    storage_of[slot] = storages.len();
+                    storages.push((arr.storage(), arr.dtype()));
                 }
             }
         }
-        for (slot, decl) in inner.bufs.iter().enumerate() {
-            if decl.param.is_none() {
-                storage_of[slot] = storages.len();
-                storages.push(Arc::new(DataBuf::zeros(decl.dtype, decl.numel)));
-                dtypes.push(decl.dtype);
-            }
+        let scratch_slots = self
+            .bufs
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.param.is_none());
+        for ((slot, decl), db) in scratch_slots.zip(&scratch) {
+            storage_of[slot] = storages.len();
+            storages.push((db, decl.dtype));
         }
         let mut writable = vec![false; storages.len()];
-        for (slot, &w) in inner.written.iter().enumerate() {
+        for (slot, &w) in self.written.iter().enumerate() {
             if w {
                 writable[storage_of[slot]] = true;
             }
         }
-        let launch = Arc::new(Launch {
-            storages,
-            dtypes,
-            writable,
-            storage_of,
-        });
+        let views = storages
+            .into_iter()
+            .zip(writable)
+            .map(|((db, dtype), writable)| StorageView {
+                data: match db {
+                    DataBuf::F(v) => ViewData::F(v),
+                    DataBuf::I(v) => ViewData::I(v),
+                },
+                writable,
+                dtype,
+            })
+            .collect();
 
         let ctx = RunCtx {
-            plan: inner.as_ref(),
-            storage_of: &launch.storage_of,
+            plan: self,
+            storage_of: &storage_of,
         };
         let mut m = Machine {
-            views: launch.views(),
-            iters: vec![0; inner.num_iters],
-            regs: vec![Scalar::I(0); inner.num_regs],
+            views,
+            iters: vec![0; self.num_iters],
+            regs: vec![Scalar::I(0); self.num_regs],
         };
         // Aliased arguments void the macro/fusion slot-distinctness
-        // proofs, not just the parallel chunking: run the original
-        // scalar body serially.
-        if aliased {
-            if let Some(scalar) = &inner.scalar_body {
-                for stmt in scalar {
-                    m.exec(&ctx, stmt)?;
-                }
-                return Ok(());
-            }
-        }
-        // `min_work == 0` is the explicit force-pool escape hatch used by
-        // tests and calibration; a real cutoff additionally gates on the
-        // host's core count — on a 1-core host the hand-off buys nothing.
-        let threads = if min_work == 0 {
-            threads
-        } else {
-            threads.min(pool::available_threads())
+        // proofs: run the original scalar body.
+        let body = match &self.scalar_body {
+            Some(scalar) if aliased => scalar,
+            _ => &self.body,
         };
-        let par_launch = threads > 1 && !aliased && inner.work_estimate >= min_work;
-        for (idx, (stmt, par)) in inner.body.iter().enumerate() {
-            match (stmt, par) {
-                (PStmt::Loop { iter, .. }, Some(p)) if par_launch => {
-                    run_parallel(inner, &launch, idx, *iter, p.extent as usize, threads)?;
-                }
-                _ => m.exec(&ctx, stmt)?,
-            }
+        for stmt in body {
+            m.exec(&ctx, stmt)?;
         }
         Ok(())
     }
-}
-
-/// Executes outer iterations `lo..hi` of the parallel loop at
-/// `plan.body[stmt_idx]` with a fresh machine over the launch's shared
-/// storages. Safety and bit-equality rest entirely on the compile-time
-/// proof in [`Compiler::analyze_parallel`] — workers running disjoint
-/// ranges never write the same element, and never read an element another
-/// range writes.
-fn exec_range(
-    plan: &PlanInner,
-    launch: &Launch,
-    stmt_idx: usize,
-    iter: usize,
-    lo: i64,
-    hi: i64,
-) -> Result<(), InterpError> {
-    let ctx = RunCtx {
-        plan,
-        storage_of: &launch.storage_of,
-    };
-    let PStmt::Loop { body, .. } = &plan.body[stmt_idx].0 else {
-        return Ok(());
-    };
-    let mut m = Machine {
-        views: launch.views(),
-        iters: vec![0; plan.num_iters],
-        regs: vec![Scalar::I(0); plan.num_regs],
-    };
-    for i in lo..hi {
-        m.iters[iter] = i;
-        for st in body {
-            m.exec(&ctx, st)?;
-        }
-    }
-    Ok(())
-}
-
-/// Splits the outer loop into `t_count` contiguous iteration ranges, hands
-/// all but the first to the persistent worker pool as owned (`Arc`-backed)
-/// jobs, runs the first range on the calling thread, then waits on a
-/// completion latch. The latch's mutex hand-off publishes every worker's
-/// relaxed cell stores to the caller.
-fn run_parallel(
-    plan: &Arc<PlanInner>,
-    launch: &Arc<Launch>,
-    stmt_idx: usize,
-    iter: usize,
-    n: usize,
-    threads: usize,
-) -> Result<(), InterpError> {
-    let t_count = threads.min(n).max(1);
-    let bounds: Vec<usize> = (0..=t_count).map(|t| n * t / t_count).collect();
-    if t_count <= 1 {
-        return exec_range(plan, launch, stmt_idx, iter, 0, n as i64);
-    }
-
-    let latch = Arc::new(Latch::new(t_count - 1));
-    let slots: Vec<Arc<std::sync::OnceLock<Result<(), InterpError>>>> = (1..t_count)
-        .map(|_| Arc::new(std::sync::OnceLock::new()))
-        .collect();
-    let jobs: Vec<Job> = (1..t_count)
-        .map(|t| {
-            let plan = Arc::clone(plan);
-            let launch = Arc::clone(launch);
-            let latch = Arc::clone(&latch);
-            let slot = Arc::clone(&slots[t - 1]);
-            let (lo, hi) = (bounds[t] as i64, bounds[t + 1] as i64);
-            Box::new(move || {
-                let _g = LatchGuard(&latch);
-                let r = exec_range(&plan, &launch, stmt_idx, iter, lo, hi);
-                let _ = slot.set(r);
-            }) as Job
-        })
-        .collect();
-    pool::global().submit(jobs);
-    let first = exec_range(plan, launch, stmt_idx, iter, bounds[0] as i64, bounds[1] as i64);
-    latch.wait();
-    first?;
-    for slot in &slots {
-        match slot.get() {
-            Some(r) => r.clone()?,
-            // The job died before storing a result: surface it like the
-            // old scoped-join behavior did.
-            None => panic!("worker thread panicked"),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2193,41 +1871,18 @@ mod tests {
         let f = matmul_func(5, 6);
         let shapes = vec![vec![4, 5], vec![5, 6], vec![4, 6]];
         let plan = compile(&f, &shapes).unwrap();
-        assert!(plan.parallelizable());
 
         let args = mm_args(4, 5, 6);
         let reference = mm_args(4, 5, 6);
         interp::run(&f, &reference).unwrap();
         plan.run(&args, 1).unwrap();
         assert_eq!(args[2].to_f64_vec(), reference[2].to_f64_vec());
-
-        // Force the pool path (the plan is far below the real cutoff).
-        let par_args = mm_args(4, 5, 6);
-        plan.run_with_cutoff(&par_args, 3, 0).unwrap();
-        assert_eq!(par_args[2].to_f64_vec(), reference[2].to_f64_vec());
-    }
-
-    #[test]
-    fn small_plans_report_parallel_false() {
-        // The benchmark's 8×64×64 matmul: parallelizable in principle but
-        // below the work cutoff, so it must never pay pool overhead.
-        let f = matmul_func(64, 64);
-        let small = compile(&f, &[vec![8, 64], vec![64, 64], vec![8, 64]]).unwrap();
-        assert!(small.parallelizable());
-        assert!(small.work_estimate() < PAR_MIN_WORK);
-        assert!(!small.parallel());
-
-        // The 96×64×64 variant clears the cutoff and stays parallel.
-        let large = compile(&f, &[vec![96, 64], vec![64, 64], vec![96, 64]]).unwrap();
-        assert!(large.parallelizable());
-        assert!(large.work_estimate() >= PAR_MIN_WORK);
-        assert!(large.parallel());
     }
 
     #[test]
     fn aliased_arguments_still_run_correctly() {
-        // out aliases the input: plan must fall back to serial and match
-        // the interpreter exactly.
+        // out aliases the input: the plan must match the interpreter
+        // exactly.
         let n = Var::new("n");
         let x = Buffer::new("X", vec![n.clone().into()], DataType::F32);
         let y = Buffer::new("Y", vec![n.clone().into()], DataType::F32);
@@ -2242,7 +1897,7 @@ mod tests {
 
         let a = NDArray::from_f64(&[8], DataType::F32, (0..8).map(|v| v as f64).collect()).unwrap();
         let alias = a.clone();
-        plan.run(&[a.clone(), alias], 4).unwrap();
+        plan.run(&[a.clone(), alias], 1).unwrap();
 
         let b = NDArray::from_f64(&[8], DataType::F32, (0..8).map(|v| v as f64).collect()).unwrap();
         let b_alias = b.clone();
@@ -2305,7 +1960,6 @@ mod tests {
         ));
         let f = PrimFunc::new("scatter_sq", vec![x, y], 1, body);
         let plan = compile(&f, &[vec![5], vec![5]]).unwrap();
-        assert!(!plan.parallelizable());
 
         let mk = || {
             (
@@ -2322,8 +1976,8 @@ mod tests {
 
     #[test]
     fn gather_loaddyn_matches_and_blocks_parallel_writes() {
-        // O[i] = T[I[i]] — dynamic read of a *read-only* table is fine for
-        // parallelism; the outer store is affine.
+        // O[i] = T[I[i]] — a dynamic read of a read-only table beside an
+        // affine store.
         let tbl = Buffer::new("T", vec![4.into()], DataType::F32);
         let idx = Buffer::new("I", vec![6.into()], DataType::I64);
         let out = Buffer::new("O", vec![6.into()], DataType::F32);
@@ -2339,7 +1993,6 @@ mod tests {
         ));
         let f = PrimFunc::new("gather", vec![tbl, idx, out], 1, body);
         let plan = compile(&f, &[vec![4], vec![6], vec![6]]).unwrap();
-        assert!(plan.parallelizable());
 
         let mk = || {
             (
@@ -2349,7 +2002,7 @@ mod tests {
             )
         };
         let (t1, i1, o1) = mk();
-        plan.run_with_cutoff(&[t1, i1, o1.clone()], 3, 0).unwrap();
+        plan.run(&[t1, i1, o1.clone()], 1).unwrap();
         let (t2, i2, o2) = mk();
         interp::run(&f, &[t2, i2, o2.clone()]).unwrap();
         assert_eq!(o1.to_f64_vec(), o2.to_f64_vec());
@@ -2430,10 +2083,9 @@ mod tests {
         .in_loop(j, PrimExpr::from(i) + 1.into());
         let f = PrimFunc::new("tri", vec![o.clone()], 1, nest.build(inner));
         let plan = compile(&f, &[vec![6, 6]]).unwrap();
-        assert!(plan.parallelizable());
 
         let o1 = NDArray::zeros(&[6, 6], DataType::F32);
-        plan.run_with_cutoff(std::slice::from_ref(&o1), 4, 0).unwrap();
+        plan.run(std::slice::from_ref(&o1), 1).unwrap();
         let o2 = NDArray::zeros(&[6, 6], DataType::F32);
         interp::run(&f, std::slice::from_ref(&o2)).unwrap();
         assert_eq!(o1.to_f64_vec(), o2.to_f64_vec());
@@ -2456,21 +2108,13 @@ mod tests {
         let sched = compile(&scheduled_mm(64, 64), &shapes).unwrap();
         assert!(!plain.scheduled());
         assert!(sched.scheduled());
-        // Macro units are whole multiply-accumulates, so the estimate
-        // shrinks by the tape length while the cutoff shrinks with it.
-        assert!(sched.work_estimate() < plain.work_estimate());
-        assert!(sched.parallel());
 
         let reference = mm_args(96, 64, 64);
         interp::run(&matmul_func(64, 64), &reference).unwrap();
 
-        let serial = mm_args(96, 64, 64);
-        sched.run(&serial, 1).unwrap();
-        assert_eq!(bits(&serial[2]), bits(&reference[2]));
-
-        let pooled = mm_args(96, 64, 64);
-        sched.run_with_cutoff(&pooled, 3, 0).unwrap();
-        assert_eq!(bits(&pooled[2]), bits(&reference[2]));
+        let macro_run = mm_args(96, 64, 64);
+        sched.run(&macro_run, 1).unwrap();
+        assert_eq!(bits(&macro_run[2]), bits(&reference[2]));
 
         let unsched = mm_args(96, 64, 64);
         plain.run(&unsched, 1).unwrap();
@@ -2547,25 +2191,16 @@ mod tests {
         let sched = compile(&g, &shapes).unwrap();
         assert!(sched.scheduled());
         // Fusion merged the epilogue into the matmul's row loop: one
-        // top-level statement, still provably chunkable.
-        assert_eq!(sched.inner.body.len(), 1);
-        assert!(sched.parallelizable());
+        // top-level statement.
+        assert_eq!(sched.body.len(), 1);
 
         let reference = mm_ep_args(96, 64, 64);
         interp::run(&f, &reference).unwrap();
 
-        for (label, args) in [
-            ("serial", mm_ep_args(96, 64, 64)),
-            ("pooled", mm_ep_args(96, 64, 64)),
-        ] {
-            if label == "pooled" {
-                sched.run_with_cutoff(&args, 3, 0).unwrap();
-            } else {
-                sched.run(&args, 1).unwrap();
-            }
-            assert_eq!(bits(&args[3]), bits(&reference[3]), "{label} Y");
-            assert_eq!(bits(&args[4]), bits(&reference[4]), "{label} Z");
-        }
+        let args = mm_ep_args(96, 64, 64);
+        sched.run(&args, 1).unwrap();
+        assert_eq!(bits(&args[3]), bits(&reference[3]), "Y");
+        assert_eq!(bits(&args[4]), bits(&reference[4]), "Z");
 
         let unsched = mm_ep_args(96, 64, 64);
         plain.run(&unsched, 1).unwrap();
@@ -2587,7 +2222,7 @@ mod tests {
 
         let args = mm_args(8, 8, 8);
         let aliased = vec![args[2].clone(), args[1].clone(), args[2].clone()];
-        sched.run(&aliased, 4).unwrap();
+        sched.run(&aliased, 1).unwrap();
 
         let reference = mm_args(8, 8, 8);
         let r_aliased = vec![
@@ -2623,75 +2258,5 @@ mod tests {
         let b = mk();
         plain.run(&b, 1).unwrap();
         assert_eq!(bits(&a[2]), bits(&b[2]));
-    }
-
-    #[test]
-    fn work_estimate_saturates_instead_of_wrapping() {
-        // Two nested ~2^40 loops: the naive product of trip counts and
-        // tape ops is ~2^81 and would wrap `u64` far below the cutoff,
-        // silently serializing the kernel. Saturation pins it to MAX.
-        let n = Var::new("n");
-        let y = Buffer::new("Y", vec![n.clone().into()], DataType::F32);
-        let (iv, nest) = grid(&[("i", n.clone().into()), ("j", n.into())]);
-        let body = nest.build(Stmt::store(
-            &y,
-            vec![iv[0].clone().into()],
-            TirExpr::FloatImm(1.0),
-        ));
-        let f = PrimFunc::new("huge", vec![y], 1, body);
-        let plan = compile(&f, &[vec![1usize << 40]]).unwrap();
-        assert_eq!(plan.work_estimate(), u64::MAX);
-        assert!(plan.parallel());
-    }
-
-    #[test]
-    fn single_thread_launches_never_touch_the_pool() {
-        // A plan far above every cutoff, launched with threads == 1: the
-        // pool must never see a job. The submit counter is global, so
-        // tolerate interference from concurrently running tests by
-        // retrying; a genuine pool hand-off from this launch would bump
-        // the counter on *every* attempt.
-        let f = matmul_func(64, 64);
-        let plan = compile(&f, &[vec![96, 64], vec![64, 64], vec![96, 64]]).unwrap();
-        assert!(plan.work_estimate() >= PAR_MIN_WORK);
-        let args = mm_args(96, 64, 64);
-
-        let quiet = |threads: usize| {
-            (0..10).any(|_| {
-                let before = pool::jobs_submitted();
-                plan.run(&args, threads).unwrap();
-                pool::jobs_submitted() == before
-            })
-        };
-        assert!(quiet(1), "threads=1 launch submitted pool jobs");
-        if pool::available_threads() == 1 {
-            // 1-core host: the core-count gate must keep even a
-            // threads=4 launch off the pool.
-            assert!(quiet(4), "1-core host launch submitted pool jobs");
-        }
-    }
-
-    #[test]
-    fn macro_cutoff_keeps_small_scheduled_plans_serial() {
-        // 8 rows: 8·64·64 = 32k macro units, below PAR_MIN_WORK_MACRO.
-        let small = compile(
-            &scheduled_mm(64, 64),
-            &[vec![8, 64], vec![64, 64], vec![8, 64]],
-        )
-        .unwrap();
-        assert!(small.scheduled());
-        assert!(small.work_estimate() < PAR_MIN_WORK_MACRO);
-        assert!(!small.parallel());
-
-        // 96 rows: 393k macro units — below the scalar cutoff but above
-        // the macro cutoff, so the blocked kernel still parallelizes.
-        let large = compile(
-            &scheduled_mm(64, 64),
-            &[vec![96, 64], vec![64, 64], vec![96, 64]],
-        )
-        .unwrap();
-        assert!(large.work_estimate() < PAR_MIN_WORK);
-        assert!(large.work_estimate() >= PAR_MIN_WORK_MACRO);
-        assert!(large.parallel());
     }
 }

@@ -1,6 +1,6 @@
 //! Differential property test: shape-specialized kernel plans must be
-//! bit-identical to the reference interpreter, at any thread count, across
-//! randomly drawn shapes, dtypes and kernel families.
+//! bit-identical to the reference interpreter across randomly drawn
+//! shapes, dtypes and kernel families.
 //!
 //! The generator is a seeded xorshift64* so failures reproduce exactly.
 
@@ -54,42 +54,24 @@ fn rand_ints(rng: &mut XorShift, shape: &[usize], dtype: DataType) -> NDArray {
     NDArray::from_i64(shape, dtype, data).unwrap()
 }
 
-/// Runs `func` three ways — interpreter, plan serial, plan on 3 threads —
-/// on deep copies of `args`, and asserts every buffer ends bit-identical.
-fn assert_plan_matches(func: &PrimFunc, args: &[NDArray], want_parallel: bool) {
+/// Runs `func` two ways — interpreter and plan — on deep copies of
+/// `args`, and asserts every buffer ends bit-identical.
+fn assert_plan_matches(func: &PrimFunc, args: &[NDArray]) {
     let shapes: Vec<Vec<usize>> = args.iter().map(|a| a.shape().to_vec()).collect();
     let compiled = plan::compile(func, &shapes)
         .unwrap_or_else(|e| panic!("{} must be plannable at {:?}: {}", func.name(), shapes, e));
-    if want_parallel {
-        assert!(
-            compiled.parallelizable(),
-            "{} at {:?} should be parallelizable",
-            func.name(),
-            shapes
-        );
-    }
 
     let reference: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
-    let serial: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
-    let threaded: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
+    let planned: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
 
     interp::run(func, &reference).unwrap();
-    compiled.run(&serial, 1).unwrap();
-    compiled.run(&threaded, 3).unwrap();
+    compiled.run(&planned, 1).unwrap();
 
     for (i, r) in reference.iter().enumerate() {
         assert_eq!(
             bits(r),
-            bits(&serial[i]),
-            "{} arg {} serial mismatch at {:?}",
-            func.name(),
-            i,
-            shapes
-        );
-        assert_eq!(
-            bits(r),
-            bits(&threaded[i]),
-            "{} arg {} threaded mismatch at {:?}",
+            bits(&planned[i]),
+            "{} arg {} mismatch at {:?}",
             func.name(),
             i,
             shapes
@@ -202,8 +184,7 @@ fn ewise_select_matches_across_random_shapes_and_dtypes() {
         let (n, m) = (rng.range(1, 9), rng.range(1, 9));
         let x = rand_floats(&mut rng, &[n, m], dtype);
         let y = NDArray::zeros(&[n, m], dtype);
-        // The parallel annotation requires a trip count of at least 2.
-        assert_plan_matches(&f, &[x, y], n >= 2);
+        assert_plan_matches(&f, &[x, y]);
     }
 }
 
@@ -216,7 +197,7 @@ fn matmul_matches_across_random_shapes() {
         let x = rand_floats(&mut rng, &[n, k], DataType::F32);
         let w = rand_floats(&mut rng, &[k, m], DataType::F32);
         let y = NDArray::zeros(&[n, m], DataType::F32);
-        assert_plan_matches(&f, &[x, w, y], n >= 2);
+        assert_plan_matches(&f, &[x, w, y]);
     }
 }
 
@@ -239,7 +220,7 @@ fn gather_matches_across_random_shapes() {
         let indices = (0..n).map(|_| rng.range(0, m - 1) as i64).collect();
         let idx = NDArray::from_i64(&[n], DataType::I64, indices).unwrap();
         let o = NDArray::zeros(&[n], dtype);
-        assert_plan_matches(&f, &[x, idx, o], n >= 2);
+        assert_plan_matches(&f, &[x, idx, o]);
     }
 }
 
@@ -256,6 +237,6 @@ fn int_bit_ops_match_across_random_shapes_and_dtypes() {
         let n = rng.range(1, 33);
         let x = rand_ints(&mut rng, &[n], dtype);
         let y = NDArray::zeros(&[n], dtype);
-        assert_plan_matches(&f, &[x, y], n >= 2);
+        assert_plan_matches(&f, &[x, y]);
     }
 }

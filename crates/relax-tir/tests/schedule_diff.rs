@@ -2,8 +2,7 @@
 //! of the schedule primitives (`tile` × `reorder` × `unroll` ×
 //! `cache_block`) applied to a matmul must compile to a plan whose
 //! results are bit-identical to the unscheduled plan and to the
-//! reference interpreter — serially and through the worker pool — across
-//! randomly drawn shapes and dtypes.
+//! reference interpreter across randomly drawn shapes and dtypes.
 //!
 //! The generator is a seeded xorshift64* so failures reproduce exactly.
 
@@ -143,9 +142,9 @@ fn apply_mask(f: &PrimFunc, mask: u32, bi: usize, bj: usize, tk: usize) -> PrimF
     s.into_func()
 }
 
-/// Runs the scheduled function four ways against the unscheduled
-/// reference: interpreter, scheduled plan serial, scheduled plan forced
-/// through the worker pool, and the unscheduled plan — all bitwise.
+/// Runs the scheduled function three ways against the unscheduled
+/// reference: interpreter, scheduled plan and unscheduled plan — all
+/// bitwise.
 fn assert_schedule_matches(f: &PrimFunc, sched: &PrimFunc, args: &[NDArray]) {
     let shapes: Vec<Vec<usize>> = args.iter().map(|a| a.shape().to_vec()).collect();
     let plain = plan::compile(f, &shapes).expect("unscheduled plan");
@@ -153,19 +152,15 @@ fn assert_schedule_matches(f: &PrimFunc, sched: &PrimFunc, args: &[NDArray]) {
 
     let reference: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
     let unsched: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
-    let serial: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
-    let pooled: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
+    let sched_out: Vec<NDArray> = args.iter().map(|a| a.deep_copy()).collect();
 
     interp::run(f, &reference).unwrap();
     plain.run(&unsched, 1).unwrap();
-    scheduled.run(&serial, 1).unwrap();
-    // Cutoff 0 forces the pool even for tiny shapes.
-    scheduled.run_with_cutoff(&pooled, 3, 0).unwrap();
+    scheduled.run(&sched_out, 1).unwrap();
 
     let want = bits(&reference[2]);
     assert_eq!(want, bits(&unsched[2]), "unscheduled plan vs interp");
-    assert_eq!(want, bits(&serial[2]), "scheduled serial vs interp");
-    assert_eq!(want, bits(&pooled[2]), "scheduled pooled vs interp");
+    assert_eq!(want, bits(&sched_out[2]), "scheduled plan vs interp");
 }
 
 #[test]

@@ -648,4 +648,173 @@ mod tests {
         assert!(c.lookup("b", &[vec![1]]).is_none());
         c.flush_session(&mut sess);
     }
+
+    /// The plain reference for [`random_operations_match_an_lru_model`]:
+    /// entries in a `Vec` with the tick that last touched them, the victim
+    /// the smallest tick. Ticks follow the documented batched rule: a
+    /// direct probe or insert draws one from the global counter, a session
+    /// reserves [`TICK_BATCH`] at once and hands them out in order.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(Key, u64)>,
+        capacity: usize,
+        tick: u64,
+        session_next: u64,
+        session_left: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+        /// Keys evicted and not inserted since.
+        evicted: Vec<Key>,
+    }
+
+    /// `(function index, shape index)`.
+    type Key = (usize, usize);
+
+    impl Model {
+        fn global_tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn session_tick(&mut self) -> u64 {
+            if self.session_left == 0 {
+                self.session_next = self.tick + 1;
+                self.tick += TICK_BATCH;
+                self.session_left = TICK_BATCH;
+            }
+            self.session_left -= 1;
+            self.session_next += 1;
+            self.session_next - 1
+        }
+
+        /// A counted probe; `true` on a hit.
+        fn probe(&mut self, key: Key, through_session: bool) -> bool {
+            if self.capacity == 0 {
+                return false;
+            }
+            let tick = if through_session {
+                self.session_tick()
+            } else {
+                self.global_tick()
+            };
+            match self.entries.iter_mut().find(|(k, _)| *k == key) {
+                Some(entry) => {
+                    entry.1 = tick;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        /// Inserts `key`; returns how many entries it evicted.
+        fn insert(&mut self, key: Key) -> u64 {
+            if self.capacity == 0 {
+                return 0;
+            }
+            let tick = self.global_tick();
+            if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+                entry.1 = tick;
+                return 0;
+            }
+            self.entries.push((key, tick));
+            self.evicted.retain(|k| *k != key);
+            self.shrink()
+        }
+
+        fn set_capacity(&mut self, capacity: usize) -> u64 {
+            self.capacity = capacity;
+            self.shrink()
+        }
+
+        fn shrink(&mut self) -> u64 {
+            let mut evicted = 0;
+            while self.entries.len() > self.capacity {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .expect("over capacity, so not empty");
+                let (key, _) = self.entries.remove(oldest);
+                self.evicted.push(key);
+                self.evictions += 1;
+                evicted += 1;
+            }
+            evicted
+        }
+    }
+
+    /// 200 seeds × 200 random direct and session lookups, inserts,
+    /// capacity changes (including 0 and shrinking) and session flushes,
+    /// checked against [`Model`]: every probe hits exactly when the model
+    /// does, every insert and capacity change evicts as many entries, and
+    /// after every flush the counters and length equal the model's and a
+    /// key the model evicted misses.
+    #[test]
+    fn random_operations_match_an_lru_model() {
+        const FUNCS: [&str; 4] = ["f0", "f1", "f2", "f3"];
+        let shapes: [Vec<Vec<usize>>; 3] = [vec![vec![1]], vec![vec![2]], vec![vec![3, 4]]];
+        for seed in 0..200u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let initial = below(9);
+            let c = SharedPlanCache::new(initial);
+            let mut sess = c.session();
+            let mut model = Model {
+                capacity: initial,
+                ..Model::default()
+            };
+            for op in 0..200 {
+                let key = (below(FUNCS.len()), below(shapes.len()));
+                let (func, shape) = (FUNCS[key.0], &shapes[key.1]);
+                let ctx = format!("seed {seed} op {op}");
+                match below(20) {
+                    0..=5 => {
+                        let hit = c.lookup(func, shape).is_some();
+                        assert_eq!(hit, model.probe(key, false), "{ctx}: lookup {key:?}");
+                    }
+                    6..=11 => {
+                        let hit = c.lookup_with(&mut sess, func, shape).is_some();
+                        assert_eq!(hit, model.probe(key, true), "{ctx}: lookup_with {key:?}");
+                    }
+                    12..=15 => {
+                        let evicted = c.insert(func, shape, CachedPlan::Unplannable);
+                        assert_eq!(evicted, model.insert(key), "{ctx}: insert {key:?}");
+                    }
+                    16 => {
+                        // Shrink more often than grow, and reach 0.
+                        let capacity = below(c.capacity() + 3).saturating_sub(2);
+                        let evicted = c.set_capacity(capacity);
+                        assert_eq!(evicted, model.set_capacity(capacity), "{ctx}: capacity");
+                    }
+                    _ => {
+                        c.flush_session(&mut sess);
+                        let stats = c.stats();
+                        assert_eq!(stats.hits + stats.misses, stats.probes, "{ctx}");
+                        assert_eq!(
+                            (stats.hits, stats.misses),
+                            (model.hits, model.misses),
+                            "{ctx}"
+                        );
+                        assert_eq!(stats.evictions, model.evictions, "{ctx}");
+                        assert_eq!(stats.len, model.entries.len(), "{ctx}");
+                        assert!(stats.len <= stats.capacity, "{ctx}: {stats:?}");
+                        if !model.evicted.is_empty() {
+                            let gone = model.evicted[below(model.evicted.len())];
+                            assert!(!model.probe(gone, false));
+                            let (func, shape) = (FUNCS[gone.0], &shapes[gone.1]);
+                            assert!(c.lookup(func, shape).is_none(), "{ctx}: {gone:?} hit");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -283,8 +283,6 @@ pub struct Vm {
     /// This VM's probe session: lock-free cache hits via shard snapshots,
     /// batched LRU ticks and hit/miss counts (flushed after every `run`).
     cache_session: PlanCacheSession,
-    /// Worker threads for parallelizable kernel plans (1 = serial).
-    parallelism: usize,
     /// The page pool backing `vm.builtin.kv_cache.*` handles — shared
     /// across a serving engine's VMs so occupancy accounting is global.
     kv_pool: Arc<KvPagePool>,
@@ -337,7 +335,6 @@ impl Vm {
             kernel_stats: HashMap::new(),
             plan_cache,
             cache_session,
-            parallelism: 1,
             kv_pool: Arc::new(KvPagePool::unbounded(DEFAULT_KV_PAGE_TOKENS)),
             fault: None,
             memory_capacity: None,
@@ -435,15 +432,6 @@ impl Vm {
         &self.plan_cache
     }
 
-    /// Sets the number of worker threads used to execute parallelizable
-    /// kernel plans. `1` (the default) runs serially on the calling
-    /// thread; values above 1 chunk the outermost parallelizable loop
-    /// across scoped threads. Chunks never share output elements, so
-    /// results are bit-identical at any thread count.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
     /// Current execution counters. Plan-cache hits/misses/evictions are
     /// *this VM's* counts; with a shared cache, the aggregate across all
     /// sharers is [`SharedPlanCache::stats`].
@@ -489,11 +477,12 @@ impl Vm {
     }
 
     fn run_inner(&mut self, func: &str, args: &[Value]) -> Result<Value, VmError> {
-        let vmf = self
-            .exec
+        // Borrow the function through a handle of our own, so the body is
+        // not copied per call while `self` stays free to mutate.
+        let exec = Arc::clone(&self.exec);
+        let vmf = exec
             .funcs
             .get(func)
-            .cloned()
             .ok_or_else(|| VmError::new(VmErrorKind::UnknownFunction(func.to_string())))?;
         if args.len() != vmf.num_params {
             let mut e = VmError::new(VmErrorKind::ArgCount {
@@ -528,7 +517,7 @@ impl Vm {
         for (i, a) in args.iter().enumerate() {
             frame.regs[i] = a.clone();
         }
-        let result = self.exec_block(&vmf, &vmf.instrs, &mut frame, false);
+        let result = self.exec_block(vmf, &vmf.instrs, &mut frame, false);
         // Return pool blocks still held by this invocation — on success
         // *and* on error, so a failed run cannot leak pool memory.
         for (_, size) in frame.alloc_sizes.drain() {
@@ -789,7 +778,7 @@ impl Vm {
                 let sp = relax_trace::span("vm", || format!("kernel:{func}"));
                 match cached {
                     Some(CachedPlan::Ready(plan)) => {
-                        plan.run(&tensors, self.parallelism)?;
+                        plan.run(&tensors, 1)?;
                     }
                     Some(CachedPlan::Unplannable) => {
                         self.telemetry.plan_fallbacks += 1;
@@ -1222,21 +1211,6 @@ mod tests {
         assert_eq!(tel.plan_cache_misses, 0);
         assert_eq!(tel.plan_fallbacks, 0);
         assert_eq!(tel.tir_calls, 1);
-    }
-
-    #[test]
-    fn parallel_execution_matches_serial() {
-        let data: Vec<f64> = (0..1024).map(|i| (i as f64) - 512.0).collect();
-        let x = NDArray::from_f64(&[1024], DataType::F32, data).unwrap();
-        let mut serial = Vm::new(relu_exec());
-        let a = serial.run("main", &[Value::Tensor(x.clone())]).unwrap();
-        let mut parallel = Vm::new(relu_exec());
-        parallel.set_parallelism(4);
-        let b = parallel.run("main", &[Value::Tensor(x)]).unwrap();
-        assert_eq!(
-            a.as_tensor().unwrap().to_f64_vec(),
-            b.as_tensor().unwrap().to_f64_vec()
-        );
     }
 
     #[test]

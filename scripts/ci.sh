@@ -24,6 +24,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> serving-core loop rules on a toy Work, under a time limit"
+# Steps of these tests park at a gate the test opens; a hang fails the gate.
+timeout 300 cargo test -p relax-serve --release -q --lib core::
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
@@ -69,10 +73,12 @@ cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test golden_roundtrip
 
 echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
-# Scheduled (macro-op) plans against unscheduled plans and the reference
-# interpreter, bitwise, across every schedule-primitive combination, plus
-# the 32-config pipeline ablation that toggles kernel_schedule with the
-# other pipeline knobs.
+# Kernel plans against the reference interpreter, and scheduled
+# (macro-op) plans against unscheduled plans and the interpreter, bitwise,
+# across random shapes and every schedule-primitive combination, plus the
+# 32-config pipeline ablation that toggles kernel_schedule with the other
+# pipeline knobs.
+cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
 cargo test --release -q --test pipeline_ablation
 # The one hand-written kernel on the serving path: the paged-attention
