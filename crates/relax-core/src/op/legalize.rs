@@ -278,8 +278,6 @@ fn legalize_reshape(
     let in_dims = dims_of(op, &args[0])?.to_vec();
     let x = Buffer::new("X", in_dims.clone(), dtype_of(&args[0]));
     let o = Buffer::new("O", out_dims.clone(), dtype_of(&out_sinfo));
-    let (ivs, nest) = named_grid(&out_dims);
-    let out_idx = ivs_to_idx(&ivs);
     // Leading dims the two shapes share index one-to-one. Only the rest is
     // linearized and delinearized, so no div/mod by a shared dim is emitted
     // — for a symbolic one (`batch`, `seq`) the simplifier could not fold it.
@@ -288,23 +286,35 @@ fn legalize_reshape(
         .zip(&in_dims)
         .take_while(|(o, i)| o == i)
         .count();
+    // A reshape that only merges trailing input dims (merge heads, flatten)
+    // walks the input grid and stores at the linearized index, so every
+    // index stays affine. Any other walks the output grid and delinearizes.
+    let merge = out_dims.len() == shared + 1 && in_dims.len() > shared + 1;
+    let walked = if merge { &in_dims } else { &out_dims };
+    let (ivs, nest) = named_grid(walked);
+    let idx = ivs_to_idx(&ivs);
     let mut linear = PrimExpr::Int(0);
-    for (iv, d) in out_idx.iter().zip(&out_dims).skip(shared) {
+    for (iv, d) in idx.iter().zip(walked).skip(shared) {
         linear = linear * d.clone() + iv.clone();
     }
-    let mut in_idx = out_idx[..shared].to_vec();
-    in_idx.resize(in_dims.len(), PrimExpr::Int(0));
-    let mut rem = linear;
-    for i in (shared..in_dims.len()).rev() {
-        if i == shared {
-            in_idx[i] = rem.clone();
-        } else {
-            in_idx[i] = rem.clone().floor_mod(in_dims[i].clone());
-            rem = rem.floor_div(in_dims[i].clone());
+    let mut other = idx[..shared].to_vec();
+    let store = if merge {
+        other.push(linear);
+        Stmt::store(&o, other, TirExpr::load(&x, idx))
+    } else {
+        other.resize(in_dims.len(), PrimExpr::Int(0));
+        let mut rem = linear;
+        for i in (shared..in_dims.len()).rev() {
+            if i == shared {
+                other[i] = rem.clone();
+            } else {
+                other[i] = rem.clone().floor_mod(in_dims[i].clone());
+                rem = rem.floor_div(in_dims[i].clone());
+            }
         }
-    }
-    let body = nest.build(Stmt::store(&o, out_idx, TirExpr::load(&x, in_idx)));
-    Ok(PrimFunc::new(func_name, vec![x, o], 1, body))
+        Stmt::store(&o, idx, TirExpr::load(&x, other))
+    };
+    Ok(PrimFunc::new(func_name, vec![x, o], 1, nest.build(store)))
 }
 
 fn legalize_permute(
@@ -1051,10 +1061,10 @@ mod tests {
         interp::run(&f, &[x, o.clone()]).unwrap();
         assert_eq!(o.to_f64_vec(), vals);
         assert_eq!(analysis::pattern_kind(&f), analysis::PatternKind::Injective);
-        // The shared leading dims are indexed one-to-one: nothing divides
-        // by a symbolic dim.
+        // The shared leading dims are indexed one-to-one and the merged
+        // trailing dims are walked on the input grid: nothing divides.
         let text = f.to_string();
-        assert!(!text.contains("// s") && !text.contains("% s"), "{text}");
+        assert!(!text.contains("//") && !text.contains('%'), "{text}");
     }
 
     #[test]

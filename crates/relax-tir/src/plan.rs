@@ -15,7 +15,12 @@
 //!   (`Select` compiles to conditional jumps, preserving the interpreter's
 //!   lazy evaluation),
 //! - `Alloc` scratch buffers preallocated per launch and re-zeroed at the
-//!   allocation point.
+//!   allocation point,
+//! - innermost loops of elementwise float stores run as **rows**
+//!   ([`Compiler::try_row`], on every plan): access bases and strides are
+//!   evaluated once per row and each tape op runs over the whole row,
+//!   not one tape walk per element ([`KernelPlan::scalar_stores`] counts
+//!   the stores left on the tape).
 //!
 //! Anything the planner cannot express returns
 //! [`PlanError::Unsupported`] and the caller falls back to the reference
@@ -307,6 +312,16 @@ enum PStmt {
     },
     /// Re-zeroes a scratch buffer (emitted at each `Alloc` point).
     ZeroScratch { buf: usize },
+    /// An innermost loop run a **row** at a time: `body` holds only
+    /// `Store`s that [`Compiler::try_row`] proved element-order
+    /// independent. A launch that breaks the proof (aliased arguments,
+    /// an integer view, a read-only output) runs `body` as the plain
+    /// loop.
+    Row {
+        iter: usize,
+        extent: IdxExpr,
+        body: Vec<PStmt>,
+    },
     /// A cache-blocked matmul **superinstruction**: an entire
     /// `for j { for k { if k == 0 { Y = c }; Y = Y + X·W } }` reduction
     /// nest collapsed into one plan entry. Recognition (schedule-gated,
@@ -376,12 +391,14 @@ pub struct KernelPlan {
     /// `true` when the body contains at least one macro-op
     /// superinstruction.
     has_macros: bool,
+    /// Stores outside every row and macro-op.
+    scalar_stores: usize,
     /// The pre-macroization scalar body, kept only when macroization or
     /// sibling fusion rewrote the plan. Macro recognition proves
     /// operand/output **slots** distinct, but launch-time argument
     /// aliasing can still make them share storage, where the blocked
     /// loop order and fused statement order become observable — aliased
-    /// launches run this body instead.
+    /// launches run this body instead (and run rows element by element).
     scalar_body: Option<Vec<PStmt>>,
 }
 
@@ -446,8 +463,12 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
             scalar_body = Some(original);
         }
     }
+    // Rows come last and on every plan, so fused epilogue loops become
+    // rows too.
+    c.rowize(&mut body);
 
     Ok(KernelPlan {
+        scalar_stores: scalar_stores(&body),
         body,
         num_params: func.params().len(),
         num_iters: c.iter_max.len(),
@@ -664,6 +685,11 @@ impl Compiler {
             .iter()
             .map(|e| self.lower_prim(e))
             .collect::<Result<_, _>>()?;
+        // Under a loop that never runs (an empty expert's rows) no access is made.
+        let never = self
+            .iter_slot
+            .values()
+            .any(|&s| self.iter_max[s].is_some_and(|m| m <= 0));
         let mut flat = Affine::constant(0);
         let mut provable = true;
         for (idx, &extent) in lowered.iter().zip(&decl.dims) {
@@ -671,9 +697,10 @@ impl Compiler {
                 provable = false;
                 break;
             };
-            let in_bounds = aff
-                .range(&self.iter_max)
-                .is_some_and(|(lo, hi)| lo >= 0 && hi < extent as i64);
+            let in_bounds = never
+                || aff
+                    .range(&self.iter_max)
+                    .is_some_and(|(lo, hi)| lo >= 0 && hi < extent as i64);
             if !in_bounds {
                 provable = false;
                 break;
@@ -1152,6 +1179,79 @@ impl Compiler {
             body,
         })
     }
+
+    // -- rows --------------------------------------------------------------
+
+    /// Rewrites every loop [`Compiler::try_row`] admits into a
+    /// [`PStmt::Row`]. A macro-op's scalar fallback is left as it is.
+    fn rowize(&self, stmts: &mut [PStmt]) {
+        for s in stmts.iter_mut() {
+            match s {
+                PStmt::Loop { iter, extent, body } if self.try_row(*iter, body) => {
+                    let (iter, extent, body) = (*iter, extent.clone(), std::mem::take(body));
+                    *s = PStmt::Row { iter, extent, body };
+                }
+                PStmt::Loop { body, .. } => self.rowize(body),
+                PStmt::IfEq { then, .. } => self.rowize(then),
+                _ => {}
+            }
+        }
+    }
+
+    /// Row legality for the loop over counter `iter`: only stores, to
+    /// distinct float buffers through flat accesses that move with
+    /// `iter`; only jump-free float ops (`ConstF`, flat float `Load`s,
+    /// arithmetic, unary math, `CastF`, `Copy`) whose operands precede
+    /// their destination; and no store reads a buffer another writes, nor
+    /// its own anywhere but its own cell. No element then reads a cell
+    /// another element or store writes, so running the tapes a row at a
+    /// time, store after store, stores the element order's values.
+    fn try_row(&self, iter: usize, body: &[PStmt]) -> bool {
+        let mut stores: Vec<(usize, &Affine, &[TapeOp])> = Vec::with_capacity(body.len());
+        for s in body {
+            let PStmt::Store {
+                tape,
+                buf,
+                access: Access::Flat(aff),
+                dtype,
+                ..
+            } = s
+            else {
+                return false;
+            };
+            if !dtype.is_float() || aff.coeff(iter) == 0 || stores.iter().any(|w| w.0 == *buf) {
+                return false;
+            }
+            stores.push((*buf, aff, tape));
+        }
+        let written = |b: usize| stores.iter().any(|w| w.0 == b);
+        stores.iter().all(|&(own, own_aff, tape)| {
+            tape.iter().all(|TapeOp { dst, op }| match op {
+                Op::Load {
+                    buf,
+                    access: Access::Flat(a),
+                } => {
+                    self.bufs[*buf].dtype.is_float()
+                        && (!written(*buf) || (*buf == own && a == own_aff))
+                }
+                Op::ConstF(_) => true,
+                Op::Add(x, y)
+                | Op::Sub(x, y)
+                | Op::Mul(x, y)
+                | Op::Div(x, y)
+                | Op::Max(x, y)
+                | Op::Min(x, y) => x < dst && y < dst,
+                Op::Exp(x)
+                | Op::Sqrt(x)
+                | Op::Tanh(x)
+                | Op::Sigmoid(x)
+                | Op::Neg(x)
+                | Op::CastF(x)
+                | Op::Copy(x) => x < dst,
+                _ => false,
+            })
+        })
+    }
 }
 
 fn const_of(e: &IdxExpr) -> Option<i64> {
@@ -1178,7 +1278,7 @@ struct ParScan {
 fn scan_stmts(stmts: &[PStmt], scan: &mut ParScan) {
     for s in stmts {
         match s {
-            PStmt::Loop { body, .. } => scan_stmts(body, scan),
+            PStmt::Loop { body, .. } | PStmt::Row { body, .. } => scan_stmts(body, scan),
             PStmt::IfEq { then, .. } => scan_stmts(then, scan),
             PStmt::ZeroScratch { .. } => scan.zeroes = true,
             PStmt::Store {
@@ -1224,6 +1324,19 @@ fn contains_macro(stmts: &[PStmt]) -> bool {
     })
 }
 
+/// Stores (recursively) outside every row and macro-op.
+fn scalar_stores(stmts: &[PStmt]) -> usize {
+    stmts
+        .iter()
+        .map(|s| match s {
+            PStmt::Store { .. } => 1,
+            PStmt::Loop { body, .. } => scalar_stores(body),
+            PStmt::IfEq { then, .. } => scalar_stores(then),
+            _ => 0,
+        })
+        .sum()
+}
+
 /// Moves every reference to counter slot `from` onto slot `to` — used by
 /// row fusion to run the epilogue's body under the matmul loop's counter.
 /// Slots are compile-unique, so `from` cannot collide with a loop bound
@@ -1259,7 +1372,7 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
     fn walk(stmts: &mut [PStmt], f: &impl Fn(&mut Affine)) {
         for s in stmts {
             match s {
-                PStmt::Loop { extent, body, .. } => {
+                PStmt::Loop { extent, body, .. } | PStmt::Row { extent, body, .. } => {
                     remap_idx(extent, f);
                     walk(body, f);
                 }
@@ -1367,6 +1480,9 @@ struct RunCtx<'p> {
     plan: &'p KernelPlan,
     /// Buffer slot → unique storage index (launch-dependent: clones alias).
     storage_of: &'p [usize],
+    /// Two parameter slots share one storage. Row legality is proven over
+    /// slots, so such a launch runs every row element by element.
+    aliased: bool,
 }
 
 /// The register machine walking a plan: flat counters instead of a hash-map
@@ -1376,13 +1492,19 @@ struct Machine<'a> {
     views: Vec<StorageView<'a>>,
     iters: Vec<i64>,
     regs: Vec<Scalar>,
+    /// Row registers: register `r` of element `t` at `r·n + t`.
+    rows: Vec<f64>,
 }
 
 impl Machine<'_> {
     fn exec(&mut self, ctx: &RunCtx, s: &PStmt) -> Result<(), InterpError> {
         match s {
-            PStmt::Loop { iter, extent, body } => {
+            PStmt::Loop { iter, extent, body } | PStmt::Row { iter, extent, body } => {
                 let n = extent.eval(&self.iters)?;
+                let row = matches!(s, PStmt::Row { .. }) && !ctx.aliased;
+                if row && n > 0 && self.run_row(ctx, *iter, n as usize, body) {
+                    return Ok(());
+                }
                 for i in 0..n.max(0) {
                     self.iters[*iter] = i;
                     for st in body {
@@ -1520,6 +1642,96 @@ impl Machine<'_> {
         }
     }
 
+    /// Runs a row's stores one tape op at a time across all `n` elements
+    /// (counter `iter` over `0..n`). Returns `false`, having touched
+    /// nothing, when a view breaks the row's proof — an integer view, a
+    /// read-only output, an access outside its storage — so the caller
+    /// runs the loop element by element, which reproduces those
+    /// semantics and errors exactly.
+    fn run_row(&mut self, ctx: &RunCtx, iter: usize, n: usize, body: &[PStmt]) -> bool {
+        self.iters[iter] = 0;
+        let Machine {
+            views, iters, rows, ..
+        } = self;
+        // An access's float cells, offset at element 0, stride and
+        // storage dtype.
+        let place = |buf: usize, aff: &Affine, store: bool| {
+            let view = &views[ctx.storage_of[buf]];
+            let ViewData::F(cells) = view.data else {
+                return None;
+            };
+            let (base, step) = (aff.eval(iters), aff.coeff(iter));
+            let last = step.checked_mul(n as i64 - 1)?.checked_add(base)?;
+            let fits = base.min(last) >= 0 && (base.max(last) as usize) < cells.len();
+            (fits && (view.writable || !store)).then_some((cells, base, step, view.dtype))
+        };
+        fn flat(st: &PStmt) -> (&[TapeOp], usize, usize, &Affine) {
+            match st {
+                PStmt::Store {
+                    tape,
+                    result,
+                    buf,
+                    access: Access::Flat(aff),
+                    ..
+                } => (tape, *result as usize, *buf, aff),
+                _ => unreachable!("a row holds flat stores only"),
+            }
+        }
+        let fits = body.iter().map(flat).all(|(tape, _, buf, aff)| {
+            place(buf, aff, true).is_some()
+                && tape.iter().all(|op| match &op.op {
+                    Op::Load {
+                        buf,
+                        access: Access::Flat(a),
+                    } => place(*buf, a, false).is_some(),
+                    _ => true,
+                })
+        });
+        if !fits {
+            return false;
+        }
+        rows.resize(rows.len().max(ctx.plan.num_regs * n), 0.0);
+        for (tape, result, buf, aff) in body.iter().map(flat) {
+            for TapeOp { dst, op } in tape {
+                let (done, rest) = rows.split_at_mut(*dst as usize * n);
+                let out = &mut rest[..n];
+                let src = |r: &Reg| &done[*r as usize * n..][..n];
+                match op {
+                    Op::ConstF(v) => out.fill(*v),
+                    Op::Load {
+                        buf,
+                        access: Access::Flat(a),
+                    } => {
+                        let (cells, base, step, _) = place(*buf, a, false).expect("checked above");
+                        for (t, o) in out.iter_mut().enumerate() {
+                            let c = &cells[(base + step * t as i64) as usize];
+                            *o = f64::from_bits(c.load(Ordering::Relaxed));
+                        }
+                    }
+                    Op::Add(a, b) => zip_row(out, src(a), src(b), first_nan(|x, y| x + y)),
+                    Op::Sub(a, b) => zip_row(out, src(a), src(b), |x, y| x - y),
+                    Op::Mul(a, b) => zip_row(out, src(a), src(b), first_nan(|x, y| x * y)),
+                    Op::Div(a, b) => zip_row(out, src(a), src(b), |x, y| x / y),
+                    Op::Max(a, b) => zip_row(out, src(a), src(b), f64::max),
+                    Op::Min(a, b) => zip_row(out, src(a), src(b), f64::min),
+                    Op::Exp(a) => map_row(out, src(a), f64::exp),
+                    Op::Sqrt(a) => map_row(out, src(a), f64::sqrt),
+                    Op::Tanh(a) => map_row(out, src(a), f64::tanh),
+                    Op::Sigmoid(a) => map_row(out, src(a), |v| 1.0 / (1.0 + (-v).exp())),
+                    Op::Neg(a) => map_row(out, src(a), |v| -v),
+                    Op::CastF(a) | Op::Copy(a) => out.copy_from_slice(src(a)),
+                    _ => unreachable!("a row's tapes hold float ops only"),
+                }
+            }
+            let (cells, base, step, dtype) = place(buf, aff, true).expect("checked above");
+            for (t, v) in rows[result * n..][..n].iter().enumerate() {
+                let c = &cells[(base + step * t as i64) as usize];
+                c.store(round_to_dtype(*v, dtype).to_bits(), Ordering::Relaxed);
+            }
+        }
+        true
+    }
+
     /// Resolves an access to an absolute flat offset. `Flat` accesses were
     /// proven in bounds at compile time; `Checked` accesses replicate the
     /// interpreter's negative-index and per-dimension bounds checks (and
@@ -1533,18 +1745,11 @@ impl Machine<'_> {
                 }
                 Ok(v as usize)
             }
-            Access::Checked(idxs) => {
-                let dims = &ctx.plan.bufs[buf].dims;
-                let mut concrete = Vec::with_capacity(idxs.len());
-                for e in idxs {
-                    let v = e.eval(&self.iters)?;
-                    if v < 0 {
-                        return Err(InterpError::NegativeIndex(v));
-                    }
-                    concrete.push(v as usize);
-                }
-                flat_of(&concrete, dims)
-            }
+            Access::Checked(idxs) => flat_of(
+                &ctx.plan.bufs[buf].dims,
+                idxs.iter()
+                    .map(|e| e.eval(&self.iters).map_err(InterpError::from)),
+            ),
         }
     }
 
@@ -1575,15 +1780,10 @@ impl Machine<'_> {
                         .ok_or_else(|| oob(flat, numel))?;
                 }
                 Op::LoadDyn { buf, idx_regs } => {
-                    let mut concrete = Vec::with_capacity(idx_regs.len());
-                    for r in idx_regs {
-                        let v = self.regs[*r as usize].as_i64();
-                        if v < 0 {
-                            return Err(InterpError::NegativeIndex(v));
-                        }
-                        concrete.push(v as usize);
-                    }
-                    let flat = flat_of(&concrete, &ctx.plan.bufs[*buf].dims)?;
+                    let flat = flat_of(
+                        &ctx.plan.bufs[*buf].dims,
+                        idx_regs.iter().map(|r| Ok(self.regs[*r as usize].as_i64())),
+                    )?;
                     let numel = ctx.plan.bufs[*buf].numel;
                     self.regs[dst] = self.views[ctx.storage_of[*buf]]
                         .read(flat)
@@ -1684,19 +1884,47 @@ impl Machine<'_> {
     }
 }
 
-/// Row-major flat offset with the interpreter's exact bounds-error values.
-fn flat_of(indices: &[usize], dims: &[usize]) -> Result<usize, InterpError> {
-    if indices.len() != dims.len() {
-        return Err(oob(indices.len(), dims.len()));
-    }
-    let mut flat = 0usize;
-    for (i, (&idx, &extent)) in indices.iter().zip(dims).enumerate() {
-        if idx >= extent {
-            return Err(oob(idx, extent.max(i)));
+/// Row-major flat offset of one index per dimension (the compiler checked
+/// the rank), without a heap allocation, and with the interpreter's exact
+/// errors: an index that fails to evaluate or is negative wins over one
+/// out of range in any dimension, and the first dimension out of range
+/// is the one reported.
+fn flat_of(
+    dims: &[usize],
+    indices: impl Iterator<Item = Result<i64, InterpError>>,
+) -> Result<usize, InterpError> {
+    let mut flat = Ok(0usize);
+    for (i, (idx, &extent)) in indices.zip(dims).enumerate() {
+        let idx = idx?;
+        if idx < 0 {
+            return Err(InterpError::NegativeIndex(idx));
         }
-        flat = flat * extent + idx;
+        flat = flat.and_then(|f| match idx as usize {
+            idx if idx < extent => Ok(f * extent + idx),
+            idx => Err(oob(idx, extent.max(i))),
+        });
     }
-    Ok(flat)
+    flat
+}
+
+fn zip_row(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+fn map_row(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
+/// A commutative float op with the scalar tape's NaN choice: when both
+/// operands are NaN, the first one's payload propagates. A vectorized
+/// row loop may swap the operands of `x + y`, so a NaN `x` is combined
+/// with itself instead.
+fn first_nan(op: impl Fn(f64, f64) -> f64) -> impl Fn(f64, f64) -> f64 {
+    move |x, y| if x.is_nan() { op(x, x) } else { op(x, y) }
 }
 
 impl KernelPlan {
@@ -1705,6 +1933,14 @@ impl KernelPlan {
     /// scalar op tape.
     pub fn scheduled(&self) -> bool {
         self.has_macros
+    }
+
+    /// Stores this plan runs on the scalar tape, one tape walk per
+    /// element: those no row or macro-op covers (a gather's `LoadDyn`, a
+    /// reduction's stride-0 store, a `Select`, an index outside its
+    /// proof). `0` means every store runs a row or a macro-op at a time.
+    pub fn scalar_stores(&self) -> usize {
+        self.scalar_stores
     }
 
     /// Executes the plan on `args` (inputs then outputs, the calling
@@ -1797,11 +2033,13 @@ impl KernelPlan {
         let ctx = RunCtx {
             plan: self,
             storage_of: &storage_of,
+            aliased,
         };
         let mut m = Machine {
             views,
             iters: vec![0; self.num_iters],
             regs: vec![Scalar::I(0); self.num_regs],
+            rows: Vec::new(),
         };
         // Aliased arguments void the macro/fusion slot-distinctness
         // proofs: run the original scalar body.
@@ -2191,8 +2429,9 @@ mod tests {
         let sched = compile(&g, &shapes).unwrap();
         assert!(sched.scheduled());
         // Fusion merged the epilogue into the matmul's row loop: one
-        // top-level statement.
+        // top-level statement, whose epilogue loop runs as a row.
         assert_eq!(sched.body.len(), 1);
+        assert_eq!((sched.scalar_stores(), plain.scalar_stores()), (0, 2));
 
         let reference = mm_ep_args(96, 64, 64);
         interp::run(&f, &reference).unwrap();

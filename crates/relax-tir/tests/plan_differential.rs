@@ -655,3 +655,117 @@ fn stride_zero_store_matches() {
         rows_match(&f, rng, dtype, &[vec![n, m], vec![n]]);
     });
 }
+
+#[test]
+fn every_row_family_runs_a_row_at_a_time() {
+    let (n, m) = (3, 7);
+    for dtype in [DataType::F32, DataType::F16] {
+        let mut families: Vec<(PrimFunc, Vec<Vec<usize>>)> = vec![
+            (
+                broadcast_func(dtype),
+                vec![vec![n, m], vec![m], vec![n], vec![n, m]],
+            ),
+            (unary_func(dtype), vec![vec![n, m]; 7]),
+            (div_max_min_func(dtype), vec![vec![n, m]; 4]),
+            (add_chain_func(dtype), vec![vec![n, m]; 9]),
+        ];
+        let layouts = [
+            vec![vec![m, n], vec![n, m]],
+            vec![vec![2, n, m], vec![n, 2, m]],
+            vec![vec![n, 2, m], vec![n, 2 * m]],
+            vec![vec![n, m + 1], vec![n, m]],
+            vec![vec![n, m], vec![n, m]],
+        ];
+        families.extend(
+            layout_funcs(dtype)
+                .into_iter()
+                .map(|(f, kind)| (f, layouts[kind].clone())),
+        );
+        for (f, shapes) in families {
+            let compiled = plan::compile(&f, &shapes).unwrap();
+            assert_eq!(
+                compiled.scalar_stores(),
+                0,
+                "{} left stores on the scalar tape",
+                f.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn only_element_order_independent_loops_become_rows() {
+    let x = Buffer::new("X", vec![9.into()], DataType::F32);
+    let y = Buffer::new("Y", vec![9.into()], DataType::F32);
+    let j = Var::new("j");
+    let at = |d: i64| vec![PrimExpr::from(j.clone()) + d.into()];
+    let ld = |b: &Buffer, d: i64| TirExpr::load(b, at(d));
+    let func = |body: Vec<Stmt>| {
+        let body = Stmt::seq(body).in_loop(j.clone(), 8.into());
+        PrimFunc::new("f", vec![x.clone(), y.clone()], 1, body)
+    };
+    let compiled = |f: &PrimFunc| plan::compile(f, &[vec![9], vec![9]]).unwrap();
+    // A store reading its own cell and a shifted input is a row; a
+    // recurrence, a second store reading the first ahead, a stride-0
+    // store and an integer tape keep the element order.
+    let sum = TirExpr::load(&y, vec![0.into()]) + ld(&x, 0);
+    let index = TirExpr::Index(j.clone().into());
+    let cases = [
+        (vec![Stmt::store(&y, at(0), ld(&x, 1) + ld(&y, 0))], 0),
+        (vec![Stmt::store(&y, at(1), ld(&y, 0) + ld(&x, 0))], 1),
+        (
+            vec![
+                Stmt::store(&x, at(0), 1.0.into()),
+                Stmt::store(&y, at(0), ld(&x, 1)),
+            ],
+            2,
+        ),
+        (vec![Stmt::store(&y, vec![0.into()], sum)], 1),
+        (vec![Stmt::store(&y, at(0), index)], 1),
+    ];
+    for (body, scalar) in cases {
+        let f = func(body);
+        assert_eq!(compiled(&f).scalar_stores(), scalar, "{f}");
+    }
+    // Integer arrays bound to a row's float buffers: the loop runs
+    // element by element, with integer semantics.
+    let value = ld(&x, 1) * 2.5.into() + ld(&y, 0);
+    let f = func(vec![Stmt::store(&y, at(0), value)]);
+    let ints = |k: i64| (0..9).map(|v| v * k - 4).collect();
+    let args = || {
+        let arr = |k| NDArray::from_i64(&[9], DataType::I64, ints(k)).unwrap();
+        vec![arr(1), arr(-3)]
+    };
+    let (a, b) = (args(), args());
+    compiled(&f).run(&a, 1).unwrap();
+    interp::run(&f, &b).unwrap();
+    assert_eq!(a[1].to_i64_vec(), b[1].to_i64_vec());
+}
+
+#[test]
+fn checked_index_errors_keep_the_interpreters_precedence() {
+    // A negative index in any dimension wins over an earlier one out
+    // of range; among out-of-range dimensions the first is reported.
+    for (d0, d1) in [(2, -1), (3, 4), (0, 5)] {
+        let y = Buffer::new("Y", vec![2.into(), 3.into()], DataType::F32);
+        let (iv, nest) = grid(&[("i", 2.into())]);
+        let i = PrimExpr::from(iv[0].clone());
+        let idx = vec![i.clone() + d0.into(), i + d1.into()];
+        let f = PrimFunc::new(
+            "bad",
+            vec![y.clone()],
+            1,
+            nest.build(Stmt::store(&y, idx, 1.0.into())),
+        );
+        let out = || [NDArray::zeros(&[2, 3], DataType::F32)];
+        let planned = plan::compile(&f, &[vec![2, 3]])
+            .unwrap()
+            .run(&out(), 1)
+            .unwrap_err();
+        assert_eq!(
+            planned,
+            interp::run(&f, &out()).unwrap_err(),
+            "Y[i + {d0}, i + {d1}]"
+        );
+    }
+}

@@ -233,6 +233,10 @@ pub struct Telemetry {
     /// `CallTir` launches executed by the reference interpreter because
     /// the tensor program is outside the planner's supported subset.
     pub plan_fallbacks: u64,
+    /// Plan launches whose plan left at least one store on the scalar
+    /// tape, one tape walk per element, instead of a row or a macro-op
+    /// (see `relax_tir::KernelPlan::scalar_stores`).
+    pub scalar_tape_launches: u64,
 }
 
 /// Per-kernel execution statistics, split into plan-compile time (paid
@@ -778,6 +782,9 @@ impl Vm {
                 let sp = relax_trace::span("vm", || format!("kernel:{func}"));
                 match cached {
                     Some(CachedPlan::Ready(plan)) => {
+                        if plan.scalar_stores() > 0 {
+                            self.telemetry.scalar_tape_launches += 1;
+                        }
                         plan.run(&tensors, 1)?;
                     }
                     Some(CachedPlan::Unplannable) => {

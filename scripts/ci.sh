@@ -73,13 +73,18 @@ cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test golden_roundtrip
 
 echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
-# Kernel plans against the reference interpreter, and scheduled
-# (macro-op) plans against unscheduled plans and the interpreter, bitwise,
-# across random shapes and every schedule-primitive combination, plus the
-# 32-config pipeline ablation that toggles kernel_schedule with the other
-# pipeline knobs.
+# Kernel plans against the reference interpreter (plan_differential:
+# random shapes, the row families and the loops that must keep their
+# element order), scheduled (macro-op) plans against unscheduled plans and
+# the interpreter (schedule_diff: every schedule-primitive combination),
+# and every generated kernel of the served paged llama and moe_dispatch
+# through plans vs the interpreter, with only the embedding gathers left
+# on the scalar tape (kernel_plans_e2e), all bitwise; plus the 32-config
+# pipeline ablation that toggles kernel_schedule with the other pipeline
+# knobs. Release matters: rows are vectorized there.
 cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
+cargo test --release -q --test kernel_plans_e2e
 cargo test --release -q --test pipeline_ablation
 # The one hand-written kernel on the serving path: the paged-attention
 # builtin against the legalized Op::Attention, bitwise, over context

@@ -216,3 +216,33 @@ fn moe_dispatch_plans_match_the_interpreter_bitwise() {
     let interpreted = drive_moe(&mut moe_vm(false));
     assert_same(&planned, &interpreted);
 }
+
+/// Launches of kernels whose name says they gather (`take`): the one
+/// generated kernel whose store reads through a data-dependent index.
+fn take_launches(vm: &Vm) -> u64 {
+    vm.kernel_stats()
+        .iter()
+        .filter(|(name, _)| name.contains("take"))
+        .map(|(_, s)| s.calls)
+        .sum()
+}
+
+/// Every other generated kernel of the two served models runs its
+/// stores a row at a time: the launches that walk the scalar tape are
+/// exactly the embedding gathers.
+#[test]
+fn only_gathers_walk_the_scalar_tape() {
+    let mut llama = llama_vm(true);
+    drive_llama(&mut llama);
+    let takes = take_launches(&llama);
+    assert!(takes > 0, "decode_paged gathers its embeddings");
+    let tel = llama.telemetry();
+    assert_eq!((tel.scalar_tape_launches, tel.plan_fallbacks), (takes, 0));
+
+    let mut moe = moe_vm(true);
+    drive_moe(&mut moe);
+    let tel = moe.telemetry();
+    assert!(tel.tir_calls > 0);
+    assert_eq!(take_launches(&moe), 0);
+    assert_eq!((tel.scalar_tape_launches, tel.plan_fallbacks), (0, 0));
+}
