@@ -17,7 +17,7 @@
 //! - `Alloc` scratch buffers preallocated per launch and re-zeroed at the
 //!   allocation point,
 //! - innermost loops of elementwise float stores run as **rows**
-//!   ([`Compiler::try_row`], on every plan): access bases and strides are
+//!   (`Compiler::try_row`, on every plan): access bases and strides are
 //!   evaluated once per row and each tape op runs over the whole row,
 //!   not one tape walk per element ([`KernelPlan::scalar_stores`] counts
 //!   the stores left on the tape).
