@@ -184,11 +184,6 @@ pub struct ServeConfig {
     /// Deadline applied to every request submitted without an explicit
     /// one. `None` means requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Capacity of the kernel-plan cache all workers share (a shape
-    /// compiled by any worker is a hit for every other). Worker VMs run
-    /// kernels with parallelism 1: inter-request parallelism comes from
-    /// the pool.
-    pub plan_cache_capacity: usize,
     /// Deterministic fault plans installed on specific workers at
     /// startup, for fault-isolation and chaos testing: `(worker index,
     /// plan)`. VM sites go to the worker's first `Vm`; serving sites
@@ -214,7 +209,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             max_batch: 8,
             default_deadline: None,
-            plan_cache_capacity: 64,
             worker_faults: Vec::new(),
             retry: None,
             overload: None,
@@ -436,7 +430,7 @@ impl ServeEngine {
         let model = CallModel {
             exec: Arc::new(exec),
             registry: Arc::new(registry),
-            plan_cache: SharedPlanCache::new(config.plan_cache_capacity),
+            plan_cache: SharedPlanCache::default(),
         };
         let limits = Limits {
             capacity: config.queue_capacity,

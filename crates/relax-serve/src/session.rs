@@ -835,9 +835,9 @@ impl SessionManager {
                 config.page_tokens,
                 config.pool_pages,
             )),
-            decode_plans: SharedPlanCache::new(64),
-            draft_plans: SharedPlanCache::new(64),
-            verify_plans: SharedPlanCache::new(64),
+            decode_plans: SharedPlanCache::default(),
+            draft_plans: SharedPlanCache::default(),
+            verify_plans: SharedPlanCache::default(),
             return_kv: config.return_kv,
         };
         let workers = config.workers.max(1);

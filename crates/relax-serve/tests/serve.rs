@@ -229,9 +229,6 @@ fn shared_plan_cache_compiles_once_across_workers() {
         exec,
         ServeConfig {
             workers: 4,
-            // Generous capacity: no evictions, so `len` counts every
-            // cold key the workload ever compiled.
-            plan_cache_capacity: 512,
             ..ServeConfig::default()
         },
     );
@@ -257,6 +254,9 @@ fn shared_plan_cache_compiles_once_across_workers() {
     }
 
     let report = engine.shutdown();
+    // The default capacity holds every key of the three shapes, so `len`
+    // counts every cold key the workload ever compiled.
+    assert_eq!(report.stats.plan_cache.evictions, 0);
     let cold_keys = report.stats.plan_cache.len as u64;
     let compiles = report.total_plan_compiles();
     assert!(compiles > 0);

@@ -1,5 +1,5 @@
 //! Satellite: an 8-worker seeded stress run driving mixed decode shapes
-//! through the serving core, snapshot plan cache and atomic tensor
+//! through the serving core, the shared plan cache and atomic tensor
 //! storage — asserting the results are bitwise identical to
 //! single-threaded execution and the cache's counting invariant holds.
 
@@ -28,7 +28,7 @@ impl XorShift64 {
 /// 8 workers, 48 requests over 6 distinct `(batch, kv)` shapes in a
 /// seeded shuffle: every concurrent result must be bit-identical to the
 /// same request on a plain single-threaded `Vm`, and the shared plan
-/// cache's flushed counters must satisfy `hits + misses == probes`.
+/// cache's counters must satisfy `hits + misses == probes`.
 #[test]
 fn eight_workers_match_single_threaded_bitwise() {
     let (ir, exec) = tiny_exec();
@@ -87,7 +87,7 @@ fn eight_workers_match_single_threaded_bitwise() {
     assert_eq!(
         pc.hits + pc.misses,
         pc.probes,
-        "batched stat publication must balance at shutdown"
+        "every probe of the shared cache is one hit or one miss"
     );
     assert!(pc.hits > 0, "repeated shapes must hit the shared cache");
 }

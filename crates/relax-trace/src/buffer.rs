@@ -1,6 +1,6 @@
 //! The global lock-sharded trace buffer and the drained [`Trace`].
 //!
-//! Events land in one of [`SHARD_COUNT`] `Mutex<Vec<TraceEvent>>` shards
+//! Events land in one of [`BUFFER_SHARDS`] `Mutex<Vec<TraceEvent>>` shards
 //! picked by the emitting thread's trace-local id, so concurrent
 //! emitters rarely contend on the same lock and one record is never
 //! interleaved with another. The buffer is bounded: when a shard is at
@@ -20,14 +20,14 @@ use std::sync::Mutex;
 use crate::event::{EventKind, SpanId, TraceEvent};
 
 /// Number of independently locked shards.
-const SHARD_COUNT: usize = 16;
+const BUFFER_SHARDS: usize = 16;
 
 /// Default total event capacity across all shards.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
-static SHARDS: [Mutex<Vec<TraceEvent>>; SHARD_COUNT] =
-    [const { Mutex::new(Vec::new()) }; SHARD_COUNT];
-static CAP_PER_SHARD: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY / SHARD_COUNT);
+static SHARDS: [Mutex<Vec<TraceEvent>>; BUFFER_SHARDS] =
+    [const { Mutex::new(Vec::new()) }; BUFFER_SHARDS];
+static CAP_PER_SHARD: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY / BUFFER_SHARDS);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
@@ -49,7 +49,7 @@ pub(crate) fn next_span_id() -> SpanId {
 /// between a span's open and its close.
 pub(crate) fn push(mut event: TraceEvent) -> bool {
     let is_close = matches!(event.kind, EventKind::End | EventKind::AsyncEnd);
-    let shard = &SHARDS[(event.tid as usize) % SHARD_COUNT];
+    let shard = &SHARDS[(event.tid as usize) % BUFFER_SHARDS];
     let mut events = shard.lock().unwrap_or_else(|e| e.into_inner());
     if !is_close && events.len() >= CAP_PER_SHARD.load(Ordering::Relaxed) {
         DROPPED.fetch_add(1, Ordering::Relaxed);
@@ -64,7 +64,7 @@ pub(crate) fn push(mut event: TraceEvent) -> bool {
 /// one event per shard). Takes effect for subsequent events; already
 /// stored events are kept.
 pub fn set_capacity(total: usize) {
-    CAP_PER_SHARD.store((total / SHARD_COUNT).max(1), Ordering::Relaxed);
+    CAP_PER_SHARD.store((total / BUFFER_SHARDS).max(1), Ordering::Relaxed);
 }
 
 /// Events dropped since the last [`take`]/[`clear`].

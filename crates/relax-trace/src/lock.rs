@@ -2,13 +2,12 @@
 //! `try_lock`-first acquisition helper.
 //!
 //! Each instrumented call site declares one `static` [`LockSite`].
-//! [`LockSite::lock`] (and [`LockSite::write`] / [`LockSite::read`] for
-//! `RwLock`s) first attempts a non-blocking acquisition; only when that
-//! fails does it time the blocking wait, bump the site's counters and —
-//! if tracing is enabled — emit a [`Payload::Lock`] instant. The
-//! uncontended fast path therefore costs exactly one `try_lock`, and a
-//! site that never contends never registers, never allocates and never
-//! appears in [`lock_wait_stats`].
+//! [`LockSite::lock`] first attempts a non-blocking acquisition of its
+//! `Mutex`; only when that fails does it time the blocking wait, bump the
+//! site's counters and — if tracing is enabled — emit a [`Payload::Lock`]
+//! instant. The uncontended fast path therefore costs exactly one
+//! `try_lock`, and a site that never contends never registers, never
+//! allocates and never appears in [`lock_wait_stats`].
 //!
 //! The counters are process-global and always on (they are only touched
 //! on the contended slow path, where the thread just blocked anyway).
@@ -16,7 +15,7 @@
 //! [`reset_lock_wait_stats`] between scenarios.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::event::Payload;
@@ -104,32 +103,6 @@ impl LockSite {
         self.record_wait(start.elapsed());
         g
     }
-
-    /// Read-acquires `rw`, timing the wait only if `try_read` fails.
-    pub fn read<'a, T>(&'static self, rw: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
-        match rw.try_read() {
-            Ok(g) => return g,
-            Err(std::sync::TryLockError::Poisoned(e)) => return e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {}
-        }
-        let start = Instant::now();
-        let g = rw.read().unwrap_or_else(|e| e.into_inner());
-        self.record_wait(start.elapsed());
-        g
-    }
-
-    /// Write-acquires `rw`, timing the wait only if `try_write` fails.
-    pub fn write<'a, T>(&'static self, rw: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
-        match rw.try_write() {
-            Ok(g) => return g,
-            Err(std::sync::TryLockError::Poisoned(e)) => return e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {}
-        }
-        let start = Instant::now();
-        let g = rw.write().unwrap_or_else(|e| e.into_inner());
-        self.record_wait(start.elapsed());
-        g
-    }
 }
 
 /// Snapshot of every site that has recorded at least one contended
@@ -210,14 +183,5 @@ mod tests {
         let stats = lock_wait_stats();
         let s = stats.iter().find(|s| s.site == "test.reset").unwrap();
         assert_eq!(s.waits, 1);
-    }
-
-    #[test]
-    fn rwlock_paths_recover_from_contention() {
-        static SITE: LockSite = LockSite::new("test.rwlock");
-        let rw = Arc::new(RwLock::new(1u32));
-        assert_eq!(*SITE.read(&rw), 1);
-        *SITE.write(&rw) = 2;
-        assert_eq!(*SITE.read(&rw), 2);
     }
 }

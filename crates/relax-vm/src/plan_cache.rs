@@ -5,35 +5,21 @@
 //! subsequent launch at the same shapes reuses the cached
 //! [`KernelPlan`]. Functions the planner cannot express are cached as
 //! [`CachedPlan::Unplannable`] so the interpreter fallback does not
-//! recompile (and re-fail) per launch. Eviction is least-recently-used via
-//! a monotonic touch tick.
+//! recompile (and re-fail) per launch.
 //!
-//! The cache is a [`SharedPlanCache`]: a cheap `Clone` handle over sharded
-//! copy-on-write state, so a pool of serving workers can share one cache —
-//! one worker's compile warms every other worker. Each shard publishes an
-//! immutable `Arc<HashMap>` snapshot plus a version counter; mutation
-//! replaces the snapshot and bumps the version. A VM probes through a
-//! [`PlanCacheSession`]: while the shard version is unchanged the probe
-//! reads the session's cached snapshot with **zero locks and zero shared
-//! atomics written** — recency is an atomic store inside the (shared)
-//! entry, the LRU tick is drawn from a session-local batch, and hit/miss
-//! counters accumulate locally and publish in batches. The direct
-//! [`SharedPlanCache::lookup`] keeps the old one-read-lock-per-probe
-//! behavior for callers without a session.
+//! The cache is a [`SharedPlanCache`]: a cheap `Clone` handle over one
+//! mutex that guards the map, the counters and the capacity, so a pool of
+//! serving workers can share one cache — one worker's compile warms every
+//! other worker. A hit is one lock and two hash probes, with no
+//! allocation; a miss compiles outside the lock and then inserts.
 //!
-//! Batched-tick LRU semantics: a session reserves [`TICK_BATCH`] ticks
-//! from the global counter at once, so "least recently used" is exact
-//! within a session and approximate (within one batch window) across
-//! sessions — an entry last touched by a long-idle worker can look up to
-//! `TICK_BATCH` probes more recent than global order. Stats follow the
-//! same batching, flushed on session flush (the VM flushes after every
-//! program run), so `hits + misses == probes` holds at every flush point.
+//! Eviction is exact LRU: every probe and every insert takes the next
+//! tick, and once the cache is over capacity the entry with the smallest
+//! tick goes. The counters change under the same lock as the map, so
+//! `hits + misses == probes` always holds.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use relax_tir::KernelPlan;
 use relax_trace::LockSite;
@@ -41,17 +27,7 @@ use relax_trace::LockSite;
 /// Default number of `(function, shapes)` specializations kept.
 pub(crate) const DEFAULT_CAPACITY: usize = 64;
 
-/// Number of independently versioned shards. Shard routing hashes the key
-/// with a deterministic hasher, so the same key always lands on the same
-/// shard in every VM sharing the cache.
-const SHARD_COUNT: usize = 8;
-
-/// Ticks a session reserves from the global LRU counter per refill, and
-/// the stat-publication batch size.
-const TICK_BATCH: u64 = 64;
-
-static SHARD_READ_SITE: LockSite = LockSite::new("vm.plan_cache.shard_read");
-static SHARD_WRITE_SITE: LockSite = LockSite::new("vm.plan_cache.shard_write");
+static SITE: LockSite = LockSite::new("vm.plan_cache");
 
 /// A cache entry: a compiled plan, or a negative result.
 #[derive(Debug, Clone)]
@@ -64,107 +40,16 @@ pub enum CachedPlan {
     Unplannable,
 }
 
-/// Owned cache key: `(function name, concrete argument dims)`.
-#[derive(Debug, Clone)]
-struct PlanKey {
-    func: String,
-    shapes: Vec<Vec<usize>>,
-}
-
-/// Borrowed view of a cache key, so lookups can probe the map with
-/// `(&str, &[Vec<usize>])` without allocating an owned `PlanKey`.
-trait KeyView {
-    fn func(&self) -> &str;
-    fn shapes(&self) -> &[Vec<usize>];
-}
-
-impl KeyView for PlanKey {
-    fn func(&self) -> &str {
-        &self.func
-    }
-    fn shapes(&self) -> &[Vec<usize>] {
-        &self.shapes
-    }
-}
-
-impl KeyView for (&str, &[Vec<usize>]) {
-    fn func(&self) -> &str {
-        self.0
-    }
-    fn shapes(&self) -> &[Vec<usize>] {
-        self.1
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.func().hash(state);
-        self.shapes().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.func() == other.func() && self.shapes() == other.shapes()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-// Route the owned key's Hash/Eq through the view so owned and borrowed
-// probes are guaranteed to agree.
-impl Hash for PlanKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyView).hash(state)
-    }
-}
-
-impl PartialEq for PlanKey {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn KeyView) == (other as &dyn KeyView)
-    }
-}
-
-impl Eq for PlanKey {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for PlanKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-/// An entry plus its last-touched tick. Entries are `Arc`-shared between
-/// snapshots, so a recency touch through any (possibly stale) snapshot is
-/// seen by the evictor.
-#[derive(Debug)]
-struct Entry {
-    touched: AtomicU64,
-    plan: CachedPlan,
-}
-
-type ShardMap = Arc<HashMap<PlanKey, Arc<Entry>>>;
-
-/// One shard: an immutable published snapshot plus a version counter.
-/// Mutators build a new map, publish it under the write lock, and bump
-/// `version` (Release) so sessions detect staleness with one Acquire load.
-#[derive(Debug)]
-struct Shard {
-    version: AtomicU64,
-    map: RwLock<ShardMap>,
-}
-
 /// Point-in-time counters of a [`SharedPlanCache`]. When the cache is
 /// shared, these aggregate over every VM using it (per-VM counts live in
-/// [`crate::Telemetry`]). Session-batched counts appear here at flush
-/// points (the VM flushes after every program run), where
-/// `hits + misses == probes` always holds.
+/// [`crate::Telemetry`]); `hits + misses == probes` always holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found a cached plan.
     pub hits: u64,
     /// Lookups that found nothing (each triggers one compilation).
     pub misses: u64,
-    /// Total counted lookups (`hits + misses` at every flush point).
+    /// Total counted lookups (always `hits + misses`).
     pub probes: u64,
     /// Entries evicted, least recently used first.
     pub evictions: u64,
@@ -186,16 +71,52 @@ impl PlanCacheStats {
     }
 }
 
-#[derive(Debug)]
-struct CacheInner {
-    shards: Vec<Shard>,
-    tick: AtomicU64,
-    len: AtomicUsize,
-    capacity: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    probes: AtomicU64,
-    evictions: AtomicU64,
+/// One function's cached specializations, each with the tick that last
+/// touched it.
+type ByShapes = HashMap<Vec<Vec<usize>>, (u64, CachedPlan)>;
+
+/// Everything the lock guards. Entries are keyed by function, then by
+/// shapes, so `&str` and `&[Vec<usize>]` probe both levels through
+/// `Borrow`.
+#[derive(Debug, Default)]
+struct State {
+    map: HashMap<String, ByShapes>,
+    tick: u64,
+    len: usize,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl State {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Evicts least-recently-used entries until the cache fits its
+    /// capacity; returns how many went. Ticks are unique, so each pass
+    /// removes exactly the one entry holding the smallest.
+    fn shrink(&mut self) -> u64 {
+        let mut evicted = 0;
+        while self.len > self.capacity {
+            let oldest = self
+                .map
+                .values()
+                .flat_map(|by_shapes| by_shapes.values().map(|(tick, _)| *tick))
+                .min()
+                .expect("over capacity, so not empty");
+            self.map.retain(|_, by_shapes| {
+                by_shapes.retain(|_, (tick, _)| *tick != oldest);
+                !by_shapes.is_empty()
+            });
+            self.len -= 1;
+            self.evictions += 1;
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// A shape-keyed LRU plan cache that any number of VMs can share.
@@ -206,21 +127,7 @@ struct CacheInner {
 /// cache; [`crate::Vm::from_parts`] accepts a shared one.
 #[derive(Debug, Clone)]
 pub struct SharedPlanCache {
-    inner: Arc<CacheInner>,
-}
-
-/// Per-VM probe state: cached shard snapshots, a local LRU-tick batch and
-/// batched hit/miss counters. Owned by one thread (the VM), never shared.
-#[derive(Debug, Default)]
-pub(crate) struct PlanCacheSession {
-    /// Per shard: the snapshot and the version it was taken at.
-    snapshots: Vec<Option<(u64, ShardMap)>>,
-    /// Next tick to hand out, and how many remain before re-reserving.
-    tick_next: u64,
-    ticks_left: u64,
-    /// Counts not yet published to the shared cache.
-    pending_hits: u64,
-    pending_misses: u64,
+    state: Arc<Mutex<State>>,
 }
 
 impl SharedPlanCache {
@@ -228,27 +135,16 @@ impl SharedPlanCache {
     /// (`0` disables caching entirely).
     pub fn new(capacity: usize) -> Self {
         SharedPlanCache {
-            inner: Arc::new(CacheInner {
-                shards: (0..SHARD_COUNT)
-                    .map(|_| Shard {
-                        version: AtomicU64::new(0),
-                        map: RwLock::new(Arc::new(HashMap::new())),
-                    })
-                    .collect(),
-                tick: AtomicU64::new(0),
-                len: AtomicUsize::new(0),
-                capacity: AtomicUsize::new(capacity),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                probes: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            }),
+            state: Arc::new(Mutex::new(State {
+                capacity,
+                ..State::default()
+            })),
         }
     }
 
     /// `true` if this handle and `other` share the same underlying cache.
     pub fn shares_with(&self, other: &SharedPlanCache) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.state, &other.state)
     }
 
     /// `false` means planning is disabled entirely (capacity 0).
@@ -258,12 +154,12 @@ impl SharedPlanCache {
 
     /// Maximum number of entries kept.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity.load(Ordering::Relaxed)
+        SITE.lock(&self.state).capacity
     }
 
     /// Number of plans (and negative entries) currently cached.
     pub fn len(&self) -> usize {
-        self.inner.len.load(Ordering::Relaxed)
+        SITE.lock(&self.state).len
     }
 
     /// `true` when no entries are cached.
@@ -271,228 +167,86 @@ impl SharedPlanCache {
         self.len() == 0
     }
 
-    /// Aggregate counters (across every VM sharing the cache). Counts a
-    /// session has not yet flushed are not included; the VM flushes after
-    /// every program run.
+    /// Aggregate counters (across every VM sharing the cache).
     pub fn stats(&self) -> PlanCacheStats {
+        let s = SITE.lock(&self.state);
         PlanCacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            probes: self.inner.probes.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-            len: self.len(),
-            capacity: self.capacity(),
+            hits: s.hits,
+            misses: s.misses,
+            probes: s.hits + s.misses,
+            evictions: s.evictions,
+            len: s.len,
+            capacity: s.capacity,
         }
     }
 
     /// Changes the capacity, evicting least-recently-used entries if the
     /// cache is now over budget. Returns how many entries were evicted.
     pub fn set_capacity(&self, capacity: usize) -> u64 {
-        self.inner.capacity.store(capacity, Ordering::Relaxed);
-        let mut evicted = 0;
-        while self.len() > capacity && self.evict_lru() {
-            evicted += 1;
-        }
-        evicted
+        let mut s = SITE.lock(&self.state);
+        s.capacity = capacity;
+        s.shrink()
     }
 
-    /// A fresh probe session for one VM.
-    pub(crate) fn session(&self) -> PlanCacheSession {
-        PlanCacheSession {
-            snapshots: (0..SHARD_COUNT).map(|_| None).collect(),
-            ..PlanCacheSession::default()
-        }
-    }
-
-    /// Publishes a session's batched hit/miss counts to the shared
-    /// counters. After this, `stats()` satisfies `hits + misses == probes`
-    /// with respect to everything this session counted.
-    pub(crate) fn flush_session(&self, sess: &mut PlanCacheSession) {
-        let (h, m) = (sess.pending_hits, sess.pending_misses);
-        if h + m == 0 {
-            return;
-        }
-        sess.pending_hits = 0;
-        sess.pending_misses = 0;
-        self.inner.hits.fetch_add(h, Ordering::Relaxed);
-        self.inner.misses.fetch_add(m, Ordering::Relaxed);
-        self.inner.probes.fetch_add(h + m, Ordering::Relaxed);
-    }
-
-    /// The shard index for a key. Uses the deterministic `DefaultHasher`
-    /// seed (not the per-map random state) so every handle agrees.
-    fn shard_of(key: &dyn KeyView) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
-    /// Session lookup: the hot path of `CallTir`. While the shard version
-    /// is unchanged this takes **no lock and writes no shared atomic** —
-    /// it probes the session's snapshot, stamps recency from the session's
-    /// tick batch, and counts locally. A changed version refreshes the
-    /// snapshot under one (instrumented) shard read lock.
-    pub(crate) fn lookup_with(
-        &self,
-        sess: &mut PlanCacheSession,
-        func: &str,
-        shapes: &[Vec<usize>],
-    ) -> Option<CachedPlan> {
-        if !self.enabled() {
-            return None;
-        }
-        let probe: &dyn KeyView = &(func, shapes);
-        let si = Self::shard_of(probe);
-        let shard = &self.inner.shards[si];
-        let version = shard.version.load(Ordering::Acquire);
-        let slot = &mut sess.snapshots[si];
-        let stale = slot.as_ref().map(|(v, _)| *v != version).unwrap_or(true);
-        if stale {
-            let map = Arc::clone(&SHARD_READ_SITE.read(&shard.map));
-            *slot = Some((version, map));
-        }
-        let map = &slot.as_ref().expect("snapshot just refreshed").1;
-
-        if sess.ticks_left == 0 {
-            sess.tick_next = self.inner.tick.fetch_add(TICK_BATCH, Ordering::Relaxed) + 1;
-            sess.ticks_left = TICK_BATCH;
-        }
-        let tick = sess.tick_next;
-        sess.tick_next += 1;
-        sess.ticks_left -= 1;
-
-        let found = map.get(probe).map(|entry| {
-            entry.touched.store(tick, Ordering::Relaxed);
-            entry.plan.clone()
-        });
-        if found.is_some() {
-            sess.pending_hits += 1;
-        } else {
-            sess.pending_misses += 1;
-        }
-        if sess.pending_hits + sess.pending_misses >= TICK_BATCH {
-            self.flush_session(sess);
-        }
-        self.trace_probe(func, shapes, found.is_some());
-        found
-    }
-
-    /// Looks up `(func, shapes)` without a session: one shard read lock
-    /// per probe, counters published immediately. Kept for callers that
-    /// probe rarely (tests, tools); the VM hot path probes through its
-    /// `PlanCacheSession` instead.
+    /// Looks up `(func, shapes)`, marking a hit as the most recently used
+    /// entry. A disabled cache (capacity 0) finds nothing and counts
+    /// nothing.
     pub fn lookup(&self, func: &str, shapes: &[Vec<usize>]) -> Option<CachedPlan> {
-        if !self.enabled() {
-            return None;
-        }
-        let probe: &dyn KeyView = &(func, shapes);
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let map = Arc::clone(&SHARD_READ_SITE.read(&self.inner.shards[Self::shard_of(probe)].map));
-        let found = map.get(probe).map(|entry| {
-            entry.touched.store(tick, Ordering::Relaxed);
-            entry.plan.clone()
-        });
-        if found.is_some() {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.probes.fetch_add(1, Ordering::Relaxed);
-        self.trace_probe(func, shapes, found.is_some());
-        found
-    }
-
-    fn trace_probe(&self, func: &str, shapes: &[Vec<usize>], hit: bool) {
+        let found = {
+            let mut guard = SITE.lock(&self.state);
+            let s = &mut *guard;
+            if s.capacity == 0 {
+                return None;
+            }
+            let tick = s.next_tick();
+            let found = s
+                .map
+                .get_mut(func)
+                .and_then(|by_shapes| by_shapes.get_mut(shapes))
+                .map(|(touched, plan)| {
+                    *touched = tick;
+                    plan.clone()
+                });
+            if found.is_some() {
+                s.hits += 1;
+            } else {
+                s.misses += 1;
+            }
+            found
+        };
         relax_trace::instant(
             "vm",
             || format!("plan_cache:{func}"),
             || relax_trace::Payload::Kernel {
                 kernel: func.to_string(),
                 shapes: relax_trace::shape_sig(shapes),
-                cache: Some(if hit {
+                cache: Some(if found.is_some() {
                     relax_trace::CacheOutcome::Hit
                 } else {
                     relax_trace::CacheOutcome::Miss
                 }),
             },
         );
+        found
     }
 
-    /// Inserts a freshly compiled (or refused) plan, evicting
-    /// least-recently-used entries once the cache is over capacity.
-    /// Replacing a key that is already cached is *not* growth and evicts
-    /// nothing. Returns how many entries were evicted.
-    ///
-    /// Mutation is copy-on-write: a new snapshot map is published and the
-    /// shard version bumped, so sessions refresh on their next probe.
+    /// Inserts a freshly compiled (or refused) plan as the most recently
+    /// used entry, evicting least-recently-used entries once the cache is
+    /// over capacity. Replacing a key that is already cached is *not*
+    /// growth and evicts nothing. Returns how many entries were evicted.
     pub fn insert(&self, func: &str, shapes: &[Vec<usize>], plan: CachedPlan) -> u64 {
-        if !self.enabled() {
+        let mut guard = SITE.lock(&self.state);
+        let s = &mut *guard;
+        if s.capacity == 0 {
             return 0;
         }
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let probe: &dyn KeyView = &(func, shapes);
-        let shard = &self.inner.shards[Self::shard_of(probe)];
-        {
-            let mut guard = SHARD_WRITE_SITE.write(&shard.map);
-            let mut map: HashMap<PlanKey, Arc<Entry>> = (**guard).clone();
-            let replacing = map
-                .insert(
-                    PlanKey {
-                        func: func.to_string(),
-                        shapes: shapes.to_vec(),
-                    },
-                    Arc::new(Entry {
-                        touched: AtomicU64::new(tick),
-                        plan,
-                    }),
-                )
-                .is_some();
-            *guard = Arc::new(map);
-            shard.version.fetch_add(1, Ordering::Release);
-            if replacing {
-                // In-place replacement: same key, no growth, no eviction.
-                return 0;
-            }
-            self.inner.len.fetch_add(1, Ordering::Relaxed);
+        let tick = s.next_tick();
+        let by_shapes = s.map.entry(func.to_string()).or_default();
+        if by_shapes.insert(shapes.to_vec(), (tick, plan)).is_some() {
+            return 0;
         }
-        let mut evicted = 0;
-        while self.len() > self.capacity() && self.evict_lru() {
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Evicts the globally least-recently-touched entry. `false` if the
-    /// cache was empty.
-    fn evict_lru(&self) -> bool {
-        // Find the globally oldest entry from the published snapshots.
-        let mut oldest: Option<(usize, u64, PlanKey)> = None;
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let map = Arc::clone(&SHARD_READ_SITE.read(&shard.map));
-            for (key, entry) in map.iter() {
-                let t = entry.touched.load(Ordering::Relaxed);
-                if oldest.as_ref().map(|(_, ot, _)| t < *ot).unwrap_or(true) {
-                    oldest = Some((i, t, key.clone()));
-                }
-            }
-        }
-        let Some((i, _, key)) = oldest else {
-            return false;
-        };
-        let shard = &self.inner.shards[i];
-        let mut guard = SHARD_WRITE_SITE.write(&shard.map);
-        let mut map: HashMap<PlanKey, Arc<Entry>> = (**guard).clone();
-        if map.remove(&key as &dyn KeyView).is_some() {
-            *guard = Arc::new(map);
-            shard.version.fetch_add(1, Ordering::Release);
-            self.inner.len.fetch_sub(1, Ordering::Relaxed);
-            self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            // Lost a race with another evictor; report progress anyway so
-            // callers re-check the length.
-            true
-        }
+        s.len += 1;
+        s.shrink()
     }
 }
 
@@ -598,69 +352,18 @@ mod tests {
         });
         assert!(c.len() <= 8);
         let s = c.stats();
-        assert!(s.hits + s.misses >= 800);
+        assert_eq!(s.hits + s.misses, 800);
         assert_eq!(s.probes, s.hits + s.misses);
-    }
-
-    #[test]
-    fn session_probe_is_lock_free_on_unchanged_version_and_flushes_batched() {
-        let c = SharedPlanCache::new(8);
-        c.insert("f", &[vec![2]], CachedPlan::Unplannable);
-        let mut sess = c.session();
-        // First probe refreshes the snapshot; the rest ride it.
-        for _ in 0..10 {
-            assert!(c.lookup_with(&mut sess, "f", &[vec![2]]).is_some());
-        }
-        assert!(c.lookup_with(&mut sess, "g", &[vec![2]]).is_none());
-        // Counts are still pending (batch not reached, no flush yet).
-        assert_eq!(c.stats().hits, 0);
-        c.flush_session(&mut sess);
-        let s = c.stats();
-        assert_eq!(s.hits, 10);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.probes, 11);
-        // Flushing twice publishes nothing extra.
-        c.flush_session(&mut sess);
-        assert_eq!(c.stats().probes, 11);
-    }
-
-    #[test]
-    fn session_sees_inserts_via_version_bump() {
-        let c = SharedPlanCache::new(8);
-        let mut sess = c.session();
-        assert!(c.lookup_with(&mut sess, "f", &[vec![3]]).is_none());
-        c.insert("f", &[vec![3]], CachedPlan::Unplannable);
-        // The insert bumped the shard version: the stale snapshot is
-        // refreshed and the new entry is visible.
-        assert!(c.lookup_with(&mut sess, "f", &[vec![3]]).is_some());
-    }
-
-    #[test]
-    fn session_tick_batches_keep_recency_exact_within_a_session() {
-        let c = SharedPlanCache::new(2);
-        c.insert("a", &[vec![1]], CachedPlan::Unplannable);
-        c.insert("b", &[vec![1]], CachedPlan::Unplannable);
-        let mut sess = c.session();
-        // Touch `a` through the session, then insert `c`: `b` is the LRU.
-        assert!(c.lookup_with(&mut sess, "a", &[vec![1]]).is_some());
-        c.insert("c", &[vec![1]], CachedPlan::Unplannable);
-        assert!(c.lookup("a", &[vec![1]]).is_some());
-        assert!(c.lookup("b", &[vec![1]]).is_none());
-        c.flush_session(&mut sess);
     }
 
     /// The plain reference for [`random_operations_match_an_lru_model`]:
     /// entries in a `Vec` with the tick that last touched them, the victim
-    /// the smallest tick. Ticks follow the documented batched rule: a
-    /// direct probe or insert draws one from the global counter, a session
-    /// reserves [`TICK_BATCH`] at once and hands them out in order.
+    /// the smallest tick. Every probe and every insert takes the next tick.
     #[derive(Default)]
     struct Model {
         entries: Vec<(Key, u64)>,
         capacity: usize,
         tick: u64,
-        session_next: u64,
-        session_left: u64,
         hits: u64,
         misses: u64,
         evictions: u64,
@@ -672,32 +375,17 @@ mod tests {
     type Key = (usize, usize);
 
     impl Model {
-        fn global_tick(&mut self) -> u64 {
+        fn next_tick(&mut self) -> u64 {
             self.tick += 1;
             self.tick
         }
 
-        fn session_tick(&mut self) -> u64 {
-            if self.session_left == 0 {
-                self.session_next = self.tick + 1;
-                self.tick += TICK_BATCH;
-                self.session_left = TICK_BATCH;
-            }
-            self.session_left -= 1;
-            self.session_next += 1;
-            self.session_next - 1
-        }
-
         /// A counted probe; `true` on a hit.
-        fn probe(&mut self, key: Key, through_session: bool) -> bool {
+        fn probe(&mut self, key: Key) -> bool {
             if self.capacity == 0 {
                 return false;
             }
-            let tick = if through_session {
-                self.session_tick()
-            } else {
-                self.global_tick()
-            };
+            let tick = self.next_tick();
             match self.entries.iter_mut().find(|(k, _)| *k == key) {
                 Some(entry) => {
                     entry.1 = tick;
@@ -716,7 +404,7 @@ mod tests {
             if self.capacity == 0 {
                 return 0;
             }
-            let tick = self.global_tick();
+            let tick = self.next_tick();
             if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == key) {
                 entry.1 = tick;
                 return 0;
@@ -746,12 +434,12 @@ mod tests {
         }
     }
 
-    /// 200 seeds × 200 random direct and session lookups, inserts,
-    /// capacity changes (including 0 and shrinking) and session flushes,
+    /// 200 seeds × 200 random lookups, inserts and capacity changes
+    /// (including 0 and shrinking), spread over two clones of one cache,
     /// checked against [`Model`]: every probe hits exactly when the model
     /// does, every insert and capacity change evicts as many entries, and
-    /// after every flush the counters and length equal the model's and a
-    /// key the model evicted misses.
+    /// after every op the counters and length equal the model's and a key
+    /// the model evicted misses.
     #[test]
     fn random_operations_match_an_lru_model() {
         const FUNCS: [&str; 4] = ["f0", "f1", "f2", "f3"];
@@ -765,8 +453,8 @@ mod tests {
                 (state % n as u64) as usize
             };
             let initial = below(9);
-            let c = SharedPlanCache::new(initial);
-            let mut sess = c.session();
+            let first = SharedPlanCache::new(initial);
+            let handles = [first.clone(), first];
             let mut model = Model {
                 capacity: initial,
                 ..Model::default()
@@ -774,45 +462,39 @@ mod tests {
             for op in 0..200 {
                 let key = (below(FUNCS.len()), below(shapes.len()));
                 let (func, shape) = (FUNCS[key.0], &shapes[key.1]);
+                let c = &handles[below(handles.len())];
                 let ctx = format!("seed {seed} op {op}");
-                match below(20) {
-                    0..=5 => {
+                match below(17) {
+                    0..=11 => {
                         let hit = c.lookup(func, shape).is_some();
-                        assert_eq!(hit, model.probe(key, false), "{ctx}: lookup {key:?}");
-                    }
-                    6..=11 => {
-                        let hit = c.lookup_with(&mut sess, func, shape).is_some();
-                        assert_eq!(hit, model.probe(key, true), "{ctx}: lookup_with {key:?}");
+                        assert_eq!(hit, model.probe(key), "{ctx}: lookup {key:?}");
                     }
                     12..=15 => {
                         let evicted = c.insert(func, shape, CachedPlan::Unplannable);
                         assert_eq!(evicted, model.insert(key), "{ctx}: insert {key:?}");
                     }
-                    16 => {
+                    _ => {
                         // Shrink more often than grow, and reach 0.
                         let capacity = below(c.capacity() + 3).saturating_sub(2);
                         let evicted = c.set_capacity(capacity);
                         assert_eq!(evicted, model.set_capacity(capacity), "{ctx}: capacity");
                     }
-                    _ => {
-                        c.flush_session(&mut sess);
-                        let stats = c.stats();
-                        assert_eq!(stats.hits + stats.misses, stats.probes, "{ctx}");
-                        assert_eq!(
-                            (stats.hits, stats.misses),
-                            (model.hits, model.misses),
-                            "{ctx}"
-                        );
-                        assert_eq!(stats.evictions, model.evictions, "{ctx}");
-                        assert_eq!(stats.len, model.entries.len(), "{ctx}");
-                        assert!(stats.len <= stats.capacity, "{ctx}: {stats:?}");
-                        if !model.evicted.is_empty() {
-                            let gone = model.evicted[below(model.evicted.len())];
-                            assert!(!model.probe(gone, false));
-                            let (func, shape) = (FUNCS[gone.0], &shapes[gone.1]);
-                            assert!(c.lookup(func, shape).is_none(), "{ctx}: {gone:?} hit");
-                        }
-                    }
+                }
+                let stats = c.stats();
+                assert_eq!(stats.hits + stats.misses, stats.probes, "{ctx}");
+                assert_eq!(
+                    (stats.hits, stats.misses),
+                    (model.hits, model.misses),
+                    "{ctx}"
+                );
+                assert_eq!(stats.evictions, model.evictions, "{ctx}");
+                assert_eq!(stats.len, model.entries.len(), "{ctx}");
+                assert!(stats.len <= stats.capacity, "{ctx}: {stats:?}");
+                if !model.evicted.is_empty() {
+                    let gone = model.evicted[below(model.evicted.len())];
+                    assert!(!model.probe(gone));
+                    let (func, shape) = (FUNCS[gone.0], &shapes[gone.1]);
+                    assert!(c.lookup(func, shape).is_none(), "{ctx}: {gone:?} hit");
                 }
             }
         }

@@ -13,7 +13,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::kv_cache::{self, KV_CACHE_PREFIX};
 use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
 use crate::moe::{self, MOE_PREFIX};
-use crate::plan_cache::{CachedPlan, PlanCacheSession, SharedPlanCache};
+use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
 
@@ -282,11 +282,8 @@ pub struct Vm {
     /// Per-kernel launch counts and compile/run time split.
     kernel_stats: HashMap<String, KernelStat>,
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
-    /// with other VMs).
+    /// with other VMs); every `CallTir` probes it once.
     plan_cache: SharedPlanCache,
-    /// This VM's probe session: lock-free cache hits via shard snapshots,
-    /// batched LRU ticks and hit/miss counts (flushed after every `run`).
-    cache_session: PlanCacheSession,
     /// The page pool backing `vm.builtin.kv_cache.*` handles — shared
     /// across a serving engine's VMs so occupancy accounting is global.
     kv_pool: Arc<KvPagePool>,
@@ -327,7 +324,6 @@ impl Vm {
         registry: Arc<Registry>,
         plan_cache: SharedPlanCache,
     ) -> Self {
-        let cache_session = plan_cache.session();
         Vm {
             exec,
             registry,
@@ -338,7 +334,6 @@ impl Vm {
             next_storage_id: 0,
             kernel_stats: HashMap::new(),
             plan_cache,
-            cache_session,
             kv_pool: Arc::new(KvPagePool::unbounded(DEFAULT_KV_PAGE_TOKENS)),
             fault: None,
             memory_capacity: None,
@@ -465,9 +460,6 @@ impl Vm {
     /// frame trace (function, pc, instruction).
     pub fn run(&mut self, func: &str, args: &[Value]) -> Result<Value, VmError> {
         let result = self.run_inner(func, args);
-        // Publish this run's batched cache counts so shared stats satisfy
-        // `hits + misses == probes` at every run boundary.
-        self.plan_cache.flush_session(&mut self.cache_session);
         match &result {
             Ok(_) => {
                 if self.poisoned {
@@ -733,48 +725,43 @@ impl Vm {
                 let shapes: Vec<Vec<usize>> =
                     tensors.iter().map(|t| t.shape().to_vec()).collect();
                 // Resolve a shape-specialized plan through the LRU cache;
-                // a miss compiles once and is charged separately from run
-                // time. Capacity 0 disables planning entirely. The trace
-                // spans are the timing source for the kernel stats, so
-                // the per-kernel report and the trace share one clock.
+                // a miss compiles once, outside the cache's lock, and is
+                // charged separately from run time. Capacity 0 disables
+                // planning entirely. The trace spans are the timing source
+                // for the kernel stats, so the per-kernel report and the
+                // trace share one clock.
                 let mut cache_outcome = None;
-                let cached = if self.plan_cache.enabled() {
-                    match self
-                        .plan_cache
-                        .lookup_with(&mut self.cache_session, func, &shapes)
-                    {
-                        Some(c) => {
-                            self.telemetry.plan_cache_hits += 1;
-                            cache_outcome = Some(relax_trace::CacheOutcome::Hit);
-                            Some(c)
-                        }
-                        None => {
-                            self.telemetry.plan_cache_misses += 1;
-                            let sp = relax_trace::span("vm", || format!("plan:{func}"));
-                            let compiled =
-                                relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
-                            let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
-                                kernel: func.clone(),
-                                shapes: relax_trace::shape_sig(&shapes),
-                                cache: Some(relax_trace::CacheOutcome::Miss),
-                            });
-                            let stat = self.kernel_stats.entry(func.clone()).or_default();
-                            stat.plan_compiles += 1;
-                            stat.compile_time += dt;
-                            self.telemetry.plan_compiles += 1;
-                            let entry = match compiled {
-                                Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
-                                Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
-                                Err(PlanError::Interp(e)) => return Err(e.into()),
-                            };
-                            self.telemetry.plan_cache_evictions +=
-                                self.plan_cache.insert(func, &shapes, entry.clone());
-                            cache_outcome = Some(relax_trace::CacheOutcome::Miss);
-                            Some(entry)
-                        }
+                let cached = match self.plan_cache.lookup(func, &shapes) {
+                    Some(c) => {
+                        self.telemetry.plan_cache_hits += 1;
+                        cache_outcome = Some(relax_trace::CacheOutcome::Hit);
+                        Some(c)
                     }
-                } else {
-                    None
+                    None if self.plan_cache.enabled() => {
+                        self.telemetry.plan_cache_misses += 1;
+                        let sp = relax_trace::span("vm", || format!("plan:{func}"));
+                        let compiled =
+                            relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
+                        let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
+                            kernel: func.clone(),
+                            shapes: relax_trace::shape_sig(&shapes),
+                            cache: Some(relax_trace::CacheOutcome::Miss),
+                        });
+                        let stat = self.kernel_stats.entry(func.clone()).or_default();
+                        stat.plan_compiles += 1;
+                        stat.compile_time += dt;
+                        self.telemetry.plan_compiles += 1;
+                        let entry = match compiled {
+                            Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
+                            Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
+                            Err(PlanError::Interp(e)) => return Err(e.into()),
+                        };
+                        self.telemetry.plan_cache_evictions +=
+                            self.plan_cache.insert(func, &shapes, entry.clone());
+                        cache_outcome = Some(relax_trace::CacheOutcome::Miss);
+                        Some(entry)
+                    }
+                    None => None,
                 };
                 if matches!(&cached, Some(CachedPlan::Unplannable)) {
                     cache_outcome = Some(relax_trace::CacheOutcome::Unplannable);
@@ -1204,6 +1191,21 @@ mod tests {
         assert_eq!(tel.plan_cache_evictions, 2);
         assert_eq!(tel.plan_compiles, 3);
         assert_eq!(vm.plan_cache_len(), 1);
+
+        // Capacity 2: the hit on shape 4 makes it newer than shape 8, so
+        // shape 16 evicts 8 and the last run hits 4 again. A freshly
+        // compiled entry is no newer than a later hit.
+        let mut vm = Vm::new(relu_exec());
+        vm.set_plan_cache_capacity(2);
+        for n in [4usize, 8, 4, 16, 4] {
+            let x = NDArray::zeros(&[n], DataType::F32);
+            vm.run("main", &[Value::Tensor(x)]).unwrap();
+        }
+        let tel = vm.telemetry();
+        assert_eq!(tel.plan_cache_misses, 3);
+        assert_eq!(tel.plan_cache_hits, 2);
+        assert_eq!(tel.plan_cache_evictions, 1);
+        assert_eq!(vm.plan_cache_len(), 2);
     }
 
     #[test]

@@ -90,6 +90,9 @@ cargo test --release -q --test pipeline_ablation
 # builtin against the legalized Op::Attention, bitwise, over context
 # length x page size x query rows x GQA x mask x dtype.
 cargo test -p relax-vm --release -q --lib paged_attention_matches_legalized_tir_bitwise
+# The shared plan cache under eight contending threads: its one lock only
+# contends at release timing.
+cargo test -p relax-vm --release -q --test plan_cache_stress
 
 echo "==> cargo doc --workspace --no-deps"
 cargo doc --workspace --no-deps -q
