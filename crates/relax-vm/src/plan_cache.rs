@@ -193,8 +193,7 @@ impl SharedPlanCache {
     /// nothing.
     pub fn lookup(&self, func: &str, shapes: &[Vec<usize>]) -> Option<CachedPlan> {
         let found = {
-            let mut guard = SITE.lock(&self.state);
-            let s = &mut *guard;
+            let mut s = SITE.lock(&self.state);
             if s.capacity == 0 {
                 return None;
             }
@@ -235,8 +234,7 @@ impl SharedPlanCache {
     /// over capacity. Replacing a key that is already cached is *not*
     /// growth and evicts nothing. Returns how many entries were evicted.
     pub fn insert(&self, func: &str, shapes: &[Vec<usize>], plan: CachedPlan) -> u64 {
-        let mut guard = SITE.lock(&self.state);
-        let s = &mut *guard;
+        let mut s = SITE.lock(&self.state);
         if s.capacity == 0 {
             return 0;
         }
