@@ -6,9 +6,6 @@
 //! iteration. Numbers are indicative, not statistically rigorous — the
 //! performance claims of the reproduction come from `relax-sim`, not from
 //! host wall clock.
-//!
-//! Set `RELAX_BENCH_FAST=1` to shrink batch counts and targets for CI
-//! smoke runs, where only "it runs and produces output" matters.
 
 use std::time::{Duration, Instant};
 
@@ -16,27 +13,6 @@ use std::time::{Duration, Instant};
 const BATCHES: usize = 15;
 /// Target wall time per batch, used to size iteration counts.
 const BATCH_TARGET: Duration = Duration::from_millis(20);
-
-/// `true` when `RELAX_BENCH_FAST` is set: smoke-test sizing for CI.
-pub fn fast_mode() -> bool {
-    std::env::var_os("RELAX_BENCH_FAST").is_some()
-}
-
-fn batches() -> usize {
-    if fast_mode() {
-        3
-    } else {
-        BATCHES
-    }
-}
-
-fn batch_target() -> Duration {
-    if fast_mode() {
-        Duration::from_millis(2)
-    } else {
-        BATCH_TARGET
-    }
-}
 
 /// Times `f`, printing `name ... median ns/iter (iters)` criterion-style,
 /// and returns the median ns/iter so callers can compute speedups or emit
@@ -49,16 +25,15 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> f64 {
     let t0 = Instant::now();
     std::hint::black_box(f());
     let once = t0.elapsed().max(Duration::from_nanos(1));
-    let iters = (batch_target().as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as usize;
+    let iters = (BATCH_TARGET.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as usize;
 
     // Warm-up batch.
     for _ in 0..iters {
         std::hint::black_box(f());
     }
 
-    let n_batches = batches();
-    let mut per_iter: Vec<f64> = Vec::with_capacity(n_batches);
-    for _ in 0..n_batches {
+    let mut per_iter: Vec<f64> = Vec::with_capacity(BATCHES);
+    for _ in 0..BATCHES {
         let start = Instant::now();
         for _ in 0..iters {
             std::hint::black_box(f());
@@ -79,11 +54,10 @@ pub fn bench_with_setup<S, T>(
     mut setup: impl FnMut() -> S,
     mut f: impl FnMut(S) -> T,
 ) -> f64 {
-    let n_batches = batches();
-    let mut per_iter: Vec<f64> = Vec::with_capacity(n_batches);
+    let mut per_iter: Vec<f64> = Vec::with_capacity(BATCHES);
     // One warm-up call.
     std::hint::black_box(f(setup()));
-    for _ in 0..n_batches {
+    for _ in 0..BATCHES {
         let input = setup();
         let start = Instant::now();
         std::hint::black_box(f(input));

@@ -154,17 +154,6 @@ pub enum AdmissionLevel {
     Reject,
 }
 
-impl AdmissionLevel {
-    /// Stable lower-case label (for exporters and bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionLevel::Accept => "accept",
-            AdmissionLevel::Shed => "shed",
-            AdmissionLevel::Reject => "reject",
-        }
-    }
-}
-
 /// Serving configuration. The defaults run 4 workers over a shared
 /// plan cache with no deadline, no retries and no overload policy — a
 /// request either runs once or fails typed, exactly like a plain VM

@@ -350,7 +350,7 @@ fn kv_append_validate(
 /// stay fast at long contexts: for each `(b, h)` row block the cache
 /// and new segments are contiguous in both source and destination, so
 /// the whole kernel is `2·b·h` bulk bit copies instead of a 4-deep
-/// scalar loop (see [`kv_append_reference`] for the scalar original).
+/// scalar loop ([`kv_append_reference`]).
 fn lib_kv_append(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
     let (cache, new, out) = kv_append_validate(inputs, outputs)?;
     let (cs2, ns2) = (cache.shape()[2], new.shape()[2]);
@@ -373,12 +373,12 @@ fn lib_kv_append(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> 
     Ok(())
 }
 
-/// The original per-element `kv_append`: a 4-deep scalar loop with one
-/// `set` per element. Kept as the micro-benchmark baseline for the
-/// row-copy rewrite and as the conversion fallback for mixed dtypes;
-/// bitwise-identical to the registered `vm.builtin.kv_append` row-copy
-/// implementation on same-dtype inputs.
-pub fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
+/// The per-element `kv_append`: a 4-deep scalar loop with one converting
+/// `set` per element. It is the mixed-dtype path of
+/// `vm.builtin.kv_append`, and on same-dtype inputs the oracle the
+/// row-copy path must equal bitwise
+/// (`kv_append_row_copy_matches_scalar_reference`).
+fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
     let (cache, new, out) = kv_append_validate(inputs, outputs)?;
     let (cs2, ns2) = (cache.shape()[2], new.shape()[2]);
     let os = out.shape().to_vec();

@@ -79,12 +79,14 @@ echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
 # the interpreter (schedule_diff: every schedule-primitive combination),
 # and every generated kernel of the served paged llama and moe_dispatch
 # through plans vs the interpreter, with only the embedding gathers left
-# on the scalar tape (kernel_plans_e2e), all bitwise; plus the 32-config
-# pipeline ablation that toggles kernel_schedule with the other pipeline
-# knobs. Release matters: rows are vectorized there.
+# on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
+# matmul's fastest run against the host roofline floor (kernel_roofline);
+# plus the 32-config pipeline ablation that toggles kernel_schedule with
+# the other pipeline knobs. Release matters: rows are vectorized there.
 cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
 cargo test --release -q --test kernel_plans_e2e
+cargo test --release -q --test kernel_roofline
 cargo test --release -q --test pipeline_ablation
 # The one hand-written kernel on the serving path: the paged-attention
 # builtin against the legalized Op::Attention, bitwise, over context
@@ -101,9 +103,12 @@ echo "==> trace smoke (RELAX_TRACE=1, Chrome export checked in-process)"
 RELAX_TRACE=1 cargo run --release -q --example trace_smoke >/dev/null
 test -s target/trace_smoke.json
 
-echo "==> runtime bench smoke (RELAX_BENCH_FAST; writes under target/ only)"
-scripts/bench.sh --fast >/dev/null
-test -s target/BENCH_runtime.json
+echo "==> paper-figure binaries (release)"
+# Every table and figure binary of EXPERIMENTS.md; each finishes in about
+# a second on 2 vCPUs.
+for bin in crates/relax-bench/src/bin/*.rs; do
+    cargo run --release -q -p relax-bench --bin "$(basename "$bin" .rs)" >/dev/null
+done
 
 echo "==> benchmark package: contract tests + 2-second smoke of every workload"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
