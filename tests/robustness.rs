@@ -1,7 +1,7 @@
 //! Robustness integration tests: executable validation, error provenance,
 //! fault injection, and graceful degradation.
 //!
-//! Three guarantees are exercised end to end:
+//! Four guarantees are exercised end to end:
 //!
 //! 1. the validator rejects hand-corrupted executables with named
 //!    violations while pipeline-produced executables pass;
@@ -9,14 +9,22 @@
 //!    and leaves the VM in a clean state — a successful run immediately
 //!    after any failure counts as a recovery;
 //! 3. a run whose shapes exceed the declared planning bounds completes via
-//!    the pooled-allocator fallback instead of failing.
+//!    the pooled-allocator fallback instead of failing;
+//! 4. a failing runtime builtin names itself in its `KernelError`, and an
+//!    exhausted KV page pool keeps its typed cause.
+
+use std::sync::Arc;
 
 use relax::arith::Var as SymVar;
 use relax::core::{BlockBuilder, DataType, Expr, IRModule, Op, StructInfo};
+use relax::models::llama::{build_decode_paged, LlamaConfig};
 use relax::passes::{compile, CompileOptions};
 use relax::tir::{grid, Buffer, NDArray, PrimFunc, Stmt, TirExpr};
 use relax::vm::registry::Registry;
-use relax::vm::{verify, Executable, FaultPlan, Instr, Value, Vm, VmErrorKind, VmFunction};
+use relax::vm::{
+    verify, Executable, FaultPlan, Instr, KvCache, KvCacheConfig, KvPagePool, Value, Vm,
+    VmErrorKind, VmFunction,
+};
 
 /// x @ w1 -> relu -> @ w2 -> rms_norm on a symbolic batch dimension.
 fn mlp_module() -> (IRModule, SymVar) {
@@ -447,6 +455,100 @@ fn traced_errors_render_function_pc_and_instruction() {
     assert!(text.contains("injected fault"), "{text}");
     assert!(text.contains("at main[pc "), "{text}");
     assert!(text.contains("call_lib"), "{text}");
+}
+
+// ---------------------------------------------------------------------------
+// Builtin failures: a runtime builtin's error keeps its kernel name and, for
+// an exhausted page pool, the typed cause serving retries on.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
+    let cfg = LlamaConfig::tiny();
+    let ir = build_decode_paged(&cfg).unwrap();
+    let mut vm = Vm::new(compile(ir.module, &CompileOptions::default()).unwrap());
+    // One 16-token page in the whole pool; a 17-token prompt needs two.
+    let pool = Arc::new(KvPagePool::with_capacity(16, 1));
+    vm.set_kv_pool(pool.clone());
+    let kv = KvCacheConfig {
+        streams: 2 * cfg.n_layers,
+        batch: 1,
+        heads: cfg.n_kv_heads as usize,
+        head_dim: cfg.head_dim as usize,
+        dtype: cfg.dtype,
+    };
+    let cache = KvCache::new(kv, pool.clone());
+    let tokens = NDArray::from_i64(&[1, 17], DataType::I64, vec![1; 17]).unwrap();
+    let mut args = vec![Value::Tensor(tokens), Value::KvCache(cache.clone())];
+    for (name, sinfo) in &ir.params {
+        if name == "tokens" || name == "kv_cache" {
+            continue;
+        }
+        let dims: Vec<usize> = sinfo
+            .tensor_dims()
+            .unwrap()
+            .iter()
+            .map(|d| d.as_int().unwrap() as usize)
+            .collect();
+        args.push(Value::Tensor(NDArray::zeros(&dims, cfg.dtype)));
+    }
+    let err = vm.run("decode_paged", &args).unwrap_err();
+    match &err.kind {
+        VmErrorKind::Kernel(k) => {
+            assert!(k.pool_exhausted.is_some(), "{k}");
+            assert_eq!(k.kernel, "vm.builtin.kv_cache.append_paged");
+        }
+        other => panic!("expected Kernel, got {other}"),
+    }
+    assert!(err.origin().unwrap().instr.contains("vm.builtin.kv_cache.append_paged"));
+    // The refused append left nothing behind.
+    assert!(cache.is_empty());
+    drop(cache);
+    let st = pool.stats();
+    assert!(st.reconciles() && st.in_use == 0, "{st:?}");
+}
+
+#[test]
+fn moe_gather_with_a_malformed_shape_fails_under_its_own_name() {
+    let mut exec = Executable::new();
+    exec.funcs.insert(
+        "main".into(),
+        VmFunction {
+            name: "main".into(),
+            num_params: 2,
+            num_regs: 4,
+            instrs: vec![
+                // gather takes shape[expert]; this passes two dims.
+                Instr::MakeShape {
+                    dst: 2,
+                    dims: vec![0.into(), 0.into()],
+                },
+                Instr::CallBuiltin {
+                    func: "vm.builtin.moe.gather".into(),
+                    args: vec![0, 1, 2],
+                    dst: 3,
+                },
+                Instr::Ret { src: 3 },
+            ],
+        },
+    );
+    // The call is well-formed as far as arity goes: only the value is wrong.
+    assert_eq!(violations_of(&exec), Vec::new());
+    let mut vm = Vm::new(exec);
+    let tokens = NDArray::zeros(&[2, 4], DataType::F32);
+    let assign = NDArray::from_i64(&[2], DataType::I64, vec![0, 1]).unwrap();
+    let err = vm
+        .run("main", &[Value::Tensor(tokens), Value::Tensor(assign)])
+        .unwrap_err();
+    match &err.kind {
+        VmErrorKind::Kernel(k) => {
+            assert_eq!(k.kernel, "vm.builtin.moe.gather");
+            assert_eq!(k.detail, "expected a shape of 1 dims, got 2");
+            assert!(k.pool_exhausted.is_none());
+        }
+        other => panic!("expected Kernel, got {other}"),
+    }
+    assert_eq!(err.origin().unwrap().pc, 1);
 }
 
 // ---------------------------------------------------------------------------
