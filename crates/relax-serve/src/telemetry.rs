@@ -213,11 +213,15 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Total kernel-plan compilations across all workers. With a shared
-    /// cache and `k` cold keys this stays near `k` no matter how many
-    /// workers run; with private caches it approaches `k × workers`.
+    /// Total kernel-plan compilations (plan-cache misses) across all
+    /// workers. With a shared cache and `k` cold keys this stays near `k`
+    /// no matter how many workers run; with private caches it approaches
+    /// `k × workers`.
     pub fn total_plan_compiles(&self) -> u64 {
-        self.workers.iter().map(|w| w.telemetry.plan_compiles).sum()
+        self.workers
+            .iter()
+            .map(|w| w.telemetry.plan_cache_misses)
+            .sum()
     }
 
     /// Number of worker slots whose *final* incarnation drained the

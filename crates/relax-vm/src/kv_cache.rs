@@ -1,5 +1,7 @@
 //! First-class paged KV caches: the runtime object behind the
-//! `vm.builtin.kv_cache.*` builtins.
+//! `vm.builtin.kv_cache.*` builtins, which the default
+//! [`Registry`](crate::registry::Registry) runs on register values, the
+//! cache handle among them.
 //!
 //! The copy-based `vm.builtin.kv_append` kernel materializes a fresh
 //! `(b, h, s+n, hd)` tensor every decode step — O(s²) data movement per
@@ -37,10 +39,12 @@ use relax_tir::{round_to_dtype, NDArray};
 
 use crate::memory::KvPagePool;
 use crate::registry::KernelError;
-use crate::value::Value;
+use crate::value::{want_cache, want_shape, want_tensor, Value};
 
-/// Name prefix of the builtins the VM routes to [`dispatch`] instead of
-/// the tensor-only registry path.
+/// Name prefix of the paged KV-cache builtins (`create`, `append_paged`,
+/// `view`, `attention`). It is a naming convention only: lowering emits
+/// these calls without destination tensors, and the cost model recognises
+/// them by it. The VM calls them through the registry like any builtin.
 pub const KV_CACHE_PREFIX: &str = "vm.builtin.kv_cache.";
 
 /// Fixed geometry of one cache: every stream holds `(batch, heads,
@@ -124,16 +128,15 @@ impl fmt::Debug for KvCache {
     }
 }
 
-fn kerr(op: &str, detail: impl Into<String>) -> KernelError {
-    KernelError::new(format!("{KV_CACHE_PREFIX}{op}"), detail)
-}
-
 fn stream_in_range(op: &str, stream: usize, cfg: &KvCacheConfig) -> Result<(), KernelError> {
     if stream < cfg.streams {
         return Ok(());
     }
     let streams = cfg.streams;
-    Err(kerr(op, format!("stream {stream} out of range ({streams})")))
+    Err(KernelError::new(
+        op,
+        format!("stream {stream} out of range ({streams})"),
+    ))
 }
 
 impl KvCache {
@@ -165,23 +168,23 @@ impl KvCache {
     /// different geometry or pool, and for a member listed twice (one step
     /// would append to it twice).
     pub fn stack(caches: &[KvCache]) -> Result<KvCache, KernelError> {
-        const OP: &str = "stack";
+        const OP: &str = "vm.builtin.kv_cache.stack";
         let members: Vec<Arc<Member>> = caches
             .iter()
             .flat_map(|c| c.members.iter().cloned())
             .collect();
         let first = members
             .first()
-            .ok_or_else(|| kerr(OP, "a stack needs at least one cache"))?;
+            .ok_or_else(|| KernelError::new(OP, "a stack needs at least one cache"))?;
         for (i, m) in members.iter().enumerate() {
             if m.cfg != first.cfg || !Arc::ptr_eq(&m.pool, &first.pool) {
-                return Err(kerr(
+                return Err(KernelError::new(
                     OP,
                     format!("member {i} differs from member 0 in geometry or page pool"),
                 ));
             }
             if members[..i].iter().any(|earlier| Arc::ptr_eq(earlier, m)) {
-                return Err(kerr(OP, format!("member {i} is listed twice")));
+                return Err(KernelError::new(OP, format!("member {i} is listed twice")));
             }
         }
         Ok(KvCache {
@@ -246,11 +249,11 @@ impl KvCache {
     /// [`KernelError`]; on exhaustion no partial append is left behind, in
     /// any member.
     pub fn append(&self, stream: usize, new: &NDArray) -> Result<(), KernelError> {
-        const OP: &str = "append_paged";
+        const OP: &str = "vm.builtin.kv_cache.append_paged";
         let cfg = self.config();
         let ns = new.shape().to_vec();
         if ns.len() != 4 || ns[0] != cfg.batch || ns[1] != cfg.heads || ns[3] != cfg.head_dim {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!(
                     "appended tensor {ns:?} does not match cache geometry (batch={}, heads={}, head_dim={})",
@@ -259,7 +262,7 @@ impl KvCache {
             ));
         }
         if new.dtype() != cfg.dtype {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!("appended dtype {} != cache dtype {}", new.dtype(), cfg.dtype),
             ));
@@ -283,7 +286,7 @@ impl KvCache {
                     for page in fresh {
                         pool.release(page);
                     }
-                    let mut err = kerr(OP, e.to_string());
+                    let mut err = KernelError::new(OP, e.to_string());
                     err.pool_exhausted = Some(e);
                     return Err(err);
                 }
@@ -305,7 +308,7 @@ impl KvCache {
                         let dst = ((bi * h + hi) * p + row) * hd;
                         let src = (((mi * mb + bi) * h + hi) * n + t) * hd;
                         page.copy_range_from(dst, new, src, run * hd)
-                            .map_err(|e| kerr(OP, e.to_string()))?;
+                            .map_err(|e| KernelError::new(OP, e.to_string()))?;
                     }
                 }
                 t += run;
@@ -325,7 +328,7 @@ impl KvCache {
     /// stack whose members hold different lengths of it: no one tensor
     /// holds them.
     pub fn view(&self, stream: usize) -> Result<NDArray, KernelError> {
-        const OP: &str = "view";
+        const OP: &str = "vm.builtin.kv_cache.view";
         let cfg = self.config();
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let p = self.pool().page_tokens();
@@ -333,7 +336,7 @@ impl KvCache {
         let members = self.lock();
         let len = members[0][stream].len;
         if let Some(other) = members.iter().find(|m| m[stream].len != len) {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!(
                     "members of a stack hold {len} and {} tokens of stream {stream}",
@@ -354,7 +357,7 @@ impl KvCache {
                         let dst = (((mi * mb + bi) * h + hi) * len + t) * hd;
                         let src = ((bi * h + hi) * p + row) * hd;
                         out.copy_range_from(dst, page, src, run * hd)
-                            .map_err(|e| kerr(OP, e.to_string()))?;
+                            .map_err(|e| KernelError::new(OP, e.to_string()))?;
                     }
                 }
                 t += run;
@@ -374,13 +377,13 @@ impl KvCache {
     /// Returns a [`KernelError`] when `lens` disagrees with the stream
     /// count or would *grow* a stream; no stream is changed then.
     pub fn truncate_to(&self, lens: &[usize]) -> Result<(), KernelError> {
-        const OP: &str = "truncate";
+        const OP: &str = "vm.builtin.kv_cache.truncate";
         let pool = self.pool();
         let p = pool.page_tokens();
         let mut members = self.lock();
         let streams: usize = members.iter().map(|m| m.len()).sum();
         if lens.len() != streams {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!("{} lengths for {streams} streams", lens.len()),
             ));
@@ -389,7 +392,7 @@ impl KvCache {
         // must leave the whole cache as it was.
         let held = members.iter().flat_map(|m| m.iter());
         if let Some((st, &target)) = held.zip(lens).find(|(st, &t)| t > st.len) {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!("cannot grow a stream from {} to {target}", st.len),
             ));
@@ -428,11 +431,11 @@ impl KvCache {
         v_stream: usize,
         causal: bool,
     ) -> Result<NDArray, KernelError> {
-        const OP: &str = "attention";
+        const OP: &str = "vm.builtin.kv_cache.attention";
         let cfg = self.config();
         let qs = q.shape().to_vec();
         if qs.len() != 4 || qs[0] != cfg.batch || qs[3] != cfg.head_dim {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!(
                     "query {qs:?} does not match cache geometry (batch={}, head_dim={})",
@@ -443,7 +446,7 @@ impl KvCache {
         let (b, hq, s, hd) = (qs[0], qs[1], qs[2], qs[3]);
         let (mb, hkv) = (self.members[0].cfg.batch, cfg.heads);
         if hkv == 0 || hq % hkv != 0 {
-            return Err(kerr(
+            return Err(KernelError::new(
                 OP,
                 format!("query heads {hq} not a multiple of kv heads {hkv}"),
             ));
@@ -455,17 +458,20 @@ impl KvCache {
         for streams in &members {
             let (skv, v_len) = (streams[k_stream].len, streams[v_stream].len);
             if v_len != skv {
-                return Err(kerr(OP, format!("K length {skv} != V length {v_len}")));
+                return Err(KernelError::new(
+                    OP,
+                    format!("K length {skv} != V length {v_len}"),
+                ));
             }
             if skv == 0 {
-                return Err(kerr(OP, "attention over empty streams"));
+                return Err(KernelError::new(OP, "attention over empty streams"));
             }
         }
         if hd == 0 {
             return Ok(NDArray::zeros(&qs, q.dtype()));
         }
         let p = self.pool().page_tokens();
-        let page_err = |e: relax_tir::NDArrayError| kerr(OP, e.to_string());
+        let page_err = |e: relax_tir::NDArrayError| KernelError::new(OP, e.to_string());
         let qv = q.to_f64_vec();
         let scale = 1.0 / (hd as f64).sqrt();
         let r32 = |x: f64| round_to_dtype(x, DataType::F32);
@@ -541,98 +547,65 @@ impl KvCache {
 /// rounding chains, so the count changes no bit of any result.
 const LANES: usize = 8;
 
-fn want_cache<'a>(op: &str, v: Option<&'a Value>) -> Result<&'a KvCache, KernelError> {
-    match v {
-        Some(Value::KvCache(c)) => Ok(c),
-        Some(other) => Err(kerr(op, format!("expected a kv_cache, got {}", other.kind()))),
-        None => Err(kerr(op, "missing kv_cache argument")),
-    }
-}
-
-fn want_tensor<'a>(op: &str, v: Option<&'a Value>) -> Result<&'a NDArray, KernelError> {
-    match v {
-        Some(Value::Tensor(t)) => Ok(t),
-        Some(other) => Err(kerr(op, format!("expected a tensor, got {}", other.kind()))),
-        None => Err(kerr(op, "missing tensor argument")),
-    }
-}
-
-fn want_shape<'a>(op: &str, v: Option<&'a Value>, dims: usize) -> Result<&'a [i64], KernelError> {
-    match v {
-        Some(Value::Shape(d)) if d.len() == dims => Ok(d),
-        Some(Value::Shape(d)) => Err(kerr(
-            op,
-            format!("expected a shape of {dims} dims, got {}", d.len()),
-        )),
-        Some(other) => Err(kerr(op, format!("expected a shape, got {}", other.kind()))),
-        None => Err(kerr(op, "missing shape argument")),
-    }
-}
-
 fn dim(op: &str, d: i64, what: &str) -> Result<usize, KernelError> {
-    usize::try_from(d).map_err(|_| kerr(op, format!("negative {what}: {d}")))
+    usize::try_from(d).map_err(|_| KernelError::new(op, format!("negative {what}: {d}")))
 }
 
-/// Decodes the dtype code used by `kv_cache.create` shape args.
-fn dtype_from_code(op: &str, code: i64) -> Result<DataType, KernelError> {
-    match code {
-        0 => Ok(DataType::F32),
-        1 => Ok(DataType::F16),
-        other => Err(kerr(op, format!("unknown dtype code {other} (0=f32, 1=f16)"))),
-    }
+/// `vm.builtin.kv_cache.create(shape[streams, batch, heads, head_dim,
+/// dtype_code])`: an empty cache on the VM's page pool (dtype code 0 is
+/// f32, 1 is f16).
+pub(crate) fn builtin_create(args: &[Value], pool: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.kv_cache.create";
+    let d = want_shape(OP, args, 0, 5)?;
+    let cfg = KvCacheConfig {
+        streams: dim(OP, d[0], "stream count")?,
+        batch: dim(OP, d[1], "batch")?,
+        heads: dim(OP, d[2], "head count")?,
+        head_dim: dim(OP, d[3], "head dim")?,
+        dtype: match d[4] {
+            0 => DataType::F32,
+            1 => DataType::F16,
+            other => {
+                let detail = format!("unknown dtype code {other} (0=f32, 1=f16)");
+                return Err(KernelError::new(OP, detail));
+            }
+        },
+    };
+    Ok(Value::KvCache(KvCache::new(cfg, Arc::clone(pool))))
 }
 
-/// Executes one `vm.builtin.kv_cache.<op>` builtin on register values.
-/// Called by the VM's `CallBuiltin` arm before the tensor-only registry
-/// path; `pool` is the VM's shared page pool.
-///
-/// # Errors
-///
-/// Returns a [`KernelError`] on unknown ops or argument/geometry
-/// mismatches.
-pub fn dispatch(op: &str, args: &[Value], pool: &Arc<KvPagePool>) -> Result<Value, KernelError> {
-    match op {
-        // create(shape[streams, batch, heads, head_dim, dtype_code])
-        "create" => {
-            let d = want_shape(op, args.first(), 5)?;
-            let cfg = KvCacheConfig {
-                streams: dim(op, d[0], "stream count")?,
-                batch: dim(op, d[1], "batch")?,
-                heads: dim(op, d[2], "head count")?,
-                head_dim: dim(op, d[3], "head dim")?,
-                dtype: dtype_from_code(op, d[4])?,
-            };
-            Ok(Value::KvCache(KvCache::new(cfg, Arc::clone(pool))))
-        }
-        // append_paged(cache, new, shape[stream]) -> cache
-        "append_paged" => {
-            let cache = want_cache(op, args.first())?;
-            let new = want_tensor(op, args.get(1))?;
-            let d = want_shape(op, args.get(2), 1)?;
-            cache.append(dim(op, d[0], "stream")?, new)?;
-            Ok(Value::KvCache(cache.clone()))
-        }
-        // view(cache, shape[stream]) -> tensor
-        "view" => {
-            let cache = want_cache(op, args.first())?;
-            let d = want_shape(op, args.get(1), 1)?;
-            Ok(Value::Tensor(cache.view(dim(op, d[0], "stream")?)?))
-        }
-        // attention(q, cache, shape[k_stream, v_stream, causal]) -> tensor
-        "attention" => {
-            let q = want_tensor(op, args.first())?;
-            let cache = want_cache(op, args.get(1))?;
-            let d = want_shape(op, args.get(2), 3)?;
-            let out = cache.attention(
-                q,
-                dim(op, d[0], "k stream")?,
-                dim(op, d[1], "v stream")?,
-                d[2] != 0,
-            )?;
-            Ok(Value::Tensor(out))
-        }
-        other => Err(kerr(other, "unknown kv_cache builtin")),
-    }
+/// `vm.builtin.kv_cache.append_paged(cache, new, shape[stream]) -> cache`
+/// ([`KvCache::append`]).
+pub(crate) fn builtin_append_paged(
+    args: &[Value],
+    _: &Arc<KvPagePool>,
+) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.kv_cache.append_paged";
+    let cache = want_cache(OP, args, 0)?;
+    let new = want_tensor(OP, args, 1)?;
+    let d = want_shape(OP, args, 2, 1)?;
+    cache.append(dim(OP, d[0], "stream")?, new)?;
+    Ok(Value::KvCache(cache.clone()))
+}
+
+/// `vm.builtin.kv_cache.view(cache, shape[stream]) -> tensor`
+/// ([`KvCache::view`]).
+pub(crate) fn builtin_view(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.kv_cache.view";
+    let cache = want_cache(OP, args, 0)?;
+    let d = want_shape(OP, args, 1, 1)?;
+    Ok(Value::Tensor(cache.view(dim(OP, d[0], "stream")?)?))
+}
+
+/// `vm.builtin.kv_cache.attention(q, cache, shape[k_stream, v_stream,
+/// causal]) -> tensor` ([`KvCache::attention`]).
+pub(crate) fn builtin_attention(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.kv_cache.attention";
+    let q = want_tensor(OP, args, 0)?;
+    let cache = want_cache(OP, args, 1)?;
+    let d = want_shape(OP, args, 2, 3)?;
+    let (k, v) = (dim(OP, d[0], "k stream")?, dim(OP, d[1], "v stream")?);
+    Ok(Value::Tensor(cache.attention(q, k, v, d[2] != 0)?))
 }
 
 #[cfg(test)]
@@ -1049,53 +1022,35 @@ mod tests {
         assert_eq!(st.in_use, 2);
     }
 
-    /// Dispatch wires the builtins end to end: create → append → view /
+    /// The registry runs the builtins end to end: create → append → view /
     /// attention, with handles flowing as `Value`s.
     #[test]
     fn dispatch_roundtrip() {
+        let registry = Registry::new();
         let pool = Arc::new(KvPagePool::unbounded(4));
-        let cache_v = dispatch(
-            "create",
-            &[Value::Shape(vec![2, 1, 2, 4, 0])],
-            &pool,
-        )
-        .unwrap();
+        let call = |op: &str, args: &[Value]| {
+            registry.call_builtin(&format!("{KV_CACHE_PREFIX}{op}"), args, &pool)
+        };
+        let cache_v = call("create", &[Value::Shape(vec![2, 1, 2, 4, 0])]).unwrap();
         let mut seed = 99;
         let new = rand_tensor(&[1, 2, 3, 4], &mut seed);
-        let cache_v = dispatch(
-            "append_paged",
-            &[cache_v, Value::Tensor(new.clone()), Value::Shape(vec![0])],
-            &pool,
-        )
-        .unwrap();
-        let viewed = dispatch(
-            "view",
-            &[cache_v.clone(), Value::Shape(vec![0])],
-            &pool,
-        )
-        .unwrap();
+        let append = [cache_v, Value::Tensor(new.clone()), Value::Shape(vec![0])];
+        let cache_v = call("append_paged", &append).unwrap();
+        let viewed = call("view", &[cache_v.clone(), Value::Shape(vec![0])]).unwrap();
         assert_eq!(viewed.as_tensor().unwrap(), &new);
         // Attention needs both streams; mirror K into V.
-        let cache_v = dispatch(
-            "append_paged",
-            &[cache_v, Value::Tensor(new.clone()), Value::Shape(vec![1])],
-            &pool,
-        )
-        .unwrap();
+        let append = [cache_v, Value::Tensor(new.clone()), Value::Shape(vec![1])];
+        let cache_v = call("append_paged", &append).unwrap();
         let q = rand_tensor(&[1, 2, 1, 4], &mut seed);
-        let out = dispatch(
-            "attention",
-            &[
-                Value::Tensor(q),
-                cache_v,
-                Value::Shape(vec![0, 1, 1]),
-            ],
-            &pool,
-        )
-        .unwrap();
+        let attend = [Value::Tensor(q), cache_v, Value::Shape(vec![0, 1, 1])];
+        let out = call("attention", &attend).unwrap();
         assert_eq!(out.as_tensor().unwrap().shape(), &[1, 2, 1, 4]);
-        // Unknown ops and bad arities are errors, not panics.
-        assert!(dispatch("nope", &[], &pool).is_err());
-        assert!(dispatch("view", &[Value::Prim(3)], &pool).is_err());
+        // Unknown ops and bad arguments are errors, not panics.
+        assert_eq!(call("nope", &[]).unwrap_err().detail, "not registered");
+        let err = call("view", &[Value::Prim(3)]).unwrap_err();
+        assert_eq!(err.kernel, "vm.builtin.kv_cache.view");
+        assert_eq!(err.detail, "expected a kv_cache, got prim");
+        let err = call("create", &[Value::Shape(vec![1, 1, 1, 1, 7])]).unwrap_err();
+        assert_eq!(err.detail, "unknown dtype code 7 (0=f32, 1=f16)");
     }
 }

@@ -12,9 +12,16 @@
 //!   unplanned baseline, and planned static storage (`AllocStorage` +
 //!   `TensorFromStorage`) for the memory-planning path of Algorithm 3, with
 //!   byte-level telemetry that the Table 2 experiment reads.
-//! - **Foreign functions** ([`registry`]): generated tensor programs run on
-//!   the [`relax_tir::interp`] reference interpreter; "vendor library"
-//!   kernels and data-dependent builtins (`unique`) are native Rust.
+//! - **Tensor programs**: generated kernels run as shape-specialized
+//!   kernel plans ([`relax_tir::plan`]) from a shared LRU cache; the
+//!   [`relax_tir::interp`] reference interpreter is the fallback for
+//!   unplannable kernels and the oracle plans are tested against.
+//! - **Foreign functions** ([`registry`]): one table of native Rust
+//!   functions, each registered with its signature. "Vendor library"
+//!   kernels are called destination-passing; runtime builtins (`unique`,
+//!   the paged KV-cache and MoE routing builtins) take register values and
+//!   return one. The validator checks calls against the table, and the VM
+//!   calls every foreign function through it.
 //! - **Graph capture** (`CaptureRegion`): the CUDA Graph model — the first
 //!   execution captures, subsequent executions replay with a single launch
 //!   overhead (§4.5).

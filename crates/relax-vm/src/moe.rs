@@ -18,61 +18,46 @@
 //!   per-expert scatters reassembles the full batch (adding zeros is
 //!   bitwise-exact in f32: `r32(x + 0) == x`).
 //!
-//! Like the KV-cache builtins, these run inside the VM's `CallBuiltin`
-//! handle dispatcher (shape args arrive as first-class `Value::Shape`s)
-//! and are registered in the [`crate::registry::Registry`] only so the
-//! validator can check existence and arity.
+//! They are entries of the default [`crate::registry::Registry`] like any
+//! builtin: the VM hands them its register values, so the expert index and
+//! token count arrive as first-class `Value::Shape`s.
+
+use std::sync::Arc;
 
 use relax_arith::DataType;
 use relax_tir::{NDArray, Scalar};
 
+use crate::memory::KvPagePool;
 use crate::registry::KernelError;
-use crate::value::Value;
+use crate::value::{want_shape, want_tensor, Value};
 
-/// Name prefix of the builtins the VM routes to [`dispatch`] instead of
-/// the tensor-only registry path.
+/// Name prefix of the MoE routing builtins (`route`, `gather`,
+/// `scatter`). It is a naming convention only: lowering emits these calls
+/// without destination tensors, and the cost model recognises them by it.
+/// The VM calls them through the registry like any builtin.
 pub const MOE_PREFIX: &str = "vm.builtin.moe.";
-
-fn kerr(op: &str, detail: impl Into<String>) -> KernelError {
-    KernelError::new(format!("{MOE_PREFIX}{op}"), detail)
-}
-
-fn want_tensor<'a>(op: &str, v: Option<&'a Value>) -> Result<&'a NDArray, KernelError> {
-    match v {
-        Some(Value::Tensor(t)) => Ok(t),
-        Some(other) => Err(kerr(op, format!("expected a tensor, got {}", other.kind()))),
-        None => Err(kerr(op, "missing tensor argument")),
-    }
-}
-
-fn want_shape<'a>(op: &str, v: Option<&'a Value>, dims: usize) -> Result<&'a [i64], KernelError> {
-    match v {
-        Some(Value::Shape(d)) if d.len() == dims => Ok(d),
-        Some(Value::Shape(d)) => Err(kerr(
-            op,
-            format!("expected a shape of {dims} dims, got {}", d.len()),
-        )),
-        Some(other) => Err(kerr(op, format!("expected a shape, got {}", other.kind()))),
-        None => Err(kerr(op, "missing shape argument")),
-    }
-}
 
 fn want_rank<'a>(op: &str, t: &'a NDArray, rank: usize, what: &str) -> Result<&'a [usize], KernelError> {
     let s = t.shape();
     if s.len() != rank {
-        return Err(kerr(op, format!("{what} must be rank {rank}, got {s:?}")));
+        return Err(KernelError::new(
+            op,
+            format!("{what} must be rank {rank}, got {s:?}"),
+        ));
     }
     Ok(s)
 }
 
-/// Per-token argmax over the expert axis; strict `>` so the first
-/// maximum wins and ties are deterministic across runs and workers.
-fn route(logits: &NDArray) -> Result<NDArray, KernelError> {
-    const OP: &str = "route";
+/// `route(logits)`: per-token argmax over the expert axis; strict `>` so
+/// the first maximum wins and ties are deterministic across runs and
+/// workers.
+pub(crate) fn builtin_route(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.moe.route";
+    let logits = want_tensor(OP, args, 0)?;
     let s = want_rank(OP, logits, 2, "router logits")?;
     let (t, e) = (s[0], s[1]);
     if e == 0 {
-        return Err(kerr(OP, "router logits have zero experts"));
+        return Err(KernelError::new(OP, "router logits have zero experts"));
     }
     let v = logits.to_f64_vec();
     let out = NDArray::zeros(&[t], DataType::I64);
@@ -85,16 +70,16 @@ fn route(logits: &NDArray) -> Result<NDArray, KernelError> {
             }
         }
         out.set(i, Scalar::I(best as i64))
-            .map_err(|err| kerr(OP, err.to_string()))?;
+            .map_err(|err| KernelError::new(OP, err.to_string()))?;
     }
-    Ok(out)
+    Ok(Value::Tensor(out))
 }
 
 /// Positions (token indices, ascending) assigned to expert `e`.
 fn positions(op: &str, assign: &NDArray, expert: i64) -> Result<Vec<usize>, KernelError> {
     want_rank(op, assign, 1, "assignment vector")?;
     if assign.dtype() != DataType::I64 {
-        return Err(kerr(
+        return Err(KernelError::new(
             op,
             format!("assignment dtype {} != i64", assign.dtype()),
         ));
@@ -108,15 +93,19 @@ fn positions(op: &str, assign: &NDArray, expert: i64) -> Result<Vec<usize>, Kern
         .collect())
 }
 
-/// Gathers the rows of `tokens` assigned to one expert. The output row
-/// count `n_e` is data-dependent — the `MatchShape` that follows this
-/// call in lowered code binds it to a fresh symbolic variable.
-fn gather(tokens: &NDArray, assign: &NDArray, expert: i64) -> Result<NDArray, KernelError> {
-    const OP: &str = "gather";
+/// `gather(tokens, assign, shape[expert])`: the rows of `tokens` assigned
+/// to one expert. The output row count `n_e` is data-dependent — the
+/// `MatchShape` that follows this call in lowered code binds it to a fresh
+/// symbolic variable.
+pub(crate) fn builtin_gather(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.moe.gather";
+    let tokens = want_tensor(OP, args, 0)?;
+    let assign = want_tensor(OP, args, 1)?;
+    let expert = want_shape(OP, args, 2, 1)?[0];
     let ts = want_rank(OP, tokens, 2, "token matrix")?;
     let (t, d) = (ts[0], ts[1]);
     if assign.shape() != [t] {
-        return Err(kerr(
+        return Err(KernelError::new(
             OP,
             format!(
                 "assignment {:?} does not cover {t} tokens",
@@ -128,19 +117,25 @@ fn gather(tokens: &NDArray, assign: &NDArray, expert: i64) -> Result<NDArray, Ke
     let out = NDArray::zeros(&[pos.len(), d], tokens.dtype());
     for (row, &p) in pos.iter().enumerate() {
         out.copy_range_from(row * d, tokens, p * d, d)
-            .map_err(|e| kerr(OP, e.to_string()))?;
+            .map_err(|e| KernelError::new(OP, e.to_string()))?;
     }
-    Ok(out)
+    Ok(Value::Tensor(out))
 }
 
-/// Scatters expert output rows back to their token positions; rows not
-/// assigned to this expert stay zero.
-fn scatter(rows: &NDArray, assign: &NDArray, expert: i64, tokens: usize) -> Result<NDArray, KernelError> {
-    const OP: &str = "scatter";
+/// `scatter(rows, assign, shape[expert, tokens])`: expert output rows back
+/// at their token positions; rows not assigned to this expert stay zero.
+pub(crate) fn builtin_scatter(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "vm.builtin.moe.scatter";
+    let rows = want_tensor(OP, args, 0)?;
+    let assign = want_tensor(OP, args, 1)?;
+    let at = want_shape(OP, args, 2, 2)?;
+    let expert = at[0];
+    let tokens = usize::try_from(at[1])
+        .map_err(|_| KernelError::new(OP, format!("negative token count {}", at[1])))?;
     let rs = want_rank(OP, rows, 2, "expert output")?;
     let d = rs[1];
     if assign.shape() != [tokens] {
-        return Err(kerr(
+        return Err(KernelError::new(
             OP,
             format!(
                 "assignment {:?} does not cover {tokens} tokens",
@@ -150,7 +145,7 @@ fn scatter(rows: &NDArray, assign: &NDArray, expert: i64, tokens: usize) -> Resu
     }
     let pos = positions(OP, assign, expert)?;
     if pos.len() != rs[0] {
-        return Err(kerr(
+        return Err(KernelError::new(
             OP,
             format!(
                 "expert {expert} produced {} rows for {} assigned tokens",
@@ -162,48 +157,55 @@ fn scatter(rows: &NDArray, assign: &NDArray, expert: i64, tokens: usize) -> Resu
     let out = NDArray::zeros(&[tokens, d], rows.dtype());
     for (row, &p) in pos.iter().enumerate() {
         out.copy_range_from(p * d, rows, row * d, d)
-            .map_err(|e| kerr(OP, e.to_string()))?;
+            .map_err(|e| KernelError::new(OP, e.to_string()))?;
     }
-    Ok(out)
-}
-
-/// Executes one `vm.builtin.moe.<op>` builtin on register values.
-/// Called by the VM's `CallBuiltin` arm before the tensor-only registry
-/// path (shape args arrive as `Value::Shape`).
-///
-/// # Errors
-///
-/// Returns a [`KernelError`] on unknown ops or argument mismatches.
-pub fn dispatch(op: &str, args: &[Value]) -> Result<Value, KernelError> {
-    match op {
-        // route(logits) -> assignment
-        "route" => Ok(Value::Tensor(route(want_tensor(op, args.first())?)?)),
-        // gather(tokens, assign, shape[expert]) -> (n_e, d)
-        "gather" => {
-            let tokens = want_tensor(op, args.first())?;
-            let assign = want_tensor(op, args.get(1))?;
-            let d = want_shape(op, args.get(2), 1)?;
-            Ok(Value::Tensor(gather(tokens, assign, d[0])?))
-        }
-        // scatter(rows, assign, shape[expert, tokens]) -> (t, d)
-        "scatter" => {
-            let rows = want_tensor(op, args.first())?;
-            let assign = want_tensor(op, args.get(1))?;
-            let d = want_shape(op, args.get(2), 2)?;
-            let tokens = usize::try_from(d[1])
-                .map_err(|_| kerr(op, format!("negative token count {}", d[1])))?;
-            Ok(Value::Tensor(scatter(rows, assign, d[0], tokens)?))
-        }
-        other => Err(kerr(other, "unknown moe builtin")),
-    }
+    Ok(Value::Tensor(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
 
     fn f32s(shape: &[usize], vals: Vec<f64>) -> NDArray {
         NDArray::from_f64(shape, DataType::F32, vals).unwrap()
+    }
+
+    /// Calls `vm.builtin.<op>` through the default registry.
+    fn call(op: &str, args: &[Value]) -> Result<Value, KernelError> {
+        let pool = Arc::new(KvPagePool::unbounded(1));
+        Registry::new().call_builtin(&format!("{MOE_PREFIX}{op}"), args, &pool)
+    }
+
+    fn tensor(v: Value) -> NDArray {
+        v.as_tensor().unwrap().clone()
+    }
+
+    fn route(logits: &NDArray) -> Result<NDArray, KernelError> {
+        call("route", &[logits.clone().into()]).map(tensor)
+    }
+
+    fn gather(tokens: &NDArray, assign: &NDArray, expert: i64) -> Result<NDArray, KernelError> {
+        let args = [
+            tokens.clone().into(),
+            assign.clone().into(),
+            Value::Shape(vec![expert]),
+        ];
+        call("gather", &args).map(tensor)
+    }
+
+    fn scatter(
+        rows: &NDArray,
+        assign: &NDArray,
+        expert: i64,
+        tokens: i64,
+    ) -> Result<NDArray, KernelError> {
+        let args = [
+            rows.clone().into(),
+            assign.clone().into(),
+            Value::Shape(vec![expert, tokens]),
+        ];
+        call("scatter", &args).map(tensor)
     }
 
     #[test]
@@ -246,19 +248,14 @@ mod tests {
 
     #[test]
     fn dispatch_checks_arguments() {
-        assert!(dispatch("nope", &[]).is_err());
-        assert!(dispatch("route", &[Value::Prim(1)]).is_err());
+        assert_eq!(call("nope", &[]).unwrap_err().detail, "not registered");
+        let err = call("route", &[Value::Prim(1)]).unwrap_err();
+        assert_eq!(err.kernel, "vm.builtin.moe.route");
+        assert_eq!(err.detail, "expected a tensor, got prim");
         let tokens = f32s(&[1, 1], vec![1.0]);
         let assign = NDArray::from_i64(&[1], DataType::I64, vec![0]).unwrap();
-        let out = dispatch(
-            "gather",
-            &[
-                Value::Tensor(tokens),
-                Value::Tensor(assign),
-                Value::Shape(vec![0]),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.as_tensor().unwrap().shape(), &[1, 1]);
+        let err = scatter(&tokens, &assign, 0, -1).unwrap_err();
+        assert_eq!(err.detail, "negative token count -1");
+        assert_eq!(gather(&tokens, &assign, 0).unwrap().shape(), &[1, 1]);
     }
 }

@@ -1,17 +1,29 @@
-//! The foreign-function registry: "vendor library" kernels callable through
-//! `call_dps_library`, and value-returning runtime builtins.
+//! The runtime-function table: "vendor library" kernels callable through
+//! `call_dps_library`, and the value-returning runtime builtins.
 //!
 //! Library functions are supplied by a registry and linked into the final
 //! runnable module (§3.3). In this reproduction the kernels are native Rust
 //! reference implementations; the performance simulator assigns them the
 //! higher efficiency a tuned vendor kernel would have.
+//!
+//! The registry is the one place that knows which Rust function
+//! implements a callee and how many arguments it takes: every entry is
+//! registered with its signature, the validator
+//! ([`verify`](mod@crate::verify)) checks calls against it, and the VM
+//! runs every `CallLib` and every `CallBuiltin` through it. Builtins take
+//! and return register values, so the paged KV-cache builtins (cache
+//! handles) and the MoE routing builtins (shape arguments) are entries
+//! like `builtin.unique`.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use relax_tir::{NDArray, Scalar};
 
-use crate::memory::KvPoolExhausted;
+use crate::memory::{KvPagePool, KvPoolExhausted};
+use crate::value::{want_tensor, Value};
+use crate::{kv_cache, moe};
 
 /// Error raised by a library kernel or builtin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,20 +58,20 @@ impl std::error::Error for KernelError {}
 /// A destination-passing library kernel: reads `inputs`, writes `outputs`.
 pub type LibKernel = fn(&[NDArray], &[NDArray]) -> Result<(), String>;
 
-/// A value-returning builtin (used for data-dependent operators whose
-/// output must be allocated by the callee, e.g. `unique`).
-pub type BuiltinFn = fn(&[NDArray]) -> Result<NDArray, String>;
+/// A value-returning builtin: reads register values (tensors, shapes, KV
+/// cache handles) and returns the value its destination register takes.
+/// The pool is the calling VM's KV page pool, where new caches draw pages.
+/// Its own failures name it in the [`KernelError`], keeping a typed cause
+/// such as [`KernelError::pool_exhausted`].
+pub type BuiltinFn = fn(&[Value], &Arc<KvPagePool>) -> Result<Value, KernelError>;
 
-/// Registry of library kernels and builtins.
+/// Registry of library kernels and builtins, each with its signature.
 #[derive(Clone)]
 pub struct Registry {
-    libs: HashMap<String, LibKernel>,
-    builtins: HashMap<String, BuiltinFn>,
-    /// Declared (inputs, outputs) arity per library kernel, used by the
-    /// executable validator ([`crate::verify`]).
-    lib_sigs: HashMap<String, (usize, usize)>,
-    /// Declared input arity per builtin.
-    builtin_sigs: HashMap<String, usize>,
+    /// Library kernels with their (inputs, outputs) arity.
+    libs: HashMap<String, (LibKernel, (usize, usize))>,
+    /// Builtins with their input arity.
+    builtins: HashMap<String, (BuiltinFn, usize)>,
 }
 
 impl fmt::Debug for Registry {
@@ -78,28 +90,32 @@ impl Default for Registry {
         let mut r = Registry {
             libs: HashMap::new(),
             builtins: HashMap::new(),
-            lib_sigs: HashMap::new(),
-            builtin_sigs: HashMap::new(),
         };
         r.register_lib_with_signature("cublas.matmul", lib_matmul, 2, 1);
         r.register_lib_with_signature("cublas.matmul_relu", lib_matmul_relu, 2, 1);
         r.register_lib_with_signature("cutlass.rms_norm", lib_rms_norm, 2, 1);
         r.register_lib_with_signature("vm.builtin.kv_append", lib_kv_append, 2, 1);
-        r.register_builtin_with_signature("builtin.unique", builtin_unique, 1);
-        // The paged KV-cache builtins execute inside the VM (they pass
-        // first-class handle values, which the tensor-only registry path
-        // cannot carry); they are registered here so the executable
-        // validator can check existence and arity.
-        r.register_builtin_with_signature("vm.builtin.kv_cache.create", builtin_kv_vm_only, 1);
-        r.register_builtin_with_signature("vm.builtin.kv_cache.append_paged", builtin_kv_vm_only, 3);
-        r.register_builtin_with_signature("vm.builtin.kv_cache.view", builtin_kv_vm_only, 2);
-        r.register_builtin_with_signature("vm.builtin.kv_cache.attention", builtin_kv_vm_only, 3);
-        // The MoE routing builtins likewise run in the VM's handle
-        // dispatcher (their shape args are first-class values); the
-        // registry entries only carry validator-checkable signatures.
-        r.register_builtin_with_signature("vm.builtin.moe.route", builtin_moe_vm_only, 1);
-        r.register_builtin_with_signature("vm.builtin.moe.gather", builtin_moe_vm_only, 3);
-        r.register_builtin_with_signature("vm.builtin.moe.scatter", builtin_moe_vm_only, 3);
+        let builtins: [(&str, BuiltinFn, usize); 8] = [
+            ("builtin.unique", builtin_unique, 1),
+            ("vm.builtin.kv_cache.create", kv_cache::builtin_create, 1),
+            (
+                "vm.builtin.kv_cache.append_paged",
+                kv_cache::builtin_append_paged,
+                3,
+            ),
+            ("vm.builtin.kv_cache.view", kv_cache::builtin_view, 2),
+            (
+                "vm.builtin.kv_cache.attention",
+                kv_cache::builtin_attention,
+                3,
+            ),
+            ("vm.builtin.moe.route", moe::builtin_route, 1),
+            ("vm.builtin.moe.gather", moe::builtin_gather, 3),
+            ("vm.builtin.moe.scatter", moe::builtin_scatter, 3),
+        ];
+        for (name, func, inputs) in builtins {
+            r.register_builtin_with_signature(name, func, inputs);
+        }
         r
     }
 }
@@ -111,15 +127,9 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers (or replaces) a library kernel. Without a declared
-    /// signature the validator skips arity checks for it; prefer
-    /// [`Registry::register_lib_with_signature`].
-    pub fn register_lib(&mut self, name: impl Into<String>, kernel: LibKernel) {
-        self.libs.insert(name.into(), kernel);
-    }
-
-    /// Registers a library kernel along with its destination-passing
-    /// signature: `inputs` argument tensors, `outputs` result tensors.
+    /// Registers (or replaces) a library kernel along with its
+    /// destination-passing signature: `inputs` argument tensors, `outputs`
+    /// result tensors.
     pub fn register_lib_with_signature(
         &mut self,
         name: impl Into<String>,
@@ -127,46 +137,29 @@ impl Registry {
         inputs: usize,
         outputs: usize,
     ) {
-        let name = name.into();
-        self.lib_sigs.insert(name.clone(), (inputs, outputs));
-        self.libs.insert(name, kernel);
+        self.libs.insert(name.into(), (kernel, (inputs, outputs)));
     }
 
-    /// Registers (or replaces) a builtin.
-    pub fn register_builtin(&mut self, name: impl Into<String>, func: BuiltinFn) {
-        self.builtins.insert(name.into(), func);
-    }
-
-    /// Registers a builtin along with its input arity.
+    /// Registers (or replaces) a builtin along with its input arity.
     pub fn register_builtin_with_signature(
         &mut self,
         name: impl Into<String>,
         func: BuiltinFn,
         inputs: usize,
     ) {
-        let name = name.into();
-        self.builtin_sigs.insert(name.clone(), inputs);
-        self.builtins.insert(name, func);
+        self.builtins.insert(name.into(), (func, inputs));
     }
 
-    /// `true` if a library kernel with this name exists.
-    pub fn has_lib(&self, name: &str) -> bool {
-        self.libs.contains_key(name)
-    }
-
-    /// `true` if a builtin with this name exists.
-    pub fn has_builtin(&self, name: &str) -> bool {
-        self.builtins.contains_key(name)
-    }
-
-    /// Declared (inputs, outputs) arity of a library kernel, if known.
+    /// Declared (inputs, outputs) arity of a library kernel; `None` when
+    /// no such kernel is registered.
     pub fn lib_signature(&self, name: &str) -> Option<(usize, usize)> {
-        self.lib_sigs.get(name).copied()
+        self.libs.get(name).map(|&(_, sig)| sig)
     }
 
-    /// Declared input arity of a builtin, if known.
+    /// Declared input arity of a builtin; `None` when no such builtin is
+    /// registered.
     pub fn builtin_signature(&self, name: &str) -> Option<usize> {
-        self.builtin_sigs.get(name).copied()
+        self.builtins.get(name).map(|&(_, inputs)| inputs)
     }
 
     /// Invokes a library kernel in destination-passing style.
@@ -180,24 +173,30 @@ impl Registry {
         inputs: &[NDArray],
         outputs: &[NDArray],
     ) -> Result<(), KernelError> {
-        let kernel = self
+        let (kernel, _) = self
             .libs
             .get(name)
             .ok_or_else(|| KernelError::new(name, "not registered"))?;
         kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
     }
 
-    /// Invokes a value-returning builtin.
+    /// Invokes a value-returning builtin on register values; `pool` is
+    /// the calling VM's KV page pool.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError`] for unknown builtins or failures.
-    pub fn call_builtin(&self, name: &str, inputs: &[NDArray]) -> Result<NDArray, KernelError> {
-        let func = self
+    pub fn call_builtin(
+        &self,
+        name: &str,
+        args: &[Value],
+        pool: &Arc<KvPagePool>,
+    ) -> Result<Value, KernelError> {
+        let (func, _) = self
             .builtins
             .get(name)
             .ok_or_else(|| KernelError::new(name, "not registered"))?;
-        func(inputs).map_err(|detail| KernelError::new(name, detail))
+        func(args, pool)
     }
 }
 
@@ -301,19 +300,6 @@ fn lib_rms_norm(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
     Ok(())
 }
 
-/// The paged KV-cache builtins never reach the registry: the VM routes
-/// the `vm.builtin.kv_cache.` prefix to its handle dispatcher first.
-/// This stub exists so the names carry validator-checkable signatures.
-fn builtin_kv_vm_only(_inputs: &[NDArray]) -> Result<NDArray, String> {
-    Err("kv_cache builtins require VM handle dispatch".to_string())
-}
-
-/// Same arrangement for the MoE routing builtins: the VM routes the
-/// `vm.builtin.moe.` prefix to `crate::moe::dispatch` before this path.
-fn builtin_moe_vm_only(_inputs: &[NDArray]) -> Result<NDArray, String> {
-    Err("moe builtins require VM handle dispatch".to_string())
-}
-
 fn kv_append_validate(
     inputs: &[NDArray],
     outputs: &[NDArray],
@@ -404,14 +390,15 @@ fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), St
 }
 
 /// Sorted deduplication; the canonical data-dependent operator (Figure 3).
-fn builtin_unique(inputs: &[NDArray]) -> Result<NDArray, String> {
-    let [x] = inputs else {
-        return Err(format!("expected 1 input, got {}", inputs.len()));
-    };
+fn builtin_unique(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+    const OP: &str = "builtin.unique";
+    let x = want_tensor(OP, args, 0)?;
     let mut vals = x.to_f64_vec();
     vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     vals.dedup();
-    NDArray::from_f64(&[vals.len()], x.dtype(), vals).map_err(|e| e.to_string())
+    let out = NDArray::from_f64(&[vals.len()], x.dtype(), vals);
+    out.map(Value::Tensor)
+        .map_err(|e| KernelError::new(OP, e.to_string()))
 }
 
 #[cfg(test)]
@@ -457,7 +444,11 @@ mod tests {
     fn unique_builtin_dedups_sorted() {
         let r = Registry::new();
         let x = NDArray::from_f64(&[5], DataType::F32, vec![3., 1., 3., 2., 1.]).unwrap();
-        let out = r.call_builtin("builtin.unique", &[x]).unwrap();
+        let pool = Arc::new(KvPagePool::unbounded(1));
+        let out = r
+            .call_builtin("builtin.unique", &[x.into()], &pool)
+            .unwrap();
+        let out = out.as_tensor().unwrap();
         assert_eq!(out.shape(), &[3]);
         assert_eq!(out.to_f64_vec(), vec![1., 2., 3.]);
     }
@@ -467,9 +458,16 @@ mod tests {
         let r = Registry::new();
         let err = r.call_lib("nope", &[], &[]).unwrap_err();
         assert_eq!(err.kernel, "nope");
-        assert!(r.call_builtin("nope", &[]).is_err());
-        assert!(r.has_lib("cublas.matmul"));
-        assert!(!r.has_lib("nope"));
+        let pool = Arc::new(KvPagePool::unbounded(1));
+        assert_eq!(
+            r.call_builtin("nope", &[], &pool).unwrap_err().kernel,
+            "nope"
+        );
+        assert_eq!(r.lib_signature("cublas.matmul"), Some((2, 1)));
+        assert_eq!(
+            (r.lib_signature("nope"), r.builtin_signature("nope")),
+            (None, None)
+        );
     }
 
     #[test]
@@ -506,8 +504,11 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
+    /// The KV-cache builtins are registry entries like any other: given
+    /// the caller's page pool, the registry creates a cache on it and
+    /// appends through it.
     #[test]
-    fn kv_cache_builtins_have_signatures_but_need_the_vm() {
+    fn kv_cache_builtins_run_from_the_registry_given_a_pool() {
         let r = Registry::new();
         for (name, arity) in [
             ("vm.builtin.kv_cache.create", 1),
@@ -515,11 +516,25 @@ mod tests {
             ("vm.builtin.kv_cache.view", 2),
             ("vm.builtin.kv_cache.attention", 3),
         ] {
-            assert!(r.has_builtin(name), "{name}");
             assert_eq!(r.builtin_signature(name), Some(arity), "{name}");
-            // Direct registry calls fail: handles only exist in the VM.
-            assert!(r.call_builtin(name, &[]).is_err());
         }
+        let pool = Arc::new(KvPagePool::with_capacity(2, 8));
+        let created = r.call_builtin(
+            "vm.builtin.kv_cache.create",
+            &[Value::Shape(vec![1, 1, 1, 2, 0])],
+            &pool,
+        );
+        let cache = created.unwrap().as_kv_cache().unwrap().clone();
+        assert!(Arc::ptr_eq(cache.pool(), &pool));
+        let rows = NDArray::from_f64(&[1, 1, 3, 2], DataType::F32, vec![1.; 6]).unwrap();
+        let args = [
+            Value::KvCache(cache.clone()),
+            rows.into(),
+            Value::Shape(vec![0]),
+        ];
+        r.call_builtin("vm.builtin.kv_cache.append_paged", &args, &pool)
+            .unwrap();
+        assert_eq!((cache.len(0), pool.stats().in_use), (3, 2));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Runtime values held in VM registers.
+//! Runtime values held in VM registers, and the argument checks every
+//! runtime builtin runs on them.
 
 use std::fmt;
 
 use relax_tir::NDArray;
 
 use crate::kv_cache::KvCache;
+use crate::registry::KernelError;
 
 /// A runtime value in a VM register.
 #[derive(Debug, Clone)]
@@ -104,6 +106,54 @@ impl From<NDArray> for Value {
     fn from(t: NDArray) -> Self {
         Value::Tensor(t)
     }
+}
+
+/// Argument `i` of the builtin `kernel`, as the `what` that `pick` selects;
+/// anything else is the builtin's [`KernelError`].
+fn want<'a, T: ?Sized>(
+    kernel: &str,
+    args: &'a [Value],
+    i: usize,
+    what: &str,
+    pick: fn(&'a Value) -> Option<&'a T>,
+) -> Result<&'a T, KernelError> {
+    let v = args
+        .get(i)
+        .ok_or_else(|| KernelError::new(kernel, format!("missing {what} argument")))?;
+    pick(v).ok_or_else(|| KernelError::new(kernel, format!("expected a {what}, got {}", v.kind())))
+}
+
+/// Argument `i` of the builtin `kernel` as a tensor.
+pub(crate) fn want_tensor<'a>(
+    kernel: &str,
+    args: &'a [Value],
+    i: usize,
+) -> Result<&'a NDArray, KernelError> {
+    want(kernel, args, i, "tensor", Value::as_tensor)
+}
+
+/// Argument `i` of the builtin `kernel` as a KV-cache handle.
+pub(crate) fn want_cache<'a>(
+    kernel: &str,
+    args: &'a [Value],
+    i: usize,
+) -> Result<&'a KvCache, KernelError> {
+    want(kernel, args, i, "kv_cache", Value::as_kv_cache)
+}
+
+/// Argument `i` of the builtin `kernel` as a shape of exactly `dims` dims.
+pub(crate) fn want_shape<'a>(
+    kernel: &str,
+    args: &'a [Value],
+    i: usize,
+    dims: usize,
+) -> Result<&'a [i64], KernelError> {
+    let d = want(kernel, args, i, "shape", Value::as_shape)?;
+    if d.len() != dims {
+        let detail = format!("expected a shape of {dims} dims, got {}", d.len());
+        return Err(KernelError::new(kernel, detail));
+    }
+    Ok(d)
 }
 
 #[cfg(test)]

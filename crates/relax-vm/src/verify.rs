@@ -323,48 +323,40 @@ impl FuncChecker<'_> {
                     for r in dsts {
                         self.use_reg(pc, *r, "destination");
                     }
-                    if !self.registry.has_lib(func) {
-                        self.report(
+                    match self.registry.lib_signature(func) {
+                        None => self.report(
                             pc,
                             "unknown-callee",
                             format!("library kernel `{func}` is not registered"),
-                        );
-                    } else if let Some((ins, outs)) = self.registry.lib_signature(func) {
-                        if args.len() != ins || dsts.len() != outs {
-                            self.report(
-                                pc,
-                                "arity-mismatch",
-                                format!(
-                                    "`{func}` expects {ins} inputs and {outs} outputs, \
-                                     call passes {} and {}",
-                                    args.len(),
-                                    dsts.len()
-                                ),
+                        ),
+                        Some((ins, outs)) if (ins, outs) != (args.len(), dsts.len()) => {
+                            let detail = format!(
+                                "`{func}` expects {ins} inputs and {outs} outputs, \
+                                 call passes {} and {}",
+                                args.len(),
+                                dsts.len()
                             );
+                            self.report(pc, "arity-mismatch", detail);
                         }
+                        Some(_) => {}
                     }
                 }
                 Instr::CallBuiltin { func, args, dst } => {
                     for r in args {
                         self.use_reg(pc, *r, "argument");
                     }
-                    if !self.registry.has_builtin(func) {
-                        self.report(
+                    match self.registry.builtin_signature(func) {
+                        None => self.report(
                             pc,
                             "unknown-callee",
                             format!("builtin `{func}` is not registered"),
-                        );
-                    } else if let Some(ins) = self.registry.builtin_signature(func) {
-                        if args.len() != ins {
-                            self.report(
-                                pc,
-                                "arity-mismatch",
-                                format!(
-                                    "`{func}` expects {ins} inputs, call passes {}",
-                                    args.len()
-                                ),
-                            );
-                        }
+                        ),
+                        Some(ins) if args.len() != ins => self.report(
+                            pc,
+                            "arity-mismatch",
+                            format!("`{func}` expects {ins} inputs, call passes {}", args.len()),
+                        ),
+                        Some(_) => {}
                     }
                     self.def_reg(pc, *dst, RegState::Live);
                 }
@@ -538,6 +530,24 @@ mod tests {
             1,
         );
         assert_eq!(v[0].rule, "arity-mismatch");
+    }
+
+    #[test]
+    fn builtin_callees_are_checked_against_their_signatures() {
+        let call = |func: &str, args: Vec<Reg>| {
+            let call = Instr::CallBuiltin {
+                func: func.into(),
+                args,
+                dst: 1,
+            };
+            checked(vec![call, Instr::Ret { src: 1 }], 1, 2)
+        };
+        assert!(call("vm.builtin.moe.route", vec![0]).is_empty());
+        assert_eq!(
+            call("vm.builtin.moe.route", vec![0, 0])[0].rule,
+            "arity-mismatch"
+        );
+        assert_eq!(call("vm.builtin.nope", vec![0])[0].rule, "unknown-callee");
     }
 
     #[test]

@@ -10,9 +10,7 @@ use relax_tir::{NDArray, PlanError};
 
 use crate::exec::{Executable, Instr, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::kv_cache::{self, KV_CACHE_PREFIX};
 use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
-use crate::moe::{self, MOE_PREFIX};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
@@ -223,13 +221,11 @@ pub struct Telemetry {
     /// Kernel-plan cache hits: `CallTir` launches that reused a compiled
     /// plan for their exact (function, shapes) key.
     pub plan_cache_hits: u64,
-    /// Kernel-plan cache misses (each triggers one plan compilation).
+    /// Kernel-plan cache misses: each compiles one shape-specialized plan
+    /// (per kernel: [`KernelStat::plan_compiles`]).
     pub plan_cache_misses: u64,
     /// Plans evicted from the cache (least recently used first).
     pub plan_cache_evictions: u64,
-    /// Kernel plans compiled (shape-specialized lowerings of tensor
-    /// programs).
-    pub plan_compiles: u64,
     /// `CallTir` launches executed by the reference interpreter because
     /// the tensor program is outside the planner's supported subset.
     pub plan_fallbacks: u64,
@@ -284,8 +280,9 @@ pub struct Vm {
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
     /// with other VMs); every `CallTir` probes it once.
     plan_cache: SharedPlanCache,
-    /// The page pool backing `vm.builtin.kv_cache.*` handles — shared
-    /// across a serving engine's VMs so occupancy accounting is global.
+    /// The page pool every builtin call is given (`kv_cache.create` draws
+    /// a new cache's pages from it) — shared across a serving engine's VMs
+    /// so occupancy accounting is global.
     kv_pool: Arc<KvPagePool>,
     /// Scheduled fault injection (tests and chaos harnesses).
     fault: Option<FaultInjector>,
@@ -383,20 +380,6 @@ impl Vm {
     /// [`Telemetry::fallback_allocs`].
     pub fn set_strict_storage(&mut self, strict: bool) {
         self.strict_storage = strict;
-    }
-
-    /// Per-kernel profile: `(name, calls, total seconds)` sorted by time
-    /// descending. Times are host interpreter times — useful for finding
-    /// hot kernels, not for performance claims (use `relax-sim` for
-    /// those).
-    pub fn profile(&self) -> Vec<(String, u64, f64)> {
-        let mut rows: Vec<(String, u64, f64)> = self
-            .kernel_stats
-            .iter()
-            .map(|(k, s)| (k.clone(), s.calls, s.run_time.as_secs_f64()))
-            .collect();
-        rows.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        rows
     }
 
     /// Per-kernel statistics with the compile-vs-run time split (see
@@ -750,7 +733,6 @@ impl Vm {
                         let stat = self.kernel_stats.entry(func.clone()).or_default();
                         stat.plan_compiles += 1;
                         stat.compile_time += dt;
-                        self.telemetry.plan_compiles += 1;
                         let entry = match compiled {
                             Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
                             Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
@@ -832,30 +814,13 @@ impl Vm {
                 if self.fault_fires(FaultSite::Kernel) {
                     return Err(injected_kernel_fault(func));
                 }
-                // KV-cache builtins operate on first-class handle values
-                // (and shapes), not just tensors: route them to the paged
-                // dispatcher before the tensor-only registry path.
-                if let Some(op) = func.strip_prefix(KV_CACHE_PREFIX) {
-                    let vals: Result<Vec<Value>, VmError> =
-                        args.iter().map(|r| frame.get(*r).cloned()).collect();
-                    let out = kv_cache::dispatch(op, &vals?, &self.kv_pool)?;
-                    self.telemetry.builtin_calls += 1;
-                    frame.set(*dst, out)?;
-                } else if let Some(op) = func.strip_prefix(MOE_PREFIX) {
-                    // MoE routing builtins also take shape values (the
-                    // expert index), so they use the handle dispatcher.
-                    let vals: Result<Vec<Value>, VmError> =
-                        args.iter().map(|r| frame.get(*r).cloned()).collect();
-                    let out = moe::dispatch(op, &vals?)?;
-                    self.telemetry.builtin_calls += 1;
-                    frame.set(*dst, out)?;
-                } else {
-                    let inputs: Result<Vec<_>, _> =
-                        args.iter().map(|r| frame.tensor(*r).cloned()).collect();
-                    let out = self.registry.call_builtin(func, &inputs?)?;
-                    self.telemetry.builtin_calls += 1;
-                    frame.set(*dst, Value::Tensor(out))?;
-                }
+                let vals = args
+                    .iter()
+                    .map(|r| frame.get(*r).cloned())
+                    .collect::<Result<Vec<_>, _>>()?;
+                let out = self.registry.call_builtin(func, &vals, &self.kv_pool)?;
+                self.telemetry.builtin_calls += 1;
+                frame.set(*dst, out)?;
             }
             Instr::CallFunc { func, args, dst } => {
                 let mut vals = Vec::with_capacity(args.len());
@@ -1153,7 +1118,6 @@ mod tests {
         let tel = vm.telemetry();
         assert_eq!(tel.plan_cache_misses, 1);
         assert_eq!(tel.plan_cache_hits, 1);
-        assert_eq!(tel.plan_compiles, 1);
         assert_eq!(tel.plan_fallbacks, 0);
         let stat = vm.kernel_stats()["relu"];
         assert_eq!(stat.calls, 2);
@@ -1172,7 +1136,6 @@ mod tests {
         // One compile per distinct shape; repeats hit.
         assert_eq!(tel.plan_cache_misses, 2);
         assert_eq!(tel.plan_cache_hits, 2);
-        assert_eq!(tel.plan_compiles, 2);
         assert_eq!(vm.plan_cache_len(), 2);
     }
 
@@ -1189,7 +1152,6 @@ mod tests {
         // third run (shape 4 again) must recompile.
         assert_eq!(tel.plan_cache_misses, 3);
         assert_eq!(tel.plan_cache_evictions, 2);
-        assert_eq!(tel.plan_compiles, 3);
         assert_eq!(vm.plan_cache_len(), 1);
 
         // Capacity 2: the hit on shape 4 makes it newer than shape 8, so
@@ -1216,7 +1178,6 @@ mod tests {
         let out = vm.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
         let tel = vm.telemetry();
-        assert_eq!(tel.plan_compiles, 0);
         assert_eq!(tel.plan_cache_misses, 0);
         assert_eq!(tel.plan_fallbacks, 0);
         assert_eq!(tel.tir_calls, 1);
@@ -1344,11 +1305,11 @@ mod tests {
         let x = NDArray::from_f64(&[4], DataType::F32, vec![1., -1., 2., -2.]).unwrap();
         vm.run("main", &[Value::Tensor(x.clone())]).unwrap();
         vm.run("main", &[Value::Tensor(x)]).unwrap();
-        let profile = vm.profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].0, "relu");
-        assert_eq!(profile[0].1, 2);
-        assert!(profile[0].2 >= 0.0);
+        let stats = vm.kernel_stats();
+        assert_eq!(stats.len(), 1);
+        let relu = stats["relu"];
+        assert_eq!((relu.calls, relu.plan_compiles), (2, 1));
+        assert!(relu.run_time > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -1483,8 +1444,7 @@ mod tests {
         let out = b.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 2., 0., 4.]);
         // VM `a` compiled; VM `b` hit the shared entry without compiling.
-        assert_eq!(a.telemetry().plan_compiles, 1);
-        assert_eq!(b.telemetry().plan_compiles, 0);
+        assert_eq!(a.telemetry().plan_cache_misses, 1);
         assert_eq!(b.telemetry().plan_cache_hits, 1);
         assert_eq!(b.telemetry().plan_cache_misses, 0);
         let agg = cache.stats();

@@ -5,6 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Building the benchmark package rewrites benchmark/Cargo.lock. Keep a copy
+# and put it back on exit, so a run leaves the tree as it found it.
+mkdir -p target
+cp benchmark/Cargo.lock target/ci-benchmark-Cargo.lock
+trap 'cp target/ci-benchmark-Cargo.lock benchmark/Cargo.lock' EXIT
+
 export RUSTFLAGS="-D warnings"
 export RUSTDOCFLAGS="-D warnings"
 
