@@ -444,6 +444,34 @@ fn a_failed_shared_step_charges_every_member_and_is_retried_one_by_one() {
     assert!(stats.reconciles() && stats.in_use == 0, "{stats:?}");
 }
 
+/// One worker whose first step stalls for two hours: well past any stall
+/// timeout the loop replaces it, the replacement runs what is left, and the
+/// wedged step still lands and counts once its stall ends.
+#[test]
+fn a_wedged_worker_is_replaced_and_its_step_still_counts() {
+    let clock = ManualClock::new();
+    let hours = |h: u64| Duration::from_secs(3600 * h);
+    let mut core = start(1, FaultPlan::new().stall_worker(1, hours(2)), &clock);
+    let units: Vec<_> = (0..3).map(|_| submit(&core, 1)).collect();
+    for (id, _) in &units {
+        core.model().permit(*id, 1);
+    }
+    clock.await_sleepers(1);
+    clock.advance(hours(1) + Duration::from_secs(1));
+    let guard = Instant::now() + GUARD;
+    while get(&core.counters().restarts) != 1 {
+        assert!(Instant::now() < guard, "the wedged worker was never replaced");
+        std::thread::yield_now();
+    }
+    clock.advance(hours(2));
+    for (_, ticket) in &units {
+        assert_eq!(ticket.recv_timeout(GUARD), Ok(("retired", 1)));
+    }
+    core.stop();
+    assert_eq!(get(&core.counters().restarts), 1);
+    assert_all_accounted(&core, 3);
+}
+
 /// A step is parked at the gate when an assertion trips: the test must fail,
 /// not hang joining the parked worker.
 #[test]

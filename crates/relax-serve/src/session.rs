@@ -1009,4 +1009,68 @@ mod tests {
         err.pool_exhausted = None;
         assert!(matches!(Failure::of(kernel_failure(err)), Failure::Vm(_)));
     }
+
+    /// Every worker's decode `Vm` probes one plan cache: a shape one worker
+    /// compiled is a hit for the others, so four workers compile fewer
+    /// plans than four private caches would hold.
+    #[test]
+    fn decode_plans_are_shared_across_workers() {
+        use relax_core::{ShapeDesc, StructInfo};
+        use relax_models::llama::{build_decode_paged, LlamaConfig};
+        use relax_passes::{compile, CompileOptions};
+
+        let cfg = LlamaConfig::tiny();
+        let ir = build_decode_paged(&cfg).unwrap();
+        let weights = ir.params.iter().filter(|(name, _)| name != "tokens" && name != "kv_cache");
+        let weights = weights.map(|(_, sinfo)| match sinfo {
+            StructInfo::Tensor {
+                shape: ShapeDesc::Known(dims),
+                dtype: Some(dt),
+            } => {
+                let env = std::collections::HashMap::new();
+                let dims: Vec<usize> = dims.iter().map(|d| d.eval(&env).unwrap() as usize).collect();
+                Value::Tensor(NDArray::zeros(&dims, *dt))
+            }
+            other => panic!("unexpected weight annotation {other}"),
+        });
+        let spec = SessionModelSpec {
+            decode: Arc::new(compile(ir.module.clone(), &CompileOptions::default()).unwrap()),
+            decode_func: "decode_paged".into(),
+            prefill: None,
+            prefill_func: String::new(),
+            weights: weights.collect(),
+            cache: KvCacheConfig {
+                streams: 2 * cfg.n_layers,
+                batch: 1,
+                heads: cfg.n_kv_heads as usize,
+                head_dim: cfg.head_dim as usize,
+                dtype: cfg.dtype,
+            },
+            speculative: None,
+        };
+        let config = SessionConfig {
+            workers: 4,
+            ..SessionConfig::default()
+        };
+        let mgr = SessionManager::new(spec, config);
+        // One prompt length, so the shapes are the prompt's and the decode
+        // groups': few enough that the cache never evicts.
+        let tickets: Vec<_> = (0..8)
+            .map(|i| {
+                mgr.submit(SessionRequest {
+                    prompt: vec![i; 2],
+                    max_new_tokens: 3,
+                    deadline: None,
+                })
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        let plans = mgr.core.model().decode_plans.stats();
+        mgr.shutdown();
+        assert_eq!(plans.evictions, 0, "{plans:?}");
+        assert!(plans.hits > 0, "{plans:?}");
+        assert!(plans.misses < plans.len as u64 * 4, "no cross-worker reuse: {plans:?}");
+    }
 }

@@ -17,7 +17,7 @@ use relax_serve::{
     SessionConfig, SessionError, SessionManager, SessionModelSpec, SessionRequest, SessionTicket,
 };
 use relax_tir::NDArray;
-use relax_vm::{Executable, FaultPlan, KvCacheConfig, Value, Vm};
+use relax_vm::{Executable, FaultPlan, KvCacheConfig, Value, Vm, VmErrorKind};
 
 fn random_arr(shape: &[usize], dtype: DataType, seed: &mut u64) -> NDArray {
     let n: usize = shape.iter().product();
@@ -488,6 +488,57 @@ fn dropped_reply_on_a_middle_and_on_the_last_step_keeps_the_stream() {
     assert_eq!(stats.rollbacks, 2, "both replies were dropped: {stats:?}");
     assert_eq!((stats.prefills, stats.decodes, stats.tokens), (1, 3, 4), "{stats:?}");
     assert_eq!(stats.step_calls, 6, "four steps and two that were rolled back: {stats:?}");
+    let ps = pool.stats();
+    assert!(ps.reconciles() && ps.in_use == 0, "{ps:?}");
+}
+
+/// A kernel fault is deterministic for the session it hits: on one worker
+/// the first kernel call is the first session's prompt step, which fails
+/// typed without a retry, and every other session is untouched.
+#[test]
+fn kernel_fault_fails_its_session_typed_and_spares_the_rest() {
+    let fx = fixture();
+    let mgr = SessionManager::new(
+        fx.spec.clone(),
+        SessionConfig {
+            workers: 1,
+            return_kv: true,
+            faults: FaultPlan::new().fail_kernel(1),
+            ..SessionConfig::default()
+        },
+    );
+    let reqs: Vec<SessionRequest> = (0..4)
+        .map(|i| SessionRequest {
+            prompt: vec![2 + i as i64; 3],
+            max_new_tokens: 3,
+            deadline: None,
+        })
+        .collect();
+    let tickets: Vec<SessionTicket> = reqs.iter().map(|r| mgr.submit(r.clone())).collect();
+    for (i, (t, r)) in tickets.into_iter().zip(&reqs).enumerate() {
+        match (i, t.wait()) {
+            (0, Err(SessionError::Vm(e))) => {
+                assert!(matches!(e.kind, VmErrorKind::Kernel(_)), "unexpected fault kind: {e}")
+            }
+            (0, other) => panic!("the first session must fail in the VM, got {other:?}"),
+            (_, Ok(out)) => {
+                let (want_tokens, want_kv) = oracle_run(&fx, &r.prompt, r.max_new_tokens);
+                assert_eq!(out.tokens, want_tokens, "session {i} tokens diverged");
+                let got_kv: Vec<Vec<f64>> =
+                    out.kv.expect("return_kv").iter().map(|c| c.to_f64_vec()).collect();
+                assert_eq!(got_kv, want_kv, "session {i} final KV diverged");
+            }
+            (_, Err(e)) => panic!("session {i}: {e}"),
+        }
+    }
+    let pool = mgr.pool().clone();
+    let stats = mgr.shutdown();
+    assert_eq!((stats.failed, stats.retired, stats.rollbacks), (1, 3, 1), "{stats:?}");
+    assert_eq!(
+        stats.retired + stats.evicted + stats.failed + stats.shed,
+        stats.submitted,
+        "session accounting does not add up: {stats:?}"
+    );
     let ps = pool.stats();
     assert!(ps.reconciles() && ps.in_use == 0, "{ps:?}");
 }
