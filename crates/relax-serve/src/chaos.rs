@@ -1,112 +1,31 @@
-//! A serving-layer chaos harness: seeded random fault schedules over a
-//! real workload, with the engine's robustness invariants checked from
-//! the *client's* side of the API.
+//! A serving-layer chaos harness: a seeded random schedule of worker
+//! panics, stalls and dropped replies over a real session workload, with
+//! the scheduler's robustness invariants checked from the *client's* side
+//! of the API.
 //!
-//! [`run_chaos`] takes an executable and a workload (a list of
-//! `(function, args)` requests), computes fault-free reference outputs
-//! on a plain single-threaded [`Vm`], then serves the same workload
-//! through a [`ServeEngine`] whose workers carry a seeded random
-//! [`FaultPlan`] — worker panics, worker stalls, dropped replies and
-//! injected kernel faults, distributed by a deterministic RNG so every
-//! run reproduces. The [`ChaosReport`] captures what a client observed:
+//! [`run_session_chaos`] serves a workload fault-free on one worker for
+//! reference tokens and final KV caches, then serves it again under the
+//! schedule. The [`SessionChaosReport`] captures what a client observed:
 //!
 //! - **Typed resolution**: every ticket resolved within the guard
 //!   timeout (`unresolved == 0` is the invariant tests assert).
-//! - **No cross-session leakage**: completed outputs are bitwise equal
-//!   to the fault-free reference (`mismatches == 0`) — a fault on one
-//!   request never corrupts another.
-//! - **Availability**: `completed / submitted`, which retry and
-//!   supervision should hold near 1.0 at low fault rates.
+//! - **No cross-session leakage**: retired sessions are bitwise equal to
+//!   the fault-free reference (`mismatches == 0`) — a fault on one step
+//!   never corrupts another session.
+//! - **Pool reconciliation**: the shared page pool reconciles with no
+//!   page left in use after shutdown.
+//!
+//! It also holds the [`ManualClock`] tests use to move time.
 
 use std::sync::{mpsc, Once};
 use std::time::Duration;
 
-use relax_vm::{Executable, FaultPlan, FaultSite, Value, Vm};
+use relax_vm::FaultPlan;
 
 pub use crate::clock::ManualClock;
-use crate::engine::{OverloadPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError};
 use crate::session::{
     SessionConfig, SessionManager, SessionModelSpec, SessionOutput, SessionRequest, SessionStats,
 };
-use crate::telemetry::EngineReport;
-
-/// One chaos request: VM function name and arguments.
-pub type ChaosRequest = (String, Vec<Value>);
-
-/// Knobs for a chaos run. `engine` is the base serving configuration;
-/// its `worker_faults` are replaced by the generated schedule.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// RNG seed for the fault schedule (same seed, same faults).
-    pub seed: u64,
-    /// Approximate faults per submitted request (`0.01` = 1%). The
-    /// schedule holds `round(requests × fault_rate)` faults.
-    pub fault_rate: f64,
-    /// Base engine configuration (workers, retry, overload, budgets).
-    pub engine: ServeConfig,
-    /// Duration of injected worker stalls. Should comfortably exceed
-    /// `engine.stall_timeout` so the loop provably notices.
-    pub stall: Duration,
-    /// Per-ticket resolution guard: a ticket still unresolved after
-    /// this long is counted in [`ChaosReport::unresolved`] instead of
-    /// hanging the harness. Generous by design — it bounds the *test*,
-    /// not the engine.
-    pub guard: Duration,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        let queue_capacity = 128;
-        ChaosConfig {
-            seed: 0xC4A0_5EED,
-            fault_rate: 0.01,
-            engine: ServeConfig {
-                workers: 4,
-                queue_capacity,
-                max_batch: 4,
-                retry: Some(RetryPolicy::default()),
-                overload: Some(OverloadPolicy::for_capacity(queue_capacity)),
-                restart_budget: 8,
-                // Wide enough that a cold plan compile on a healthy
-                // worker is never mistaken for a wedge.
-                stall_timeout: Duration::from_millis(150),
-                ..ServeConfig::default()
-            },
-            stall: Duration::from_millis(400),
-            guard: Duration::from_secs(30),
-        }
-    }
-}
-
-/// What the clients of a chaos run observed, plus the engine's own
-/// final report.
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Requests submitted (tickets issued + synchronous refusals).
-    pub submitted: u64,
-    /// Tickets that resolved `Ok` with a value.
-    pub completed: u64,
-    /// Tickets that resolved with a non-shed error (VM fault, lost
-    /// worker, shutdown).
-    pub failed: u64,
-    /// Tickets shed typed (`DeadlineExceeded` / `Overloaded`).
-    pub shed: u64,
-    /// Submissions refused synchronously (backpressure / overload).
-    pub rejected: u64,
-    /// Tickets that did not resolve within the guard timeout. The
-    /// engine's core invariant is that this is always zero.
-    pub unresolved: u64,
-    /// Completed outputs that were *not* bitwise equal to the
-    /// fault-free reference. The isolation invariant is zero.
-    pub mismatches: u64,
-    /// Faults the schedule injected.
-    pub scheduled_faults: u64,
-    /// `completed / submitted`.
-    pub availability: f64,
-    /// The engine's own shutdown report (restarts, quarantines, per-
-    /// incarnation exits).
-    pub report: EngineReport,
-}
 
 /// xorshift64* — the harness's only randomness, fully determined by the
 /// seed.
@@ -153,156 +72,24 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// Flattens a value to `f64`s for bitwise comparison (tensors flatten,
-/// tuples concatenate, shapes and scalars contribute their numbers).
-pub fn flatten_value(v: &Value) -> Vec<f64> {
-    fn walk(v: &Value, out: &mut Vec<f64>) {
-        match v {
-            Value::Tensor(t) => out.extend(t.to_f64_vec()),
-            Value::Tuple(items) => {
-                for item in items {
-                    walk(item, out);
-                }
-            }
-            Value::Shape(dims) => out.extend(dims.iter().map(|&d| d as f64)),
-            Value::Prim(p) => out.push(*p as f64),
-            Value::KvCache(c) => {
-                // Gather every stream so survivors' paged caches are
-                // compared bitwise, pages and block tables included.
-                for s in 0..c.config().streams {
-                    if let Ok(t) = c.view(s) {
-                        out.extend(t.to_f64_vec());
-                    }
-                }
-            }
-            Value::None | Value::Storage { .. } => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(v, &mut out);
-    out
-}
-
-/// The one schedule builder: `faults` faults spread uniformly over
-/// `plans` fault plans, each a uniformly chosen site from `sites` at a
-/// uniformly chosen occurrence within `steps` (a plan's expected share
-/// of the load). Kernel faults count kernel calls, not steps, so their
-/// occurrence is scaled by `kernels_per_step`.
-fn build_schedule(
-    rng: &mut Rng,
-    plans: usize,
-    faults: u64,
-    sites: &[FaultSite],
-    steps: u64,
-    kernels_per_step: u64,
-    stall: Duration,
-) -> Vec<FaultPlan> {
-    let mut schedule: Vec<FaultPlan> = (0..plans).map(|_| FaultPlan::new()).collect();
+/// The seeded schedule: `faults` serving faults, each a uniformly chosen
+/// site (worker panic, worker stall, dropped reply) at a uniformly chosen
+/// occurrence within `steps`.
+fn build_schedule(rng: &mut Rng, faults: u64, steps: u64, stall: Duration) -> FaultPlan {
+    let mut plan = FaultPlan::new();
     for _ in 0..faults {
-        let slot = &mut schedule[rng.below(plans as u64) as usize];
         let nth = 1 + rng.below(steps);
-        let plan = std::mem::take(slot);
-        *slot = match sites[rng.below(sites.len() as u64) as usize] {
-            FaultSite::WorkerStall => plan.stall_worker(nth, stall),
-            FaultSite::Kernel => plan.fail_kernel(1 + rng.below(steps * kernels_per_step.max(1))),
-            site => plan.fail_at(site, nth),
+        plan = match rng.below(3) {
+            0 => plan.fail_worker_panic(nth),
+            1 => plan.stall_worker(nth, stall),
+            _ => plan.drop_reply(nth),
         };
     }
-    schedule
+    plan
 }
 
-/// Runs `workload` through a chaos-configured engine and reports what
-/// the clients observed. See the module docs for the invariants.
-///
-/// The fault-free reference outputs are computed first on a plain
-/// single-threaded [`Vm`] over a clone of `exec`; completed chaos
-/// outputs are compared bitwise against them.
-pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfig) -> ChaosReport {
-    silence_injected_panics();
-    let mut rng = Rng(config.seed);
-
-    // Fault-free reference pass; also measures kernels per request so
-    // kernel-fault occurrences land inside the real range.
-    let mut reference_vm = Vm::new(exec.clone());
-    let reference: Vec<Option<Vec<f64>>> = workload
-        .iter()
-        .map(|(func, args)| reference_vm.run(func, args).ok().map(|v| flatten_value(&v)))
-        .collect();
-    let kernels_per_request =
-        reference_vm.telemetry().kernel_launches / workload.len().max(1) as u64;
-
-    let mut engine_config = config.engine.clone();
-    let workers = engine_config.workers.max(1);
-    let scheduled_faults = ((workload.len() as f64) * config.fault_rate).round() as u64;
-    let schedule = build_schedule(
-        &mut rng,
-        workers,
-        scheduled_faults,
-        &[
-            FaultSite::WorkerPanic,
-            FaultSite::WorkerStall,
-            FaultSite::ReplyDrop,
-            FaultSite::Kernel,
-        ],
-        (workload.len() / workers).max(1) as u64,
-        kernels_per_request,
-        config.stall,
-    );
-    engine_config.worker_faults = schedule
-        .into_iter()
-        .enumerate()
-        .filter(|(_, p)| !p.is_empty())
-        .collect();
-
-    let engine = ServeEngine::new(exec, engine_config);
-    let mut tickets = Vec::with_capacity(workload.len());
-    let mut rejected = 0u64;
-    for (i, (func, args)) in workload.iter().enumerate() {
-        match engine.submit(func, args) {
-            Ok(t) => tickets.push((i, t)),
-            Err(_) => rejected += 1,
-        }
-    }
-
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut shed = 0u64;
-    let mut unresolved = 0u64;
-    let mut mismatches = 0u64;
-    for (i, ticket) in tickets {
-        match ticket.wait_timeout(config.guard) {
-            Some(Ok(value)) => {
-                completed += 1;
-                if reference[i].as_deref() != Some(&flatten_value(&value)[..]) {
-                    mismatches += 1;
-                }
-            }
-            Some(Err(
-                ServeError::DeadlineExceeded { .. } | ServeError::Overloaded { .. },
-            )) => shed += 1,
-            Some(Err(_)) => failed += 1,
-            None => unresolved += 1,
-        }
-    }
-
-    let submitted = workload.len() as u64;
-    ChaosReport {
-        submitted,
-        completed,
-        failed,
-        shed,
-        rejected,
-        unresolved,
-        mismatches,
-        scheduled_faults,
-        availability: completed as f64 / submitted.max(1) as f64,
-        report: engine.shutdown(),
-    }
-}
-
-/// Knobs for a **session** chaos run (the continuous-batching
-/// scheduler under worker panics, stalls and dropped replies
-/// mid-iteration).
+/// Knobs for a session chaos run (the continuous-batching scheduler
+/// under worker panics, stalls and dropped replies mid-iteration).
 #[derive(Debug, Clone)]
 pub struct SessionChaosConfig {
     /// RNG seed for the fault schedule.
@@ -411,20 +198,7 @@ pub fn run_session_chaos(
 
     let mut faulty_cfg = config.manager.clone();
     faulty_cfg.return_kv = true;
-    let plan = build_schedule(
-        &mut rng,
-        1,
-        config.faults as u64,
-        &[
-            FaultSite::WorkerPanic,
-            FaultSite::WorkerStall,
-            FaultSite::ReplyDrop,
-        ],
-        total_steps,
-        0,
-        faulty_cfg.stall,
-    )
-    .remove(0);
+    let plan = build_schedule(&mut rng, config.faults as u64, total_steps, faulty_cfg.stall);
     let scheduled_faults = plan.len() as u64;
     faulty_cfg.faults = plan;
 

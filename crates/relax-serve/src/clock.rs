@@ -1,8 +1,8 @@
-//! The one clock every deadline, backoff, heartbeat and stall decision
-//! reads and waits through.
+//! The one clock every deadline, heartbeat and stall decision reads and
+//! waits through.
 //!
 //! Production runs on [`SystemClock`]. Tests that assert *when* something
-//! is shed, retried or declared wedged run on a [`ManualClock`], whose
+//! is shed or declared wedged run on a [`ManualClock`], whose
 //! time moves only when the test says so — so they hold on a loaded
 //! one-core host, where a `thread::sleep` guarantees nothing about which
 //! thread ran in the meantime.
@@ -10,10 +10,7 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use relax_vm::Executable;
-
 use crate::core::lock;
-use crate::engine::{ServeConfig, ServeEngine};
 use crate::session::{SessionConfig, SessionManager, SessionModelSpec};
 
 /// Monotonic time plus the two ways serving code waits on it.
@@ -103,9 +100,8 @@ impl Clock for Manual {
 }
 
 /// A clock that stands still until [`ManualClock::advance`] moves it —
-/// the test seam for deadline, backoff and heartbeat behaviour. Engines
-/// and managers built through it are otherwise identical to
-/// [`ServeEngine::new`] / [`SessionManager::new`].
+/// the test seam for deadline and heartbeat behaviour. A manager built
+/// through it is otherwise identical to one from [`SessionManager::new`].
 #[derive(Clone)]
 pub struct ManualClock(Arc<Manual>);
 
@@ -144,11 +140,6 @@ impl ManualClock {
     /// This clock, as the core takes it.
     pub(crate) fn clock(&self) -> Arc<dyn Clock> {
         self.0.clone()
-    }
-
-    /// [`ServeEngine::new`] on this clock.
-    pub fn serve_engine(&self, exec: Executable, config: ServeConfig) -> ServeEngine {
-        ServeEngine::with_clock(exec, Default::default(), config, self.clock())
     }
 
     /// [`SessionManager::new`] on this clock.

@@ -1,50 +1,50 @@
 //! The serving core: one admission deque, one iteration loop, one
-//! supervised worker pool, one retry timer, one accounting identity.
+//! supervised worker pool, one accounting identity.
 //!
 //! A **unit** is a deadline, an attempt count and a piece of [`Work`]
-//! that knows what its steps are. A generation session is a unit with
-//! many steps and a paged KV cache; a stateless request is a unit with
-//! one step and none. The core owns every *policy* and never asks which
-//! of the two it is serving:
+//! that knows what its steps are. A generation session (`session.rs`) is
+//! the unit the crate serves: many steps over a paged KV cache. The core
+//! owns every *policy* and never asks what a step is:
 //!
-//! - **Admission.** `submit` pushes onto the bounded [`Admission`] deque;
-//!   a full deque or the reject watermark refuses, the shed watermark
-//!   evicts the waiting unit with the least deadline budget.
+//! - **Admission.** `submit` pushes onto the unbounded FIFO
+//!   [`Admission`] deque; only a stopped core refuses.
 //! - **Deadline.** A unit whose deadline has passed is shed before its
 //!   next step is dispatched — waiting or running alike.
 //! - **Iteration.** Each pass admits waiting units into the running set
-//!   (up to `max_running`) and dispatches one step per eligible running
-//!   unit to the worker pool as **jobs**: first steps first, each alone;
-//!   then the units whose next step can be shared ([`Work::shares`], on
-//!   their first attempt at it), as one job per live worker of
-//!   `ceil(n / workers)` units each; then the rest, each alone. A worker
-//!   runs a job as one step with one outcome. A unit whose last step
-//!   lands is retired by the worker that ran it, so its ticket resolves
-//!   there; every other result — steps left, a failed, lost or
-//!   reply-dropped step — is collected per unit, and none is applied
-//!   before all are in: the barrier orders rollbacks, retries,
-//!   pool-pressure eviction and dead-slot replacement, and a finished unit
-//!   has nothing left to order.
-//! - **Retry.** A retryable failure (lost worker, pool pressure, kernel
-//!   fault) rolls the unit back, consumes an attempt and makes it
-//!   ineligible until `now + backoff(attempt)`; the loop's own wait is
-//!   the timer. A failed shared step costs every unit that shared it an
-//!   attempt, and a unit with a failed attempt behind it shares nothing:
-//!   the retries run one by one, which finds the unit that cannot land.
+//!   (up to `max_running`) and dispatches one step per running unit to
+//!   the worker pool as **jobs**: first steps first, each alone; then the
+//!   units whose next step can be shared ([`Work::shares`], on their first
+//!   attempt at it), as one job per worker of `ceil(n / workers)` units
+//!   each; then the rest, each alone. A worker runs a job as one step with
+//!   one outcome. A unit whose last step lands is retired by the worker
+//!   that ran it, so its ticket resolves there; every other result —
+//!   steps left, a failed, lost or reply-dropped step — is collected per
+//!   unit, and none is applied before all are in: the barrier orders
+//!   rollbacks, retries, pool-pressure eviction and dead-slot
+//!   replacement, and a finished unit has nothing left to order.
+//! - **Retry.** A failed step is rolled back. A lost step (a worker panic,
+//!   a dropped reply) or one the page pool refused consumes an attempt and
+//!   runs again in the next iteration, up to `max_attempts` failed
+//!   attempts in a row; any other VM error fails the unit. A failed shared
+//!   step costs every unit that shared it an attempt, and a unit with a
+//!   failed attempt behind it shares nothing: the retries run one by one,
+//!   which finds the unit that cannot land.
 //! - **Eviction.** Under page-pool pressure the earliest-deadline running
 //!   unit is evicted so the others' retries can land — never the last.
 //! - **Supervision.** A worker contains a panic at its step boundary,
 //!   reports the step lost and exits; one whose heartbeat goes stale
-//!   mid-step is retired. Either slot is respawned with fresh VMs up to
-//!   the restart budget, then quarantined.
+//!   mid-step ([`STALL_TIMEOUT`]) is retired. Either slot is respawned
+//!   with fresh VMs.
+//! - **Stop.** Admission closes; what is overdue is shed and everything
+//!   else waiting or running resolves `ShuttingDown`.
 //! - **Accounting.** `submitted == retired + evicted + failed + shed`,
 //!   checked when the core stops.
 //!
 //! An idle core blocks on its condvar; waits are timed only by the next
-//! deadline, backoff or heartbeat check while work is in flight.
+//! deadline or heartbeat check while work is in flight.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -52,12 +52,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use relax_trace::{Payload, WorkerEvent};
-use relax_vm::{FaultInjector, FaultPlan, FaultSite, KernelStat, Telemetry, VmError, VmErrorKind};
+use relax_vm::{FaultInjector, FaultPlan, FaultSite, VmError, VmErrorKind};
 
-use crate::admission::{Admission, Push, Refusal};
+use crate::admission::Admission;
 use crate::clock::{wait_until, Clock};
-use crate::engine::{AdmissionLevel, OverloadPolicy, RetryOn, RetryPolicy};
-use crate::telemetry::{LatencyReservoir, WorkerExit, WorkerReport};
+use crate::telemetry::LatencyReservoir;
+
+/// A worker silent for this long mid-step is declared wedged and
+/// replaced. Generous: a replacement costs a thread, a false alarm on a
+/// long prompt should be rare.
+pub(crate) const STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Locks a mutex, ignoring poisoning: serving state stays readable even
 /// if a holder panicked (panics are contained, but stay defensive).
@@ -85,12 +89,10 @@ impl Failure {
         }
     }
 
-    fn retryable(&self, on: &RetryOn) -> bool {
-        match self {
-            Failure::Lost(_) => on.worker_lost,
-            Failure::Pressure(_) => on.overload,
-            Failure::Vm(e) => on.kernel_faults && matches!(e.kind, VmErrorKind::Kernel(_)),
-        }
+    /// A lost step or pool pressure may land next time; a VM error is
+    /// deterministic for the unit.
+    fn retryable(&self) -> bool {
+        !matches!(self, Failure::Vm(_))
     }
 }
 
@@ -100,11 +102,9 @@ pub(crate) enum Exit {
     /// Every step landed.
     Retired,
     /// The deadline passed before the next step could start.
-    Shed { missed_by: Duration },
-    /// Overload control removed it: a watermark victim while waiting, or
-    /// the earliest deadline under page-pool pressure while running.
-    /// `depth` is the deque depth at the time.
-    Evicted { depth: usize },
+    Shed,
+    /// The earliest deadline under page-pool pressure.
+    Evicted,
     /// A step failed for good (not retryable, or attempts spent).
     Failed(Failure),
     /// The core stopped first.
@@ -120,8 +120,6 @@ pub(crate) trait Work: Send + Sized + 'static {
     type Vms;
 
     fn build_vms(model: &Self::Model, vm_faults: FaultPlan) -> Self::Vms;
-    /// The counters a [`WorkerReport`] carries.
-    fn telemetry(vms: &Self::Vms) -> (Telemetry, HashMap<String, KernelStat>);
 
     /// The unit entered the running set.
     fn admit(&mut self, _id: u64) {}
@@ -161,39 +159,30 @@ struct Unit<W> {
     submitted: Instant,
     /// Consecutive failed attempts at the current step.
     attempts: u32,
-    /// Retry backoff: not dispatched before this.
-    not_before: Option<Instant>,
     /// A step has landed; an iteration runs first steps first.
     landed: bool,
     work: W,
 }
 
 impl<W> Unit<W> {
-    /// The deadline rule: `Shed` once the deadline has passed.
-    fn overdue(&self, now: Instant) -> Option<Exit> {
-        let missed_by = now.checked_duration_since(self.deadline?)?;
-        Some(Exit::Shed { missed_by })
+    /// The deadline rule: shed once the deadline has passed.
+    fn overdue(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| d <= now)
     }
 }
 
-/// The values the two public configs carry, as the core reads them.
+/// The values of `SessionConfig` the core reads.
 pub(crate) struct Limits {
-    pub(crate) capacity: usize,
-    pub(crate) overload: Option<OverloadPolicy>,
     pub(crate) max_running: usize,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) restart_budget: u32,
-    pub(crate) stall_timeout: Duration,
-    /// On stop: finish what was admitted (`true`) or resolve it
-    /// `ShuttingDown` (`false`).
-    pub(crate) drain_on_stop: bool,
+    /// Consecutive failed attempts at one step a unit survives.
+    pub(crate) max_attempts: u32,
 }
 
-/// One worker slot's deterministic fault schedule. Slots handed the same
-/// `serving` injector count its sites together.
+/// The pool's deterministic fault schedule. Every slot is handed the same
+/// `serving` injector, so its sites count across the pool.
 #[derive(Clone)]
 pub(crate) struct WorkerFaults {
-    /// VM sites, armed on the slot's first incarnation only.
+    /// VM sites, armed on each slot's first incarnation only.
     pub(crate) vm: FaultPlan,
     /// Serving sites (`WorkerPanic` / `WorkerStall` / `ReplyDrop`); kept
     /// across respawns, so a fault that fired stays spent.
@@ -202,7 +191,7 @@ pub(crate) struct WorkerFaults {
     pub(crate) stall: Duration,
 }
 
-/// The one counters struct; `EngineStats` and `SessionStats` are views.
+/// The one counters struct; `SessionStats` is its view.
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
@@ -211,15 +200,11 @@ pub(crate) struct Counters {
     pub(crate) evicted: AtomicU64,
     pub(crate) failed: AtomicU64,
     pub(crate) shed: AtomicU64,
-    pub(crate) rejected_full: AtomicU64,
-    pub(crate) rejected_overload: AtomicU64,
     pub(crate) replies_dropped: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) restarts: AtomicU64,
-    pub(crate) quarantined: AtomicU64,
     pub(crate) worker_panics: AtomicU64,
     pub(crate) iterations: AtomicU64,
-    pub(crate) steps: AtomicU64,
     pub(crate) rollbacks: AtomicU64,
     pub(crate) step_calls: AtomicU64,
     pub(crate) prefills: AtomicU64,
@@ -315,8 +300,8 @@ impl<W: Work> Shared<W> {
         let c = &self.counters;
         bump(match &exit {
             Exit::Retired => &c.retired,
-            Exit::Shed { .. } => &c.shed,
-            Exit::Evicted { .. } => &c.evicted,
+            Exit::Shed => &c.shed,
+            Exit::Evicted => &c.evicted,
             Exit::Failed(_) | Exit::ShuttingDown => &c.failed,
         });
         if matches!(exit, Exit::Retired) {
@@ -332,25 +317,26 @@ impl<W: Work> Shared<W> {
 const LATENCY_SAMPLE_CAPACITY: usize = 2048;
 const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A running core: the handle the two façades share.
+/// A running core: the handle `SessionManager` holds.
 pub(crate) struct Core<W: Work> {
     shared: Arc<Shared<W>>,
     next_id: AtomicU64,
-    scheduler: Option<JoinHandle<Vec<Incarnation>>>,
+    scheduler: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl<W: Work> Core<W> {
-    /// Spawns the loop and one worker per entry of `faults`, which arms
-    /// the worker's slot.
+    /// Spawns the loop and `workers` workers, each slot armed with
+    /// `faults`.
     pub(crate) fn start(
         model: W::Model,
         limits: Limits,
-        faults: Vec<Option<WorkerFaults>>,
+        workers: usize,
+        faults: WorkerFaults,
         clock: Arc<dyn Clock>,
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                pending: Admission::new(limits.capacity, limits.overload),
+                pending: Admission::new(),
                 jobs: VecDeque::new(),
                 results: Vec::new(),
                 in_flight: 0,
@@ -365,17 +351,13 @@ impl<W: Work> Core<W> {
             clock,
             model,
         });
-        let slots = faults.into_iter().enumerate();
-        let slots = slots.map(|(idx, faults)| Slot {
-            generation: 0,
-            live: Some(spawn_worker(&shared, idx, 0, faults.clone())),
-            faults,
-        });
+        let slots = (0..workers.max(1)).map(|idx| spawn_worker(&shared, idx, 0, faults.clone()));
         let scheduler = Scheduler {
             shared: shared.clone(),
             limits,
-            running: Vec::new(),
             slots: slots.collect(),
+            faults,
+            running: Vec::new(),
             replaced: Vec::new(),
         };
         let scheduler = std::thread::Builder::new()
@@ -394,14 +376,9 @@ impl<W: Work> Core<W> {
         self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Offers a unit to the admission deque. A refusal hands the work
-    /// back with the reason and the depth that caused it.
-    pub(crate) fn submit(
-        &self,
-        id: u64,
-        deadline: Option<Duration>,
-        work: W,
-    ) -> Result<(), (W, Refusal, usize)> {
+    /// Offers a unit to the admission deque. Only a stopped core refuses,
+    /// and hands the work back.
+    pub(crate) fn submit(&self, id: u64, deadline: Option<Duration>, work: W) -> Result<(), W> {
         let sh = &self.shared;
         let now = sh.clock.now();
         let deadline = deadline.map(|d| now + d);
@@ -410,34 +387,17 @@ impl<W: Work> Core<W> {
             deadline,
             submitted: now,
             attempts: 0,
-            not_before: None,
             landed: false,
             work,
         };
-        let (pushed, depth) = {
+        {
             let mut st = lock(&sh.state);
-            let pushed = st.pending.push(deadline, unit);
+            st.pending.push(deadline, unit).map_err(|unit| unit.work)?;
             st.events += 1;
-            (pushed, st.pending.depth())
-        };
-        match pushed {
-            Push::Admitted { shed } => {
-                bump(&sh.counters.submitted);
-                sh.wake.notify_all();
-                if let Some(victim) = shed {
-                    sh.finish(victim, Exit::Evicted { depth });
-                }
-                Ok(())
-            }
-            Push::Refused { item, why } => {
-                match why {
-                    Refusal::Full => bump(&sh.counters.rejected_full),
-                    Refusal::Overloaded => bump(&sh.counters.rejected_overload),
-                    Refusal::Closed => {}
-                }
-                Err((item.work, why, depth))
-            }
         }
+        bump(&sh.counters.submitted);
+        sh.wake.notify_all();
+        Ok(())
     }
 
     pub(crate) fn counters(&self) -> &Counters {
@@ -446,16 +406,6 @@ impl<W: Work> Core<W> {
 
     pub(crate) fn model(&self) -> &W::Model {
         &self.shared.model
-    }
-
-    /// `(depth, capacity, level)` of the admission deque.
-    pub(crate) fn queue(&self) -> (usize, usize, AdmissionLevel) {
-        let st = lock(&self.shared.state);
-        (
-            st.pending.depth(),
-            st.pending.capacity(),
-            st.pending.level(),
-        )
     }
 
     /// Submit-to-retire latencies, nanoseconds.
@@ -468,10 +418,9 @@ impl<W: Work> Core<W> {
         lock(&self.shared.iteration_ns).clone()
     }
 
-    /// Stops admission, lets the loop drain or abandon what it holds,
-    /// joins every thread and reports every worker incarnation. A second
-    /// call finds nothing left to join.
-    pub(crate) fn stop(&mut self) -> Vec<WorkerReport> {
+    /// Stops admission, lets the loop resolve what it holds and joins
+    /// every thread. A second call finds nothing left to join.
+    pub(crate) fn stop(&mut self) {
         {
             let mut st = lock(&self.shared.state);
             st.pending.close();
@@ -479,31 +428,18 @@ impl<W: Work> Core<W> {
         }
         self.shared.wake.notify_all();
         let Some(scheduler) = self.scheduler.take() else {
-            return Vec::new();
+            return;
         };
-        let incarnations = scheduler.join().unwrap_or_default();
+        let workers = scheduler.join().unwrap_or_default();
         // Workers leave only once the loop's thread is gone: threads end in
         // the reverse of the order they were spawned in.
         lock(&self.shared.state).done = true;
         self.shared.jobs_wake.notify_all();
-        let mut reports: Vec<WorkerReport> = incarnations
-            .into_iter()
-            .map(|(idx, generation, handle)| {
-                // A panic that escaped containment becomes a synthesized
-                // `Panicked` report: stopping never panics on a dead worker.
-                handle.join().unwrap_or_else(|payload| WorkerReport {
-                    worker: idx,
-                    generation,
-                    exit: WorkerExit::Panicked {
-                        message: panic_message(payload),
-                    },
-                    requests: 0,
-                    telemetry: Default::default(),
-                    kernel_stats: Default::default(),
-                })
-            })
-            .collect();
-        reports.sort_by_key(|w| (w.worker, w.generation));
+        for worker in workers {
+            // A panic that escaped containment has nothing left to report:
+            // stopping never panics on a dead worker.
+            let _ = worker.join();
+        }
         let c = &self.shared.counters;
         // Not while unwinding: `Drop` stops the core too, and must not panic.
         debug_assert!(
@@ -512,7 +448,6 @@ impl<W: Work> Core<W> {
                     == get(&c.retired) + get(&c.evicted) + get(&c.failed) + get(&c.shed),
             "a unit left the core without being counted"
         );
-        reports
     }
 }
 
@@ -532,21 +467,12 @@ struct Flags {
     retired: AtomicBool,
 }
 
+/// One incarnation of a worker slot.
 struct Worker {
-    handle: JoinHandle<WorkerReport>,
-    flags: Arc<Flags>,
-}
-
-/// `(slot, generation, handle)` of one worker incarnation.
-type Incarnation = (usize, u32, JoinHandle<WorkerReport>);
-
-/// One worker slot: a stable index whose incarnations come and go.
-struct Slot {
-    /// Incarnation number, which is also the respawns consumed so far.
+    /// Incarnation number: the respawns of its slot so far.
     generation: u32,
-    /// `None` once quarantined.
-    live: Option<Worker>,
-    faults: Option<WorkerFaults>,
+    handle: JoinHandle<()>,
+    flags: Arc<Flags>,
 }
 
 fn worker_instant(idx: usize, event: WorkerEvent) {
@@ -575,7 +501,7 @@ fn spawn_worker<W: Work>(
     shared: &Arc<Shared<W>>,
     idx: usize,
     generation: u32,
-    faults: Option<WorkerFaults>,
+    faults: WorkerFaults,
 ) -> Worker {
     let flags = Arc::new(Flags {
         busy_since: Mutex::new(None),
@@ -588,7 +514,11 @@ fn spawn_worker<W: Work>(
             move || worker_loop(shared, idx, generation, faults, flags)
         })
         .expect("spawn serve worker");
-    Worker { handle, flags }
+    Worker {
+        generation,
+        handle,
+        flags,
+    }
 }
 
 /// One worker incarnation: take a job, run its one step under panic
@@ -598,16 +528,12 @@ fn worker_loop<W: Work>(
     shared: Arc<Shared<W>>,
     idx: usize,
     generation: u32,
-    faults: Option<WorkerFaults>,
+    faults: WorkerFaults,
     flags: Arc<Flags>,
-) -> WorkerReport {
-    let vm_faults = faults.as_ref().map(|f| f.vm.clone()).unwrap_or_default();
-    let mut vms = W::build_vms(&shared.model, vm_faults);
-    let fires = |site| {
-        let faults = faults.as_ref()?;
-        let fired = lock(&faults.serving).check(site)?;
-        Some(fired.stall.unwrap_or(faults.stall))
-    };
+) {
+    let WorkerFaults { vm, serving, stall } = faults;
+    let mut vms = W::build_vms(&shared.model, vm);
+    let fires = |site| Some(lock(&serving).check(site)?.stall.unwrap_or(stall));
     // The serving-site fault window: a stall, then a panic.
     let mut window = || {
         if let Some(stall) = fires(FaultSite::WorkerStall) {
@@ -617,13 +543,7 @@ fn worker_loop<W: Work>(
             panic!("injected worker panic");
         }
     };
-    let mut steps = 0u64;
-    let mut exit = WorkerExit::Drained;
-    loop {
-        if flags.retired.load(Ordering::Acquire) {
-            exit = WorkerExit::Retired;
-            break;
-        }
+    while !flags.retired.load(Ordering::Acquire) {
         let job = {
             let mut st = lock(&shared.state);
             while st.jobs.is_empty() && !st.done {
@@ -633,7 +553,6 @@ fn worker_loop<W: Work>(
         };
         let Some(mut job) = job else { break };
         *lock(&flags.busy_since) = Some(shared.clock.now());
-        steps += job.len() as u64;
         let reply_dropped = fires(FaultSite::ReplyDrop).is_some();
         // Containment boundary: a panic anywhere in the step — injected or
         // real, inside the VM — must not unwind past the worker.
@@ -660,12 +579,8 @@ fn worker_loop<W: Work>(
             Err(payload) => {
                 bump(&shared.counters.worker_panics);
                 worker_instant(idx, WorkerEvent::Panic);
-                let message = panic_message(payload);
-                exit = WorkerExit::Panicked {
-                    message: message.clone(),
-                };
                 died = Some((idx, generation));
-                Err(Failure::Lost(message))
+                Err(Failure::Lost(panic_message(payload)))
             }
         };
         *lock(&flags.busy_since) = None;
@@ -688,36 +603,28 @@ fn worker_loop<W: Work>(
             break;
         }
     }
-    let (telemetry, kernel_stats) = W::telemetry(&vms);
-    WorkerReport {
-        worker: idx,
-        generation,
-        exit,
-        requests: steps,
-        telemetry,
-        kernel_stats,
-    }
 }
 
 /// The loop's private state; lives on the scheduler thread.
 struct Scheduler<W: Work> {
     shared: Arc<Shared<W>>,
     limits: Limits,
+    faults: WorkerFaults,
     running: Vec<Unit<W>>,
-    slots: Vec<Slot>,
+    /// One live incarnation per slot.
+    slots: Vec<Worker>,
     /// Incarnations a panic ended or a stall got replaced (the latter may
     /// still be finishing their step), joined when the core stops.
-    replaced: Vec<Incarnation>,
+    replaced: Vec<JoinHandle<()>>,
 }
 
 impl<W: Work> Scheduler<W> {
-    /// Runs the loop to its end and hands back every incarnation for
+    /// Runs the loop to its end and hands back every worker thread for
     /// `Core::stop` to release and join.
-    fn run(mut self) -> Vec<Incarnation> {
+    fn run(mut self) -> Vec<JoinHandle<()>> {
         while self.pass() {}
-        let live = self.slots.iter_mut().enumerate();
-        let live = live.filter_map(|(idx, s)| Some((idx, s.generation, s.live.take()?.handle)));
-        live.chain(self.replaced.drain(..)).collect()
+        let live = self.slots.into_iter().map(|w| w.handle);
+        live.chain(self.replaced).collect()
     }
 
     /// One pass of the loop: shed, admit, then run an iteration or wait
@@ -731,22 +638,17 @@ impl<W: Work> Scheduler<W> {
             let now = sh.clock.now();
             let stopping = st.pending.is_closed();
             let overdue = st.pending.take_overdue(now);
-            let room = if stopping && !self.limits.drain_on_stop {
-                usize::MAX
-            } else {
-                self.limits
-                    .max_running
-                    .max(1)
-                    .saturating_sub(self.running.len())
+            let room = match stopping {
+                true => usize::MAX,
+                false => self.limits.max_running.max(1).saturating_sub(self.running.len()),
             };
             let fresh = st.pending.take(room);
             (now, stopping, overdue, fresh, st.pending.depth(), st.events)
         };
         for unit in overdue {
-            let exit = unit.overdue(now).expect("taken as overdue");
-            sh.finish(unit, exit);
+            sh.finish(unit, Exit::Shed);
         }
-        if stopping && !self.limits.drain_on_stop {
+        if stopping {
             for unit in fresh.into_iter().chain(self.running.drain(..)) {
                 sh.finish(unit, Exit::ShuttingDown);
             }
@@ -758,57 +660,43 @@ impl<W: Work> Scheduler<W> {
             self.running.push(unit);
         }
         // The deadline rule for running units; whatever has no step left
-        // (or no worker left to run it) leaves too.
-        let stranded = self.slots.iter().all(|s| s.live.is_none());
+        // leaves too.
         let swept = self.running.len();
         let mut i = 0;
         while i < self.running.len() {
             let unit = &self.running[i];
-            let exit = match unit.overdue(now) {
-                Some(shed) => Some(shed),
-                None if unit.work.done() => Some(Exit::Retired),
-                None if stranded => Some(Exit::Failed(Failure::Lost(STRANDED.to_string()))),
-                None => None,
+            let exit = if unit.overdue(now) {
+                Exit::Shed
+            } else if unit.work.done() {
+                Exit::Retired
+            } else {
+                i += 1;
+                continue;
             };
-            match exit {
-                Some(exit) => sh.finish(self.running.swap_remove(i), exit),
-                None => i += 1,
-            }
-        }
-        if stopping && self.running.is_empty() && left == 0 {
-            return false;
+            sh.finish(self.running.swap_remove(i), exit);
         }
         // The sweep made room for units still waiting: admit them first.
         if self.running.len() < swept && left > 0 {
             return true;
         }
-        if self.iteration(now, stopping) {
+        if self.iteration() {
             return true;
         }
         let st = lock(&sh.state);
         if st.events == seen {
-            let until = self
-                .running
-                .iter()
-                .flat_map(|u| [u.not_before, u.deadline])
-                .chain([st.pending.next_deadline()])
-                .flatten()
-                .min();
+            let until = st.pending.next_deadline();
             drop(wait_until(&*sh.clock, &sh.wake, st, until));
         }
         true
     }
 
-    /// One iteration: dispatch a step per eligible unit, collect every
+    /// One iteration: dispatch a step per running unit, collect every
     /// result the workers did not finish themselves (supervising the pool
     /// meanwhile), then advance, retry or fail each unit and relieve pool
-    /// pressure. `false` when no unit was eligible.
-    fn iteration(&mut self, now: Instant, stopping: bool) -> bool {
+    /// pressure. `false` when no unit is running.
+    fn iteration(&mut self) -> bool {
         let sh = self.shared.clone();
-        // On stop, backoffs count as elapsed: the drain does not wait.
-        let due = |u: &Unit<W>| stopping || u.not_before.is_none_or(|t| t <= now);
-        let (mut go, stay): (Vec<_>, Vec<_>) = self.running.drain(..).partition(due);
-        self.running = stay;
+        let mut go = std::mem::take(&mut self.running);
         let dispatched = go.len();
         if dispatched == 0 {
             return false;
@@ -824,10 +712,9 @@ impl<W: Work> Scheduler<W> {
             true => 2,
         };
         go.sort_by_key(rank);
-        // One shared job per live worker, so a pool keeps its parallelism.
+        // One shared job per worker, so a pool keeps its parallelism.
         let sharers = go.iter().filter(|u| rank(u) == 1).count();
-        let live = self.slots.iter().filter(|s| s.live.is_some()).count();
-        let per_job = sharers.div_ceil(live.max(1));
+        let per_job = sharers.div_ceil(self.slots.len());
         let mut jobs: Vec<Vec<Unit<W>>> = Vec::new();
         for unit in go {
             match jobs.last_mut() {
@@ -845,7 +732,6 @@ impl<W: Work> Scheduler<W> {
             st.in_flight = dispatched;
         }
         sh.jobs_wake.notify_all();
-        add(&sh.counters.steps, dispatched as u64);
 
         let results = loop {
             let next_check = self.supervise();
@@ -875,44 +761,33 @@ impl<W: Work> Scheduler<W> {
         let done = sh.clock.now();
         lock(&sh.iteration_ns).push(done.saturating_duration_since(started).as_nanos() as u64);
 
-        let policy = &self.limits.retry;
         let mut pressure = false;
         for StepResult {
             mut unit, outcome, ..
         } in results
         {
-            let exit = match outcome {
+            match outcome {
                 // Steps are left, or the worker would have finished it.
                 Ok(()) => {
                     unit.attempts = 0;
-                    unit.not_before = None;
                     unit.landed = true;
-                    None
                 }
                 // Any failed step is rolled back, so none is half-applied.
                 Err(failure) => {
                     bump(&sh.counters.rollbacks);
                     unit.work.rollback();
                     pressure |= matches!(failure, Failure::Pressure(_));
-                    if !stopping
-                        && failure.retryable(&policy.retry_on)
-                        && unit.attempts + 1 < policy.max_attempts.max(1)
-                    {
-                        unit.attempts += 1;
-                        unit.not_before = Some(done + policy.backoff_for(unit.attempts));
-                        bump(&sh.counters.retries);
-                        let id = unit.id;
-                        relax_trace::instant("serve", || format!("retry:{id}"), || Payload::None);
-                        None
-                    } else {
-                        Some(Exit::Failed(failure))
+                    if !failure.retryable() || unit.attempts >= self.limits.max_attempts {
+                        sh.finish(unit, Exit::Failed(failure));
+                        continue;
                     }
+                    unit.attempts += 1;
+                    bump(&sh.counters.retries);
+                    let id = unit.id;
+                    relax_trace::instant("serve", || format!("retry:{id}"), || Payload::None);
                 }
-            };
-            match exit {
-                Some(exit) => sh.finish(unit, exit),
-                None => self.running.push(unit),
             }
+            self.running.push(unit);
         }
 
         // Page-pool pressure: evict the earliest deadline so the losers'
@@ -924,8 +799,7 @@ impl<W: Work> Scheduler<W> {
             let victim = (0..self.running.len())
                 .min_by_key(|&i| (self.running[i].deadline.is_none(), self.running[i].deadline))
                 .expect("more than one running unit");
-            let depth = lock(&sh.state).pending.depth();
-            sh.finish(self.running.swap_remove(victim), Exit::Evicted { depth });
+            sh.finish(self.running.swap_remove(victim), Exit::Evicted);
         }
         span.finish();
         true
@@ -935,17 +809,15 @@ impl<W: Work> Scheduler<W> {
     /// exits after the step in hand, whose result still counts — and
     /// returns when the next one could be declared wedged.
     fn supervise(&mut self) -> Instant {
-        let (now, timeout) = (self.shared.clock.now(), self.limits.stall_timeout);
-        let mut next_check = now + timeout;
+        let now = self.shared.clock.now();
+        let mut next_check = now + STALL_TIMEOUT;
         for idx in 0..self.slots.len() {
-            let Some(worker) = &self.slots[idx].live else {
-                continue;
-            };
-            let Some(wedged_at) = lock(&worker.flags.busy_since).map(|t| t + timeout) else {
+            let flags = &self.slots[idx].flags;
+            let Some(wedged_at) = lock(&flags.busy_since).map(|t| t + STALL_TIMEOUT) else {
                 continue;
             };
             if wedged_at < now {
-                worker.flags.retired.store(true, Ordering::Release);
+                flags.retired.store(true, Ordering::Release);
                 worker_instant(idx, WorkerEvent::Stall);
                 self.replace(idx);
             } else {
@@ -956,44 +828,20 @@ impl<W: Work> Scheduler<W> {
     }
 
     /// Sets the slot's incarnation aside (it is joined when the loop ends)
-    /// and respawns a fresh one with fresh VMs, or quarantines the slot
-    /// once its restart budget is spent. With the last slot gone, the
-    /// steps nobody is left to run are reported lost so the iteration can
-    /// end.
+    /// and respawns the slot with fresh VMs, its VM-site faults cleared.
     fn replace(&mut self, idx: usize) {
-        let slot = &mut self.slots[idx];
-        let Some(old) = slot.live.take() else { return };
-        self.replaced.push((idx, slot.generation, old.handle));
-        if slot.generation < self.limits.restart_budget {
-            slot.generation += 1;
-            if let Some(faults) = &mut slot.faults {
-                faults.vm = FaultPlan::new();
-            }
-            slot.live = Some(spawn_worker(
-                &self.shared,
-                idx,
-                slot.generation,
-                slot.faults.clone(),
-            ));
-            bump(&self.shared.counters.restarts);
-            worker_instant(idx, WorkerEvent::Restart);
-            return;
-        }
-        bump(&self.shared.counters.quarantined);
-        worker_instant(idx, WorkerEvent::Quarantine);
-        if self.slots.iter().all(|s| s.live.is_none()) {
-            let orphans: Vec<Unit<W>> = lock(&self.shared.state).jobs.drain(..).flatten().collect();
-            let lost = |unit| StepResult {
-                unit,
-                outcome: Err(Failure::Lost(STRANDED.to_string())),
-                died: None,
-            };
-            self.shared.publish(orphans.into_iter().map(lost).collect());
-        }
+        let faults = WorkerFaults {
+            vm: FaultPlan::new(),
+            ..self.faults.clone()
+        };
+        let generation = self.slots[idx].generation + 1;
+        let fresh = spawn_worker(&self.shared, idx, generation, faults);
+        let old = std::mem::replace(&mut self.slots[idx], fresh);
+        self.replaced.push(old.handle);
+        bump(&self.shared.counters.restarts);
+        worker_instant(idx, WorkerEvent::Restart);
     }
 }
-
-const STRANDED: &str = "every worker slot is quarantined";
 
 #[cfg(test)]
 mod tests;

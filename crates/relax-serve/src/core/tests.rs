@@ -3,6 +3,7 @@
 //! time and which records the units of every step. Time is a
 //! [`ManualClock`]; nothing here sleeps, and every wait is guarded.
 
+use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{mpsc, PoisonError};
 
@@ -69,10 +70,6 @@ impl Work for Toy {
     type Vms = ();
 
     fn build_vms(_: &ToyModel, _: FaultPlan) {}
-
-    fn telemetry(_: &()) -> (Telemetry, HashMap<String, KernelStat>) {
-        Default::default()
-    }
 
     fn done(&self) -> bool {
         self.left == 0
@@ -166,28 +163,15 @@ fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Served {
         pool: Arc::new(KvPagePool::unbounded(1)),
     };
     let limits = Limits {
-        capacity: usize::MAX,
-        overload: None,
         max_running: 8,
-        retry: RetryPolicy {
-            backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        },
-        restart_budget: 4,
-        stall_timeout: Duration::from_secs(3600),
-        drain_on_stop: true,
+        max_attempts: 2,
     };
     let faults = WorkerFaults {
         vm: FaultPlan::new(),
         serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
         stall: STALL,
     };
-    Served(Core::start(
-        model,
-        limits,
-        vec![Some(faults); workers],
-        clock.clock(),
-    ))
+    Served(Core::start(model, limits, workers, faults, clock.clock()))
 }
 
 fn submit(core: &Core<Toy>, steps: u32) -> (u64, Ticket) {

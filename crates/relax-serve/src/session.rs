@@ -42,7 +42,6 @@
 //! stall, dropped reply, eviction and rollback (the chaos harness asserts
 //! it).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -53,15 +52,14 @@ use relax_tir::NDArray;
 use relax_trace::{Payload, SessionPhase};
 use relax_vm::registry::{KernelError, Registry};
 use relax_vm::{
-    Executable, FaultInjector, FaultPlan, KernelStat, KvCache, KvCacheConfig, KvPagePool,
-    KvPageStats, PlanCacheStats, SharedPlanCache, Telemetry, Value, Vm, VmError, VmErrorKind,
+    Executable, FaultInjector, FaultPlan, KvCache, KvCacheConfig, KvPagePool, KvPageStats,
+    PlanCacheStats, SharedPlanCache, Value, Vm, VmError, VmErrorKind,
 };
 
 use crate::clock::{Clock, SystemClock};
 use crate::core::{
     add, bump, get, Core, Counters, Exit, Failure, Limits, StepCtx, Work, WorkerFaults,
 };
-use crate::engine::{RetryOn, RetryPolicy};
 
 /// The compiled model a [`SessionManager`] serves.
 ///
@@ -209,8 +207,11 @@ pub struct SessionConfig {
     pub pool_pages: usize,
     /// Maximum sessions in the running set; the rest wait admission.
     pub max_running: usize,
-    /// Consecutive failed attempts (panic or pool pressure) a session
-    /// survives before it is failed.
+    /// Consecutive failed attempts at one step a session survives. A step
+    /// lost to a worker panic or a dropped reply, or refused pages by the
+    /// pool, is rolled back and retried in the next iteration; one more
+    /// failure than this fails the session (`RetriesExhausted`). A VM
+    /// error, a kernel fault included, fails it at once (`Vm`).
     pub max_attempts: u32,
     /// Deadline applied when a request does not carry one.
     pub default_deadline: Duration,
@@ -696,10 +697,6 @@ impl Work for Generation {
         }
     }
 
-    fn telemetry(vms: &WorkerVms) -> (Telemetry, HashMap<String, KernelStat>) {
-        (vms.decode.telemetry(), vms.decode.kernel_stats().clone())
-    }
-
     fn admit(&mut self, id: u64) {
         self.span = relax_trace::async_begin("serve", "session", || {
             session_payload(id, SessionPhase::Admit)
@@ -779,8 +776,8 @@ impl Work for Generation {
                         .flatten(),
                 }),
             ),
-            Exit::Evicted { .. } => (SessionPhase::Evict, Err(SessionError::Evicted)),
-            Exit::Shed { .. } => (SessionPhase::Fail, Err(SessionError::DeadlineExceeded)),
+            Exit::Evicted => (SessionPhase::Evict, Err(SessionError::Evicted)),
+            Exit::Shed => (SessionPhase::Fail, Err(SessionError::DeadlineExceeded)),
             Exit::ShuttingDown => (SessionPhase::Fail, Err(SessionError::ShuttingDown)),
             Exit::Failed(failure) => (
                 SessionPhase::Fail,
@@ -800,11 +797,6 @@ impl Work for Generation {
         // its pages back to the pool.
     }
 }
-
-/// A worker silent for this long mid-step is declared wedged and
-/// replaced. Generous: a replacement costs a thread, a false alarm on a
-/// long prompt should be rare.
-const STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Continuous-batching scheduler over paged KV caches.
 ///
@@ -840,29 +832,9 @@ impl SessionManager {
             verify_plans: SharedPlanCache::default(),
             return_kv: config.return_kv,
         };
-        let workers = config.workers.max(1);
         let limits = Limits {
-            capacity: usize::MAX,
-            overload: None,
             max_running: config.max_running,
-            // A session survives `max_attempts` consecutive failed
-            // attempts at a step, retried at once; a kernel fault is
-            // deterministic for a session and fails it.
-            retry: RetryPolicy {
-                max_attempts: config.max_attempts.saturating_add(1),
-                backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                retry_on: RetryOn {
-                    worker_lost: true,
-                    overload: true,
-                    kernel_faults: false,
-                },
-            },
-            // Sessions never lose a slot for good: the per-session attempt
-            // budget already bounds what a bad step can cost.
-            restart_budget: u32::MAX,
-            stall_timeout: STALL_TIMEOUT,
-            drain_on_stop: false,
+            max_attempts: config.max_attempts,
         };
         // One schedule for the whole pool: VM sites on every worker,
         // serving sites counted across all of them.
@@ -873,7 +845,7 @@ impl SessionManager {
             stall: config.stall,
         };
         SessionManager {
-            core: Core::start(model, limits, vec![Some(faults); workers], clock),
+            core: Core::start(model, limits, config.workers, faults, clock),
             default_deadline: config.default_deadline,
         }
     }

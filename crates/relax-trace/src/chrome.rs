@@ -52,9 +52,6 @@ fn payload_args(p: &Payload) -> String {
             }
             s
         }
-        Payload::Request { request, phase } => {
-            format!("\"request\":{request},\"phase\":\"{}\"", phase.label())
-        }
         Payload::Session { session, phase } => {
             format!("\"session\":{session},\"phase\":\"{}\"", phase.label())
         }

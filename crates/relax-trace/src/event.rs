@@ -44,39 +44,6 @@ impl CacheOutcome {
     }
 }
 
-/// Where in its lifecycle a serving request is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestPhase {
-    /// Admission control on the submit thread.
-    Admit,
-    /// Waiting in the MPMC queue.
-    Queue,
-    /// Running on a worker VM.
-    Execute,
-    /// Shed unexecuted (deadline passed while queued, or evicted by
-    /// overload control).
-    Shed,
-    /// A transient failure was re-enqueued for another attempt under
-    /// the engine's retry policy.
-    Retry,
-    /// Reply delivered to the ticket.
-    Reply,
-}
-
-impl RequestPhase {
-    /// Stable lower-case label used by the exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestPhase::Admit => "admit",
-            RequestPhase::Queue => "queue",
-            RequestPhase::Execute => "execute",
-            RequestPhase::Shed => "shed",
-            RequestPhase::Retry => "retry",
-            RequestPhase::Reply => "reply",
-        }
-    }
-}
-
 /// Where in its lifecycle a generation session is. Sessions are the
 /// continuous-batching scheduler's unit of work: one paged KV cache
 /// plus a token stream, admitted and retired between decode
@@ -117,14 +84,12 @@ impl SessionPhase {
 /// A worker-lifecycle event observed by the serving supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerEvent {
-    /// The worker panicked; its in-flight request was resolved typed.
+    /// The worker panicked; its in-flight step was reported lost.
     Panic,
     /// Heartbeat monitoring declared the worker wedged.
     Stall,
     /// The supervisor respawned a fresh worker into the slot.
     Restart,
-    /// The slot exhausted its restart budget and was quarantined.
-    Quarantine,
 }
 
 impl WorkerEvent {
@@ -134,7 +99,6 @@ impl WorkerEvent {
             WorkerEvent::Panic => "panic",
             WorkerEvent::Stall => "stall",
             WorkerEvent::Restart => "restart",
-            WorkerEvent::Quarantine => "quarantine",
         }
     }
 }
@@ -157,9 +121,6 @@ pub enum Payload {
         shapes: String,
         cache: Option<CacheOutcome>,
     },
-    /// A serving-request event: the engine-assigned request id and the
-    /// lifecycle phase this event marks.
-    Request { request: u64, phase: RequestPhase },
     /// A session-lifecycle event: the scheduler-assigned session id
     /// and the lifecycle phase this event marks.
     Session { session: u64, phase: SessionPhase },

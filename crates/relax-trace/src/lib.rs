@@ -2,23 +2,23 @@
 //! compile, VM and serving, with Chrome trace-event export.
 //!
 //! The compiler (`relax-passes`), the VM (`relax-vm`) and the
-//! serving engine (`relax-serve`) each kept their own timing silo —
-//! per-pass wall times, per-kernel compile/run splits, request latency
-//! percentiles. This crate gives them one time-ordered substrate:
+//! serving layer (`relax-serve`) each kept their own timing silo —
+//! per-pass wall times, per-kernel compile/run splits, session latency.
+//! This crate gives them one time-ordered substrate:
 //!
 //! - [`span`] opens a synchronous RAII span on the current thread. Spans
 //!   nest through a thread-local stack, so a kernel span launched while
-//!   a request executes records that request as its parent. The guard
+//!   a session step runs records that step as its parent. The guard
 //!   **always** measures wall time — [`SpanGuard::finish`] returns the
 //!   elapsed [`Duration`] whether or not tracing is enabled — so callers
 //!   feed their reports (e.g. `CompileReport`) from the same clock that
 //!   stamps the trace, and the two can never disagree.
 //! - [`async_begin`]/[`async_end`] bracket work that migrates across
-//!   threads (a serving request travels from the submit thread through
-//!   the queue to a worker); the [`SpanId`] is carried alongside the
-//!   work and closes the span wherever it lands.
-//! - [`instant`] marks point events (allocator fallbacks, shed
-//!   requests).
+//!   threads (a serving session is admitted on the scheduler thread and
+//!   steps on the workers); the [`SpanId`] is carried alongside the work
+//!   and closes the span wherever it lands.
+//! - [`instant`] marks point events (allocator fallbacks, retries,
+//!   worker restarts).
 //!
 //! Events carry typed [`Payload`]s and land in a lock-sharded bounded
 //! buffer ([`take`] drains it). Two exporters read a drained [`Trace`]:
@@ -68,9 +68,7 @@ use std::time::{Duration, Instant};
 
 pub use buffer::{clear, dropped, set_capacity, take, Trace, DEFAULT_CAPACITY};
 pub use chrome::{chrome_json, parse_json, validate_chrome_trace, ChromeStats, Json};
-pub use event::{
-    CacheOutcome, EventKind, Payload, RequestPhase, SessionPhase, SpanId, TraceEvent, WorkerEvent,
-};
+pub use event::{CacheOutcome, EventKind, Payload, SessionPhase, SpanId, TraceEvent, WorkerEvent};
 pub use flame::flame_summary;
 pub use lock::{lock_wait_stats, reset_lock_wait_stats, LockSite, LockWaitStat};
 
@@ -244,7 +242,7 @@ pub fn span(cat: &'static str, name: impl FnOnce() -> String) -> SpanGuard {
 /// Opens a synchronous span with an explicit parent (use the [`SpanId`]
 /// carried across a thread boundary; `None` or `Some(0)` falls back to
 /// the thread-local parent). This is how a serving worker stitches its
-/// execute span under the request span opened on the submit thread.
+/// step span under the session span opened on the scheduler thread.
 pub fn span_under(
     cat: &'static str,
     parent: Option<SpanId>,
@@ -448,20 +446,12 @@ mod tests {
         drop(inner);
         drop(outer);
 
-        let req = async_begin("serve", "request", || Payload::Request {
-            request: 1,
-            phase: RequestPhase::Queue,
-        });
+        let session = |phase| Payload::Session { session: 1, phase };
+        let req = async_begin("serve", "session", || session(SessionPhase::Admit));
         let handle = std::thread::spawn(move || {
             let sp = span_under("serve", Some(req), || "execute".to_string());
-            sp.finish_with(|| Payload::Request {
-                request: 1,
-                phase: RequestPhase::Execute,
-            });
-            async_end("serve", "request", req, || Payload::Request {
-                request: 1,
-                phase: RequestPhase::Reply,
-            });
+            sp.finish_with(|| session(SessionPhase::Decode));
+            async_end("serve", "session", req, || session(SessionPhase::Retire));
         });
         handle.join().unwrap();
 

@@ -10,43 +10,33 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use relax::core::{DataType, ShapeDesc, StructInfo};
-use relax::models::llama::{build_decode, LlamaConfig, ModelIr};
+use relax::core::{ShapeDesc, StructInfo};
+use relax::models::llama::{build_decode_paged, LlamaConfig};
 use relax::passes::{compile, CompileOptions};
-use relax::serve::{ServeConfig, ServeEngine};
+use relax::serve::{SessionConfig, SessionManager, SessionModelSpec, SessionRequest};
 use relax::tir::NDArray;
-use relax::vm::{Value, Vm};
+use relax::vm::{KvCacheConfig, Value};
 
-fn concrete_dims(ir: &ModelIr, sinfo: &StructInfo, batch: i64, kv: i64) -> (Vec<usize>, DataType) {
-    let mut env = HashMap::new();
-    env.insert(ir.batch.clone(), batch);
-    env.insert(ir.seq.clone(), kv);
-    match sinfo {
-        StructInfo::Tensor {
-            shape: ShapeDesc::Known(dims),
-            dtype,
-        } => (
-            dims.iter()
-                .map(|d| d.eval(&env).expect("bound") as usize)
-                .collect(),
-            dtype.expect("typed"),
-        ),
-        other => panic!("unexpected annotation {other}"),
-    }
-}
-
-fn decode_args(ir: &ModelIr, batch: i64, kv: i64) -> Vec<Value> {
-    ir.params
-        .iter()
-        .map(|(name, sinfo)| {
-            let (dims, dt) = concrete_dims(ir, sinfo, batch, kv);
-            let n: usize = dims.iter().product();
-            if name == "tokens" {
-                Value::Tensor(NDArray::from_i64(&dims, dt, vec![3; n]).expect("shape"))
-            } else {
-                Value::Tensor(NDArray::from_f64(&dims, dt, vec![0.01; n]).expect("shape"))
+/// A constant fill of every weight parameter (weights have no symbolic
+/// dims), in parameter order.
+fn constant_weights(params: &[(String, StructInfo)]) -> Vec<Value> {
+    let weights = params.iter().filter(|(name, _)| name != "tokens" && name != "kv_cache");
+    weights
+        .map(|(_, sinfo)| match sinfo {
+            StructInfo::Tensor {
+                shape: ShapeDesc::Known(dims),
+                dtype: Some(dt),
+            } => {
+                let dims: Vec<usize> = dims
+                    .iter()
+                    .map(|d| d.eval(&HashMap::new()).expect("bound") as usize)
+                    .collect();
+                let n = dims.iter().product();
+                Value::Tensor(NDArray::from_f64(&dims, *dt, vec![0.01; n]).expect("shape"))
             }
+            other => panic!("unexpected annotation {other}"),
         })
         .collect()
 }
@@ -57,37 +47,53 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let capture = relax::trace::Capture::begin();
 
     // Compile (traced: pipeline root, one span per pass, fixpoint rounds).
-    let ir = build_decode(&LlamaConfig::tiny())?;
+    let cfg = LlamaConfig::tiny();
+    let ir = build_decode_paged(&cfg)?;
     let exec = compile(ir.module.clone(), &CompileOptions::default())?;
 
-    // One direct VM run (traced: plan compile + kernel spans).
-    let args = decode_args(&ir, 1, 4);
-    Vm::new(exec.clone()).run(&ir.func, &args)?;
-
-    // A small 4-worker serving burst (traced: async request spans
-    // stitched across the submit thread and the workers).
-    let engine = ServeEngine::new(
-        exec,
-        ServeConfig {
+    // A small 4-worker serving burst (traced: async session spans opened
+    // on the scheduler thread and closed wherever each session resolves,
+    // with step, plan-compile and kernel spans on the workers).
+    let mgr = SessionManager::new(
+        SessionModelSpec {
+            decode: Arc::new(exec),
+            decode_func: "decode_paged".into(),
+            prefill: None,
+            prefill_func: String::new(),
+            weights: constant_weights(&ir.params),
+            cache: KvCacheConfig {
+                streams: 2 * cfg.n_layers,
+                batch: 1,
+                heads: cfg.n_kv_heads as usize,
+                head_dim: cfg.head_dim as usize,
+                dtype: cfg.dtype,
+            },
+            speculative: None,
+        },
+        SessionConfig {
             workers: 4,
-            queue_capacity: 64,
-            max_batch: 4,
-            ..ServeConfig::default()
+            ..SessionConfig::default()
         },
     );
     let tickets: Vec<_> = (0..24)
-        .map(|_| engine.submit(&ir.func, &args).expect("queue holds the burst"))
+        .map(|i| {
+            mgr.submit(SessionRequest {
+                prompt: vec![3, 1, 4, 1 + i % 5],
+                max_new_tokens: 4,
+                deadline: None,
+            })
+        })
         .collect();
-    let report = engine.shutdown();
     for t in tickets {
         t.wait()?;
     }
+    let stats = mgr.shutdown();
 
     // Export and verify.
     let trace = capture.finish();
     trace.validate().map_err(|e| format!("malformed trace: {e}"))?;
     let json = trace.chrome_json();
-    let stats = relax::trace::validate_chrome_trace(&json)
+    let chrome = relax::trace::validate_chrome_trace(&json)
         .map_err(|e| format!("chrome export failed the checker: {e}"))?;
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/target/trace_smoke.json");
@@ -96,23 +102,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {out}");
     println!(
         "events={} sync_pairs={} async_pairs={} instants={} threads={} dropped={}",
-        stats.events, stats.sync_pairs, stats.async_pairs, stats.instants, stats.threads, stats.dropped
+        chrome.events,
+        chrome.sync_pairs,
+        chrome.async_pairs,
+        chrome.instants,
+        chrome.threads,
+        chrome.dropped
     );
     println!("\n{}", trace.flame_summary());
 
-    // The smoke is only green if the trace really covered all three
-    // layers and resolved every request span.
+    // The smoke is only green if the trace really covered every layer and
+    // closed every session span.
     if trace.sync_span_count("compile", "pipeline") != 1 {
         return Err("missing compile pipeline span".into());
     }
-    if stats.async_pairs != report.stats.accepted as usize {
+    if chrome.async_pairs as u64 != stats.admitted {
         return Err(format!(
-            "async request spans ({}) != accepted requests ({})",
-            stats.async_pairs, report.stats.accepted
+            "async session spans ({}) != admitted sessions ({})",
+            chrome.async_pairs, stats.admitted
         )
         .into());
     }
-    if stats.threads < 2 {
+    if chrome.threads < 2 {
         return Err("serving burst did not record multiple threads".into());
     }
     println!("trace smoke OK");

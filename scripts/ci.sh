@@ -38,12 +38,13 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 echo "==> relax-serve suite (release)"
-# The whole serving crate at once: the admission deque and clock unit
-# tests, requests (serve, stress8, shutdown), sessions over the paged KV
-# cache (sessions, spec_decode, prompt_feed, and batched_decode: sessions
-# sharing their decode steps bitwise equal to each served alone) and
-# seeded fault injection (chaos). The suites assert the accounting
-# identity submitted == retired + evicted + failed + shed and a
+# The whole serving crate at once: the admission deque, latency reservoir
+# and toy-core unit tests, sessions over the paged KV cache (sessions,
+# spec_decode, prompt_feed, and batched_decode: sessions sharing their
+# decode steps bitwise equal to each served alone), shutdown under load
+# with a balanced trace (shutdown), and seeded fault injection
+# (session_chaos_* in sessions and spec_decode). The suites assert the
+# accounting identity submitted == retired + evicted + failed + shed and a
 # reconciled page pool with nothing leaked.
 cargo test -p relax-serve --release -q
 
@@ -59,12 +60,12 @@ for _ in 1 2 3; do
     $one_core cargo test -p relax-vm --release -q --lib \
         stacked_append_and_attention_match_each_member_alone_bitwise -- --test-threads 1
 done
-# A born-expired request must be shed, never dispatched: the race this
+# A born-expired session must be shed, never dispatched: the race this
 # once lost about 1 run in 100 (the loop read the clock before taking
 # the lock submit pushes under) cannot come back unseen.
 for run in $(seq 50); do
     out=$($one_core cargo test -p relax-serve --release -q --test shutdown \
-        shutdown_under_load_resolves_every_request 2>&1) ||
+        shutdown_under_load_resolves_every_session 2>&1) ||
         { echo "$out"; echo "shutdown_under_load failed on run $run of 50"; exit 1; }
 done
 

@@ -13,10 +13,10 @@
 //! - [`passes`]: the optimization pipeline (fusion, memory planning,
 //!   workspace lifting, library dispatch, graph capture, VM codegen);
 //! - [`vm`]: the runtime virtual machine, tensors and allocators;
-//! - [`serve`]: the multi-session serving engine — a self-healing
-//!   worker pool (supervision, retry budgets, overload control, a
-//!   seeded chaos harness), bounded request queue, shape-batching
-//!   scheduler and shared kernel plan cache over the VM;
+//! - [`serve`]: multi-session serving — `SessionManager`, generation
+//!   sessions over paged KV caches with continuous batching, on one
+//!   self-healing serving core (panic containment, stall detection,
+//!   retries, a seeded chaos harness) and a shared kernel plan cache;
 //! - [`sim`]: the device performance simulator used by the benchmark
 //!   harness;
 //! - [`models`]: `nn.Module`-style model builders (LLM decoder, Whisper,
