@@ -609,6 +609,7 @@ fn worker_loop<W: Work>(
 struct Scheduler<W: Work> {
     shared: Arc<Shared<W>>,
     limits: Limits,
+    /// What every slot's first incarnation was armed with.
     faults: WorkerFaults,
     running: Vec<Unit<W>>,
     /// One live incarnation per slot.
