@@ -83,6 +83,7 @@ fn decode_numerics_agree_across_optimization_levels() {
         let exec = compile(ir.module.clone(), &opts).unwrap();
         let mut vm = Vm::new(exec);
         let out = vm.run("decode", &args).unwrap();
+        assert_eq!(vm.telemetry().plan_fallbacks, 0);
         let logits = out.as_tuple().unwrap()[0].as_tensor().unwrap().to_f64_vec();
         assert!(logits.iter().all(|v| v.is_finite()));
         outputs.push(logits);
@@ -119,6 +120,7 @@ fn one_compilation_serves_batches_and_cache_lengths() {
     let args = decode_args(&ir, 1, 16, &mut seed);
     vm.run("decode", &args).unwrap();
     assert!(vm.telemetry().replays >= 1);
+    assert_eq!(vm.telemetry().plan_fallbacks, 0);
 }
 
 #[test]
@@ -144,6 +146,7 @@ fn prefill_then_decode_composes() {
         args.push(Value::Tensor(weights[name].clone()));
     }
     let caches = pvm.run("prefill", &args).unwrap();
+    assert_eq!(pvm.telemetry().plan_fallbacks, 0);
     let caches: Vec<NDArray> = caches
         .as_tuple()
         .unwrap()
@@ -167,6 +170,7 @@ fn prefill_then_decode_composes() {
         dargs.push(Value::Tensor(weights[name].clone()));
     }
     let out = dvm.run("decode", &dargs).unwrap();
+    assert_eq!(dvm.telemetry().plan_fallbacks, 0);
     let tuple = out.as_tuple().unwrap();
     assert_eq!(tuple[1].as_tensor().unwrap().shape()[2], 4);
 }
@@ -204,6 +208,7 @@ fn quantized_tiny_model_runs() {
         })
         .collect();
     let out = vm.run("decode", &args).unwrap();
+    assert_eq!(vm.telemetry().plan_fallbacks, 0);
     let logits = out.as_tuple().unwrap()[0].as_tensor().unwrap().to_f64_vec();
     assert!(logits.iter().all(|v| v.is_finite()));
 }

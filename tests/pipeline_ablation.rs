@@ -2,7 +2,9 @@
 //! on/off combination of `dispatch_library` / `fusion` / `memory_plan` /
 //! `graph_capture` / `kernel_schedule` must produce a verifiable
 //! executable and bit-identical VM outputs — optimizations may only
-//! change *how* the answer is computed, never the answer.
+//! change *how* the answer is computed, never the answer. Each config's
+//! planned VM must also match the reference interpreter (a capacity-0
+//! plan cache) on the same executable, bitwise.
 
 use std::collections::HashMap;
 
@@ -100,6 +102,10 @@ fn all_thirty_two_configurations_verify_and_agree_bitwise() {
         relax_vm::verify(&exec, &relax_vm::registry::Registry::new())
             .unwrap_or_else(|e| panic!("config {mask:05b} failed verification: {e}"));
 
+        let mut interp = Vm::new(exec.clone());
+        interp.set_plan_cache_capacity(0);
+        let oracle = interp.run("main", &args).unwrap();
+
         let mut vm = Vm::new(exec);
         // Three runs so graph-capture replays are exercised too.
         let out = vm.run("main", &args).unwrap();
@@ -120,6 +126,12 @@ fn all_thirty_two_configurations_verify_and_agree_bitwise() {
             bits(&out_replay),
             "config {mask:05b}: replay diverged from first run"
         );
+        assert_eq!(
+            this,
+            bits(&oracle),
+            "config {mask:05b}: planned VM differs bitwise from the interpreter"
+        );
+        assert_eq!(vm.telemetry().plan_fallbacks, 0, "config {mask:05b}");
         match &reference {
             None => reference = Some(this),
             Some(want) => assert_eq!(

@@ -74,7 +74,9 @@ fn whisper_encoder_cross_kv_decoder_pipeline() {
     let enc_exec = compile(enc.module.clone(), &CompileOptions::default()).unwrap();
     let env: HashMap<&str, i64> = [("batch", 1), ("s_audio", cfg.audio_ctx)].into();
     let enc_args = materialize(&enc.params, &env, &mut weights, &mut seed);
-    let states = Vm::new(enc_exec).run("encode", &enc_args).unwrap();
+    let mut enc_vm = Vm::new(enc_exec);
+    let states = enc_vm.run("encode", &enc_args).unwrap();
+    assert_eq!(enc_vm.telemetry().plan_fallbacks, 0);
     let states = states.as_tensor().unwrap().clone();
     assert_eq!(
         states.shape(),
@@ -87,7 +89,9 @@ fn whisper_encoder_cross_kv_decoder_pipeline() {
     let cross_exec = compile(cross.module.clone(), &CompileOptions::default()).unwrap();
     let mut cross_args = materialize(&cross.params, &env, &mut weights, &mut seed);
     cross_args[0] = Value::Tensor(states);
-    let cross_out = Vm::new(cross_exec).run("cross_kv", &cross_args).unwrap();
+    let mut cross_vm = Vm::new(cross_exec);
+    let cross_out = cross_vm.run("cross_kv", &cross_args).unwrap();
+    assert_eq!(cross_vm.telemetry().plan_fallbacks, 0);
     let cross_tensors: Vec<NDArray> = cross_out
         .as_tuple()
         .unwrap()
@@ -115,7 +119,9 @@ fn whisper_encoder_cross_kv_decoder_pipeline() {
             }
         }
     }
-    let out = Vm::new(dec_exec).run("decode", &dec_args).unwrap();
+    let mut dec_vm = Vm::new(dec_exec);
+    let out = dec_vm.run("decode", &dec_args).unwrap();
+    assert_eq!(dec_vm.telemetry().plan_fallbacks, 0);
     let tuple = out.as_tuple().unwrap();
     let logits = tuple[0].as_tensor().unwrap();
     assert_eq!(logits.shape(), &[1, 1, cfg.vocab as usize]);
@@ -133,7 +139,9 @@ fn llava_vision_encoder_projects_to_llm_space() {
     let mut weights = HashMap::new();
     let env: HashMap<&str, i64> = [("batch", 1)].into();
     let args = materialize(&ir.params, &env, &mut weights, &mut seed);
-    let out = Vm::new(exec).run("encode_image", &args).unwrap();
+    let mut vm = Vm::new(exec);
+    let out = vm.run("encode_image", &args).unwrap();
+    assert_eq!(vm.telemetry().plan_fallbacks, 0);
     let t = out.as_tensor().unwrap();
     assert_eq!(
         t.shape(),
