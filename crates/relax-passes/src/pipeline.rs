@@ -22,7 +22,8 @@ use crate::schedule_pass::ScheduleKernels;
 use crate::workspace::WorkspaceLift;
 
 /// Options controlling the pipeline — each toggle corresponds to one bar
-/// of the paper's Figure 17 ablation.
+/// of the paper's Figure 17 ablation. Kernel scheduling is not a toggle:
+/// [`ScheduleKernels`] runs under every configuration.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// §4.6 partial library lowering.
@@ -35,10 +36,6 @@ pub struct CompileOptions {
     pub memory_plan: bool,
     /// §4.5 graph capture offloading (requires a static plan to fire).
     pub graph_capture: bool,
-    /// TensorIR-style kernel scheduling: marks lowered reduction nests
-    /// for the plan compiler's blocked macro-op superinstructions (see
-    /// `relax_tir::schedule`).
-    pub kernel_schedule: bool,
     /// Declared upper bounds for symbolic shape variables (e.g. maximum
     /// context length), enabling fully static plans.
     pub shape_bounds: HashMap<SymVar, i64>,
@@ -52,7 +49,6 @@ impl Default for CompileOptions {
             fusion: true,
             memory_plan: true,
             graph_capture: true,
-            kernel_schedule: true,
             shape_bounds: HashMap::new(),
         }
     }
@@ -67,7 +63,6 @@ impl CompileOptions {
             fusion: false,
             memory_plan: false,
             graph_capture: false,
-            kernel_schedule: false,
             shape_bounds: HashMap::new(),
         }
     }
@@ -81,7 +76,7 @@ impl CompileOptions {
 
 /// Compiles a module end to end: partial library lowering → legalization →
 /// analysis feedback → fusion → cleanup → workspace lifting → VM lowering
-/// → memory planning → graph capture.
+/// → kernel scheduling → memory planning → graph capture.
 ///
 /// # Errors
 ///
@@ -176,11 +171,9 @@ pub fn default_manager(opts: &CompileOptions) -> PassManager {
     }
     pm.add_module_pass(cleanup_fixpoint());
     pm.add_module_pass(WorkspaceLift);
-    if opts.kernel_schedule {
-        // Runs before plan-affecting exec passes so downstream shape
-        // specialization sees the schedule attributes.
-        pm.add_exec_pass(ScheduleKernels);
-    }
+    // Runs before plan-affecting exec passes so downstream shape
+    // specialization sees the schedule attributes.
+    pm.add_exec_pass(ScheduleKernels);
     if opts.memory_plan {
         pm.add_exec_pass(MemoryPlan::new(opts.shape_bounds.clone()));
         if opts.graph_capture {

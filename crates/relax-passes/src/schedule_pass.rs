@@ -15,9 +15,9 @@
 //! Scheduling never changes results: macro-op execution is proven
 //! bitwise equal to the scalar tape (same per-cell rounding sequence),
 //! and launches whose storage bindings break the proof (aliasing,
-//! integer views) fall back to the preserved scalar body. The pass is
-//! gated by [`CompileOptions::kernel_schedule`](crate::CompileOptions)
-//! so the ablation can measure it like every other bar.
+//! integer views) fall back to the preserved scalar body. The pass runs
+//! under every [`CompileOptions`](crate::CompileOptions): a kernel is one
+//! scheduled program, not a choice made per configuration.
 
 use relax_tir::schedule::auto_schedule;
 use relax_vm::Executable;

@@ -4,8 +4,9 @@
 //! the committed stream plus the final verify KV cache must be
 //! **bitwise** equal to plain autoregressive decoding of the same
 //! request — regardless of draft quality, injected proposal noise,
-//! lookahead, worker count, or the `kernel_schedule` ablation. Noise
-//! only moves the acceptance counters, never the stream.
+//! lookahead or worker count, with every executable running its
+//! scheduled macro-op plans. Noise only moves the acceptance counters,
+//! never the stream.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -342,18 +343,14 @@ fn speculative_sessions_match_plain_decode_on_eight_workers() {
     run_and_compare(&fx, &random_schedule(10, &mut seed), 8, "parallel");
 }
 
-/// The `kernel_schedule` ablation recompiles every executable (fused
-/// macro-op plans included) and the draft/verify/plain triangle still
+/// A lookahead of four with light proposal noise on two workers: the
+/// draft/verify/plain triangle, all on scheduled macro-op plans, still
 /// agrees bitwise.
 #[test]
-fn kernel_schedule_ablation_preserves_the_stream() {
-    let opts = CompileOptions {
-        kernel_schedule: true,
-        ..CompileOptions::default()
-    };
-    let fx = fixture(Draft::SameModel, 4, 0.2, &opts);
+fn lookahead_four_with_noise_on_two_workers_preserves_the_stream() {
+    let fx = fixture(Draft::SameModel, 4, 0.2, &CompileOptions::default());
     let mut seed = 0x5BEC_0003u64;
-    run_and_compare(&fx, &random_schedule(6, &mut seed), 2, "kernel_schedule");
+    run_and_compare(&fx, &random_schedule(6, &mut seed), 2, "lookahead4");
 }
 
 /// A genuinely different draft (1 layer, independent random weights)

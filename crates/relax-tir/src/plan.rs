@@ -22,11 +22,11 @@
 //!   not one tape walk per element ([`KernelPlan::scalar_stores`] counts
 //!   the stores left on the tape).
 //!
-//! Anything the planner cannot express returns
-//! [`PlanError::Unsupported`] and the caller falls back to the reference
-//! interpreter, so the plan path never changes observable behavior — it is
-//! bit-identical by construction (the tape reuses the interpreter's
-//! [`Scalar`] promotion rules) and the fallback covers the rest.
+//! A plan is bit-identical to the interpreter by construction (the tape
+//! reuses the interpreter's [`Scalar`] promotion rules). Anything the
+//! planner cannot express returns [`PlanError::Unsupported`]; there is no
+//! fallback, so the VM fails that launch with a typed error. The
+//! interpreter is the oracle plans are tested against.
 //!
 //! [`KernelPlan::run`] executes the plan on the thread that launches it.
 //! Parallelism comes from the layer above — a serving core runs one step
@@ -47,8 +47,8 @@ use crate::stmt::Stmt;
 /// Error raised while compiling a kernel plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The function uses a construct the planner does not model; callers
-    /// should fall back to the reference interpreter.
+    /// The function uses a construct the planner does not model; the
+    /// kernel cannot run as a plan, and callers report it as an error.
     Unsupported(String),
     /// Binding the concrete shapes against the declared symbolic shapes
     /// failed — the interpreter would fail identically, so callers should
@@ -414,7 +414,7 @@ pub struct KernelPlan {
 /// [`PlanError::Interp`] if the shapes contradict the declared symbolic
 /// shapes (the interpreter would fail identically);
 /// [`PlanError::Unsupported`] if the function uses constructs the planner
-/// does not model (callers fall back to the interpreter).
+/// does not model.
 pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, PlanError> {
     let mut env = HashMap::new();
     interp::bind_shapes_dims(func.params(), shapes, &mut env).map_err(PlanError::Interp)?;

@@ -28,9 +28,6 @@ pub enum CacheOutcome {
     Hit,
     /// No plan was cached; this launch compiled one.
     Miss,
-    /// The planner refused the function; the launch ran on the
-    /// interpreter via a cached negative entry.
-    Unplannable,
 }
 
 impl CacheOutcome {
@@ -39,7 +36,6 @@ impl CacheOutcome {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
-            CacheOutcome::Unplannable => "unplannable",
         }
     }
 }

@@ -13,9 +13,10 @@
 //!   `TensorFromStorage`) for the memory-planning path of Algorithm 3, with
 //!   byte-level telemetry that the Table 2 experiment reads.
 //! - **Tensor programs**: generated kernels run as shape-specialized
-//!   kernel plans ([`relax_tir::plan`]) from a shared LRU cache; the
-//!   [`relax_tir::interp`] reference interpreter is the fallback for
-//!   unplannable kernels and the oracle plans are tested against.
+//!   kernel plans ([`relax_tir::plan`]) from a shared LRU cache. A kernel
+//!   the planner refuses fails its launch with a typed error. The
+//!   [`relax_tir::interp`] reference interpreter runs only at plan-cache
+//!   capacity 0: the oracle that plans are tested against.
 //! - **Foreign functions** ([`registry`]): one table of native Rust
 //!   functions, each registered with its signature. "Vendor library"
 //!   kernels are called destination-passing; runtime builtins (`unique`,

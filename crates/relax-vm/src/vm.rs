@@ -218,16 +218,9 @@ pub struct Telemetry {
     /// Successful runs completed immediately after a failed run — the
     /// observable form of the "clean state after error" guarantee.
     pub recoveries: u64,
-    /// Kernel-plan cache hits: `CallTir` launches that reused a compiled
-    /// plan for their exact (function, shapes) key.
-    pub plan_cache_hits: u64,
-    /// Kernel-plan cache misses: each compiles one shape-specialized plan
-    /// (per kernel: [`KernelStat::plan_compiles`]).
-    pub plan_cache_misses: u64,
-    /// Plans evicted from the cache (least recently used first).
-    pub plan_cache_evictions: u64,
-    /// `CallTir` launches executed by the reference interpreter because
-    /// the tensor program is outside the planner's supported subset.
+    /// Always 0: a kernel the planner refuses fails its launch, and the
+    /// VM writes no count. Kept only because the benchmark probes still
+    /// read it; it goes with `CachedPlan::Unplannable`.
     pub plan_fallbacks: u64,
     /// Plan launches whose plan left at least one store on the scalar
     /// tape, one tape walk per element, instead of a row or a macro-op
@@ -395,17 +388,7 @@ impl Vm {
     /// interpreter. The default is 64. When the cache is shared, the new
     /// capacity applies to every VM sharing it.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.telemetry.plan_cache_evictions += self.plan_cache.set_capacity(capacity);
-    }
-
-    /// Current plan-cache capacity.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache.capacity()
-    }
-
-    /// Number of plans (and negative entries) currently cached.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.len()
+        self.plan_cache.set_capacity(capacity);
     }
 
     /// A handle to this VM's plan cache (clone it into other VMs to share
@@ -414,9 +397,9 @@ impl Vm {
         &self.plan_cache
     }
 
-    /// Current execution counters. Plan-cache hits/misses/evictions are
-    /// *this VM's* counts; with a shared cache, the aggregate across all
-    /// sharers is [`SharedPlanCache::stats`].
+    /// Current execution counters. Plan-cache counters live on the cache
+    /// ([`SharedPlanCache::stats`], aggregated across every sharer); this
+    /// VM's plan compiles are [`KernelStat::plan_compiles`].
     pub fn telemetry(&self) -> Telemetry {
         let mut t = self.telemetry;
         t.pool = self.pool.stats();
@@ -709,19 +692,17 @@ impl Vm {
                     tensors.iter().map(|t| t.shape().to_vec()).collect();
                 // Resolve a shape-specialized plan through the LRU cache;
                 // a miss compiles once, outside the cache's lock, and is
-                // charged separately from run time. Capacity 0 disables
-                // planning entirely. The trace spans are the timing source
+                // charged separately from run time; a refusal fails the
+                // launch, uncached. Capacity 0 runs the interpreter (the
+                // oracle mode) instead. The trace spans are the timing source
                 // for the kernel stats, so the per-kernel report and the
                 // trace share one clock.
-                let mut cache_outcome = None;
-                let cached = match self.plan_cache.lookup(func, &shapes) {
-                    Some(c) => {
-                        self.telemetry.plan_cache_hits += 1;
-                        cache_outcome = Some(relax_trace::CacheOutcome::Hit);
-                        Some(c)
+                let (plan, cache_outcome) = match self.plan_cache.lookup(func, &shapes) {
+                    Some(CachedPlan::Ready(p)) => (Some(p), Some(relax_trace::CacheOutcome::Hit)),
+                    Some(CachedPlan::Unplannable) => {
+                        return Err(not_plannable(func, "a negative cache entry"));
                     }
                     None if self.plan_cache.enabled() => {
-                        self.telemetry.plan_cache_misses += 1;
                         let sp = relax_trace::span("vm", || format!("plan:{func}"));
                         let compiled =
                             relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
@@ -733,36 +714,25 @@ impl Vm {
                         let stat = self.kernel_stats.entry(func.clone()).or_default();
                         stat.plan_compiles += 1;
                         stat.compile_time += dt;
-                        let entry = match compiled {
-                            Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
-                            Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
+                        let plan = match compiled {
+                            Ok(plan) => Arc::new(plan),
+                            Err(PlanError::Unsupported(r)) => return Err(not_plannable(func, &r)),
                             Err(PlanError::Interp(e)) => return Err(e.into()),
                         };
-                        self.telemetry.plan_cache_evictions +=
-                            self.plan_cache.insert(func, &shapes, entry.clone());
-                        cache_outcome = Some(relax_trace::CacheOutcome::Miss);
-                        Some(entry)
+                        self.plan_cache.insert(func, &shapes, CachedPlan::Ready(plan.clone()));
+                        (Some(plan), Some(relax_trace::CacheOutcome::Miss))
                     }
-                    None => None,
+                    None => (None, None),
                 };
-                if matches!(&cached, Some(CachedPlan::Unplannable)) {
-                    cache_outcome = Some(relax_trace::CacheOutcome::Unplannable);
-                }
                 let sp = relax_trace::span("vm", || format!("kernel:{func}"));
-                match cached {
-                    Some(CachedPlan::Ready(plan)) => {
+                match plan {
+                    Some(plan) => {
                         if plan.scalar_stores() > 0 {
                             self.telemetry.scalar_tape_launches += 1;
                         }
                         plan.run(&tensors, 1)?;
                     }
-                    Some(CachedPlan::Unplannable) => {
-                        self.telemetry.plan_fallbacks += 1;
-                        interp::run(&self.exec.tir_funcs[func], &tensors)?;
-                    }
-                    None => {
-                        interp::run(&self.exec.tir_funcs[func], &tensors)?;
-                    }
+                    None => interp::run(&self.exec.tir_funcs[func], &tensors)?,
                 }
                 let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
                     kernel: func.clone(),
@@ -989,6 +959,12 @@ fn injected_kernel_fault(kernel: &str) -> VmError {
     VmErrorKind::Kernel(KernelError::new(kernel, "injected fault")).into()
 }
 
+/// The error of a launch whose kernel the planner refuses.
+fn not_plannable(kernel: &str, reason: &str) -> VmError {
+    let detail = format!("kernel not plannable: {reason}");
+    VmErrorKind::Kernel(KernelError::new(kernel, detail)).into()
+}
+
 /// Renders an instruction for a frame-trace entry. Capture regions print
 /// a one-line summary instead of their whole body.
 fn render_instr(instr: &Instr) -> String {
@@ -1109,16 +1085,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_on_repeated_shape() {
+    fn repeated_shape_hits_the_plan_cache() {
         let mut vm = Vm::new(relu_exec());
         let x = NDArray::from_f64(&[4], DataType::F32, vec![-1., 2., -3., 4.]).unwrap();
         vm.run("main", &[Value::Tensor(x.clone())]).unwrap();
         let out = vm.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 2., 0., 4.]);
-        let tel = vm.telemetry();
-        assert_eq!(tel.plan_cache_misses, 1);
-        assert_eq!(tel.plan_cache_hits, 1);
-        assert_eq!(tel.plan_fallbacks, 0);
+        let stats = vm.plan_cache().stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
         let stat = vm.kernel_stats()["relu"];
         assert_eq!(stat.calls, 2);
         assert_eq!(stat.plan_compiles, 1);
@@ -1126,17 +1100,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_misses_on_new_shape() {
+    fn new_shape_misses_the_plan_cache() {
         let mut vm = Vm::new(relu_exec());
         for n in [4usize, 8, 4, 8] {
             let x = NDArray::zeros(&[n], DataType::F32);
             vm.run("main", &[Value::Tensor(x)]).unwrap();
         }
-        let tel = vm.telemetry();
         // One compile per distinct shape; repeats hit.
-        assert_eq!(tel.plan_cache_misses, 2);
-        assert_eq!(tel.plan_cache_hits, 2);
-        assert_eq!(vm.plan_cache_len(), 2);
+        let stats = vm.plan_cache().stats();
+        assert_eq!((stats.misses, stats.hits, stats.len), (2, 2, 2));
+        assert_eq!(vm.kernel_stats()["relu"].plan_compiles, 2);
     }
 
     #[test]
@@ -1147,12 +1120,11 @@ mod tests {
             let x = NDArray::zeros(&[n], DataType::F32);
             vm.run("main", &[Value::Tensor(x)]).unwrap();
         }
-        let tel = vm.telemetry();
         // Each shape change evicts the previous single entry, so the
         // third run (shape 4 again) must recompile.
-        assert_eq!(tel.plan_cache_misses, 3);
-        assert_eq!(tel.plan_cache_evictions, 2);
-        assert_eq!(vm.plan_cache_len(), 1);
+        let stats = vm.plan_cache().stats();
+        assert_eq!((stats.misses, stats.evictions, stats.len), (3, 2, 1));
+        assert_eq!(vm.kernel_stats()["relu"].plan_compiles, 3);
 
         // Capacity 2: the hit on shape 4 makes it newer than shape 8, so
         // shape 16 evicts 8 and the last run hits 4 again. A freshly
@@ -1163,11 +1135,8 @@ mod tests {
             let x = NDArray::zeros(&[n], DataType::F32);
             vm.run("main", &[Value::Tensor(x)]).unwrap();
         }
-        let tel = vm.telemetry();
-        assert_eq!(tel.plan_cache_misses, 3);
-        assert_eq!(tel.plan_cache_hits, 2);
-        assert_eq!(tel.plan_cache_evictions, 1);
-        assert_eq!(vm.plan_cache_len(), 2);
+        let stats = vm.plan_cache().stats();
+        assert_eq!((stats.misses, stats.hits, stats.evictions, stats.len), (3, 2, 1, 2));
     }
 
     #[test]
@@ -1177,10 +1146,54 @@ mod tests {
         let x = NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap();
         let out = vm.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
-        let tel = vm.telemetry();
-        assert_eq!(tel.plan_cache_misses, 0);
-        assert_eq!(tel.plan_fallbacks, 0);
-        assert_eq!(tel.tir_calls, 1);
+        assert_eq!(vm.plan_cache().stats().probes, 0);
+        assert_eq!(vm.kernel_stats()["relu"].plan_compiles, 0);
+        assert_eq!(vm.telemetry().tir_calls, 1);
+    }
+
+    /// A kernel the interpreter runs and the planner refuses fails each
+    /// launch typed, uncached, and leaves the VM reusable.
+    #[test]
+    fn unplannable_kernel_fails_its_launch_uncached() {
+        // `shadowed` calls relu with its loop wrapped in a second loop
+        // over the same variable.
+        let mut exec = relu_exec();
+        let relu = exec.tir_funcs["relu"].clone();
+        let Stmt::For { var, .. } = relu.body() else {
+            panic!("relu's body is its loop");
+        };
+        let body = relu.body().clone().in_loop(var.clone(), 1.into());
+        let shadowed = PrimFunc::new("relu_shadowed", relu.params().to_vec(), 1, body);
+        exec.tir_funcs.insert("relu_shadowed".into(), shadowed);
+        let mut main = exec.funcs["main"].clone();
+        main.name = "shadowed".into();
+        for instr in &mut main.instrs {
+            if let Instr::CallTir { func, .. } = instr {
+                *func = "relu_shadowed".into();
+            }
+        }
+        exec.funcs.insert("shadowed".into(), main);
+        let x = [Value::Tensor(NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap())];
+        let mut interp = Vm::new(exec.clone());
+        interp.set_plan_cache_capacity(0);
+        let out = interp.run("shadowed", &x).unwrap();
+        assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
+
+        let mut vm = Vm::new(exec);
+        for _ in 0..2 {
+            let err = vm.run("shadowed", &x).unwrap_err();
+            let VmErrorKind::Kernel(e) = &err.kind else {
+                panic!("want a kernel error, got {err}");
+            };
+            assert_eq!(e.kernel, "relu_shadowed");
+            assert!(e.detail.contains("shadowed loop variable"), "{err}");
+        }
+        // The refusal is not cached: each launch compiled again.
+        assert_eq!(vm.kernel_stats()["relu_shadowed"].plan_compiles, 2);
+        assert_eq!(vm.plan_cache().len(), 0);
+        let out = vm.run("main", &x).unwrap();
+        assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
+        assert_eq!(vm.telemetry().recoveries, 1);
     }
 
     #[test]
@@ -1444,9 +1457,8 @@ mod tests {
         let out = b.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 2., 0., 4.]);
         // VM `a` compiled; VM `b` hit the shared entry without compiling.
-        assert_eq!(a.telemetry().plan_cache_misses, 1);
-        assert_eq!(b.telemetry().plan_cache_hits, 1);
-        assert_eq!(b.telemetry().plan_cache_misses, 0);
+        assert_eq!(a.kernel_stats()["relu"].plan_compiles, 1);
+        assert_eq!(b.kernel_stats()["relu"].plan_compiles, 0);
         let agg = cache.stats();
         assert_eq!(agg.hits, 1);
         assert_eq!(agg.misses, 1);

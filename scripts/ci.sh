@@ -79,7 +79,7 @@ cargo test --release -q --test moe_diff
 cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test golden_roundtrip
 
-echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
+echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep smoke (release)"
 # Kernel plans against the reference interpreter (plan_differential:
 # random shapes, the row families and the loops that must keep their
 # element order), scheduled (macro-op) plans against unscheduled plans and
@@ -88,8 +88,8 @@ echo "==> kernel-schedule ablation + paged-attention sweep smoke (release)"
 # through plans vs the interpreter, with only the embedding gathers left
 # on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
 # matmul's fastest run against the host roofline floor (kernel_roofline);
-# plus the 32-config pipeline ablation that toggles kernel_schedule with
-# the other pipeline knobs. Release matters: rows are vectorized there.
+# plus the pipeline ablation: 16 configs, each against the interpreter.
+# Release matters: rows are vectorized there.
 cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
 cargo test --release -q --test kernel_plans_e2e

@@ -4,7 +4,7 @@
 //! on seeded random token→expert assignments — including empty
 //! experts, all-tokens-to-one-expert, and more experts than tokens —
 //! serially and on 8 concurrent workers, with the plan cache on and
-//! off, and with `kernel_schedule` on and off.
+//! off (planned vs the reference interpreter).
 //!
 //! Every per-expert FFN kernel here runs with a ragged leading dim
 //! `n_e` bound at runtime by `match_cast`, so this suite is the proof
@@ -112,13 +112,6 @@ fn assignment_cases(cfg: &MoeConfig) -> Vec<(String, usize, Vec<i64>)> {
     cases
 }
 
-fn compile_opts(kernel_schedule: bool) -> CompileOptions {
-    CompileOptions {
-        kernel_schedule,
-        ..CompileOptions::default()
-    }
-}
-
 /// Core check: one compiled `moe_ffn` executable, one VM, every
 /// assignment case — bitwise against the oracle.
 fn check_ffn(vm: &mut Vm, cfg: &MoeConfig, w: &Weights, label: &str) {
@@ -146,23 +139,16 @@ fn check_ffn(vm: &mut Vm, cfg: &MoeConfig, w: &Weights, label: &str) {
 fn moe_ffn_matches_oracle_serial_across_ablations() {
     let cfg = MoeConfig::tiny();
     let w = make_weights(&cfg, 0xFACE_0FF5);
-    for kernel_schedule in [true, false] {
-        let exec = compile(
-            build_ffn_with_assignments(&cfg).unwrap().module,
-            &compile_opts(kernel_schedule),
-        )
-        .unwrap();
-        relax_vm::verify(&exec, &Registry::new()).unwrap();
-        for cache_capacity in [64usize, 0] {
-            let mut vm = Vm::new(exec.clone());
-            vm.set_plan_cache_capacity(cache_capacity);
-            check_ffn(
-                &mut vm,
-                &cfg,
-                &w,
-                &format!("schedule={kernel_schedule} cache={cache_capacity}"),
-            );
-        }
+    let exec = compile(
+        build_ffn_with_assignments(&cfg).unwrap().module,
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    relax_vm::verify(&exec, &Registry::new()).unwrap();
+    for cache_capacity in [64usize, 0] {
+        let mut vm = Vm::new(exec.clone());
+        vm.set_plan_cache_capacity(cache_capacity);
+        check_ffn(&mut vm, &cfg, &w, &format!("cache={cache_capacity}"));
     }
 }
 
@@ -173,7 +159,7 @@ fn moe_ffn_matches_oracle_on_eight_workers_sharing_one_plan_cache() {
     let exec = Arc::new(
         compile(
             build_ffn_with_assignments(&cfg).unwrap().module,
-            &compile_opts(true),
+            &CompileOptions::default(),
         )
         .unwrap(),
     );
@@ -214,7 +200,7 @@ fn moe_dispatch_routes_like_the_reference_end_to_end() {
     let w = make_weights(&cfg, 0xD15_0A7C);
     let mut seed = 0x5CA7_7E12_u64;
     let router = random_f32s(d * e, &mut seed);
-    let exec = compile(build_dispatch(&cfg).unwrap().module, &compile_opts(true)).unwrap();
+    let exec = compile(build_dispatch(&cfg).unwrap().module, &CompileOptions::default()).unwrap();
     let mut vm = Vm::new(exec);
     for t in [1usize, 2, 7, 11] {
         let tokens = random_f32s(t * d, &mut seed);
