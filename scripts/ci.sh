@@ -84,6 +84,9 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # random shapes, the row families and the loops that must keep their
 # element order), scheduled (macro-op) plans against unscheduled plans and
 # the interpreter (schedule_diff: every schedule-primitive combination),
+# every float store path and read path against round_to_dtype's bits
+# (storage_roundtrip: NDArray writes, scalar-tape, row and macro-op
+# stores, on signed zeros, NaN payloads, subnormals and the f16 boundary),
 # and every generated kernel of the served paged llama and moe_dispatch
 # through plans vs the interpreter, with only the embedding gathers left
 # on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
@@ -92,6 +95,7 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # Release matters: rows are vectorized there.
 cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
+cargo test -p relax-tir --release -q --test storage_roundtrip
 cargo test --release -q --test kernel_plans_e2e
 cargo test --release -q --test kernel_roofline
 cargo test --release -q --test pipeline_ablation
