@@ -1,7 +1,7 @@
 //! Host tensors used by the tensor-program interpreter and the VM.
 
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use relax_arith::DataType;
@@ -54,9 +54,10 @@ impl std::error::Error for NDArrayError {}
 
 /// The shared element storage behind an [`NDArray`].
 ///
-/// Elements live in per-cell atomics — `f64` values as their
-/// [`f64::to_bits`] pattern in an [`AtomicU64`], integers in an
-/// [`AtomicI64`] — so storage is shared without any lock or `unsafe`:
+/// Elements live in per-cell atomics — `f16`/`f32` values as their
+/// [`f32::to_bits`] pattern in an [`AtomicU32`] (4 bytes a cell),
+/// integers in an [`AtomicI64`] (8 bytes) — so storage is shared without
+/// any lock or `unsafe`:
 /// weights and KV pages are read by every serving worker, compiled
 /// kernel plans (`crate::plan`) address the cell slices directly, and
 /// accessors never block. All cell traffic uses [`Ordering::Relaxed`]
@@ -65,8 +66,10 @@ impl std::error::Error for NDArrayError {}
 /// passes the array on (the serving core's lock, a channel, a thread
 /// join) before any other thread reads it.
 pub(crate) enum DataBuf {
-    /// `f64` elements, stored as bit patterns.
-    F(Vec<AtomicU64>),
+    /// Float elements, stored as `f32` bit patterns. Every store rounds
+    /// to the dtype first ([`float_bits`]), and no float dtype is wider
+    /// than `f32`, so the narrowing is exact.
+    F(Vec<AtomicU32>),
     /// `i64` elements.
     I(Vec<AtomicI64>),
 }
@@ -76,8 +79,8 @@ impl DataBuf {
     /// of `dtype`.
     pub(crate) fn zeros(dtype: DataType, n: usize) -> DataBuf {
         if dtype.is_float() {
-            // 0.0f64.to_bits() == 0, so zeroed cells are zeroed floats.
-            DataBuf::F((0..n).map(|_| AtomicU64::new(0)).collect())
+            // 0.0f32.to_bits() == 0, so zeroed cells are zeroed floats.
+            DataBuf::F((0..n).map(|_| AtomicU32::new(0)).collect())
         } else {
             DataBuf::I((0..n).map(|_| AtomicI64::new(0)).collect())
         }
@@ -88,7 +91,7 @@ impl DataBuf {
         match self {
             DataBuf::F(v) => DataBuf::F(
                 v.iter()
-                    .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
+                    .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
                     .collect(),
             ),
             DataBuf::I(v) => DataBuf::I(
@@ -141,8 +144,9 @@ impl fmt::Debug for DataBuf {
 /// and mutation through one alias is visible through all others (see
 /// `DataBuf` for the memory-ordering argument).
 ///
-/// Floating-point dtypes (`f16`, `f32`) share an `f64` host representation
-/// (with `f16`/`f32` rounding applied on store); integer dtypes share `i64`.
+/// Floating-point dtypes (`f16`, `f32`) keep `f32` bits in 4-byte cells,
+/// rounded to the dtype on every store and at construction, and are read
+/// back widened to `f64`; integer dtypes keep `i64` in 8-byte cells.
 /// *Logical* size accounting ([`NDArray::size_bytes`]) always uses the
 /// declared [`DataType`], which is what the paper's memory experiments
 /// report.
@@ -187,7 +191,16 @@ impl NDArray {
         }
     }
 
-    /// Creates an array from `f64` values.
+    /// Creates an array from `f64` values, converted as
+    /// [`NDArray::set`] converts them: a float dtype rounds each value
+    /// with [`round_to_dtype`], an integer dtype truncates toward zero.
+    ///
+    /// ```
+    /// use relax_arith::DataType;
+    /// use relax_tir::NDArray;
+    /// let a = NDArray::from_f64(&[1], DataType::F32, vec![0.1]).unwrap();
+    /// assert_eq!(a.to_f64_vec(), [0.1f32 as f64]);
+    /// ```
     ///
     /// # Errors
     ///
@@ -206,7 +219,12 @@ impl NDArray {
             });
         }
         let data = if dtype.is_float() {
-            DataBuf::F(values.into_iter().map(|v| AtomicU64::new(v.to_bits())).collect())
+            DataBuf::F(
+                values
+                    .into_iter()
+                    .map(|v| AtomicU32::new(float_bits(v, dtype)))
+                    .collect(),
+            )
         } else {
             DataBuf::I(values.into_iter().map(|v| AtomicI64::new(v as i64)).collect())
         };
@@ -217,7 +235,8 @@ impl NDArray {
         })
     }
 
-    /// Creates an array from `i64` values.
+    /// Creates an array from `i64` values. A float dtype rounds each
+    /// value as [`NDArray::from_f64`] rounds `v as f64`.
     ///
     /// # Errors
     ///
@@ -238,7 +257,7 @@ impl NDArray {
             DataBuf::F(
                 values
                     .into_iter()
-                    .map(|v| AtomicU64::new((v as f64).to_bits()))
+                    .map(|v| AtomicU32::new(float_bits(v as f64, dtype)))
                     .collect(),
             )
         } else {
@@ -289,9 +308,7 @@ impl NDArray {
     /// Returns [`NDArrayError::IndexOutOfBounds`] for an invalid index.
     pub fn get(&self, flat: usize) -> Result<Scalar, NDArrayError> {
         match &*self.data {
-            DataBuf::F(v) => v
-                .get(flat)
-                .map(|c| Scalar::F(f64::from_bits(c.load(Ordering::Relaxed)))),
+            DataBuf::F(v) => v.get(flat).map(|c| Scalar::F(load_float(c))),
             DataBuf::I(v) => v.get(flat).map(|c| Scalar::I(c.load(Ordering::Relaxed))),
         }
         .ok_or(NDArrayError::IndexOutOfBounds {
@@ -312,10 +329,7 @@ impl NDArray {
                 let cell = v
                     .get(flat)
                     .ok_or(NDArrayError::IndexOutOfBounds { index: flat, len })?;
-                cell.store(
-                    round_to_dtype(value.as_f64(), self.dtype).to_bits(),
-                    Ordering::Relaxed,
-                );
+                cell.store(float_bits(value.as_f64(), self.dtype), Ordering::Relaxed);
             }
             DataBuf::I(v) => {
                 let cell = v
@@ -357,7 +371,7 @@ impl NDArray {
     pub fn fill(&self, value: Scalar) {
         match &*self.data {
             DataBuf::F(v) => {
-                let bits = round_to_dtype(value.as_f64(), self.dtype).to_bits();
+                let bits = float_bits(value.as_f64(), self.dtype);
                 v.iter().for_each(|c| c.store(bits, Ordering::Relaxed));
             }
             DataBuf::I(v) => {
@@ -400,8 +414,8 @@ impl NDArray {
     /// `src_off`) into this array (starting at flat index `dst_off`) as
     /// raw storage bits, without any per-element dtype conversion.
     ///
-    /// Stored values already carry their dtype's rounding (applied by
-    /// [`NDArray::set`] on every store), so a same-dtype bit copy is
+    /// Stored values already carry their dtype's rounding (applied on
+    /// every store and at construction), so a same-dtype bit copy is
     /// exact — this is the bulk row-copy primitive behind the KV-cache
     /// kernels, replacing element-wise `get`/`set` loops.
     ///
@@ -462,10 +476,7 @@ impl NDArray {
     /// Copies the contents to an `f64` vector.
     pub fn to_f64_vec(&self) -> Vec<f64> {
         match &*self.data {
-            DataBuf::F(v) => v
-                .iter()
-                .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-                .collect(),
+            DataBuf::F(v) => v.iter().map(load_float).collect(),
             DataBuf::I(v) => v.iter().map(|c| c.load(Ordering::Relaxed) as f64).collect(),
         }
     }
@@ -489,7 +500,7 @@ impl NDArray {
         match &*self.data {
             DataBuf::F(v) => {
                 for (d, c) in dst.iter_mut().zip(&v[off..end]) {
-                    *d = f64::from_bits(c.load(Ordering::Relaxed));
+                    *d = load_float(c);
                 }
             }
             DataBuf::I(v) => {
@@ -504,10 +515,7 @@ impl NDArray {
     /// Copies the contents to an `i64` vector (floats truncate toward zero).
     pub fn to_i64_vec(&self) -> Vec<i64> {
         match &*self.data {
-            DataBuf::F(v) => v
-                .iter()
-                .map(|c| f64::from_bits(c.load(Ordering::Relaxed)) as i64)
-                .collect(),
+            DataBuf::F(v) => v.iter().map(|c| load_float(c) as i64).collect(),
             DataBuf::I(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         }
     }
@@ -533,6 +541,20 @@ pub fn round_to_dtype(v: f64, dtype: DataType) -> f64 {
         }
         _ => v,
     }
+}
+
+/// The bits a float cell of `dtype` holds for `v`: `v` rounded to the
+/// dtype, then narrowed to `f32`. The narrowing is exact, because no
+/// float dtype is wider than `f32`.
+#[inline]
+pub(crate) fn float_bits(v: f64, dtype: DataType) -> u32 {
+    (round_to_dtype(v, dtype) as f32).to_bits()
+}
+
+/// The host value of a float cell, widened to `f64` (exact).
+#[inline]
+pub(crate) fn load_float(cell: &AtomicU32) -> f64 {
+    f32::from_bits(cell.load(Ordering::Relaxed)) as f64
 }
 
 impl fmt::Debug for NDArray {
@@ -603,6 +625,42 @@ mod tests {
         let v = a.get(0).unwrap().as_f64();
         assert!((v - 1.0).abs() < 1e-3);
         assert_ne!(v, 1.0 + 1e-6);
+    }
+
+    #[test]
+    fn float_cells_are_four_bytes_and_integer_cells_eight() {
+        let cell_bytes = |dtype| match NDArray::zeros(&[1], dtype).storage() {
+            DataBuf::F(v) => std::mem::size_of_val(&v[0]),
+            DataBuf::I(v) => std::mem::size_of_val(&v[0]),
+        };
+        assert_eq!(cell_bytes(DataType::F32), 4);
+        assert_eq!(cell_bytes(DataType::F16), 4);
+        assert_eq!(cell_bytes(DataType::I64), 8);
+        assert_eq!(cell_bytes(DataType::U32), 8);
+    }
+
+    #[test]
+    fn construction_rounds_like_a_store() {
+        let a = NDArray::from_f64(&[1], DataType::F32, vec![0.1]).unwrap();
+        assert_eq!(a.get(0).unwrap(), Scalar::F(0.1f32 as f64));
+        let h = NDArray::from_f64(&[1], DataType::F16, vec![1.0 + 1e-6]).unwrap();
+        let stored = NDArray::zeros(&[1], DataType::F16);
+        stored.set(0, Scalar::F(1.0 + 1e-6)).unwrap();
+        assert_eq!(h.get(0).unwrap(), Scalar::F(1.0));
+        assert_eq!(h, stored);
+        // 2^53 + 1 is not an f64; `as f64` rounds it to 2^53, an f32.
+        let big = (1i64 << 53) + 1;
+        let i = NDArray::from_i64(&[1], DataType::F32, vec![big]).unwrap();
+        assert_eq!(
+            i.get(0).unwrap(),
+            Scalar::F(round_to_dtype(big as f64, DataType::F32))
+        );
+        let odd = (1i64 << 40) + 1;
+        let j = NDArray::from_i64(&[1], DataType::F32, vec![odd]).unwrap();
+        assert_eq!(j.get(0).unwrap(), Scalar::F((1u64 << 40) as f64));
+        // Integer dtypes keep every bit.
+        let k = NDArray::from_i64(&[1], DataType::I64, vec![big]).unwrap();
+        assert_eq!(k.get(0).unwrap(), Scalar::I(big));
     }
 
     #[test]

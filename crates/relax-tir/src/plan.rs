@@ -34,14 +34,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
 use relax_arith::{DataType, EvalError, PrimExpr, Var};
 
 use crate::expr::{Scalar, TirExpr};
 use crate::func::PrimFunc;
 use crate::interp::{self, InterpError};
-use crate::ndarray::{round_to_dtype, DataBuf, NDArray};
+use crate::ndarray::{float_bits, load_float, round_to_dtype, DataBuf, NDArray};
 use crate::stmt::Stmt;
 
 /// Error raised while compiling a kernel plan.
@@ -1414,12 +1414,12 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// A borrowed view of one unique storage's atomic cells: float or integer
-/// representation. All cell traffic is `Relaxed` — a plain load/store on
-/// x86 — because a launch runs on one thread (see
+/// A borrowed view of one unique storage's atomic cells: `f32` bits for a
+/// float dtype, `i64` for an integer one. All cell traffic is `Relaxed` —
+/// a plain load/store on x86 — because a launch runs on one thread (see
 /// [`crate::ndarray::DataBuf`]).
 enum ViewData<'a> {
-    F(&'a [AtomicU64]),
+    F(&'a [AtomicU32]),
     I(&'a [AtomicI64]),
 }
 
@@ -1437,9 +1437,7 @@ struct StorageView<'a> {
 impl StorageView<'_> {
     fn read(&self, flat: usize) -> Option<Scalar> {
         match &self.data {
-            ViewData::F(s) => s
-                .get(flat)
-                .map(|c| Scalar::F(f64::from_bits(c.load(Ordering::Relaxed)))),
+            ViewData::F(s) => s.get(flat).map(|c| Scalar::F(load_float(c))),
             ViewData::I(s) => s.get(flat).map(|c| Scalar::I(c.load(Ordering::Relaxed))),
         }
     }
@@ -1450,10 +1448,8 @@ impl StorageView<'_> {
         }
         match &self.data {
             ViewData::F(s) => {
-                s.get(flat)?.store(
-                    round_to_dtype(v.as_f64(), self.dtype).to_bits(),
-                    Ordering::Relaxed,
-                );
+                s.get(flat)?
+                    .store(float_bits(v.as_f64(), self.dtype), Ordering::Relaxed);
                 Some(())
             }
             ViewData::I(s) => {
@@ -1590,12 +1586,12 @@ impl Machine<'_> {
                     ctx.plan.bufs[*x_buf].numel,
                     ctx.plan.bufs[*w_buf].numel,
                 );
-                let cell = |s: &[AtomicU64], flat: i64, numel: usize| {
+                let cell = |s: &[AtomicU32], flat: i64, numel: usize| {
                     if flat < 0 {
                         return Err(InterpError::NegativeIndex(flat));
                     }
                     s.get(flat as usize)
-                        .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
+                        .map(load_float)
                         .ok_or_else(|| oob(flat as usize, numel))
                 };
                 // Register-blocked loop: `k` outer, a block of `j`
@@ -1606,34 +1602,39 @@ impl Machine<'_> {
                 // the scalar tape's store/load round-trip.
                 const BJ: i64 = 64;
                 let mut acc = [0.0f64; BJ as usize];
+                let mut wrow = [0.0f64; BJ as usize];
                 let init_r = round_to_dtype(*init, dt);
                 let mut jb = 0i64;
                 while jb < *nj {
                     let bw = (*nj - jb).min(BJ);
-                    acc[..bw as usize].fill(init_r);
+                    let (acc, wrow) = (&mut acc[..bw as usize], &mut wrow[..bw as usize]);
+                    acc.fill(init_r);
                     for k in 0..*nk {
                         let xf = cell(xs, x0 + xk * k, x_len)?;
                         let wb = w0 + wk * k + wj * jb;
-                        for t in 0..bw {
-                            let wf = cell(ws, wb + wj * t, w_len)?;
+                        // Widen the block's weights once per `k` step, so
+                        // the chains below run over plain `f64`s.
+                        for (t, w) in (0i64..).zip(wrow.iter_mut()) {
+                            *w = cell(ws, wb + wj * t, w_len)?;
+                        }
+                        for (a, &wf) in acc.iter_mut().zip(wrow.iter()) {
                             // Not identical branches: multiply operand
                             // order decides which NaN payload propagates,
                             // and the tape's order must be preserved.
                             #[allow(clippy::if_same_then_else)]
                             let p = if *x_first { xf * wf } else { wf * xf };
-                            let t = t as usize;
-                            acc[t] = round_to_dtype(acc[t] + p, dt);
+                            *a = round_to_dtype(*a + p, dt);
                         }
                     }
                     let yb = y0 + yj * jb;
-                    for t in 0..bw {
+                    for (t, a) in (0i64..).zip(acc.iter()) {
                         let flat = yb + yj * t;
                         if flat < 0 {
                             return Err(InterpError::NegativeIndex(flat));
                         }
                         ys.get(flat as usize)
                             .ok_or_else(|| oob(flat as usize, y_len))?
-                            .store(acc[t as usize].to_bits(), Ordering::Relaxed);
+                            .store(float_bits(*a, dt), Ordering::Relaxed);
                     }
                     jb += bw;
                 }
@@ -1704,8 +1705,7 @@ impl Machine<'_> {
                     } => {
                         let (cells, base, step, _) = place(*buf, a, false).expect("checked above");
                         for (t, o) in out.iter_mut().enumerate() {
-                            let c = &cells[(base + step * t as i64) as usize];
-                            *o = f64::from_bits(c.load(Ordering::Relaxed));
+                            *o = load_float(&cells[(base + step * t as i64) as usize]);
                         }
                     }
                     Op::Add(a, b) => zip_row(out, src(a), src(b), first_nan(|x, y| x + y)),
@@ -1726,7 +1726,7 @@ impl Machine<'_> {
             let (cells, base, step, dtype) = place(buf, aff, true).expect("checked above");
             for (t, v) in rows[result * n..][..n].iter().enumerate() {
                 let c = &cells[(base + step * t as i64) as usize];
-                c.store(round_to_dtype(*v, dtype).to_bits(), Ordering::Relaxed);
+                c.store(float_bits(*v, dtype), Ordering::Relaxed);
             }
         }
         true

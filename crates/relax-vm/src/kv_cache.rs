@@ -484,8 +484,9 @@ impl KvCache {
         let mut out = vec![0.0f64; b * hq * s * hd];
         let mut scores = vec![0.0f64; longest];
         let mut exps = vec![0.0f64; longest];
-        // One head's rows of one page (f64 host values, already rounded on
-        // store, so the bits match a gathered tensor exactly).
+        // One head's rows of one page, read widened to f64 (the cells
+        // hold dtype-rounded f32 bits, so the values match a gathered
+        // tensor exactly).
         let mut page_rows = vec![0.0f64; p * hd];
         for (row, (q_row, o_row)) in qv.chunks(hd).zip(out.chunks_mut(hd)).enumerate() {
             let (bi, hi, i) = (row / (hq * s), row / s % hq, row % s);
