@@ -198,12 +198,11 @@ fn assert_reads(path: &str, a: &NDArray, expected: &[u64]) {
         }
     }
 
-    for (how, f) in [
-        ("a row load", row_copy(n, dtype)),
-        ("a tape load", tape_copy(n, dtype)),
+    for (how, f, on_tape) in [
+        ("a row load", row_copy(n, dtype), 0),
+        ("a tape load", tape_copy(n, dtype), 1),
     ] {
         let compiled = plan::compile(&f, &[vec![n], vec![n]]).unwrap();
-        let on_tape = if how == "a row load" { 0 } else { 1 };
         assert_eq!(compiled.scalar_stores(), on_tape, "{}", ctx(how, 0));
         let planned = NDArray::zeros(&[n], dtype);
         compiled.run(&[a.clone(), planned.clone()], 1).unwrap();
