@@ -104,13 +104,13 @@ fn ewise_select_func(dtype: DataType) -> PrimFunc {
 }
 
 /// Family 2: matmul with `IfEq` reduction init (Figure 4 shape).
-fn matmul_func() -> PrimFunc {
+fn matmul_func(dtype: DataType) -> PrimFunc {
     let n = Var::new("n");
     let k = Var::new("k");
     let m = Var::new("m");
-    let x = Buffer::new("X", vec![n.clone().into(), k.clone().into()], DataType::F32);
-    let w = Buffer::new("W", vec![k.clone().into(), m.clone().into()], DataType::F32);
-    let y = Buffer::new("Y", vec![n.clone().into(), m.clone().into()], DataType::F32);
+    let x = Buffer::new("X", vec![n.clone().into(), k.clone().into()], dtype);
+    let w = Buffer::new("W", vec![k.clone().into(), m.clone().into()], dtype);
+    let y = Buffer::new("Y", vec![n.clone().into(), m.clone().into()], dtype);
     let (iv, nest) = grid(&[("i", n.into()), ("j", m.into()), ("k", k.into())]);
     let (i, j, kk) = (iv[0].clone(), iv[1].clone(), iv[2].clone());
     let init = Stmt::IfEq {
@@ -196,7 +196,7 @@ fn ewise_select_matches_across_random_shapes_and_dtypes() {
 #[test]
 fn matmul_matches_across_random_shapes() {
     let mut rng = XorShift::new(0x5eed_0002);
-    let f = matmul_func();
+    let f = matmul_func(DataType::F32);
     for _ in 0..8 {
         let (n, k, m) = (rng.range(1, 7), rng.range(1, 7), rng.range(1, 7));
         let x = rand_floats(&mut rng, &[n, k], DataType::F32);
@@ -579,6 +579,41 @@ fn in_place_reversal_through_aliased_arguments_matches() {
             rand_special(rng, &[n, m], dtype),
             NDArray::zeros(&[n, m], dtype),
         ];
+        assert_plan_matches_aliased(&f, &args, 1, 0);
+    });
+}
+
+#[test]
+fn elementwise_square_of_one_storage_runs_a_row_and_matches() {
+    // O = X·X with both inputs one storage: a read-only alias.
+    for_rows(0x5eed_010a, |rng, dtype, n, m| {
+        let (nv, mv) = (Var::new("n"), Var::new("m"));
+        let shape = || vec![nv.clone().into(), mv.clone().into()];
+        let (a, b, o) = (
+            Buffer::new("A", shape(), dtype),
+            Buffer::new("B", shape(), dtype),
+            Buffer::new("O", shape(), dtype),
+        );
+        let (iv, nest) = grid(&[("i", nv.clone().into()), ("j", mv.clone().into())]);
+        let idx = vec![iv[0].clone().into(), iv[1].clone().into()];
+        let value = TirExpr::load(&a, idx.clone()) * TirExpr::load(&b, idx.clone());
+        let body = nest.build(Stmt::store(&o, idx, value));
+        let f = PrimFunc::new("square", vec![a, b, o], 1, body);
+        let shapes = vec![vec![n, m]; 3];
+        assert_eq!(plan::compile(&f, &shapes).unwrap().scalar_stores(), 0);
+        let args: Vec<NDArray> = shapes.iter().map(|s| rand_special(rng, s, dtype)).collect();
+        assert_plan_matches_aliased(&f, &args, 1, 0);
+    });
+}
+
+#[test]
+fn scheduled_square_matmul_of_one_storage_runs_the_macro_and_matches() {
+    // Y = X·X through the blocked matmul with both operands one storage.
+    for_rows(0x5eed_010b, |rng, dtype, _, m| {
+        let f = relax_tir::schedule::auto_schedule(&matmul_func(dtype)).unwrap();
+        let shapes = vec![vec![m, m]; 3];
+        assert!(plan::compile(&f, &shapes).unwrap().scheduled());
+        let args: Vec<NDArray> = shapes.iter().map(|s| rand_special(rng, s, dtype)).collect();
         assert_plan_matches_aliased(&f, &args, 1, 0);
     });
 }
