@@ -239,11 +239,6 @@ impl Analyzer {
         self.bounds.entry(var).or_insert_with(IntBound::nonneg);
     }
 
-    /// Returns the declared bound of a variable, if any.
-    pub fn bound_of_var(&self, var: &Var) -> Option<IntBound> {
-        self.bounds.get(var).copied()
-    }
-
     /// Simplifies an expression using the declared bounds.
     pub fn simplify(&self, expr: &PrimExpr) -> PrimExpr {
         simplify_with_bounds(expr, &self.bounds)
@@ -273,12 +268,6 @@ impl Analyzer {
     pub fn can_prove_ge(&self, a: &PrimExpr, b: &PrimExpr) -> bool {
         let diff = self.simplify(&(a.clone() - b.clone()));
         bound_of(&diff, &self.bounds).min >= 0
-    }
-
-    /// Proves `a > b`.
-    pub fn can_prove_gt(&self, a: &PrimExpr, b: &PrimExpr) -> bool {
-        let diff = self.simplify(&(a.clone() - b.clone()));
-        bound_of(&diff, &self.bounds).min >= 1
     }
 
     /// Proves `a <= b`.

@@ -167,27 +167,6 @@ impl Op {
         Op::all().iter().copied().find(|o| o.short_name() == name)
     }
 
-    /// `true` for element-wise unary/binary operators.
-    pub fn is_elementwise(self) -> bool {
-        matches!(
-            self,
-            Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Divide
-                | Op::Maximum
-                | Op::Exp
-                | Op::Relu
-                | Op::Sqrt
-                | Op::Neg
-                | Op::Sigmoid
-                | Op::Silu
-                | Op::Gelu
-                | Op::Tanh
-                | Op::Cast
-        )
-    }
-
     /// Deduces the output annotation from the inputs (forward deduction).
     ///
     /// # Errors

@@ -318,15 +318,6 @@ pub fn reference_moe(
     out
 }
 
-/// The dense-FFN oracle for [`build_dense_ffn`]: every token through
-/// one `w2 · silu(w1 · x)`.
-pub fn reference_dense_ffn(tokens: &[f64], w1: &[f64], w2: &[f64], d: usize, h: usize) -> Vec<f64> {
-    let t = tokens.len() / d;
-    let h1 = matmul_r32(tokens, w1, t, d, h);
-    let a: Vec<f64> = h1.iter().map(|&v| silu_r32(v)).collect();
-    matmul_r32(&a, w2, t, h, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

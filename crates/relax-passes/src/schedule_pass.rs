@@ -13,9 +13,11 @@
 //! loop — see `relax_tir::plan`.
 //!
 //! Scheduling never changes results: macro-op execution is proven
-//! bitwise equal to the scalar tape (same per-cell rounding sequence),
-//! and launches whose storage bindings break the proof (aliasing,
-//! integer views) fall back to the preserved scalar body. The pass runs
+//! bitwise equal to the scalar tape (same per-cell rounding sequence and
+//! NaN payloads) over the declared buffers. Destination-passing lowering
+//! binds exactly those, and a plan refuses a launch that does not (see
+//! the launch contract in `relax_tir::plan`), so a scheduled plan has no
+//! fallback body. The pass runs
 //! under every [`CompileOptions`](crate::CompileOptions): a kernel is one
 //! scheduled program, not a choice made per configuration.
 

@@ -72,16 +72,19 @@ pub fn silence_injected_panics() {
     });
 }
 
+/// How long each scheduled worker stall sleeps.
+const STALL: Duration = Duration::from_millis(50);
+
 /// The seeded schedule: `faults` serving faults, each a uniformly chosen
-/// site (worker panic, worker stall, dropped reply) at a uniformly chosen
-/// occurrence within `steps`.
-fn build_schedule(rng: &mut Rng, faults: u64, steps: u64, stall: Duration) -> FaultPlan {
+/// site (worker panic, worker stall of [`STALL`], dropped reply) at a
+/// uniformly chosen occurrence within `steps`.
+fn build_schedule(rng: &mut Rng, faults: u64, steps: u64) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for _ in 0..faults {
         let nth = 1 + rng.below(steps);
         plan = match rng.below(3) {
             0 => plan.fail_worker_panic(nth),
-            1 => plan.stall_worker(nth, stall),
+            1 => plan.stall_worker(nth, STALL),
             _ => plan.drop_reply(nth),
         };
     }
@@ -114,7 +117,6 @@ impl Default for SessionChaosConfig {
             manager: SessionConfig {
                 workers: 4,
                 max_attempts: 8,
-                stall: Duration::from_millis(50),
                 ..SessionConfig::default()
             },
             guard: Duration::from_secs(60),
@@ -198,7 +200,7 @@ pub fn run_session_chaos(
 
     let mut faulty_cfg = config.manager.clone();
     faulty_cfg.return_kv = true;
-    let plan = build_schedule(&mut rng, config.faults as u64, total_steps, faulty_cfg.stall);
+    let plan = build_schedule(&mut rng, config.faults as u64, total_steps);
     let scheduled_faults = plan.len() as u64;
     faulty_cfg.faults = plan;
 

@@ -187,8 +187,6 @@ pub(crate) struct WorkerFaults {
     /// Serving sites (`WorkerPanic` / `WorkerStall` / `ReplyDrop`); kept
     /// across respawns, so a fault that fired stays spent.
     pub(crate) serving: Arc<Mutex<FaultInjector>>,
-    /// Length of a `WorkerStall` that names none.
-    pub(crate) stall: Duration,
 }
 
 /// The one counters struct; `SessionStats` is its view.
@@ -531,9 +529,14 @@ fn worker_loop<W: Work>(
     faults: WorkerFaults,
     flags: Arc<Flags>,
 ) {
-    let WorkerFaults { vm, serving, stall } = faults;
+    let WorkerFaults { vm, serving } = faults;
     let mut vms = W::build_vms(&shared.model, vm);
-    let fires = |site| Some(lock(&serving).check(site)?.stall.unwrap_or(stall));
+    // A fired fault, with its stall length (`FaultPlan::stall_worker`).
+    let fires = |site| {
+        lock(&serving)
+            .check(site)
+            .map(|f| f.stall.unwrap_or_default())
+    };
     // The serving-site fault window: a stall, then a panic.
     let mut window = || {
         if let Some(stall) = fires(FaultSite::WorkerStall) {

@@ -169,7 +169,6 @@ fn start(workers: usize, serving: FaultPlan, clock: &ManualClock) -> Served {
     let faults = WorkerFaults {
         vm: FaultPlan::new(),
         serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
-        stall: STALL,
     };
     Served(Core::start(model, limits, workers, faults, clock.clock()))
 }

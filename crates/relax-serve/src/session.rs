@@ -221,9 +221,9 @@ pub struct SessionConfig {
     /// injected into every worker's decode VM, serving sites
     /// (`WorkerPanic` / `WorkerStall` / `ReplyDrop`) fire across the
     /// worker pool, once per step however many sessions share it.
+    /// A `WorkerStall` sleeps as long as the plan says
+    /// (`FaultPlan::stall_worker`).
     pub faults: FaultPlan,
-    /// How long an injected `WorkerStall` sleeps.
-    pub stall: Duration,
 }
 
 impl Default for SessionConfig {
@@ -237,7 +237,6 @@ impl Default for SessionConfig {
             default_deadline: Duration::from_secs(30),
             return_kv: false,
             faults: FaultPlan::new(),
-            stall: Duration::from_millis(100),
         }
     }
 }
@@ -842,7 +841,6 @@ impl SessionManager {
         let faults = WorkerFaults {
             vm,
             serving: Arc::new(Mutex::new(FaultInjector::new(serving))),
-            stall: config.stall,
         };
         SessionManager {
             core: Core::start(model, limits, config.workers, faults, clock),

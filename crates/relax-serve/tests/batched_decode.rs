@@ -150,7 +150,6 @@ fn served_together_equals_alone(workers: usize, faults: FaultPlan) -> SessionSta
             default_deadline: Duration::from_secs(600),
             return_kv: true,
             faults,
-            stall: Duration::from_millis(5),
             ..SessionConfig::default()
         },
     );

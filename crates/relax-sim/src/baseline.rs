@@ -16,7 +16,6 @@
 //! The Relax numbers are *not* modelled here — they come from dry-running
 //! the actual compiled executable ([`crate::simulate`]).
 
-use crate::cost::KernelClass;
 use crate::device::DeviceSpec;
 use crate::profile::Profile;
 
@@ -121,15 +120,6 @@ pub fn roofline_floor_s(profile: &Profile, device: &DeviceSpec, batch: u32, cont
     let eff = device.lib_efficiency.unwrap_or(device.gen_efficiency);
     let compute_t = batch as f64 * profile.flops_per_token / (eff * device.peak_flops);
     weight_t.max(compute_t) + kv_t
-}
-
-/// Convenience: the kernel class a baseline's heavy kernels execute in
-/// (documentation of modelling intent; used by ablation displays).
-pub fn heavy_kernel_class(baseline: Baseline) -> KernelClass {
-    match baseline {
-        Baseline::HfEager | Baseline::HfCompile | Baseline::Vllm => KernelClass::Library,
-        Baseline::LlamaCpp => KernelClass::Generated,
-    }
 }
 
 #[cfg(test)]

@@ -275,12 +275,6 @@ impl NDArray {
         &self.data
     }
 
-    /// A stable identity for the underlying storage, used to detect argument
-    /// aliasing when launching compiled kernel plans.
-    pub(crate) fn storage_id(&self) -> usize {
-        Arc::as_ptr(&self.data) as usize
-    }
-
     /// Element data type.
     pub fn dtype(&self) -> DataType {
         self.dtype

@@ -28,6 +28,16 @@
 //! fallback, so the VM fails that launch with a typed error. The
 //! interpreter is the oracle plans are tested against.
 //!
+//! **The launch contract.** Every proof above is made over declared
+//! buffers, so a launch must bind what the [`PrimFunc`] declares: each
+//! argument has the shape the plan was specialized for and its
+//! parameter's dtype, and no argument the plan writes shares storage
+//! with another argument (inputs may share storage with each other).
+//! Destination-passing `call_tir` allocates fresh outputs, so compiled
+//! programs always keep it. [`KernelPlan::run`] refuses any other launch
+//! with a typed error naming the argument; a plan has one body and no
+//! launch-time fallback.
+//!
 //! [`KernelPlan::run`] executes the plan on the thread that launches it.
 //! Parallelism comes from the layer above — a serving core runs one step
 //! per worker, each on its own VM — not from inside a kernel.
@@ -305,18 +315,15 @@ enum PStmt {
         result: Reg,
         buf: usize,
         access: Access,
-        /// The *declared* dtype of the destination buffer — store values
-        /// are cast to its representation class before rounding to the
-        /// actual array dtype, mirroring the interpreter.
+        /// The destination buffer's declared dtype: store values are cast
+        /// to its representation class and rounded to it.
         dtype: DataType,
     },
     /// Re-zeroes a scratch buffer (emitted at each `Alloc` point).
     ZeroScratch { buf: usize },
     /// An innermost loop run a **row** at a time: `body` holds only
     /// `Store`s that [`Compiler::try_row`] proved element-order
-    /// independent. A launch that breaks the proof (aliased arguments,
-    /// an integer view, a read-only output) runs `body` as the plain
-    /// loop.
+    /// independent.
     Row {
         iter: usize,
         extent: IdxExpr,
@@ -358,23 +365,16 @@ enum PStmt {
         x_first: bool,
         /// Reduction init constant (the `if k == 0` store value).
         init: f64,
-        /// The original scalar loop nest, executed verbatim when a
-        /// storage binding breaks the blocked fast path (integer views,
-        /// read-only output) so errors and integer semantics are
-        /// reproduced exactly.
-        fallback: Box<PStmt>,
     },
 }
 
-/// A buffer slot in the plan: a parameter or a scratch allocation, with
-/// fully concrete dimensions.
+/// A buffer slot in the plan, with fully concrete dimensions. Slot `i <
+/// num_params` is the i-th parameter; the rest are scratch allocations.
 #[derive(Debug, Clone)]
 struct BufDecl {
     dims: Vec<usize>,
     numel: usize,
     dtype: DataType,
-    /// `Some(i)` for the i-th parameter; `None` for scratch.
-    param: Option<usize>,
 }
 
 /// A compiled, shape-specialized tensor program. Fully owned (no
@@ -384,6 +384,8 @@ struct BufDecl {
 pub struct KernelPlan {
     body: Vec<PStmt>,
     bufs: Vec<BufDecl>,
+    /// Per slot: the body stores to it. A launch may not bind a written
+    /// parameter to storage another argument shares.
     written: Vec<bool>,
     num_params: usize,
     num_iters: usize,
@@ -393,13 +395,6 @@ pub struct KernelPlan {
     has_macros: bool,
     /// Stores outside every row and macro-op.
     scalar_stores: usize,
-    /// The pre-macroization scalar body, kept only when macroization or
-    /// sibling fusion rewrote the plan. Macro recognition proves
-    /// operand/output **slots** distinct, but launch-time argument
-    /// aliasing can still make them share storage, where the blocked
-    /// loop order and fused statement order become observable — aliased
-    /// launches run this body instead (and run rows element by element).
-    scalar_body: Option<Vec<PStmt>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +434,6 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
             dims,
             numel,
             dtype: p.dtype(),
-            param: Some(i),
         });
         c.written.push(false);
     }
@@ -452,16 +446,9 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
     // `crate::schedule::Schedule::into_func` or by the pipeline's
     // auto-scheduler) get the blocked matmul macro-op plus row-level
     // sibling fusion of elementwise epilogues into the macro loop.
-    let mut scalar_body = None;
-    let mut has_macros = false;
     if func.attr("relax.schedule").is_some() {
-        let original = body.clone();
-        let mut changed = c.macroize_stmts(&mut body);
-        changed |= c.fuse_rows(&mut body);
-        has_macros = contains_macro(&body);
-        if changed {
-            scalar_body = Some(original);
-        }
+        c.macroize_stmts(&mut body);
+        c.fuse_rows(&mut body);
     }
     // Rows come last and on every plan, so fused epilogue loops become
     // rows too.
@@ -469,14 +456,13 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
 
     Ok(KernelPlan {
         scalar_stores: scalar_stores(&body),
+        has_macros: contains_macro(&body),
         body,
         num_params: func.params().len(),
         num_iters: c.iter_max.len(),
         num_regs: c.num_regs,
         bufs: c.bufs,
         written: c.written,
-        has_macros,
-        scalar_body,
     })
 }
 
@@ -584,7 +570,6 @@ impl Compiler {
                     dims,
                     numel,
                     dtype: buffer.dtype(),
-                    param: None,
                 });
                 self.written.push(true);
                 out.push(PStmt::ZeroScratch { buf: slot });
@@ -896,24 +881,18 @@ impl Compiler {
     // -- superinstruction recognition --------------------------------------
 
     /// Rewrites every recognizable reduction nest in `stmts` into a
-    /// [`PStmt::MacroMatmul`]; returns whether anything changed.
-    fn macroize_stmts(&self, stmts: &mut [PStmt]) -> bool {
-        let mut changed = false;
+    /// [`PStmt::MacroMatmul`].
+    fn macroize_stmts(&self, stmts: &mut [PStmt]) {
         for s in stmts.iter_mut() {
-            changed |= self.macroize_stmt(s);
-        }
-        changed
-    }
-
-    fn macroize_stmt(&self, s: &mut PStmt) -> bool {
-        if let Some(m) = self.try_macro(s) {
-            *s = m;
-            return true;
-        }
-        match s {
-            PStmt::Loop { body, .. } => self.macroize_stmts(body),
-            PStmt::IfEq { then, .. } => self.macroize_stmts(then),
-            _ => false,
+            if let Some(m) = self.try_macro(s) {
+                *s = m;
+                continue;
+            }
+            match s {
+                PStmt::Loop { body, .. } => self.macroize_stmts(body),
+                PStmt::IfEq { then, .. } => self.macroize_stmts(then),
+                _ => {}
+            }
         }
     }
 
@@ -928,9 +907,10 @@ impl Compiler {
     ///
     /// with constant trip counts, all accesses flat (proven in bounds),
     /// `Y` independent of `k`, one multiply operand independent of `j`
-    /// (the stationary operand), a float destination dtype, and operand
-    /// slots distinct from the output slot. Anything else is left to the
-    /// scalar tape.
+    /// (the stationary operand), `Y`, `X` and `W` declared float, and
+    /// operand slots distinct from the output slot (under the launch
+    /// contract, distinct storage). Anything else is left to the scalar
+    /// tape.
     fn try_macro(&self, s: &PStmt) -> Option<PStmt> {
         let PStmt::Loop {
             iter: j_iter,
@@ -1034,9 +1014,11 @@ impl Compiler {
         } else {
             return None;
         };
-        // Distinct slots: the blocked loop defers Y stores to block
-        // boundaries, which an operand aliasing Y would observe.
-        if x_buf == *y_buf || w_buf == *y_buf {
+        // Distinct slots (the blocked loop defers Y stores to block
+        // boundaries, which an operand aliasing Y would observe) and float
+        // operands (it reads `f32` cells).
+        let float = |b: usize| self.bufs[b].dtype.is_float();
+        if x_buf == *y_buf || w_buf == *y_buf || !float(x_buf) || !float(w_buf) {
             return None;
         }
         Some(PStmt::MacroMatmul {
@@ -1052,7 +1034,6 @@ impl Compiler {
             w,
             x_first,
             init: *init,
-            fallback: Box::new(s.clone()),
         })
     }
 
@@ -1061,20 +1042,17 @@ impl Compiler {
     /// Merges adjacent top-level loops when one contains a macro-op and
     /// both walk the same rows of every shared buffer — the elementwise
     /// epilogue (`Z = act(Y + B)`) then runs inside the matmul's row
-    /// loop, one pass per row. Returns whether anything fused.
-    fn fuse_rows(&self, stmts: &mut Vec<PStmt>) -> bool {
-        let mut changed = false;
+    /// loop, one pass per row.
+    fn fuse_rows(&self, stmts: &mut Vec<PStmt>) {
         let mut i = 0;
         while i + 1 < stmts.len() {
             if let Some(fused) = self.try_fuse(&stmts[i], &stmts[i + 1]) {
                 stmts[i] = fused;
                 stmts.remove(i + 1);
-                changed = true;
             } else {
                 i += 1;
             }
         }
-        changed
     }
 
     /// Row-fusion legality: equal constant trip counts, and every buffer
@@ -1183,7 +1161,7 @@ impl Compiler {
     // -- rows --------------------------------------------------------------
 
     /// Rewrites every loop [`Compiler::try_row`] admits into a
-    /// [`PStmt::Row`]. A macro-op's scalar fallback is left as it is.
+    /// [`PStmt::Row`].
     fn rowize(&self, stmts: &mut [PStmt]) {
         for s in stmts.iter_mut() {
             match s {
@@ -1396,13 +1374,10 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
                     }
                 }
                 PStmt::ZeroScratch { .. } => {}
-                PStmt::MacroMatmul {
-                    y, x, w, fallback, ..
-                } => {
+                PStmt::MacroMatmul { y, x, w, .. } => {
                     f(y);
                     f(x);
                     f(w);
-                    walk(std::slice::from_mut(&mut **fallback), f);
                 }
             }
         }
@@ -1414,55 +1389,62 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// A borrowed view of one unique storage's atomic cells: `f32` bits for a
-/// float dtype, `i64` for an integer one. All cell traffic is `Relaxed` —
-/// a plain load/store on x86 — because a launch runs on one thread (see
+/// One buffer slot's atomic cells: `f32` bits for a float dtype, `i64`
+/// for an integer one. All cell traffic is `Relaxed` — a plain
+/// load/store on x86 — because a launch runs on one thread (see
 /// [`crate::ndarray::DataBuf`]).
-enum ViewData<'a> {
+enum StorageView<'a> {
     F(&'a [AtomicU32]),
     I(&'a [AtomicI64]),
 }
 
-struct StorageView<'a> {
-    data: ViewData<'a>,
-    /// Whether the plan is allowed to store through this view (derived
-    /// from the compiler's `written` table; a store through a read-only
-    /// view is rejected exactly like an out-of-bounds access).
-    writable: bool,
-    /// The *actual* dtype of the bound array (store rounding), which can
-    /// differ from the declared buffer dtype.
-    dtype: DataType,
-}
-
-impl StorageView<'_> {
-    fn read(&self, flat: usize) -> Option<Scalar> {
-        match &self.data {
-            ViewData::F(s) => s.get(flat).map(|c| Scalar::F(load_float(c))),
-            ViewData::I(s) => s.get(flat).map(|c| Scalar::I(c.load(Ordering::Relaxed))),
+impl<'a> StorageView<'a> {
+    fn of(db: &'a DataBuf) -> Self {
+        match db {
+            DataBuf::F(v) => StorageView::F(v),
+            DataBuf::I(v) => StorageView::I(v),
         }
     }
 
-    fn write(&self, flat: usize, v: Scalar) -> Option<()> {
-        if !self.writable {
-            return None;
+    /// The float cells of a slot the compiler proved declared float; the
+    /// launch contract binds the declared dtype.
+    fn floats(&self) -> &'a [AtomicU32] {
+        match self {
+            StorageView::F(s) => s,
+            StorageView::I(_) => unreachable!("a float slot bound to integer cells"),
         }
-        match &self.data {
-            ViewData::F(s) => {
-                s.get(flat)?
-                    .store(float_bits(v.as_f64(), self.dtype), Ordering::Relaxed);
-                Some(())
-            }
-            ViewData::I(s) => {
-                s.get(flat)?.store(v.as_i64(), Ordering::Relaxed);
-                Some(())
-            }
+    }
+
+    fn read(&self, flat: usize) -> Result<Scalar, InterpError> {
+        let v = match self {
+            StorageView::F(s) => s.get(flat).map(|c| Scalar::F(load_float(c))),
+            StorageView::I(s) => s.get(flat).map(|c| Scalar::I(c.load(Ordering::Relaxed))),
+        };
+        v.ok_or_else(|| oob(flat, self.len()))
+    }
+
+    /// Stores `v`, rounded to `dtype`, the slot's declared dtype.
+    fn write(&self, flat: usize, v: Scalar, dtype: DataType) -> Result<(), InterpError> {
+        let stored = match self {
+            StorageView::F(s) => s
+                .get(flat)
+                .map(|c| c.store(float_bits(v.as_f64(), dtype), Ordering::Relaxed)),
+            StorageView::I(s) => s.get(flat).map(|c| c.store(v.as_i64(), Ordering::Relaxed)),
+        };
+        stored.ok_or_else(|| oob(flat, self.len()))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            StorageView::F(s) => s.len(),
+            StorageView::I(s) => s.len(),
         }
     }
 
     fn zero(&self) {
-        match &self.data {
-            ViewData::F(s) => s.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
-            ViewData::I(s) => s.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
+        match self {
+            StorageView::F(s) => s.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
+            StorageView::I(s) => s.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
         }
     }
 }
@@ -1471,20 +1453,18 @@ fn oob(index: usize, len: usize) -> InterpError {
     InterpError::Array(crate::ndarray::NDArrayError::IndexOutOfBounds { index, len })
 }
 
-/// Launch-time context the [`Machine`] reads but never writes.
-struct RunCtx<'p> {
-    plan: &'p KernelPlan,
-    /// Buffer slot → unique storage index (launch-dependent: clones alias).
-    storage_of: &'p [usize],
-    /// Two parameter slots share one storage. Row legality is proven over
-    /// slots, so such a launch runs every row element by element.
-    aliased: bool,
+/// The cell at a computed flat offset, with the interpreter's errors.
+fn cell(cells: &[AtomicU32], flat: i64) -> Result<&AtomicU32, InterpError> {
+    let i = usize::try_from(flat).map_err(|_| InterpError::NegativeIndex(flat))?;
+    cells.get(i).ok_or_else(|| oob(i, cells.len()))
 }
 
 /// The register machine walking a plan: flat counters instead of a hash-map
 /// environment, a register file instead of tree recursion, and direct slice
 /// access instead of per-element locking.
 struct Machine<'a> {
+    plan: &'a KernelPlan,
+    /// One view per buffer slot.
     views: Vec<StorageView<'a>>,
     iters: Vec<i64>,
     regs: Vec<Scalar>,
@@ -1493,32 +1473,34 @@ struct Machine<'a> {
 }
 
 impl Machine<'_> {
-    fn exec(&mut self, ctx: &RunCtx, s: &PStmt) -> Result<(), InterpError> {
+    fn exec(&mut self, s: &PStmt) -> Result<(), InterpError> {
         match s {
-            PStmt::Loop { iter, extent, body } | PStmt::Row { iter, extent, body } => {
-                let n = extent.eval(&self.iters)?;
-                let row = matches!(s, PStmt::Row { .. }) && !ctx.aliased;
-                if row && n > 0 && self.run_row(ctx, *iter, n as usize, body) {
-                    return Ok(());
-                }
-                for i in 0..n.max(0) {
+            PStmt::Loop { iter, extent, body } => {
+                for i in 0..extent.eval(&self.iters)? {
                     self.iters[*iter] = i;
                     for st in body {
-                        self.exec(ctx, st)?;
+                        self.exec(st)?;
                     }
+                }
+                Ok(())
+            }
+            PStmt::Row { iter, extent, body } => {
+                let n = extent.eval(&self.iters)?;
+                if n > 0 {
+                    self.run_row(*iter, n as usize, body);
                 }
                 Ok(())
             }
             PStmt::IfEq { lhs, rhs, then } => {
                 if lhs.eval(&self.iters)? == rhs.eval(&self.iters)? {
                     for st in then {
-                        self.exec(ctx, st)?;
+                        self.exec(st)?;
                     }
                 }
                 Ok(())
             }
             PStmt::ZeroScratch { buf } => {
-                self.views[ctx.storage_of[*buf]].zero();
+                self.views[*buf].zero();
                 Ok(())
             }
             PStmt::Store {
@@ -1528,13 +1510,10 @@ impl Machine<'_> {
                 access,
                 dtype,
             } => {
-                self.eval_tape(ctx, tape)?;
+                self.eval_tape(tape)?;
                 let v = self.regs[*result as usize].cast(*dtype);
-                let flat = self.resolve(ctx, *buf, access)?;
-                let numel = ctx.plan.bufs[*buf].numel;
-                self.views[ctx.storage_of[*buf]]
-                    .write(flat, v)
-                    .ok_or_else(|| oob(flat, numel))
+                let flat = self.resolve(*buf, access)?;
+                self.views[*buf].write(flat, v, *dtype)
             }
             PStmt::MacroMatmul {
                 j_iter,
@@ -1549,23 +1528,7 @@ impl Machine<'_> {
                 w,
                 x_first,
                 init,
-                fallback,
             } => {
-                let (sy, sx, sw) = (
-                    ctx.storage_of[*y_buf],
-                    ctx.storage_of[*x_buf],
-                    ctx.storage_of[*w_buf],
-                );
-                let fast = self.views[sy].writable
-                    && matches!(self.views[sy].data, ViewData::F(_))
-                    && matches!(self.views[sx].data, ViewData::F(_))
-                    && matches!(self.views[sw].data, ViewData::F(_));
-                if !fast {
-                    // Integer views or a read-only output: the scalar
-                    // nest reproduces those semantics (and errors)
-                    // exactly.
-                    return self.exec(ctx, fallback);
-                }
                 // Pin the consumed counters to zero so the affines
                 // evaluate to block bases; outer-loop terms stay live.
                 self.iters[*j_iter] = 0;
@@ -1573,27 +1536,12 @@ impl Machine<'_> {
                 let (y0, x0, w0) = (y.eval(&self.iters), x.eval(&self.iters), w.eval(&self.iters));
                 let (yj, xk) = (y.coeff(*j_iter), x.coeff(*k_iter));
                 let (wj, wk) = (w.coeff(*j_iter), w.coeff(*k_iter));
-                let dt = self.views[sy].dtype;
-                let (ViewData::F(ys), ViewData::F(xs), ViewData::F(ws)) = (
-                    &self.views[sy].data,
-                    &self.views[sx].data,
-                    &self.views[sw].data,
-                ) else {
-                    unreachable!("fast path checked above");
-                };
-                let (y_len, x_len, w_len) = (
-                    ctx.plan.bufs[*y_buf].numel,
-                    ctx.plan.bufs[*x_buf].numel,
-                    ctx.plan.bufs[*w_buf].numel,
+                let dt = self.plan.bufs[*y_buf].dtype;
+                let (ys, xs, ws) = (
+                    self.views[*y_buf].floats(),
+                    self.views[*x_buf].floats(),
+                    self.views[*w_buf].floats(),
                 );
-                let cell = |s: &[AtomicU32], flat: i64, numel: usize| {
-                    if flat < 0 {
-                        return Err(InterpError::NegativeIndex(flat));
-                    }
-                    s.get(flat as usize)
-                        .map(load_float)
-                        .ok_or_else(|| oob(flat as usize, numel))
-                };
                 // Register-blocked loop: `k` outer, a block of `j`
                 // inner, accumulators in registers. Per output cell the
                 // multiply-accumulate sequence is still `k`-ascending
@@ -1604,37 +1552,47 @@ impl Machine<'_> {
                 let mut acc = [0.0f64; BJ as usize];
                 let mut wrow = [0.0f64; BJ as usize];
                 let init_r = round_to_dtype(*init, dt);
-                let mut jb = 0i64;
-                while jb < *nj {
-                    let bw = (*nj - jb).min(BJ);
-                    let (acc, wrow) = (&mut acc[..bw as usize], &mut wrow[..bw as usize]);
+                // One block of `j` over every `k`; `exact` keeps the tape's
+                // operand order and NaN choice (see `first_nan`).
+                let block = |acc: &mut [f64], wrow: &mut [f64], jb: i64, exact: bool| {
                     acc.fill(init_r);
                     for k in 0..*nk {
-                        let xf = cell(xs, x0 + xk * k, x_len)?;
+                        let xf = load_float(cell(xs, x0 + xk * k)?);
                         let wb = w0 + wk * k + wj * jb;
                         // Widen the block's weights once per `k` step, so
                         // the chains below run over plain `f64`s.
                         for (t, w) in (0i64..).zip(wrow.iter_mut()) {
-                            *w = cell(ws, wb + wj * t, w_len)?;
+                            *w = load_float(cell(ws, wb + wj * t)?);
                         }
-                        for (a, &wf) in acc.iter_mut().zip(wrow.iter()) {
-                            // Not identical branches: multiply operand
-                            // order decides which NaN payload propagates,
-                            // and the tape's order must be preserved.
-                            #[allow(clippy::if_same_then_else)]
-                            let p = if *x_first { xf * wf } else { wf * xf };
-                            *a = round_to_dtype(*a + p, dt);
+                        let cells = acc.iter_mut().zip(wrow.iter());
+                        if exact {
+                            let (add, mul) = (first_nan(|x, y| x + y), first_nan(|x, y| x * y));
+                            for (a, &wf) in cells {
+                                let p = if *x_first { mul(xf, wf) } else { mul(wf, xf) };
+                                *a = round_to_dtype(add(*a, p), dt);
+                            }
+                        } else {
+                            for (a, &wf) in cells {
+                                *a = round_to_dtype(*a + xf * wf, dt);
+                            }
                         }
+                    }
+                    Ok::<_, InterpError>(())
+                };
+                let mut jb = 0i64;
+                while jb < *nj {
+                    let bw = (*nj - jb).min(BJ);
+                    let (acc, wrow) = (&mut acc[..bw as usize], &mut wrow[..bw as usize]);
+                    block(acc, wrow, jb, false)?;
+                    // A NaN sticks to its chain, so a chain that ends
+                    // without one never met one and no operand order
+                    // showed; a block with one is redone exactly.
+                    if acc.iter().any(|a| a.is_nan()) {
+                        block(acc, wrow, jb, true)?;
                     }
                     let yb = y0 + yj * jb;
                     for (t, a) in (0i64..).zip(acc.iter()) {
-                        let flat = yb + yj * t;
-                        if flat < 0 {
-                            return Err(InterpError::NegativeIndex(flat));
-                        }
-                        ys.get(flat as usize)
-                            .ok_or_else(|| oob(flat as usize, y_len))?
-                            .store(float_bits(*a, dt), Ordering::Relaxed);
+                        cell(ys, yb + yj * t)?.store(float_bits(*a, dt), Ordering::Relaxed);
                     }
                     jb += bw;
                 }
@@ -1644,55 +1602,34 @@ impl Machine<'_> {
     }
 
     /// Runs a row's stores one tape op at a time across all `n` elements
-    /// (counter `iter` over `0..n`). Returns `false`, having touched
-    /// nothing, when a view breaks the row's proof — an integer view, a
-    /// read-only output, an access outside its storage — so the caller
-    /// runs the loop element by element, which reproduces those
-    /// semantics and errors exactly.
-    fn run_row(&mut self, ctx: &RunCtx, iter: usize, n: usize, body: &[PStmt]) -> bool {
+    /// (counter `iter` over `0..n`). [`Compiler::try_row`] proved every
+    /// access flat, in bounds and on a float buffer, and the launch
+    /// contract binds each slot its own storage of the declared dtype, so
+    /// a row cannot decline.
+    fn run_row(&mut self, iter: usize, n: usize, body: &[PStmt]) {
         self.iters[iter] = 0;
         let Machine {
-            views, iters, rows, ..
+            plan,
+            views,
+            iters,
+            rows,
+            ..
         } = self;
-        // An access's float cells, offset at element 0, stride and
-        // storage dtype.
-        let place = |buf: usize, aff: &Affine, store: bool| {
-            let view = &views[ctx.storage_of[buf]];
-            let ViewData::F(cells) = view.data else {
-                return None;
+        // An access's float cells, offset at element 0 and stride.
+        let place =
+            |buf: usize, aff: &Affine| (views[buf].floats(), aff.eval(iters), aff.coeff(iter));
+        rows.resize(rows.len().max(plan.num_regs * n), 0.0);
+        for st in body {
+            let PStmt::Store {
+                tape,
+                result,
+                buf,
+                access: Access::Flat(aff),
+                dtype,
+            } = st
+            else {
+                unreachable!("a row holds flat stores only");
             };
-            let (base, step) = (aff.eval(iters), aff.coeff(iter));
-            let last = step.checked_mul(n as i64 - 1)?.checked_add(base)?;
-            let fits = base.min(last) >= 0 && (base.max(last) as usize) < cells.len();
-            (fits && (view.writable || !store)).then_some((cells, base, step, view.dtype))
-        };
-        fn flat(st: &PStmt) -> (&[TapeOp], usize, usize, &Affine) {
-            match st {
-                PStmt::Store {
-                    tape,
-                    result,
-                    buf,
-                    access: Access::Flat(aff),
-                    ..
-                } => (tape, *result as usize, *buf, aff),
-                _ => unreachable!("a row holds flat stores only"),
-            }
-        }
-        let fits = body.iter().map(flat).all(|(tape, _, buf, aff)| {
-            place(buf, aff, true).is_some()
-                && tape.iter().all(|op| match &op.op {
-                    Op::Load {
-                        buf,
-                        access: Access::Flat(a),
-                    } => place(*buf, a, false).is_some(),
-                    _ => true,
-                })
-        });
-        if !fits {
-            return false;
-        }
-        rows.resize(rows.len().max(ctx.plan.num_regs * n), 0.0);
-        for (tape, result, buf, aff) in body.iter().map(flat) {
             for TapeOp { dst, op } in tape {
                 let (done, rest) = rows.split_at_mut(*dst as usize * n);
                 let out = &mut rest[..n];
@@ -1703,7 +1640,7 @@ impl Machine<'_> {
                         buf,
                         access: Access::Flat(a),
                     } => {
-                        let (cells, base, step, _) = place(*buf, a, false).expect("checked above");
+                        let (cells, base, step) = place(*buf, a);
                         for (t, o) in out.iter_mut().enumerate() {
                             *o = load_float(&cells[(base + step * t as i64) as usize]);
                         }
@@ -1723,20 +1660,19 @@ impl Machine<'_> {
                     _ => unreachable!("a row's tapes hold float ops only"),
                 }
             }
-            let (cells, base, step, dtype) = place(buf, aff, true).expect("checked above");
-            for (t, v) in rows[result * n..][..n].iter().enumerate() {
+            let (cells, base, step) = place(*buf, aff);
+            for (t, v) in rows[*result as usize * n..][..n].iter().enumerate() {
                 let c = &cells[(base + step * t as i64) as usize];
-                c.store(float_bits(*v, dtype), Ordering::Relaxed);
+                c.store(float_bits(*v, *dtype), Ordering::Relaxed);
             }
         }
-        true
     }
 
     /// Resolves an access to an absolute flat offset. `Flat` accesses were
     /// proven in bounds at compile time; `Checked` accesses replicate the
     /// interpreter's negative-index and per-dimension bounds checks (and
     /// their exact error values).
-    fn resolve(&self, ctx: &RunCtx, buf: usize, access: &Access) -> Result<usize, InterpError> {
+    fn resolve(&self, buf: usize, access: &Access) -> Result<usize, InterpError> {
         match access {
             Access::Flat(aff) => {
                 let v = aff.eval(&self.iters);
@@ -1746,14 +1682,14 @@ impl Machine<'_> {
                 Ok(v as usize)
             }
             Access::Checked(idxs) => flat_of(
-                &ctx.plan.bufs[buf].dims,
+                &self.plan.bufs[buf].dims,
                 idxs.iter()
                     .map(|e| e.eval(&self.iters).map_err(InterpError::from)),
             ),
         }
     }
 
-    fn eval_tape(&mut self, ctx: &RunCtx, tape: &[TapeOp]) -> Result<(), InterpError> {
+    fn eval_tape(&mut self, tape: &[TapeOp]) -> Result<(), InterpError> {
         let mut pc = 0usize;
         while pc < tape.len() {
             let TapeOp { dst, op } = &tape[pc];
@@ -1773,21 +1709,15 @@ impl Machine<'_> {
                 Op::ConstI(v) => self.regs[dst] = Scalar::I(*v),
                 Op::Idx(e) => self.regs[dst] = Scalar::I(e.eval(&self.iters)?),
                 Op::Load { buf, access } => {
-                    let flat = self.resolve(ctx, *buf, access)?;
-                    let numel = ctx.plan.bufs[*buf].numel;
-                    self.regs[dst] = self.views[ctx.storage_of[*buf]]
-                        .read(flat)
-                        .ok_or_else(|| oob(flat, numel))?;
+                    let flat = self.resolve(*buf, access)?;
+                    self.regs[dst] = self.views[*buf].read(flat)?;
                 }
                 Op::LoadDyn { buf, idx_regs } => {
                     let flat = flat_of(
-                        &ctx.plan.bufs[*buf].dims,
+                        &self.plan.bufs[*buf].dims,
                         idx_regs.iter().map(|r| Ok(self.regs[*r as usize].as_i64())),
                     )?;
-                    let numel = ctx.plan.bufs[*buf].numel;
-                    self.regs[dst] = self.views[ctx.storage_of[*buf]]
-                        .read(flat)
-                        .ok_or_else(|| oob(flat, numel))?;
+                    self.regs[dst] = self.views[*buf].read(flat)?;
                 }
                 Op::Add(a, b) => {
                     self.regs[dst] = interp::binop(
@@ -1946,14 +1876,21 @@ impl KernelPlan {
     /// Executes the plan on `args` (inputs then outputs, the calling
     /// convention of [`interp::run`]) on the calling thread.
     ///
+    /// The launch contract: every argument has the shape the plan was
+    /// specialized for and its parameter's declared dtype, and no
+    /// argument the plan writes shares storage with another argument.
+    /// Inputs may share storage with each other.
+    ///
     /// `_threads` is unread: a plan always runs on the thread that
     /// launches it. The argument stays only because the `benchmark`
     /// package's probes call `run(&args, 1)`; pass `1`.
     ///
     /// # Errors
     ///
-    /// The same errors, with the same payloads, as the reference
-    /// interpreter on the same arguments.
+    /// A launch that breaks the contract fails, before anything runs,
+    /// with [`InterpError::ShapeMismatch`] naming the argument (`arg{i}`).
+    /// Otherwise the same errors, with the same payloads, as the
+    /// reference interpreter on the same arguments.
     pub fn run(&self, args: &[NDArray], _threads: usize) -> Result<(), InterpError> {
         if args.len() != self.num_params {
             return Err(InterpError::ArgCountMismatch {
@@ -1961,94 +1898,48 @@ impl KernelPlan {
                 actual: args.len(),
             });
         }
-        for decl in &self.bufs {
-            if let Some(p) = decl.param {
-                if args[p].shape() != decl.dims.as_slice() {
-                    return Err(InterpError::ShapeMismatch {
-                        buffer: format!("arg{p}"),
-                        detail: format!(
-                            "plan specialized for {:?}, argument has {:?}",
-                            decl.dims,
-                            args[p].shape()
-                        ),
-                    });
-                }
-            }
+        for (p, (arg, decl)) in args.iter().zip(&self.bufs).enumerate() {
+            let detail = if arg.shape() != decl.dims.as_slice() {
+                format!(
+                    "plan specialized for {:?}, argument has {:?}",
+                    decl.dims,
+                    arg.shape()
+                )
+            } else if arg.dtype() != decl.dtype {
+                format!("declared {}, argument has {}", decl.dtype, arg.dtype())
+            } else if let Some(q) =
+                (0..args.len()).find(|&q| self.written[p] && q != p && args[q].same_storage(arg))
+            {
+                format!("the kernel writes it, and it shares storage with arg{q}")
+            } else {
+                continue;
+            };
+            return Err(InterpError::ShapeMismatch {
+                buffer: format!("arg{p}"),
+                detail,
+            });
         }
 
-        // Bind buffer slots to unique storages: parameters borrow the
-        // caller's arrays (cloned arguments alias one storage), scratch is
-        // fresh per launch.
-        let scratch: Vec<DataBuf> = self
-            .bufs
+        // Parameters borrow the caller's arrays; scratch is fresh per
+        // launch.
+        let scratch: Vec<DataBuf> = self.bufs[self.num_params..]
             .iter()
-            .filter(|d| d.param.is_none())
             .map(|d| DataBuf::zeros(d.dtype, d.numel))
             .collect();
-        let mut storage_of = vec![usize::MAX; self.bufs.len()];
-        let mut storages: Vec<(&DataBuf, DataType)> = Vec::new();
-        let mut by_id: HashMap<usize, usize> = HashMap::new();
-        let mut aliased = false;
-        for (slot, decl) in self.bufs.iter().enumerate() {
-            if let Some(p) = decl.param {
-                let arr = &args[p];
-                if let Some(&s) = by_id.get(&arr.storage_id()) {
-                    aliased = true;
-                    storage_of[slot] = s;
-                } else {
-                    by_id.insert(arr.storage_id(), storages.len());
-                    storage_of[slot] = storages.len();
-                    storages.push((arr.storage(), arr.dtype()));
-                }
-            }
-        }
-        let scratch_slots = self
-            .bufs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.param.is_none());
-        for ((slot, decl), db) in scratch_slots.zip(&scratch) {
-            storage_of[slot] = storages.len();
-            storages.push((db, decl.dtype));
-        }
-        let mut writable = vec![false; storages.len()];
-        for (slot, &w) in self.written.iter().enumerate() {
-            if w {
-                writable[storage_of[slot]] = true;
-            }
-        }
-        let views = storages
-            .into_iter()
-            .zip(writable)
-            .map(|((db, dtype), writable)| StorageView {
-                data: match db {
-                    DataBuf::F(v) => ViewData::F(v),
-                    DataBuf::I(v) => ViewData::I(v),
-                },
-                writable,
-                dtype,
-            })
-            .collect();
-
-        let ctx = RunCtx {
-            plan: self,
-            storage_of: &storage_of,
-            aliased,
-        };
         let mut m = Machine {
-            views,
+            plan: self,
+            views: args
+                .iter()
+                .map(NDArray::storage)
+                .chain(&scratch)
+                .map(StorageView::of)
+                .collect(),
             iters: vec![0; self.num_iters],
             regs: vec![Scalar::I(0); self.num_regs],
             rows: Vec::new(),
         };
-        // Aliased arguments void the macro/fusion slot-distinctness
-        // proofs: run the original scalar body.
-        let body = match &self.scalar_body {
-            Some(scalar) if aliased => scalar,
-            _ => &self.body,
-        };
-        for stmt in body {
-            m.exec(&ctx, stmt)?;
+        for stmt in &self.body {
+            m.exec(stmt)?;
         }
         Ok(())
     }
@@ -2115,32 +2006,6 @@ mod tests {
         interp::run(&f, &reference).unwrap();
         plan.run(&args, 1).unwrap();
         assert_eq!(args[2].to_f64_vec(), reference[2].to_f64_vec());
-    }
-
-    #[test]
-    fn aliased_arguments_still_run_correctly() {
-        // out aliases the input: the plan must match the interpreter
-        // exactly.
-        let n = Var::new("n");
-        let x = Buffer::new("X", vec![n.clone().into()], DataType::F32);
-        let y = Buffer::new("Y", vec![n.clone().into()], DataType::F32);
-        let (iv, nest) = grid(&[("i", n.into())]);
-        let body = nest.build(Stmt::store(
-            &y,
-            vec![iv[0].clone().into()],
-            TirExpr::load(&x, vec![iv[0].clone().into()]) * TirExpr::FloatImm(2.0),
-        ));
-        let f = PrimFunc::new("double", vec![x, y], 1, body);
-        let plan = compile(&f, &[vec![8], vec![8]]).unwrap();
-
-        let a = NDArray::from_f64(&[8], DataType::F32, (0..8).map(|v| v as f64).collect()).unwrap();
-        let alias = a.clone();
-        plan.run(&[a.clone(), alias], 1).unwrap();
-
-        let b = NDArray::from_f64(&[8], DataType::F32, (0..8).map(|v| v as f64).collect()).unwrap();
-        let b_alias = b.clone();
-        interp::run(&f, &[b.clone(), b_alias]).unwrap();
-        assert_eq!(a.to_f64_vec(), b.to_f64_vec());
     }
 
     #[test]
@@ -2447,55 +2312,38 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_plan_with_aliased_output_runs_scalar_body() {
-        // Square matmul where the output aliases the left operand: the
-        // blocked executor's deferred stores would be observable, so the
-        // launch must drop to the preserved scalar body and match the
-        // interpreter exactly.
-        let sched = compile(
-            &scheduled_mm(8, 8),
-            &[vec![8, 8], vec![8, 8], vec![8, 8]],
-        )
-        .unwrap();
+    fn launches_outside_the_contract_are_refused_by_argument() {
+        // Inputs sharing one storage run the macro-op, bitwise equal to
+        // the interpreter; an output sharing an input's storage and i64
+        // arrays bound to the f32 declaration are refused, naming the
+        // argument, while the interpreter still runs them.
+        let f = scheduled_mm(8, 8);
+        let sched = compile(&f, &[vec![8, 8], vec![8, 8], vec![8, 8]]).unwrap();
         assert!(sched.scheduled());
+        let shared_inputs = |a: &[NDArray]| [a[0].clone(), a[0].clone(), a[2].clone()];
+        let (args, reference) = (mm_args(8, 8, 8), mm_args(8, 8, 8));
+        sched.run(&shared_inputs(&args), 1).unwrap();
+        interp::run(&f, &shared_inputs(&reference)).unwrap();
+        assert_eq!(bits(&args[2]), bits(&reference[2]));
 
-        let args = mm_args(8, 8, 8);
-        let aliased = vec![args[2].clone(), args[1].clone(), args[2].clone()];
-        sched.run(&aliased, 1).unwrap();
-
-        let reference = mm_args(8, 8, 8);
-        let r_aliased = vec![
-            reference[2].clone(),
-            reference[1].clone(),
-            reference[2].clone(),
-        ];
-        interp::run(&matmul_func(8, 8), &r_aliased).unwrap();
-        assert_eq!(bits(&aliased[2]), bits(&r_aliased[2]));
-    }
-
-    #[test]
-    fn scheduled_plan_on_integer_arrays_uses_scalar_fallback() {
-        // Bind I64 arrays to the F32-declared function: the macro's fast
-        // path needs float views, so it must run its scalar fallback and
-        // agree with the unscheduled plan bit for bit.
-        let shapes = vec![vec![6, 5], vec![5, 4], vec![6, 4]];
-        let plain = compile(&matmul_func(5, 4), &shapes).unwrap();
-        let sched = compile(&scheduled_mm(5, 4), &shapes).unwrap();
-        assert!(sched.scheduled());
-
-        let mk = || {
-            vec![
-                NDArray::from_i64(&[6, 5], DataType::I64, (0..30).map(|v| v % 7 - 3).collect())
-                    .unwrap(),
-                NDArray::from_i64(&[5, 4], DataType::I64, (0..20).map(|v| v % 5 - 2).collect())
-                    .unwrap(),
-                NDArray::zeros(&[6, 4], DataType::I64),
-            ]
+        let refused = |args: &[NDArray], buffer: &str, detail: &str| {
+            match sched.run(args, 1) {
+                Err(InterpError::ShapeMismatch {
+                    buffer: b,
+                    detail: d,
+                }) => {
+                    assert_eq!((b.as_str(), d.as_str()), (buffer, detail));
+                }
+                other => panic!("want {buffer} refused, got {other:?}"),
+            }
+            interp::run(&f, args).unwrap();
         };
-        let a = mk();
-        sched.run(&a, 1).unwrap();
-        let b = mk();
-        plain.run(&b, 1).unwrap();
-        assert_eq!(bits(&a[2]), bits(&b[2]));
+        let args = mm_args(8, 8, 8);
+        let y_over_x = [args[2].clone(), args[1].clone(), args[2].clone()];
+        let writes = "the kernel writes it, and it shares storage with arg0";
+        refused(&y_over_x, "arg2", writes);
+        let ints = || NDArray::zeros(&[8, 8], DataType::I64);
+        let declared = "declared f32, argument has i64";
+        refused(&[ints(), ints(), ints()], "arg0", declared);
     }
 }

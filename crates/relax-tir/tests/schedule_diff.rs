@@ -195,8 +195,9 @@ fn all_primitive_combinations_match_bitwise_across_random_shapes() {
 
 #[test]
 fn integer_matmul_schedules_stay_bitwise() {
-    // Integer views never take the macro fast path; the scheduled plan
-    // must still agree exactly through the scalar fallback.
+    // An integer-declared matmul never becomes a macro-op (its operands
+    // and output are not float); the scheduled plan runs the scalar tape
+    // and must still agree exactly.
     let mut rng = XorShift::new(0x5eed_5c4e);
     for mask in [1u32, 3, 7, 15] {
         let (bi, bj, tk) = (2, 2, 2);

@@ -46,9 +46,10 @@ pub enum VmErrorKind {
         /// Detail.
         detail: String,
     },
-    /// A tensor did not fit its planned storage (strict mode or memory
-    /// capacity exhausted; in the default configuration a planned-storage
-    /// overflow degrades to the pooled allocator instead).
+    /// An allocation failed: its byte count overflows `usize`, or an
+    /// injected allocation fault fired. (A tensor that outgrows its
+    /// planned storage does not fail: it degrades to the pooled
+    /// allocator.)
     StorageOverflow {
         /// Bytes required.
         required: usize,
@@ -252,6 +253,13 @@ pub struct KernelStat {
 /// telemetry, capture and fault bookkeeping) that stays private to this
 /// VM. `Vm` is `Send`, so each worker thread can own one.
 ///
+/// A `CallTir` launch runs its kernel's shape-specialized plan. A plan's
+/// launch contract (declared shapes and dtypes, no written argument
+/// sharing storage with another) holds for every lowered executable; a
+/// hand-built launch that breaks it fails with [`VmErrorKind::Interp`].
+/// A tensor that outgrows its planned storage comes from the pooled
+/// allocator instead, counted in [`Telemetry::fallback_allocs`].
+///
 /// # Examples
 ///
 /// See the crate-level documentation and the `quickstart` example; a VM is
@@ -279,11 +287,6 @@ pub struct Vm {
     kv_pool: Arc<KvPagePool>,
     /// Scheduled fault injection (tests and chaos harnesses).
     fault: Option<FaultInjector>,
-    /// Device memory capacity in bytes; allocations beyond it fail.
-    memory_capacity: Option<u64>,
-    /// When set, a planned-storage overflow is an error instead of
-    /// degrading to the pooled allocator.
-    strict_storage: bool,
     /// The previous `run` failed; the next success counts as a recovery.
     poisoned: bool,
 }
@@ -326,8 +329,6 @@ impl Vm {
             plan_cache,
             kv_pool: Arc::new(KvPagePool::unbounded(DEFAULT_KV_PAGE_TOKENS)),
             fault: None,
-            memory_capacity: None,
-            strict_storage: false,
             poisoned: false,
         }
     }
@@ -359,22 +360,6 @@ impl Vm {
         self.fault = None;
     }
 
-    /// Limits total runtime memory (pooled in-use plus planned storage) to
-    /// `bytes`, as a device memory capacity would (see
-    /// `relax_sim::DeviceSpec::memory_capacity`). `None` removes the
-    /// limit.
-    pub fn set_memory_capacity(&mut self, bytes: Option<u64>) {
-        self.memory_capacity = bytes;
-    }
-
-    /// Controls overflow behaviour of planned storage: strict mode fails
-    /// with [`VmErrorKind::StorageOverflow`]; the default degrades to the
-    /// pooled allocator and counts
-    /// [`Telemetry::fallback_allocs`].
-    pub fn set_strict_storage(&mut self, strict: bool) {
-        self.strict_storage = strict;
-    }
-
     /// Per-kernel statistics with the compile-vs-run time split (see
     /// [`KernelStat`]). Plan compilations are charged to the kernel they
     /// specialize.
@@ -403,7 +388,7 @@ impl Vm {
     pub fn telemetry(&self) -> Telemetry {
         let mut t = self.telemetry;
         t.pool = self.pool.stats();
-        t.planned_bytes = self.planned_total();
+        t.planned_bytes = self.static_storage.values().map(|(_, b)| *b).sum();
         t
     }
 
@@ -510,13 +495,8 @@ impl Vm {
         false
     }
 
-    /// Total bytes held by planned static storage.
-    fn planned_total(&self) -> usize {
-        self.static_storage.values().map(|(_, b)| *b).sum()
-    }
-
-    /// Allocates `bytes` from the pool, honouring the fault schedule and
-    /// the configured memory capacity. Returns the granted block size.
+    /// Allocates `bytes` from the pool, honouring the fault schedule.
+    /// Returns the granted block size.
     fn runtime_alloc(&mut self, bytes: usize) -> Result<usize, VmError> {
         if self.fault_fires(FaultSite::Alloc) {
             return Err(VmErrorKind::StorageOverflow {
@@ -524,16 +504,6 @@ impl Vm {
                 available: 0,
             }
             .into());
-        }
-        if let Some(cap) = self.memory_capacity {
-            let used = (self.pool.stats().in_use + self.planned_total()) as u64;
-            if used + bytes as u64 > cap {
-                return Err(VmErrorKind::StorageOverflow {
-                    required: bytes,
-                    available: cap.saturating_sub(used) as usize,
-                }
-                .into());
-            }
         }
         let (_, granted) = self.pool.alloc(bytes);
         Ok(granted)
@@ -592,23 +562,8 @@ impl Vm {
                     .into());
                 }
                 let key = (vmf.name.clone(), idx);
-                let current = self.static_storage.get(&key).map(|(_, b)| *b);
                 // Grow if a larger dynamic size arrives (static plans with
-                // upper bounds never grow) — the growth is charged against
-                // the memory capacity like any other allocation.
-                if size > current.unwrap_or(0) {
-                    if let Some(cap) = self.memory_capacity {
-                        let extra = (size - current.unwrap_or(0)) as u64;
-                        let used = (self.pool.stats().in_use + self.planned_total()) as u64;
-                        if used + extra > cap {
-                            return Err(VmErrorKind::StorageOverflow {
-                                required: size,
-                                available: cap.saturating_sub(used) as usize,
-                            }
-                            .into());
-                        }
-                    }
-                }
+                // upper bounds never grow).
                 let entry = self.static_storage.entry(key).or_insert_with(|| {
                     let id = self.next_storage_id;
                     self.next_storage_id += 1;
@@ -642,13 +597,6 @@ impl Vm {
                 let dims = self.eval_dims(shape, &frame.heap)?;
                 let required = checked_tensor_bytes(&dims, *dtype)?;
                 if required > avail {
-                    if self.strict_storage {
-                        return Err(VmErrorKind::StorageOverflow {
-                            required,
-                            available: avail,
-                        }
-                        .into());
-                    }
                     // Graceful degradation (§4.3): the runtime shape
                     // exceeded its declared upper bound. Instead of
                     // failing the run, take the tensor from the pooled
@@ -1196,6 +1144,33 @@ mod tests {
         assert_eq!(vm.telemetry().recoveries, 1);
     }
 
+    /// A launch off its kernel's declared dtype (an i64 tensor bound to
+    /// relu's f32 `X`) breaks the plan's launch contract: it fails typed
+    /// and leaves the VM reusable, and the interpreter still runs it.
+    #[test]
+    fn kernel_launch_off_its_declared_dtype_fails_typed() {
+        let ints = [Value::Tensor(
+            NDArray::from_i64(&[3], DataType::I64, vec![-5, 0, 5]).unwrap(),
+        )];
+        let mut vm = Vm::new(relu_exec());
+        let err = vm.run("main", &ints).unwrap_err();
+        let VmErrorKind::Interp(InterpError::ShapeMismatch { buffer, detail }) = &err.kind else {
+            panic!("want a typed refusal, got {err}");
+        };
+        assert_eq!(
+            (buffer.as_str(), detail.as_str()),
+            ("arg0", "declared f32, argument has i64")
+        );
+        let x = NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap();
+        vm.run("main", &[Value::Tensor(x)]).unwrap();
+        assert_eq!(vm.telemetry().recoveries, 1);
+
+        let mut interp = Vm::new(relu_exec());
+        interp.set_plan_cache_capacity(0);
+        let out = interp.run("main", &ints).unwrap();
+        assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
+    }
+
     #[test]
     fn capture_region_replays_after_first_run() {
         let mut exec = relu_exec();
@@ -1287,29 +1262,18 @@ mod tests {
             ctx: "param x".into(),
         };
         let mut vm = Vm::new(exec);
-        vm.set_strict_storage(true);
         let x = NDArray::from_f64(&[4], DataType::F32, vec![1., 2., 3., 4.]).unwrap();
         vm.run("main", &[Value::Tensor(x.clone())]).unwrap();
         vm.run("main", &[Value::Tensor(x)]).unwrap();
         let tel = vm.telemetry();
         // One static storage of 64 bytes, allocated once across both runs.
         assert_eq!(tel.planned_bytes, 64);
-        // Overflow: 32 floats need 128 bytes > 64 — an error in strict
-        // mode.
+        // Overflow: 32 floats need 128 bytes > 64. The tensor comes from
+        // the pooled allocator instead and the run completes.
         let big = NDArray::zeros(&[32], DataType::F32);
-        let err = vm.run("main", &[Value::Tensor(big.clone())]).unwrap_err();
-        assert!(matches!(err.kind, VmErrorKind::StorageOverflow { .. }));
-
-        // Default mode: the same overflow degrades to the pooled
-        // allocator and the run completes.
-        vm.set_strict_storage(false);
         let out = vm.run("main", &[Value::Tensor(big)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().shape(), &[32]);
-        let tel = vm.telemetry();
-        assert_eq!(tel.fallback_allocs, 1);
-        // The failed strict run left a clean state; this success after an
-        // error counts as a recovery.
-        assert_eq!(tel.recoveries, 1);
+        assert_eq!(vm.telemetry().fallback_allocs, 1);
     }
 
     #[test]
@@ -1366,26 +1330,6 @@ mod tests {
         let out = vm.run("main", &[Value::Tensor(x)]).unwrap();
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![1., 0.]);
         assert_eq!(vm.telemetry().recoveries, 1);
-    }
-
-    #[test]
-    fn memory_capacity_bounds_the_pool() {
-        let mut vm = Vm::new(relu_exec());
-        vm.set_memory_capacity(Some(8)); // two f32s
-        let small = NDArray::from_f64(&[2], DataType::F32, vec![1., -1.]).unwrap();
-        vm.run("main", &[Value::Tensor(small)]).unwrap();
-        let big = NDArray::zeros(&[64], DataType::F32);
-        let err = vm.run("main", &[Value::Tensor(big)]).unwrap_err();
-        match err.kind {
-            VmErrorKind::StorageOverflow {
-                required,
-                available,
-            } => {
-                assert_eq!(required, 256);
-                assert!(available <= 8);
-            }
-            other => panic!("expected StorageOverflow, got {other}"),
-        }
     }
 
     /// The VM is `Send`: a serving engine moves one VM into each worker

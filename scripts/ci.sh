@@ -92,7 +92,9 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
 # matmul's fastest run against the host roofline floor (kernel_roofline);
 # plus the pipeline ablation: 16 configs, each against the interpreter.
-# Release matters: rows are vectorized there.
+# Release matters: rows are vectorized there. The plan.rs unit tests run
+# here too (the launch contract's refusals, macro-op and fused-row plans).
+cargo test -p relax-tir --release -q --lib plan::
 cargo test -p relax-tir --release -q --test plan_differential
 cargo test -p relax-tir --release -q --test schedule_diff
 cargo test -p relax-tir --release -q --test storage_roundtrip

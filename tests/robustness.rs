@@ -303,22 +303,14 @@ fn injected_shape_check_fault_errors_and_recovers() {
 }
 
 #[test]
-fn strict_storage_overflow_errors_then_fallback_succeeds() {
+fn planned_storage_overflow_degrades_to_the_pool() {
+    // Storage planned for a batch of 4, run at 32: the tensors that
+    // outgrow it come from the pooled allocator, which gets every block
+    // back.
     let mut vm = Vm::new(compiled_mlp(4));
-    vm.set_strict_storage(true);
-    let err = vm.run("main", &mlp_args(32)).unwrap_err();
-    match err.kind {
-        VmErrorKind::StorageOverflow {
-            required,
-            available,
-        } => assert!(required > available),
-        other => panic!("expected StorageOverflow, got {other}"),
-    }
-    assert!(err.origin().unwrap().instr.contains("tensor_from"));
-    // Default mode degrades the same overflow to the pooled allocator.
-    vm.set_strict_storage(false);
-    assert_recovers(&mut vm, &mlp_args(32));
+    vm.run("main", &mlp_args(32)).unwrap();
     assert!(vm.telemetry().fallback_allocs >= 1);
+    assert_eq!(vm.telemetry().pool.in_use, 0);
 }
 
 #[test]
