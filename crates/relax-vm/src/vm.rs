@@ -1171,6 +1171,34 @@ mod tests {
         assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
     }
 
+    /// `relu(x) -> x` writes an argument that shares storage with
+    /// another: the plan refuses it, naming the output, and the
+    /// interpreter runs it in place.
+    #[test]
+    fn in_place_kernel_launch_fails_typed() {
+        let mut exec = relu_exec();
+        let main = exec.funcs.get_mut("main").unwrap();
+        main.instrs[2] = Instr::CallTir {
+            func: "relu".into(),
+            args: vec![0],
+            dsts: vec![0],
+            sym_args: vec![],
+        };
+        main.instrs[3] = Instr::Ret { src: 0 };
+        let x = NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap();
+        let x = || [Value::Tensor(x.deep_copy())];
+        let err = Vm::new(exec.clone()).run("main", &x()).unwrap_err();
+        assert!(
+            matches!(&err.kind, VmErrorKind::Interp(InterpError::ShapeMismatch { buffer, .. })
+                if buffer == "arg1"),
+            "{err}"
+        );
+        let mut interp = Vm::new(exec);
+        interp.set_plan_cache_capacity(0);
+        let out = interp.run("main", &x()).unwrap();
+        assert_eq!(out.as_tensor().unwrap().to_f64_vec(), vec![0., 0., 5.]);
+    }
+
     #[test]
     fn capture_region_replays_after_first_run() {
         let mut exec = relu_exec();
