@@ -12,6 +12,7 @@ use std::fmt;
 
 use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::bind_shapes_dims;
+use relax_trace::{CacheOutcome, Payload};
 use relax_vm::{Executable, Instr, VmFunction};
 
 use crate::cost::{kernel_time, KernelClass};
@@ -90,6 +91,48 @@ impl SimValue {
             _ => 0.0,
         }
     }
+
+    /// The dimensions the launch log records for this argument, as
+    /// `relax_vm::Value::launch_dims` does for the VM's.
+    fn launch_dims(&self) -> Vec<usize> {
+        let dims = match self {
+            SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => dims.clone(),
+            SimValue::KvCache {
+                streams,
+                batch,
+                heads,
+                head_dim,
+                ..
+            } => [*batch, *heads, *head_dim].iter().chain(streams).copied().collect(),
+            _ => Vec::new(),
+        };
+        dims.into_iter().map(|d| d.max(0) as usize).collect()
+    }
+}
+
+/// Logs one charged kernel as the VM logs that launch: an instant named
+/// like the VM's span (`kernel:`, `lib:` or `builtin:` and the function),
+/// with the same payload. Costs one relaxed load with tracing off.
+fn log_launch(
+    class: &str,
+    func: &str,
+    shapes: impl FnOnce() -> Vec<Vec<usize>>,
+    cache: Option<CacheOutcome>,
+) {
+    relax_trace::instant(
+        "sim",
+        || format!("{class}:{func}"),
+        || Payload::Kernel {
+            kernel: func.to_string(),
+            shapes: relax_trace::shape_sig(&shapes()),
+            cache,
+        },
+    );
+}
+
+/// The launch-log dimensions of the values in `args`.
+fn arg_dims(args: &[usize], regs: &[SimValue]) -> Vec<Vec<usize>> {
+    args.iter().map(|r| regs[*r].launch_dims()).collect()
 }
 
 /// Error raised by the dry run.
@@ -470,9 +513,12 @@ fn exec_instrs(
                 // (function, shapes) key — the VM's shape-keyed cache
                 // amortizes everything after that. The warm steady state
                 // launches straight from the cache.
-                if !warm && seen.insert((func.clone(), shapes.clone())) {
+                let miss = !warm && seen.insert((func.clone(), shapes.clone()));
+                if miss {
                     report.add_plan_compile(device);
                 }
+                let outcome = if miss { CacheOutcome::Miss } else { CacheOutcome::Hit };
+                log_launch("kernel", func, || shapes, Some(outcome));
                 report.add_kernel(
                     device,
                     KernelClass::Generated,
@@ -483,9 +529,11 @@ fn exec_instrs(
             }
             Instr::CallLib { func, args, dsts } => {
                 let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
+                log_launch("lib", func, || arg_dims(args, regs), None);
                 report.add_kernel(device, KernelClass::Library, flops, bytes, !in_replay);
             }
             Instr::CallBuiltin { func, args, dst } => {
+                log_launch("builtin", func, || arg_dims(args, regs), None);
                 if let Some(op) = func.strip_prefix(relax_vm::KV_CACHE_PREFIX) {
                     let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
                     let (flops, bytes, out) = kv_cache_builtin(op, &vals)?;

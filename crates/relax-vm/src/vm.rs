@@ -736,7 +736,17 @@ impl Vm {
                     .iter()
                     .map(|r| frame.get(*r).cloned())
                     .collect::<Result<Vec<_>, _>>()?;
+                let sp = relax_trace::span("vm", || format!("builtin:{func}"));
+                // The arguments as the builtin receives them: a KV cache
+                // appends in place.
+                let shapes = (sp.id() != 0)
+                    .then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
                 let out = self.registry.call_builtin(func, &vals, &self.kv_pool)?;
+                sp.finish_with(|| relax_trace::Payload::Kernel {
+                    kernel: func.clone(),
+                    shapes: relax_trace::shape_sig(&shapes.unwrap_or_default()),
+                    cache: None,
+                });
                 self.telemetry.builtin_calls += 1;
                 frame.set(*dst, out)?;
             }

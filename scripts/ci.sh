@@ -74,9 +74,12 @@ echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (releas
 # match_cast-mediated MoE dispatch against its pure-Rust oracle across
 # ragged token counts, the worst-case dry-run costing of the ragged
 # dispatch, and the goldens (speculative draft/verify sessions against
-# plain decode run with the relax-serve suite above).
+# plain decode run with the relax-serve suite above). sim_parity pins the
+# dry run every figure comes from to the VM: the same launches with the
+# same shape signatures, and the same counters, on every model it costs.
 cargo test --release -q --test moe_diff
 cargo test -p relax-sim --release -q --test moe_cost
+cargo test --release -q --test sim_parity
 cargo test --release -q --test golden_roundtrip
 
 echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep smoke (release)"
@@ -116,11 +119,14 @@ echo "==> trace smoke (RELAX_TRACE=1, Chrome export checked in-process)"
 RELAX_TRACE=1 cargo run --release -q --example trace_smoke >/dev/null
 test -s target/trace_smoke.json
 
-echo "==> paper-figure binaries (release)"
+echo "==> paper-figure binaries (release), each against its golden stdout"
 # Every table and figure binary of EXPERIMENTS.md; each finishes in about
-# a second on 2 vCPUs.
+# a second on 2 vCPUs and prints the same bytes every run. A change that
+# moves a figure number updates crates/relax-bench/golden/ with it.
 for bin in crates/relax-bench/src/bin/*.rs; do
-    cargo run --release -q -p relax-bench --bin "$(basename "$bin" .rs)" >/dev/null
+    name=$(basename "$bin" .rs)
+    cargo run --release -q -p relax-bench --bin "$name" |
+        diff -u "crates/relax-bench/golden/$name.txt" -
 done
 
 echo "==> benchmark package: contract tests + 2-second smoke of every workload"
