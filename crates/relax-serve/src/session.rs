@@ -230,7 +230,7 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             workers: 4,
-            page_tokens: 16,
+            page_tokens: relax_vm::KV_PAGE_TOKENS,
             pool_pages: usize::MAX,
             max_running: 32,
             max_attempts: 3,

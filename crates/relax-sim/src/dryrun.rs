@@ -1,30 +1,40 @@
 //! Shape-level dry run of a compiled executable.
 //!
-//! Mirrors the VM's execution at the shape level — no tensor data is
-//! touched — while charging each kernel launch to the device cost model.
-//! This is how the benchmark harness obtains "Relax" numbers for
+//! Walks the VM's instructions at the shape level — no tensor data is
+//! touched — charging each kernel launch to the device cost model, and
+//! applies the VM's own `MatchShape` rule, KV page size and KV dtype codes.
+//! This is how the paper-figure binaries obtain "Relax" numbers for
 //! full-size models: the compiler's actual output (after fusion, library
 //! dispatch, memory planning and graph capture) determines exactly which
 //! kernels launch with which shapes.
+//!
+//! The walk is pinned by `sim_parity` (`tests/sim_parity.rs`): each charged
+//! kernel logs a `sim` trace instant named and shaped like the VM's span
+//! for that launch, and the two logs and launch counters agree on every
+//! model the figures cost. Stated exceptions:
+//! - MoE gathers are bounded by the whole token batch (§4.2's worst-case
+//!   rule): launch names match, every dimension is at least the VM's.
+//! - [`MemoryTracker::planned_bytes`] leaves out storages that escape
+//!   through `Ret` (Table 2 counts activations only).
+//! - The plan cache is unbounded: one compile per `(kernel, shapes)` key.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::bind_shapes_dims;
-use relax_trace::{CacheOutcome, Payload};
-use relax_vm::{Executable, Instr, VmFunction};
+use relax_trace::CacheOutcome::{self, Hit, Miss};
+use relax_trace::Payload;
+use relax_vm::kv_cache::kv_dtype;
+use relax_vm::{Executable, Instr, VmErrorKind, KV_PAGE_TOKENS};
 
 use crate::cost::{kernel_time, KernelClass};
 use crate::device::DeviceSpec;
 
-/// Page granularity assumed for paged KV caches — matches the VM's
-/// default page size (`relax_vm::KvPagePool`).
-const KV_PAGE_TOKENS: i64 = 16;
-
-/// Pages needed to hold `len` tokens at [`KV_PAGE_TOKENS`] granularity.
-fn kv_pages(len: i64) -> i64 {
-    (len.max(0) + KV_PAGE_TOKENS - 1) / KV_PAGE_TOKENS
+/// Tokens `len` logical tokens hold in whole pages of the VM's size.
+fn kv_page_rows(len: i64) -> i64 {
+    let page = KV_PAGE_TOKENS as i64;
+    (len.max(0) + page - 1) / page * page
 }
 
 /// A runtime value tracked at the shape level.
@@ -85,7 +95,7 @@ impl SimValue {
                 let row = (batch * heads * head_dim).max(0) as f64 * dtype.size_bytes() as f64;
                 streams
                     .iter()
-                    .map(|&len| (kv_pages(len) * KV_PAGE_TOKENS) as f64 * row)
+                    .map(|&len| kv_page_rows(len) as f64 * row)
                     .sum()
             }
             _ => 0.0,
@@ -103,7 +113,7 @@ impl SimValue {
                 heads,
                 head_dim,
                 ..
-            } => [*batch, *heads, *head_dim].iter().chain(streams).copied().collect(),
+            } => [&[*batch, *heads, *head_dim][..], streams].concat(),
             _ => Vec::new(),
         };
         dims.into_iter().map(|d| d.max(0) as usize).collect()
@@ -246,11 +256,10 @@ impl SimReport {
         self.kernels += 1;
         self.flops += flops;
         self.bytes += bytes;
-        if charge_launch {
-            self.launch_s += device.launch_overhead;
-            self.launches += 1;
-        }
         self.recompute_total();
+        if charge_launch {
+            self.add_launch(device);
+        }
     }
 
     fn add_launch(&mut self, device: &DeviceSpec) {
@@ -263,18 +272,17 @@ impl SimReport {
 /// Tracks memory behaviour across successive simulated invocations —
 /// the measurement behind the Table 2 experiment. The pooled allocator
 /// mirrors the runtime pool used when planning is off; `planned` records
-/// the static storages (keyed by instruction index) sized by Algorithm 3.
+/// the static storages sized by Algorithm 3, keyed by site as the VM
+/// keys them. Values that escape through a function's return (model
+/// outputs such as KV caches and logits) are left out of this
+/// *activation* accounting, like the runtime-managed KV cache in the
+/// paper's Table 2.
 #[derive(Debug, Default)]
 pub struct MemoryTracker {
     /// The runtime recycling pool (unplanned path).
     pub pool: relax_vm::memory::PooledAllocator,
-    /// Planned storage sizes by allocation site.
-    planned: HashMap<usize, usize>,
-    /// Registers whose tensors escape through the function return (model
-    /// outputs such as KV caches and logits) — excluded from *activation*
-    /// accounting, like the runtime-managed KV cache in the paper's
-    /// Table 2.
-    escaping: std::collections::HashSet<usize>,
+    /// Planned storage sizes by allocation site: (function, pc).
+    planned: HashMap<(String, usize), usize>,
 }
 
 impl MemoryTracker {
@@ -331,10 +339,7 @@ pub fn simulate(
     device: &DeviceSpec,
     warm: bool,
 ) -> Result<SimReport, SimError> {
-    let mut report = SimReport::default();
-    let mut seen = std::collections::HashSet::new();
-    simulate_into(exec, func, args, device, warm, &mut report, &mut None, &mut seen)?;
-    Ok(report)
+    DryRun::run(exec, device, warm, None, func, args)
 }
 
 /// Like [`simulate`], additionally recording memory behaviour into a
@@ -353,304 +358,255 @@ pub fn simulate_with_memory(
     warm: bool,
     memory: &mut MemoryTracker,
 ) -> Result<SimReport, SimError> {
-    let mut report = SimReport::default();
-    let mut mem = Some(memory);
-    let mut seen = std::collections::HashSet::new();
-    simulate_into_mem(exec, func, args, device, warm, &mut report, &mut mem, &mut seen)?;
-    Ok(report)
+    DryRun::run(exec, device, warm, Some(memory), func, args)
 }
 
-/// Plan-cache keys already charged for compilation during this dry run.
-type SeenPlans = std::collections::HashSet<(String, Vec<Vec<usize>>)>;
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_into(
-    exec: &Executable,
-    func: &str,
-    args: &[SimValue],
-    device: &DeviceSpec,
+/// One dry run: what it walks, what it has charged, and the plan-cache
+/// keys it has charged a compilation for.
+struct DryRun<'a> {
+    exec: &'a Executable,
+    device: &'a DeviceSpec,
     warm: bool,
-    report: &mut SimReport,
-    memory: &mut Option<&mut MemoryTracker>,
-    seen: &mut SeenPlans,
-) -> Result<SimValue, SimError> {
-    simulate_into_mem(exec, func, args, device, warm, report, memory, seen)
+    memory: Option<&'a mut MemoryTracker>,
+    report: SimReport,
+    seen: HashSet<(String, Vec<Vec<usize>>)>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate_into_mem(
-    exec: &Executable,
-    func: &str,
-    args: &[SimValue],
-    device: &DeviceSpec,
-    warm: bool,
-    report: &mut SimReport,
-    memory: &mut Option<&mut MemoryTracker>,
-    seen: &mut SeenPlans,
-) -> Result<SimValue, SimError> {
-    let vmf: &VmFunction = exec
-        .funcs
-        .get(func)
-        .ok_or_else(|| SimError::Unknown(func.to_string()))?;
-    let mut regs: Vec<SimValue> = vec![SimValue::None; vmf.num_regs];
-    for (i, a) in args.iter().enumerate() {
-        regs[i] = a.clone();
+/// One function invocation of a dry run.
+struct Frame<'f> {
+    func: &'f str,
+    regs: Vec<SimValue>,
+    heap: HashMap<SymVar, i64>,
+    /// Pool block sizes granted to registers (for recycling on `Kill`).
+    granted: HashMap<usize, usize>,
+    /// Registers whose values escape through this function's return.
+    escaping: HashSet<usize>,
+}
+
+impl<'a> DryRun<'a> {
+    fn run(
+        exec: &'a Executable,
+        device: &'a DeviceSpec,
+        warm: bool,
+        memory: Option<&'a mut MemoryTracker>,
+        func: &str,
+        args: &[SimValue],
+    ) -> Result<SimReport, SimError> {
+        let (report, seen) = (SimReport::default(), HashSet::new());
+        let mut run = DryRun {
+            exec,
+            device,
+            warm,
+            memory,
+            report,
+            seen,
+        };
+        run.call(func, args)?;
+        Ok(run.report)
     }
-    if let Some(mem) = memory.as_deref_mut() {
-        mem.escaping = escaping_regs(&vmf.instrs);
+
+    /// Charges one kernel; a replayed one launches with its region.
+    fn charge(&mut self, class: KernelClass, flops: f64, bytes: f64, in_replay: bool) {
+        let report = &mut self.report;
+        report.add_kernel(self.device, class, flops, bytes, !in_replay);
     }
-    let mut heap: HashMap<SymVar, i64> = HashMap::new();
-    let mut granted: HashMap<usize, usize> = HashMap::new();
-    let ret = exec_instrs(
-        exec,
-        device,
-        warm,
-        &vmf.instrs,
-        &mut regs,
-        &mut heap,
-        report,
-        false,
-        memory,
-        &mut granted,
-        seen,
-    )?;
-    if let Some(mem) = memory.as_deref_mut() {
-        for (_, size) in granted.drain() {
-            mem.pool.free(size);
+
+    fn call(&mut self, func: &str, args: &[SimValue]) -> Result<SimValue, SimError> {
+        let vmf = self
+            .exec
+            .funcs
+            .get(func)
+            .ok_or_else(|| SimError::Unknown(func.to_string()))?;
+        let mut regs = vec![SimValue::None; vmf.num_regs];
+        regs[..args.len()].clone_from_slice(args);
+        let mut frame = Frame {
+            func,
+            regs,
+            heap: HashMap::new(),
+            granted: HashMap::new(),
+            escaping: escaping_regs(&vmf.instrs),
+        };
+        let ret = self.block(&vmf.instrs, &mut frame, false)?;
+        if let Some(mem) = self.memory.as_deref_mut() {
+            for (_, size) in frame.granted.drain() {
+                mem.pool.free(size);
+            }
         }
+        ret.ok_or_else(|| SimError::Unknown(format!("{func} returned nothing")))
     }
-    ret.ok_or_else(|| SimError::Unknown(format!("{func} returned nothing")))
-}
 
-#[allow(clippy::too_many_arguments)]
-fn exec_instrs(
-    exec: &Executable,
-    device: &DeviceSpec,
-    warm: bool,
-    instrs: &[Instr],
-    regs: &mut Vec<SimValue>,
-    heap: &mut HashMap<SymVar, i64>,
-    report: &mut SimReport,
-    in_replay: bool,
-    memory: &mut Option<&mut MemoryTracker>,
-    granted: &mut HashMap<usize, usize>,
-    seen: &mut SeenPlans,
-) -> Result<Option<SimValue>, SimError> {
-    for (idx, instr) in instrs.iter().enumerate() {
-        match instr {
-            Instr::AllocTensor { dst, shape, dtype } => {
-                let dims: Result<Vec<i64>, _> = shape.iter().map(|d| d.eval(heap)).collect();
-                let val = SimValue::Tensor {
-                    dims: dims?,
-                    dtype: *dtype,
-                };
-                if let Some(mem) = memory.as_deref_mut() {
-                    if !mem.escaping.contains(dst) {
-                        let bytes = val.byte_size() as usize;
-                        mem.check_capacity(device, bytes)?;
-                        let (_, size) = mem.pool.alloc(bytes);
-                        granted.insert(*dst, size);
-                    }
-                }
-                regs[*dst] = val;
-            }
-            Instr::TensorFromStorage {
-                dst, shape, dtype, ..
-            } => {
-                let dims: Result<Vec<i64>, _> = shape.iter().map(|d| d.eval(heap)).collect();
-                regs[*dst] = SimValue::Tensor {
-                    dims: dims?,
-                    dtype: *dtype,
-                };
-            }
-            Instr::AllocStorage { dst, bytes } => {
-                let b = bytes.eval(heap).unwrap_or(0).max(0) as usize;
-                if let Some(mem) = memory.as_deref_mut() {
-                    if !mem.escaping.contains(dst) {
-                        let current = mem.planned.get(&idx).copied().unwrap_or(0);
-                        // Only the growth beyond the site's recorded
-                        // maximum is new memory.
-                        mem.check_capacity(device, b.saturating_sub(current))?;
-                        let entry = mem.planned.entry(idx).or_insert(0);
-                        *entry = (*entry).max(b);
-                    }
-                }
-                regs[*dst] = SimValue::Storage(b);
-            }
-            Instr::Kill { reg } => {
-                if let Some(mem) = memory.as_deref_mut() {
-                    if let Some(size) = granted.remove(reg) {
-                        mem.pool.free(size);
-                    }
-                }
-                regs[*reg] = SimValue::None;
-            }
-            Instr::CallTir {
-                func, args, dsts, ..
-            } => {
-                let prim = exec
-                    .tir_funcs
-                    .get(func)
-                    .ok_or_else(|| SimError::Unknown(func.clone()))?;
-                let mut shapes: Vec<Vec<usize>> = Vec::new();
-                for r in args.iter().chain(dsts) {
-                    match &regs[*r] {
-                        SimValue::Tensor { dims, .. } => {
-                            shapes.push(dims.iter().map(|&d| d.max(0) as usize).collect());
-                        }
-                        other => {
-                            return Err(SimError::Type(format!(
-                                "call_tir arg must be tensor, got {other:?}"
-                            )))
+    fn block(
+        &mut self,
+        instrs: &'a [Instr],
+        frame: &mut Frame<'_>,
+        in_replay: bool,
+    ) -> Result<Option<SimValue>, SimError> {
+        let (exec, device) = (self.exec, self.device);
+        for (idx, instr) in instrs.iter().enumerate() {
+            let regs = &mut frame.regs;
+            let heap = &mut frame.heap;
+            match instr {
+                Instr::AllocTensor { dst, shape, dtype } => {
+                    let val = SimValue::tensor(eval_dims(shape, heap)?, *dtype);
+                    if let Some(mem) = self.memory.as_deref_mut() {
+                        if !frame.escaping.contains(dst) {
+                            let bytes = val.byte_size() as usize;
+                            mem.check_capacity(device, bytes)?;
+                            let (_, size) = mem.pool.alloc(bytes);
+                            frame.granted.insert(*dst, size);
                         }
                     }
+                    regs[*dst] = val;
                 }
-                let mut env = HashMap::new();
-                bind_shapes_dims(prim.params(), &shapes, &mut env)
-                    .map_err(|e| SimError::ShapeCheck(e.to_string()))?;
-                let cost = relax_tir::analysis::cost_of(prim, &env);
-                // A cold run pays one plan compilation per distinct
-                // (function, shapes) key — the VM's shape-keyed cache
-                // amortizes everything after that. The warm steady state
-                // launches straight from the cache.
-                let miss = !warm && seen.insert((func.clone(), shapes.clone()));
-                if miss {
-                    report.add_plan_compile(device);
+                Instr::TensorFromStorage {
+                    dst, shape, dtype, ..
+                } => regs[*dst] = SimValue::tensor(eval_dims(shape, heap)?, *dtype),
+                Instr::AllocStorage { dst, bytes } => {
+                    let b = bytes.eval(heap).unwrap_or(0).max(0) as usize;
+                    if let Some(mem) = self.memory.as_deref_mut() {
+                        if !frame.escaping.contains(dst) {
+                            let site = (frame.func.to_string(), idx);
+                            let current = mem.planned.get(&site).copied().unwrap_or(0);
+                            // Only the growth beyond the site's recorded
+                            // maximum is new memory.
+                            mem.check_capacity(device, b.saturating_sub(current))?;
+                            mem.planned.insert(site, current.max(b));
+                        }
+                    }
+                    regs[*dst] = SimValue::Storage(b);
                 }
-                let outcome = if miss { CacheOutcome::Miss } else { CacheOutcome::Hit };
-                log_launch("kernel", func, || shapes, Some(outcome));
-                report.add_kernel(
-                    device,
-                    KernelClass::Generated,
-                    cost.flops,
-                    cost.bytes,
-                    !in_replay,
-                );
-            }
-            Instr::CallLib { func, args, dsts } => {
-                let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
-                log_launch("lib", func, || arg_dims(args, regs), None);
-                report.add_kernel(device, KernelClass::Library, flops, bytes, !in_replay);
-            }
-            Instr::CallBuiltin { func, args, dst } => {
-                log_launch("builtin", func, || arg_dims(args, regs), None);
-                if let Some(op) = func.strip_prefix(relax_vm::KV_CACHE_PREFIX) {
+                Instr::Kill { reg } => {
+                    if let Some(mem) = self.memory.as_deref_mut() {
+                        if let Some(size) = frame.granted.remove(reg) {
+                            mem.pool.free(size);
+                        }
+                    }
+                    regs[*reg] = SimValue::None;
+                }
+                Instr::CallTir {
+                    func, args, dsts, ..
+                } => {
+                    let prim = exec
+                        .tir_funcs
+                        .get(func)
+                        .ok_or_else(|| SimError::Unknown(func.clone()))?;
+                    let shapes = args.iter().chain(dsts).map(|r| match &regs[*r] {
+                        SimValue::Tensor { .. } => Ok(regs[*r].launch_dims()),
+                        other => Err(SimError::Type(format!(
+                            "call_tir arg must be tensor, got {other:?}"
+                        ))),
+                    });
+                    let shapes: Vec<Vec<usize>> = shapes.collect::<Result<_, _>>()?;
+                    let mut env = HashMap::new();
+                    bind_shapes_dims(prim.params(), &shapes, &mut env)
+                        .map_err(|e| SimError::ShapeCheck(e.to_string()))?;
+                    let cost = relax_tir::analysis::cost_of(prim, &env);
+                    // A cold run pays one plan compilation per distinct
+                    // (function, shapes) key — the VM's shape-keyed cache
+                    // amortizes everything after that. The warm steady
+                    // state launches straight from the cache.
+                    let miss = !self.warm && self.seen.insert((func.clone(), shapes.clone()));
+                    if miss {
+                        self.report.add_plan_compile(device);
+                    }
+                    let cache = Some(if miss { Miss } else { Hit });
+                    log_launch("kernel", func, || shapes, cache);
+                    self.charge(KernelClass::Generated, cost.flops, cost.bytes, in_replay);
+                }
+                Instr::CallLib { func, args, dsts } => {
+                    let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
+                    log_launch("lib", func, || arg_dims(args, regs), None);
+                    self.charge(KernelClass::Library, flops, bytes, in_replay);
+                }
+                Instr::CallBuiltin { func, args, dst } => {
+                    log_launch("builtin", func, || arg_dims(args, regs), None);
                     let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                    let (flops, bytes, out) = kv_cache_builtin(op, &vals)?;
-                    report.add_kernel(device, KernelClass::Generated, flops, bytes, !in_replay);
+                    let (flops, bytes, out) =
+                        if let Some(op) = func.strip_prefix(relax_vm::KV_CACHE_PREFIX) {
+                            kv_cache_builtin(op, &vals)?
+                        } else if let Some(op) = func.strip_prefix(relax_vm::MOE_PREFIX) {
+                            moe_builtin(op, &vals)?
+                        } else {
+                            // Host-side builtin: charge the data movement
+                            // only; the output is pessimistically as large
+                            // as the input.
+                            let input = vals.into_iter().next().unwrap_or(SimValue::None);
+                            (0.0, 2.0 * input.byte_size(), input)
+                        };
+                    self.charge(KernelClass::Generated, flops, bytes, in_replay);
                     regs[*dst] = out;
-                } else if let Some(op) = func.strip_prefix(relax_vm::MOE_PREFIX) {
+                }
+                Instr::CallFunc { func, args, dst } => {
                     let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                    let (flops, bytes, out) = moe_builtin(op, &vals)?;
-                    report.add_kernel(device, KernelClass::Generated, flops, bytes, !in_replay);
-                    regs[*dst] = out;
-                } else {
-                    // Host-side builtin: charge the data movement only;
-                    // the output is pessimistically as large as the input.
-                    let input = args
-                        .first()
-                        .map(|r| regs[*r].clone())
-                        .unwrap_or(SimValue::None);
-                    let bytes = input.byte_size();
-                    report.add_kernel(device, KernelClass::Generated, 0.0, 2.0 * bytes, !in_replay);
-                    regs[*dst] = input;
+                    frame.regs[*dst] = self.call(func, &vals)?;
                 }
-            }
-            Instr::CallFunc { func, args, dst } => {
-                let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                regs[*dst] =
-                    simulate_into(exec, func, &vals, device, warm, report, memory, seen)?;
-            }
-            Instr::MatchShape { src, dims, ctx } => {
-                let actual: Vec<i64> = match &regs[*src] {
-                    SimValue::Tensor { dims, .. } => dims.clone(),
-                    SimValue::Shape(dims) => dims.clone(),
-                    other => {
-                        return Err(SimError::Type(format!("match_shape on {other:?} at {ctx}")))
-                    }
-                };
-                if actual.len() != dims.len() {
-                    return Err(SimError::ShapeCheck(format!(
-                        "{ctx}: rank {} vs {}",
-                        dims.len(),
-                        actual.len()
-                    )));
-                }
-                for (expr, &got) in dims.iter().zip(&actual) {
-                    match expr {
-                        PrimExpr::Var(v) if !heap.contains_key(v) => {
-                            heap.insert(v.clone(), got);
+                Instr::MatchShape { src, dims, ctx } => {
+                    let actual = match &regs[*src] {
+                        SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => dims,
+                        other => return Err(SimError::Type(format!("{ctx}: {other:?}"))),
+                    };
+                    relax_vm::match_shape(actual, dims, ctx, heap).map_err(|e| match e {
+                        VmErrorKind::ShapeCheck { ctx, detail } => {
+                            SimError::ShapeCheck(format!("{ctx}: {detail}"))
                         }
-                        e => {
-                            let expected = e.eval(heap)?;
-                            if expected != got {
-                                return Err(SimError::ShapeCheck(format!(
-                                    "{ctx}: `{e}` = {expected}, runtime value {got}"
-                                )));
-                            }
-                        }
-                    }
+                        VmErrorKind::Eval(e) => SimError::Eval(e),
+                        other => SimError::Type(other.to_string()),
+                    })?;
                 }
-            }
-            Instr::LoadConst { dst, index } => {
-                let c = exec
-                    .constants
-                    .get(*index)
-                    .ok_or_else(|| SimError::Unknown(format!("const[{index}]")))?;
-                regs[*dst] = SimValue::Tensor {
-                    dims: c.shape().iter().map(|&d| d as i64).collect(),
-                    dtype: c.dtype(),
-                };
-            }
-            Instr::MakeTuple { dst, items } => {
-                regs[*dst] = SimValue::Tuple(items.iter().map(|r| regs[*r].clone()).collect());
-            }
-            Instr::GetItem { dst, src, index } => {
-                let item = match &regs[*src] {
-                    SimValue::Tuple(items) => items.get(*index).cloned(),
-                    other => return Err(SimError::Type(format!("get_item on {other:?}"))),
-                };
-                regs[*dst] = item.unwrap_or(SimValue::None);
-            }
-            Instr::MakeShape { dst, dims } => {
-                let vals: Result<Vec<i64>, _> = dims.iter().map(|d| d.eval(heap)).collect();
-                regs[*dst] = SimValue::Shape(vals?);
-            }
-            Instr::Copy { dst, src } => regs[*dst] = regs[*src].clone(),
-            Instr::CaptureRegion { body, .. } => {
-                if warm {
-                    // Replay: a single launch for the whole region; kernels
-                    // still execute on-device.
-                    report.add_launch(device);
-                    if let Some(v) = exec_instrs(
-                        exec, device, warm, body, regs, heap, report, true, memory, granted, seen,
-                    )? {
-                        return Ok(Some(v));
+                Instr::LoadConst { dst, index } => {
+                    let c = exec
+                        .constants
+                        .get(*index)
+                        .ok_or_else(|| SimError::Unknown(format!("const[{index}]")))?;
+                    let dims = c.shape().iter().map(|&d| d as i64).collect();
+                    regs[*dst] = SimValue::tensor(dims, c.dtype());
+                }
+                Instr::MakeTuple { dst, items } => {
+                    regs[*dst] = SimValue::Tuple(items.iter().map(|r| regs[*r].clone()).collect());
+                }
+                Instr::GetItem { dst, src, index } => {
+                    let item = match &regs[*src] {
+                        SimValue::Tuple(items) => items.get(*index).cloned(),
+                        other => return Err(SimError::Type(format!("get_item on {other:?}"))),
+                    };
+                    regs[*dst] = item.unwrap_or(SimValue::None);
+                }
+                Instr::MakeShape { dst, dims } => {
+                    regs[*dst] = SimValue::Shape(eval_dims(dims, heap)?)
+                }
+                Instr::Copy { dst, src } => regs[*dst] = regs[*src].clone(),
+                Instr::CaptureRegion { body, .. } => {
+                    if self.warm {
+                        // Replay: a single launch for the whole region;
+                        // kernels still execute on-device.
+                        self.report.add_launch(device);
+                    } else {
+                        // First execution: capture while running. Charge a
+                        // modest one-time capture overhead on top of
+                        // normal launches.
+                        self.report.launch_s += 4.0 * device.launch_overhead;
+                        self.report.recompute_total();
                     }
-                } else {
-                    // First execution: capture while running. Charge a
-                    // modest one-time capture overhead on top of normal
-                    // launches.
-                    report.launch_s += 4.0 * device.launch_overhead;
-                    report.recompute_total();
-                    if let Some(v) = exec_instrs(
-                        exec, device, warm, body, regs, heap, report, false, memory, granted, seen,
-                    )? {
+                    if let Some(v) = self.block(body, frame, self.warm)? {
                         return Ok(Some(v));
                     }
                 }
+                Instr::Ret { src } => return Ok(Some(regs[*src].clone())),
             }
-            Instr::Ret { src } => return Ok(Some(regs[*src].clone())),
         }
+        Ok(None)
     }
-    Ok(None)
+}
+
+fn eval_dims(dims: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>, EvalError> {
+    dims.iter().map(|d| d.eval(heap)).collect()
 }
 
 /// Computes the registers whose values escape through the function return
 /// — transitively through tuples, copies, projections, capture regions,
 /// and the storages backing escaping tensors.
-fn escaping_regs(instrs: &[Instr]) -> std::collections::HashSet<usize> {
-    let mut escaping: std::collections::HashSet<usize> = std::collections::HashSet::new();
+fn escaping_regs(instrs: &[Instr]) -> HashSet<usize> {
+    let mut escaping = HashSet::new();
     fn flat<'a>(instrs: &'a [Instr], out: &mut Vec<&'a Instr>) {
         for i in instrs {
             if let Instr::CaptureRegion { body, .. } = i {
@@ -662,16 +618,14 @@ fn escaping_regs(instrs: &[Instr]) -> std::collections::HashSet<usize> {
     }
     let mut all = Vec::new();
     flat(instrs, &mut all);
-    for i in &all {
-        if let Instr::Ret { src } = i {
-            escaping.insert(*src);
-        }
-    }
     // Iterate to a fixed point over the (small) instruction list.
     loop {
         let before = escaping.len();
         for i in &all {
             match i {
+                Instr::Ret { src } => {
+                    escaping.insert(*src);
+                }
                 Instr::MakeTuple { dst, items } if escaping.contains(dst) => {
                     escaping.extend(items.iter().copied());
                 }
@@ -701,17 +655,14 @@ fn lib_cost(
     dsts: &[usize],
     regs: &[SimValue],
 ) -> Result<(f64, f64), SimError> {
-    let tensor_dims = |r: usize| -> Result<(Vec<i64>, DataType), SimError> {
-        match &regs[r] {
-            SimValue::Tensor { dims, dtype } => Ok((dims.clone(), *dtype)),
-            other => Err(SimError::Type(format!("lib arg must be tensor: {other:?}"))),
-        }
+    let tensor_dims = |r: usize| match &regs[r] {
+        SimValue::Tensor { dims, .. } => Ok(dims),
+        other => Err(SimError::Type(format!("lib arg must be tensor: {other:?}"))),
     };
     let io_bytes: f64 = args.iter().chain(dsts).map(|&r| regs[r].byte_size()).sum();
     match func {
         "cublas.matmul" | "cublas.matmul_relu" => {
-            let (a, _) = tensor_dims(args[0])?;
-            let (b, _) = tensor_dims(args[1])?;
+            let (a, b) = (tensor_dims(args[0])?, tensor_dims(args[1])?);
             if a.len() < 2 || b.len() < 2 {
                 return Err(SimError::Type("matmul rank".into()));
             }
@@ -730,14 +681,40 @@ fn lib_cost(
             Ok((0.0, io_bytes))
         }
         "cutlass.rms_norm" => {
-            let (x, _) = tensor_dims(args[0])?;
-            let numel: f64 = x.iter().product::<i64>().max(0) as f64;
+            let numel = tensor_dims(args[0])?.iter().product::<i64>().max(0) as f64;
             Ok((4.0 * numel, io_bytes))
         }
-        _ => {
-            let numel: f64 = io_bytes;
-            Ok((numel, io_bytes))
-        }
+        _ => Ok((io_bytes, io_bytes)),
+    }
+}
+
+/// Builtin `op`'s tensor argument `i`, of rank `rank`.
+fn tensor_arg<'v>(
+    op: &str,
+    args: &'v [SimValue],
+    i: usize,
+    rank: usize,
+) -> Result<(&'v [i64], DataType), SimError> {
+    match args.get(i) {
+        Some(SimValue::Tensor { dims, dtype }) if dims.len() == rank => Ok((dims, *dtype)),
+        other => Err(SimError::Type(format!(
+            "{op}: expected a rank-{rank} tensor argument {i}, got {other:?}"
+        ))),
+    }
+}
+
+/// Builtin `op`'s shape argument `i`, of rank `rank`.
+fn shape_arg<'v>(
+    op: &str,
+    args: &'v [SimValue],
+    i: usize,
+    rank: usize,
+) -> Result<&'v [i64], SimError> {
+    match args.get(i) {
+        Some(SimValue::Shape(d)) if d.len() == rank => Ok(d),
+        other => Err(SimError::Type(format!(
+            "{op}: expected a rank-{rank} shape argument {i}, got {other:?}"
+        ))),
     }
 }
 
@@ -749,22 +726,8 @@ fn lib_cost(
 /// the ragged dispatch rather than average it — the same upper bound
 /// the memory planner uses for `match_cast`-refined shapes.
 fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
-    let tensor = |i: usize, rank: usize| -> Result<(&Vec<i64>, DataType), SimError> {
-        match args.get(i) {
-            Some(SimValue::Tensor { dims, dtype }) if dims.len() == rank => Ok((dims, *dtype)),
-            other => Err(SimError::Type(format!(
-                "moe.{op}: expected rank-{rank} tensor arg, got {other:?}"
-            ))),
-        }
-    };
-    let shape = |i: usize, rank: usize| -> Result<&[i64], SimError> {
-        match args.get(i) {
-            Some(SimValue::Shape(d)) if d.len() == rank => Ok(d),
-            other => Err(SimError::Type(format!(
-                "moe.{op}: expected rank-{rank} shape arg, got {other:?}"
-            ))),
-        }
-    };
+    let tensor = |i, rank| tensor_arg(op, args, i, rank);
+    let shape = |i, rank| shape_arg(op, args, i, rank);
     match op {
         // route(logits (t, E)) -> (t,) i64: one strict-`>` sweep over
         // the expert axis per token.
@@ -783,10 +746,7 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
         "gather" => {
             let (dims, dtype) = tensor(0, 2)?;
             shape(2, 1)?;
-            let out = SimValue::Tensor {
-                dims: dims.clone(),
-                dtype,
-            };
+            let out = SimValue::tensor(dims.to_vec(), dtype);
             let assign = dims[0].max(0) as f64 * DataType::I64.size_bytes() as f64;
             Ok((0.0, 2.0 * out.byte_size() + assign, out))
         }
@@ -812,13 +772,11 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
 /// appended slice plus the block-table entries they touch — not the
 /// accumulated cache — mirroring the VM's in-place page writes.
 fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
-    let shape = |i: usize, rank: usize| -> Result<&[i64], SimError> {
-        match args.get(i) {
-            Some(SimValue::Shape(d)) if d.len() == rank => Ok(d),
-            other => Err(SimError::Type(format!(
-                "kv_cache.{op}: expected rank-{rank} shape arg, got {other:?}"
-            ))),
-        }
+    let shape = |i, rank| shape_arg(op, args, i, rank);
+    let stream_len = |streams: &[i64], stream: usize| {
+        let n = streams.len();
+        let range = || SimError::Type(format!("{op}: stream {stream} out of range ({n})"));
+        streams.get(stream).copied().ok_or_else(range)
     };
     let cache = |i: usize| -> Result<(&Vec<i64>, i64, i64, i64, DataType), SimError> {
         match args.get(i) {
@@ -841,15 +799,9 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         // create(shape[streams, batch, heads, head_dim, dtype_code])
         "create" => {
             let d = shape(0, 5)?;
-            let dtype = match d[4] {
-                0 => DataType::F32,
-                1 => DataType::F16,
-                code => {
-                    return Err(SimError::Type(format!(
-                        "kv_cache.create: unknown dtype code {code}"
-                    )))
-                }
-            };
+            let dtype = kv_dtype(d[4]).ok_or_else(|| {
+                SimError::Type(format!("kv_cache.create: unknown dtype code {}", d[4]))
+            })?;
             let out = SimValue::KvCache {
                 streams: vec![0; d[0].max(0) as usize],
                 batch: d[1],
@@ -863,27 +815,16 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         // append_paged(cache, new, shape[stream]) -> cache
         "append_paged" => {
             let (streams, b, h, hd, dt) = cache(0)?;
-            let (nd, ndt) = match args.get(1) {
-                Some(SimValue::Tensor { dims, dtype }) => (dims.clone(), *dtype),
-                other => {
-                    return Err(SimError::Type(format!(
-                        "kv_cache.append_paged: expected tensor arg, got {other:?}"
-                    )))
-                }
-            };
+            let (nd, ndt) = tensor_arg(op, args, 1, 4)?;
             let stream = shape(2, 1)?[0].max(0) as usize;
+            let len = stream_len(streams, stream)?;
             let mut streams = streams.clone();
-            let len = streams.get(stream).copied().ok_or_else(|| {
-                SimError::Type(format!(
-                    "kv_cache.append_paged: stream {stream} out of range ({})",
-                    streams.len()
-                ))
-            })?;
             let n = nd.get(2).copied().unwrap_or(0).max(0);
             // Only the appended slice is read and written in place...
             let slice = n as f64 * (b * h * hd).max(0) as f64 * ndt.size_bytes() as f64;
             // ...plus one block-table entry per newly referenced page.
-            let new_pages = kv_pages(len + n) - kv_pages(len);
+            let page = KV_PAGE_TOKENS as i64;
+            let new_pages = (kv_page_rows(len + n) - kv_page_rows(len)) / page;
             streams[stream] = len + n;
             let out = SimValue::KvCache {
                 streams,
@@ -898,34 +839,17 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         "view" => {
             let (streams, b, h, hd, dt) = cache(0)?;
             let stream = shape(1, 1)?[0].max(0) as usize;
-            let len = streams.get(stream).copied().ok_or_else(|| {
-                SimError::Type(format!(
-                    "kv_cache.view: stream {stream} out of range ({})",
-                    streams.len()
-                ))
-            })?;
+            let len = stream_len(streams, stream)?;
             // Gathers the logical stream out of its pages: read + write.
-            let bytes = 2.0 * stream_bytes(len, b, h, hd, dt);
             let out = SimValue::tensor(vec![b, h, len, hd], dt);
-            Ok((0.0, bytes, out))
+            Ok((0.0, 2.0 * out.byte_size(), out))
         }
         // attention(q, cache, shape[k_stream, v_stream, causal]) -> tensor
         "attention" => {
-            let (qd, qdt) = match args.first() {
-                Some(SimValue::Tensor { dims, dtype }) if dims.len() == 4 => {
-                    (dims.clone(), *dtype)
-                }
-                other => {
-                    return Err(SimError::Type(format!(
-                        "kv_cache.attention: expected rank-4 query tensor, got {other:?}"
-                    )))
-                }
-            };
+            let (qd, qdt) = tensor_arg(op, args, 0, 4)?;
             let (streams, b, h, hd, dt) = cache(1)?;
             let d = shape(2, 3)?;
-            let skv = |i: i64| -> i64 {
-                streams.get(i.max(0) as usize).copied().unwrap_or(0)
-            };
+            let skv = |i: i64| -> i64 { streams.get(i.max(0) as usize).copied().unwrap_or(0) };
             let (k_len, v_len) = (skv(d[0]), skv(d[1]));
             let (hq, s) = (qd[1].max(0), qd[2].max(0));
             // QK^T and PV are each 2*b*hq*s*skv*hd flops.
@@ -934,12 +858,9 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
             let bytes = 2.0 * q_bytes
                 + stream_bytes(k_len, b, h, hd, dt)
                 + stream_bytes(v_len, b, h, hd, dt);
-            Ok((flops, bytes, SimValue::Tensor { dims: qd, dtype: qdt }))
+            Ok((flops, bytes, SimValue::tensor(qd.to_vec(), qdt)))
         }
-        other => Err(SimError::Unknown(format!(
-            "{}{other}",
-            relax_vm::KV_CACHE_PREFIX
-        ))),
+        other => Err(SimError::Unknown(format!("vm.builtin.kv_cache.{other}"))),
     }
 }
 
@@ -1260,6 +1181,93 @@ mod memory_tracker_tests {
         }
         // The site records its maximum across runs: 64 * 4 bytes.
         assert_eq!(mem.planned_bytes(), 256);
+    }
+
+    /// `main` plans 64 bytes at pc 1 and calls `sub`, which plans 1024
+    /// bytes at its own pc 1: two sites, as the VM counts them.
+    #[test]
+    fn planned_sites_are_keyed_by_function_and_pc() {
+        let body = |bytes: i64, call: bool| {
+            let mut instrs = vec![
+                Instr::MakeShape {
+                    dst: 1,
+                    dims: vec![],
+                },
+                Instr::AllocStorage {
+                    dst: 0,
+                    bytes: bytes.into(),
+                },
+            ];
+            if call {
+                instrs.push(Instr::CallFunc {
+                    func: "sub".into(),
+                    args: vec![],
+                    dst: 2,
+                });
+            }
+            instrs.push(Instr::Ret { src: 1 });
+            instrs
+        };
+        let mut exec = exec_with(body(64, true), 3);
+        exec.funcs.insert(
+            "sub".into(),
+            VmFunction {
+                name: "sub".into(),
+                num_params: 0,
+                num_regs: 2,
+                instrs: body(1024, false),
+            },
+        );
+        let mut mem = MemoryTracker::new();
+        simulate_with_memory(&exec, "f", &[], &DeviceSpec::rtx4090(), true, &mut mem).unwrap();
+        assert_eq!(mem.planned_bytes(), 64 + 1024);
+        let mut vm = relax_vm::Vm::new(exec);
+        vm.run("f", &[]).unwrap();
+        assert_eq!(vm.telemetry().planned_bytes, 64 + 1024);
+    }
+
+    /// After `sub` returns, `main`'s own return decides what escapes:
+    /// only `sub`'s 16-byte intermediate reaches the pool, not the 64-byte
+    /// tensor `main` returns.
+    #[test]
+    fn a_call_keeps_the_callers_escape_set() {
+        let f32s = |dst: usize, n: i64| Instr::AllocTensor {
+            dst,
+            shape: vec![n.into()],
+            dtype: DataType::F32,
+        };
+        let mut exec = exec_with(
+            vec![
+                Instr::CallFunc {
+                    func: "sub".into(),
+                    args: vec![],
+                    dst: 0,
+                },
+                f32s(2, 16),
+                Instr::Ret { src: 2 },
+            ],
+            3,
+        );
+        exec.funcs.insert(
+            "sub".into(),
+            VmFunction {
+                name: "sub".into(),
+                num_params: 0,
+                num_regs: 2,
+                instrs: vec![
+                    f32s(0, 4),
+                    Instr::MakeShape {
+                        dst: 1,
+                        dims: vec![],
+                    },
+                    Instr::Kill { reg: 0 },
+                    Instr::Ret { src: 1 },
+                ],
+            },
+        );
+        let mut mem = MemoryTracker::new();
+        simulate_with_memory(&exec, "f", &[], &DeviceSpec::rtx4090(), true, &mut mem).unwrap();
+        assert_eq!(mem.pool_footprint(), 16);
     }
 
     fn tiny_device(capacity: u64) -> DeviceSpec {

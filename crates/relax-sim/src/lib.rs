@@ -15,8 +15,9 @@
 //!   as batch size and sequence length vary.
 //!
 //! [`simulate`] dry-runs a compiled [`relax_vm::Executable`] at the shape
-//! level (no data is touched), costing each kernel with a roofline model
-//! on a [`DeviceSpec`]; [`baseline`] provides analytical models of the
+//! level (no data is touched), charging the launches a VM run makes
+//! (`tests/sim_parity.rs` pins that) with a roofline model on a
+//! [`DeviceSpec`]; [`baseline`] provides analytical models of the
 //! comparison systems (HF eager / torch.compile, vLLM, llama.cpp) built
 //! from the same model [`Profile`].
 

@@ -552,25 +552,25 @@ fn dim(op: &str, d: i64, what: &str) -> Result<usize, KernelError> {
     usize::try_from(d).map_err(|_| KernelError::new(op, format!("negative {what}: {d}")))
 }
 
+/// The element type `vm.builtin.kv_cache.create`'s dtype code names:
+/// 0 is f32, 1 is f16.
+pub fn kv_dtype(code: i64) -> Option<DataType> {
+    let i = usize::try_from(code).ok()?;
+    [DataType::F32, DataType::F16].get(i).copied()
+}
+
 /// `vm.builtin.kv_cache.create(shape[streams, batch, heads, head_dim,
-/// dtype_code])`: an empty cache on the VM's page pool (dtype code 0 is
-/// f32, 1 is f16).
+/// dtype_code])`: an empty cache on the VM's page pool ([`kv_dtype`]).
 pub(crate) fn builtin_create(args: &[Value], pool: &Arc<KvPagePool>) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.kv_cache.create";
     let d = want_shape(OP, args, 0, 5)?;
+    let unknown = || KernelError::new(OP, format!("unknown dtype code {} (0=f32, 1=f16)", d[4]));
     let cfg = KvCacheConfig {
         streams: dim(OP, d[0], "stream count")?,
         batch: dim(OP, d[1], "batch")?,
         heads: dim(OP, d[2], "head count")?,
         head_dim: dim(OP, d[3], "head dim")?,
-        dtype: match d[4] {
-            0 => DataType::F32,
-            1 => DataType::F16,
-            other => {
-                let detail = format!("unknown dtype code {other} (0=f32, 1=f16)");
-                return Err(KernelError::new(OP, detail));
-            }
-        },
+        dtype: kv_dtype(d[4]).ok_or_else(unknown)?,
     };
     Ok(Value::KvCache(KvCache::new(cfg, Arc::clone(pool))))
 }

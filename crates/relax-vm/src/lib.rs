@@ -40,10 +40,10 @@ mod value;
 pub mod verify;
 mod vm;
 
-pub use exec::{Executable, Instr, Reg, VmFunction};
+pub use exec::{match_shape, Executable, Instr, Reg, VmFunction};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, FiredFault};
 pub use kv_cache::{KvCache, KvCacheConfig, KV_CACHE_PREFIX};
-pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted};
+pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, KV_PAGE_TOKENS};
 pub use moe::MOE_PREFIX;
 pub use plan_cache::{CachedPlan, PlanCacheStats, SharedPlanCache};
 pub use value::Value;

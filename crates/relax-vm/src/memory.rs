@@ -84,6 +84,10 @@ impl PooledAllocator {
     }
 }
 
+/// Tokens per KV page (vLLM's default block size) of the VM's default
+/// pool, the session default and the dry run's page rounding.
+pub const KV_PAGE_TOKENS: usize = 16;
+
 /// Statistics of a [`KvPagePool`]. The accounting invariant is
 /// `allocated == in_use + free`: every page ever materialized is either
 /// held by a live cache or parked on the free list — the reconciliation

@@ -65,17 +65,15 @@ impl Value {
         }
     }
 
-    /// The dimensions a launch span records for this argument (see
-    /// `relax_trace::shape_sig`): a tensor's shape, a shape's values, a
-    /// KV cache's `[batch, heads, head_dim]` and then each stream's length
-    /// (of a stack: its longest member's), nothing for other values.
+    /// What a launch span records for this argument: a tensor's shape, a
+    /// shape's values, a KV cache's `[batch, heads, head_dim]` and each
+    /// stream's length (of a stack: its longest member's), else nothing.
     pub fn launch_dims(&self) -> Vec<usize> {
         match self {
             Value::Tensor(t) => t.shape().to_vec(),
             Value::Shape(dims) => dims.iter().map(|&d| d.max(0) as usize).collect(),
             Value::KvCache(c) => {
-                let cfg = c.config();
-                let lens = c.lens();
+                let (cfg, lens) = (c.config(), c.lens());
                 let longest = |s| lens.iter().skip(s).step_by(cfg.streams).max().copied();
                 let mut dims = vec![cfg.batch, cfg.heads, cfg.head_dim];
                 dims.extend((0..cfg.streams).map(|s| longest(s).unwrap_or(0)));

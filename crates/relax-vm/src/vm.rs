@@ -8,9 +8,9 @@ use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::{self, InterpError};
 use relax_tir::{NDArray, PlanError};
 
-use crate::exec::{Executable, Instr, Reg, VmFunction};
+use crate::exec::{match_shape, Executable, Instr, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
+use crate::memory::{KvPagePool, MemoryStats, PooledAllocator, KV_PAGE_TOKENS};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
@@ -327,7 +327,7 @@ impl Vm {
             next_storage_id: 0,
             kernel_stats: HashMap::new(),
             plan_cache,
-            kv_pool: Arc::new(KvPagePool::unbounded(DEFAULT_KV_PAGE_TOKENS)),
+            kv_pool: Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS)),
             fault: None,
             poisoned: false,
         }
@@ -701,14 +701,10 @@ impl Vm {
                 if self.fault_fires(FaultSite::Kernel) {
                     return Err(injected_kernel_fault(func));
                 }
-                let inputs: Result<Vec<_>, _> =
-                    args.iter().map(|r| frame.tensor(*r).cloned()).collect();
-                let (inputs, outputs): (Vec<_>, Vec<_>) = (
-                    inputs?,
-                    dsts.iter()
-                        .map(|r| frame.tensor(*r).cloned())
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
+                let tensors = |regs: &[Reg]| -> Result<Vec<_>, VmError> {
+                    regs.iter().map(|r| frame.tensor(*r).cloned()).collect()
+                };
+                let (inputs, outputs) = (tensors(args)?, tensors(dsts)?);
                 let sp = relax_trace::span("vm", || format!("lib:{func}"));
                 self.registry.call_lib(func, &inputs, &outputs)?;
                 let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
@@ -737,8 +733,7 @@ impl Vm {
                     .map(|r| frame.get(*r).cloned())
                     .collect::<Result<Vec<_>, _>>()?;
                 let sp = relax_trace::span("vm", || format!("builtin:{func}"));
-                // The arguments as the builtin receives them: a KV cache
-                // appends in place.
+                // The arguments as received: a KV cache appends in place.
                 let shapes = (sp.id() != 0)
                     .then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
                 let out = self.registry.call_builtin(func, &vals, &self.kv_pool)?;
@@ -777,7 +772,8 @@ impl Vm {
                         .into())
                     }
                 };
-                self.match_shape(&actual, dims, ctx, &mut frame.heap)?;
+                self.telemetry.shape_checks += dims.len() as u64;
+                match_shape(&actual, dims, ctx, &mut frame.heap)?;
             }
             Instr::LoadConst { dst, index } => {
                 let c = self.exec.constants.get(*index).cloned().ok_or_else(|| {
@@ -851,50 +847,7 @@ impl Vm {
             .map(|d| Ok(d.eval(heap)?.max(0) as usize))
             .collect()
     }
-
-    fn match_shape(
-        &mut self,
-        actual_dims: &[i64],
-        dims: &[PrimExpr],
-        ctx: &str,
-        heap: &mut HashMap<SymVar, i64>,
-    ) -> Result<(), VmError> {
-        if actual_dims.len() != dims.len() {
-            return Err(VmErrorKind::ShapeCheck {
-                ctx: ctx.to_string(),
-                detail: format!(
-                    "rank mismatch: expected {}, got {}",
-                    dims.len(),
-                    actual_dims.len()
-                ),
-            }
-            .into());
-        }
-        for (expr, &actual) in dims.iter().zip(actual_dims) {
-            self.telemetry.shape_checks += 1;
-            match expr {
-                PrimExpr::Var(v) if !heap.contains_key(v) => {
-                    heap.insert(v.clone(), actual);
-                }
-                e => {
-                    let expected = e.eval(heap)?;
-                    if expected != actual {
-                        return Err(VmErrorKind::ShapeCheck {
-                            ctx: ctx.to_string(),
-                            detail: format!("dimension `{e}` = {expected}, runtime value {actual}"),
-                        }
-                        .into());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
-
-/// Default tokens per KV page when no shared pool is installed (matches
-/// vLLM's default block size).
-const DEFAULT_KV_PAGE_TOKENS: usize = 16;
 
 /// Byte size of a tensor, with overflow-checked arithmetic: adversarial
 /// shapes whose element count times element size exceeds `usize` must

@@ -17,7 +17,7 @@
 //!   first run, and neither warm run compiles;
 //! - every tensor argument, one row longer, that breaks a `MatchShape` in
 //!   the VM (a constant weight dimension, or a variable an earlier
-//!   argument bound) fails a shape check in the dry run too.
+//!   argument bound) fails the dry run with the same detail text.
 //!
 //! Stated exceptions:
 //!
@@ -43,6 +43,7 @@ use relax::tir::NDArray;
 use relax::trace::{Capture, EventKind, Payload};
 use relax::vm::{
     Executable, KvCache, KvCacheConfig, KvPagePool, Telemetry, Value, Vm, VmError, VmErrorKind,
+    KV_PAGE_TOKENS,
 };
 
 /// A plan-cache capacity above every case's distinct kernel keys.
@@ -169,7 +170,7 @@ fn filled_stack(cfg: &LlamaConfig, members: usize, context: usize) -> KvCache {
         head_dim: cfg.head_dim as usize,
         dtype: cfg.dtype,
     };
-    let pool = Arc::new(KvPagePool::unbounded(16));
+    let pool = Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS));
     let caches: Vec<KvCache> = (0..members)
         .map(|_| KvCache::new(kv, pool.clone()))
         .collect();
@@ -360,7 +361,7 @@ fn check(case: &Case) -> (usize, i64) {
 
 /// Each tensor argument in turn, one row longer: wherever that breaks a
 /// `MatchShape` in the VM (a constant weight dimension, or a variable an
-/// earlier argument bound), the dry run fails a shape check too.
+/// earlier argument bound), the dry run fails with the same detail.
 /// Returns how many arguments did.
 fn check_shape_failures(case: &Case) -> usize {
     let label = &case.label;
@@ -389,10 +390,11 @@ fn check_shape_failures(case: &Case) -> usize {
             &DeviceSpec::rtx4090(),
             false,
         );
-        assert!(
-            matches!(sim, Err(SimError::ShapeCheck(_))),
-            "{label}: argument {i} one row longer fails the VM ({ctx}: {detail}), \
-             not the dry run: {sim:?}"
+        let want = SimError::ShapeCheck(format!("{ctx}: {detail}"));
+        assert_eq!(
+            sim.err(),
+            Some(want),
+            "{label}: argument {i} one row longer"
         );
         failures += 1;
     }
