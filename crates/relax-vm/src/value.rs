@@ -68,7 +68,7 @@ impl Value {
     /// What a launch span records for this argument: a tensor's shape, a
     /// shape's values, a KV cache's `[batch, heads, head_dim]` and each
     /// stream's length (of a stack: its longest member's), else nothing.
-    pub fn launch_dims(&self) -> Vec<usize> {
+    pub(crate) fn launch_dims(&self) -> Vec<usize> {
         match self {
             Value::Tensor(t) => t.shape().to_vec(),
             Value::Shape(dims) => dims.iter().map(|&d| d.max(0) as usize).collect(),
