@@ -59,14 +59,32 @@ impl ExecPass for ScheduleKernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relax_core::{legalize, DataType, Op, OpAttrs, StructInfo};
 
     #[test]
     fn pass_is_idempotent() {
-        // Second application finds every schedulable function already
+        // The first run stamps the legalized matmul and leaves the
+        // elementwise kernel alone; the second finds the matmul already
         // stamped and reports no change.
+        let t = |dims: &[i64]| {
+            StructInfo::tensor(dims.iter().map(|&d| d.into()).collect(), DataType::F32)
+        };
+        let attrs = OpAttrs::new();
         let mut exec = Executable::default();
+        for (name, op, args) in [
+            ("matmul", Op::Matmul, vec![t(&[2, 3]), t(&[3, 4])]),
+            ("exp", Op::Exp, vec![t(&[2, 4])]),
+        ] {
+            let func = legalize(op, &attrs, &args, name).unwrap();
+            exec.tir_funcs.insert(name.to_string(), func);
+        }
         let mut ctx = PassContext::new();
         let mut pass = ScheduleKernels;
+        assert!(pass.run_on_exec(&mut exec, &mut ctx).unwrap());
+        assert_eq!(exec.tir_funcs["matmul"].attr("relax.schedule"), Some("macro"));
+        assert_eq!(exec.tir_funcs["exp"].attr("relax.schedule"), None);
+        let stamped = exec.tir_funcs.clone();
         assert!(!pass.run_on_exec(&mut exec, &mut ctx).unwrap());
+        assert_eq!(exec.tir_funcs, stamped);
     }
 }

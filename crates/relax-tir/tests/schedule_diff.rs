@@ -196,14 +196,18 @@ fn all_primitive_combinations_match_bitwise_across_random_shapes() {
 #[test]
 fn integer_matmul_schedules_stay_bitwise() {
     // An integer-declared matmul never becomes a macro-op (its operands
-    // and output are not float); the scheduled plan runs the scalar tape
-    // and must still agree exactly.
+    // and output are not float), even when stamped: `auto_schedule`
+    // refuses the integer nest, so stamp the attribute directly. The
+    // stamped plan stays on the scalar tape and must still agree exactly.
     let mut rng = XorShift::new(0x5eed_5c4e);
-    for mask in [1u32, 3, 7, 15] {
-        let (bi, bj, tk) = (2, 2, 2);
-        let (n, k, m) = (bi * 2, tk * 2, bj * 2);
+    for (n, k, m) in [(4, 4, 4), (3, 5, 70)] {
         let f = matmul(n, k, m, DataType::I64);
-        let sched = apply_mask(&f, mask, bi, bj, tk);
+        assert!(relax_tir::schedule::auto_schedule(&f).is_none());
+        let sched = f.with_attr("relax.schedule", "macro");
+        let shapes = vec![vec![n, k], vec![k, m], vec![n, m]];
+        let compiled = plan::compile(&sched, &shapes).expect("stamped integer plan");
+        assert!(!compiled.scheduled(), "an integer nest must not become a macro-op");
+        assert!(compiled.scalar_stores() > 0, "an integer nest stays on the scalar tape");
         let x = rand_ints(&mut rng, &[n, k], DataType::I64);
         let w = rand_ints(&mut rng, &[k, m], DataType::I64);
         let y = NDArray::zeros(&[n, m], DataType::I64);
@@ -213,18 +217,29 @@ fn integer_matmul_schedules_stay_bitwise() {
 
 #[test]
 fn auto_schedule_macro_path_matches_across_random_shapes() {
-    // The pipeline's auto-scheduled macro plans, over random shapes that
-    // do and do not hit the register-block boundary (BJ = 64).
+    // The pipeline's auto-scheduled macro plans, over random non-square
+    // shapes that do and do not hit the register-block boundary
+    // (BJ = 64): F32 at drawn widths, F16 at every width.
     let mut rng = XorShift::new(0x5eed_5c4f);
+    let check = |rng: &mut XorShift, n: usize, k: usize, m: usize, dtype: DataType| {
+        let f = matmul(n, k, m, dtype);
+        let sched =
+            relax_tir::schedule::auto_schedule(&f).expect("matmul nest should auto-schedule");
+        let shapes = vec![vec![n, k], vec![k, m], vec![n, m]];
+        let compiled = plan::compile(&sched, &shapes).expect("scheduled plan");
+        assert!(compiled.scheduled(), "{dtype:?} {n}x{k}x{m} should run the macro-op");
+        let x = rand_floats(rng, &[n, k], dtype);
+        let w = rand_floats(rng, &[k, m], dtype);
+        let y = NDArray::zeros(&[n, m], dtype);
+        assert_schedule_matches(&f, &sched, &[x, w, y]);
+    };
     for _ in 0..4 {
         let (n, k) = (rng.range(1, 9), rng.range(1, 9));
         let m = [1, 63, 64, 65][rng.range(0, 3)];
-        let f = matmul(n, k, m, DataType::F32);
-        let sched =
-            relax_tir::schedule::auto_schedule(&f).expect("matmul nest should auto-schedule");
-        let x = rand_floats(&mut rng, &[n, k], DataType::F32);
-        let w = rand_floats(&mut rng, &[k, m], DataType::F32);
-        let y = NDArray::zeros(&[n, m], DataType::F32);
-        assert_schedule_matches(&f, &sched, &[x, w, y]);
+        check(&mut rng, n, k, m, DataType::F32);
+    }
+    for m in [1, 63, 64, 65] {
+        let (n, k) = (rng.range(1, 9), rng.range(1, 9));
+        check(&mut rng, n, k, m, DataType::F16);
     }
 }
