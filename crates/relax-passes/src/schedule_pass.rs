@@ -1,10 +1,7 @@
 //! Exec-stage kernel scheduling: opts lowered tensor programs into the
 //! plan compiler's macro-op (superinstruction) recognition.
 //!
-//! The schedule layer itself lives in `relax_tir::schedule` — TensorIR-
-//! style `tile` / `reorder` / `unroll` / `cache_block` primitives with
-//! bitwise-equality legality proofs. This pass is the *pipeline* entry
-//! point: after lowering, it walks every tensor program attached to the
+//! After lowering, this pass walks every tensor program attached to the
 //! executable and applies [`relax_tir::schedule::auto_schedule`], which
 //! detects the canonical reduction nest (the dot-product pattern of
 //! matmul / attention scores) and stamps the `relax.schedule` attribute.

@@ -40,5 +40,4 @@ pub use expr::{Scalar, TirExpr};
 pub use func::PrimFunc;
 pub use ndarray::{round_to_dtype, NDArray, NDArrayError};
 pub use plan::{KernelPlan, PlanError};
-pub use schedule::{Schedule, ScheduleError};
 pub use stmt::Stmt;

@@ -441,11 +441,10 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
     let mut body = Vec::new();
     c.lower_stmt(func.body(), &mut body)?;
 
-    // Schedule-gated superinstruction recognition: functions opted in via
-    // the `relax.schedule` attribute (manually through
-    // `crate::schedule::Schedule::into_func` or by the pipeline's
-    // auto-scheduler) get the blocked matmul macro-op plus row-level
-    // sibling fusion of elementwise epilogues into the macro loop.
+    // Schedule-gated superinstruction recognition: functions stamped with
+    // the `relax.schedule` attribute (by `crate::schedule::auto_schedule`)
+    // get the blocked matmul macro-op plus row-level sibling fusion of
+    // elementwise epilogues into the macro loop.
     if func.attr("relax.schedule").is_some() {
         c.macroize_stmts(&mut body);
         c.fuse_rows(&mut body);

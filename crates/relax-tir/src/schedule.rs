@@ -1,670 +1,19 @@
-//! TensorIR-style schedule primitives over [`PrimFunc`] loop nests.
+//! The kernel schedule decision: which tensor programs run as macro-ops.
 //!
-//! A [`Schedule`] wraps a tensor program and rewrites its loop structure
-//! through four primitives — [`tile`](Schedule::tile),
-//! [`reorder`](Schedule::reorder), [`unroll`](Schedule::unroll) and the
-//! composite [`cache_block`](Schedule::cache_block) — each guarded by a
-//! legality check that only admits transformations provably **bitwise
-//! equal** to the original program. The checks mirror the plan compiler's
-//! bounds-proof discipline (`crate::plan`): loop extents must be concrete
-//! where a split needs divisibility, store indices must be affine and
-//! dimension-disjoint where loops permute, and reduction loops (loops a
-//! store does not index by) never change relative order, because
-//! floating-point accumulation is order-sensitive.
-//!
-//! Scheduling is *advisory* downstream: [`Schedule::into_func`] stamps the
-//! applied steps into the `relax.schedule` attribute, which tells the plan
-//! compiler to additionally recognize superinstruction patterns (the
-//! cache-blocked matmul macro-op, see `crate::plan`) in the lowered body.
-//! [`auto_schedule`] is the pipeline entry point used by the exec-stage
-//! pass: it detects reduction nests that the macro-op recognizer can
-//! accelerate and marks them.
+//! [`auto_schedule`] detects the canonical reduction nest that the plan
+//! compiler's cache-blocked matmul superinstruction accelerates and
+//! stamps the `relax.schedule` attribute on it. The attribute is the
+//! whole schedule: plan compilation (`crate::plan`) recognizes the
+//! macro-op and fuses elementwise epilogues into its row loop only in
+//! stamped functions, and proves the result bitwise equal to the scalar
+//! tape. The exec-stage `ScheduleKernels` pass (relax-passes) applies it
+//! to every tensor program of a compiled executable.
 
-use std::collections::{HashMap, HashSet};
-
-use relax_arith::{free_vars, simplify, substitute, PrimExpr, SubstMap, Var};
+use relax_arith::{free_vars, PrimExpr, Var};
 
 use crate::expr::TirExpr;
 use crate::func::PrimFunc;
 use crate::stmt::Stmt;
-use crate::transform::Rewriter;
-
-/// Maximum constant trip count [`Schedule::unroll`] accepts; larger unroll
-/// factors blow up the lowered tape without helping the interpreter-style
-/// executors.
-pub const MAX_UNROLL: i64 = 64;
-
-/// Why a schedule primitive was rejected. Every rejection is a *legality*
-/// failure: applying the transform anyway could change program results,
-/// so the schedule is left untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScheduleError {
-    /// No loop with that name exists in the function body.
-    UnknownLoop(String),
-    /// More than one loop carries that name; primitives address loops by
-    /// unique name.
-    AmbiguousLoop(String),
-    /// The primitive needs a compile-time-constant trip count (tile,
-    /// unroll) but the extent is symbolic.
-    NonConstExtent(String),
-    /// `tile` factor does not evenly divide the extent (a remainder loop
-    /// would change the iteration *count* proof obligations downstream).
-    NotDivisible { name: String, extent: i64, factor: i64 },
-    /// `tile`/`unroll` factor out of range.
-    BadFactor(i64),
-    /// Unroll trip count exceeds [`MAX_UNROLL`].
-    UnrollTooLarge { name: String, extent: i64 },
-    /// The loops named in `reorder` do not all sit on one perfectly
-    /// nested chain.
-    NotPerfectlyNested(String),
-    /// Reordering these loops could change observable results (reduction
-    /// order, write collisions, or non-affine indexing).
-    IllegalReorder(String),
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::UnknownLoop(n) => write!(f, "no loop named `{n}`"),
-            ScheduleError::AmbiguousLoop(n) => write!(f, "multiple loops named `{n}`"),
-            ScheduleError::NonConstExtent(n) => {
-                write!(f, "loop `{n}` has a symbolic extent")
-            }
-            ScheduleError::NotDivisible { name, extent, factor } => {
-                write!(f, "factor {factor} does not divide extent {extent} of loop `{name}`")
-            }
-            ScheduleError::BadFactor(k) => write!(f, "factor {k} out of range"),
-            ScheduleError::UnrollTooLarge { name, extent } => {
-                write!(f, "loop `{name}` extent {extent} exceeds MAX_UNROLL ({MAX_UNROLL})")
-            }
-            ScheduleError::NotPerfectlyNested(n) => {
-                write!(f, "loops `{n}` are not one perfect nest")
-            }
-            ScheduleError::IllegalReorder(why) => write!(f, "illegal reorder: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
-/// A scheduling session over one [`PrimFunc`]. Primitives rewrite the
-/// body functionally; [`into_func`](Schedule::into_func) produces the
-/// scheduled function with its transcript attached as the
-/// `relax.schedule` attribute.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    func: PrimFunc,
-    steps: Vec<String>,
-}
-
-impl Schedule {
-    /// Starts a schedule over `func`.
-    pub fn new(func: &PrimFunc) -> Schedule {
-        Schedule {
-            func: func.clone(),
-            steps: Vec::new(),
-        }
-    }
-
-    /// The loops of the current body, outermost first, as
-    /// `(name, extent)` pairs.
-    pub fn loops(&self) -> Vec<(String, PrimExpr)> {
-        let mut out = Vec::new();
-        collect_loops(self.func.body(), &mut out);
-        out.into_iter()
-            .map(|(v, e)| (v.name().to_string(), e))
-            .collect()
-    }
-
-    /// Splits loop `name` of constant extent `n` into an outer loop
-    /// `name.o` of extent `n / factor` and an inner loop `name.i` of
-    /// extent `factor`, substituting `name := name.o * factor + name.i`.
-    /// Iteration order is preserved exactly, so tiling alone is always
-    /// legal; only divisibility and constancy are checked. Returns the
-    /// two new loop names.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError`] if the loop is missing/ambiguous, the extent is
-    /// symbolic, or `factor` does not divide it.
-    pub fn tile(&mut self, name: &str, factor: i64) -> Result<(String, String), ScheduleError> {
-        let (var, extent) = self.find_loop(name)?;
-        let n = extent
-            .as_int()
-            .ok_or_else(|| ScheduleError::NonConstExtent(name.to_string()))?;
-        if factor < 1 {
-            return Err(ScheduleError::BadFactor(factor));
-        }
-        if n % factor != 0 {
-            return Err(ScheduleError::NotDivisible {
-                name: name.to_string(),
-                extent: n,
-                factor,
-            });
-        }
-        let vo = Var::new(format!("{name}.o"));
-        let vi = Var::new(format!("{name}.i"));
-        let body = rewrite_loop(self.func.body(), &var, &mut |body| {
-            let mut rw = Rewriter::default();
-            rw.var_map.insert(
-                var.clone(),
-                PrimExpr::from(vo.clone()) * factor.into() + vi.clone().into(),
-            );
-            let inner = rw.rewrite_stmt(body);
-            inner
-                .in_loop(vi.clone(), factor.into())
-                .in_loop(vo.clone(), (n / factor).into())
-        });
-        self.replace_body(body);
-        self.steps.push(format!("tile({name},{factor})"));
-        Ok((format!("{name}.o"), format!("{name}.i")))
-    }
-
-    /// Permutes the named loops (which must all sit on one perfectly
-    /// nested chain) into the given order, leaving unnamed loops of the
-    /// chain in place.
-    ///
-    /// Legality: for every store under the chain, (a) every pair of
-    /// permuted loops whose relative order changes must both be *spatial*
-    /// for that store (appear in its indices) in **distinct, affine**
-    /// index dimensions — distinct dimensions make the written cells
-    /// disjoint across the pair, so write order between them is
-    /// unobservable; a loop the store does not index by is a *reduction*
-    /// loop whose accumulation order must never change; and (b) every
-    /// load of a buffer the chain stores to must use exactly the store's
-    /// indices (the accumulator pattern), so no value crosses iterations.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError`] if the loops are missing, not one perfect nest,
-    /// or the permutation is not provably bitwise-safe.
-    pub fn reorder(&mut self, order: &[&str]) -> Result<(), ScheduleError> {
-        if order.len() < 2 {
-            return Ok(());
-        }
-        // Resolve every requested loop and root the chain at the
-        // outermost one (first in pre-order).
-        let body = self.func.body().clone();
-        let mut preorder = Vec::new();
-        collect_loops(&body, &mut preorder);
-        let mut root_idx = usize::MAX;
-        for name in order {
-            let var = self.find_loop(name)?.0;
-            let idx = preorder
-                .iter()
-                .position(|(v, _)| *v == var)
-                .ok_or_else(|| ScheduleError::UnknownLoop((*name).to_string()))?;
-            root_idx = root_idx.min(idx);
-        }
-        let first = preorder[root_idx].0.clone();
-        let chain_root = find_loop_stmt(&body, &first)
-            .ok_or_else(|| ScheduleError::UnknownLoop(order[0].to_string()))?;
-        let (chain, innermost) = perfect_chain(chain_root);
-        let mut positions = Vec::with_capacity(order.len());
-        for name in order {
-            let pos = chain
-                .iter()
-                .position(|(v, _)| v.name() == *name)
-                .ok_or_else(|| {
-                    ScheduleError::NotPerfectlyNested(order.join(","))
-                })?;
-            if positions.contains(&pos) {
-                return Err(ScheduleError::AmbiguousLoop((*name).to_string()));
-            }
-            positions.push(pos);
-        }
-        // Extents inside the permuted span must not reference chain vars
-        // (rectangularity), or hoisting a loop would break scoping.
-        let span_lo = *positions.iter().min().unwrap_or(&0);
-        let chain_vars: HashSet<Var> = chain.iter().map(|(v, _)| v.clone()).collect();
-        for (i, (_, extent)) in chain.iter().enumerate() {
-            if i > span_lo && free_vars(extent).iter().any(|v| chain_vars.contains(v)) {
-                return Err(ScheduleError::IllegalReorder(
-                    "loop extent depends on an outer loop in the permuted span".into(),
-                ));
-            }
-        }
-        // The permutation as old-chain-index → new occupant.
-        let mut sorted = positions.clone();
-        sorted.sort_unstable();
-        let mut occupant: Vec<usize> = (0..chain.len()).collect();
-        for (slot, &pos) in sorted.iter().zip(&positions) {
-            occupant[*slot] = pos;
-        }
-        // Pairs whose relative order changes.
-        let mut swapped: Vec<(Var, Var)> = Vec::new();
-        for a in 0..chain.len() {
-            for b in a + 1..chain.len() {
-                if occupant[a] > occupant[b] {
-                    swapped.push((chain[occupant[b]].0.clone(), chain[occupant[a]].0.clone()));
-                }
-            }
-        }
-        let extents: HashMap<Var, i64> = chain
-            .iter()
-            .filter_map(|(v, e)| e.as_int().map(|n| (v.clone(), n)))
-            .collect();
-        check_reorder_legal(innermost, &swapped, &extents)?;
-        // Rebuild the chain with permuted loop headers.
-        let mut rebuilt = innermost.clone();
-        for slot in (0..chain.len()).rev() {
-            let (var, extent) = chain[occupant[slot]].clone();
-            rebuilt = rebuilt.in_loop(var, extent);
-        }
-        let body = rewrite_loop(&body, &first, &mut |_| rebuilt.clone());
-        self.replace_body(body);
-        self.steps.push(format!("reorder({})", order.join(",")));
-        Ok(())
-    }
-
-    /// Fully unrolls loop `name` (constant extent `<=` [`MAX_UNROLL`])
-    /// into a sequence of its body instances with the loop variable
-    /// substituted by each literal value. Iteration order is preserved,
-    /// so unrolling is always bitwise-legal.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError`] if the loop is missing/ambiguous, symbolic, or
-    /// too large.
-    pub fn unroll(&mut self, name: &str) -> Result<(), ScheduleError> {
-        let (var, extent) = self.find_loop(name)?;
-        let n = extent
-            .as_int()
-            .ok_or_else(|| ScheduleError::NonConstExtent(name.to_string()))?;
-        if n > MAX_UNROLL {
-            return Err(ScheduleError::UnrollTooLarge {
-                name: name.to_string(),
-                extent: n,
-            });
-        }
-        let body = rewrite_loop(self.func.body(), &var, &mut |body| {
-            let copies = (0..n.max(0))
-                .map(|t| {
-                    // Fresh loop vars per copy keep the plan compiler's
-                    // no-shadowing invariant across unrolled siblings.
-                    let mut rw = Rewriter::default();
-                    rw.var_map.insert(var.clone(), t.into());
-                    rw.rewrite_stmt(body)
-                })
-                .collect();
-            Stmt::seq(copies)
-        });
-        self.replace_body(body);
-        self.steps.push(format!("unroll({name})"));
-        Ok(())
-    }
-
-    /// Cache-blocks a 2-D spatial iteration: tiles `li` by `bi` and `lj`
-    /// by `bj`, then reorders to `li.o, lj.o, li.i, lj.i` so one block of
-    /// the output is completed before moving on. Composite of `tile` +
-    /// `reorder`, so exactly their legality rules apply.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError`] from the underlying `tile`/`reorder` steps; the
-    /// schedule is unchanged if any step fails.
-    pub fn cache_block(
-        &mut self,
-        li: &str,
-        lj: &str,
-        bi: i64,
-        bj: i64,
-    ) -> Result<(), ScheduleError> {
-        let mut trial = self.clone();
-        let (io, ii) = trial.tile(li, bi)?;
-        let (jo, ji) = trial.tile(lj, bj)?;
-        trial.reorder(&[&io, &jo, &ii, &ji])?;
-        trial.steps.truncate(self.steps.len());
-        trial
-            .steps
-            .push(format!("cache_block({li},{lj},{bi},{bj})"));
-        *self = trial;
-        Ok(())
-    }
-
-    /// Finishes the schedule: the transformed function with the step
-    /// transcript recorded under the `relax.schedule` attribute (which
-    /// also opts the function into the plan compiler's superinstruction
-    /// recognizer).
-    pub fn into_func(self) -> PrimFunc {
-        let transcript = if self.steps.is_empty() {
-            "macro".to_string()
-        } else {
-            self.steps.join(";")
-        };
-        self.func.with_attr("relax.schedule", transcript)
-    }
-
-    fn replace_body(&mut self, body: Stmt) {
-        let mut f = PrimFunc::new(
-            self.func.name(),
-            self.func.params().to_vec(),
-            self.func.num_outputs(),
-            body,
-        );
-        for (k, v) in self.func.attrs() {
-            f = f.with_attr(k.clone(), v.clone());
-        }
-        self.func = f;
-    }
-
-    fn find_loop(&self, name: &str) -> Result<(Var, PrimExpr), ScheduleError> {
-        let mut all = Vec::new();
-        collect_loops(self.func.body(), &mut all);
-        let mut hits = all.into_iter().filter(|(v, _)| v.name() == name);
-        let hit = hits
-            .next()
-            .ok_or_else(|| ScheduleError::UnknownLoop(name.to_string()))?;
-        if hits.next().is_some() {
-            return Err(ScheduleError::AmbiguousLoop(name.to_string()));
-        }
-        Ok(hit)
-    }
-}
-
-/// Collects `(var, extent)` for every loop, outermost first.
-fn collect_loops(s: &Stmt, out: &mut Vec<(Var, PrimExpr)>) {
-    match s {
-        Stmt::For { var, extent, body } => {
-            out.push((var.clone(), extent.clone()));
-            collect_loops(body, out);
-        }
-        Stmt::Seq(stmts) => stmts.iter().for_each(|s| collect_loops(s, out)),
-        Stmt::IfEq { then, .. } => collect_loops(then, out),
-        Stmt::Alloc { body, .. } => collect_loops(body, out),
-        Stmt::Store { .. } | Stmt::Evaluate => {}
-    }
-}
-
-fn find_loop_stmt<'a>(s: &'a Stmt, var: &Var) -> Option<&'a Stmt> {
-    match s {
-        Stmt::For { var: v, body, .. } => {
-            if v == var {
-                Some(s)
-            } else {
-                find_loop_stmt(body, var)
-            }
-        }
-        Stmt::Seq(stmts) => stmts.iter().find_map(|s| find_loop_stmt(s, var)),
-        Stmt::IfEq { then, .. } => find_loop_stmt(then, var),
-        Stmt::Alloc { body, .. } => find_loop_stmt(body, var),
-        Stmt::Store { .. } | Stmt::Evaluate => None,
-    }
-}
-
-/// The maximal perfectly nested loop chain from `root` (each body exactly
-/// one `For`), and the first non-`For` body below it.
-fn perfect_chain(root: &Stmt) -> (Vec<(Var, PrimExpr)>, &Stmt) {
-    let mut chain = Vec::new();
-    let mut cur = root;
-    while let Stmt::For { var, extent, body } = cur {
-        chain.push((var.clone(), extent.clone()));
-        cur = body;
-    }
-    (chain, cur)
-}
-
-/// Replaces the loop bound to `var` with `f(body)` (applied to its body).
-fn rewrite_loop(s: &Stmt, var: &Var, f: &mut dyn FnMut(&Stmt) -> Stmt) -> Stmt {
-    match s {
-        Stmt::For { var: v, extent, body } => {
-            if v == var {
-                f(body)
-            } else {
-                Stmt::For {
-                    var: v.clone(),
-                    extent: extent.clone(),
-                    body: Box::new(rewrite_loop(body, var, f)),
-                }
-            }
-        }
-        Stmt::Seq(stmts) => Stmt::Seq(stmts.iter().map(|s| rewrite_loop(s, var, f)).collect()),
-        Stmt::IfEq { lhs, rhs, then } => Stmt::IfEq {
-            lhs: lhs.clone(),
-            rhs: rhs.clone(),
-            then: Box::new(rewrite_loop(then, var, f)),
-        },
-        Stmt::Alloc { buffer, body } => Stmt::Alloc {
-            buffer: buffer.clone(),
-            body: Box::new(rewrite_loop(body, var, f)),
-        },
-        Stmt::Store { .. } | Stmt::Evaluate => s.clone(),
-    }
-}
-
-/// `e` is affine in `vars` if every occurrence of a `vars` member sits
-/// under only +, -, and multiplication by a `vars`-free factor.
-fn affine_in(e: &PrimExpr, vars: &HashSet<Var>) -> bool {
-    let touches = |e: &PrimExpr| free_vars(e).iter().any(|v| vars.contains(v));
-    match e {
-        PrimExpr::Int(_) | PrimExpr::Var(_) => true,
-        PrimExpr::Add(a, b) | PrimExpr::Sub(a, b) => affine_in(a, vars) && affine_in(b, vars),
-        PrimExpr::Mul(a, b) => {
-            (affine_in(a, vars) && !touches(b)) || (affine_in(b, vars) && !touches(a))
-        }
-        _ => !touches(e),
-    }
-}
-
-/// Collects every load of `buf` in an expression tree.
-fn loads_of<'a>(e: &'a TirExpr, buf_id: u64, out: &mut Vec<&'a Vec<PrimExpr>>) {
-    match e {
-        TirExpr::Load(b, idx) => {
-            if b.id() == buf_id {
-                out.push(idx);
-            }
-        }
-        // Dynamic loads of the stored buffer are handled by `dyn_touches`.
-        TirExpr::LoadDyn(_, idx) => {
-            for i in idx {
-                loads_of(i, buf_id, out);
-            }
-        }
-        TirExpr::Add(a, b)
-        | TirExpr::Sub(a, b)
-        | TirExpr::Mul(a, b)
-        | TirExpr::Div(a, b)
-        | TirExpr::Max(a, b)
-        | TirExpr::Min(a, b)
-        | TirExpr::Shr(a, b)
-        | TirExpr::BitAnd(a, b) => {
-            loads_of(a, buf_id, out);
-            loads_of(b, buf_id, out);
-        }
-        TirExpr::Exp(a)
-        | TirExpr::Sqrt(a)
-        | TirExpr::Tanh(a)
-        | TirExpr::Sigmoid(a)
-        | TirExpr::Neg(a)
-        | TirExpr::Cast(_, a) => loads_of(a, buf_id, out),
-        TirExpr::Select(c, t, e2) => {
-            loads_of(c, buf_id, out);
-            loads_of(t, buf_id, out);
-            loads_of(e2, buf_id, out);
-        }
-        TirExpr::FloatImm(_)
-        | TirExpr::IntImm(_)
-        | TirExpr::Index(_)
-        | TirExpr::IndexEq(_, _)
-        | TirExpr::IndexLe(_, _) => {}
-    }
-}
-
-fn dyn_touches(e: &TirExpr, buf_id: u64) -> bool {
-    let mut hit = false;
-    fn walk(e: &TirExpr, buf_id: u64, hit: &mut bool) {
-        match e {
-            TirExpr::LoadDyn(b, idx) => {
-                if b.id() == buf_id {
-                    *hit = true;
-                }
-                idx.iter().for_each(|i| walk(i, buf_id, hit));
-            }
-            TirExpr::Add(a, b)
-            | TirExpr::Sub(a, b)
-            | TirExpr::Mul(a, b)
-            | TirExpr::Div(a, b)
-            | TirExpr::Max(a, b)
-            | TirExpr::Min(a, b)
-            | TirExpr::Shr(a, b)
-            | TirExpr::BitAnd(a, b) => {
-                walk(a, buf_id, hit);
-                walk(b, buf_id, hit);
-            }
-            TirExpr::Exp(a)
-            | TirExpr::Sqrt(a)
-            | TirExpr::Tanh(a)
-            | TirExpr::Sigmoid(a)
-            | TirExpr::Neg(a)
-            | TirExpr::Cast(_, a) => walk(a, buf_id, hit),
-            TirExpr::Select(c, t, e2) => {
-                walk(c, buf_id, hit);
-                walk(t, buf_id, hit);
-                walk(e2, buf_id, hit);
-            }
-            _ => {}
-        }
-    }
-    walk(e, buf_id, &mut hit);
-    hit
-}
-
-/// Verifies that every swapped loop pair is safe for every store under
-/// the chain (see [`Schedule::reorder`] for the rules).
-fn check_reorder_legal(
-    body: &Stmt,
-    swapped: &[(Var, Var)],
-    extents: &HashMap<Var, i64>,
-) -> Result<(), ScheduleError> {
-    let mut stores: Vec<(u64, Vec<PrimExpr>, TirExpr)> = Vec::new();
-    body.for_each_store(&mut |buf, idx, value| {
-        stores.push((buf.id(), idx.to_vec(), value.clone()));
-    });
-    let permuted: HashSet<Var> = swapped
-        .iter()
-        .flat_map(|(a, b)| [a.clone(), b.clone()])
-        .collect();
-    for (buf_id, indices, _) in &stores {
-        // All index dims touching permuted loops must be affine in them.
-        for idx in indices {
-            let fv = free_vars(idx);
-            if fv.iter().any(|v| permuted.contains(v)) && !affine_in(idx, &permuted) {
-                return Err(ScheduleError::IllegalReorder(
-                    "store index is non-affine in a permuted loop".into(),
-                ));
-            }
-        }
-        // Dims each permuted var occurs in.
-        let dim_of = |v: &Var| -> Vec<usize> {
-            indices
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| free_vars(e).contains(v))
-                .map(|(d, _)| d)
-                .collect()
-        };
-        for (a, b) in swapped {
-            let (da, db) = (dim_of(a), dim_of(b));
-            if da.is_empty() || db.is_empty() {
-                // A loop absent from the indices is a reduction loop for
-                // this store: its order against any other loop that also
-                // revisits the cell is observable. Only spatial-spatial
-                // swaps in distinct dims are provably safe, except a
-                // reduction loop may swap with a *spatial* loop (the
-                // per-cell update order over the reduction loop alone is
-                // preserved) — but two reduction loops must not swap.
-                if da.is_empty() && db.is_empty() {
-                    return Err(ScheduleError::IllegalReorder(format!(
-                        "loops `{}` and `{}` both reduce over this store",
-                        a.name(),
-                        b.name()
-                    )));
-                }
-                continue;
-            }
-            if da.len() > 1 || db.len() > 1 {
-                return Err(ScheduleError::IllegalReorder(format!(
-                    "loops `{}` and `{}` share a store index dimension",
-                    a.name(),
-                    b.name()
-                )));
-            }
-            // Same dimension: legal only for the mixed-radix (tiled)
-            // case `c_a*a + c_b*b` where the dim depends on no other
-            // variable and the joint map is provably injective, so no
-            // two permuted iterations revisit a cell.
-            if da[0] == db[0]
-                && !mixed_radix_injective(&indices[da[0]], a, b, extents)
-            {
-                return Err(ScheduleError::IllegalReorder(format!(
-                    "loops `{}` and `{}` share a store index dimension",
-                    a.name(),
-                    b.name()
-                )));
-            }
-        }
-        // Every load of this stored buffer — from *any* store's value —
-        // must be an exact accumulator load at the store's own indices,
-        // and never dynamic; stores to one buffer must agree on indices.
-        let mut seen_loads: Vec<&Vec<PrimExpr>> = Vec::new();
-        for (id2, idx2, value2) in &stores {
-            loads_of(value2, *buf_id, &mut seen_loads);
-            if dyn_touches(value2, *buf_id) {
-                return Err(ScheduleError::IllegalReorder(
-                    "dynamic load of a stored buffer".into(),
-                ));
-            }
-            if id2 == buf_id && idx2 != indices {
-                return Err(ScheduleError::IllegalReorder(
-                    "two stores to one buffer use different indices".into(),
-                ));
-            }
-        }
-        if seen_loads.iter().any(|l| *l != indices) {
-            return Err(ScheduleError::IllegalReorder(
-                "stored buffer is loaded at a different index".into(),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// True when index expression `e` depends on exactly `{a, b}` and the
-/// affine map `c_a*a + c_b*b` is injective over the loops' constant
-/// extents — the tiled "mixed radix" shape `a*f + b` with `b < f`. Two
-/// iterations that differ in `(a, b)` then write *different* cells, so
-/// swapping the pair cannot reorder writes to any one cell.
-fn mixed_radix_injective(
-    e: &PrimExpr,
-    a: &Var,
-    b: &Var,
-    extents: &HashMap<Var, i64>,
-) -> bool {
-    let fv = free_vars(e);
-    if fv.len() != 2 || !fv.contains(a) || !fv.contains(b) {
-        return false;
-    }
-    let (Some(&na), Some(&nb)) = (extents.get(a), extents.get(b)) else {
-        return false;
-    };
-    let eval_at = |va: i64, vb: i64| -> Option<i64> {
-        let mut map = SubstMap::new();
-        map.insert(a.clone(), PrimExpr::from(va));
-        map.insert(b.clone(), PrimExpr::from(vb));
-        simplify(&substitute(e, &map)).as_int()
-    };
-    let (Some(base), Some(at_a), Some(at_b)) =
-        (eval_at(0, 0), eval_at(1, 0), eval_at(0, 1))
-    else {
-        return false;
-    };
-    let (ca, cb) = (at_a - base, at_b - base);
-    if ca == 0 || cb == 0 {
-        return false;
-    }
-    // Injective iff one stride covers the other loop's full range.
-    ca.abs() >= nb.saturating_mul(cb.abs()) || cb.abs() >= na.saturating_mul(ca.abs())
-}
 
 /// Pipeline auto-scheduler: detects the canonical reduction nest the plan
 /// compiler's cache-blocked matmul superinstruction accelerates —
@@ -674,7 +23,7 @@ fn mixed_radix_injective(
 /// without the pattern are left untouched (`None`).
 pub fn auto_schedule(func: &PrimFunc) -> Option<PrimFunc> {
     if func.attr("relax.schedule").is_some() {
-        // Already scheduled (manually or by a previous pass run).
+        // Already stamped, e.g. by a previous pass run.
         return None;
     }
     if !has_dot_pattern(func.body()) {
@@ -743,8 +92,6 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::builder::grid;
-    use crate::interp;
-    use crate::ndarray::NDArray;
     use relax_arith::DataType;
 
     fn matmul(n: i64, k: i64, m: i64) -> PrimFunc {
@@ -772,148 +119,6 @@ mod tests {
         PrimFunc::new("mm", vec![x, w, y], 1, nest.build(Stmt::seq(vec![init, update])))
     }
 
-    fn mm_args(n: usize, k: usize, m: usize) -> Vec<NDArray> {
-        let x = NDArray::from_f64(
-            &[n, k],
-            DataType::F32,
-            (0..n * k).map(|i| (i % 11) as f64 * 0.3 - 1.0).collect(),
-        )
-        .unwrap();
-        let w = NDArray::from_f64(
-            &[k, m],
-            DataType::F32,
-            (0..k * m).map(|i| (i % 5) as f64 * 0.7 - 1.4).collect(),
-        )
-        .unwrap();
-        vec![x, w, NDArray::zeros(&[n, m], DataType::F32)]
-    }
-
-    fn assert_bitwise_equal(f: &PrimFunc, g: &PrimFunc, n: usize, k: usize, m: usize) {
-        let a = mm_args(n, k, m);
-        let b = mm_args(n, k, m);
-        interp::run(f, &a).unwrap();
-        interp::run(g, &b).unwrap();
-        let bits =
-            |arr: &NDArray| -> Vec<u64> { arr.to_f64_vec().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&a[2]), bits(&b[2]));
-    }
-
-    #[test]
-    fn tile_preserves_results_bitwise() {
-        let f = matmul(8, 6, 10);
-        let mut s = Schedule::new(&f);
-        let (io, ii) = s.tile("i", 4).unwrap();
-        assert_eq!((io.as_str(), ii.as_str()), ("i.o", "i.i"));
-        assert_bitwise_equal(&f, &s.into_func(), 8, 6, 10);
-    }
-
-    #[test]
-    fn tile_rejects_non_divisible_and_symbolic() {
-        let f = matmul(8, 6, 10);
-        let mut s = Schedule::new(&f);
-        assert!(matches!(
-            s.tile("i", 3),
-            Err(ScheduleError::NotDivisible { .. })
-        ));
-        assert!(matches!(s.tile("zz", 2), Err(ScheduleError::UnknownLoop(_))));
-
-        let n = Var::new("n");
-        let x = Buffer::new("X", vec![n.clone().into()], DataType::F32);
-        let (iv, nest) = grid(&[("i", n.into())]);
-        let body = nest.build(Stmt::store(
-            &x,
-            vec![iv[0].clone().into()],
-            TirExpr::FloatImm(1.0),
-        ));
-        let g = PrimFunc::new("f", vec![x], 1, body);
-        assert!(matches!(
-            Schedule::new(&g).tile("i", 2),
-            Err(ScheduleError::NonConstExtent(_))
-        ));
-    }
-
-    #[test]
-    fn reorder_spatial_loops_is_legal_and_bitwise() {
-        let f = matmul(8, 6, 10);
-        let mut s = Schedule::new(&f);
-        s.reorder(&["j", "i"]).unwrap();
-        assert_eq!(s.loops()[0].0, "j");
-        assert_bitwise_equal(&f, &s.into_func(), 8, 6, 10);
-    }
-
-    #[test]
-    fn reorder_reduction_with_spatial_is_legal() {
-        // Hoisting k over j keeps per-cell accumulation order.
-        let f = matmul(8, 6, 10);
-        let mut s = Schedule::new(&f);
-        s.reorder(&["k", "j"]).unwrap();
-        assert_bitwise_equal(&f, &s.into_func(), 8, 6, 10);
-    }
-
-    #[test]
-    fn reorder_two_reduction_loops_is_illegal() {
-        // Y[i] summed over k1, k2: swapping them changes accumulation
-        // order, which is observable in floats.
-        let x = Buffer::new("X", vec![4.into(), 3.into(), 5.into()], DataType::F32);
-        let y = Buffer::new("Y", vec![4.into()], DataType::F32);
-        let (iv, nest) = grid(&[("i", 4.into()), ("k1", 3.into()), ("k2", 5.into())]);
-        let (i, k1, k2) = (iv[0].clone(), iv[1].clone(), iv[2].clone());
-        let body = nest.build(Stmt::store(
-            &y,
-            vec![i.clone().into()],
-            TirExpr::load(&y, vec![i.clone().into()])
-                + TirExpr::load(&x, vec![i.into(), k1.into(), k2.into()]),
-        ));
-        let f = PrimFunc::new("sum2", vec![x, y], 1, body);
-        assert!(matches!(
-            Schedule::new(&f).reorder(&["k2", "k1"]),
-            Err(ScheduleError::IllegalReorder(_))
-        ));
-    }
-
-    #[test]
-    fn reorder_shared_dimension_is_illegal() {
-        // Y[i + j]: i and j collide in one dim; swapping changes the
-        // last-writer for colliding cells.
-        let y = Buffer::new("Y", vec![16.into()], DataType::F32);
-        let (iv, nest) = grid(&[("i", 8.into()), ("j", 8.into())]);
-        let (i, j) = (iv[0].clone(), iv[1].clone());
-        let body = nest.build(Stmt::store(
-            &y,
-            vec![PrimExpr::from(i.clone()) + j.clone().into()],
-            TirExpr::Index(PrimExpr::from(i) * 10.into() + j.into()),
-        ));
-        let f = PrimFunc::new("diag", vec![y], 1, body);
-        assert!(matches!(
-            Schedule::new(&f).reorder(&["j", "i"]),
-            Err(ScheduleError::IllegalReorder(_))
-        ));
-    }
-
-    #[test]
-    fn unroll_is_bitwise_and_bounded() {
-        let f = matmul(4, 6, 4);
-        let mut s = Schedule::new(&f);
-        s.unroll("k").unwrap();
-        assert_bitwise_equal(&f, &s.into_func(), 4, 6, 4);
-
-        let g = matmul(128, 6, 4);
-        assert!(matches!(
-            Schedule::new(&g).unroll("i"),
-            Err(ScheduleError::UnrollTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn cache_block_composes_and_stays_bitwise() {
-        let f = matmul(8, 6, 12);
-        let mut s = Schedule::new(&f);
-        s.cache_block("i", "j", 4, 6).unwrap();
-        let names: Vec<String> = s.loops().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["i.o", "j.o", "i.i", "j.i", "k"]);
-        assert_bitwise_equal(&f, &s.into_func(), 8, 6, 12);
-    }
-
     #[test]
     fn auto_schedule_marks_reduction_nests_only() {
         let mm = matmul(8, 6, 10);
@@ -931,15 +136,5 @@ mod tests {
         ));
         let ew = PrimFunc::new("add1", vec![x, y], 1, body);
         assert!(auto_schedule(&ew).is_none());
-    }
-
-    #[test]
-    fn schedule_transcript_is_recorded() {
-        let f = matmul(8, 6, 10);
-        let mut s = Schedule::new(&f);
-        s.tile("i", 2).unwrap();
-        s.reorder(&["j", "i.o"]).unwrap();
-        let g = s.into_func();
-        assert_eq!(g.attr("relax.schedule"), Some("tile(i,2);reorder(j,i.o)"));
     }
 }

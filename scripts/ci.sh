@@ -85,8 +85,9 @@ cargo test --release -q --test golden_roundtrip
 echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep smoke (release)"
 # Kernel plans against the reference interpreter (plan_differential:
 # random shapes, the row families and the loops that must keep their
-# element order), scheduled (macro-op) plans against unscheduled plans and
-# the interpreter (schedule_diff: every schedule-primitive combination),
+# element order), auto-scheduled (macro-op) plans against unscheduled plans
+# and the interpreter (schedule_diff: random F32/F16 shapes around the
+# 64-column block edge, and a stamped integer nest on the scalar tape),
 # every float store path and read path against round_to_dtype's bits
 # (storage_roundtrip: NDArray writes, scalar-tape, row and macro-op
 # stores, on signed zeros, NaN payloads, subnormals and the f16 boundary),
