@@ -199,9 +199,9 @@ impl ExecPass for BreakRegisters {
             f.num_regs += 2;
             f.instrs.insert(
                 f.instrs.len() - 1,
-                relax_vm::Instr::Copy {
+                relax_vm::Instr::MakeTuple {
                     dst: dangling + 1,
-                    src: dangling,
+                    items: vec![dangling],
                 },
             );
         }

@@ -1363,10 +1363,10 @@ mod kv_cache_cost_tests {
     use relax_vm::{Instr, VmFunction};
 
     fn kv_exec() -> Executable {
-        // create → append slice → append slice → view, with two (1,2,1,4)
-        // F32 token slices passed in as params (regs 0 and 1).
-        let b = |op: &str, args: Vec<usize>, dst: usize| Instr::CallBuiltin {
-            func: format!("{}{op}", relax_vm::KV_CACHE_PREFIX),
+        // append slice → append slice on the cache passed in as reg 0,
+        // with two (1,2,1,4) F32 token slices as regs 1 and 2.
+        let append = |args: Vec<usize>, dst: usize| Instr::CallBuiltin {
+            func: format!("{}append_paged", relax_vm::KV_CACHE_PREFIX),
             args,
             dst,
         };
@@ -1375,22 +1375,16 @@ mod kv_cache_cost_tests {
             "f".into(),
             VmFunction {
                 name: "f".into(),
-                num_params: 2,
-                num_regs: 8,
+                num_params: 3,
+                num_regs: 6,
                 instrs: vec![
                     Instr::MakeShape {
-                        dst: 2,
-                        dims: vec![2.into(), 1.into(), 2.into(), 4.into(), 0.into()],
-                    },
-                    b("create", vec![2], 3),
-                    Instr::MakeShape {
-                        dst: 4,
+                        dst: 3,
                         dims: vec![0.into()],
                     },
-                    b("append_paged", vec![3, 0, 4], 5),
-                    b("append_paged", vec![5, 1, 4], 6),
-                    b("view", vec![6, 4], 7),
-                    Instr::Ret { src: 7 },
+                    append(vec![0, 1, 3], 4),
+                    append(vec![4, 2, 3], 5),
+                    Instr::Ret { src: 5 },
                 ],
             },
         );
@@ -1401,15 +1395,21 @@ mod kv_cache_cost_tests {
     fn paged_append_charges_slice_not_cache() {
         let exec = kv_exec();
         let dev = DeviceSpec::rtx4090();
+        let cache = SimValue::KvCache {
+            streams: vec![0, 0],
+            batch: 1,
+            heads: 2,
+            head_dim: 4,
+            dtype: DataType::F32,
+        };
         let slice = SimValue::tensor(vec![1, 2, 1, 4], DataType::F32);
         let report =
-            simulate(&exec, "f", &[slice.clone(), slice], &dev, true).unwrap();
-        // create: 0 bytes. First append: 2×32 B slice + one 8 B
-        // block-table entry. Second append lands in the same page: 2×32 B
-        // only — independent of the accumulated cache length. View
-        // gathers both tokens: 2×64 B.
-        assert_eq!(report.kernels, 4);
-        assert_eq!(report.bytes, 72.0 + 64.0 + 128.0);
+            simulate(&exec, "f", &[cache, slice.clone(), slice], &dev, true).unwrap();
+        // First append: 2×32 B slice + one 8 B block-table entry. Second
+        // append lands in the same page: 2×32 B only — independent of the
+        // accumulated cache length.
+        assert_eq!(report.kernels, 2);
+        assert_eq!(report.bytes, 72.0 + 64.0);
     }
 
     #[test]

@@ -1023,8 +1023,8 @@ mod tests {
         assert_eq!(st.in_use, 2);
     }
 
-    /// The registry runs the builtins end to end: create → append → view /
-    /// attention, with handles flowing as `Value`s.
+    /// The registry runs the builtins end to end on a host-made cache:
+    /// append → attention, with the handle flowing as a `Value`.
     #[test]
     fn dispatch_roundtrip() {
         let registry = Registry::new();
@@ -1032,13 +1032,23 @@ mod tests {
         let call = |op: &str, args: &[Value]| {
             registry.call_builtin(&format!("{KV_CACHE_PREFIX}{op}"), args, &pool)
         };
-        let cache_v = call("create", &[Value::Shape(vec![2, 1, 2, 4, 0])]).unwrap();
+        let cfg = KvCacheConfig {
+            streams: 2,
+            batch: 1,
+            heads: 2,
+            head_dim: 4,
+            dtype: DataType::F32,
+        };
+        let cache = KvCache::new(cfg, Arc::clone(&pool));
         let mut seed = 99;
         let new = rand_tensor(&[1, 2, 3, 4], &mut seed);
-        let append = [cache_v, Value::Tensor(new.clone()), Value::Shape(vec![0])];
+        let append = [
+            Value::KvCache(cache.clone()),
+            Value::Tensor(new.clone()),
+            Value::Shape(vec![0]),
+        ];
         let cache_v = call("append_paged", &append).unwrap();
-        let viewed = call("view", &[cache_v.clone(), Value::Shape(vec![0])]).unwrap();
-        assert_eq!(viewed.as_tensor().unwrap(), &new);
+        assert_eq!(cache.view(0).unwrap(), new);
         // Attention needs both streams; mirror K into V.
         let append = [cache_v, Value::Tensor(new.clone()), Value::Shape(vec![1])];
         let cache_v = call("append_paged", &append).unwrap();
@@ -1048,9 +1058,9 @@ mod tests {
         assert_eq!(out.as_tensor().unwrap().shape(), &[1, 2, 1, 4]);
         // Unknown ops and bad arguments are errors, not panics.
         assert_eq!(call("nope", &[]).unwrap_err().detail, "not registered");
-        let err = call("view", &[Value::Prim(3)]).unwrap_err();
-        assert_eq!(err.kernel, "vm.builtin.kv_cache.view");
-        assert_eq!(err.detail, "expected a kv_cache, got prim");
+        let err = call("append_paged", &[Value::Shape(vec![3])]).unwrap_err();
+        assert_eq!(err.kernel, "vm.builtin.kv_cache.append_paged");
+        assert_eq!(err.detail, "expected a kv_cache, got shape");
         let err = call("create", &[Value::Shape(vec![1, 1, 1, 1, 7])]).unwrap_err();
         assert_eq!(err.detail, "unknown dtype code 7 (0=f32, 1=f16)");
     }

@@ -249,9 +249,9 @@ mod tests {
     #[test]
     fn dispatch_checks_arguments() {
         assert_eq!(call("nope", &[]).unwrap_err().detail, "not registered");
-        let err = call("route", &[Value::Prim(1)]).unwrap_err();
+        let err = call("route", &[Value::None]).unwrap_err();
         assert_eq!(err.kernel, "vm.builtin.moe.route");
-        assert_eq!(err.detail, "expected a tensor, got prim");
+        assert_eq!(err.detail, "expected a tensor, got none");
         let tokens = f32s(&[1, 1], vec![1.0]);
         let assign = NDArray::from_i64(&[1], DataType::I64, vec![0]).unwrap();
         let err = scatter(&tokens, &assign, 0, -1).unwrap_err();

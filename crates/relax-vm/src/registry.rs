@@ -504,9 +504,8 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    /// The KV-cache builtins are registry entries like any other: given
-    /// the caller's page pool, the registry creates a cache on it and
-    /// appends through it.
+    /// The KV-cache builtins are registry entries like any other: the
+    /// registry appends through a cache the host made on its pool.
     #[test]
     fn kv_cache_builtins_run_from_the_registry_given_a_pool() {
         let r = Registry::new();
@@ -519,22 +518,24 @@ mod tests {
             assert_eq!(r.builtin_signature(name), Some(arity), "{name}");
         }
         let pool = Arc::new(KvPagePool::with_capacity(2, 8));
-        let created = r.call_builtin(
-            "vm.builtin.kv_cache.create",
-            &[Value::Shape(vec![1, 1, 1, 2, 0])],
-            &pool,
-        );
-        let cache = created.unwrap().as_kv_cache().unwrap().clone();
-        assert!(Arc::ptr_eq(cache.pool(), &pool));
+        let cfg = kv_cache::KvCacheConfig {
+            streams: 1,
+            batch: 1,
+            heads: 1,
+            head_dim: 2,
+            dtype: DataType::F32,
+        };
+        let cache = kv_cache::KvCache::new(cfg, Arc::clone(&pool));
         let rows = NDArray::from_f64(&[1, 1, 3, 2], DataType::F32, vec![1.; 6]).unwrap();
         let args = [
             Value::KvCache(cache.clone()),
-            rows.into(),
+            rows.clone().into(),
             Value::Shape(vec![0]),
         ];
         r.call_builtin("vm.builtin.kv_cache.append_paged", &args, &pool)
             .unwrap();
         assert_eq!((cache.len(0), pool.stats().in_use), (3, 2));
+        assert_eq!(cache.view(0).unwrap(), rows);
     }
 
     #[test]

@@ -186,7 +186,7 @@ mod tests {
         assert!(v.as_tensor().is_some());
         assert!(v.as_tuple().is_none());
         assert_eq!(v.kind(), "tensor");
-        let tup = Value::Tuple(vec![v, Value::Prim(3)]);
+        let tup = Value::Tuple(vec![v, Value::Shape(vec![3])]);
         assert_eq!(tup.as_tuple().unwrap().len(), 2);
         assert_eq!(Value::Shape(vec![1, 2]).as_shape().unwrap(), &[1, 2]);
     }

@@ -627,7 +627,10 @@ mod tests {
         let v = checked(
             vec![
                 Instr::Kill { reg: 0 },
-                Instr::Copy { dst: 1, src: 0 }, // use-after-kill
+                Instr::MakeTuple {
+                    dst: 1,
+                    items: vec![0], // use-after-kill
+                },
                 Instr::AllocTensor {
                     dst: 1,
                     shape: vec![n.into()], // unbound

@@ -454,14 +454,11 @@ fn traced_errors_render_function_pc_and_instruction() {
 // an exhausted page pool, the typed cause serving retries on.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
+/// Tiny llama's compiled `decode_paged`, the geometry of a cache for it,
+/// and zero weights in parameter order after `tokens` and `kv_cache`.
+fn tiny_paged_llama() -> (Executable, KvCacheConfig, Vec<Value>) {
     let cfg = LlamaConfig::tiny();
     let ir = build_decode_paged(&cfg).unwrap();
-    let mut vm = Vm::new(compile(ir.module, &CompileOptions::default()).unwrap());
-    // One 16-token page in the whole pool; a 17-token prompt needs two.
-    let pool = Arc::new(KvPagePool::with_capacity(16, 1));
-    vm.set_kv_pool(pool.clone());
     let kv = KvCacheConfig {
         streams: 2 * cfg.n_layers,
         batch: 1,
@@ -469,21 +466,41 @@ fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
         head_dim: cfg.head_dim as usize,
         dtype: cfg.dtype,
     };
-    let cache = KvCache::new(kv, pool.clone());
-    let tokens = NDArray::from_i64(&[1, 17], DataType::I64, vec![1; 17]).unwrap();
+    let weights = ir
+        .params
+        .iter()
+        .filter(|(name, _)| name != "tokens" && name != "kv_cache")
+        .map(|(_, sinfo)| {
+            let dims: Vec<usize> = sinfo
+                .tensor_dims()
+                .unwrap()
+                .iter()
+                .map(|d| d.as_int().unwrap() as usize)
+                .collect();
+            Value::Tensor(NDArray::zeros(&dims, cfg.dtype))
+        })
+        .collect();
+    let exec = compile(ir.module, &CompileOptions::default()).unwrap();
+    (exec, kv, weights)
+}
+
+/// `decode_paged`'s arguments for one call feeding `tokens` to `cache`.
+fn paged_args(tokens: &[i64], cache: &KvCache, weights: &[Value]) -> Vec<Value> {
+    let tokens = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.to_vec()).unwrap();
     let mut args = vec![Value::Tensor(tokens), Value::KvCache(cache.clone())];
-    for (name, sinfo) in &ir.params {
-        if name == "tokens" || name == "kv_cache" {
-            continue;
-        }
-        let dims: Vec<usize> = sinfo
-            .tensor_dims()
-            .unwrap()
-            .iter()
-            .map(|d| d.as_int().unwrap() as usize)
-            .collect();
-        args.push(Value::Tensor(NDArray::zeros(&dims, cfg.dtype)));
-    }
+    args.extend_from_slice(weights);
+    args
+}
+
+#[test]
+fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
+    let (exec, kv, weights) = tiny_paged_llama();
+    let mut vm = Vm::new(exec);
+    // One 16-token page in the whole pool; a 17-token prompt needs two.
+    let pool = Arc::new(KvPagePool::with_capacity(16, 1));
+    vm.set_kv_pool(pool.clone());
+    let cache = KvCache::new(kv, pool.clone());
+    let args = paged_args(&[1; 17], &cache, &weights);
     let err = vm.run("decode_paged", &args).unwrap_err();
     match &err.kind {
         VmErrorKind::Kernel(k) => {
@@ -495,6 +512,33 @@ fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
     assert!(err.origin().unwrap().instr.contains("vm.builtin.kv_cache.append_paged"));
     // The refused append left nothing behind.
     assert!(cache.is_empty());
+    drop(cache);
+    let st = pool.stats();
+    assert!(st.reconciles() && st.in_use == 0, "{st:?}");
+}
+
+/// A cache draws its pages from the pool it was made on, never from a
+/// pool installed in the VM that runs it.
+#[test]
+fn a_cache_draws_pages_only_from_its_own_pool() {
+    let (exec, kv, weights) = tiny_paged_llama();
+    let mut vm = Vm::new(exec);
+    let decoy = Arc::new(KvPagePool::with_capacity(16, 0));
+    vm.set_kv_pool(decoy.clone());
+    let pool = Arc::new(KvPagePool::unbounded(16));
+    let cache = KvCache::new(kv, pool.clone());
+    // A 17-token prompt spans two pages, then three single-token steps.
+    vm.run("decode_paged", &paged_args(&[1; 17], &cache, &weights))
+        .unwrap();
+    for token in 2..5 {
+        vm.run("decode_paged", &paged_args(&[token], &cache, &weights))
+            .unwrap();
+    }
+    assert_eq!(cache.len(0), 20);
+    let st = decoy.stats();
+    assert!(st.acquires == 0 && st.exhaustions == 0, "{st:?}");
+    let st = pool.stats();
+    assert!(st.reconciles() && st.in_use > 0, "{st:?}");
     drop(cache);
     let st = pool.stats();
     assert!(st.reconciles() && st.in_use == 0, "{st:?}");
