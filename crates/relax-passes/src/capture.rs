@@ -22,7 +22,6 @@ fn capturable(instr: &Instr) -> bool {
             | Instr::CallLib { .. }
             | Instr::TensorFromStorage { .. }
             | Instr::Kill { .. }
-            | Instr::Copy { .. }
     )
 }
 

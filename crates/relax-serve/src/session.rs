@@ -676,12 +676,11 @@ impl Work for Generation {
     type Vms = WorkerVms;
 
     fn build_vms(model: &GenModel, vm_faults: FaultPlan) -> WorkerVms {
-        // Every VM shares the registry and the page pool; the serving
-        // model's VMs (decode, verify) also carry the injected VM-site
-        // faults.
+        // Every VM shares the registry (sessions' caches hold the page
+        // pool); the serving model's VMs (decode, verify) also carry the
+        // injected VM-site faults.
         let vm = |exec: &Arc<Executable>, plans: &SharedPlanCache, faulty: bool| {
             let mut vm = Vm::from_parts(exec.clone(), model.registry.clone(), plans.clone());
-            vm.set_kv_pool(model.pool.clone());
             if faulty {
                 vm.inject_faults(vm_faults.clone());
             }

@@ -129,7 +129,6 @@ fn fixture() -> &'static Fixture {
 
         let pool = Arc::new(KvPagePool::with_capacity(PAGE_TOKENS, usize::MAX));
         let mut vm = Vm::new(exec);
-        vm.set_kv_pool(pool.clone());
         let alone = requests.iter().map(|r| run_alone(&mut vm, &spec, &pool, r)).collect();
         assert_eq!(vm.telemetry().fallback_allocs, 0, "a lone step left its planned storage");
         assert_eq!(pool.stats().in_use, 0);

@@ -70,9 +70,7 @@ impl Fixture {
         let cfg = LlamaConfig::tiny();
         let pool = Arc::new(KvPagePool::with_capacity(PAGE_TOKENS, usize::MAX));
         let vm = |ir: &ModelIr| {
-            let mut vm = Vm::new(compile(ir.module.clone(), &CompileOptions::default()).unwrap());
-            vm.set_kv_pool(pool.clone());
-            vm
+            Vm::new(compile(ir.module.clone(), &CompileOptions::default()).unwrap())
         };
         let paged_ir = build_decode_paged(&cfg).unwrap();
         let mut seed = 0xFACE_F00Du64;

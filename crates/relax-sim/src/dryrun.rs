@@ -25,7 +25,6 @@ use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::bind_shapes_dims;
 use relax_trace::CacheOutcome::{self, Hit, Miss};
 use relax_trace::Payload;
-use relax_vm::kv_cache::kv_dtype;
 use relax_vm::{Executable, Instr, VmErrorKind, KV_PAGE_TOKENS};
 
 use crate::cost::{kernel_time, KernelClass};
@@ -574,7 +573,6 @@ impl<'a> DryRun<'a> {
                 Instr::MakeShape { dst, dims } => {
                     regs[*dst] = SimValue::Shape(eval_dims(dims, heap)?)
                 }
-                Instr::Copy { dst, src } => regs[*dst] = regs[*src].clone(),
                 Instr::CaptureRegion { body, .. } => {
                     if self.warm {
                         // Replay: a single launch for the whole region;
@@ -603,7 +601,7 @@ fn eval_dims(dims: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>,
 }
 
 /// Computes the registers whose values escape through the function return
-/// — transitively through tuples, copies, projections, capture regions,
+/// — transitively through tuples, projections, capture regions,
 /// and the storages backing escaping tensors.
 fn escaping_regs(instrs: &[Instr]) -> HashSet<usize> {
     let mut escaping = HashSet::new();
@@ -628,9 +626,6 @@ fn escaping_regs(instrs: &[Instr]) -> HashSet<usize> {
                 }
                 Instr::MakeTuple { dst, items } if escaping.contains(dst) => {
                     escaping.extend(items.iter().copied());
-                }
-                Instr::Copy { dst, src } if escaping.contains(dst) => {
-                    escaping.insert(*src);
                 }
                 Instr::GetItem { dst, src, .. } if escaping.contains(dst) => {
                     escaping.insert(*src);
@@ -796,22 +791,6 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         (len.max(0) * b * h * hd).max(0) as f64 * dt.size_bytes() as f64
     };
     match op {
-        // create(shape[streams, batch, heads, head_dim, dtype_code])
-        "create" => {
-            let d = shape(0, 5)?;
-            let dtype = kv_dtype(d[4]).ok_or_else(|| {
-                SimError::Type(format!("kv_cache.create: unknown dtype code {}", d[4]))
-            })?;
-            let out = SimValue::KvCache {
-                streams: vec![0; d[0].max(0) as usize],
-                batch: d[1],
-                heads: d[2],
-                head_dim: d[3],
-                dtype,
-            };
-            // Handle creation is host-side bookkeeping: no data moves.
-            Ok((0.0, 0.0, out))
-        }
         // append_paged(cache, new, shape[stream]) -> cache
         "append_paged" => {
             let (streams, b, h, hd, dt) = cache(0)?;
@@ -834,15 +813,6 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
                 dtype: dt,
             };
             Ok((0.0, 2.0 * slice + 8.0 * new_pages as f64, out))
-        }
-        // view(cache, shape[stream]) -> tensor
-        "view" => {
-            let (streams, b, h, hd, dt) = cache(0)?;
-            let stream = shape(1, 1)?[0].max(0) as usize;
-            let len = stream_len(streams, stream)?;
-            // Gathers the logical stream out of its pages: read + write.
-            let out = SimValue::tensor(vec![b, h, len, hd], dt);
-            Ok((0.0, 2.0 * out.byte_size(), out))
         }
         // attention(q, cache, shape[k_stream, v_stream, causal]) -> tensor
         "attention" => {

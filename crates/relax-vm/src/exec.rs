@@ -133,13 +133,6 @@ pub enum Instr {
         /// Symbolic dimensions to evaluate.
         dims: Vec<PrimExpr>,
     },
-    /// Copies a register.
-    Copy {
-        /// Destination register.
-        dst: Reg,
-        /// Source register.
-        src: Reg,
-    },
     /// A statically-shaped region offloaded to device graph capture
     /// (§4.5): captured on first execution, replayed afterwards.
     CaptureRegion {
@@ -308,7 +301,6 @@ impl fmt::Display for Instr {
             Instr::MakeShape { dst, dims } => {
                 write!(f, "%{dst} = shape({})", exprs(dims))
             }
-            Instr::Copy { dst, src } => write!(f, "%{dst} = %{src}"),
             Instr::CaptureRegion { id, keys, body } => {
                 write!(f, "capture_region #{id}")?;
                 if !keys.is_empty() {
@@ -424,7 +416,6 @@ mod display_tests {
             "%1 = tensor_from(%0, (4), \"f16\")"
         );
         assert_eq!(Instr::Kill { reg: 3 }.to_string(), "kill %3");
-        assert_eq!(Instr::Copy { dst: 1, src: 0 }.to_string(), "%1 = %0");
         assert_eq!(
             Instr::GetItem {
                 dst: 2,

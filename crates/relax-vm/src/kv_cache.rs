@@ -1,7 +1,9 @@
-//! First-class paged KV caches: the runtime object behind the
-//! `vm.builtin.kv_cache.*` builtins, which the default
-//! [`Registry`](crate::registry::Registry) runs on register values, the
-//! cache handle among them.
+//! First-class paged KV caches. The host makes a cache with
+//! [`KvCache::new`] on a page pool, and the cache alone draws its pages
+//! from that pool. It reaches a compiled function as a register value,
+//! where the default [`Registry`](crate::registry::Registry)'s two
+//! `vm.builtin.kv_cache.*` builtins, `append_paged` and `attention`, write
+//! and read its pages.
 //!
 //! The copy-based `vm.builtin.kv_append` kernel materializes a fresh
 //! `(b, h, s+n, hd)` tensor every decode step — O(s²) data movement per
@@ -41,10 +43,10 @@ use crate::memory::KvPagePool;
 use crate::registry::KernelError;
 use crate::value::{want_cache, want_shape, want_tensor, Value};
 
-/// Name prefix of the paged KV-cache builtins (`create`, `append_paged`,
-/// `view`, `attention`). It is a naming convention only: lowering emits
-/// these calls without destination tensors, and the cost model recognises
-/// them by it. The VM calls them through the registry like any builtin.
+/// Name prefix of the paged KV-cache builtins (`append_paged`,
+/// `attention`). It is a naming convention only: lowering emits these
+/// calls without destination tensors, and the cost model recognises them
+/// by it. The VM calls them through the registry like any builtin.
 pub const KV_CACHE_PREFIX: &str = "vm.builtin.kv_cache.";
 
 /// Fixed geometry of one cache: every stream holds `(batch, heads,
@@ -552,35 +554,9 @@ fn dim(op: &str, d: i64, what: &str) -> Result<usize, KernelError> {
     usize::try_from(d).map_err(|_| KernelError::new(op, format!("negative {what}: {d}")))
 }
 
-/// The element type `vm.builtin.kv_cache.create`'s dtype code names:
-/// 0 is f32, 1 is f16.
-pub fn kv_dtype(code: i64) -> Option<DataType> {
-    let i = usize::try_from(code).ok()?;
-    [DataType::F32, DataType::F16].get(i).copied()
-}
-
-/// `vm.builtin.kv_cache.create(shape[streams, batch, heads, head_dim,
-/// dtype_code])`: an empty cache on the VM's page pool ([`kv_dtype`]).
-pub(crate) fn builtin_create(args: &[Value], pool: &Arc<KvPagePool>) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.kv_cache.create";
-    let d = want_shape(OP, args, 0, 5)?;
-    let unknown = || KernelError::new(OP, format!("unknown dtype code {} (0=f32, 1=f16)", d[4]));
-    let cfg = KvCacheConfig {
-        streams: dim(OP, d[0], "stream count")?,
-        batch: dim(OP, d[1], "batch")?,
-        heads: dim(OP, d[2], "head count")?,
-        head_dim: dim(OP, d[3], "head dim")?,
-        dtype: kv_dtype(d[4]).ok_or_else(unknown)?,
-    };
-    Ok(Value::KvCache(KvCache::new(cfg, Arc::clone(pool))))
-}
-
 /// `vm.builtin.kv_cache.append_paged(cache, new, shape[stream]) -> cache`
 /// ([`KvCache::append`]).
-pub(crate) fn builtin_append_paged(
-    args: &[Value],
-    _: &Arc<KvPagePool>,
-) -> Result<Value, KernelError> {
+pub(crate) fn builtin_append_paged(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.kv_cache.append_paged";
     let cache = want_cache(OP, args, 0)?;
     let new = want_tensor(OP, args, 1)?;
@@ -589,18 +565,9 @@ pub(crate) fn builtin_append_paged(
     Ok(Value::KvCache(cache.clone()))
 }
 
-/// `vm.builtin.kv_cache.view(cache, shape[stream]) -> tensor`
-/// ([`KvCache::view`]).
-pub(crate) fn builtin_view(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.kv_cache.view";
-    let cache = want_cache(OP, args, 0)?;
-    let d = want_shape(OP, args, 1, 1)?;
-    Ok(Value::Tensor(cache.view(dim(OP, d[0], "stream")?)?))
-}
-
 /// `vm.builtin.kv_cache.attention(q, cache, shape[k_stream, v_stream,
 /// causal]) -> tensor` ([`KvCache::attention`]).
-pub(crate) fn builtin_attention(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+pub(crate) fn builtin_attention(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.kv_cache.attention";
     let q = want_tensor(OP, args, 0)?;
     let cache = want_cache(OP, args, 1)?;
@@ -1030,7 +997,7 @@ mod tests {
         let registry = Registry::new();
         let pool = Arc::new(KvPagePool::unbounded(4));
         let call = |op: &str, args: &[Value]| {
-            registry.call_builtin(&format!("{KV_CACHE_PREFIX}{op}"), args, &pool)
+            registry.call_builtin(&format!("{KV_CACHE_PREFIX}{op}"), args)
         };
         let cfg = KvCacheConfig {
             streams: 2,
@@ -1061,7 +1028,5 @@ mod tests {
         let err = call("append_paged", &[Value::Shape(vec![3])]).unwrap_err();
         assert_eq!(err.kernel, "vm.builtin.kv_cache.append_paged");
         assert_eq!(err.detail, "expected a kv_cache, got shape");
-        let err = call("create", &[Value::Shape(vec![1, 1, 1, 1, 7])]).unwrap_err();
-        assert_eq!(err.detail, "unknown dtype code 7 (0=f32, 1=f16)");
     }
 }

@@ -23,6 +23,9 @@
 //!   the paged KV-cache and MoE routing builtins) take register values and
 //!   return one. The validator checks calls against the table, and the VM
 //!   calls every foreign function through it.
+//! - **Paged KV caches** ([`kv_cache`]): the host makes a [`KvCache`] on a
+//!   [`KvPagePool`] and passes it in as a register value; the cache is the
+//!   one owner of its pages, and a VM holds no page pool.
 //! - **Graph capture** (`CaptureRegion`): the CUDA Graph model — the first
 //!   execution captures, subsequent executions replay with a single launch
 //!   overhead (§4.5).

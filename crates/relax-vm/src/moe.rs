@@ -22,12 +22,9 @@
 //! builtin: the VM hands them its register values, so the expert index and
 //! token count arrive as first-class `Value::Shape`s.
 
-use std::sync::Arc;
-
 use relax_arith::DataType;
 use relax_tir::{NDArray, Scalar};
 
-use crate::memory::KvPagePool;
 use crate::registry::KernelError;
 use crate::value::{want_shape, want_tensor, Value};
 
@@ -51,7 +48,7 @@ fn want_rank<'a>(op: &str, t: &'a NDArray, rank: usize, what: &str) -> Result<&'
 /// `route(logits)`: per-token argmax over the expert axis; strict `>` so
 /// the first maximum wins and ties are deterministic across runs and
 /// workers.
-pub(crate) fn builtin_route(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+pub(crate) fn builtin_route(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.moe.route";
     let logits = want_tensor(OP, args, 0)?;
     let s = want_rank(OP, logits, 2, "router logits")?;
@@ -97,7 +94,7 @@ fn positions(op: &str, assign: &NDArray, expert: i64) -> Result<Vec<usize>, Kern
 /// to one expert. The output row count `n_e` is data-dependent — the
 /// `MatchShape` that follows this call in lowered code binds it to a fresh
 /// symbolic variable.
-pub(crate) fn builtin_gather(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+pub(crate) fn builtin_gather(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.moe.gather";
     let tokens = want_tensor(OP, args, 0)?;
     let assign = want_tensor(OP, args, 1)?;
@@ -124,7 +121,7 @@ pub(crate) fn builtin_gather(args: &[Value], _: &Arc<KvPagePool>) -> Result<Valu
 
 /// `scatter(rows, assign, shape[expert, tokens])`: expert output rows back
 /// at their token positions; rows not assigned to this expert stay zero.
-pub(crate) fn builtin_scatter(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+pub(crate) fn builtin_scatter(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "vm.builtin.moe.scatter";
     let rows = want_tensor(OP, args, 0)?;
     let assign = want_tensor(OP, args, 1)?;
@@ -173,8 +170,7 @@ mod tests {
 
     /// Calls `vm.builtin.<op>` through the default registry.
     fn call(op: &str, args: &[Value]) -> Result<Value, KernelError> {
-        let pool = Arc::new(KvPagePool::unbounded(1));
-        Registry::new().call_builtin(&format!("{MOE_PREFIX}{op}"), args, &pool)
+        Registry::new().call_builtin(&format!("{MOE_PREFIX}{op}"), args)
     }
 
     fn tensor(v: Value) -> NDArray {

@@ -11,17 +11,16 @@
 //! registered with its signature, the validator
 //! ([`verify`](mod@crate::verify)) checks calls against it, and the VM
 //! runs every `CallLib` and every `CallBuiltin` through it. Builtins take
-//! and return register values, so the paged KV-cache builtins (cache
-//! handles) and the MoE routing builtins (shape arguments) are entries
-//! like `builtin.unique`.
+//! register values and nothing else, and return one: the paged KV-cache
+//! builtins `append_paged` and `attention` (a cache handle the host made
+//! on its page pool) and the MoE routing builtins (shape arguments) are
+//! entries like `builtin.unique`.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
 use relax_tir::{NDArray, Scalar};
 
-use crate::memory::{KvPagePool, KvPoolExhausted};
+use crate::memory::KvPoolExhausted;
 use crate::value::{want_tensor, Value};
 use crate::{kv_cache, moe};
 
@@ -60,10 +59,9 @@ pub type LibKernel = fn(&[NDArray], &[NDArray]) -> Result<(), String>;
 
 /// A value-returning builtin: reads register values (tensors, shapes, KV
 /// cache handles) and returns the value its destination register takes.
-/// The pool is the calling VM's KV page pool, where new caches draw pages.
 /// Its own failures name it in the [`KernelError`], keeping a typed cause
 /// such as [`KernelError::pool_exhausted`].
-pub type BuiltinFn = fn(&[Value], &Arc<KvPagePool>) -> Result<Value, KernelError>;
+pub type BuiltinFn = fn(&[Value]) -> Result<Value, KernelError>;
 
 /// Registry of library kernels and builtins, each with its signature.
 #[derive(Clone)]
@@ -95,15 +93,13 @@ impl Default for Registry {
         r.register_lib_with_signature("cublas.matmul_relu", lib_matmul_relu, 2, 1);
         r.register_lib_with_signature("cutlass.rms_norm", lib_rms_norm, 2, 1);
         r.register_lib_with_signature("vm.builtin.kv_append", lib_kv_append, 2, 1);
-        let builtins: [(&str, BuiltinFn, usize); 8] = [
+        let builtins: [(&str, BuiltinFn, usize); 6] = [
             ("builtin.unique", builtin_unique, 1),
-            ("vm.builtin.kv_cache.create", kv_cache::builtin_create, 1),
             (
                 "vm.builtin.kv_cache.append_paged",
                 kv_cache::builtin_append_paged,
                 3,
             ),
-            ("vm.builtin.kv_cache.view", kv_cache::builtin_view, 2),
             (
                 "vm.builtin.kv_cache.attention",
                 kv_cache::builtin_attention,
@@ -180,23 +176,17 @@ impl Registry {
         kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
     }
 
-    /// Invokes a value-returning builtin on register values; `pool` is
-    /// the calling VM's KV page pool.
+    /// Invokes a value-returning builtin on register values.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError`] for unknown builtins or failures.
-    pub fn call_builtin(
-        &self,
-        name: &str,
-        args: &[Value],
-        pool: &Arc<KvPagePool>,
-    ) -> Result<Value, KernelError> {
+    pub fn call_builtin(&self, name: &str, args: &[Value]) -> Result<Value, KernelError> {
         let (func, _) = self
             .builtins
             .get(name)
             .ok_or_else(|| KernelError::new(name, "not registered"))?;
-        func(args, pool)
+        func(args)
     }
 }
 
@@ -390,7 +380,7 @@ fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), St
 }
 
 /// Sorted deduplication; the canonical data-dependent operator (Figure 3).
-fn builtin_unique(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelError> {
+fn builtin_unique(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "builtin.unique";
     let x = want_tensor(OP, args, 0)?;
     let mut vals = x.to_f64_vec();
@@ -404,7 +394,9 @@ fn builtin_unique(args: &[Value], _: &Arc<KvPagePool>) -> Result<Value, KernelEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::KvPagePool;
     use relax_arith::DataType;
+    use std::sync::Arc;
 
     #[test]
     fn matmul_kernel_matches_reference() {
@@ -444,10 +436,7 @@ mod tests {
     fn unique_builtin_dedups_sorted() {
         let r = Registry::new();
         let x = NDArray::from_f64(&[5], DataType::F32, vec![3., 1., 3., 2., 1.]).unwrap();
-        let pool = Arc::new(KvPagePool::unbounded(1));
-        let out = r
-            .call_builtin("builtin.unique", &[x.into()], &pool)
-            .unwrap();
+        let out = r.call_builtin("builtin.unique", &[x.into()]).unwrap();
         let out = out.as_tensor().unwrap();
         assert_eq!(out.shape(), &[3]);
         assert_eq!(out.to_f64_vec(), vec![1., 2., 3.]);
@@ -458,11 +447,7 @@ mod tests {
         let r = Registry::new();
         let err = r.call_lib("nope", &[], &[]).unwrap_err();
         assert_eq!(err.kernel, "nope");
-        let pool = Arc::new(KvPagePool::unbounded(1));
-        assert_eq!(
-            r.call_builtin("nope", &[], &pool).unwrap_err().kernel,
-            "nope"
-        );
+        assert_eq!(r.call_builtin("nope", &[]).unwrap_err().kernel, "nope");
         assert_eq!(r.lib_signature("cublas.matmul"), Some((2, 1)));
         assert_eq!(
             (r.lib_signature("nope"), r.builtin_signature("nope")),
@@ -510,9 +495,7 @@ mod tests {
     fn kv_cache_builtins_run_from_the_registry_given_a_pool() {
         let r = Registry::new();
         for (name, arity) in [
-            ("vm.builtin.kv_cache.create", 1),
             ("vm.builtin.kv_cache.append_paged", 3),
-            ("vm.builtin.kv_cache.view", 2),
             ("vm.builtin.kv_cache.attention", 3),
         ] {
             assert_eq!(r.builtin_signature(name), Some(arity), "{name}");
@@ -532,7 +515,7 @@ mod tests {
             rows.clone().into(),
             Value::Shape(vec![0]),
         ];
-        r.call_builtin("vm.builtin.kv_cache.append_paged", &args, &pool)
+        r.call_builtin("vm.builtin.kv_cache.append_paged", &args)
             .unwrap();
         assert_eq!((cache.len(0), pool.stats().in_use), (3, 2));
         assert_eq!(cache.view(0).unwrap(), rows);

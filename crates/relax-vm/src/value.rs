@@ -19,8 +19,6 @@ pub enum Value {
     Tuple(Vec<Value>),
     /// A first-class shape value (concrete at runtime).
     Shape(Vec<i64>),
-    /// A scalar integer.
-    Prim(i64),
     /// A storage block produced by static memory planning.
     Storage {
         /// Identity assigned by the allocator.
@@ -90,7 +88,6 @@ impl Value {
             Value::Tensor(_) => "tensor",
             Value::Tuple(_) => "tuple",
             Value::Shape(_) => "shape",
-            Value::Prim(_) => "prim",
             Value::Storage { .. } => "storage",
             Value::KvCache(_) => "kv_cache",
         }
@@ -113,7 +110,6 @@ impl fmt::Display for Value {
                 write!(f, ")")
             }
             Value::Shape(dims) => write!(f, "shape{dims:?}"),
-            Value::Prim(v) => write!(f, "{v}"),
             Value::Storage { id, bytes } => write!(f, "storage#{id}({bytes}B)"),
             Value::KvCache(c) => write!(f, "{c:?}"),
         }

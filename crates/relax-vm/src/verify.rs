@@ -426,14 +426,6 @@ impl FuncChecker<'_> {
                     self.use_exprs(pc, dims, "shape dimension");
                     self.def_reg(pc, *dst, RegState::Live);
                 }
-                Instr::Copy { dst, src } => {
-                    self.use_reg(pc, *src, "source");
-                    let state = match self.regs.get(*src) {
-                        Some(RegState::LiveStorage) => RegState::LiveStorage,
-                        _ => RegState::Live,
-                    };
-                    self.def_reg(pc, *dst, state);
-                }
                 Instr::CaptureRegion { keys, body, .. } => {
                     self.use_exprs(pc, keys, "capture key");
                     if self.walk(body) {

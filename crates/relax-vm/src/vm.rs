@@ -10,7 +10,7 @@ use relax_tir::{NDArray, PlanError};
 
 use crate::exec::{match_shape, Executable, Instr, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::memory::{KvPagePool, MemoryStats, PooledAllocator, KV_PAGE_TOKENS};
+use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
@@ -281,10 +281,6 @@ pub struct Vm {
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
     /// with other VMs); every `CallTir` probes it once.
     plan_cache: SharedPlanCache,
-    /// The page pool every builtin call is given (`kv_cache.create` draws
-    /// a new cache's pages from it) — shared across a serving engine's VMs
-    /// so occupancy accounting is global.
-    kv_pool: Arc<KvPagePool>,
     /// Scheduled fault injection (tests and chaos harnesses).
     fault: Option<FaultInjector>,
     /// The previous `run` failed; the next success counts as a recovery.
@@ -327,23 +323,18 @@ impl Vm {
             next_storage_id: 0,
             kernel_stats: HashMap::new(),
             plan_cache,
-            kv_pool: Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS)),
             fault: None,
             poisoned: false,
         }
     }
 
-    /// Replaces the KV page pool used by `vm.builtin.kv_cache.create`.
-    /// A serving engine installs one shared bounded pool in every worker
-    /// VM so page occupancy is accounted globally.
-    pub fn set_kv_pool(&mut self, pool: Arc<KvPagePool>) {
-        self.kv_pool = pool;
-    }
-
-    /// The KV page pool backing this VM's cache handles.
-    pub fn kv_pool(&self) -> &Arc<KvPagePool> {
-        &self.kv_pool
-    }
+    /// Unread: a VM holds no page pool, since every cache draws its pages
+    /// from the pool it was made on ([`KvCache::new`]). Still here only
+    /// because the `benchmark` package, which a product change may not
+    /// edit, calls it.
+    ///
+    /// [`KvCache::new`]: crate::KvCache::new
+    pub fn set_kv_pool(&mut self, _pool: Arc<KvPagePool>) {}
 
     /// Schedules deterministic fault injection (see [`crate::fault`]).
     /// Replaces any previously installed plan; counters restart.
@@ -736,7 +727,7 @@ impl Vm {
                 // The arguments as received: a KV cache appends in place.
                 let shapes = (sp.id() != 0)
                     .then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
-                let out = self.registry.call_builtin(func, &vals, &self.kv_pool)?;
+                let out = self.registry.call_builtin(func, &vals)?;
                 sp.finish_with(|| relax_trace::Payload::Kernel {
                     kernel: func.clone(),
                     shapes: relax_trace::shape_sig(&shapes.unwrap_or_default()),
@@ -808,10 +799,6 @@ impl Vm {
                 let vals: Result<Vec<i64>, EvalError> =
                     dims.iter().map(|d| d.eval(&frame.heap)).collect();
                 frame.set(*dst, Value::Shape(vals?))?;
-            }
-            Instr::Copy { dst, src } => {
-                let v = frame.get(*src)?.clone();
-                frame.set(*dst, v)?;
             }
             Instr::CaptureRegion { id, keys, body } => {
                 let key_vals: Result<Vec<i64>, EvalError> =
