@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+
 use relax_tir::{NDArray, Scalar};
 
 use crate::memory::KvPoolExhausted;
@@ -380,12 +381,17 @@ fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), St
 }
 
 /// Sorted deduplication; the canonical data-dependent operator (Figure 3).
+/// Numbers ascend and every NaN collapses into one after them (numpy's
+/// `unique` order): a total order, which the sort requires.
 fn builtin_unique(args: &[Value]) -> Result<Value, KernelError> {
     const OP: &str = "builtin.unique";
     let x = want_tensor(OP, args, 0)?;
     let mut vals = x.to_f64_vec();
-    vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    vals.dedup();
+    vals.sort_by(|a, b| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
+    vals.dedup_by(|a, b| a == b || (a.is_nan() && b.is_nan()));
     let out = NDArray::from_f64(&[vals.len()], x.dtype(), vals);
     out.map(Value::Tensor)
         .map_err(|e| KernelError::new(OP, e.to_string()))

@@ -31,10 +31,9 @@ fn table1_annotation_syntax() {
     );
 }
 
-/// Figure 3: the symbolic-shape function builds, deduces the documented
-/// annotations, compiles, and runs with the match_cast runtime check.
-#[test]
-fn figure3_symbolic_shape_fn() {
+/// Figure 3's symbolic-shape function, `exp(unique(flatten(reshape(x))))`,
+/// asserting the annotations the paper documents as it builds.
+fn figure3_module() -> IRModule {
     let mut bb = BlockBuilder::new();
     let n = SymVar::new("n");
     let p = bb.begin_function(
@@ -75,8 +74,14 @@ fn figure3_symbolic_shape_fn() {
     bb.finish_function(lv4.into(), None).unwrap();
     let module = bb.finish();
     assert!(relax::core::assert_well_formed(&module).is_ok());
+    module
+}
 
-    let exec = compile(module, &CompileOptions::default()).unwrap();
+/// Figure 3: the symbolic-shape function builds, deduces the documented
+/// annotations, compiles, and runs with the match_cast runtime check.
+#[test]
+fn figure3_symbolic_shape_fn() {
+    let exec = compile(figure3_module(), &CompileOptions::default()).unwrap();
     let mut vm = Vm::new(exec);
     let x = NDArray::from_f64(
         &[2, 2, 2],
@@ -91,6 +96,40 @@ fn figure3_symbolic_shape_fn() {
     let got = t.to_f64_vec();
     for (g, e) in got.iter().zip([0.0f64, 1.0, 2.0, 3.0]) {
         assert!((g - e.exp()).abs() < 1e-5);
+    }
+}
+
+/// Figure 3 on an input with several NaNs: `unique` keeps numbers
+/// ascending and collapses every NaN into one, placed last (numpy's
+/// order), so the run returns instead of panicking in the sort.
+#[test]
+fn figure3_unique_puts_one_nan_last() {
+    let exec = compile(figure3_module(), &CompileOptions::default()).unwrap();
+    let mut vm = Vm::new(exec);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let vals: Vec<f64> = (0..48)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if i % 5 == 2 {
+                f64::NAN
+            } else {
+                (state % 16) as f64 - 8.0
+            }
+        })
+        .collect();
+    let mut numbers: Vec<f64> = vals.iter().copied().filter(|v| !v.is_nan()).collect();
+    numbers.sort_by(f64::total_cmp);
+    numbers.dedup();
+    let x = NDArray::from_f64(&[12, 2, 2], DataType::F32, vals).unwrap();
+    let out = vm.run("symbolic_shape_fn", &[Value::Tensor(x)]).unwrap();
+    let got = out.as_tensor().unwrap().to_f64_vec();
+    let (last, got) = got.split_last().unwrap();
+    assert!(last.is_nan(), "NaN is not last: {last}");
+    assert_eq!(got.len(), numbers.len(), "{got:?}");
+    for (g, e) in got.iter().zip(&numbers) {
+        assert!((g - e.exp()).abs() <= 1e-5 * e.exp(), "{got:?}");
     }
 }
 
