@@ -270,11 +270,6 @@ impl Analyzer {
         bound_of(&diff, &self.bounds).min >= 0
     }
 
-    /// Proves `a <= b`.
-    pub fn can_prove_le(&self, a: &PrimExpr, b: &PrimExpr) -> bool {
-        self.can_prove_ge(b, a)
-    }
-
     /// Proves `a >= 0`.
     pub fn can_prove_nonneg(&self, a: &PrimExpr) -> bool {
         self.can_prove_ge(a, &PrimExpr::Int(0))
@@ -285,12 +280,6 @@ impl Analyzer {
     pub fn upper_bound(&self, expr: &PrimExpr) -> Option<i64> {
         let b = self.const_int_bound(expr);
         (b.max != i64::MAX).then_some(b.max)
-    }
-
-    /// Returns the finite static lower bound of an expression, if one exists.
-    pub fn lower_bound(&self, expr: &PrimExpr) -> Option<i64> {
-        let b = self.const_int_bound(expr);
-        (b.min != i64::MIN).then_some(b.min)
     }
 }
 
@@ -325,13 +314,10 @@ mod tests {
         let mut ana = Analyzer::new();
         ana.bind(n.clone(), IntBound::range(1, 128));
         assert!(ana.can_prove_ge(&PrimExpr::from(n.clone()), &PrimExpr::Int(1)));
-        assert!(ana.can_prove_le(&PrimExpr::from(n.clone()), &PrimExpr::Int(128)));
-        assert!(!ana.can_prove_le(&PrimExpr::from(n.clone()), &PrimExpr::Int(64)));
         assert_eq!(
-            ana.upper_bound(&(PrimExpr::from(n.clone()) * 4.into())),
+            ana.upper_bound(&(PrimExpr::from(n) * 4.into())),
             Some(512)
         );
-        assert_eq!(ana.lower_bound(&PrimExpr::from(n)), Some(1));
     }
 
     #[test]

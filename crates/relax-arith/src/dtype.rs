@@ -53,11 +53,6 @@ impl DataType {
         matches!(self, DataType::F16 | DataType::F32)
     }
 
-    /// Returns `true` for integer types (including `Bool`).
-    pub fn is_int(self) -> bool {
-        !self.is_float()
-    }
-
     /// Canonical short name, e.g. `"f32"`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -148,7 +143,6 @@ mod tests {
     #[test]
     fn float_int_classification() {
         assert!(DataType::F16.is_float());
-        assert!(DataType::I64.is_int());
         assert!(!DataType::U32.is_float());
     }
 }

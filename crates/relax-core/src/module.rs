@@ -64,11 +64,6 @@ impl IRModule {
         self.funcs.remove(name)
     }
 
-    /// Removes a tensor program.
-    pub fn remove_tir_func(&mut self, name: &str) -> Option<PrimFunc> {
-        self.tir_funcs.remove(name)
-    }
-
     /// Looks up a graph-level function.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.funcs.get(name)
@@ -160,13 +155,5 @@ mod tests {
         assert!(m.tir_func("mm").is_some());
         assert!(m.tir_func("mm1").is_some());
         assert_eq!(m.tir_func("mm1").unwrap().name(), "mm1");
-    }
-
-    #[test]
-    fn lookup_and_removal() {
-        let mut m = IRModule::new();
-        m.add_tir_func(dummy_tir("f"));
-        assert!(m.remove_tir_func("f").is_some());
-        assert!(m.tir_func("f").is_none());
     }
 }

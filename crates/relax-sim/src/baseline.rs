@@ -111,17 +111,6 @@ pub fn decode_latency_s(
     Some(t)
 }
 
-/// Per-token decode latency of an *ideal roofline* execution — the lower
-/// bound any system could reach; useful in tests as a sanity floor.
-pub fn roofline_floor_s(profile: &Profile, device: &DeviceSpec, batch: u32, context: u32) -> f64 {
-    let bw = device.mem_efficiency * device.mem_bandwidth;
-    let weight_t = profile.weight_bytes / bw;
-    let kv_t = profile.kv_bytes_per_pos * batch as f64 * context as f64 / bw;
-    let eff = device.lib_efficiency.unwrap_or(device.gen_efficiency);
-    let compute_t = batch as f64 * profile.flops_per_token / (eff * device.peak_flops);
-    weight_t.max(compute_t) + kv_t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +171,17 @@ mod tests {
         let lc = decode_latency_s(Baseline::LlamaCpp, &p, &nvidia, 16, 1024).unwrap();
         let vllm = decode_latency_s(Baseline::Vllm, &p, &nvidia, 16, 1024).unwrap();
         assert!(lc > vllm);
+    }
+
+    /// Per-token decode latency of an *ideal roofline* execution: the
+    /// lower bound any system could reach.
+    fn roofline_floor_s(profile: &Profile, device: &DeviceSpec, batch: u32, context: u32) -> f64 {
+        let bw = device.mem_efficiency * device.mem_bandwidth;
+        let weight_t = profile.weight_bytes / bw;
+        let kv_t = profile.kv_bytes_per_pos * batch as f64 * context as f64 / bw;
+        let eff = device.lib_efficiency.unwrap_or(device.gen_efficiency);
+        let compute_t = batch as f64 * profile.flops_per_token / (eff * device.peak_flops);
+        weight_t.max(compute_t) + kv_t
     }
 
     #[test]

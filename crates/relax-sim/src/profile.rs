@@ -21,31 +21,3 @@ pub struct Profile {
     /// of it).
     pub max_context: u32,
 }
-
-impl Profile {
-    /// Activation + weight + KV working set at a given batch and context,
-    /// for device-fit checks.
-    pub fn working_set_bytes(&self, batch: u32, context: u32) -> f64 {
-        self.weight_bytes + self.kv_bytes_per_pos * batch as f64 * context as f64 * 2.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn working_set_grows_with_batch_and_context() {
-        let p = Profile {
-            name: "test".into(),
-            weight_bytes: 1e9,
-            flops_per_token: 2e9,
-            kv_bytes_per_pos: 1e5,
-            kernels_fused: 100,
-            kernels_eager: 400,
-            max_context: 8192,
-        };
-        assert!(p.working_set_bytes(2, 1024) > p.working_set_bytes(1, 1024));
-        assert!(p.working_set_bytes(1, 2048) > p.working_set_bytes(1, 1024));
-    }
-}

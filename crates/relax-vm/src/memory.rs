@@ -122,15 +122,6 @@ impl KvPageStats {
     pub fn reconciles(&self) -> bool {
         self.allocated == self.in_use + self.free
     }
-
-    /// Fraction of capacity currently in use (0.0 for an unbounded pool).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == usize::MAX || self.capacity == 0 {
-            0.0
-        } else {
-            self.in_use as f64 / self.capacity as f64
-        }
-    }
 }
 
 /// The pool refused an acquire because every page is in use; the serving
@@ -346,7 +337,6 @@ mod tests {
         assert_eq!(st.reuses, 1);
         assert_eq!(st.exhaustions, 1);
         assert_eq!(st.peak_in_use, 2);
-        assert!((st.utilization() - 1.0).abs() < 1e-9);
         pool.release(b);
         pool.release(c);
         let st = pool.stats();
@@ -366,7 +356,6 @@ mod tests {
         assert_eq!(st.reuses, 0);
         assert_eq!(st.allocated, 2);
         assert!(st.reconciles());
-        assert_eq!(st.utilization(), 0.0); // unbounded
     }
 
     #[test]
