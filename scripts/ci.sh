@@ -120,6 +120,14 @@ echo "==> trace smoke (RELAX_TRACE=1, Chrome export checked in-process)"
 RELAX_TRACE=1 cargo run --release -q --example trace_smoke >/dev/null
 test -s target/trace_smoke.json
 
+echo "==> every root example (release), stdout discarded"
+# The examples are the user-facing walkthroughs; a panic in any of them
+# fails the gate. Each takes well under a second on 2 vCPUs.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --release -q --example "$name" >/dev/null
+done
+
 echo "==> paper-figure binaries (release), each against its golden stdout"
 # Every table and figure binary of EXPERIMENTS.md; each finishes in about
 # a second on 2 vCPUs and prints the same bytes every run. A change that
