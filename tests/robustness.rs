@@ -10,8 +10,9 @@
 //!    after any failure counts as a recovery;
 //! 3. a run whose shapes exceed the declared planning bounds completes via
 //!    the pooled-allocator fallback instead of failing;
-//! 4. a failing runtime builtin names itself in its `KernelError`, and an
-//!    exhausted KV page pool keeps its typed cause.
+//! 4. a failing runtime builtin names itself in its `KernelError`, an
+//!    exhausted KV page pool keeps its typed cause, and a cache draws
+//!    pages only from the pool it was made on.
 
 use std::sync::Arc;
 
