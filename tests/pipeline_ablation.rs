@@ -5,11 +5,24 @@
 //! change *how* the answer is computed, never the answer. Each config's
 //! planned VM must also match the reference interpreter (a capacity-0
 //! plan cache) on the same executable, bitwise.
+//!
+//! Every public model builder is also compiled under all sixteen
+//! configurations with the module re-checked for well-formedness after
+//! every module pass.
 
 use std::collections::HashMap;
 
 use relax_core::{BlockBuilder, DataType, Expr, IRModule, Op, StructInfo};
-use relax_passes::{compile, CompileOptions};
+use relax_models::llama::{
+    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig,
+};
+use relax_models::llava::{build_vision_encoder, LlavaConfig};
+use relax_models::moe::{build_dense_ffn, build_dispatch, build_ffn_with_assignments};
+use relax_models::whisper::{
+    build_cross_kv, build_decoder_step, build_decoder_step_paged, build_encoder, WhisperConfig,
+};
+use relax_models::MoeConfig;
+use relax_passes::{compile, compile_with_context, CompileOptions, PassContext, VerifyLevel};
 use relax_tir::NDArray;
 use relax_vm::{Value, Vm};
 
@@ -139,4 +152,73 @@ fn all_sixteen_configurations_verify_and_agree_bitwise() {
             ),
         }
     }
+}
+
+/// The sixteen `dispatch_library` / `fusion` / `memory_plan` /
+/// `graph_capture` combinations, bit `i` of the mask switching toggle `i`.
+fn all_configs() -> impl Iterator<Item = (u32, CompileOptions)> {
+    (0..16u32).map(|mask| {
+        let opts = CompileOptions {
+            dispatch_library: mask & 1 != 0,
+            fusion: mask & 2 != 0,
+            memory_plan: mask & 4 != 0,
+            graph_capture: mask & 8 != 0,
+            ..CompileOptions::default()
+        };
+        (mask, opts)
+    })
+}
+
+/// Every public model builder, by name.
+fn model_modules() -> Vec<(&'static str, IRModule)> {
+    let llama = LlamaConfig::tiny();
+    let moe = MoeConfig::tiny();
+    let whisper = WhisperConfig::tiny();
+    vec![
+        ("llama decode", build_decode(&llama).unwrap().module),
+        ("llama decode_paged", build_decode_paged(&llama).unwrap().module),
+        (
+            "llama decode_paged_multi",
+            build_decode_paged_multi(&llama).unwrap().module,
+        ),
+        ("llama prefill", build_prefill(&llama).unwrap().module),
+        (
+            "llama q4 decode",
+            build_decode(&llama.clone().quantized()).unwrap().module,
+        ),
+        ("moe dispatch", build_dispatch(&moe).unwrap().module),
+        (
+            "moe ffn_with_assignments",
+            build_ffn_with_assignments(&moe).unwrap().module,
+        ),
+        ("moe dense_ffn", build_dense_ffn(&moe).unwrap().module),
+        ("whisper encoder", build_encoder(&whisper).unwrap().module),
+        (
+            "whisper decoder_step",
+            build_decoder_step(&whisper).unwrap().module,
+        ),
+        (
+            "whisper decoder_step_paged",
+            build_decoder_step_paged(&whisper).unwrap().module,
+        ),
+        ("whisper cross_kv", build_cross_kv(&whisper).unwrap().module),
+        (
+            "llava vision_encoder",
+            build_vision_encoder(&LlavaConfig::tiny()).unwrap().module,
+        ),
+    ]
+}
+
+#[test]
+fn every_model_builder_compiles_under_every_configuration() {
+    let mut compiles = 0;
+    for (name, module) in model_modules() {
+        for (mask, opts) in all_configs() {
+            let mut ctx = PassContext::new().with_verify_level(VerifyLevel::All);
+            compile_with_context(module.clone(), &opts, &mut ctx)
+                .unwrap_or_else(|e| panic!("{name}, config {mask:04b}: {e}"));
+            compiles += 1;
+        }
+    }
+    assert_eq!(compiles, 13 * 16);
 }
