@@ -32,24 +32,6 @@ pub fn annotate_compute_patterns(module: &mut IRModule) -> usize {
     updated
 }
 
-/// [`crate::ModulePass`] adapter for [`annotate_compute_patterns`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AnnotatePatterns;
-
-impl crate::ModulePass for AnnotatePatterns {
-    fn name(&self) -> &str {
-        "annotate_patterns"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(annotate_compute_patterns(module) > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -94,31 +94,6 @@ pub fn offload_capture(func: &VmFunction) -> (VmFunction, usize) {
     )
 }
 
-/// [`crate::ExecPass`] adapter for [`offload_capture`], applied to every
-/// function of the executable.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GraphCapture;
-
-impl crate::ExecPass for GraphCapture {
-    fn name(&self) -> &str {
-        "graph_capture"
-    }
-
-    fn run_on_exec(
-        &mut self,
-        exec: &mut relax_vm::Executable,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        let mut total_regions = 0;
-        for f in exec.funcs.values_mut() {
-            let (wrapped, regions) = offload_capture(f);
-            *f = wrapped;
-            total_regions += regions;
-        }
-        Ok(total_regions > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

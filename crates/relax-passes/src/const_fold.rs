@@ -77,24 +77,6 @@ pub fn fold_constants(module: &mut IRModule) -> usize {
     folded
 }
 
-/// [`crate::ModulePass`] adapter for [`fold_constants`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConstFold;
-
-impl crate::ModulePass for ConstFold {
-    fn name(&self) -> &str {
-        "const_fold"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(fold_constants(module) > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -182,24 +182,6 @@ pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
     rewritten
 }
 
-/// [`crate::ModulePass`] adapter for [`common_subexpr_elimination`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Cse;
-
-impl crate::ModulePass for Cse {
-    fn name(&self) -> &str {
-        "cse"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(common_subexpr_elimination(module) > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

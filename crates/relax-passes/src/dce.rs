@@ -52,24 +52,6 @@ pub fn dead_code_elimination(module: &mut IRModule) -> usize {
     removed
 }
 
-/// [`crate::ModulePass`] adapter for [`dead_code_elimination`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Dce;
-
-impl crate::ModulePass for Dce {
-    fn name(&self) -> &str {
-        "dce"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(dead_code_elimination(module) > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,34 +12,9 @@ use std::collections::{HashMap, HashSet};
 
 use relax_core::{Expr, IRModule, Op};
 
-/// Which library patterns to apply.
-#[derive(Debug, Clone)]
-pub struct DispatchRules {
-    /// Lower `matmul` to `cublas.matmul`.
-    pub matmul: bool,
-    /// Lower `rms_norm` to `cutlass.rms_norm`.
-    pub rms_norm: bool,
-    /// Lower `matmul` followed by `relu` to the fused epilogue kernel.
-    pub matmul_epilogue: bool,
-    /// Extra user-registered single-operator patterns:
-    /// `(operator, library name)`.
-    pub custom: Vec<(Op, String)>,
-}
-
-impl Default for DispatchRules {
-    fn default() -> Self {
-        DispatchRules {
-            matmul: true,
-            rms_norm: true,
-            matmul_epilogue: true,
-            custom: Vec::new(),
-        }
-    }
-}
-
-/// Applies partial library lowering; returns the number of call sites
-/// dispatched.
-pub fn dispatch_library(module: &mut IRModule, rules: &DispatchRules) -> usize {
+/// Applies partial library lowering — matmul + ReLU, then matmul and
+/// rms_norm alone — and returns the number of call sites dispatched.
+pub fn dispatch_library(module: &mut IRModule) -> usize {
     let mut dispatched = 0;
     for fname in module.function_names() {
         let Some(mut func) = module.function(&fname).cloned() else {
@@ -65,48 +40,45 @@ pub fn dispatch_library(module: &mut IRModule, rules: &DispatchRules) -> usize {
             // dispatched individually (DCE removes them).
             let mut consumed: HashSet<usize> = HashSet::new();
             // Epilogue pattern first: matmul at i, relu at j > i consuming it.
-            if rules.matmul_epilogue {
-                let n = block.bindings.len();
-                for j in 0..n {
-                    let Expr::CallOp {
-                        op: Op::Relu,
-                        args: relu_args,
-                        ..
-                    } = &block.bindings[j].value
-                    else {
-                        continue;
-                    };
-                    let Some(src) = relu_args.first().and_then(Expr::as_var) else {
-                        continue;
-                    };
-                    if uses.get(&src.id()).copied().unwrap_or(0) != 1 {
-                        continue;
-                    }
-                    let Some(i) = block.bindings[..j]
-                        .iter()
-                        .position(|b| b.var.id() == src.id())
-                    else {
-                        continue;
-                    };
-                    let Expr::CallOp {
-                        op: Op::Matmul,
-                        args: mm_args,
-                        ..
-                    } = &block.bindings[i].value
-                    else {
-                        continue;
-                    };
-                    let out_sinfo = block.bindings[j].var.struct_info().clone();
-                    block.bindings[j].value = Expr::CallDps {
-                        func: "cublas.matmul_relu".into(),
-                        args: mm_args.clone(),
-                        out_sinfo,
-                    };
-                    // The matmul binding becomes dead; DCE removes it.
-                    consumed.insert(i);
-                    dispatched += 1;
-                    changed = true;
+            for j in 0..block.bindings.len() {
+                let Expr::CallOp {
+                    op: Op::Relu,
+                    args: relu_args,
+                    ..
+                } = &block.bindings[j].value
+                else {
+                    continue;
+                };
+                let Some(src) = relu_args.first().and_then(Expr::as_var) else {
+                    continue;
+                };
+                if uses.get(&src.id()).copied().unwrap_or(0) != 1 {
+                    continue;
                 }
+                let Some(i) = block.bindings[..j]
+                    .iter()
+                    .position(|b| b.var.id() == src.id())
+                else {
+                    continue;
+                };
+                let Expr::CallOp {
+                    op: Op::Matmul,
+                    args: mm_args,
+                    ..
+                } = &block.bindings[i].value
+                else {
+                    continue;
+                };
+                let out_sinfo = block.bindings[j].var.struct_info().clone();
+                block.bindings[j].value = Expr::CallDps {
+                    func: "cublas.matmul_relu".into(),
+                    args: mm_args.clone(),
+                    out_sinfo,
+                };
+                // The matmul binding becomes dead; DCE removes it.
+                consumed.insert(i);
+                dispatched += 1;
+                changed = true;
             }
             for (bi, binding) in block.bindings.iter_mut().enumerate() {
                 if consumed.contains(&bi) {
@@ -115,20 +87,13 @@ pub fn dispatch_library(module: &mut IRModule, rules: &DispatchRules) -> usize {
                 let Expr::CallOp { op, args, .. } = &binding.value else {
                     continue;
                 };
-                let lib = if *op == Op::Matmul && rules.matmul {
-                    Some("cublas.matmul".to_string())
-                } else if *op == Op::RmsNorm && rules.rms_norm {
-                    Some("cutlass.rms_norm".to_string())
-                } else {
-                    rules
-                        .custom
-                        .iter()
-                        .find(|(o, _)| o == op)
-                        .map(|(_, name)| name.clone())
+                let lib = match op {
+                    Op::Matmul => "cublas.matmul",
+                    Op::RmsNorm => "cutlass.rms_norm",
+                    _ => continue,
                 };
-                let Some(lib) = lib else { continue };
                 binding.value = Expr::CallDps {
-                    func: lib,
+                    func: lib.into(),
                     args: args.clone(),
                     out_sinfo: binding.var.struct_info().clone(),
                 };
@@ -141,34 +106,6 @@ pub fn dispatch_library(module: &mut IRModule, rules: &DispatchRules) -> usize {
         }
     }
     dispatched
-}
-
-/// [`crate::ModulePass`] adapter for [`dispatch_library`] with a fixed
-/// rule set.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchLibrary {
-    rules: DispatchRules,
-}
-
-impl DispatchLibrary {
-    /// A dispatch pass applying `rules`.
-    pub fn new(rules: DispatchRules) -> Self {
-        DispatchLibrary { rules }
-    }
-}
-
-impl crate::ModulePass for DispatchLibrary {
-    fn name(&self) -> &str {
-        "dispatch_library"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(dispatch_library(module, &self.rules) > 0)
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +146,7 @@ mod tests {
     #[test]
     fn epilogue_pattern_wins_over_single_op() {
         let mut m = mm_relu_module();
-        let n = dispatch_library(&mut m, &DispatchRules::default());
+        let n = dispatch_library(&mut m);
         assert_eq!(n, 1);
         dead_code_elimination(&mut m);
         let f = m.function("main").unwrap();
@@ -222,34 +159,5 @@ mod tests {
             }
             other => panic!("expected CallDps, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn single_op_dispatch_without_epilogue_rule() {
-        let mut m = mm_relu_module();
-        let rules = DispatchRules {
-            matmul_epilogue: false,
-            ..DispatchRules::default()
-        };
-        let n = dispatch_library(&mut m, &rules);
-        assert_eq!(n, 1); // just the matmul; relu stays an op
-        let f = m.function("main").unwrap();
-        let kinds: Vec<bool> = f
-            .bindings()
-            .map(|b| matches!(b.value, Expr::CallDps { .. }))
-            .collect();
-        assert_eq!(kinds, vec![true, false]);
-    }
-
-    #[test]
-    fn disabled_rules_do_nothing() {
-        let mut m = mm_relu_module();
-        let rules = DispatchRules {
-            matmul: false,
-            rms_norm: false,
-            matmul_epilogue: false,
-            custom: vec![],
-        };
-        assert_eq!(dispatch_library(&mut m, &rules), 0);
     }
 }

@@ -18,8 +18,8 @@ pub enum PassError {
     Build(BuildError),
     /// The input module is not well formed.
     WellFormed(WellFormedError),
-    /// A module pass produced a malformed module (caught by
-    /// `VerifyLevel::All` inter-pass checking).
+    /// A module pass produced a malformed module (caught by the
+    /// well-formedness check a debug build runs after every module pass).
     WellFormedAfter {
         /// The pass that ran immediately before the check.
         pass: String,

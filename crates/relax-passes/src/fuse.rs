@@ -554,42 +554,6 @@ fn merge_subgraph(
     Ok(Some(merged))
 }
 
-/// [`crate::ModulePass`] adapter for [`fuse_ops`] (Algorithm 2).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FuseOps;
-
-impl crate::ModulePass for FuseOps {
-    fn name(&self) -> &str {
-        "fuse_ops"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(fuse_ops(module) > 0)
-    }
-}
-
-/// [`crate::ModulePass`] adapter for [`fuse_tensor_ir`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FuseTensorIr;
-
-impl crate::ModulePass for FuseTensorIr {
-    fn name(&self) -> &str {
-        "fuse_tensor_ir"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(fuse_tensor_ir(module)? > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

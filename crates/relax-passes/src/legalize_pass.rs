@@ -82,24 +82,6 @@ pub fn legalize_module(module: &mut IRModule) -> Result<usize, PassError> {
     Ok(legalized)
 }
 
-/// [`crate::ModulePass`] adapter for [`legalize_module`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Legalize;
-
-impl crate::ModulePass for Legalize {
-    fn name(&self) -> &str {
-        "legalize"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        Ok(legalize_module(module)? > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,37 +1,30 @@
-//! Cross-level optimization passes and the unified two-stage pass
-//! infrastructure (§4).
+//! Cross-level optimization passes and the compile pipeline (§4).
 //!
 //! The passes operate on the cross-level [`relax_core::IRModule`] — graph
 //! functions and tensor programs together — then lower to the
-//! [`relax_vm::Executable`] instruction form, on which the second-stage
-//! passes run. Every pass implements [`ModulePass`] or [`ExecPass`] and is
-//! driven by a [`PassManager`] that provides per-pass timing
-//! ([`CompileReport`]), inter-pass invariant checking ([`VerifyLevel`]),
-//! and before/after IR dumping (`RELAX_DUMP_IR=<glob>` or a programmatic
-//! [`DumpSink`]); the [`Fixpoint`] combinator iterates pass groups to
-//! quiescence:
+//! [`relax_vm::Executable`] instruction form, on which the exec-stage
+//! passes run. Each pass is a public function; [`compile`] calls them in
+//! one fixed order:
 //!
-//! | Paper section | Pass | Function | Stage |
-//! |---|---|---|---|
-//! | §3.1 purity cleanup | [`ConstFold`] | [`fold_constants`] | module |
-//! | §3.1 purity cleanup | [`Cse`] | [`common_subexpr_elimination`] | module |
-//! | §3.1 purity cleanup | [`Dce`] | [`dead_code_elimination`] | module |
-//! | §4.6 partial library lowering | [`DispatchLibrary`] | [`dispatch_library`] | module |
-//! | §4.7 operator legalization | [`Legalize`] | [`legalize_module`] | module |
-//! | §4.2 analysis feedback (Alg. 1) | [`AnnotatePatterns`] | [`annotate_compute_patterns`] | module |
-//! | §4.2 FuseOps (Alg. 2) | [`FuseOps`] | [`fuse_ops`] | module |
-//! | §4.2 FuseTensorIR | [`FuseTensorIr`] | [`fuse_tensor_ir`] | module |
-//! | §4.4 workspace lifting | [`WorkspaceLift`] | [`lift_tir_workspaces`] | module |
-//! | §4.7 build | *(fixed stage transition)* | [`lower_to_vm`] | — |
-//! | §4.3 memory planning (Alg. 3) | [`MemoryPlan`] | [`plan_memory`] | exec |
-//! | §4.5 CUDA-graph-style offload | [`GraphCapture`] | [`offload_capture`] | exec |
+//! | Paper section | Function | Runs on |
+//! |---|---|---|
+//! | §3.1 purity cleanup | [`fold_constants`] | module |
+//! | §3.1 purity cleanup | [`common_subexpr_elimination`] | module |
+//! | §3.1 purity cleanup | [`dead_code_elimination`] | module |
+//! | §4.6 partial library lowering | [`dispatch_library`] | module |
+//! | §4.7 operator legalization | [`legalize_module`] | module |
+//! | §4.2 analysis feedback (Alg. 1) | [`annotate_compute_patterns`] | module |
+//! | §4.2 FuseOps (Alg. 2) | [`fuse_ops`] | module |
+//! | §4.2 FuseTensorIR | [`fuse_tensor_ir`] | module |
+//! | §4.4 workspace lifting | [`lift_tir_workspaces`] | module |
+//! | §4.7 build | [`lower_to_vm`] | module → executable |
+//! | §4.7 kernel scheduling | [`schedule_kernels`] | executable |
+//! | §4.3 memory planning (Alg. 3) | [`plan_memory`] | executable |
+//! | §4.5 CUDA-graph-style offload | [`offload_capture`] | executable |
 //!
-//! [`compile`] runs the default pipeline for a [`CompileOptions`];
-//! [`compile_with_report`] additionally returns the telemetry, and
-//! [`compile_with_context`] accepts a caller-configured [`PassContext`]
-//! (custom verification registry, verify level, dump sink). The classic
-//! cleanups exploit the purity guarantee of dataflow blocks and run as a
-//! [`Fixpoint`] group until none of them changes the module.
+//! [`compile_with_report`] additionally returns per-pass timings in a
+//! [`CompileReport`]. The classic cleanups exploit the purity guarantee
+//! of dataflow blocks and repeat until none of them changes the module.
 
 #![forbid(unsafe_code)]
 
@@ -45,29 +38,24 @@ mod error;
 mod fuse;
 mod legalize_pass;
 mod lower;
-mod manager;
 mod pipeline;
 mod plan;
 mod schedule_pass;
 mod workspace;
 
-pub use annotate::{annotate_compute_patterns, AnnotatePatterns};
-pub use capture::{offload_capture, GraphCapture};
-pub use const_fold::{fold_constants, ConstFold};
-pub use cse::{common_subexpr_elimination, Cse};
-pub use dce::{dead_code_elimination, Dce};
-pub use dispatch::{dispatch_library, DispatchLibrary, DispatchRules};
+pub use annotate::annotate_compute_patterns;
+pub use capture::offload_capture;
+pub use const_fold::fold_constants;
+pub use cse::common_subexpr_elimination;
+pub use dce::dead_code_elimination;
+pub use dispatch::dispatch_library;
 pub use error::PassError;
-pub use fuse::{fuse_ops, fuse_tensor_ir, FuseOps, FuseTensorIr};
-pub use legalize_pass::{legalize_module, Legalize};
+pub use fuse::{fuse_ops, fuse_tensor_ir};
+pub use legalize_pass::legalize_module;
 pub use lower::lower_to_vm;
-pub use manager::{
-    CompileReport, DumpEvent, DumpSink, ExecPass, Fixpoint, FixpointRecord, ModulePass,
-    PassContext, PassManager, PassRecord, PassStage, VerifyLevel, FIXPOINT_DEFAULT_CAP,
-};
 pub use pipeline::{
-    compile, compile_with_context, compile_with_report, default_manager, CompileOptions,
+    compile, compile_with_report, CompileOptions, CompileReport, FixpointRecord, PassRecord,
 };
-pub use plan::{plan_memory, MemoryPlan};
-pub use schedule_pass::ScheduleKernels;
-pub use workspace::{lift_tir_workspaces, WorkspaceLift};
+pub use plan::plan_memory;
+pub use schedule_pass::schedule_kernels;
+pub use workspace::lift_tir_workspaces;

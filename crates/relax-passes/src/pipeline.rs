@@ -1,35 +1,36 @@
-//! The default optimization and lowering pipeline (§4.7, Figure 13),
-//! built on the unified [`PassManager`] infrastructure.
+//! The optimization and lowering pipeline (§4.7, Figure 13): one
+//! function that calls the passes in a fixed order.
+//!
+//! Around every pass, [`compile_with_report`] opens a `pass:<name>` trace
+//! span, records the pass in the [`CompileReport`] and checks the IR it
+//! produced: the executable is verified after lowering and after every
+//! exec pass; a debug build also re-checks the module's well-formedness
+//! after every module pass, which a release build skips (it costs about
+//! 15 % of release compile time). The cleanup trio (constant folding,
+//! CSE, DCE) repeats until none of them changes the module.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use relax_arith::Var as SymVar;
 use relax_core::IRModule;
+use relax_vm::registry::Registry;
 use relax_vm::Executable;
 
-use crate::annotate::AnnotatePatterns;
-use crate::capture::GraphCapture;
-use crate::const_fold::ConstFold;
-use crate::cse::Cse;
-use crate::dce::Dce;
-use crate::dispatch::{DispatchLibrary, DispatchRules};
 use crate::error::PassError;
-use crate::fuse::{FuseOps, FuseTensorIr};
-use crate::legalize_pass::Legalize;
-use crate::manager::{CompileReport, Fixpoint, ModulePass, PassContext, PassManager};
-use crate::plan::MemoryPlan;
-use crate::schedule_pass::ScheduleKernels;
-use crate::workspace::WorkspaceLift;
+use crate::{
+    annotate_compute_patterns, common_subexpr_elimination, dead_code_elimination,
+    dispatch_library, fold_constants, fuse_ops, fuse_tensor_ir, legalize_module,
+    lift_tir_workspaces, lower_to_vm, offload_capture, plan_memory, schedule_kernels,
+};
 
 /// Options controlling the pipeline — each toggle corresponds to one bar
 /// of the paper's Figure 17 ablation. Kernel scheduling is not a toggle:
-/// [`ScheduleKernels`] runs under every configuration.
+/// [`schedule_kernels`] runs under every configuration.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// §4.6 partial library lowering.
     pub dispatch_library: bool,
-    /// Library patterns to use when dispatching.
-    pub dispatch_rules: DispatchRules,
     /// §4.2 operator fusion (FuseOps + FuseTensorIR).
     pub fusion: bool,
     /// §4.3 static memory planning (Algorithm 3).
@@ -45,7 +46,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             dispatch_library: true,
-            dispatch_rules: DispatchRules::default(),
             fusion: true,
             memory_plan: true,
             graph_capture: true,
@@ -59,7 +59,6 @@ impl CompileOptions {
     pub fn baseline() -> Self {
         CompileOptions {
             dispatch_library: false,
-            dispatch_rules: DispatchRules::default(),
             fusion: false,
             memory_plan: false,
             graph_capture: false,
@@ -73,6 +72,89 @@ impl CompileOptions {
         self
     }
 }
+
+/// Telemetry for one executed pass.
+#[derive(Debug, Clone)]
+pub struct PassRecord {
+    /// Pass name.
+    pub name: String,
+    /// Wall-clock time spent inside the pass (excludes the checks after
+    /// it).
+    pub wall: Duration,
+    /// Whether the pass changed the IR.
+    pub changed: bool,
+}
+
+/// Telemetry for one run of the cleanup fixpoint.
+#[derive(Debug, Clone)]
+pub struct FixpointRecord {
+    /// Fixpoint name (`"cleanup"`).
+    pub name: String,
+    /// Number of iterations executed (1 = already clean).
+    pub iterations: usize,
+    /// `false` when the iteration cap fired before quiescence.
+    pub converged: bool,
+}
+
+/// Per-compilation telemetry returned by [`compile_with_report`]: one
+/// timed entry per executed pass, in execution order, plus fixpoint
+/// convergence data.
+#[derive(Debug, Clone, Default)]
+pub struct CompileReport {
+    /// Every executed pass, in order (cleanup passes appear once per
+    /// fixpoint iteration).
+    pub passes: Vec<PassRecord>,
+    /// One entry per run of the cleanup fixpoint.
+    pub fixpoints: Vec<FixpointRecord>,
+    /// End-to-end wall time of the whole pipeline run.
+    pub total: Duration,
+}
+
+impl CompileReport {
+    /// The executed pass names, in order.
+    pub fn pass_names(&self) -> Vec<&str> {
+        self.passes.iter().map(|p| p.name.as_str()).collect()
+    }
+
+    /// Total time attributed to passes (as opposed to checks and
+    /// pipeline overhead).
+    pub fn pass_time(&self) -> Duration {
+        self.passes.iter().map(|p| p.wall).sum()
+    }
+}
+
+impl std::fmt::Display for CompileReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "compile report ({:.3} ms total):", ms(self.total))?;
+        for p in &self.passes {
+            writeln!(
+                f,
+                "  {:<24} {:>9.3} ms  {}",
+                p.name,
+                ms(p.wall),
+                if p.changed { "changed" } else { "-" }
+            )?;
+        }
+        for fx in &self.fixpoints {
+            writeln!(
+                f,
+                "  fixpoint {:<15} {} iteration(s){}",
+                fx.name,
+                fx.iterations,
+                if fx.converged { "" } else { " (cap hit)" }
+            )?;
+        }
+        Ok(())
+    }
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Iteration cap of the cleanup fixpoint — generous: the trio converges
+/// in two or three iterations on real modules.
+const CLEANUP_CAP: usize = 10;
 
 /// Compiles a module end to end: partial library lowering → legalization →
 /// analysis feedback → fusion → cleanup → workspace lifting → VM lowering
@@ -120,69 +202,180 @@ pub fn compile_with_report(
     module: IRModule,
     opts: &CompileOptions,
 ) -> Result<(Executable, CompileReport), PassError> {
-    let mut ctx = PassContext::new();
-    let exec = compile_with_context(module, opts, &mut ctx)?;
-    Ok((exec, ctx.take_report()))
-}
+    let root = relax_trace::span("compile", || "pipeline".to_string());
+    let mut run = Run::default();
+    let mut m = module;
+    relax_core::assert_well_formed(&m)?;
 
-/// Like [`compile`], but running inside a caller-provided [`PassContext`]
-/// — use this to inject a custom verification registry (matching the VM
-/// the executable will run on), raise the
-/// [`VerifyLevel`](crate::VerifyLevel), or attach a dump sink. Telemetry
-/// accumulates into `ctx`.
-///
-/// # Errors
-///
-/// Propagates the first pass failure.
-pub fn compile_with_context(
-    module: IRModule,
-    opts: &CompileOptions,
-    ctx: &mut PassContext,
-) -> Result<Executable, PassError> {
-    default_manager(opts).run(module, ctx)
-}
-
-/// The cleanup trio as a fixpoint combinator: constant folding can expose
-/// new common subexpressions, CSE can orphan bindings, DCE can expose
-/// nothing new — iterate until quiescent.
-fn cleanup_fixpoint() -> Fixpoint {
-    let passes: Vec<Box<dyn ModulePass>> = vec![
-        Box::new(ConstFold),
-        Box::new(Cse),
-        Box::new(Dce),
-    ];
-    Fixpoint::new("cleanup", passes)
-}
-
-/// Builds the default two-stage pipeline for `opts` — each toggle gates
-/// the passes of one bar of the paper's Figure 17 ablation.
-pub fn default_manager(opts: &CompileOptions) -> PassManager {
-    let mut pm = PassManager::new().with_module_pass(cleanup_fixpoint());
+    run.fixpoint(&mut m, CLEANUP_CAP, cleanup_round)?;
     if opts.dispatch_library {
-        pm.add_module_pass(DispatchLibrary::new(opts.dispatch_rules.clone()));
-        pm.add_module_pass(cleanup_fixpoint());
+        run.pass("dispatch_library", &mut m, |m| Ok(dispatch_library(m) > 0))?;
+        run.fixpoint(&mut m, CLEANUP_CAP, cleanup_round)?;
     }
-    pm.add_module_pass(Legalize);
-    pm.add_module_pass(AnnotatePatterns);
+    run.pass("legalize", &mut m, |m| Ok(legalize_module(m)? > 0))?;
+    run.pass("annotate_patterns", &mut m, |m| {
+        Ok(annotate_compute_patterns(m) > 0)
+    })?;
     if opts.fusion {
-        pm.add_module_pass(FuseOps);
-        pm.add_module_pass(FuseTensorIr);
-        pm.add_module_pass(AnnotatePatterns);
+        run.pass("fuse_ops", &mut m, |m| Ok(fuse_ops(m) > 0))?;
+        run.pass("fuse_tensor_ir", &mut m, |m| Ok(fuse_tensor_ir(m)? > 0))?;
+        run.pass("annotate_patterns", &mut m, |m| {
+            Ok(annotate_compute_patterns(m) > 0)
+        })?;
     }
-    pm.add_module_pass(cleanup_fixpoint());
-    pm.add_module_pass(WorkspaceLift);
-    // Runs before plan-affecting exec passes so downstream shape
+    run.fixpoint(&mut m, CLEANUP_CAP, cleanup_round)?;
+    let mut workspaces = HashMap::new();
+    run.pass("lift_workspaces", &mut m, |m| {
+        workspaces = lift_tir_workspaces(m);
+        Ok(!workspaces.is_empty())
+    })?;
+
+    let mut exec = Executable::default();
+    run.pass("lower_to_vm", &mut exec, |exec| {
+        *exec = lower_to_vm(&m, &workspaces)?;
+        Ok(true)
+    })?;
+    // Runs before the plan-affecting exec passes so downstream shape
     // specialization sees the schedule attributes.
-    pm.add_exec_pass(ScheduleKernels);
+    run.pass("schedule_kernels", &mut exec, |exec| Ok(schedule_kernels(exec)))?;
     if opts.memory_plan {
-        pm.add_exec_pass(MemoryPlan::new(opts.shape_bounds.clone()));
+        run.pass("memory_plan", &mut exec, |exec| {
+            let mut changed = false;
+            for f in exec.funcs.values_mut() {
+                let planned = plan_memory(f, &opts.shape_bounds);
+                if planned != *f {
+                    *f = planned;
+                    changed = true;
+                }
+            }
+            Ok(changed)
+        })?;
         if opts.graph_capture {
             // Capture applies to static and dynamic plans alike — dynamic
             // plans capture per shape signature.
-            pm.add_exec_pass(GraphCapture);
+            run.pass("graph_capture", &mut exec, |exec| {
+                let mut regions = 0;
+                for f in exec.funcs.values_mut() {
+                    let (wrapped, n) = offload_capture(f);
+                    *f = wrapped;
+                    regions += n;
+                }
+                Ok(regions > 0)
+            })?;
         }
     }
-    pm
+    run.report.total = root.finish();
+    Ok((exec, run.report))
+}
+
+/// One round of the cleanup trio: constant folding can expose new common
+/// subexpressions, CSE can orphan bindings, DCE removes them.
+fn cleanup_round(run: &mut Run, m: &mut IRModule) -> Result<bool, PassError> {
+    let folded = run.pass("const_fold", m, |m| Ok(fold_constants(m) > 0))?;
+    let shared = run.pass("cse", m, |m| Ok(common_subexpr_elimination(m) > 0))?;
+    let removed = run.pass("dce", m, |m| Ok(dead_code_elimination(m) > 0))?;
+    Ok(folded | shared | removed)
+}
+
+/// The state of one pipeline run: the report collected so far and the
+/// registry executables are verified against.
+#[derive(Default)]
+struct Run {
+    report: CompileReport,
+    registry: Registry,
+}
+
+/// The IR a pass rewrites, and the check that runs after it.
+trait Checked {
+    fn check_after(&self, pass: &str, registry: &Registry) -> Result<(), PassError>;
+}
+
+impl Checked for IRModule {
+    /// Well-formedness, in debug builds only.
+    fn check_after(&self, pass: &str, _: &Registry) -> Result<(), PassError> {
+        if cfg!(debug_assertions) {
+            relax_core::assert_well_formed(self).map_err(|error| PassError::WellFormedAfter {
+                pass: pass.to_string(),
+                error,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+impl Checked for Executable {
+    fn check_after(&self, pass: &str, registry: &Registry) -> Result<(), PassError> {
+        relax_vm::verify(self, registry).map_err(|error| PassError::Verify {
+            stage: pass.to_string(),
+            error,
+        })
+    }
+}
+
+impl Run {
+    /// Runs one pass inside its `pass:<name>` span, records it, and checks
+    /// the IR it left. Returns whether the pass changed the IR.
+    fn pass<T: Checked>(
+        &mut self,
+        name: &str,
+        ir: &mut T,
+        pass: impl FnOnce(&mut T) -> Result<bool, PassError>,
+    ) -> Result<bool, PassError> {
+        // The span guard is the single clock: its wall time both stamps the
+        // trace and feeds the report, so the two cannot disagree.
+        let sp = relax_trace::span("compile", || format!("pass:{name}"));
+        let changed = pass(ir)?;
+        let wall = sp.finish_with(|| relax_trace::Payload::Pass {
+            pass: name.to_string(),
+            changed,
+        });
+        self.report.passes.push(PassRecord {
+            name: name.to_string(),
+            wall,
+            changed,
+        });
+        ir.check_after(name, &self.registry)?;
+        Ok(changed)
+    }
+
+    /// Repeats `round` until it changes nothing, at most `cap` times, in
+    /// the `group:cleanup` span with one `round:cleanup:<n>` span per
+    /// iteration. An already-clean module costs exactly one iteration.
+    fn fixpoint(
+        &mut self,
+        m: &mut IRModule,
+        cap: usize,
+        mut round: impl FnMut(&mut Run, &mut IRModule) -> Result<bool, PassError>,
+    ) -> Result<(), PassError> {
+        let group = relax_trace::span("compile", || "group:cleanup".to_string());
+        let mut iterations = 0;
+        let mut any_changed = false;
+        let mut converged = false;
+        while iterations < cap {
+            iterations += 1;
+            let sp = relax_trace::span("compile", || format!("round:cleanup:{iterations}"));
+            let changed = round(self, m)?;
+            sp.finish_with(|| relax_trace::Payload::Pass {
+                pass: "cleanup".to_string(),
+                changed,
+            });
+            any_changed |= changed;
+            if !changed {
+                converged = true;
+                break;
+            }
+        }
+        group.finish_with(|| relax_trace::Payload::Pass {
+            pass: "cleanup".to_string(),
+            changed: any_changed,
+        });
+        self.report.fixpoints.push(FixpointRecord {
+            name: "cleanup".to_string(),
+            iterations,
+            converged,
+        });
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +512,65 @@ mod tests {
                     assert!(bytes.is_const());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fixpoint_cap_stops_divergent_groups() {
+        let (mut m, _) = mlp_module();
+        let mut run = Run::default();
+        run.fixpoint(&mut m, 4, |_, _| Ok(true)).unwrap();
+        assert_eq!(run.report.fixpoints[0].iterations, 4);
+        assert!(!run.report.fixpoints[0].converged);
+    }
+
+    #[test]
+    fn a_register_breaking_exec_pass_is_named_in_the_verify_error() {
+        let (m, _) = mlp_module();
+        let mut exec = compile(m, &CompileOptions::default()).unwrap();
+        let mut run = Run::default();
+        // Reads a register that is never written (a dangling register).
+        let err = run
+            .pass("break_registers", &mut exec, |exec| {
+                for f in exec.funcs.values_mut() {
+                    let dangling = f.num_regs;
+                    f.num_regs += 2;
+                    f.instrs.insert(
+                        f.instrs.len() - 1,
+                        relax_vm::Instr::MakeTuple {
+                            dst: dangling + 1,
+                            items: vec![dangling],
+                        },
+                    );
+                }
+                Ok(true)
+            })
+            .unwrap_err();
+        match err {
+            PassError::Verify { stage, error } => {
+                assert_eq!(stage, "break_registers");
+                assert!(!error.violations.is_empty());
+            }
+            other => panic!("expected Verify error, got: {other}"),
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_block_emptying_module_pass_is_named_in_well_formed_after() {
+        let (mut m, _) = mlp_module();
+        let mut run = Run::default();
+        let err = run
+            .pass("empty_block", &mut m, |m| {
+                let mut f = m.function("main").unwrap().clone();
+                f.blocks[0].bindings.clear();
+                m.add_function("main".to_string(), f);
+                Ok(true)
+            })
+            .unwrap_err();
+        match err {
+            PassError::WellFormedAfter { pass, .. } => assert_eq!(pass, "empty_block"),
+            other => panic!("expected WellFormedAfter, got: {other}"),
         }
     }
 }

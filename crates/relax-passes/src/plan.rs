@@ -179,42 +179,6 @@ pub fn plan_memory(func: &VmFunction, bounds: &HashMap<SymVar, i64>) -> VmFuncti
     }
 }
 
-/// [`crate::ExecPass`] adapter for [`plan_memory`], applied to every
-/// function of the executable under fixed shape bounds.
-#[derive(Debug, Default, Clone)]
-pub struct MemoryPlan {
-    bounds: HashMap<SymVar, i64>,
-}
-
-impl MemoryPlan {
-    /// A planning pass using `bounds` as symbolic-shape upper bounds.
-    pub fn new(bounds: HashMap<SymVar, i64>) -> Self {
-        MemoryPlan { bounds }
-    }
-}
-
-impl crate::ExecPass for MemoryPlan {
-    fn name(&self) -> &str {
-        "memory_plan"
-    }
-
-    fn run_on_exec(
-        &mut self,
-        exec: &mut relax_vm::Executable,
-        _ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        let mut changed = false;
-        for f in exec.funcs.values_mut() {
-            let planned = plan_memory(f, &self.bounds);
-            if planned != *f {
-                *f = planned;
-                changed = true;
-            }
-        }
-        Ok(changed)
-    }
-}
-
 /// `true` if every storage in the planned function has a constant size —
 /// i.e. the plan is fully static and graph capture is legal.
 #[cfg(test)]

@@ -21,36 +21,17 @@
 use relax_tir::schedule::auto_schedule;
 use relax_vm::Executable;
 
-use crate::error::PassError;
-use crate::manager::{ExecPass, PassContext};
-
-/// Exec pass marking schedulable tensor programs for macro-op plan
-/// compilation.
-#[derive(Debug, Default)]
-pub struct ScheduleKernels;
-
-impl ExecPass for ScheduleKernels {
-    fn name(&self) -> &str {
-        "schedule_kernels"
-    }
-
-    fn run_on_exec(
-        &mut self,
-        exec: &mut Executable,
-        _ctx: &mut PassContext,
-    ) -> Result<bool, PassError> {
-        let mut changed = false;
-        let scheduled: Vec<(String, relax_tir::PrimFunc)> = exec
-            .tir_funcs
-            .iter()
-            .filter_map(|(name, func)| auto_schedule(func).map(|f| (name.clone(), f)))
-            .collect();
-        for (name, func) in scheduled {
-            exec.tir_funcs.insert(name, func);
-            changed = true;
-        }
-        Ok(changed)
-    }
+/// Marks every schedulable tensor program of `exec` for macro-op plan
+/// compilation; returns whether any program was newly stamped.
+pub fn schedule_kernels(exec: &mut Executable) -> bool {
+    let scheduled: Vec<(String, relax_tir::PrimFunc)> = exec
+        .tir_funcs
+        .iter()
+        .filter_map(|(name, func)| auto_schedule(func).map(|f| (name.clone(), f)))
+        .collect();
+    let changed = !scheduled.is_empty();
+    exec.tir_funcs.extend(scheduled);
+    changed
 }
 
 #[cfg(test)]
@@ -75,13 +56,11 @@ mod tests {
             let func = legalize(op, &attrs, &args, name).unwrap();
             exec.tir_funcs.insert(name.to_string(), func);
         }
-        let mut ctx = PassContext::new();
-        let mut pass = ScheduleKernels;
-        assert!(pass.run_on_exec(&mut exec, &mut ctx).unwrap());
+        assert!(schedule_kernels(&mut exec));
         assert_eq!(exec.tir_funcs["matmul"].attr("relax.schedule"), Some("macro"));
         assert_eq!(exec.tir_funcs["exp"].attr("relax.schedule"), None);
         let stamped = exec.tir_funcs.clone();
-        assert!(!pass.run_on_exec(&mut exec, &mut ctx).unwrap());
+        assert!(!schedule_kernels(&mut exec));
         assert_eq!(exec.tir_funcs, stamped);
     }
 }

@@ -47,29 +47,6 @@ pub fn lift_tir_workspaces(module: &mut IRModule) -> HashMap<String, LiftedWorks
     lifted
 }
 
-/// [`crate::ModulePass`] adapter for [`lift_tir_workspaces`]: the lifted
-/// workspace map is stashed in the [`crate::PassContext`] for the
-/// lowering step to consume.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkspaceLift;
-
-impl crate::ModulePass for WorkspaceLift {
-    fn name(&self) -> &str {
-        "lift_workspaces"
-    }
-
-    fn run_on_module(
-        &mut self,
-        module: &mut IRModule,
-        ctx: &mut crate::PassContext,
-    ) -> Result<bool, crate::PassError> {
-        let lifted = lift_tir_workspaces(module);
-        let changed = !lifted.is_empty();
-        ctx.workspaces = lifted;
-        Ok(changed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! whole schedule: plan compilation (`crate::plan`) recognizes the
 //! macro-op and fuses elementwise epilogues into its row loop only in
 //! stamped functions, and proves the result bitwise equal to the scalar
-//! tape. The exec-stage `ScheduleKernels` pass (relax-passes) applies it
+//! tape. The exec-stage `schedule_kernels` pass (relax-passes) applies it
 //! to every tensor program of a compiled executable.
 
 use relax_arith::{free_vars, PrimExpr, Var};

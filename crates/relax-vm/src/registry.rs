@@ -7,9 +7,9 @@
 //! higher efficiency a tuned vendor kernel would have.
 //!
 //! The registry is the one place that knows which Rust function
-//! implements a callee and how many arguments it takes: every entry is
-//! registered with its signature, the validator
-//! ([`verify`](mod@crate::verify)) checks calls against it, and the VM
+//! implements a callee and how many arguments it takes: a fixed table
+//! built in [`Registry::default`], every entry with its signature. The
+//! validator ([`verify`](mod@crate::verify)) checks calls against it, and the VM
 //! runs every `CallLib` and every `CallBuiltin` through it. Builtins take
 //! register values and nothing else, and return one: the paged KV-cache
 //! builtins `append_paged` and `attention` (a cache handle the host made
@@ -85,15 +85,15 @@ impl fmt::Debug for Registry {
 }
 
 impl Default for Registry {
+    /// The fixed table: cuBLAS/CUTLASS-style kernels plus the runtime
+    /// builtins.
     fn default() -> Self {
-        let mut r = Registry {
-            libs: HashMap::new(),
-            builtins: HashMap::new(),
-        };
-        r.register_lib_with_signature("cublas.matmul", lib_matmul, 2, 1);
-        r.register_lib_with_signature("cublas.matmul_relu", lib_matmul_relu, 2, 1);
-        r.register_lib_with_signature("cutlass.rms_norm", lib_rms_norm, 2, 1);
-        r.register_lib_with_signature("vm.builtin.kv_append", lib_kv_append, 2, 1);
+        let libs: [(&str, LibKernel, (usize, usize)); 4] = [
+            ("cublas.matmul", lib_matmul, (2, 1)),
+            ("cublas.matmul_relu", lib_matmul_relu, (2, 1)),
+            ("cutlass.rms_norm", lib_rms_norm, (2, 1)),
+            ("vm.builtin.kv_append", lib_kv_append, (2, 1)),
+        ];
         let builtins: [(&str, BuiltinFn, usize); 6] = [
             ("builtin.unique", builtin_unique, 1),
             (
@@ -110,41 +110,24 @@ impl Default for Registry {
             ("vm.builtin.moe.gather", moe::builtin_gather, 3),
             ("vm.builtin.moe.scatter", moe::builtin_scatter, 3),
         ];
-        for (name, func, inputs) in builtins {
-            r.register_builtin_with_signature(name, func, inputs);
+        Registry {
+            libs: libs
+                .into_iter()
+                .map(|(name, kernel, sig)| (name.to_string(), (kernel, sig)))
+                .collect(),
+            builtins: builtins
+                .into_iter()
+                .map(|(name, func, inputs)| (name.to_string(), (func, inputs)))
+                .collect(),
         }
-        r
     }
 }
 
 impl Registry {
-    /// Creates the default registry (cuBLAS/CUTLASS-style kernels plus the
-    /// runtime builtins).
+    /// Creates the registry (cuBLAS/CUTLASS-style kernels plus the runtime
+    /// builtins).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers (or replaces) a library kernel along with its
-    /// destination-passing signature: `inputs` argument tensors, `outputs`
-    /// result tensors.
-    pub fn register_lib_with_signature(
-        &mut self,
-        name: impl Into<String>,
-        kernel: LibKernel,
-        inputs: usize,
-        outputs: usize,
-    ) {
-        self.libs.insert(name.into(), (kernel, (inputs, outputs)));
-    }
-
-    /// Registers (or replaces) a builtin along with its input arity.
-    pub fn register_builtin_with_signature(
-        &mut self,
-        name: impl Into<String>,
-        func: BuiltinFn,
-        inputs: usize,
-    ) {
-        self.builtins.insert(name.into(), (func, inputs));
     }
 
     /// Declared (inputs, outputs) arity of a library kernel; `None` when

@@ -291,15 +291,9 @@ impl Vm {
     /// Creates a VM for an executable with the default registry and a
     /// private plan cache.
     pub fn new(exec: Executable) -> Self {
-        Self::with_registry(exec, Registry::new())
-    }
-
-    /// Creates a VM with a custom foreign-function registry and a private
-    /// plan cache.
-    pub fn with_registry(exec: Executable, registry: Registry) -> Self {
         Self::from_parts(
             Arc::new(exec),
-            Arc::new(registry),
+            Arc::new(Registry::new()),
             SharedPlanCache::default(),
         )
     }

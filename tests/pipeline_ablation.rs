@@ -7,8 +7,8 @@
 //! plan cache) on the same executable, bitwise.
 //!
 //! Every public model builder is also compiled under all sixteen
-//! configurations with the module re-checked for well-formedness after
-//! every module pass.
+//! configurations; a debug build re-checks the module's well-formedness
+//! after every module pass.
 
 use std::collections::HashMap;
 
@@ -22,7 +22,7 @@ use relax_models::whisper::{
     build_cross_kv, build_decoder_step, build_decoder_step_paged, build_encoder, WhisperConfig,
 };
 use relax_models::MoeConfig;
-use relax_passes::{compile, compile_with_context, CompileOptions, PassContext, VerifyLevel};
+use relax_passes::{compile, CompileOptions};
 use relax_tir::NDArray;
 use relax_vm::{Value, Vm};
 
@@ -106,7 +106,6 @@ fn all_sixteen_configurations_verify_and_agree_bitwise() {
             fusion: mask & 2 != 0,
             memory_plan: mask & 4 != 0,
             graph_capture: mask & 8 != 0,
-            dispatch_rules: Default::default(),
             shape_bounds: HashMap::new(),
         };
         let exec = compile(mlp_module(), &opts)
@@ -214,8 +213,7 @@ fn every_model_builder_compiles_under_every_configuration() {
     let mut compiles = 0;
     for (name, module) in model_modules() {
         for (mask, opts) in all_configs() {
-            let mut ctx = PassContext::new().with_verify_level(VerifyLevel::All);
-            compile_with_context(module.clone(), &opts, &mut ctx)
+            compile(module.clone(), &opts)
                 .unwrap_or_else(|e| panic!("{name}, config {mask:04b}: {e}"));
             compiles += 1;
         }

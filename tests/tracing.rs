@@ -7,7 +7,7 @@
 //! `tests/properties.rs` conventions); failures print the seed.
 
 use relax::core::{BlockBuilder, DataType, Expr, Op, StructInfo};
-use relax::passes::{compile_with_context, CompileOptions, PassContext, VerifyLevel};
+use relax::passes::{compile_with_report, CompileOptions};
 use relax::trace::{Capture, EventKind};
 use relax::vm::{Value, Vm};
 use relax_arith::Var as SymVar;
@@ -84,11 +84,8 @@ fn traced_compiles_are_well_formed_and_agree_with_report() {
         let module = build_random_chain(&mut rng);
 
         let capture = Capture::begin();
-        let mut ctx = PassContext::new();
-        ctx.verify = VerifyLevel::All;
-        let exec = compile_with_context(module, &CompileOptions::default(), &mut ctx)
+        let (exec, report) = compile_with_report(module, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("seed {seed}: pipeline failed: {e}"));
-        let report = ctx.take_report();
         // The compiled executable still runs — inside the capture window:
         // tracing is process-global, so a VM run after `finish()` would
         // emit its `plan:*` spans into whichever capture the other test
@@ -134,9 +131,7 @@ fn pass_spans_nest_under_the_pipeline_root() {
     let mut rng = XorShift::new(42);
     let module = build_random_chain(&mut rng);
     let capture = Capture::begin();
-    let mut ctx = PassContext::new();
-    ctx.verify = VerifyLevel::All;
-    compile_with_context(module, &CompileOptions::default(), &mut ctx).unwrap();
+    compile_with_report(module, &CompileOptions::default()).unwrap();
     let trace = capture.finish();
     trace.validate().unwrap();
 
