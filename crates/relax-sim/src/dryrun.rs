@@ -568,7 +568,9 @@ impl<'a> DryRun<'a> {
                         SimValue::Tuple(items) => items.get(*index).cloned(),
                         other => return Err(SimError::Type(format!("get_item on {other:?}"))),
                     };
-                    regs[*dst] = item.unwrap_or(SimValue::None);
+                    regs[*dst] = item.ok_or_else(|| {
+                        SimError::Type(format!("get_item index {index} out of range"))
+                    })?;
                 }
                 Instr::MakeShape { dst, dims } => {
                     regs[*dst] = SimValue::Shape(eval_dims(dims, heap)?)
@@ -1082,6 +1084,27 @@ mod memory_tracker_tests {
         // The pool had to grow for every larger shape: 8*16 + 16*16 + 32*16.
         assert_eq!(mem.pool_footprint(), (8 + 16 + 32) * 16);
         assert_eq!(mem.planned_bytes(), 0);
+    }
+
+    #[test]
+    fn an_out_of_range_tuple_index_fails_typed() {
+        let exec = exec_with(
+            vec![
+                Instr::MakeTuple {
+                    dst: 1,
+                    items: vec![0],
+                },
+                Instr::GetItem {
+                    dst: 2,
+                    src: 1,
+                    index: 5,
+                },
+                Instr::Ret { src: 2 },
+            ],
+            3,
+        );
+        let err = simulate(&exec, "f", &[], &DeviceSpec::rtx4090(), true).unwrap_err();
+        assert!(matches!(err, SimError::Type(_)), "{err}");
     }
 
     #[test]

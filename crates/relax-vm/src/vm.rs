@@ -787,7 +787,13 @@ impl Vm {
                         .into())
                     }
                 };
-                frame.set(*dst, items.get(*index).cloned().unwrap_or(Value::None))?;
+                let item = items.get(*index).cloned().ok_or_else(|| {
+                    VmError::new(VmErrorKind::TypeMismatch {
+                        expected: "a tuple index in range",
+                        actual: "out-of-range tuple index",
+                    })
+                })?;
+                frame.set(*dst, item)?;
             }
             Instr::MakeShape { dst, dims } => {
                 let vals: Result<Vec<i64>, EvalError> =

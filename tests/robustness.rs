@@ -583,6 +583,42 @@ fn moe_gather_with_a_malformed_shape_fails_under_its_own_name() {
     assert_eq!(err.origin().unwrap().pc, 1);
 }
 
+#[test]
+fn an_out_of_range_tuple_index_fails_typed() {
+    let mut exec = Executable::new();
+    exec.funcs.insert(
+        "main".into(),
+        VmFunction {
+            name: "main".into(),
+            num_params: 1,
+            num_regs: 3,
+            instrs: vec![
+                Instr::MakeTuple {
+                    dst: 1,
+                    items: vec![0],
+                },
+                Instr::GetItem {
+                    dst: 2,
+                    src: 1,
+                    index: 5,
+                },
+                Instr::Ret { src: 2 },
+            ],
+        },
+    );
+    let mut vm = Vm::new(exec);
+    let x = NDArray::zeros(&[2], DataType::F32);
+    let err = vm.run("main", &[Value::Tensor(x)]).unwrap_err();
+    match &err.kind {
+        VmErrorKind::TypeMismatch { expected, actual } => {
+            assert_eq!(*expected, "a tuple index in range");
+            assert_eq!(*actual, "out-of-range tuple index");
+        }
+        other => panic!("expected TypeMismatch, got {other}"),
+    }
+    assert_eq!(err.origin().unwrap().pc, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Systematic recovery: every fault site, same VM, clean state each time.
 // ---------------------------------------------------------------------------
