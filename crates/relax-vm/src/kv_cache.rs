@@ -170,7 +170,7 @@ impl KvCache {
     /// different geometry or pool, and for a member listed twice (one step
     /// would append to it twice).
     pub fn stack(caches: &[KvCache]) -> Result<KvCache, KernelError> {
-        const OP: &str = "vm.builtin.kv_cache.stack";
+        const OP: &str = "KvCache::stack";
         let members: Vec<Arc<Member>> = caches
             .iter()
             .flat_map(|c| c.members.iter().cloned())
@@ -330,7 +330,7 @@ impl KvCache {
     /// stack whose members hold different lengths of it: no one tensor
     /// holds them.
     pub fn view(&self, stream: usize) -> Result<NDArray, KernelError> {
-        const OP: &str = "vm.builtin.kv_cache.view";
+        const OP: &str = "KvCache::view";
         let cfg = self.config();
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let p = self.pool().page_tokens();
@@ -379,7 +379,7 @@ impl KvCache {
     /// Returns a [`KernelError`] when `lens` disagrees with the stream
     /// count or would *grow* a stream; no stream is changed then.
     pub fn truncate_to(&self, lens: &[usize]) -> Result<(), KernelError> {
-        const OP: &str = "vm.builtin.kv_cache.truncate";
+        const OP: &str = "KvCache::truncate_to";
         let pool = self.pool();
         let p = pool.page_tokens();
         let mut members = self.lock();
@@ -838,6 +838,25 @@ mod tests {
             assert_eq!(stack.lens(), lens, "a stack lists its streams member by member");
         }
         assert_eq!(cases, 8 * STEPS * 2 * 3, "the sweep lost or gained cases");
+    }
+
+    /// The host methods name themselves in their errors: no registry holds
+    /// a builtin by these names.
+    #[test]
+    fn host_method_errors_name_the_method() {
+        assert_eq!(KvCache::stack(&[]).unwrap_err().kernel, "KvCache::stack");
+        let pool = Arc::new(KvPagePool::with_capacity(4, 64));
+        let cfg = KvCacheConfig {
+            streams: 1,
+            batch: 1,
+            heads: 1,
+            head_dim: 2,
+            dtype: DataType::F32,
+        };
+        let cache = KvCache::new(cfg, pool);
+        assert_eq!(cache.view(1).unwrap_err().kernel, "KvCache::view");
+        let grow = cache.truncate_to(&[1]).unwrap_err();
+        assert_eq!(grow.kernel, "KvCache::truncate_to");
     }
 
     /// What a stack is and is not: it refuses an empty list, a member
