@@ -203,8 +203,6 @@ pub struct Telemetry {
     pub captures: u64,
     /// Graph replays.
     pub replays: u64,
-    /// Launches avoided thanks to replay.
-    pub launches_saved: u64,
     /// Runtime shape checks executed.
     pub shape_checks: u64,
     /// Pooled-allocator statistics (unplanned path).
@@ -678,8 +676,6 @@ impl Vm {
                 self.telemetry.tir_calls += 1;
                 if !in_replay {
                     self.telemetry.kernel_launches += 1;
-                } else {
-                    self.telemetry.launches_saved += 1;
                 }
             }
             Instr::CallLib { func, args, dsts } => {
@@ -705,8 +701,6 @@ impl Vm {
                 self.telemetry.lib_calls += 1;
                 if !in_replay {
                     self.telemetry.kernel_launches += 1;
-                } else {
-                    self.telemetry.launches_saved += 1;
                 }
             }
             Instr::CallBuiltin { func, args, dst } => {
@@ -1177,7 +1171,6 @@ mod tests {
         // Replay charged one launch for the whole region, and saved the
         // individual kernel launch inside it.
         assert_eq!(t2.kernel_launches, 2);
-        assert_eq!(t2.launches_saved, 1);
     }
 
     #[test]
