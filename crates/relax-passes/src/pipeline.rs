@@ -19,9 +19,9 @@ use relax_vm::Executable;
 
 use crate::error::PassError;
 use crate::{
-    annotate_compute_patterns, common_subexpr_elimination, dead_code_elimination,
-    dispatch_library, fold_constants, fuse_ops, fuse_tensor_ir, legalize_module,
-    lift_tir_workspaces, lower_to_vm, offload_capture, plan_memory, schedule_kernels,
+    annotate_compute_patterns, common_subexpr_elimination, dead_code_elimination, dispatch_library,
+    fold_constants, fuse_ops, fuse_tensor_ir, legalize_module, lift_tir_workspaces, lower_to_vm,
+    offload_capture, plan_memory, schedule_kernels,
 };
 
 /// Options controlling the pipeline — each toggle corresponds to one bar
@@ -237,7 +237,9 @@ pub fn compile_with_report(
     })?;
     // Runs before the plan-affecting exec passes so downstream shape
     // specialization sees the schedule attributes.
-    run.pass("schedule_kernels", &mut exec, |exec| Ok(schedule_kernels(exec)))?;
+    run.pass("schedule_kernels", &mut exec, |exec| {
+        Ok(schedule_kernels(exec))
+    })?;
     if opts.memory_plan {
         run.pass("memory_plan", &mut exec, |exec| {
             let mut changed = false;

@@ -175,7 +175,10 @@ fn model_modules() -> Vec<(&'static str, IRModule)> {
     let whisper = WhisperConfig::tiny();
     vec![
         ("llama decode", build_decode(&llama).unwrap().module),
-        ("llama decode_paged", build_decode_paged(&llama).unwrap().module),
+        (
+            "llama decode_paged",
+            build_decode_paged(&llama).unwrap().module,
+        ),
         (
             "llama decode_paged_multi",
             build_decode_paged_multi(&llama).unwrap().module,
