@@ -7,8 +7,9 @@
 //! plan cache) on the same executable, bitwise.
 //!
 //! Every public model builder is also compiled under all sixteen
-//! configurations; a debug build re-checks the module's well-formedness
-//! after every module pass.
+//! configurations, and each executable must hash to the digest committed
+//! in `tests/golden/compile_digests.txt`; a debug build re-checks the
+//! module's well-formedness after every module pass.
 
 use std::collections::HashMap;
 
@@ -24,7 +25,7 @@ use relax_models::whisper::{
 use relax_models::MoeConfig;
 use relax_passes::{compile, CompileOptions};
 use relax_tir::NDArray;
-use relax_vm::{Value, Vm};
+use relax_vm::{Executable, Value, Vm};
 
 /// x @ w1 -> +b1 -> relu -> @ w2 -> rms_norm, on symbolic batch — the
 /// same MLP the pipeline unit tests use.
@@ -211,15 +212,62 @@ fn model_modules() -> Vec<(&'static str, IRModule)> {
     ]
 }
 
+/// The printed executable a digest covers: every VM function and tensor
+/// program in name order, then the constants' shapes.
+fn printed(exec: &Executable) -> String {
+    let mut text = String::new();
+    for f in exec.funcs.values() {
+        text.push_str(&f.to_string());
+    }
+    for f in exec.tir_funcs.values() {
+        text.push_str(&f.to_string());
+    }
+    for c in &exec.constants {
+        text.push_str(&format!("const {:?}\n", c.shape()));
+    }
+    text
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Compiles every builder under every configuration and compares each
+/// executable with its committed digest: a compiler change that claims
+/// the same output must leave every digest in place. `RELAX_BLESS=1`
+/// rewrites the file after an intentional output change.
 #[test]
 fn every_model_builder_compiles_under_every_configuration() {
-    let mut compiles = 0;
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/compile_digests.txt");
+    let mut lines = Vec::new();
+    let mut first_mismatch = None;
+    let committed = std::fs::read_to_string(&path).unwrap_or_default();
+    let mut committed = committed.lines();
     for (name, module) in model_modules() {
         for (mask, opts) in all_configs() {
-            compile(module.clone(), &opts)
+            let exec = compile(module.clone(), &opts)
                 .unwrap_or_else(|e| panic!("{name}, config {mask:04b}: {e}"));
-            compiles += 1;
+            let text = printed(&exec);
+            let line = format!("{name}\t{mask:04b}\t{:016x}", fnv1a(text.as_bytes()));
+            if committed.next() != Some(line.as_str()) && first_mismatch.is_none() {
+                first_mismatch = Some((line.clone(), text));
+            }
+            lines.push(line);
         }
     }
-    assert_eq!(compiles, 13 * 16);
+    assert_eq!(lines.len(), 13 * 16);
+    if std::env::var("RELAX_BLESS").as_deref() == Ok("1") {
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write the digests");
+        return;
+    }
+    if let Some((line, text)) = first_mismatch {
+        panic!(
+            "`{line}` is not the committed digest in {path:?}; the executable:\n{text}\n\
+             If the output change is intended, regenerate with RELAX_BLESS=1"
+        );
+    }
 }
