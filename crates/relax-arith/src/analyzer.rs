@@ -314,10 +314,7 @@ mod tests {
         let mut ana = Analyzer::new();
         ana.bind(n.clone(), IntBound::range(1, 128));
         assert!(ana.can_prove_ge(&PrimExpr::from(n.clone()), &PrimExpr::Int(1)));
-        assert_eq!(
-            ana.upper_bound(&(PrimExpr::from(n) * 4.into())),
-            Some(512)
-        );
+        assert_eq!(ana.upper_bound(&(PrimExpr::from(n) * 4.into())), Some(512));
     }
 
     #[test]

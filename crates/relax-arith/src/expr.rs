@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(0);
 

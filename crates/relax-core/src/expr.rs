@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use relax_arith::PrimExpr;
 use relax_tir::NDArray;

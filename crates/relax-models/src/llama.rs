@@ -350,7 +350,14 @@ fn build(
         let ffn_norm = mb.param(&format!("{p}.ffn_norm"))?;
         let hn2 = mb.rms_norm(x.clone(), ffn_norm)?;
         let inter = config.intermediate;
-        let gate = linear(&mut mb, config, &format!("{p}.w_gate"), hn2.clone(), h, inter)?;
+        let gate = linear(
+            &mut mb,
+            config,
+            &format!("{p}.w_gate"),
+            hn2.clone(),
+            h,
+            inter,
+        )?;
         let gate = mb.silu(gate)?;
         let up = linear(&mut mb, config, &format!("{p}.w_up"), hn2, h, inter)?;
         let act = mb.mul(gate, up)?;

@@ -85,9 +85,18 @@ pub fn build_vision_encoder(config: &LlavaConfig) -> Result<ModelIr, ModelError>
         StructInfo::tensor(vec![b.clone().into(), config.patches.into(), d.into()], dt),
     )];
     for l in 0..config.vision_layers {
-        params.extend(encoder_layer_params(&format!("v{l}"), d, config.vision_ffn, dt));
+        params.extend(encoder_layer_params(
+            &format!("v{l}"),
+            d,
+            config.vision_ffn,
+            dt,
+        ));
     }
-    params.push(tensor_param("projector".to_string(), &[d, config.llm.hidden], dt));
+    params.push(tensor_param(
+        "projector".to_string(),
+        &[d, config.llm.hidden],
+        dt,
+    ));
 
     let mut mb = ModelBuilder::begin(IRModule::new(), "encode_image", params.clone());
     let mut x = mb.param("patches")?;

@@ -257,7 +257,11 @@ impl ModelBuilder {
             args: vec![
                 q.into(),
                 cache.into(),
-                Expr::ShapeValue(vec![enc(k_stream)?, enc(v_stream)?, i64::from(causal).into()]),
+                Expr::ShapeValue(vec![
+                    enc(k_stream)?,
+                    enc(v_stream)?,
+                    i64::from(causal).into(),
+                ]),
             ],
             out_sinfo,
         })?)

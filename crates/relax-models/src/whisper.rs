@@ -122,7 +122,12 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
         ),
     )];
     for l in 0..config.enc_layers {
-        params.extend(encoder_layer_params(&format!("e{l}"), d, config.ffn, config.dtype));
+        params.extend(encoder_layer_params(
+            &format!("e{l}"),
+            d,
+            config.ffn,
+            config.dtype,
+        ));
     }
 
     let mut mb = ModelBuilder::begin(IRModule::new(), "encode", params.clone());
@@ -150,11 +155,7 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
 /// [`build_decoder_step_paged`]: per layer, causal self-attention over
 /// the KV mode's cache, cross-attention over the precomputed encoder
 /// keys/values, and the GELU MLP; then the tied-embedding LM head.
-fn build_decoder(
-    config: &WhisperConfig,
-    func: &str,
-    cache: KvMode,
-) -> Result<ModelIr, ModelError> {
+fn build_decoder(config: &WhisperConfig, func: &str, cache: KvMode) -> Result<ModelIr, ModelError> {
     let b = SymVar::new("batch");
     let kv_len = SymVar::new("kv_len");
     let s_audio = SymVar::new("s_audio");
@@ -174,7 +175,10 @@ fn build_decoder(
         params.push(("kv_cache".to_string(), StructInfo::Object));
     }
     let per_head = |len: &SymVar| {
-        StructInfo::tensor(vec![be.clone(), nh.into(), len.clone().into(), hd.into()], dt)
+        StructInfo::tensor(
+            vec![be.clone(), nh.into(), len.clone().into(), hd.into()],
+            dt,
+        )
     };
     for l in 0..config.dec_layers {
         if matches!(cache, KvMode::Copy) {

@@ -57,7 +57,10 @@ mod tests {
             exec.tir_funcs.insert(name.to_string(), func);
         }
         assert!(schedule_kernels(&mut exec));
-        assert_eq!(exec.tir_funcs["matmul"].attr("relax.schedule"), Some("macro"));
+        assert_eq!(
+            exec.tir_funcs["matmul"].attr("relax.schedule"),
+            Some("macro")
+        );
         assert_eq!(exec.tir_funcs["exp"].attr("relax.schedule"), None);
         let stamped = exec.tir_funcs.clone();
         assert!(!schedule_kernels(&mut exec));

@@ -35,7 +35,9 @@ fn mlp_module() -> IRModule {
         ],
     );
     bb.begin_dataflow();
-    let h = bb.emit_op(Op::Matmul, &[p[0].clone(), p[1].clone()]).unwrap();
+    let h = bb
+        .emit_op(Op::Matmul, &[p[0].clone(), p[1].clone()])
+        .unwrap();
     let h = bb.emit_op(Op::Add, &[h, p[2].clone()]).unwrap();
     let h = bb.emit(Expr::op_call(Op::Relu, vec![h.into()])).unwrap();
     let h = bb.emit_op(Op::Matmul, &[h, p[3].clone()]).unwrap();
@@ -162,12 +164,7 @@ fn report_names_match_executed_sequence() {
     );
 
     // The trivially-true change bits of the big rewrites are set.
-    let changed = |name: &str| {
-        report
-            .passes
-            .iter()
-            .any(|p| p.name == name && p.changed)
-    };
+    let changed = |name: &str| report.passes.iter().any(|p| p.name == name && p.changed);
     assert!(changed("dispatch_library"));
     assert!(changed("legalize"));
     assert!(changed("memory_plan"));

@@ -599,7 +599,11 @@ fn worker_loop<W: Work>(
             }
             let died = died.filter(|_| results.is_empty());
             let outcome = outcome.clone();
-            results.push(StepResult { unit, outcome, died });
+            results.push(StepResult {
+                unit,
+                outcome,
+                died,
+            });
         }
         shared.publish(results);
         if died.is_some() {
@@ -644,7 +648,11 @@ impl<W: Work> Scheduler<W> {
             let overdue = st.pending.take_overdue(now);
             let room = match stopping {
                 true => usize::MAX,
-                false => self.limits.max_running.max(1).saturating_sub(self.running.len()),
+                false => self
+                    .limits
+                    .max_running
+                    .max(1)
+                    .saturating_sub(self.running.len()),
             };
             let fresh = st.pending.take(room);
             (now, stopping, overdue, fresh, st.pending.depth(), st.events)

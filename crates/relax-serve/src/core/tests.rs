@@ -210,7 +210,10 @@ fn one_iteration_of(core: &Core<Toy>, steps: &[u32]) -> Vec<(u64, Ticket)> {
 fn one_iteration_of_units(core: &Core<Toy>, units: &[(u32, bool)]) -> Vec<(u64, Ticket)> {
     let blocker = submit(core, 1);
     core.model().await_started(1);
-    let mut units: Vec<_> = units.iter().map(|&(n, shares)| submit_as(core, n, shares)).collect();
+    let mut units: Vec<_> = units
+        .iter()
+        .map(|&(n, shares)| submit_as(core, n, shares))
+        .collect();
     core.model().permit(blocker.0, 1);
     assert_eq!(blocker.1.recv_timeout(GUARD), Ok(("retired", 1)));
     units.push(blocker);
@@ -228,7 +231,11 @@ fn a_unit_is_finished_where_its_last_step_lands_not_at_the_barrier() {
     let mut began = core.model().await_started(3)[1..].to_vec();
     began.sort();
     assert_eq!(began, [*one, *two]);
-    assert_eq!(get(&core.counters().iterations), 1, "the barrier has not been reached");
+    assert_eq!(
+        get(&core.counters().iterations),
+        1,
+        "the barrier has not been reached"
+    );
     assert!(two_ticket.try_recv().is_err());
     core.model().permit(*two, 2);
     assert_eq!(two_ticket.recv_timeout(GUARD), Ok(("retired", 2)));
@@ -285,7 +292,11 @@ fn accounting_survives_early_finishers_among_lost_stalled_and_dropped_steps() {
     assert!(units[0].1.try_recv().is_err());
     clock.advance(STALL);
     assert_eq!(resolved(1), Ok(("retired", 1)));
-    assert_eq!(get(&core.counters().iterations), 1, "the barrier has not been reached");
+    assert_eq!(
+        get(&core.counters().iterations),
+        1,
+        "the barrier has not been reached"
+    );
     assert!(units[0].1.try_recv().is_err());
     core.model().permit(units[2].0, 2);
     core.model().permit(units[3].0, 1);
@@ -298,7 +309,10 @@ fn accounting_survives_early_finishers_among_lost_stalled_and_dropped_steps() {
     let left = get(&c.retired) + get(&c.evicted) + get(&c.failed) + get(&c.shed);
     assert_eq!((get(&c.submitted), left, get(&c.retired)), (5, 5, 5));
     assert_eq!((get(&c.replies_dropped), get(&c.worker_panics)), (1, 1));
-    assert_eq!((get(&c.rollbacks), get(&c.retries), get(&c.restarts)), (2, 2, 1));
+    assert_eq!(
+        (get(&c.rollbacks), get(&c.retries), get(&c.restarts)),
+        (2, 2, 1)
+    );
     assert_eq!(get(&c.iterations), 3);
     let stats = pool.stats();
     assert!(stats.reconciles() && stats.in_use == 0, "{stats:?}");
@@ -317,9 +331,22 @@ fn assert_all_accounted(core: &Core<Toy>, submitted: u64) {
 #[test]
 fn sharers_form_one_job_per_live_worker_and_the_rest_run_alone() {
     let mut core = start(2, FaultPlan::new(), &ManualClock::new());
-    let shape = [(3, true), (2, true), (3, true), (3, true), (3, true), (3, false), (3, false)];
+    let shape = [
+        (3, true),
+        (2, true),
+        (3, true),
+        (3, true),
+        (3, true),
+        (3, false),
+        (3, false),
+    ];
     let units = one_iteration_of_units(&core, &shape);
-    let sharer = |id: &u64| units.iter().zip(&shape).any(|((u, _), (_, shares))| u == id && *shares);
+    let sharer = |id: &u64| {
+        units
+            .iter()
+            .zip(&shape)
+            .any(|((u, _), (_, shares))| u == id && *shares)
+    };
     for ((id, _), (steps, _)) in units.iter().zip(&shape) {
         core.model().permit(*id, *steps);
     }
@@ -341,7 +368,10 @@ fn sharers_form_one_job_per_live_worker_and_the_rest_run_alone() {
     assert_eq!(sizes(12..16), [1, 1, 2, 2]);
     assert_eq!(groups.len(), 16);
     for group in groups.iter().filter(|g| g.len() > 1) {
-        assert!(group.iter().all(sharer), "{group:?} holds a unit that shares nothing");
+        assert!(
+            group.iter().all(sharer),
+            "{group:?} holds a unit that shares nothing"
+        );
     }
     assert_eq!(get(&core.counters().iterations), 4);
     assert_all_accounted(&core, 8);
@@ -366,7 +396,11 @@ fn a_member_that_finishes_inside_a_shared_step_resolves_on_the_worker() {
     core.model().permit(*b, 1);
     assert_eq!(a_ticket.recv_timeout(GUARD), Ok(("retired", 2)));
     assert_eq!(core.model().await_started(7)[6], *c);
-    assert_eq!(get(&core.counters().iterations), 2, "the barrier has not been reached");
+    assert_eq!(
+        get(&core.counters().iterations),
+        2,
+        "the barrier has not been reached"
+    );
     assert!(b_ticket.try_recv().is_err());
     core.model().permit(*c, 1);
     core.model().permit(*b, 1);
@@ -419,7 +453,10 @@ fn a_failed_shared_step_charges_every_member_and_is_retried_one_by_one() {
     ];
     assert_eq!(groups, expected);
     let counters = core.counters();
-    assert_eq!((get(&counters.worker_panics), get(&counters.restarts)), (2, 2));
+    assert_eq!(
+        (get(&counters.worker_panics), get(&counters.restarts)),
+        (2, 2)
+    );
     assert_eq!((get(&counters.rollbacks), get(&counters.retries)), (4, 4));
     assert_eq!(get(&counters.retired), 4);
     assert_all_accounted(&core, 4);
@@ -443,7 +480,10 @@ fn a_wedged_worker_is_replaced_and_its_step_still_counts() {
     clock.advance(hours(1) + Duration::from_secs(1));
     let guard = Instant::now() + GUARD;
     while get(&core.counters().restarts) != 1 {
-        assert!(Instant::now() < guard, "the wedged worker was never replaced");
+        assert!(
+            Instant::now() < guard,
+            "the wedged worker was never replaced"
+        );
         std::thread::yield_now();
     }
     clock.advance(hours(2));

@@ -990,14 +990,20 @@ mod tests {
 
         let cfg = LlamaConfig::tiny();
         let ir = build_decode_paged(&cfg).unwrap();
-        let weights = ir.params.iter().filter(|(name, _)| name != "tokens" && name != "kv_cache");
+        let weights = ir
+            .params
+            .iter()
+            .filter(|(name, _)| name != "tokens" && name != "kv_cache");
         let weights = weights.map(|(_, sinfo)| match sinfo {
             StructInfo::Tensor {
                 shape: ShapeDesc::Known(dims),
                 dtype: Some(dt),
             } => {
                 let env = std::collections::HashMap::new();
-                let dims: Vec<usize> = dims.iter().map(|d| d.eval(&env).unwrap() as usize).collect();
+                let dims: Vec<usize> = dims
+                    .iter()
+                    .map(|d| d.eval(&env).unwrap() as usize)
+                    .collect();
                 Value::Tensor(NDArray::zeros(&dims, *dt))
             }
             other => panic!("unexpected weight annotation {other}"),
@@ -1040,6 +1046,9 @@ mod tests {
         mgr.shutdown();
         assert_eq!(plans.evictions, 0, "{plans:?}");
         assert!(plans.hits > 0, "{plans:?}");
-        assert!(plans.misses < plans.len as u64 * 4, "no cross-worker reuse: {plans:?}");
+        assert!(
+            plans.misses < plans.len as u64 * 4,
+            "no cross-worker reuse: {plans:?}"
+        );
     }
 }

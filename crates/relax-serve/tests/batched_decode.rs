@@ -129,10 +129,21 @@ fn fixture() -> &'static Fixture {
 
         let pool = Arc::new(KvPagePool::with_capacity(PAGE_TOKENS, usize::MAX));
         let mut vm = Vm::new(exec);
-        let alone = requests.iter().map(|r| run_alone(&mut vm, &spec, &pool, r)).collect();
-        assert_eq!(vm.telemetry().fallback_allocs, 0, "a lone step left its planned storage");
+        let alone = requests
+            .iter()
+            .map(|r| run_alone(&mut vm, &spec, &pool, r))
+            .collect();
+        assert_eq!(
+            vm.telemetry().fallback_allocs,
+            0,
+            "a lone step left its planned storage"
+        );
         assert_eq!(pool.stats().in_use, 0);
-        Fixture { spec, requests, alone }
+        Fixture {
+            spec,
+            requests,
+            alone,
+        }
     })
 }
 
@@ -154,7 +165,11 @@ fn served_together_equals_alone(workers: usize, faults: FaultPlan) -> SessionSta
     );
     let pool = mgr.pool().clone();
     let submit = |r: &SessionRequest| mgr.submit(r.clone());
-    let mut tickets: Vec<_> = fx.requests[..FIRST_WAVE].iter().map(submit).map(Some).collect();
+    let mut tickets: Vec<_> = fx.requests[..FIRST_WAVE]
+        .iter()
+        .map(submit)
+        .map(Some)
+        .collect();
     // Sessions 1 and 3 of the first wave resolve; the second wave then
     // meets the others at whatever context lengths they have reached.
     let mut outputs: Vec<_> = (0..SESSIONS).map(|_| None).collect();

@@ -69,9 +69,8 @@ impl Fixture {
     fn new() -> Self {
         let cfg = LlamaConfig::tiny();
         let pool = Arc::new(KvPagePool::with_capacity(PAGE_TOKENS, usize::MAX));
-        let vm = |ir: &ModelIr| {
-            Vm::new(compile(ir.module.clone(), &CompileOptions::default()).unwrap())
-        };
+        let vm =
+            |ir: &ModelIr| Vm::new(compile(ir.module.clone(), &CompileOptions::default()).unwrap());
         let paged_ir = build_decode_paged(&cfg).unwrap();
         let mut seed = 0xFACE_F00Du64;
         // Weights have no symbolic dims and every route takes them in the

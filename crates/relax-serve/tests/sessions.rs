@@ -142,8 +142,7 @@ fn oracle_run(fx: &Fixture, prompt: &[i64], max_new: usize) -> (Vec<i64>, Vec<Ve
 
     let mut caches: Vec<NDArray> = if prompt.len() > 1 {
         let prefix = &prompt[..prompt.len() - 1];
-        let tokens =
-            NDArray::from_i64(&[1, prefix.len()], DataType::I64, prefix.to_vec()).unwrap();
+        let tokens = NDArray::from_i64(&[1, prefix.len()], DataType::I64, prefix.to_vec()).unwrap();
         let mut args = vec![Value::Tensor(tokens)];
         args.extend(fx.weights.iter().cloned());
         let out = prefill_vm.run("prefill", &args).unwrap();
@@ -352,10 +351,20 @@ fn overdue_waiting_session_is_shed_without_being_admitted() {
         Err(SessionError::DeadlineExceeded) => {}
         other => panic!("expected the waiting session to be shed, got {other:?}"),
     }
-    assert!(long.try_wait().is_none(), "the running session is still generating");
-    assert_eq!(long.wait().expect("the long session retires").tokens.len(), 200);
+    assert!(
+        long.try_wait().is_none(),
+        "the running session is still generating"
+    );
+    assert_eq!(
+        long.wait().expect("the long session retires").tokens.len(),
+        200
+    );
     let stats = mgr.shutdown();
-    assert_eq!((stats.retired, stats.shed, stats.admitted), (1, 1, 1), "{stats:?}");
+    assert_eq!(
+        (stats.retired, stats.shed, stats.admitted),
+        (1, 1, 1),
+        "{stats:?}"
+    );
 }
 
 /// The CI release-mode smoke: mixed traffic (hundreds of tokens across
@@ -442,13 +451,13 @@ fn worker_panic_mid_iteration_rolls_back_and_heals() {
     let pool = mgr.pool().clone();
     let stats = mgr.shutdown();
     assert!(stats.worker_panics >= 1, "the panic never fired: {stats:?}");
-    assert!(stats.rollbacks >= 1, "the panic never rolled back: {stats:?}");
+    assert!(
+        stats.rollbacks >= 1,
+        "the panic never rolled back: {stats:?}"
+    );
     assert_eq!(stats.retired, 4);
     let ps = pool.stats();
-    assert!(
-        ps.reconciles(),
-        "pool must reconcile after healing: {ps:?}"
-    );
+    assert!(ps.reconciles(), "pool must reconcile after healing: {ps:?}");
     assert_eq!(ps.in_use, 0, "pages leaked through the panic: {ps:?}");
 }
 
@@ -481,13 +490,25 @@ fn dropped_reply_on_a_middle_and_on_the_last_step_keeps_the_stream() {
         .expect("the session outlives two dropped replies");
     let (want_tokens, want_kv) = oracle_run(&fx, &prompt, max_new);
     assert_eq!(out.tokens, want_tokens);
-    let got_kv: Vec<Vec<f64>> = out.kv.expect("return_kv").iter().map(|c| c.to_f64_vec()).collect();
+    let got_kv: Vec<Vec<f64>> = out
+        .kv
+        .expect("return_kv")
+        .iter()
+        .map(|c| c.to_f64_vec())
+        .collect();
     assert_eq!(got_kv, want_kv);
     let pool = mgr.pool().clone();
     let stats = mgr.shutdown();
     assert_eq!(stats.rollbacks, 2, "both replies were dropped: {stats:?}");
-    assert_eq!((stats.prefills, stats.decodes, stats.tokens), (1, 3, 4), "{stats:?}");
-    assert_eq!(stats.step_calls, 6, "four steps and two that were rolled back: {stats:?}");
+    assert_eq!(
+        (stats.prefills, stats.decodes, stats.tokens),
+        (1, 3, 4),
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.step_calls, 6,
+        "four steps and two that were rolled back: {stats:?}"
+    );
     let ps = pool.stats();
     assert!(ps.reconciles() && ps.in_use == 0, "{ps:?}");
 }
@@ -518,14 +539,21 @@ fn kernel_fault_fails_its_session_typed_and_spares_the_rest() {
     for (i, (t, r)) in tickets.into_iter().zip(&reqs).enumerate() {
         match (i, t.wait()) {
             (0, Err(SessionError::Vm(e))) => {
-                assert!(matches!(e.kind, VmErrorKind::Kernel(_)), "unexpected fault kind: {e}")
+                assert!(
+                    matches!(e.kind, VmErrorKind::Kernel(_)),
+                    "unexpected fault kind: {e}"
+                )
             }
             (0, other) => panic!("the first session must fail in the VM, got {other:?}"),
             (_, Ok(out)) => {
                 let (want_tokens, want_kv) = oracle_run(&fx, &r.prompt, r.max_new_tokens);
                 assert_eq!(out.tokens, want_tokens, "session {i} tokens diverged");
-                let got_kv: Vec<Vec<f64>> =
-                    out.kv.expect("return_kv").iter().map(|c| c.to_f64_vec()).collect();
+                let got_kv: Vec<Vec<f64>> = out
+                    .kv
+                    .expect("return_kv")
+                    .iter()
+                    .map(|c| c.to_f64_vec())
+                    .collect();
                 assert_eq!(got_kv, want_kv, "session {i} final KV diverged");
             }
             (_, Err(e)) => panic!("session {i}: {e}"),
@@ -533,7 +561,11 @@ fn kernel_fault_fails_its_session_typed_and_spares_the_rest() {
     }
     let pool = mgr.pool().clone();
     let stats = mgr.shutdown();
-    assert_eq!((stats.failed, stats.retired, stats.rollbacks), (1, 3, 1), "{stats:?}");
+    assert_eq!(
+        (stats.failed, stats.retired, stats.rollbacks),
+        (1, 3, 1),
+        "{stats:?}"
+    );
     assert_eq!(
         stats.retired + stats.evicted + stats.failed + stats.shed,
         stats.submitted,
@@ -559,7 +591,10 @@ fn session_chaos_reconciles_and_survivors_match() {
         },
     );
     assert_eq!(report.unresolved, 0, "a ticket hung: {report:?}");
-    assert_eq!(report.mismatches, 0, "chaos corrupted a session: {report:?}");
+    assert_eq!(
+        report.mismatches, 0,
+        "chaos corrupted a session: {report:?}"
+    );
     assert_eq!(report.retired, report.submitted, "{report:?}");
     assert!(report.pool_reconciles, "{report:?}");
     assert_eq!(report.pages_leaked, 0, "{report:?}");

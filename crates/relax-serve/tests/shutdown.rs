@@ -20,7 +20,10 @@ fn tiny_paged_spec() -> SessionModelSpec {
     let cfg = LlamaConfig::tiny();
     let ir = build_decode_paged(&cfg).unwrap();
     let mut seed = 0x5EED_0010u64;
-    let weights = ir.params.iter().filter(|(name, _)| name != "tokens" && name != "kv_cache");
+    let weights = ir
+        .params
+        .iter()
+        .filter(|(name, _)| name != "tokens" && name != "kv_cache");
     let weights = weights.map(|(_, sinfo)| {
         let (dims, dt) = concrete(&ir, sinfo, 1, 1);
         Value::Tensor(random_arr(&dims, dt, &mut seed))

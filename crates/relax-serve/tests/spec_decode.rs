@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use relax_core::{DataType, ShapeDesc, StructInfo};
 use relax_models::llama::{
-    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig,
-    ModelIr,
+    build_decode, build_decode_paged, build_decode_paged_multi, build_prefill, LlamaConfig, ModelIr,
 };
 use relax_passes::{compile, CompileOptions};
 use relax_serve::chaos::{run_session_chaos, SessionChaosConfig};
@@ -118,7 +117,8 @@ fn fixture(draft: Draft, lookahead: usize, noise: f64, opts: &CompileOptions) ->
     let paged_exec = Arc::new(compile(paged_ir.module.clone(), opts).unwrap());
     let decode_exec = compile(build_decode(&cfg).unwrap().module, opts).unwrap();
     let prefill_exec = compile(build_prefill(&cfg).unwrap().module, opts).unwrap();
-    let verify_exec = Arc::new(compile(build_decode_paged_multi(&cfg).unwrap().module, opts).unwrap());
+    let verify_exec =
+        Arc::new(compile(build_decode_paged_multi(&cfg).unwrap().module, opts).unwrap());
 
     let mut wseed = 0xFACE_F00Du64;
     let weights = build_weights(&paged_ir, &mut wseed);
@@ -178,8 +178,7 @@ fn oracle_run(fx: &Fixture, prompt: &[i64], max_new: usize) -> (Vec<i64>, Vec<Ve
 
     let mut caches: Vec<NDArray> = if prompt.len() > 1 {
         let prefix = &prompt[..prompt.len() - 1];
-        let tokens =
-            NDArray::from_i64(&[1, prefix.len()], DataType::I64, prefix.to_vec()).unwrap();
+        let tokens = NDArray::from_i64(&[1, prefix.len()], DataType::I64, prefix.to_vec()).unwrap();
         let mut args = vec![Value::Tensor(tokens)];
         args.extend(fx.weights.iter().cloned());
         let out = prefill_vm.run("prefill", &args).unwrap();
@@ -267,7 +266,9 @@ fn run_and_compare(
         })
         .collect();
     for (i, (t, r)) in tickets.into_iter().zip(schedule).enumerate() {
-        let out = t.wait().unwrap_or_else(|e| panic!("{label} session {i}: {e}"));
+        let out = t
+            .wait()
+            .unwrap_or_else(|e| panic!("{label} session {i}: {e}"));
         let (want_tokens, want_kv) = oracle_run(fx, &r.prompt, r.max_new_tokens);
         assert_eq!(
             out.tokens, want_tokens,
@@ -287,7 +288,10 @@ fn run_and_compare(
     let pool = mgr.pool().clone();
     let stats = mgr.shutdown();
     assert_eq!(stats.retired, schedule.len() as u64, "{label}");
-    assert!(stats.speculations > 0, "{label} never speculated: {stats:?}");
+    assert!(
+        stats.speculations > 0,
+        "{label} never speculated: {stats:?}"
+    );
     let ps = pool.stats();
     assert!(ps.reconciles(), "{label} pool accounting broke: {ps:?}");
     assert_eq!(ps.in_use, 0, "{label} pages leaked: {ps:?}");

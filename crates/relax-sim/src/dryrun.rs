@@ -1335,18 +1335,38 @@ mod memory_tracker_tests {
         let device = tiny_device(100);
         let mut mem = MemoryTracker::new();
         // 8 * 4 = 32 bytes fits.
-        simulate_with_memory(&exec, "f", &[SimValue::Shape(vec![8])], &device, true, &mut mem)
-            .unwrap();
+        simulate_with_memory(
+            &exec,
+            "f",
+            &[SimValue::Shape(vec![8])],
+            &device,
+            true,
+            &mut mem,
+        )
+        .unwrap();
         // Growing the same site to 64 * 4 = 256 bytes does not: only the
         // growth (256 - 32) is charged, but it still exceeds 100.
-        let err =
-            simulate_with_memory(&exec, "f", &[SimValue::Shape(vec![64])], &device, true, &mut mem)
-                .unwrap_err();
+        let err = simulate_with_memory(
+            &exec,
+            "f",
+            &[SimValue::Shape(vec![64])],
+            &device,
+            true,
+            &mut mem,
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }), "{err}");
         // Re-running the small shape still works: the tracker was not
         // corrupted by the failure.
-        simulate_with_memory(&exec, "f", &[SimValue::Shape(vec![8])], &device, true, &mut mem)
-            .unwrap();
+        simulate_with_memory(
+            &exec,
+            "f",
+            &[SimValue::Shape(vec![8])],
+            &device,
+            true,
+            &mut mem,
+        )
+        .unwrap();
     }
 }
 
@@ -1396,8 +1416,7 @@ mod kv_cache_cost_tests {
             dtype: DataType::F32,
         };
         let slice = SimValue::tensor(vec![1, 2, 1, 4], DataType::F32);
-        let report =
-            simulate(&exec, "f", &[cache, slice.clone(), slice], &dev, true).unwrap();
+        let report = simulate(&exec, "f", &[cache, slice.clone(), slice], &dev, true).unwrap();
         // First append: 2×32 B slice + one 8 B block-table entry. Second
         // append lands in the same page: 2×32 B only — independent of the
         // accumulated cache length.
@@ -1413,8 +1432,7 @@ mod kv_cache_cost_tests {
             SimValue::tensor(vec![1, 2, 1, 4], DataType::F32),  // new slice
             SimValue::tensor(vec![1, 2, 11, 4], DataType::F32), // grown cache
         ];
-        let (_, copy_bytes) =
-            lib_cost("vm.builtin.kv_append", &[0, 1], &[2], &regs).unwrap();
+        let (_, copy_bytes) = lib_cost("vm.builtin.kv_append", &[0, 1], &[2], &regs).unwrap();
         assert_eq!(copy_bytes, (80.0 + 8.0 + 88.0) * 4.0);
 
         // The paged builtin at the same cache length touches only the

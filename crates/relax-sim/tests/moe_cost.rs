@@ -48,7 +48,10 @@ fn ragged_dispatch_costs_at_any_token_count_and_grows_monotonically() {
         &CompileOptions::default(),
     )
     .unwrap();
-    let reports: Vec<SimReport> = [1i64, 5, 16].iter().map(|&t| sim_dispatch(&exec, &cfg, t)).collect();
+    let reports: Vec<SimReport> = [1i64, 5, 16]
+        .iter()
+        .map(|&t| sim_dispatch(&exec, &cfg, t))
+        .collect();
     for w in reports.windows(2) {
         assert!(
             w[1].flops > w[0].flops && w[1].bytes > w[0].bytes,

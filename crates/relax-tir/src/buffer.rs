@@ -1,8 +1,8 @@
 //! Buffers: the memory operands of loop-level tensor programs.
 
 use std::fmt;
-use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use relax_arith::{DataType, PrimExpr};
 

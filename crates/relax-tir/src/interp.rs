@@ -429,7 +429,12 @@ impl Context {
 /// (with the given wrapping op), anything else promotes to `f64`. Shared
 /// with the compiled kernel plans (`crate::plan`) so both paths are
 /// bit-identical by construction.
-pub(crate) fn binop(a: Scalar, b: Scalar, ff: fn(f64, f64) -> f64, fi: fn(i64, i64) -> i64) -> Scalar {
+pub(crate) fn binop(
+    a: Scalar,
+    b: Scalar,
+    ff: fn(f64, f64) -> f64,
+    fi: fn(i64, i64) -> i64,
+) -> Scalar {
     match (a, b) {
         (Scalar::I(x), Scalar::I(y)) => Scalar::I(fi(x, y)),
         _ => Scalar::F(ff(a.as_f64(), b.as_f64())),

@@ -226,7 +226,12 @@ impl NDArray {
                     .collect(),
             )
         } else {
-            DataBuf::I(values.into_iter().map(|v| AtomicI64::new(v as i64)).collect())
+            DataBuf::I(
+                values
+                    .into_iter()
+                    .map(|v| AtomicI64::new(v as i64))
+                    .collect(),
+            )
         };
         Ok(NDArray {
             dtype,
@@ -729,6 +734,9 @@ mod tests {
         });
         t.join().unwrap();
         // The join is the happens-before edge; every write is visible.
-        assert_eq!(a.to_f64_vec(), (0..64).map(|i| i as f64).collect::<Vec<_>>());
+        assert_eq!(
+            a.to_f64_vec(),
+            (0..64).map(|i| i as f64).collect::<Vec<_>>()
+        );
     }
 }

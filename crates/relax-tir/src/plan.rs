@@ -151,12 +151,7 @@ impl Affine {
     fn without(&self, slot: usize) -> Affine {
         Affine {
             base: self.base,
-            terms: self
-                .terms
-                .iter()
-                .copied()
-                .filter(|t| t.0 != slot)
-                .collect(),
+            terms: self.terms.iter().copied().filter(|t| t.0 != slot).collect(),
         }
     }
 
@@ -1532,7 +1527,11 @@ impl Machine<'_> {
                 // evaluate to block bases; outer-loop terms stay live.
                 self.iters[*j_iter] = 0;
                 self.iters[*k_iter] = 0;
-                let (y0, x0, w0) = (y.eval(&self.iters), x.eval(&self.iters), w.eval(&self.iters));
+                let (y0, x0, w0) = (
+                    y.eval(&self.iters),
+                    x.eval(&self.iters),
+                    w.eval(&self.iters),
+                );
                 let (yj, xk) = (y.coeff(*j_iter), x.coeff(*k_iter));
                 let (wj, wk) = (w.coeff(*j_iter), w.coeff(*k_iter));
                 let dt = self.plan.bufs[*y_buf].dtype;
@@ -1974,7 +1973,12 @@ mod tests {
                 + TirExpr::load(&x, vec![i.into(), kk.clone().into()])
                     * TirExpr::load(&w, vec![kk.into(), j.into()]),
         );
-        PrimFunc::new("mm", vec![x, w, y], 1, nest.build(Stmt::seq(vec![init, update])))
+        PrimFunc::new(
+            "mm",
+            vec![x, w, y],
+            1,
+            nest.build(Stmt::seq(vec![init, update])),
+        )
     }
 
     fn mm_args(n: usize, k: usize, m: usize) -> Vec<NDArray> {
@@ -2024,7 +2028,10 @@ mod tests {
             &out,
             vec![iv2[0].clone().into()],
             TirExpr::load(&x, vec![iv2[0].clone().into()])
-                + TirExpr::load(&ws, vec![PrimExpr::from(iv2[0].clone()).floor_mod(16.into())]),
+                + TirExpr::load(
+                    &ws,
+                    vec![PrimExpr::from(iv2[0].clone()).floor_mod(16.into())],
+                ),
         ));
         let body = Stmt::Alloc {
             buffer: ws,
@@ -2035,8 +2042,12 @@ mod tests {
 
         let mk = || {
             (
-                NDArray::from_f64(&[20], DataType::F32, (0..20).map(|v| v as f64 * 0.5).collect())
-                    .unwrap(),
+                NDArray::from_f64(
+                    &[20],
+                    DataType::F32,
+                    (0..20).map(|v| v as f64 * 0.5).collect(),
+                )
+                .unwrap(),
                 NDArray::zeros(&[20], DataType::F32),
             )
         };
@@ -2088,10 +2099,7 @@ mod tests {
         let body = nest.build(Stmt::store(
             &out,
             vec![i.clone().into()],
-            TirExpr::LoadDyn(
-                tbl.clone(),
-                vec![TirExpr::load(&idx, vec![i.into()])],
-            ),
+            TirExpr::LoadDyn(tbl.clone(), vec![TirExpr::load(&idx, vec![i.into()])]),
         ));
         let f = PrimFunc::new("gather", vec![tbl, idx, out], 1, body);
         let plan = compile(&f, &[vec![4], vec![6], vec![6]]).unwrap();
@@ -2159,7 +2167,10 @@ mod tests {
     fn shape_contradiction_is_interp_error() {
         let f = matmul_func(3, 4);
         let err = compile(&f, &[vec![2, 9], vec![3, 4], vec![2, 4]]).unwrap_err();
-        assert!(matches!(err, PlanError::Interp(InterpError::ShapeMismatch { .. })));
+        assert!(matches!(
+            err,
+            PlanError::Interp(InterpError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

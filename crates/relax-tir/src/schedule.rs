@@ -56,13 +56,23 @@ fn is_dot_body(k: &Var, body: &Stmt) -> bool {
     if lhs != &PrimExpr::from(k.clone()) || rhs != &PrimExpr::Int(0) {
         return false;
     }
-    let Stmt::Store { buffer: yb, indices: yi, value: init } = &**then else {
+    let Stmt::Store {
+        buffer: yb,
+        indices: yi,
+        value: init,
+    } = &**then
+    else {
         return false;
     };
     if !matches!(init, TirExpr::FloatImm(_)) {
         return false;
     }
-    let Stmt::Store { buffer, indices, value } = &stmts[1] else {
+    let Stmt::Store {
+        buffer,
+        indices,
+        value,
+    } = &stmts[1]
+    else {
         return false;
     };
     if buffer.id() != yb.id() || indices != yi {
@@ -116,7 +126,12 @@ mod tests {
                 + TirExpr::load(&x, vec![i.into(), kk.clone().into()])
                     * TirExpr::load(&w, vec![kk.into(), j.into()]),
         );
-        PrimFunc::new("mm", vec![x, w, y], 1, nest.build(Stmt::seq(vec![init, update])))
+        PrimFunc::new(
+            "mm",
+            vec![x, w, y],
+            1,
+            nest.build(Stmt::seq(vec![init, update])),
+        )
     }
 
     #[test]

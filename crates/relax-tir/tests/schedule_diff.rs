@@ -58,21 +58,9 @@ fn rand_ints(rng: &mut XorShift, shape: &[usize], dtype: DataType) -> NDArray {
 /// Concrete-shape matmul with the `IfEq` reduction init, the nest
 /// `auto_schedule` stamps.
 fn matmul(n: usize, k: usize, m: usize, dtype: DataType) -> PrimFunc {
-    let x = Buffer::new(
-        "X",
-        vec![(n as i64).into(), (k as i64).into()],
-        dtype,
-    );
-    let w = Buffer::new(
-        "W",
-        vec![(k as i64).into(), (m as i64).into()],
-        dtype,
-    );
-    let y = Buffer::new(
-        "Y",
-        vec![(n as i64).into(), (m as i64).into()],
-        dtype,
-    );
+    let x = Buffer::new("X", vec![(n as i64).into(), (k as i64).into()], dtype);
+    let w = Buffer::new("W", vec![(k as i64).into(), (m as i64).into()], dtype);
+    let y = Buffer::new("Y", vec![(n as i64).into(), (m as i64).into()], dtype);
     let (iv, nest) = grid(&[
         ("i", (n as i64).into()),
         ("j", (m as i64).into()),
@@ -99,7 +87,12 @@ fn matmul(n: usize, k: usize, m: usize, dtype: DataType) -> PrimFunc {
             + TirExpr::load(&x, vec![i.into(), kk.clone().into()])
                 * TirExpr::load(&w, vec![kk.into(), j.into()]),
     );
-    PrimFunc::new("mm", vec![x, w, y], 1, nest.build(Stmt::seq(vec![init, update])))
+    PrimFunc::new(
+        "mm",
+        vec![x, w, y],
+        1,
+        nest.build(Stmt::seq(vec![init, update])),
+    )
 }
 
 /// Runs the scheduled function three ways against the unscheduled
@@ -136,8 +129,14 @@ fn integer_matmul_schedules_stay_bitwise() {
         let sched = f.with_attr("relax.schedule", "macro");
         let shapes = vec![vec![n, k], vec![k, m], vec![n, m]];
         let compiled = plan::compile(&sched, &shapes).expect("stamped integer plan");
-        assert!(!compiled.scheduled(), "an integer nest must not become a macro-op");
-        assert!(compiled.scalar_stores() > 0, "an integer nest stays on the scalar tape");
+        assert!(
+            !compiled.scheduled(),
+            "an integer nest must not become a macro-op"
+        );
+        assert!(
+            compiled.scalar_stores() > 0,
+            "an integer nest stays on the scalar tape"
+        );
         let x = rand_ints(&mut rng, &[n, k], DataType::I64);
         let w = rand_ints(&mut rng, &[k, m], DataType::I64);
         let y = NDArray::zeros(&[n, m], DataType::I64);
@@ -157,7 +156,10 @@ fn auto_schedule_macro_path_matches_across_random_shapes() {
             relax_tir::schedule::auto_schedule(&f).expect("matmul nest should auto-schedule");
         let shapes = vec![vec![n, k], vec![k, m], vec![n, m]];
         let compiled = plan::compile(&sched, &shapes).expect("scheduled plan");
-        assert!(compiled.scheduled(), "{dtype:?} {n}x{k}x{m} should run the macro-op");
+        assert!(
+            compiled.scheduled(),
+            "{dtype:?} {n}x{k}x{m} should run the macro-op"
+        );
         let x = rand_floats(rng, &[n, k], dtype);
         let w = rand_floats(rng, &[k, m], dtype);
         let y = NDArray::zeros(&[n, m], dtype);

@@ -46,7 +46,11 @@ fn payload_args(p: &Payload) -> String {
             shapes,
             cache,
         } => {
-            let mut s = format!("\"kernel\":\"{}\",\"shapes\":\"{}\"", esc(kernel), esc(shapes));
+            let mut s = format!(
+                "\"kernel\":\"{}\",\"shapes\":\"{}\"",
+                esc(kernel),
+                esc(shapes)
+            );
             if let Some(c) = cache {
                 s.push_str(&format!(",\"cache\":\"{}\"", c.label()));
             }
@@ -499,12 +503,14 @@ mod tests {
 
     #[test]
     fn json_parser_roundtrips_values() {
-        let doc = parse_json(
-            r#"{"a": [1, 2.5, -3e2], "b": "x\n\"y\"", "c": true, "d": null, "e": {}}"#,
-        )
-        .unwrap();
+        let doc =
+            parse_json(r#"{"a": [1, 2.5, -3e2], "b": "x\n\"y\"", "c": true, "d": null, "e": {}}"#)
+                .unwrap();
         assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            doc.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(doc.get("b").unwrap().as_str(), Some("x\n\"y\""));
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Null));
@@ -544,7 +550,9 @@ mod tests {
         let unbalanced = r#"{"traceEvents":[
             {"name":"a","cat":"c","ph":"B","ts":1.0,"pid":1,"tid":1}
         ]}"#;
-        assert!(validate_chrome_trace(unbalanced).unwrap_err().contains("never closed"));
+        assert!(validate_chrome_trace(unbalanced)
+            .unwrap_err()
+            .contains("never closed"));
 
         let crossed = r#"{"traceEvents":[
             {"name":"a","cat":"c","ph":"B","ts":1.0,"pid":1,"tid":1},
@@ -552,12 +560,16 @@ mod tests {
             {"name":"a","cat":"c","ph":"E","ts":3.0,"pid":1,"tid":1},
             {"name":"b","cat":"c","ph":"E","ts":4.0,"pid":1,"tid":1}
         ]}"#;
-        assert!(validate_chrome_trace(crossed).unwrap_err().contains("does not match"));
+        assert!(validate_chrome_trace(crossed)
+            .unwrap_err()
+            .contains("does not match"));
 
         let backwards = r#"{"traceEvents":[
             {"name":"a","cat":"c","ph":"B","ts":5.0,"pid":1,"tid":1},
             {"name":"a","cat":"c","ph":"E","ts":4.0,"pid":1,"tid":1}
         ]}"#;
-        assert!(validate_chrome_trace(backwards).unwrap_err().contains("backwards"));
+        assert!(validate_chrome_trace(backwards)
+            .unwrap_err()
+            .contains("backwards"));
     }
 }

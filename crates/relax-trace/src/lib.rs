@@ -156,7 +156,14 @@ fn current_parent() -> Option<SpanId> {
 // Emission.
 // ---------------------------------------------------------------------
 
-fn emit(kind: EventKind, id: SpanId, parent: Option<SpanId>, cat: &'static str, name: String, payload: Payload) -> bool {
+fn emit(
+    kind: EventKind,
+    id: SpanId,
+    parent: Option<SpanId>,
+    cat: &'static str,
+    name: String,
+    payload: Payload,
+) -> bool {
     buffer::push(TraceEvent {
         seq: 0, // stamped by the buffer
         ts_ns: now_ns(),
@@ -218,7 +225,11 @@ impl SpanGuard {
     /// is recorded) and returns its measured wall time.
     pub fn finish_with(mut self, payload: impl FnOnce() -> Payload) -> Duration {
         let wall = self.start.elapsed();
-        let payload = if self.id != 0 { payload() } else { Payload::None };
+        let payload = if self.id != 0 {
+            payload()
+        } else {
+            Payload::None
+        };
         self.close(payload);
         wall
     }
@@ -261,7 +272,14 @@ pub fn span_under(
     let name = name();
     let parent = parent.filter(|&p| p != 0).or_else(current_parent);
     let id = buffer::next_span_id();
-    if !emit(EventKind::Begin, id, parent, cat, name.clone(), Payload::None) {
+    if !emit(
+        EventKind::Begin,
+        id,
+        parent,
+        cat,
+        name.clone(),
+        Payload::None,
+    ) {
         // Buffer full: the span stays unrecorded so the trace keeps its
         // Begin/End balance.
         return SpanGuard {
@@ -293,7 +311,14 @@ pub fn instant(
         return;
     }
     let id = buffer::next_span_id();
-    emit(EventKind::Instant, id, current_parent(), cat, name(), payload());
+    emit(
+        EventKind::Instant,
+        id,
+        current_parent(),
+        cat,
+        name(),
+        payload(),
+    );
 }
 
 /// Opens an asynchronous span that may close on another thread. Returns
@@ -337,7 +362,14 @@ pub fn async_end(
     }
     // A nonzero id means the AsyncBegin was stored, and close events
     // bypass the buffer's capacity check — emit() cannot fail here.
-    emit(EventKind::AsyncEnd, id, None, cat, name.to_string(), payload());
+    emit(
+        EventKind::AsyncEnd,
+        id,
+        None,
+        cat,
+        name.to_string(),
+        payload(),
+    );
 }
 
 /// Formats a concrete shape signature for [`Payload::Kernel`]:
@@ -426,7 +458,9 @@ mod tests {
         let _lock = CAPTURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         clear();
         set_enabled(false);
-        let sp = span("vm", || unreachable!("name must not be built when disabled"));
+        let sp = span("vm", || {
+            unreachable!("name must not be built when disabled")
+        });
         std::thread::sleep(Duration::from_millis(1));
         let wall = sp.finish_with(|| unreachable!("payload must not be built when disabled"));
         assert!(wall >= Duration::from_millis(1));

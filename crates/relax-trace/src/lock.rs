@@ -121,7 +121,11 @@ pub fn lock_wait_stats() -> Vec<LockWaitStat> {
         })
         .filter(|s| s.waits > 0)
         .collect();
-    out.sort_by(|a, b| b.total_wait_ns.cmp(&a.total_wait_ns).then(a.site.cmp(b.site)));
+    out.sort_by(|a, b| {
+        b.total_wait_ns
+            .cmp(&a.total_wait_ns)
+            .then(a.site.cmp(b.site))
+    });
     out
 }
 
@@ -149,7 +153,9 @@ mod tests {
             *SITE.lock(&m) += 1;
         }
         assert_eq!(*SITE.lock(&m), 100);
-        assert!(lock_wait_stats().iter().all(|s| s.site != "test.uncontended"));
+        assert!(lock_wait_stats()
+            .iter()
+            .all(|s| s.site != "test.uncontended"));
     }
 
     #[test]

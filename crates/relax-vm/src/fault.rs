@@ -164,7 +164,10 @@ impl FaultPlan {
             .scheduled
             .into_iter()
             .partition(|s| s.site.is_serving());
-        (FaultPlan { scheduled: vm }, FaultPlan { scheduled: serving })
+        (
+            FaultPlan { scheduled: vm },
+            FaultPlan { scheduled: serving },
+        )
     }
 }
 
@@ -264,8 +267,7 @@ mod tests {
 
     #[test]
     fn sites_count_independently() {
-        let mut inj =
-            FaultInjector::new(FaultPlan::new().fail_kernel(1).fail_shape_check(2));
+        let mut inj = FaultInjector::new(FaultPlan::new().fail_kernel(1).fail_shape_check(2));
         assert!(inj.on_event(FaultSite::Kernel));
         assert!(!inj.on_event(FaultSite::ShapeCheck));
         assert!(!inj.on_event(FaultSite::Alloc));

@@ -232,13 +232,19 @@ impl KvCache {
     /// Logical token count of every stream, member by member.
     pub fn lens(&self) -> Vec<usize> {
         let members = self.lock();
-        members.iter().flat_map(|m| m.iter().map(|s| s.len)).collect()
+        members
+            .iter()
+            .flat_map(|m| m.iter().map(|s| s.len))
+            .collect()
     }
 
     /// Total pages currently held across all streams and members.
     pub fn pages_held(&self) -> usize {
         let members = self.lock();
-        members.iter().flat_map(|m| m.iter().map(|s| s.pages.len())).sum()
+        members
+            .iter()
+            .flat_map(|m| m.iter().map(|s| s.pages.len()))
+            .sum()
     }
 
     /// Appends `new` (`(batch, heads, n, head_dim)`) in place onto a
@@ -266,7 +272,11 @@ impl KvCache {
         if new.dtype() != cfg.dtype {
             return Err(KernelError::new(
                 OP,
-                format!("appended dtype {} != cache dtype {}", new.dtype(), cfg.dtype),
+                format!(
+                    "appended dtype {} != cache dtype {}",
+                    new.dtype(),
+                    cfg.dtype
+                ),
             ));
         }
         stream_in_range(OP, stream, &cfg)?;
@@ -514,9 +524,17 @@ impl KvCache {
             }
             // Pass 2: scale + causal mask (both branches in f64, one store);
             // queries align to the cache tail.
-            let last_allowed = if causal { i as i64 + skv as i64 - s as i64 } else { i64::MAX };
+            let last_allowed = if causal {
+                i as i64 + skv as i64 - s as i64
+            } else {
+                i64::MAX
+            };
             for (j, score) in scores.iter_mut().enumerate() {
-                *score = r32(if j as i64 <= last_allowed { *score * scale } else { -1e9 });
+                *score = r32(if j as i64 <= last_allowed {
+                    *score * scale
+                } else {
+                    -1e9
+                });
             }
             // Pass 3: row max.
             let row_max = scores
@@ -655,10 +673,7 @@ mod tests {
         for chunk in [1usize, 4, 2, 3, 1, 5] {
             let new = rand_tensor(&[2, 2, chunk, 4], &mut seed);
             cache.append(0, &new).unwrap();
-            let grown = NDArray::zeros(
-                &[2, 2, oracle.shape()[2] + chunk, 4],
-                DataType::F32,
-            );
+            let grown = NDArray::zeros(&[2, 2, oracle.shape()[2] + chunk, 4], DataType::F32);
             registry
                 .call_lib(
                     "vm.builtin.kv_append",
@@ -758,7 +773,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!((cases, interpreted), (1466, 298), "the sweep lost or gained cases");
+        assert_eq!(
+            (cases, interpreted),
+            (1466, 298),
+            "the sweep lost or gained cases"
+        );
     }
 
     /// One `append` / `attention` through a stack is bitwise the same
@@ -835,7 +854,11 @@ mod tests {
                 }
             }
             let lens: Vec<usize> = members.iter().flat_map(|m| m.lens()).collect();
-            assert_eq!(stack.lens(), lens, "a stack lists its streams member by member");
+            assert_eq!(
+                stack.lens(),
+                lens,
+                "a stack lists its streams member by member"
+            );
         }
         assert_eq!(cases, 8 * STEPS * 2 * 3, "the sweep lost or gained cases");
     }
@@ -873,7 +896,10 @@ mod tests {
             head_dim: 2,
             dtype: DataType::F32,
         };
-        let (a, b) = (KvCache::new(cfg, pool.clone()), KvCache::new(cfg, pool.clone()));
+        let (a, b) = (
+            KvCache::new(cfg, pool.clone()),
+            KvCache::new(cfg, pool.clone()),
+        );
         assert!(KvCache::stack(&[]).is_err());
         let twice = KvCache::stack(&[a.clone(), b.clone(), a.clone()]).unwrap_err();
         assert!(twice.detail.contains("twice"), "{twice}");
@@ -884,23 +910,35 @@ mod tests {
 
         let mut seed = 5;
         let stack = KvCache::stack(&[a.clone(), b.clone()]).unwrap();
-        stack.append(0, &rand_tensor(&[2, 1, 3, 2], &mut seed)).unwrap();
+        stack
+            .append(0, &rand_tensor(&[2, 1, 3, 2], &mut seed))
+            .unwrap();
         let both = stack.view(0).unwrap();
         assert_eq!(batch_rows(&both, 0, 1), a.view(0).unwrap());
         assert_eq!(batch_rows(&both, 1, 1), b.view(0).unwrap());
         b.append(0, &rand_tensor(&[1, 1, 2, 2], &mut seed)).unwrap();
-        assert_eq!((stack.lens(), stack.len(1), stack.pages_held()), (vec![3, 5], 5, 3));
+        assert_eq!(
+            (stack.lens(), stack.len(1), stack.pages_held()),
+            (vec![3, 5], 5, 3)
+        );
         let ragged = stack.view(0).unwrap_err();
         assert!(ragged.detail.contains("3 and 5"), "{ragged}");
         // A stack of a stack lists the same members.
         let nested = KvCache::stack(std::slice::from_ref(&stack)).unwrap();
         assert_eq!(nested.lens(), vec![3, 5]);
-        assert!(stack.truncate_to(&[3]).is_err(), "one length for two streams");
+        assert!(
+            stack.truncate_to(&[3]).is_err(),
+            "one length for two streams"
+        );
         assert!(stack.truncate_to(&[4, 5]).is_err(), "a grow");
         stack.truncate_to(&[1, 4]).unwrap();
         assert_eq!((a.len(0), b.len(0), pool.stats().in_use), (1, 4, 2));
         drop((stack, nested));
-        assert_eq!(pool.stats().in_use, 2, "dropping a stack released a member's pages");
+        assert_eq!(
+            pool.stats().in_use,
+            2,
+            "dropping a stack released a member's pages"
+        );
         drop((a, b));
         let st = pool.stats();
         assert!(st.reconciles() && st.in_use == 0, "{st:?}");
@@ -922,10 +960,14 @@ mod tests {
         let stack = KvCache::stack(&caches).unwrap();
         let mut seed = 11;
         // One token each: three of the four pages.
-        stack.append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed)).unwrap();
+        stack
+            .append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed))
+            .unwrap();
         let before: Vec<NDArray> = caches.iter().map(|c| c.view(0).unwrap()).collect();
         // Two more tokens each need a second page per member; one is left.
-        let err = stack.append(0, &rand_tensor(&[3, 1, 2, 2], &mut seed)).unwrap_err();
+        let err = stack
+            .append(0, &rand_tensor(&[3, 1, 2, 2], &mut seed))
+            .unwrap_err();
         assert!(err.pool_exhausted.is_some(), "{err}");
         for (cache, before) in caches.iter().zip(&before) {
             assert_eq!((cache.len(0), cache.pages_held()), (1, 1));
@@ -934,7 +976,9 @@ mod tests {
         let st = pool.stats();
         assert!(st.reconciles() && st.in_use == 3, "{st:?}");
         // One more token each fits the pages already held.
-        stack.append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed)).unwrap();
+        stack
+            .append(0, &rand_tensor(&[3, 1, 1, 2], &mut seed))
+            .unwrap();
         assert_eq!(stack.lens(), vec![2, 2, 2]);
     }
 
@@ -995,7 +1039,9 @@ mod tests {
         let pool = Arc::new(KvPagePool::with_capacity(2, 3));
         let cache = tiny_cache(&pool);
         let mut seed = 7;
-        cache.append(0, &rand_tensor(&[2, 2, 4, 4], &mut seed)).unwrap(); // 2 pages
+        cache
+            .append(0, &rand_tensor(&[2, 2, 4, 4], &mut seed))
+            .unwrap(); // 2 pages
         let before = cache.view(0).unwrap();
         // Needs 2 more pages; only 1 left.
         let err = cache

@@ -34,7 +34,12 @@ use crate::value::{want_shape, want_tensor, Value};
 /// The VM calls them through the registry like any builtin.
 pub const MOE_PREFIX: &str = "vm.builtin.moe.";
 
-fn want_rank<'a>(op: &str, t: &'a NDArray, rank: usize, what: &str) -> Result<&'a [usize], KernelError> {
+fn want_rank<'a>(
+    op: &str,
+    t: &'a NDArray,
+    rank: usize,
+    what: &str,
+) -> Result<&'a [usize], KernelError> {
     let s = t.shape();
     if s.len() != rank {
         return Err(KernelError::new(
@@ -104,10 +109,7 @@ pub(crate) fn builtin_gather(args: &[Value]) -> Result<Value, KernelError> {
     if assign.shape() != [t] {
         return Err(KernelError::new(
             OP,
-            format!(
-                "assignment {:?} does not cover {t} tokens",
-                assign.shape()
-            ),
+            format!("assignment {:?} does not cover {t} tokens", assign.shape()),
         ));
     }
     let pos = positions(OP, assign, expert)?;

@@ -175,7 +175,10 @@ impl FuncChecker<'_> {
             None => self.report(
                 pc,
                 "undefined-register",
-                format!("{what} %{reg} is out of range (num_regs = {})", self.func.num_regs),
+                format!(
+                    "{what} %{reg} is out of range (num_regs = {})",
+                    self.func.num_regs
+                ),
             ),
             Some(RegState::Unset) => self.report(
                 pc,
@@ -267,11 +270,9 @@ impl FuncChecker<'_> {
                 }
                 Instr::Kill { reg } => {
                     match self.regs.get(*reg) {
-                        Some(RegState::Killed) => self.report(
-                            pc,
-                            "use-after-kill",
-                            format!("%{reg} is killed twice"),
-                        ),
+                        Some(RegState::Killed) => {
+                            self.report(pc, "use-after-kill", format!("%{reg} is killed twice"))
+                        }
                         Some(RegState::Unset) | None => self.report(
                             pc,
                             "undefined-register",
@@ -488,14 +489,7 @@ mod tests {
 
     #[test]
     fn use_after_kill_is_named() {
-        let v = checked(
-            vec![
-                Instr::Kill { reg: 0 },
-                Instr::Ret { src: 0 },
-            ],
-            1,
-            1,
-        );
+        let v = checked(vec![Instr::Kill { reg: 0 }, Instr::Ret { src: 0 }], 1, 1);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "use-after-kill");
         assert_eq!(v[0].pc, 1);

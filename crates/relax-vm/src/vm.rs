@@ -619,8 +619,7 @@ impl Vm {
                 for r in args.iter().chain(dsts) {
                     tensors.push(frame.tensor(*r)?.clone());
                 }
-                let shapes: Vec<Vec<usize>> =
-                    tensors.iter().map(|t| t.shape().to_vec()).collect();
+                let shapes: Vec<Vec<usize>> = tensors.iter().map(|t| t.shape().to_vec()).collect();
                 // Resolve a shape-specialized plan through the LRU cache;
                 // a miss compiles once, outside the cache's lock, and is
                 // charged separately from run time; a refusal fails the
@@ -650,7 +649,8 @@ impl Vm {
                             Err(PlanError::Unsupported(r)) => return Err(not_plannable(func, &r)),
                             Err(PlanError::Interp(e)) => return Err(e.into()),
                         };
-                        self.plan_cache.insert(func, &shapes, CachedPlan::Ready(plan.clone()));
+                        self.plan_cache
+                            .insert(func, &shapes, CachedPlan::Ready(plan.clone()));
                         (Some(plan), Some(relax_trace::CacheOutcome::Miss))
                     }
                     None => (None, None),
@@ -691,7 +691,10 @@ impl Vm {
                 let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
                     kernel: func.clone(),
                     shapes: relax_trace::shape_sig(
-                        &inputs.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>(),
+                        &inputs
+                            .iter()
+                            .map(|t| t.shape().to_vec())
+                            .collect::<Vec<_>>(),
                     ),
                     cache: None,
                 });
@@ -713,8 +716,8 @@ impl Vm {
                     .collect::<Result<Vec<_>, _>>()?;
                 let sp = relax_trace::span("vm", || format!("builtin:{func}"));
                 // The arguments as received: a KV cache appends in place.
-                let shapes = (sp.id() != 0)
-                    .then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
+                let shapes =
+                    (sp.id() != 0).then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
                 let out = self.registry.call_builtin(func, &vals)?;
                 sp.finish_with(|| relax_trace::Payload::Kernel {
                     kernel: func.clone(),
@@ -1028,7 +1031,10 @@ mod tests {
             vm.run("main", &[Value::Tensor(x)]).unwrap();
         }
         let stats = vm.plan_cache().stats();
-        assert_eq!((stats.misses, stats.hits, stats.evictions, stats.len), (3, 2, 1, 2));
+        assert_eq!(
+            (stats.misses, stats.hits, stats.evictions, stats.len),
+            (3, 2, 1, 2)
+        );
     }
 
     #[test]
@@ -1065,7 +1071,9 @@ mod tests {
             }
         }
         exec.funcs.insert("shadowed".into(), main);
-        let x = [Value::Tensor(NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap())];
+        let x = [Value::Tensor(
+            NDArray::from_f64(&[3], DataType::F32, vec![-5., 0., 5.]).unwrap(),
+        )];
         let mut interp = Vm::new(exec.clone());
         interp.set_plan_cache_capacity(0);
         let out = interp.run("shadowed", &x).unwrap();
@@ -1331,7 +1339,10 @@ mod tests {
         let mut vm = Vm::new(exec);
         let x = NDArray::zeros(&[2], DataType::F32);
         let err = vm.run("main", &[Value::Tensor(x.clone())]).unwrap_err();
-        assert!(matches!(err.kind, VmErrorKind::StorageOverflow { .. }), "{err}");
+        assert!(
+            matches!(err.kind, VmErrorKind::StorageOverflow { .. }),
+            "{err}"
+        );
         assert_eq!(err.origin().unwrap().pc, 1);
 
         // TensorFromStorage path: same shape viewed into a small storage.
@@ -1353,7 +1364,10 @@ mod tests {
         );
         let mut vm = Vm::new(exec);
         let err = vm.run("main", &[Value::Tensor(x)]).unwrap_err();
-        assert!(matches!(err.kind, VmErrorKind::StorageOverflow { .. }), "{err}");
+        assert!(
+            matches!(err.kind, VmErrorKind::StorageOverflow { .. }),
+            "{err}"
+        );
         // The failed run left a clean, reusable state.
         assert_eq!(vm.telemetry().pool.in_use, 0);
     }

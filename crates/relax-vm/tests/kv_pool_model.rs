@@ -79,20 +79,38 @@ fn pages_for(len: usize, page_tokens: usize) -> usize {
 /// The invariants, asserted after every operation.
 fn check(pool: &KvPagePool, caches: &[Tracked], ctx: &str) {
     let stats = pool.stats();
-    assert!(stats.reconciles(), "{ctx}: pool does not reconcile: {stats:?}");
+    assert!(
+        stats.reconciles(),
+        "{ctx}: pool does not reconcile: {stats:?}"
+    );
     let held: usize = caches.iter().map(|c| c.cache.pages_held()).sum();
-    assert_eq!(stats.in_use, held, "{ctx}: in_use != Σ pages_held: {stats:?}");
+    assert_eq!(
+        stats.in_use, held,
+        "{ctx}: in_use != Σ pages_held: {stats:?}"
+    );
     for (i, c) in caches.iter().enumerate() {
-        let want_pages: usize =
-            (0..STREAMS).map(|s| pages_for(c.len(s), stats.page_tokens)).sum();
-        assert_eq!(c.cache.pages_held(), want_pages, "{ctx}: cache {i} holds stray pages");
+        let want_pages: usize = (0..STREAMS)
+            .map(|s| pages_for(c.len(s), stats.page_tokens))
+            .sum();
+        assert_eq!(
+            c.cache.pages_held(),
+            want_pages,
+            "{ctx}: cache {i} holds stray pages"
+        );
         for s in 0..STREAMS {
-            assert_eq!(c.cache.len(s), c.len(s), "{ctx}: cache {i} stream {s} length");
+            assert_eq!(
+                c.cache.len(s),
+                c.len(s),
+                "{ctx}: cache {i} stream {s} length"
+            );
             let got = c.cache.view(s).expect("view of a live stream").to_f64_vec();
             let want = c.expected_view(s);
             assert!(
                 got.len() == want.len()
-                    && got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    && got
+                        .iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{ctx}: cache {i} stream {s} diverged from the model"
             );
         }
@@ -156,11 +174,17 @@ fn run_seed(seed: u64) -> (usize, usize, usize) {
             let room = capacity - pool.stats().in_use;
             match c.cache.append(stream, &new) {
                 Ok(()) => {
-                    assert!(fresh <= room, "{ctx}: append succeeded past the pool capacity");
+                    assert!(
+                        fresh <= room,
+                        "{ctx}: append succeeded past the pool capacity"
+                    );
                     c.model[stream].extend(rows);
                 }
                 Err(e) => {
-                    assert!(e.pool_exhausted.is_some(), "{ctx}: unexpected append error {e}");
+                    assert!(
+                        e.pool_exhausted.is_some(),
+                        "{ctx}: unexpected append error {e}"
+                    );
                     assert!(fresh > room, "{ctx}: append refused with {room} pages free");
                     refused += 1;
                 }
@@ -196,14 +220,23 @@ fn run_seed(seed: u64) -> (usize, usize, usize) {
             let stack = KvCache::stack(&members).expect("distinct caches of one pool");
             match stack.append(stream, &new) {
                 Ok(()) => {
-                    assert!(wanted <= room, "{ctx}: stacked append succeeded past the capacity");
+                    assert!(
+                        wanted <= room,
+                        "{ctx}: stacked append succeeded past the capacity"
+                    );
                     for (&i, r) in order.iter().zip(rows) {
                         caches[i].model[stream].extend(r);
                     }
                 }
                 Err(e) => {
-                    assert!(e.pool_exhausted.is_some(), "{ctx}: unexpected append error {e}");
-                    assert!(wanted > room, "{ctx}: stacked append refused with {room} pages free");
+                    assert!(
+                        e.pool_exhausted.is_some(),
+                        "{ctx}: unexpected append error {e}"
+                    );
+                    assert!(
+                        wanted > room,
+                        "{ctx}: stacked append refused with {room} pages free"
+                    );
                     refused += 1;
                     // Pages were taken for the first member before a later
                     // one found the pool empty.
@@ -233,7 +266,10 @@ fn run_seed(seed: u64) -> (usize, usize, usize) {
                 lens[0] = 0;
                 mixed += 1;
             }
-            assert!(c.cache.truncate_to(&lens).is_err(), "{ctx}: truncate grew a stream");
+            assert!(
+                c.cache.truncate_to(&lens).is_err(),
+                "{ctx}: truncate grew a stream"
+            );
         } else {
             // Drop a cache through an aliasing clone: the pages go back
             // only when the last handle drops.
@@ -243,17 +279,31 @@ fn run_seed(seed: u64) -> (usize, usize, usize) {
             let held = alias.pages_held();
             let before = pool.stats().in_use;
             drop(gone);
-            assert_eq!(pool.stats().in_use, before, "{ctx}: pages released under a live alias");
+            assert_eq!(
+                pool.stats().in_use,
+                before,
+                "{ctx}: pages released under a live alias"
+            );
             drop(alias);
-            assert_eq!(pool.stats().in_use, before - held, "{ctx}: drop leaked pages");
+            assert_eq!(
+                pool.stats().in_use,
+                before - held,
+                "{ctx}: drop leaked pages"
+            );
         }
         check(&pool, &caches, &ctx);
     }
 
     caches.clear();
     let stats = pool.stats();
-    assert!(stats.reconciles(), "seed {seed}: pool does not reconcile at the end: {stats:?}");
-    assert_eq!(stats.in_use, 0, "seed {seed}: pages leaked after every cache dropped");
+    assert!(
+        stats.reconciles(),
+        "seed {seed}: pool does not reconcile at the end: {stats:?}"
+    );
+    assert_eq!(
+        stats.in_use, 0,
+        "seed {seed}: pages leaked after every cache dropped"
+    );
     (refused, mixed, mid_stack)
 }
 
@@ -261,8 +311,16 @@ fn run_seed(seed: u64) -> (usize, usize, usize) {
 fn random_cache_sequences_match_the_model_and_reconcile() {
     let (refused, mixed, mid_stack) = (1..=SEEDS)
         .map(run_seed)
-        .fold((0, 0, 0), |(r, m, s), (dr, dm, ds)| (r + dr, m + dm, s + ds));
+        .fold((0, 0, 0), |(r, m, s), (dr, dm, ds)| {
+            (r + dr, m + dm, s + ds)
+        });
     assert!(refused > 0, "no sequence ever exhausted the pool");
-    assert!(mixed > 0, "no refused truncate ever mixed a shrink with a grow");
-    assert!(mid_stack > 0, "no stacked append ever ran out past its first member");
+    assert!(
+        mixed > 0,
+        "no refused truncate ever mixed a shrink with a grow"
+    );
+    assert!(
+        mid_stack > 0,
+        "no stacked append ever ran out past its first member"
+    );
 }

@@ -71,13 +71,22 @@ fn eight_threads_hammering_keeps_stats_and_trace_consistent() {
         stats.evictions,
         inserts.load(Ordering::Relaxed)
     );
-    assert!(stats.len <= 16 + THREADS, "len {} way over capacity", stats.len);
-    assert!(stats.hits > 0 && stats.misses > 0, "stress must exercise both paths");
+    assert!(
+        stats.len <= 16 + THREADS,
+        "len {} way over capacity",
+        stats.len
+    );
+    assert!(
+        stats.hits > 0 && stats.misses > 0,
+        "stress must exercise both paths"
+    );
 
     // Trace invariants under concurrent emission. The default buffer
     // comfortably holds this run, so nothing may drop and every probe
     // span (and the `plan_cache:` instant its lookup emitted) is there.
-    trace.validate().expect("concurrently emitted trace is well-formed");
+    trace
+        .validate()
+        .expect("concurrently emitted trace is well-formed");
     assert_eq!(trace.dropped, 0, "default capacity must hold this run");
     let expected = THREADS * ITERS;
     assert_eq!(trace.sync_span_count("vm", "probe:"), expected);
@@ -92,7 +101,10 @@ fn eight_threads_hammering_keeps_stats_and_trace_consistent() {
         "at least one plan_cache probe instant per lookup ({} < {expected})",
         chrome.instants
     );
-    assert!(chrome.threads >= 2, "the stress must actually run multi-threaded");
+    assert!(
+        chrome.threads >= 2,
+        "the stress must actually run multi-threaded"
+    );
 }
 
 /// A deliberately tiny buffer drops events under contention but the
@@ -123,7 +135,12 @@ fn tiny_buffer_under_contention_stays_balanced() {
     });
     relax_trace::set_capacity(relax_trace::DEFAULT_CAPACITY);
     let trace = capture.finish();
-    assert!(trace.dropped > 0, "the tiny buffer must have dropped events");
-    trace.validate().expect("dropping must never unbalance the trace");
+    assert!(
+        trace.dropped > 0,
+        "the tiny buffer must have dropped events"
+    );
+    trace
+        .validate()
+        .expect("dropping must never unbalance the trace");
     relax_trace::validate_chrome_trace(&trace.chrome_json()).unwrap();
 }

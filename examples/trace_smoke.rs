@@ -22,7 +22,9 @@ use relax::vm::{KvCacheConfig, Value};
 /// A constant fill of every weight parameter (weights have no symbolic
 /// dims), in parameter order.
 fn constant_weights(params: &[(String, StructInfo)]) -> Vec<Value> {
-    let weights = params.iter().filter(|(name, _)| name != "tokens" && name != "kv_cache");
+    let weights = params
+        .iter()
+        .filter(|(name, _)| name != "tokens" && name != "kv_cache");
     weights
         .map(|(_, sinfo)| match sinfo {
             StructInfo::Tensor {
@@ -91,7 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Export and verify.
     let trace = capture.finish();
-    trace.validate().map_err(|e| format!("malformed trace: {e}"))?;
+    trace
+        .validate()
+        .map_err(|e| format!("malformed trace: {e}"))?;
     let json = trace.chrome_json();
     let chrome = relax::trace::validate_chrome_trace(&json)
         .map_err(|e| format!("chrome export failed the checker: {e}"))?;

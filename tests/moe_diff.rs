@@ -200,7 +200,11 @@ fn moe_dispatch_routes_like_the_reference_end_to_end() {
     let w = make_weights(&cfg, 0xD15_0A7C);
     let mut seed = 0x5CA7_7E12_u64;
     let router = random_f32s(d * e, &mut seed);
-    let exec = compile(build_dispatch(&cfg).unwrap().module, &CompileOptions::default()).unwrap();
+    let exec = compile(
+        build_dispatch(&cfg).unwrap().module,
+        &CompileOptions::default(),
+    )
+    .unwrap();
     let mut vm = Vm::new(exec);
     for t in [1usize, 2, 7, 11] {
         let tokens = random_f32s(t * d, &mut seed);

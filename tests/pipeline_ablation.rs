@@ -58,7 +58,9 @@ fn mlp_module() -> IRModule {
         ],
     );
     bb.begin_dataflow();
-    let h = bb.emit_op(Op::Matmul, &[p[0].clone(), p[1].clone()]).unwrap();
+    let h = bb
+        .emit_op(Op::Matmul, &[p[0].clone(), p[1].clone()])
+        .unwrap();
     let h = bb.emit_op(Op::Add, &[h, p[2].clone()]).unwrap();
     let h = bb.emit(Expr::op_call(Op::Relu, vec![h.into()])).unwrap();
     let h = bb.emit_op(Op::Matmul, &[h, p[3].clone()]).unwrap();
@@ -241,8 +243,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// rewrites the file after an intentional output change.
 #[test]
 fn every_model_builder_compiles_under_every_configuration() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/compile_digests.txt");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compile_digests.txt");
     let mut lines = Vec::new();
     let mut first_mismatch = None;
     let committed = std::fs::read_to_string(&path).unwrap_or_default();

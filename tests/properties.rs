@@ -281,10 +281,7 @@ fn optimized_pipeline_is_semantics_preserving() {
         for (x, y) in a.iter().zip(&b) {
             if x.is_finite() || y.is_finite() {
                 let tol = 1e-3 * (1.0 + x.abs().max(y.abs()));
-                assert!(
-                    (x - y).abs() < tol,
-                    "seed {seed}: {x} vs {y} (ops {ops:?})"
-                );
+                assert!((x - y).abs() < tol, "seed {seed}: {x} vs {y} (ops {ops:?})");
             }
         }
     }

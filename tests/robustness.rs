@@ -88,7 +88,9 @@ fn mlp_args(batch: usize) -> Vec<Value> {
         NDArray::from_f64(
             dims,
             DataType::F32,
-            (0..numel).map(|i| ((i % 11) as f64 - 5.0) * scale).collect(),
+            (0..numel)
+                .map(|i| ((i % 11) as f64 - 5.0) * scale)
+                .collect(),
         )
         .unwrap()
     };
@@ -233,9 +235,14 @@ fn violations_render_with_rule_function_and_pc() {
 /// as a recovery.
 fn assert_recovers(vm: &mut Vm, args: &[Value]) {
     let before = vm.telemetry().recoveries;
-    vm.run("main", args).expect("VM must be reusable after an error");
+    vm.run("main", args)
+        .expect("VM must be reusable after an error");
     assert_eq!(vm.telemetry().recoveries, before + 1);
-    assert_eq!(vm.telemetry().pool.in_use, 0, "failed run leaked pool blocks");
+    assert_eq!(
+        vm.telemetry().pool.in_use,
+        0,
+        "failed run leaked pool blocks"
+    );
 }
 
 #[test]
@@ -250,7 +257,14 @@ fn unknown_function_errors_and_vm_recovers() {
 fn arg_count_errors_with_entry_frame() {
     let mut vm = Vm::new(compiled_mlp(64));
     let err = vm.run("main", &mlp_args(2)[..2]).unwrap_err();
-    assert!(matches!(err.kind, VmErrorKind::ArgCount { expected: 4, actual: 2, .. }));
+    assert!(matches!(
+        err.kind,
+        VmErrorKind::ArgCount {
+            expected: 4,
+            actual: 2,
+            ..
+        }
+    ));
     assert_eq!(err.origin().unwrap().instr, "<function entry>");
     assert_recovers(&mut vm, &mlp_args(2));
 }
@@ -509,7 +523,11 @@ fn exhausted_page_pool_fails_append_paged_with_its_typed_cause() {
         }
         other => panic!("expected Kernel, got {other}"),
     }
-    assert!(err.origin().unwrap().instr.contains("vm.builtin.kv_cache.append_paged"));
+    assert!(err
+        .origin()
+        .unwrap()
+        .instr
+        .contains("vm.builtin.kv_cache.append_paged"));
     // The refused append left nothing behind.
     assert!(cache.is_empty());
     drop(cache);
@@ -640,7 +658,8 @@ fn vm_recovers_after_faults_at_every_site() {
         assert!(err.origin().is_some(), "injected faults carry a trace");
         assert_eq!(vm.telemetry().pool.in_use, 0);
         vm.clear_faults();
-        vm.run("main", &args).expect("clean run after injected fault");
+        vm.run("main", &args)
+            .expect("clean run after injected fault");
         recoveries += 1;
         assert_eq!(vm.telemetry().recoveries, recoveries);
     }
