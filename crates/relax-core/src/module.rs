@@ -69,6 +69,11 @@ impl IRModule {
         self.funcs.get(name)
     }
 
+    /// Looks up a graph-level function for rewriting in place.
+    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
+        self.funcs.get_mut(name)
+    }
+
     /// Looks up a tensor program.
     pub fn tir_func(&self, name: &str) -> Option<&PrimFunc> {
         self.tir_funcs.get(name)

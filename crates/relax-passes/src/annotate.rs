@@ -9,8 +9,13 @@ use relax_tir::analysis;
 pub const COMPUTE_PATTERN_ATTR: &str = "compute_pattern";
 
 /// Annotates every tensor program in the module with its compute pattern.
-/// Returns the number of programs whose recorded pattern changed (newly
-/// annotated or reclassified).
+/// Returns the number of programs newly annotated.
+///
+/// Each program is classified once: a program that already records its
+/// pattern is skipped. That is exact within [`crate::compile`], where only
+/// this pass and [`crate::lift_tir_workspaces`] replace a tensor program
+/// under its name, and workspace lifting runs after the last annotation;
+/// a debug build still checks every skipped program's recorded pattern.
 ///
 /// This is the *analysis feedback* optimization pattern: instead of
 /// manually annotating properties on every high-level operator, the
@@ -18,18 +23,26 @@ pub const COMPUTE_PATTERN_ATTR: &str = "compute_pattern";
 /// which also covers customized programs (like quantization decode) that
 /// have no graph-level operator at all.
 pub fn annotate_compute_patterns(module: &mut IRModule) -> usize {
-    let names: Vec<String> = module.tir_funcs().map(|(n, _)| n.clone()).collect();
-    let mut updated = 0;
-    for name in names {
-        let func = module.tir_func(&name).expect("name just listed").clone();
-        let kind = analysis::pattern_kind(&func).to_string();
-        if func.attr(COMPUTE_PATTERN_ATTR) == Some(kind.as_str()) {
-            continue;
-        }
-        module.set_tir_func(name, func.with_attr(COMPUTE_PATTERN_ATTR, kind));
-        updated += 1;
+    let fresh: Vec<_> = module
+        .tir_funcs()
+        .filter_map(|(name, func)| {
+            if let Some(recorded) = func.attr(COMPUTE_PATTERN_ATTR) {
+                debug_assert_eq!(
+                    recorded,
+                    analysis::pattern_kind(func).to_string(),
+                    "`{name}` records a stale compute pattern"
+                );
+                return None;
+            }
+            let kind = analysis::pattern_kind(func).to_string();
+            Some((name.clone(), func.with_attr(COMPUTE_PATTERN_ATTR, kind)))
+        })
+        .collect();
+    let annotated = fresh.len();
+    for (name, func) in fresh {
+        module.set_tir_func(name, func);
     }
-    updated
+    annotated
 }
 
 #[cfg(test)]

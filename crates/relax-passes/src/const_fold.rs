@@ -3,78 +3,68 @@
 //! small demonstration of the cross-level abstraction (the compiler runs
 //! the same loop-level code the runtime would).
 
-use relax_core::{deduce, legalize, Expr, IRModule, LegalizeError, Op};
+use relax_core::{deduce, legalize, Expr, IRModule, Op};
 use relax_tir::{interp, NDArray};
 
 /// Folds operator calls whose arguments are all constants. Returns the
 /// number of bindings folded.
 pub fn fold_constants(module: &mut IRModule) -> usize {
-    let mut folded = 0;
-    for fname in module.function_names() {
-        let Some(mut func) = module.function(&fname).cloned() else {
-            continue;
-        };
-        let mut changed = false;
-        for block in &mut func.blocks {
-            for binding in &mut block.bindings {
-                let Expr::CallOp { op, args, attrs } = &binding.value else {
-                    continue;
-                };
-                if *op == Op::Unique {
-                    continue;
+    // A fold reads only its own constant arguments, so every fold is found
+    // in one read-only walk and then written in place.
+    let mut folds = Vec::new();
+    for (fname, func) in module.functions() {
+        for (bi, block) in func.blocks.iter().enumerate() {
+            for (i, binding) in block.bindings.iter().enumerate() {
+                if let Some(out) = fold(&binding.value, module) {
+                    folds.push((fname.clone(), bi, i, out));
                 }
-                let consts: Option<Vec<NDArray>> = args
-                    .iter()
-                    .map(|a| match a {
-                        Expr::Constant(c) => Some(c.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let Some(consts) = consts else { continue };
-                if consts.is_empty() {
-                    continue;
-                }
-                // Compute the static output shape.
-                let Ok(out_sinfo) = deduce(&binding.value, module) else {
-                    continue;
-                };
-                let Some(dims) = out_sinfo.tensor_dims() else {
-                    continue;
-                };
-                let concrete: Option<Vec<usize>> = dims
-                    .iter()
-                    .map(|d| d.as_int().map(|v| v as usize))
-                    .collect();
-                let Some(concrete) = concrete else { continue };
-                let dtype = out_sinfo
-                    .tensor_dtype()
-                    .unwrap_or(relax_core::DataType::F32);
-                // Legalize and execute at compile time.
-                let arg_sinfos: Vec<_> =
-                    args.iter().filter_map(|a| deduce(a, module).ok()).collect();
-                let prim = match legalize(*op, attrs, &arg_sinfos, "fold") {
-                    Ok(p) => p,
-                    Err(LegalizeError::Unsupported { .. } | LegalizeError::CoarseShape { .. }) => {
-                        continue
-                    }
-                    Err(_) => continue,
-                };
-                let out = NDArray::zeros(&concrete, dtype);
-                let mut all: Vec<NDArray> = consts;
-                all.push(out.clone());
-                if interp::run(&prim, &all).is_err() {
-                    continue;
-                }
-                binding.value = Expr::Constant(out);
-                folded += 1;
-                changed = true;
             }
         }
-        if changed {
-            module.add_function(fname, func);
-        }
+    }
+    let folded = folds.len();
+    for (fname, bi, i, out) in folds {
+        let func = module.function_mut(&fname).expect("name just listed");
+        func.blocks[bi].bindings[i].value = Expr::Constant(out);
     }
     folded
+}
+
+/// Runs an operator call with constant arguments at compile time.
+fn fold(value: &Expr, module: &IRModule) -> Option<NDArray> {
+    let Expr::CallOp { op, args, attrs } = value else {
+        return None;
+    };
+    if *op == Op::Unique {
+        return None;
+    }
+    let consts: Vec<NDArray> = args
+        .iter()
+        .map(|a| match a {
+            Expr::Constant(c) => Some(c.clone()),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    if consts.is_empty() {
+        return None;
+    }
+    // Compute the static output shape.
+    let out_sinfo = deduce(value, module).ok()?;
+    let concrete: Vec<usize> = out_sinfo
+        .tensor_dims()?
+        .iter()
+        .map(|d| d.as_int().map(|v| v as usize))
+        .collect::<Option<_>>()?;
+    let dtype = out_sinfo
+        .tensor_dtype()
+        .unwrap_or(relax_core::DataType::F32);
+    // Legalize and execute at compile time.
+    let arg_sinfos: Vec<_> = args.iter().filter_map(|a| deduce(a, module).ok()).collect();
+    let prim = legalize(*op, attrs, &arg_sinfos, "fold").ok()?;
+    let out = NDArray::zeros(&concrete, dtype);
+    let mut all: Vec<NDArray> = consts;
+    all.push(out.clone());
+    interp::run(&prim, &all).ok()?;
+    Some(out)
 }
 
 #[cfg(test)]

@@ -94,60 +94,35 @@ fn expr_key(expr: &Expr) -> Option<String> {
     Some(s)
 }
 
-fn replace_vars(expr: &Expr, map: &HashMap<u64, Var>) -> Expr {
+/// Replaces, in place, every use of a variable that `map` names.
+pub(crate) fn replace_vars(expr: &mut Expr, map: &HashMap<u64, Var>) {
     match expr {
-        Expr::Var(v) => match map.get(&v.id()) {
-            Some(r) => Expr::Var(r.clone()),
-            None => expr.clone(),
-        },
-        Expr::Constant(_) | Expr::ShapeValue(_) | Expr::PrimValue(_) => expr.clone(),
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| replace_vars(e, map)).collect()),
-        Expr::TupleGetItem(e, i) => Expr::TupleGetItem(Box::new(replace_vars(e, map)), *i),
-        Expr::CallOp { op, args, attrs } => Expr::CallOp {
-            op: *op,
-            args: args.iter().map(|e| replace_vars(e, map)).collect(),
-            attrs: attrs.clone(),
-        },
-        Expr::CallGlobal { func, args } => Expr::CallGlobal {
-            func: func.clone(),
-            args: args.iter().map(|e| replace_vars(e, map)).collect(),
-        },
-        Expr::CallTir {
-            func,
-            args,
-            out_sinfo,
-            sym_args,
-        } => Expr::CallTir {
-            func: func.clone(),
-            args: args.iter().map(|e| replace_vars(e, map)).collect(),
-            out_sinfo: out_sinfo.clone(),
-            sym_args: sym_args.clone(),
-        },
-        Expr::CallDps {
-            func,
-            args,
-            out_sinfo,
-        } => Expr::CallDps {
-            func: func.clone(),
-            args: args.iter().map(|e| replace_vars(e, map)).collect(),
-            out_sinfo: out_sinfo.clone(),
-        },
-        Expr::MatchCast { value, sinfo } => Expr::MatchCast {
-            value: Box::new(replace_vars(value, map)),
-            sinfo: sinfo.clone(),
-        },
+        Expr::Var(v) => {
+            if let Some(r) = map.get(&v.id()) {
+                *v = r.clone();
+            }
+        }
+        Expr::Constant(_) | Expr::ShapeValue(_) | Expr::PrimValue(_) => {}
+        Expr::TupleGetItem(e, _) | Expr::MatchCast { value: e, .. } => replace_vars(e, map),
+        Expr::Tuple(args)
+        | Expr::CallOp { args, .. }
+        | Expr::CallGlobal { args, .. }
+        | Expr::CallTir { args, .. }
+        | Expr::CallDps { args, .. } => {
+            for e in args {
+                replace_vars(e, map);
+            }
+        }
     }
 }
 
-/// Deduplicates identical pure computations inside each dataflow block.
-/// Returns the number of bindings rewritten to reuse an earlier result.
+/// Deduplicates identical pure computations inside each dataflow block,
+/// rewriting the functions in place. Returns the number of bindings
+/// rewritten to reuse an earlier result.
 pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
     let mut rewritten = 0;
     for fname in module.function_names() {
-        let Some(mut func) = module.function(&fname).cloned() else {
-            continue;
-        };
-        let mut changed = false;
+        let func = module.function_mut(&fname).expect("name just listed");
         for block in &mut func.blocks {
             if block.kind != relax_core::BlockKind::Dataflow {
                 continue;
@@ -155,9 +130,10 @@ pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
             let mut seen: HashMap<String, Var> = HashMap::new();
             let mut alias: HashMap<u64, Var> = HashMap::new();
             for binding in &mut block.bindings {
-                let value = replace_vars(&binding.value, &alias);
-                binding.value = value.clone();
-                if let Some(key) = expr_key(&value) {
+                if !alias.is_empty() {
+                    replace_vars(&mut binding.value, &alias);
+                }
+                if let Some(key) = expr_key(&binding.value) {
                     match seen.get(&key) {
                         Some(prev) => {
                             // Later uses of this binding go to the earlier
@@ -166,7 +142,6 @@ pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
                             alias.insert(binding.var.id(), prev.clone());
                             binding.value = Expr::Var(prev.clone());
                             rewritten += 1;
-                            changed = true;
                         }
                         None => {
                             seen.insert(key, binding.var.clone());
@@ -174,9 +149,6 @@ pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
                     }
                 }
             }
-        }
-        if changed {
-            module.add_function(fname, func);
         }
     }
     rewritten

@@ -7,47 +7,39 @@
 
 use std::collections::HashSet;
 
-use relax_core::IRModule;
+use relax_core::{BlockKind, IRModule};
 
-/// Removes unused bindings inside dataflow blocks. Returns the number of
-/// bindings removed.
+/// Removes unused bindings inside dataflow blocks, rewriting the functions
+/// in place. Returns the number of bindings removed.
 pub fn dead_code_elimination(module: &mut IRModule) -> usize {
     let mut removed = 0;
     for fname in module.function_names() {
-        let Some(mut func) = module.function(&fname).cloned() else {
-            continue;
-        };
-        // Iterate to a fixed point: removing a binding can orphan its
-        // inputs.
-        loop {
-            let mut used: HashSet<u64> = HashSet::new();
-            let mut collect = |e: &relax_core::Expr| {
-                let mut vars = Vec::new();
-                e.collect_used_vars(&mut vars);
-                for v in vars {
-                    used.insert(v.id());
+        let func = module.function_mut(&fname).expect("name just listed");
+        // One backward walk: every use of a binding comes after it, so
+        // when the walk reaches a binding, `used` already holds everything
+        // the return value and the kept bindings read — including inputs
+        // orphaned by a removal further down.
+        let mut used: HashSet<u64> = HashSet::new();
+        let mut vars = Vec::new();
+        func.ret.collect_used_vars(&mut vars);
+        for block in func.blocks.iter_mut().rev() {
+            let dataflow = block.kind == BlockKind::Dataflow;
+            let mut keep = Vec::with_capacity(block.bindings.len());
+            for b in block.bindings.iter().rev() {
+                used.extend(vars.drain(..).map(|v| v.id()));
+                let live = !dataflow || used.contains(&b.var.id());
+                if live {
+                    b.value.collect_used_vars(&mut vars);
                 }
-            };
-            for b in func.bindings() {
-                collect(&b.value);
+                keep.push(live);
             }
-            collect(&func.ret);
-
-            let mut removed_this_round = 0;
-            for block in &mut func.blocks {
-                if block.kind != relax_core::BlockKind::Dataflow {
-                    continue;
-                }
-                let before = block.bindings.len();
-                block.bindings.retain(|b| used.contains(&b.var.id()));
-                removed_this_round += before - block.bindings.len();
-            }
-            removed += removed_this_round;
-            if removed_this_round == 0 {
-                break;
-            }
+            let before = block.bindings.len();
+            let mut keep = keep.into_iter().rev();
+            block
+                .bindings
+                .retain(|_| keep.next().expect("one flag per binding"));
+            removed += before - block.bindings.len();
         }
-        module.add_function(fname, func);
     }
     removed
 }

@@ -14,6 +14,7 @@ use relax_tir::transform::{merge_calls, InlineCall};
 use relax_tir::Buffer;
 
 use crate::annotate::COMPUTE_PATTERN_ATTR;
+use crate::cse::replace_vars;
 use crate::error::PassError;
 
 /// Attribute marking subgraph functions produced by `FuseOps`.
@@ -73,40 +74,52 @@ impl UnionFind {
 pub fn fuse_ops(module: &mut IRModule) -> usize {
     let mut created = 0;
     for fname in module.function_names() {
-        let Some(func) = module.function(&fname).cloned() else {
-            continue;
-        };
+        let func = module.function_mut(&fname).expect("name just listed");
         if func.attrs.contains_key(PRIMITIVE_ATTR) {
             continue;
         }
-        let new_func = fuse_function(module, &fname, func, &mut created);
-        module.add_function(fname, new_func);
+        // The caller keeps its name in the module while its blocks are out,
+        // so the subgraphs added beside it cannot take that name.
+        let mut blocks = std::mem::take(&mut func.blocks);
+        let ret = func.ret.clone();
+        fuse_blocks(module, &mut blocks, &ret, &mut created);
+        module.function_mut(&fname).expect("caller kept").blocks = blocks;
     }
     created
 }
 
-fn fuse_function(
+fn fuse_blocks(
     module: &mut IRModule,
-    fname: &str,
-    mut func: Function,
+    blocks: &mut [BindingBlock],
+    ret: &Expr,
     created: &mut usize,
-) -> Function {
-    // Uses outside each block (other blocks + return) to compute outputs.
-    for block_idx in 0..func.blocks.len() {
-        if func.blocks[block_idx].kind != BlockKind::Dataflow {
+) {
+    for block_idx in 0..blocks.len() {
+        if blocks[block_idx].kind != BlockKind::Dataflow {
             continue;
         }
-        let bindings = func.blocks[block_idx].bindings.clone();
+        let bindings = &blocks[block_idx].bindings;
         let n = bindings.len();
         if n < 2 {
             continue;
         }
-        // Producer map: var id -> binding index.
+        // Producer map: var id -> binding index; users map: var id ->
+        // indices of the bindings that read it.
         let producer: HashMap<u64, usize> = bindings
             .iter()
             .enumerate()
             .map(|(i, b)| (b.var.id(), i))
             .collect();
+        let mut users: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut deps: Vec<Vec<Var>> = Vec::with_capacity(n);
+        for (i, b) in bindings.iter().enumerate() {
+            let mut vars = Vec::new();
+            b.value.collect_used_vars(&mut vars);
+            for v in &vars {
+                users.entry(v.id()).or_default().push(i);
+            }
+            deps.push(vars);
+        }
         let kinds: Vec<Option<PatternKind>> =
             bindings.iter().map(|b| kind_of(module, &b.value)).collect();
 
@@ -118,9 +131,7 @@ fn fuse_function(
         }
         for i in 0..n {
             let Some(ck) = kinds[i] else { continue };
-            let mut deps = Vec::new();
-            bindings[i].value.collect_used_vars(&mut deps);
-            for d in deps {
+            for d in &deps[i] {
                 let Some(&j) = producer.get(&d.id()) else {
                     continue;
                 };
@@ -141,22 +152,16 @@ fn fuse_function(
         // inside; plus the function return).
         let mut outside_uses: HashSet<u64> = HashSet::new();
         {
-            let collect = |e: &Expr, out: &mut HashSet<u64>| {
-                let mut vars = Vec::new();
-                e.collect_used_vars(&mut vars);
-                for v in vars {
-                    out.insert(v.id());
-                }
-            };
-            for (bi, block) in func.blocks.iter().enumerate() {
-                if bi == block_idx {
-                    continue;
-                }
-                for b in &block.bindings {
-                    collect(&b.value, &mut outside_uses);
+            let mut vars = Vec::new();
+            for (bi, block) in blocks.iter().enumerate() {
+                if bi != block_idx {
+                    for b in &block.bindings {
+                        b.value.collect_used_vars(&mut vars);
+                    }
                 }
             }
-            collect(&func.ret, &mut outside_uses);
+            ret.collect_used_vars(&mut vars);
+            outside_uses.extend(vars.iter().map(Var::id));
         }
 
         let mut remove: HashSet<usize> = HashSet::new();
@@ -168,32 +173,22 @@ fn fuse_function(
         for members in group_list {
             let member_set: HashSet<usize> = members.iter().copied().collect();
             // Outputs: member vars used by non-members or outside.
-            let mut outputs = Vec::new();
-            for &i in &members {
-                let vid = bindings[i].var.id();
-                let mut used_outside = outside_uses.contains(&vid);
-                for (j, other) in bindings.iter().enumerate() {
-                    if member_set.contains(&j) {
-                        continue;
-                    }
-                    let mut vars = Vec::new();
-                    other.value.collect_used_vars(&mut vars);
-                    if vars.iter().any(|v| v.id() == vid) {
-                        used_outside = true;
-                    }
-                }
-                if used_outside {
-                    outputs.push(i);
-                }
-            }
+            let outputs: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let vid = bindings[i].var.id();
+                    outside_uses.contains(&vid)
+                        || users
+                            .get(&vid)
+                            .is_some_and(|us| us.iter().any(|j| !member_set.contains(j)))
+                })
+                .collect();
             let last = *members.last().expect("non-empty group");
             if outputs != vec![last] {
                 continue; // only single-output groups materialize
             }
-            if let Some((fused_name, call)) =
-                materialize_group(module, fname, &bindings, &members, created)
-            {
-                let _ = fused_name;
+            if let Some(call) = materialize_group(module, bindings, &members, created) {
                 for &i in &members {
                     if i != last {
                         remove.insert(i);
@@ -206,6 +201,7 @@ fn fuse_function(
         if remove.is_empty() && replace.is_empty() {
             continue;
         }
+        let bindings = std::mem::take(&mut blocks[block_idx].bindings);
         let mut new_bindings = Vec::with_capacity(n);
         for (i, b) in bindings.into_iter().enumerate() {
             if remove.contains(&i) {
@@ -220,9 +216,8 @@ fn fuse_function(
                 new_bindings.push(b);
             }
         }
-        func.blocks[block_idx].bindings = new_bindings;
+        blocks[block_idx].bindings = new_bindings;
     }
-    func
 }
 
 fn should_fuse(
@@ -256,19 +251,15 @@ fn should_fuse(
     }
 }
 
-/// Builds the subgraph function for a fused group; returns the new function
-/// name and the call expression to substitute for the group's final
-/// binding.
+/// Builds the subgraph function for a fused group; returns the call
+/// expression to substitute for the group's final binding.
 fn materialize_group(
     module: &mut IRModule,
-    caller: &str,
     bindings: &[Binding],
     members: &[usize],
     created: &mut usize,
-) -> Option<(String, Expr)> {
-    let member_set: HashSet<usize> = members.iter().copied().collect();
+) -> Option<Expr> {
     let produced: HashSet<u64> = members.iter().map(|&i| bindings[i].var.id()).collect();
-    let _ = member_set;
 
     // External inputs in order of first use.
     let mut external: Vec<Var> = Vec::new();
@@ -324,11 +315,9 @@ fn materialize_group(
 
     let mut body = Vec::new();
     for &i in members {
-        let b = &bindings[i];
-        body.push(Binding {
-            var: b.var.clone(),
-            value: remap_expr(&b.value, &remap),
-        });
+        let mut b = bindings[i].clone();
+        replace_vars(&mut b.value, &remap);
+        body.push(b);
     }
     let last_var = bindings[*members.last()?].var.clone();
 
@@ -356,7 +345,6 @@ fn materialize_group(
     };
     module.add_function(name.clone(), fused);
     *created += 1;
-    let _ = caller;
 
     let mut args: Vec<Expr> = external.into_iter().map(Expr::Var).collect();
     if !extra.is_empty() {
@@ -364,52 +352,7 @@ fn materialize_group(
             extra.into_iter().map(PrimExpr::from).collect(),
         ));
     }
-    Some((name.clone(), Expr::CallGlobal { func: name, args }))
-}
-
-fn remap_expr(expr: &Expr, remap: &HashMap<u64, Var>) -> Expr {
-    match expr {
-        Expr::Var(v) => match remap.get(&v.id()) {
-            Some(p) => Expr::Var(p.clone()),
-            None => expr.clone(),
-        },
-        Expr::Constant(_) | Expr::ShapeValue(_) | Expr::PrimValue(_) => expr.clone(),
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| remap_expr(e, remap)).collect()),
-        Expr::TupleGetItem(e, i) => Expr::TupleGetItem(Box::new(remap_expr(e, remap)), *i),
-        Expr::CallOp { op, args, attrs } => Expr::CallOp {
-            op: *op,
-            args: args.iter().map(|e| remap_expr(e, remap)).collect(),
-            attrs: attrs.clone(),
-        },
-        Expr::CallGlobal { func, args } => Expr::CallGlobal {
-            func: func.clone(),
-            args: args.iter().map(|e| remap_expr(e, remap)).collect(),
-        },
-        Expr::CallTir {
-            func,
-            args,
-            out_sinfo,
-            sym_args,
-        } => Expr::CallTir {
-            func: func.clone(),
-            args: args.iter().map(|e| remap_expr(e, remap)).collect(),
-            out_sinfo: out_sinfo.clone(),
-            sym_args: sym_args.clone(),
-        },
-        Expr::CallDps {
-            func,
-            args,
-            out_sinfo,
-        } => Expr::CallDps {
-            func: func.clone(),
-            args: args.iter().map(|e| remap_expr(e, remap)).collect(),
-            out_sinfo: out_sinfo.clone(),
-        },
-        Expr::MatchCast { value, sinfo } => Expr::MatchCast {
-            value: Box::new(remap_expr(value, remap)),
-            sinfo: sinfo.clone(),
-        },
-    }
+    Some(Expr::CallGlobal { func: name, args })
 }
 
 /// `FuseTensorIR`: merges the tensor programs called inside each subgraph
@@ -426,57 +369,46 @@ pub fn fuse_tensor_ir(module: &mut IRModule) -> Result<usize, PassError> {
         .filter(|(_, f)| f.attrs.contains_key(PRIMITIVE_ATTR))
         .map(|(n, _)| n.clone())
         .collect();
-    let mut merged_count = 0;
+    // Merge every subgraph first, then rewrite all call sites in one walk.
+    let mut merged: HashMap<String, String> = HashMap::new();
     for gname in fused_names {
-        let Some(gfunc) = module.function(&gname).cloned() else {
+        let gfunc = module.function(&gname).expect("name just listed");
+        let Some(prim) = merge_subgraph(module, &gname, gfunc)? else {
             continue;
         };
-        let Some(merged) = merge_subgraph(module, &gname, &gfunc)? else {
-            continue;
-        };
-        let tir_name = module.add_tir_func(merged);
-        // Rewrite all call sites.
-        for fname in module.function_names() {
-            if fname == gname {
-                continue;
-            }
-            let Some(mut caller) = module.function(&fname).cloned() else {
+        let tir_name = module.add_tir_func(prim);
+        module.remove_function(&gname);
+        merged.insert(gname, tir_name);
+    }
+    if merged.is_empty() {
+        return Ok(0);
+    }
+    for fname in module.function_names() {
+        let caller = module.function_mut(&fname).expect("name just listed");
+        for binding in caller.blocks.iter_mut().flat_map(|b| &mut b.bindings) {
+            let Expr::CallGlobal { func, args } = &mut binding.value else {
                 continue;
             };
-            let mut changed = false;
-            for block in &mut caller.blocks {
-                for binding in &mut block.bindings {
-                    let Expr::CallGlobal { func, args } = &binding.value else {
-                        continue;
-                    };
-                    if func != &gname {
-                        continue;
-                    }
-                    let mut tensor_args = Vec::new();
-                    let mut sym_args = Vec::new();
-                    for a in args {
-                        match a {
-                            Expr::ShapeValue(dims) => sym_args.extend(dims.iter().cloned()),
-                            other => tensor_args.push(other.clone()),
-                        }
-                    }
-                    binding.value = Expr::CallTir {
-                        func: tir_name.clone(),
-                        args: tensor_args,
-                        out_sinfo: binding.var.struct_info().clone(),
-                        sym_args,
-                    };
-                    changed = true;
+            let Some(tir_name) = merged.get(func.as_str()) else {
+                continue;
+            };
+            let mut tensor_args = Vec::new();
+            let mut sym_args = Vec::new();
+            for a in std::mem::take(args) {
+                match a {
+                    Expr::ShapeValue(dims) => sym_args.extend(dims),
+                    other => tensor_args.push(other),
                 }
             }
-            if changed {
-                module.add_function(fname, caller);
-            }
+            binding.value = Expr::CallTir {
+                func: tir_name.clone(),
+                args: tensor_args,
+                out_sinfo: binding.var.struct_info().clone(),
+                sym_args,
+            };
         }
-        module.remove_function(&gname);
-        merged_count += 1;
     }
-    Ok(merged_count)
+    Ok(merged.len())
 }
 
 /// Builds the merged tensor program for one subgraph function, or `None`

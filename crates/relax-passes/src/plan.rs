@@ -11,15 +11,16 @@
 
 use std::collections::HashMap;
 
-use relax_arith::{Analyzer, IntBound, PrimExpr, Var as SymVar};
+use relax_arith::{Analyzer, DataType, IntBound, PrimExpr, Var as SymVar};
 use relax_vm::{Instr, Reg, VmFunction};
 
 /// One planned storage block.
 #[derive(Debug, Clone)]
 struct Storage {
     reg: Reg,
-    /// Symbolic byte size (or constant upper bound).
-    bytes: PrimExpr,
+    /// Index of its symbolic byte size (or constant upper bound) in the
+    /// plan's distinct sizes.
+    size: usize,
     free: bool,
 }
 
@@ -42,30 +43,42 @@ pub fn plan_memory(func: &VmFunction, bounds: &HashMap<SymVar, i64>) -> VmFuncti
     // Which storage backs each tensor register.
     let mut backing: HashMap<Reg, usize> = HashMap::new();
     let mut rewritten: Vec<Instr> = Vec::new();
+    // Sizes and proofs are memoized: a variable's bound is fixed once it
+    // is declared, so each `(shape, dtype)` is sized once and each pair
+    // of distinct sizes is compared once.
+    let mut sizes: Vec<PrimExpr> = Vec::new();
+    let mut size_of: HashMap<(&[PrimExpr], DataType), usize> = HashMap::new();
+    let mut proven: HashMap<(usize, usize), bool> = HashMap::new();
 
     for instr in &func.instrs {
         match instr {
             Instr::AllocTensor { dst, shape, dtype } => {
-                // Declare every symbolic variable non-negative for bound
-                // reasoning.
-                for d in shape {
-                    for v in relax_arith::free_vars(d) {
-                        if !bounds.contains_key(&v) {
-                            analyzer.bind_shape_var(v);
+                let need = *size_of.entry((shape, *dtype)).or_insert_with(|| {
+                    // Declare every symbolic variable non-negative for
+                    // bound reasoning.
+                    for d in shape {
+                        for v in relax_arith::free_vars(d) {
+                            if !bounds.contains_key(&v) {
+                                analyzer.bind_shape_var(v);
+                            }
                         }
                     }
-                }
-                let elem: PrimExpr = shape
-                    .iter()
-                    .cloned()
-                    .fold(PrimExpr::Int(1), |acc, d| acc * d);
-                let bytes_expr =
-                    analyzer.simplify(&(elem * PrimExpr::Int(dtype.size_bytes() as i64)));
-                // Prefer the static upper bound when it exists.
-                let planned_bytes = match analyzer.upper_bound(&bytes_expr) {
-                    Some(bound) => PrimExpr::Int(bound),
-                    None => bytes_expr.clone(),
-                };
+                    let elem: PrimExpr = shape
+                        .iter()
+                        .cloned()
+                        .fold(PrimExpr::Int(1), |acc, d| acc * d);
+                    let bytes_expr =
+                        analyzer.simplify(&(elem * PrimExpr::Int(dtype.size_bytes() as i64)));
+                    // Prefer the static upper bound when it exists.
+                    let planned = match analyzer.upper_bound(&bytes_expr) {
+                        Some(bound) => PrimExpr::Int(bound),
+                        None => bytes_expr,
+                    };
+                    sizes.iter().position(|s| *s == planned).unwrap_or_else(|| {
+                        sizes.push(planned);
+                        sizes.len() - 1
+                    })
+                });
                 // RequestReuseWithSymShape: a free storage with provably
                 // equal size (or, for static sizes, enough capacity).
                 // Among static candidates pick the *smallest* adequate
@@ -81,13 +94,16 @@ pub fn plan_memory(func: &VmFunction, bounds: &HashMap<SymVar, i64>) -> VmFuncti
                         if !s.free {
                             return None;
                         }
-                        match (s.bytes.as_int(), planned_bytes.as_int()) {
+                        match (sizes[s.size].as_int(), sizes[need].as_int()) {
                             (Some(have), Some(need)) if have >= need => {
                                 Some((i, (have - need) as u64))
                             }
                             (Some(_), Some(_)) => None,
-                            _ => analyzer
-                                .prove_equal(&s.bytes, &planned_bytes)
+                            _ => proven
+                                .entry((s.size, need))
+                                .or_insert_with(|| {
+                                    analyzer.prove_equal(&sizes[s.size], &sizes[need])
+                                })
                                 .then_some((i, 0)),
                         }
                     })
@@ -103,7 +119,7 @@ pub fn plan_memory(func: &VmFunction, bounds: &HashMap<SymVar, i64>) -> VmFuncti
                         next_reg += 1;
                         storages.push(Storage {
                             reg,
-                            bytes: planned_bytes,
+                            size: need,
                             free: false,
                         });
                         storages.len() - 1
@@ -146,29 +162,29 @@ pub fn plan_memory(func: &VmFunction, bounds: &HashMap<SymVar, i64>) -> VmFuncti
             _ => Vec::new(),
         })
         .collect();
-    let mut instrs = rewritten;
-    for s in storages.iter().rev() {
-        let first_use = instrs
-            .iter()
-            .position(
-                |i| matches!(i, Instr::TensorFromStorage { storage, .. } if *storage == s.reg),
-            )
-            .unwrap_or(instrs.len());
-        let evaluable_at_prologue = relax_arith::free_vars(&s.bytes)
+    // Place them in one output pass. Every storage backs the tensor whose
+    // allocation created it, so each has a first use.
+    let (at_prologue, at_use): (Vec<&Storage>, Vec<&Storage>) = storages.iter().partition(|s| {
+        relax_arith::free_vars(&sizes[s.size])
             .into_iter()
-            .all(|v| prologue_vars.contains(&v));
-        let pos = if evaluable_at_prologue {
-            prologue_end.min(first_use)
-        } else {
-            first_use
-        };
-        instrs.insert(
-            pos,
-            Instr::AllocStorage {
-                dst: s.reg,
-                bytes: s.bytes.clone(),
-            },
-        );
+            .all(|v| prologue_vars.contains(&v))
+    });
+    let mut at_use: HashMap<Reg, &Storage> = at_use.into_iter().map(|s| (s.reg, s)).collect();
+    let alloc = |s: &Storage| Instr::AllocStorage {
+        dst: s.reg,
+        bytes: sizes[s.size].clone(),
+    };
+    let mut instrs = Vec::with_capacity(rewritten.len() + storages.len());
+    for (pc, instr) in rewritten.into_iter().enumerate() {
+        if pc == prologue_end {
+            instrs.extend(at_prologue.iter().map(|s| alloc(s)));
+        }
+        if let Instr::TensorFromStorage { storage, .. } = &instr {
+            if let Some(s) = at_use.remove(storage) {
+                instrs.push(alloc(s));
+            }
+        }
+        instrs.push(instr);
     }
 
     VmFunction {

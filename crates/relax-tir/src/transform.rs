@@ -318,63 +318,58 @@ pub fn merge_calls(
         }
     }
 
-    let mut body = Stmt::seq(body_parts);
-    // Wrap intermediates in local allocations, innermost last-used first.
-    for buf in intermediates.into_iter().rev() {
-        let local = if buf.scope() == MemScope::Local {
-            buf.clone()
-        } else {
-            buf.rescoped(MemScope::Local)
-        };
-        let mut rewriter = Rewriter::default();
-        // Keep loop vars intact here: only redirect the buffer.
+    // Intermediates become locals, redirected in one walk and wrapped in
+    // allocations, innermost last-used first.
+    let locals: Vec<Buffer> = intermediates
+        .iter()
+        .rev()
+        .map(|buf| match buf.scope() {
+            MemScope::Local => buf.clone(),
+            _ => buf.rescoped(MemScope::Local),
+        })
+        .collect();
+    let mut rewriter = Rewriter::default();
+    for (buf, local) in intermediates.iter().rev().zip(&locals) {
         rewriter.buffer_map.insert(buf.id(), local.clone());
+    }
+    let mut body = redirect_buffers(&Stmt::seq(body_parts), &mut rewriter);
+    for local in locals {
         body = Stmt::Alloc {
-            buffer: local.clone(),
-            body: Box::new(redirect_buffer(&body, buf.id(), &local)),
+            buffer: local,
+            body: Box::new(body),
         };
     }
     Ok(PrimFunc::new(name, params, num_outputs, body))
 }
 
-/// Replaces references to buffer `old_id` with `new` without touching
-/// variables.
-fn redirect_buffer(stmt: &Stmt, old_id: u64, new: &Buffer) -> Stmt {
-    fn redirect_expr(e: &TirExpr, old_id: u64, new: &Buffer) -> TirExpr {
-        let mut rw = Rewriter::default();
-        rw.buffer_map.insert(old_id, new.clone());
-        // Rewriter freshens loop vars in statements only; expressions are
-        // safe to rewrite directly.
-        rw.rewrite_expr(e)
-    }
+/// Replaces references to the buffers in `rw.buffer_map` without touching
+/// variables (the rewriter freshens loop vars in statements only;
+/// expressions are safe to rewrite directly).
+fn redirect_buffers(stmt: &Stmt, rw: &mut Rewriter) -> Stmt {
     match stmt {
         Stmt::For { var, extent, body } => Stmt::For {
             var: var.clone(),
             extent: extent.clone(),
-            body: Box::new(redirect_buffer(body, old_id, new)),
+            body: Box::new(redirect_buffers(body, rw)),
         },
-        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| redirect_buffer(s, old_id, new)).collect()),
+        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| redirect_buffers(s, rw)).collect()),
         Stmt::Store {
             buffer,
             indices,
             value,
         } => Stmt::Store {
-            buffer: if buffer.id() == old_id {
-                new.clone()
-            } else {
-                buffer.clone()
-            },
+            buffer: rw.buffer_map.get(&buffer.id()).unwrap_or(buffer).clone(),
             indices: indices.clone(),
-            value: redirect_expr(value, old_id, new),
+            value: rw.rewrite_expr(value),
         },
         Stmt::IfEq { lhs, rhs, then } => Stmt::IfEq {
             lhs: lhs.clone(),
             rhs: rhs.clone(),
-            then: Box::new(redirect_buffer(then, old_id, new)),
+            then: Box::new(redirect_buffers(then, rw)),
         },
         Stmt::Alloc { buffer, body } => Stmt::Alloc {
             buffer: buffer.clone(),
-            body: Box::new(redirect_buffer(body, old_id, new)),
+            body: Box::new(redirect_buffers(body, rw)),
         },
         Stmt::Evaluate => Stmt::Evaluate,
     }
