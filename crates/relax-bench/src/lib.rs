@@ -198,4 +198,3 @@ mod tests {
 }
 
 pub mod figures;
-pub mod timing;

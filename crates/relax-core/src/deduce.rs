@@ -93,6 +93,8 @@ impl From<InferError> for DeduceError {
 /// # Ok::<(), relax_core::DeduceError>(())
 /// ```
 pub fn deduce(expr: &Expr, module: &IRModule) -> Result<StructInfo, DeduceError> {
+    #[cfg(test)]
+    tests::STEPS.with(|s| s.set(s.get() + 1));
     match expr {
         Expr::Var(v) => Ok(v.struct_info().clone()),
         Expr::Constant(arr) => Ok(StructInfo::tensor(
@@ -224,7 +226,38 @@ pub fn shape_of(sinfo: &StructInfo) -> Option<ShapeDesc> {
 mod tests {
     use super::*;
     use crate::expr::{Function, OpAttrs, Var};
+    use crate::op::Op;
     use relax_arith::{DataType, Var as SV};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`deduce`] made on this thread.
+        pub(super) static STEPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// §4.1: forward deduction takes time linear in the number of
+    /// operations. Each binding is deduced from its inputs' annotations
+    /// alone, never by re-walking their producers, so the steps of an
+    /// `n`-op chain grow exactly with `n`.
+    #[test]
+    fn deduction_steps_grow_linearly_with_the_chain() {
+        let steps = |ops: usize| {
+            let mut bb = crate::BlockBuilder::new();
+            let x = StructInfo::tensor(vec![SV::new("n").into(), 64.into()], DataType::F32);
+            let p = bb.begin_function("main", vec![("x".into(), x)]);
+            bb.begin_dataflow();
+            let before = STEPS.with(Cell::get);
+            let mut cur = p[0].clone();
+            for i in 0..ops {
+                let op = [Op::Relu, Op::Exp, Op::Silu][i % 3];
+                cur = bb.emit(Expr::op_call(op, vec![cur.into()])).unwrap();
+            }
+            STEPS.with(Cell::get) - before
+        };
+        let counts = [steps(64), steps(256), steps(1024)];
+        assert!(counts[0] > 0);
+        assert_eq!(counts, [counts[0], 4 * counts[0], 16 * counts[0]]);
+    }
 
     /// Builds `subfn(s: Shape([n, m])) -> Tensor((n * m,), "f32")` from
     /// Figure 7 of the paper.
