@@ -13,8 +13,9 @@
 //!   (`use-after-kill`);
 //! - **arity**: `CallTir` argument counts match the tensor program's
 //!   parameter list, `CallLib`/`CallBuiltin` counts match the registry's
-//!   declared signatures, `CallFunc` counts match the callee
-//!   (`arity-mismatch`), and every callee exists (`unknown-callee`);
+//!   declared signatures, `CallFunc` counts match the callee, and a
+//!   `GetItem` index is in range of the `MakeTuple` that last wrote its
+//!   source (`arity-mismatch`); every callee exists (`unknown-callee`);
 //! - **live storage**: `TensorFromStorage` reads a register that currently
 //!   holds storage produced by `AllocStorage` and not yet killed
 //!   (`dead-storage`);
@@ -28,7 +29,7 @@
 //! inline in execution order against the same state — so a verdict of
 //! "valid" means the VM cannot hit one of these faults on any input.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use relax_arith::{free_vars, PrimExpr, Var as SymVar};
@@ -115,6 +116,9 @@ struct FuncChecker<'a> {
     exec: &'a Executable,
     registry: &'a Registry,
     regs: Vec<RegState>,
+    /// Arity of the tuple each register holds, while a `MakeTuple` is its
+    /// last writer.
+    tuples: HashMap<Reg, usize>,
     bound: HashSet<SymVar>,
     violations: &'a mut Vec<Violation>,
 }
@@ -145,6 +149,7 @@ fn verify_function(
         exec,
         registry,
         regs,
+        tuples: HashMap::new(),
         bound: HashSet::new(),
         violations,
     };
@@ -196,6 +201,7 @@ impl FuncChecker<'_> {
 
     /// Checks a register write; records the new abstract state.
     fn def_reg(&mut self, pc: usize, reg: Reg, state: RegState) {
+        self.tuples.remove(&reg);
         match self.regs.get_mut(reg) {
             Some(slot) => *slot = state,
             None => self.report(
@@ -418,9 +424,17 @@ impl FuncChecker<'_> {
                         self.use_reg(pc, *r, "tuple field");
                     }
                     self.def_reg(pc, *dst, RegState::Live);
+                    self.tuples.insert(*dst, items.len());
                 }
-                Instr::GetItem { dst, src, .. } => {
+                Instr::GetItem { dst, src, index } => {
                     self.use_reg(pc, *src, "tuple");
+                    if let Some(&arity) = self.tuples.get(src).filter(|&&n| *index >= n) {
+                        self.report(
+                            pc,
+                            "arity-mismatch",
+                            format!("item {index} of %{src}, a tuple of {arity}"),
+                        );
+                    }
                     self.def_reg(pc, *dst, RegState::Live);
                 }
                 Instr::MakeShape { dst, dims } => {

@@ -775,7 +775,7 @@ impl Vm {
             }
             Instr::GetItem { dst, src, index } => {
                 let items = match frame.get(*src)? {
-                    Value::Tuple(items) => items.clone(),
+                    Value::Tuple(items) => items,
                     other => {
                         return Err(VmErrorKind::TypeMismatch {
                             expected: "tuple",

@@ -637,6 +637,38 @@ fn an_out_of_range_tuple_index_fails_typed() {
     assert_eq!(err.origin().unwrap().pc, 1);
 }
 
+#[test]
+fn verify_reports_a_tuple_index_out_of_range_of_its_make_tuple() {
+    let exec = |index: usize| {
+        let mut exec = Executable::new();
+        let instrs = vec![
+            Instr::MakeTuple {
+                dst: 1,
+                items: vec![0, 0],
+            },
+            Instr::GetItem {
+                dst: 2,
+                src: 1,
+                index,
+            },
+            Instr::Ret { src: 2 },
+        ];
+        let func = VmFunction {
+            name: "main".into(),
+            num_params: 1,
+            num_regs: 3,
+            instrs,
+        };
+        exec.funcs.insert("main".into(), func);
+        exec
+    };
+    assert!(verify(&exec(1), &Registry::new()).is_ok());
+    let err = verify(&exec(2), &Registry::new()).unwrap_err();
+    assert_eq!(err.violations.len(), 1, "{err}");
+    assert_eq!(err.violations[0].rule, "arity-mismatch");
+    assert_eq!(err.violations[0].pc, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Systematic recovery: every fault site, same VM, clean state each time.
 // ---------------------------------------------------------------------------
