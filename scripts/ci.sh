@@ -24,6 +24,11 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
 done
 [ "$missing" -eq 0 ]
 
+echo "==> cargo fmt --all --check"
+# The workspace only; benchmark/ is its own workspace with its own
+# rustfmt.toml.
+cargo fmt --all --check
+
 echo "==> cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -95,7 +100,9 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # through plans vs the interpreter, with only the embedding gathers left
 # on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
 # matmul's fastest run against the host roofline floor (kernel_roofline);
-# plus the pipeline ablation: 16 configs, each against the interpreter.
+# plus the pipeline ablation: 16 configs, each against the interpreter,
+# and the 13 model builders under the 16 configs, each executable against
+# its committed digest (tests/golden/compile_digests.txt).
 # Release matters: rows are vectorized there. The plan.rs unit tests run
 # here too (the launch contract's refusals, macro-op and fused-row plans).
 cargo test -p relax-tir --release -q --lib plan::
