@@ -25,6 +25,14 @@
 //! [`compile_with_report`] additionally returns per-pass timings in a
 //! [`CompileReport`]. The classic cleanups exploit the purity guarantee
 //! of dataflow blocks and repeat until none of them changes the module.
+//!
+//! A compile runs about twenty passes, so each one stays linear in the
+//! size of the IR (§4.1): a pass walks each function once and rewrites it
+//! in place through [`relax_core::IRModule::function_mut`], instead of
+//! cloning it or rescanning a block per candidate. Facts a pass derives
+//! more than once are memoized (memory planning sizes each shape once
+//! and proves each pair of sizes once), and analysis feedback classifies
+//! each tensor program once.
 
 #![forbid(unsafe_code)]
 
