@@ -18,27 +18,24 @@ pub fn dead_code_elimination(module: &mut IRModule) -> usize {
         // One backward walk: every use of a binding comes after it, so
         // when the walk reaches a binding, `used` already holds everything
         // the return value and the kept bindings read — including inputs
-        // orphaned by a removal further down.
-        let mut used: HashSet<u64> = HashSet::new();
+        // orphaned by a removal further down — and nothing the walk adds
+        // later can name it.
         let mut vars = Vec::new();
         func.ret.collect_used_vars(&mut vars);
+        let mut used: HashSet<u64> = vars.drain(..).map(|v| v.id()).collect();
         for block in func.blocks.iter_mut().rev() {
             let dataflow = block.kind == BlockKind::Dataflow;
-            let mut keep = Vec::with_capacity(block.bindings.len());
             for b in block.bindings.iter().rev() {
-                used.extend(vars.drain(..).map(|v| v.id()));
-                let live = !dataflow || used.contains(&b.var.id());
-                if live {
+                if !dataflow || used.contains(&b.var.id()) {
                     b.value.collect_used_vars(&mut vars);
+                    used.extend(vars.drain(..).map(|v| v.id()));
                 }
-                keep.push(live);
             }
-            let before = block.bindings.len();
-            let mut keep = keep.into_iter().rev();
-            block
-                .bindings
-                .retain(|_| keep.next().expect("one flag per binding"));
-            removed += before - block.bindings.len();
+            if dataflow {
+                let before = block.bindings.len();
+                block.bindings.retain(|b| used.contains(&b.var.id()));
+                removed += before - block.bindings.len();
+            }
         }
     }
     removed
