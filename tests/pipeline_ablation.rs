@@ -7,9 +7,11 @@
 //! plan cache) on the same executable, bitwise.
 //!
 //! Every public model builder is also compiled under all sixteen
-//! configurations, and each executable must hash to the digest committed
-//! in `tests/golden/compile_digests.txt`; a debug build re-checks the
-//! module's well-formedness after every module pass.
+//! configurations, and each executable must hash to the digests committed
+//! in `tests/golden/compile_digests.txt` (the whole printed executable)
+//! and `tests/golden/compile_digests_name_free.txt` (the VM functions with
+//! every kernel name replaced by the kernel's canonical print); a debug
+//! build re-checks the module's well-formedness after every module pass.
 
 use std::collections::HashMap;
 
@@ -25,7 +27,7 @@ use relax_models::whisper::{
 use relax_models::MoeConfig;
 use relax_passes::{compile, CompileOptions};
 use relax_tir::NDArray;
-use relax_vm::{Executable, Value, Vm};
+use relax_vm::{Executable, Instr, Value, Vm};
 
 /// x @ w1 -> +b1 -> relu -> @ w2 -> rms_norm, on symbolic batch — the
 /// same MLP the pipeline unit tests use.
@@ -230,6 +232,73 @@ fn printed(exec: &Executable) -> String {
     text
 }
 
+/// The printed executable with every kernel name replaced by its
+/// canonical print (see [`canonical_kernel`]) and the kernel table left
+/// out: two executables that launch the same computations in the same
+/// order print the same, whatever their kernels are called and however
+/// many copies of a kernel they carry.
+fn printed_name_free(exec: &Executable) -> String {
+    fn rename(instrs: &mut [Instr], exec: &Executable) {
+        for instr in instrs {
+            match instr {
+                Instr::CallTir { func, .. } => {
+                    *func = exec
+                        .tir_funcs
+                        .get(func.as_str())
+                        .map_or_else(|| format!("<unknown {func}>"), canonical_kernel);
+                }
+                Instr::CaptureRegion { body, .. } => rename(body, exec),
+                _ => {}
+            }
+        }
+    }
+    let mut text = String::new();
+    for f in exec.funcs.values() {
+        let mut f = f.clone();
+        rename(&mut f.instrs, exec);
+        text.push_str(&f.to_string());
+    }
+    for c in &exec.constants {
+        text.push_str(&format!("const {:?}\n", c.shape()));
+    }
+    text
+}
+
+/// A kernel's print under a fixed function name, with every buffer renamed
+/// `$<i>` by the order it first appears in: fused kernels name their
+/// buffers after the graph variables they replaced (`lv61`, `l0.wo`),
+/// which differ from one call site to the next. A buffer name is a word
+/// the printer follows with `[` (a load or store), `: Buffer(` (a
+/// parameter) or ` = alloc_buffer(` (an allocation); loop and shape
+/// variables never are.
+fn canonical_kernel(func: &relax_tir::PrimFunc) -> String {
+    let text = func.renamed("kernel").to_string();
+    let mut names: HashMap<String, usize> = HashMap::new();
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text.as_str();
+    let word_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.';
+    while let Some(start) = rest.find(word_char) {
+        out.push_str(&rest[..start]);
+        rest = &rest[start..];
+        let end = rest.find(|c| !word_char(c)).unwrap_or(rest.len());
+        let (word, after) = rest.split_at(end);
+        let is_buffer = !word.starts_with(|c: char| c.is_ascii_digit())
+            && (after.starts_with('[')
+                || after.starts_with(": Buffer(")
+                || after.starts_with(" = alloc_buffer("));
+        if is_buffer {
+            let next = names.len();
+            let i = *names.entry(word.to_string()).or_insert(next);
+            out.push_str(&format!("${i}"));
+        } else {
+            out.push_str(word);
+        }
+        rest = after;
+    }
+    out.push_str(rest);
+    out
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -237,31 +306,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Compiles every builder under every configuration and compares each
-/// executable with its committed digest: a compiler change that claims
-/// the same output must leave every digest in place. `RELAX_BLESS=1`
-/// rewrites the file after an intentional output change.
-#[test]
-fn every_model_builder_compiles_under_every_configuration() {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compile_digests.txt");
-    let mut lines = Vec::new();
-    let mut first_mismatch = None;
+/// Compares one digest per executable with the lines of a committed
+/// file, or rewrites the file under `RELAX_BLESS=1`.
+fn check_digests(file: &str, execs: &[(String, Executable)], print: fn(&Executable) -> String) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     let committed = std::fs::read_to_string(&path).unwrap_or_default();
     let mut committed = committed.lines();
-    for (name, module) in model_modules() {
-        for (mask, opts) in all_configs() {
-            let exec = compile(module.clone(), &opts)
-                .unwrap_or_else(|e| panic!("{name}, config {mask:04b}: {e}"));
-            let text = printed(&exec);
-            let line = format!("{name}\t{mask:04b}\t{:016x}", fnv1a(text.as_bytes()));
-            if committed.next() != Some(line.as_str()) && first_mismatch.is_none() {
-                first_mismatch = Some((line.clone(), text));
-            }
-            lines.push(line);
+    let mut lines = Vec::new();
+    let mut first_mismatch = None;
+    for (label, exec) in execs {
+        let text = print(exec);
+        let line = format!("{label}\t{:016x}", fnv1a(text.as_bytes()));
+        if committed.next() != Some(line.as_str()) && first_mismatch.is_none() {
+            first_mismatch = Some((line.clone(), text));
         }
+        lines.push(line);
     }
-    assert_eq!(lines.len(), 13 * 16);
     if std::env::var("RELAX_BLESS").as_deref() == Ok("1") {
         std::fs::write(&path, lines.join("\n") + "\n").expect("write the digests");
         return;
@@ -272,4 +334,25 @@ fn every_model_builder_compiles_under_every_configuration() {
              If the output change is intended, regenerate with RELAX_BLESS=1"
         );
     }
+}
+
+/// Compiles every builder under every configuration and compares each
+/// executable with its committed digests: a compiler change that claims
+/// the same output must leave every line of `compile_digests.txt` in
+/// place, and one that claims to launch the same computations under other
+/// kernel names every line of `compile_digests_name_free.txt`.
+/// `RELAX_BLESS=1` rewrites both files after an intentional output change.
+#[test]
+fn every_model_builder_compiles_under_every_configuration() {
+    let mut execs = Vec::new();
+    for (name, module) in model_modules() {
+        for (mask, opts) in all_configs() {
+            let exec = compile(module.clone(), &opts)
+                .unwrap_or_else(|e| panic!("{name}, config {mask:04b}: {e}"));
+            execs.push((format!("{name}\t{mask:04b}"), exec));
+        }
+    }
+    assert_eq!(execs.len(), 13 * 16);
+    check_digests("compile_digests.txt", &execs, printed);
+    check_digests("compile_digests_name_free.txt", &execs, printed_name_free);
 }
