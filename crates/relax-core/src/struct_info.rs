@@ -13,7 +13,7 @@ use relax_arith::{free_vars, substitute, DataType, PrimExpr, SubstMap, Var};
 
 /// Compile-time knowledge about a shape: fully symbolic dimensions, a known
 /// rank with unknown dimensions, or nothing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ShapeDesc {
     /// All dimensions known as symbolic expressions, e.g. `(n, 4)`.
     Known(Vec<PrimExpr>),
@@ -63,7 +63,7 @@ impl ShapeDesc {
 /// let s = StructInfo::shape_ndim(2);
 /// assert_eq!(s.to_string(), "Shape(ndim=2)");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StructInfo {
     /// Any runtime value.
     Object,

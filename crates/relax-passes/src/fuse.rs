@@ -358,7 +358,10 @@ fn materialize_group(
 /// `FuseTensorIR`: merges the tensor programs called inside each subgraph
 /// function into one, and rewrites call sites from subgraph calls back to
 /// `call_tir` of the merged program (the yellow step of Figure 9). Returns
-/// the number of merged tensor programs.
+/// the number of subgraphs merged.
+///
+/// One kernel per distinct computation: subgraphs with the same
+/// [`SubgraphKey`] share the kernel merged for the first of them.
 ///
 /// # Errors
 ///
@@ -370,13 +373,24 @@ pub fn fuse_tensor_ir(module: &mut IRModule) -> Result<usize, PassError> {
         .map(|(n, _)| n.clone())
         .collect();
     // Merge every subgraph first, then rewrite all call sites in one walk.
+    let mut kernels: HashMap<SubgraphKey, String> = HashMap::new();
     let mut merged: HashMap<String, String> = HashMap::new();
     for gname in fused_names {
         let gfunc = module.function(&gname).expect("name just listed");
-        let Some(prim) = merge_subgraph(module, &gname, gfunc)? else {
+        let Some(key) = subgraph_key(gfunc) else {
             continue;
         };
-        let tir_name = module.add_tir_func(prim);
+        let tir_name = match kernels.get(&key) {
+            Some(name) => name.clone(),
+            None => {
+                let Some(prim) = merge_subgraph(module, &gname, gfunc)? else {
+                    continue;
+                };
+                let name = module.add_tir_func(prim);
+                kernels.insert(key, name.clone());
+                name
+            }
+        };
         module.remove_function(&gname);
         merged.insert(gname, tir_name);
     }
@@ -409,6 +423,56 @@ pub fn fuse_tensor_ir(module: &mut IRModule) -> Result<usize, PassError> {
         }
     }
     Ok(merged.len())
+}
+
+/// What [`merge_subgraph`] reads of a subgraph, without its names: the
+/// parameter annotations, then per binding the callee, the positions of
+/// its arguments and its output annotation, then the position of the
+/// returned value. A position indexes the parameters followed by the
+/// bindings.
+#[derive(PartialEq, Eq, Hash)]
+struct SubgraphKey {
+    params: Vec<StructInfo>,
+    calls: Vec<(String, Vec<usize>, StructInfo)>,
+    ret: usize,
+}
+
+/// The key of a subgraph made only of `call_tir`s of variables, or `None`
+/// (which [`merge_subgraph`] would refuse too).
+fn subgraph_key(gfunc: &Function) -> Option<SubgraphKey> {
+    let mut position: HashMap<u64, usize> = gfunc
+        .params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.id(), i))
+        .collect();
+    let mut calls = Vec::new();
+    for b in gfunc.bindings() {
+        let Expr::CallTir {
+            func,
+            args,
+            out_sinfo,
+            ..
+        } = &b.value
+        else {
+            return None;
+        };
+        let args = args
+            .iter()
+            .map(|a| position.get(&a.as_var()?.id()).copied())
+            .collect::<Option<Vec<usize>>>()?;
+        position.insert(b.var.id(), position.len());
+        calls.push((func.clone(), args, out_sinfo.clone()));
+    }
+    Some(SubgraphKey {
+        params: gfunc
+            .params
+            .iter()
+            .map(|p| p.struct_info().clone())
+            .collect(),
+        calls,
+        ret: *position.get(&gfunc.ret.as_var()?.id())?,
+    })
 }
 
 /// Builds the merged tensor program for one subgraph function, or `None`
@@ -631,5 +695,91 @@ mod tests {
         let groups = fuse_ops(&mut m);
         assert_eq!(groups, 0);
         assert_eq!(m.function("main").unwrap().bindings().count(), 3);
+    }
+
+    /// Two matmul + add groups over `x`/`w` and `y`/`w` (`x` and `y` of one
+    /// annotation), returned as a tuple so each stays its own group. The
+    /// second group adds its matmul output on the left when `swap` is
+    /// false, on the right when it is true.
+    fn two_epilogue_groups(swap: bool) -> IRModule {
+        let mut bb = BlockBuilder::new();
+        let n = SV::new("n");
+        let xs = StructInfo::tensor(vec![n.into(), 4.into()], DataType::F32);
+        let p = bb.begin_function(
+            "main",
+            vec![
+                ("x".into(), xs.clone()),
+                ("y".into(), xs),
+                (
+                    "w".into(),
+                    StructInfo::tensor(vec![4.into(), 4.into()], DataType::F32),
+                ),
+            ],
+        );
+        bb.begin_dataflow();
+        let m1 = bb
+            .emit_op(Op::Matmul, &[p[0].clone(), p[2].clone()])
+            .unwrap();
+        let o1 = bb.emit_op(Op::Add, &[m1, p[0].clone()]).unwrap();
+        let m2 = bb
+            .emit_op(Op::Matmul, &[p[1].clone(), p[2].clone()])
+            .unwrap();
+        let o2 = if swap {
+            bb.emit_op(Op::Add, &[p[1].clone(), m2]).unwrap()
+        } else {
+            bb.emit_op(Op::Add, &[m2, p[1].clone()]).unwrap()
+        };
+        let out = bb
+            .emit_output(Expr::Tuple(vec![o1.into(), o2.into()]))
+            .unwrap();
+        bb.end_dataflow();
+        bb.finish_function(out.into(), None).unwrap();
+        let mut m = bb.finish();
+        legalize_module(&mut m).unwrap();
+        annotate_compute_patterns(&mut m);
+        assert_eq!(fuse_ops(&mut m), 2);
+        assert_eq!(fuse_tensor_ir(&mut m).unwrap(), 2);
+        assert!(assert_well_formed(&m).is_ok());
+        m
+    }
+
+    /// The merged kernels `main` calls, in call order.
+    fn merged_callees(m: &IRModule) -> Vec<String> {
+        m.function("main")
+            .unwrap()
+            .bindings()
+            .filter_map(|b| match &b.value {
+                Expr::CallTir { func, .. } => Some(func.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn identical_groups_share_one_merged_kernel() {
+        let m = two_epilogue_groups(false);
+        let callees = merged_callees(&m);
+        assert_eq!(callees.len(), 2);
+        assert_eq!(callees[0], callees[1]);
+        // Run the shared kernel for each site: x @ w + x and y @ w + y.
+        let prim = m.tir_func(&callees[0]).unwrap();
+        let w =
+            NDArray::from_f64(&[4, 4], DataType::F32, (0..16).map(f64::from).collect()).unwrap();
+        for x in [vec![1.0; 4], vec![0.5, -1.0, 2.0, 0.0]] {
+            let xs = NDArray::from_f64(&[1, 4], DataType::F32, x.clone()).unwrap();
+            let out = NDArray::zeros(&[1, 4], DataType::F32);
+            interp::run(prim, &[xs, w.clone(), out.clone()]).unwrap();
+            let want: Vec<f64> = (0..4)
+                .map(|j| (0..4).map(|k| x[k] * (k * 4 + j) as f64).sum::<f64>() + x[j])
+                .collect();
+            assert_eq!(out.to_f64_vec(), want);
+        }
+    }
+
+    #[test]
+    fn differently_wired_groups_get_two_merged_kernels() {
+        let callees = merged_callees(&two_epilogue_groups(true));
+        assert_eq!(callees.len(), 2);
+        assert_ne!(callees[0], callees[1]);
     }
 }

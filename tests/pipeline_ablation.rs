@@ -13,7 +13,7 @@
 //! every kernel name replaced by the kernel's canonical print); a debug
 //! build re-checks the module's well-formedness after every module pass.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use relax_core::{BlockBuilder, DataType, Expr, IRModule, Op, StructInfo};
 use relax_models::llama::{
@@ -336,14 +336,9 @@ fn check_digests(file: &str, execs: &[(String, Executable)], print: fn(&Executab
     }
 }
 
-/// Compiles every builder under every configuration and compares each
-/// executable with its committed digests: a compiler change that claims
-/// the same output must leave every line of `compile_digests.txt` in
-/// place, and one that claims to launch the same computations under other
-/// kernel names every line of `compile_digests_name_free.txt`.
-/// `RELAX_BLESS=1` rewrites both files after an intentional output change.
-#[test]
-fn every_model_builder_compiles_under_every_configuration() {
+/// Every public model builder compiled under every configuration,
+/// labelled `<builder>\t<mask>`.
+fn every_executable() -> Vec<(String, Executable)> {
     let mut execs = Vec::new();
     for (name, module) in model_modules() {
         for (mask, opts) in all_configs() {
@@ -353,6 +348,43 @@ fn every_model_builder_compiles_under_every_configuration() {
         }
     }
     assert_eq!(execs.len(), 13 * 16);
+    execs
+}
+
+/// Compiles every builder under every configuration and compares each
+/// executable with its committed digests: a compiler change that claims
+/// the same output must leave every line of `compile_digests.txt` in
+/// place, and one that claims to launch the same computations under other
+/// kernel names every line of `compile_digests_name_free.txt`.
+/// `RELAX_BLESS=1` rewrites both files after an intentional output change.
+#[test]
+fn every_model_builder_compiles_under_every_configuration() {
+    let execs = every_executable();
     check_digests("compile_digests.txt", &execs, printed);
     check_digests("compile_digests_name_free.txt", &execs, printed_name_free);
+}
+
+/// An executable carries the kernels its VM functions launch and no
+/// others.
+#[test]
+fn every_kernel_of_every_model_executable_is_called() {
+    fn called<'a>(instrs: &'a [Instr], out: &mut BTreeSet<&'a str>) {
+        for instr in instrs {
+            match instr {
+                Instr::CallTir { func, .. } => {
+                    out.insert(func);
+                }
+                Instr::CaptureRegion { body, .. } => called(body, out),
+                _ => {}
+            }
+        }
+    }
+    for (label, exec) in every_executable() {
+        let mut launched = BTreeSet::new();
+        for f in exec.funcs.values() {
+            called(&f.instrs, &mut launched);
+        }
+        let carried: BTreeSet<&str> = exec.tir_funcs.keys().map(String::as_str).collect();
+        assert_eq!(carried, launched, "{label}: kernels carried vs launched");
+    }
 }
