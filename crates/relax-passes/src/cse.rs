@@ -4,94 +4,63 @@
 //! dataflow blocks (§3.1): two bindings computing structurally identical
 //! pure expressions can share one computation without changing behaviour.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use relax_core::{Expr, IRModule, Var};
 
-/// A structural key for pure expressions; variables are keyed by identity.
-fn expr_key(expr: &Expr) -> Option<String> {
-    use std::fmt::Write;
-    fn go(expr: &Expr, out: &mut String) -> Option<()> {
-        match expr {
-            Expr::Var(v) => write!(out, "v{}", v.id()).ok(),
-            // Constants are interned by value elsewhere; treat each constant
-            // occurrence as unique (cheap to load, rarely worth sharing).
-            Expr::Constant(_) => None,
-            Expr::ShapeValue(dims) => {
-                out.push_str("shape(");
-                for d in dims {
-                    write!(out, "{d},").ok()?;
-                }
-                out.push(')');
-                Some(())
-            }
-            Expr::PrimValue(e) => write!(out, "prim({e})").ok(),
-            Expr::Tuple(items) => {
-                out.push_str("tup(");
-                for i in items {
-                    go(i, out)?;
-                    out.push(',');
-                }
-                out.push(')');
-                Some(())
-            }
-            Expr::TupleGetItem(e, i) => {
-                out.push_str("get(");
-                go(e, out)?;
-                write!(out, ",{i})").ok()
-            }
-            Expr::CallOp { op, args, attrs } => {
-                write!(out, "op({}", op.name()).ok()?;
-                for (k, v) in attrs {
-                    write!(out, ",{k}={v}").ok()?;
-                }
-                out.push(';');
-                for a in args {
-                    go(a, out)?;
-                    out.push(',');
-                }
-                out.push(')');
-                Some(())
-            }
-            Expr::CallTir {
-                func,
-                args,
-                sym_args,
-                out_sinfo,
-            } => {
-                write!(out, "tir({func}:{out_sinfo};").ok()?;
-                for a in args {
-                    go(a, out)?;
-                    out.push(',');
-                }
-                for s in sym_args {
-                    write!(out, "|{s}").ok()?;
-                }
-                out.push(')');
-                Some(())
-            }
-            Expr::CallDps {
-                func,
-                args,
-                out_sinfo,
-            } => {
-                write!(out, "dps({func}:{out_sinfo};").ok()?;
-                for a in args {
-                    go(a, out)?;
-                    out.push(',');
-                }
-                out.push(')');
-                Some(())
-            }
-            // Subgraph calls are pure in Relax, but keep CSE local and
-            // conservative: skip them and match_cast (which binds fresh
-            // symbolic variables).
-            Expr::CallGlobal { .. } | Expr::MatchCast { .. } => None,
+/// Feeds the structure of a pure expression to `h`, variables by
+/// identity, or returns `None` for an expression CSE does not share.
+/// Expressions that hash alike are compared with `==` before sharing.
+fn hash_pure(expr: &Expr, h: &mut impl Hasher) -> Option<()> {
+    std::mem::discriminant(expr).hash(h);
+    let hash_all = |args: &[Expr], h: &mut _| {
+        args.len().hash(h);
+        args.iter().try_for_each(|a| hash_pure(a, h))
+    };
+    match expr {
+        Expr::Var(v) => v.id().hash(h),
+        // Constants are interned by value elsewhere; treat each constant
+        // occurrence as unique (cheap to load, rarely worth sharing).
+        // Subgraph calls are pure in Relax, but keep CSE local and
+        // conservative: skip them and match_cast (which binds fresh
+        // symbolic variables).
+        Expr::Constant(_) | Expr::CallGlobal { .. } | Expr::MatchCast { .. } => return None,
+        Expr::ShapeValue(dims) => dims.hash(h),
+        Expr::PrimValue(e) => e.hash(h),
+        Expr::Tuple(items) => hash_all(items, h)?,
+        Expr::TupleGetItem(e, i) => {
+            hash_pure(e, h)?;
+            i.hash(h);
+        }
+        Expr::CallOp { op, args, attrs } => {
+            op.hash(h);
+            attrs.hash(h);
+            hash_all(args, h)?;
+        }
+        Expr::CallTir {
+            func,
+            args,
+            sym_args,
+            out_sinfo,
+        } => {
+            func.hash(h);
+            out_sinfo.hash(h);
+            sym_args.hash(h);
+            hash_all(args, h)?;
+        }
+        Expr::CallDps {
+            func,
+            args,
+            out_sinfo,
+        } => {
+            func.hash(h);
+            out_sinfo.hash(h);
+            hash_all(args, h)?;
         }
     }
-    let mut s = String::new();
-    go(expr, &mut s)?;
-    Some(s)
+    Some(())
 }
 
 /// Replaces, in place, every use of a variable that `map` names.
@@ -127,26 +96,31 @@ pub fn common_subexpr_elimination(module: &mut IRModule) -> usize {
             if block.kind != relax_core::BlockKind::Dataflow {
                 continue;
             }
-            let mut seen: HashMap<String, Var> = HashMap::new();
+            // Structural hash -> the bindings computing an expression of
+            // that hash.
+            let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
             let mut alias: HashMap<u64, Var> = HashMap::new();
-            for binding in &mut block.bindings {
+            for i in 0..block.bindings.len() {
                 if !alias.is_empty() {
-                    replace_vars(&mut binding.value, &alias);
+                    replace_vars(&mut block.bindings[i].value, &alias);
                 }
-                if let Some(key) = expr_key(&binding.value) {
-                    match seen.get(&key) {
-                        Some(prev) => {
-                            // Later uses of this binding go to the earlier
-                            // variable; keep the binding as an alias so
-                            // outputs stay valid (DCE removes it if dead).
-                            alias.insert(binding.var.id(), prev.clone());
-                            binding.value = Expr::Var(prev.clone());
-                            rewritten += 1;
-                        }
-                        None => {
-                            seen.insert(key, binding.var.clone());
-                        }
+                let mut h = DefaultHasher::new();
+                if hash_pure(&block.bindings[i].value, &mut h).is_none() {
+                    continue;
+                }
+                let same = seen.entry(h.finish()).or_default();
+                let value = &block.bindings[i].value;
+                match same.iter().find(|&&j| block.bindings[j].value == *value) {
+                    Some(&j) => {
+                        // Later uses of this binding go to the earlier
+                        // variable; keep the binding as an alias so
+                        // outputs stay valid (DCE removes it if dead).
+                        let prev = block.bindings[j].var.clone();
+                        alias.insert(block.bindings[i].var.id(), prev.clone());
+                        block.bindings[i].value = Expr::Var(prev);
+                        rewritten += 1;
                     }
+                    None => same.push(i),
                 }
             }
         }
