@@ -109,6 +109,63 @@ impl TirExpr {
         TirExpr::Load(buffer.clone(), indices)
     }
 
+    /// Rebuilds an operator node from `f` of each operand. Leaves
+    /// (immediates, indices, loads and index comparisons) come back as
+    /// clones; a data-dependent load maps its index values.
+    pub(crate) fn map_operands(&self, f: &mut impl FnMut(&TirExpr) -> TirExpr) -> TirExpr {
+        let mut two = |a: &TirExpr, b: &TirExpr| (Box::new(f(a)), Box::new(f(b)));
+        match self {
+            TirExpr::Add(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Add(a, b)
+            }
+            TirExpr::Sub(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Sub(a, b)
+            }
+            TirExpr::Mul(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Mul(a, b)
+            }
+            TirExpr::Div(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Div(a, b)
+            }
+            TirExpr::Max(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Max(a, b)
+            }
+            TirExpr::Min(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Min(a, b)
+            }
+            TirExpr::Shr(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::Shr(a, b)
+            }
+            TirExpr::BitAnd(a, b) => {
+                let (a, b) = two(a, b);
+                TirExpr::BitAnd(a, b)
+            }
+            TirExpr::Exp(a) => TirExpr::Exp(Box::new(f(a))),
+            TirExpr::Sqrt(a) => TirExpr::Sqrt(Box::new(f(a))),
+            TirExpr::Tanh(a) => TirExpr::Tanh(Box::new(f(a))),
+            TirExpr::Sigmoid(a) => TirExpr::Sigmoid(Box::new(f(a))),
+            TirExpr::Neg(a) => TirExpr::Neg(Box::new(f(a))),
+            TirExpr::Cast(dt, a) => TirExpr::Cast(*dt, Box::new(f(a))),
+            TirExpr::Select(c, t, e) => {
+                TirExpr::Select(Box::new(f(c)), Box::new(f(t)), Box::new(f(e)))
+            }
+            TirExpr::LoadDyn(b, idx) => TirExpr::LoadDyn(b.clone(), idx.iter().map(f).collect()),
+            TirExpr::FloatImm(_)
+            | TirExpr::IntImm(_)
+            | TirExpr::Index(_)
+            | TirExpr::Load(..)
+            | TirExpr::IndexEq(..)
+            | TirExpr::IndexLe(..) => self.clone(),
+        }
+    }
+
     /// Collects every buffer read by this expression into `out`.
     pub fn collect_reads(&self, out: &mut Vec<(Buffer, Vec<PrimExpr>)>) {
         match self {

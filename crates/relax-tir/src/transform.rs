@@ -87,54 +87,10 @@ impl Rewriter {
     /// Rewrites a compute expression.
     pub fn rewrite_expr(&mut self, e: &TirExpr) -> TirExpr {
         match e {
-            TirExpr::FloatImm(_) | TirExpr::IntImm(_) => e.clone(),
             TirExpr::Index(i) => TirExpr::Index(self.rewrite_index(i)),
             TirExpr::Load(b, idx) => TirExpr::Load(
                 self.rewrite_buffer(b),
                 idx.iter().map(|i| self.rewrite_index(i)).collect(),
-            ),
-            TirExpr::Add(a, b) => TirExpr::Add(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Sub(a, b) => TirExpr::Sub(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Mul(a, b) => TirExpr::Mul(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Div(a, b) => TirExpr::Div(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Max(a, b) => TirExpr::Max(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Min(a, b) => TirExpr::Min(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Shr(a, b) => TirExpr::Shr(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::BitAnd(a, b) => TirExpr::BitAnd(
-                Box::new(self.rewrite_expr(a)),
-                Box::new(self.rewrite_expr(b)),
-            ),
-            TirExpr::Exp(a) => TirExpr::Exp(Box::new(self.rewrite_expr(a))),
-            TirExpr::Sqrt(a) => TirExpr::Sqrt(Box::new(self.rewrite_expr(a))),
-            TirExpr::Tanh(a) => TirExpr::Tanh(Box::new(self.rewrite_expr(a))),
-            TirExpr::Sigmoid(a) => TirExpr::Sigmoid(Box::new(self.rewrite_expr(a))),
-            TirExpr::Neg(a) => TirExpr::Neg(Box::new(self.rewrite_expr(a))),
-            TirExpr::Cast(dt, a) => TirExpr::Cast(*dt, Box::new(self.rewrite_expr(a))),
-            TirExpr::Select(c, t, e2) => TirExpr::Select(
-                Box::new(self.rewrite_expr(c)),
-                Box::new(self.rewrite_expr(t)),
-                Box::new(self.rewrite_expr(e2)),
             ),
             TirExpr::IndexEq(a, b) => {
                 TirExpr::IndexEq(self.rewrite_index(a), self.rewrite_index(b))
@@ -146,6 +102,7 @@ impl Rewriter {
                 self.rewrite_buffer(b),
                 idx.iter().map(|i| self.rewrite_expr(i)).collect(),
             ),
+            other => other.map_operands(&mut |a| self.rewrite_expr(a)),
         }
     }
 
@@ -328,11 +285,13 @@ pub fn merge_calls(
             _ => buf.rescoped(MemScope::Local),
         })
         .collect();
-    let mut rewriter = Rewriter::default();
-    for (buf, local) in intermediates.iter().rev().zip(&locals) {
-        rewriter.buffer_map.insert(buf.id(), local.clone());
-    }
-    let mut body = redirect_buffers(&Stmt::seq(body_parts), &mut rewriter);
+    let redirect: HashMap<u64, Buffer> = intermediates
+        .iter()
+        .rev()
+        .zip(&locals)
+        .map(|(buf, local)| (buf.id(), local.clone()))
+        .collect();
+    let mut body = redirect_buffers(&Stmt::seq(body_parts), &redirect);
     for local in locals {
         body = Stmt::Alloc {
             buffer: local,
@@ -342,36 +301,48 @@ pub fn merge_calls(
     Ok(PrimFunc::new(name, params, num_outputs, body))
 }
 
-/// Replaces references to the buffers in `rw.buffer_map` without touching
-/// variables (the rewriter freshens loop vars in statements only;
-/// expressions are safe to rewrite directly).
-fn redirect_buffers(stmt: &Stmt, rw: &mut Rewriter) -> Stmt {
+/// Replaces references to the buffers `map` names and nothing else: the
+/// statements were just rewritten, their indices simplified, by
+/// [`Rewriter::rewrite_stmt`].
+fn redirect_buffers(stmt: &Stmt, map: &HashMap<u64, Buffer>) -> Stmt {
     match stmt {
         Stmt::For { var, extent, body } => Stmt::For {
             var: var.clone(),
             extent: extent.clone(),
-            body: Box::new(redirect_buffers(body, rw)),
+            body: Box::new(redirect_buffers(body, map)),
         },
-        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| redirect_buffers(s, rw)).collect()),
+        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| redirect_buffers(s, map)).collect()),
         Stmt::Store {
             buffer,
             indices,
             value,
         } => Stmt::Store {
-            buffer: rw.buffer_map.get(&buffer.id()).unwrap_or(buffer).clone(),
+            buffer: map.get(&buffer.id()).unwrap_or(buffer).clone(),
             indices: indices.clone(),
-            value: rw.rewrite_expr(value),
+            value: redirect_expr(value, map),
         },
         Stmt::IfEq { lhs, rhs, then } => Stmt::IfEq {
             lhs: lhs.clone(),
             rhs: rhs.clone(),
-            then: Box::new(redirect_buffers(then, rw)),
+            then: Box::new(redirect_buffers(then, map)),
         },
         Stmt::Alloc { buffer, body } => Stmt::Alloc {
             buffer: buffer.clone(),
-            body: Box::new(redirect_buffers(body, rw)),
+            body: Box::new(redirect_buffers(body, map)),
         },
         Stmt::Evaluate => Stmt::Evaluate,
+    }
+}
+
+fn redirect_expr(e: &TirExpr, map: &HashMap<u64, Buffer>) -> TirExpr {
+    let redirect = |b: &Buffer| map.get(&b.id()).unwrap_or(b).clone();
+    match e {
+        TirExpr::Load(b, idx) => TirExpr::Load(redirect(b), idx.clone()),
+        TirExpr::LoadDyn(b, idx) => TirExpr::LoadDyn(
+            redirect(b),
+            idx.iter().map(|i| redirect_expr(i, map)).collect(),
+        ),
+        other => other.map_operands(&mut |a| redirect_expr(a, map)),
     }
 }
 
