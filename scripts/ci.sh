@@ -13,6 +13,9 @@ trap 'cp target/ci-benchmark-Cargo.lock benchmark/Cargo.lock' EXIT
 
 export RUSTFLAGS="-D warnings"
 export RUSTDOCFLAGS="-D warnings"
+# The golden-file tests rewrite their goldens under RELAX_BLESS=1 and then
+# pass; a gate run must compare, never bless.
+unset RELAX_BLESS
 
 echo "==> checking #![forbid(unsafe_code)] in every crate root"
 missing=0
@@ -102,7 +105,10 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # matmul's fastest run against the host roofline floor (kernel_roofline);
 # plus the pipeline ablation: 16 configs, each against the interpreter,
 # and the 13 model builders under the 16 configs, each executable against
-# its committed digest (tests/golden/compile_digests.txt).
+# its two committed digests (tests/golden/compile_digests.txt over the whole
+# printed executable, tests/golden/compile_digests_name_free.txt over the VM
+# functions with each kernel name replaced by the kernel's canonical print),
+# every kernel an executable carries launched by some call_tir.
 # Release matters: rows are vectorized there. The plan.rs unit tests run
 # here too (the launch contract's refusals, macro-op and fused-row plans).
 cargo test -p relax-tir --release -q --lib plan::
