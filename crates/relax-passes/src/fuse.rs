@@ -360,8 +360,10 @@ fn materialize_group(
 /// `call_tir` of the merged program (the yellow step of Figure 9). Returns
 /// the number of subgraphs merged.
 ///
-/// One kernel per distinct computation: subgraphs with the same
-/// [`SubgraphKey`] share the kernel merged for the first of them.
+/// One kernel per distinct computation: subgraphs that agree on their
+/// parameter annotations, callees, argument wiring, output annotations
+/// and returned value, names aside, share the kernel merged for the first
+/// of them.
 ///
 /// # Errors
 ///

@@ -113,40 +113,15 @@ impl TirExpr {
     /// (immediates, indices, loads and index comparisons) come back as
     /// clones; a data-dependent load maps its index values.
     pub(crate) fn map_operands(&self, f: &mut impl FnMut(&TirExpr) -> TirExpr) -> TirExpr {
-        let mut two = |a: &TirExpr, b: &TirExpr| (Box::new(f(a)), Box::new(f(b)));
         match self {
-            TirExpr::Add(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Add(a, b)
-            }
-            TirExpr::Sub(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Sub(a, b)
-            }
-            TirExpr::Mul(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Mul(a, b)
-            }
-            TirExpr::Div(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Div(a, b)
-            }
-            TirExpr::Max(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Max(a, b)
-            }
-            TirExpr::Min(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Min(a, b)
-            }
-            TirExpr::Shr(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::Shr(a, b)
-            }
-            TirExpr::BitAnd(a, b) => {
-                let (a, b) = two(a, b);
-                TirExpr::BitAnd(a, b)
-            }
+            TirExpr::Add(a, b) => TirExpr::Add(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Sub(a, b) => TirExpr::Sub(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Mul(a, b) => TirExpr::Mul(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Div(a, b) => TirExpr::Div(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Max(a, b) => TirExpr::Max(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Min(a, b) => TirExpr::Min(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::Shr(a, b) => TirExpr::Shr(Box::new(f(a)), Box::new(f(b))),
+            TirExpr::BitAnd(a, b) => TirExpr::BitAnd(Box::new(f(a)), Box::new(f(b))),
             TirExpr::Exp(a) => TirExpr::Exp(Box::new(f(a))),
             TirExpr::Sqrt(a) => TirExpr::Sqrt(Box::new(f(a))),
             TirExpr::Tanh(a) => TirExpr::Tanh(Box::new(f(a))),
