@@ -59,6 +59,12 @@ impl IRModule {
         self.tir_funcs.insert(name.into(), func);
     }
 
+    /// Keeps the tensor programs whose names `keep` accepts and drops the
+    /// rest.
+    pub fn retain_tir_funcs(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.tir_funcs.retain(|name, _| keep(name));
+    }
+
     /// Removes a graph-level function.
     pub fn remove_function(&mut self, name: &str) -> Option<Function> {
         self.funcs.remove(name)

@@ -357,8 +357,9 @@ fn materialize_group(
 
 /// `FuseTensorIR`: merges the tensor programs called inside each subgraph
 /// function into one, and rewrites call sites from subgraph calls back to
-/// `call_tir` of the merged program (the yellow step of Figure 9). Returns
-/// the number of subgraphs merged.
+/// `call_tir` of the merged program (the yellow step of Figure 9). The
+/// tensor programs no `call_tir` launches any more (every call of them was
+/// merged away) leave the module. Returns the number of subgraphs merged.
 ///
 /// One kernel per distinct computation: subgraphs that agree on their
 /// parameter annotations, callees, argument wiring, output annotations
@@ -424,6 +425,15 @@ pub fn fuse_tensor_ir(module: &mut IRModule) -> Result<usize, PassError> {
             };
         }
     }
+    let launched: HashSet<String> = module
+        .functions()
+        .flat_map(|(_, f)| f.bindings())
+        .filter_map(|b| match &b.value {
+            Expr::CallTir { func, .. } => Some(func.clone()),
+            _ => None,
+        })
+        .collect();
+    module.retain_tir_funcs(|name| launched.contains(name));
     Ok(merged.len())
 }
 

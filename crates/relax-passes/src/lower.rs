@@ -18,8 +18,7 @@ use crate::workspace::LiftedWorkspaces;
 /// allocations inserted (the "lift allocation to graph level" rewrite of
 /// Figure 11), which later participate in memory planning.
 ///
-/// The executable carries the tensor programs some `call_tir` launches,
-/// and no others.
+/// The executable carries the module's tensor programs.
 ///
 /// # Errors
 ///
@@ -31,6 +30,10 @@ pub fn lower_to_vm(
     workspaces: &HashMap<String, LiftedWorkspaces>,
 ) -> Result<Executable, PassError> {
     let mut exec = Executable::new();
+    exec.tir_funcs = module
+        .tir_funcs()
+        .map(|(name, f)| (name.clone(), f.clone()))
+        .collect();
     let fnames = module.function_names();
     for fname in fnames {
         let func = module.function(&fname).expect("listed");
@@ -299,12 +302,6 @@ fn lower_function(
                     }
                 }
                 let (dsts, is_tuple) = ctx.alloc_outputs(out_sinfo, PASS)?;
-                if let Some(prim) = module.tir_func(callee) {
-                    ctx.exec
-                        .tir_funcs
-                        .entry(callee.clone())
-                        .or_insert_with(|| prim.clone());
-                }
                 ctx.instrs.push(Instr::CallTir {
                     func: callee.clone(),
                     args: arg_regs,
