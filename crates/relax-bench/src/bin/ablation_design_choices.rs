@@ -12,9 +12,10 @@
 //!    recur; changing shapes re-capture instead of replaying stale graphs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use relax_bench::{compile_decode, sim_args};
-use relax_models::llama::LlamaConfig;
+use relax_bench::{compile_decode, CompiledModel};
+use relax_models::llama::{build_decode_paged, LlamaConfig};
 use relax_passes::{plan_memory, CompileOptions};
 use relax_sim::{simulate_with_memory, DeviceSpec, MemoryTracker};
 use relax_vm::Instr;
@@ -74,35 +75,31 @@ fn main() {
     // ---------------------------------------------------------------
     println!("## 2. upper-bound planning: plan size across growing shapes\n");
     {
-        let ir = relax_models::llama::build_decode(&cfg).expect("build");
+        let ir = build_decode_paged(&cfg).expect("build");
         let bounded = CompileOptions::default()
             .with_bound(ir.batch.clone(), 8)
             .with_bound(ir.seq.clone(), 64);
         let exec_bounded = relax_passes::compile(ir.module.clone(), &bounded).expect("compile");
-        let exec_unbounded =
-            relax_passes::compile(ir.module.clone(), &CompileOptions::default()).expect("compile");
-        let model_b = relax_bench::CompiledModel {
+        let model_b = CompiledModel {
             exec: exec_bounded,
-            ir: ir.clone(),
-        };
-        let model_u = relax_bench::CompiledModel {
-            exec: exec_unbounded,
             ir,
+            config: cfg.clone(),
         };
-        println!("| after shapes      | bounded plan (B) | unbounded plan (B) |");
+        let model_u = compile_decode(&cfg, &CompileOptions::default()).expect("compile");
+        println!("| after prompts     | bounded plan (B) | unbounded plan (B) |");
         println!("| ----------------- | ---------------- | ------------------ |");
         let mut mem_b = MemoryTracker::new();
         let mut mem_u = MemoryTracker::new();
         let mut bounded_sizes = Vec::new();
-        for (batch, kv) in [(1i64, 4i64), (2, 16), (8, 64)] {
-            let args = sim_args(&model_b.ir, batch, kv);
-            simulate_with_memory(&model_b.exec, "decode", &args, &device, true, &mut mem_b)
-                .expect("simulate");
-            let args = sim_args(&model_u.ir, batch, kv);
-            simulate_with_memory(&model_u.exec, "decode", &args, &device, true, &mut mem_u)
-                .expect("simulate");
+        // Prompts of `n` tokens for each of `batch` sequences.
+        for (batch, n) in [(1i64, 4i64), (2, 16), (8, 64)] {
+            for (model, mem) in [(&model_b, &mut mem_b), (&model_u, &mut mem_u)] {
+                let args = model.step_args(batch, n, 0);
+                simulate_with_memory(&model.exec, &model.ir.func, &args, &device, true, mem)
+                    .expect("simulate");
+            }
             println!(
-                "| b={batch:<2} kv={kv:<4}      | {:16} | {:18} |",
+                "| b={batch:<2} n={n:<4}       | {:16} | {:18} |",
                 mem_b.planned_bytes(),
                 mem_u.planned_bytes()
             );
@@ -122,46 +119,37 @@ fn main() {
     println!("## 3. shape-keyed graph capture\n");
     {
         let model = compile_decode(&cfg, &CompileOptions::default()).expect("compile");
-        use relax_core::{ShapeDesc, StructInfo};
         use relax_tir::NDArray;
-        use relax_vm::{Value, Vm};
+        use relax_vm::{KvCache, KvCacheConfig, KvPagePool, Value, Vm, KV_PAGE_TOKENS};
+        let kv = KvCacheConfig {
+            streams: 2 * cfg.n_layers,
+            batch: 1,
+            heads: cfg.n_kv_heads as usize,
+            head_dim: cfg.head_dim as usize,
+            dtype: cfg.dtype,
+        };
+        let cache = KvCache::new(kv, Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS)));
         let mut vm = Vm::new(model.exec.clone());
-        let mut run = |batch: i64, kv: i64| {
-            let mut env = HashMap::new();
-            env.insert(model.ir.batch.clone(), batch);
-            env.insert(model.ir.seq.clone(), kv);
+        // `n` more tokens (id 0) of one sequence, zero weights; the cache
+        // grows in place.
+        let mut run = |n: usize| {
             let args: Vec<Value> = model
-                .ir
-                .params
+                .step_args(1, n as i64, 0)
                 .iter()
-                .map(|(name, sinfo)| {
-                    let (dims, dt) = match sinfo {
-                        StructInfo::Tensor {
-                            shape: ShapeDesc::Known(d),
-                            dtype,
-                        } => (
-                            d.iter()
-                                .map(|e| e.eval(&env).unwrap() as usize)
-                                .collect::<Vec<_>>(),
-                            dtype.unwrap(),
-                        ),
-                        _ => unreachable!(),
-                    };
-                    if name == "tokens" {
-                        Value::Tensor(
-                            NDArray::from_i64(&dims, dt, vec![1; dims.iter().product()]).unwrap(),
-                        )
-                    } else {
-                        Value::Tensor(NDArray::zeros(&dims, dt))
+                .map(|arg| match arg {
+                    relax_sim::SimValue::Tensor { dims, dtype } => {
+                        let dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
+                        Value::Tensor(NDArray::zeros(&dims, *dtype))
                     }
+                    _ => Value::KvCache(cache.clone()),
                 })
                 .collect();
-            vm.run("decode", &args).unwrap();
+            vm.run(&model.ir.func, &args).unwrap();
         };
-        run(1, 4); // capture
-        run(1, 4); // replay (same shapes)
-        run(1, 8); // re-capture (kv changed)
-        run(1, 8); // replay
+        run(4); // capture
+        run(4); // replay (same shapes)
+        run(8); // re-capture (n changed)
+        run(8); // replay
         let tel = vm.telemetry();
         println!(
             "- captures: {} (one per distinct shape signature)",

@@ -3,57 +3,34 @@
 //! HuggingFace Transformers, WhisperX, Faster-Whisper, whisper.cpp and
 //! Relax. (WhisperX and Faster-Whisper have no Apple GPU support.)
 
-use std::collections::HashMap;
-
-use relax_core::{ShapeDesc, StructInfo};
-use relax_models::whisper::{build_cross_kv, build_decoder_step, build_encoder, WhisperConfig};
+use relax_bench::sim_args;
+use relax_models::whisper::{
+    build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
+};
 use relax_passes::{compile, CompileOptions};
 use relax_sim::{simulate, DeviceSpec, SimValue};
 
 /// Tokens decoded for a 30-second utterance (a typical dense transcript).
 const DECODED_TOKENS: i64 = 224;
 
-fn sim_args_env(params: &[(String, StructInfo)], env: &HashMap<&str, i64>) -> Vec<SimValue> {
-    params
-        .iter()
-        .map(|(_, sinfo)| match sinfo {
-            StructInfo::Tensor {
-                shape: ShapeDesc::Known(dims),
-                dtype,
-            } => SimValue::tensor(
-                dims.iter()
-                    .map(|d| {
-                        d.as_int().unwrap_or_else(|| {
-                            let name = d.as_var().expect("dim is var or const").name();
-                            *env.get(name).expect("bound symbolic dim")
-                        })
-                    })
-                    .collect(),
-                dtype.unwrap_or(relax_core::DataType::F32),
-            ),
-            other => panic!("unexpected annotation {other}"),
-        })
-        .collect()
-}
-
 /// Relax end-to-end transcription: one encoder pass plus `DECODED_TOKENS`
-/// decode steps with the self-KV cache growing step by step.
+/// decode steps over a paged self-attention cache growing step by step.
 fn relax_transcribe_s(cfg: &WhisperConfig, device: &DeviceSpec) -> f64 {
     let enc = build_encoder(cfg).expect("build encoder");
     let enc_exec = compile(enc.module.clone(), &CompileOptions::default()).expect("compile");
-    let enc_env: HashMap<&str, i64> = [("batch", 1), ("s_audio", cfg.audio_ctx)].into();
-    let enc_args = sim_args_env(&enc.params, &enc_env);
+    let audio = [("batch", 1), ("s_audio", cfg.audio_ctx)];
+    let enc_args = sim_args(&enc.params, &audio, None);
     let enc_report =
         simulate(&enc_exec, &enc.func, &enc_args, device, true).expect("simulate encoder");
 
     // Cross-attention keys/values are projected once per utterance.
     let cross = build_cross_kv(cfg).expect("build cross_kv");
     let cross_exec = compile(cross.module.clone(), &CompileOptions::default()).expect("compile");
-    let cross_args = sim_args_env(&cross.params, &enc_env);
+    let cross_args = sim_args(&cross.params, &audio, None);
     let cross_report =
         simulate(&cross_exec, &cross.func, &cross_args, device, true).expect("simulate cross_kv");
 
-    let dec = build_decoder_step(cfg).expect("build decoder");
+    let dec = build_decoder_step_paged(cfg).expect("build decoder");
     let dec_exec = compile(dec.module.clone(), &CompileOptions::default()).expect("compile");
     let mut total = enc_report.total_s + cross_report.total_s;
     // Sample the decode cost at a few cache lengths and integrate (the
@@ -61,9 +38,14 @@ fn relax_transcribe_s(cfg: &WhisperConfig, device: &DeviceSpec) -> f64 {
     let samples = [1i64, DECODED_TOKENS / 2, DECODED_TOKENS];
     let mut times = Vec::new();
     for &kv in &samples {
-        let env: HashMap<&str, i64> =
-            [("batch", 1), ("kv_len", kv), ("s_audio", cfg.audio_ctx)].into();
-        let args = sim_args_env(&dec.params, &env);
+        let cache = SimValue::KvCache {
+            streams: vec![kv; 2 * cfg.dec_layers],
+            batch: 1,
+            heads: cfg.n_heads,
+            head_dim: cfg.head_dim(),
+            dtype: cfg.dtype,
+        };
+        let args = sim_args(&dec.params, &audio, Some(&cache));
         let r = simulate(&dec_exec, &dec.func, &args, device, true).expect("simulate decoder");
         times.push(r.total_s);
     }

@@ -1,14 +1,14 @@
 //! Figure 20: LLaVA time to generate 32 tokens for one image on NVIDIA
 //! RTX 4090 and Apple M2 Ultra, vs HuggingFace Transformers, vLLM and
 //! llama.cpp. The pipeline is: vision encode (577 patch tokens) → LLM
-//! prefill over image+prompt tokens → 32 decode steps.
+//! prefill over image+prompt tokens → 32 decode steps, the last two both
+//! the served paged step.
 
-use relax_bench::{compile_decode, compile_prefill, profile_of, relax_decode_s, sim_args};
-use relax_core::{ShapeDesc, StructInfo};
+use relax_bench::{compile_decode, profile_of, relax_decode_s, sim_args};
 use relax_models::llava::{build_vision_encoder, LlavaConfig};
 use relax_passes::{compile, CompileOptions};
 use relax_sim::baseline::{decode_latency_s, Baseline};
-use relax_sim::{simulate, DeviceSpec, SimValue};
+use relax_sim::{simulate, DeviceSpec};
 
 const GEN_TOKENS: i64 = 32;
 const PROMPT_TOKENS: i64 = 32;
@@ -17,38 +17,22 @@ fn relax_generation_s(cfg: &LlavaConfig, device: &DeviceSpec) -> f64 {
     // Vision encoder.
     let vis = build_vision_encoder(cfg).expect("build vision");
     let vis_exec = compile(vis.module.clone(), &CompileOptions::default()).expect("compile");
-    let vis_args: Vec<SimValue> = vis
-        .params
-        .iter()
-        .map(|(_, sinfo)| match sinfo {
-            StructInfo::Tensor {
-                shape: ShapeDesc::Known(dims),
-                dtype,
-            } => SimValue::tensor(
-                dims.iter()
-                    .map(|d| d.as_int().unwrap_or(1)) // batch = 1
-                    .collect(),
-                dtype.unwrap_or(relax_core::DataType::F32),
-            ),
-            other => panic!("unexpected annotation {other}"),
-        })
-        .collect();
+    let vis_args = sim_args(&vis.params, &[("batch", 1)], None);
     let vis_t = simulate(&vis_exec, &vis.func, &vis_args, device, true)
         .expect("simulate vision")
         .total_s;
 
-    // LLM prefill over image + prompt tokens.
+    // One served step for the whole generation: the image + prompt tokens
+    // are one step on an empty cache, then 32 decode steps with a growing
+    // cache.
+    let llm = compile_decode(&cfg.llm, &CompileOptions::default()).expect("compile");
     let prefill_len = cfg.patches + PROMPT_TOKENS;
-    let prefill = compile_prefill(&cfg.llm, &CompileOptions::default()).expect("compile");
-    let pre_args = sim_args(&prefill.ir, 1, prefill_len);
-    let pre_t = simulate(&prefill.exec, &prefill.ir.func, &pre_args, device, true)
+    let pre_args = llm.step_args(1, prefill_len, 0);
+    let pre_t = simulate(&llm.exec, &llm.ir.func, &pre_args, device, true)
         .expect("simulate prefill")
         .total_s;
-
-    // 32 decode steps with a growing cache.
-    let decode = compile_decode(&cfg.llm, &CompileOptions::default()).expect("compile");
     let mid_ctx = prefill_len + GEN_TOKENS / 2;
-    let dec_t = relax_decode_s(&decode, device, 1, mid_ctx).expect("simulate decode");
+    let dec_t = relax_decode_s(&llm, device, 1, mid_ctx).expect("simulate decode");
     vis_t + pre_t + dec_t * GEN_TOKENS as f64
 }
 

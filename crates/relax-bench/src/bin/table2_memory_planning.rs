@@ -8,12 +8,39 @@
 //! while the unplanned path replays the allocation/free event stream of
 //! the lowered program against the runtime recycling pool.
 
-use relax_bench::{compile_decode, compile_prefill, sim_args};
-use relax_models::llama::LlamaConfig;
-use relax_passes::CompileOptions;
+use relax_bench::{compile_decode, CompiledModel};
+use relax_models::llama::{build_decode_paged, LlamaConfig};
+use relax_passes::{compile, CompileOptions};
 use relax_sim::{simulate_with_memory, DeviceSpec, MemoryTracker};
 
 const MIB: f64 = 1024.0 * 1024.0;
+
+/// Activation MiB of `model` over successive steps, each `(batch, seq,
+/// context)`.
+fn measure(model: &CompiledModel, device: &DeviceSpec, steps: &[(i64, i64, i64)]) -> f64 {
+    let mut mem = MemoryTracker::new();
+    for &(batch, seq, context) in steps {
+        let args = model.step_args(batch, seq, context);
+        simulate_with_memory(&model.exec, &model.ir.func, &args, device, true, &mut mem)
+            .expect("simulate");
+    }
+    mem.total_bytes() as f64 / MIB
+}
+
+/// The served step compiled with a static plan for at most `batch`
+/// sequences of `seq` tokens each.
+fn bounded(cfg: &LlamaConfig, batch: i64, seq: i64) -> CompiledModel {
+    let ir = build_decode_paged(cfg).expect("build");
+    let opts = CompileOptions::default()
+        .with_bound(ir.batch.clone(), batch)
+        .with_bound(ir.seq.clone(), seq);
+    let exec = compile(ir.module.clone(), &opts).expect("compile");
+    CompiledModel {
+        exec,
+        ir,
+        config: cfg.clone(),
+    }
+}
 
 fn main() {
     let cfg = LlamaConfig::llama3_8b();
@@ -23,41 +50,22 @@ fn main() {
         "# model: {}, measured from the compiler's own allocation stream\n",
         cfg.name
     );
-
-    // ---- Prefill workload: successive lengths, batch 1. ----
-    let prefill_lens = [128i64, 256, 512, 1024];
-    let max_len = 1024i64;
-
-    let planned = {
-        let ir = relax_models::llama::build_prefill(&cfg).expect("build");
-        let opts = CompileOptions::default()
-            .with_bound(ir.batch.clone(), 1)
-            .with_bound(ir.seq.clone(), max_len);
-        let exec = relax_passes::compile(ir.module.clone(), &opts).expect("compile");
-        let model = relax_bench::CompiledModel { exec, ir };
-        let mut mem = MemoryTracker::new();
-        for &len in &prefill_lens {
-            let args = sim_args(&model.ir, 1, len);
-            simulate_with_memory(&model.exec, &model.ir.func, &args, &device, true, &mut mem)
-                .expect("simulate");
-        }
-        mem.total_bytes() as f64 / MIB
-    };
-    let unplanned = {
-        let opts = CompileOptions {
+    // One served step for both workloads: a prompt is a step of `n` tokens
+    // on an empty cache, a decode a step of one token per sequence.
+    let unplanned_model = compile_decode(
+        &cfg,
+        &CompileOptions {
             memory_plan: false,
             graph_capture: false,
             ..CompileOptions::default()
-        };
-        let model = compile_prefill(&cfg, &opts).expect("compile");
-        let mut mem = MemoryTracker::new();
-        for &len in &prefill_lens {
-            let args = sim_args(&model.ir, 1, len);
-            simulate_with_memory(&model.exec, &model.ir.func, &args, &device, true, &mut mem)
-                .expect("simulate");
-        }
-        mem.total_bytes() as f64 / MIB
-    };
+        },
+    )
+    .expect("compile");
+
+    // ---- Prefill workload: successive lengths, batch 1. ----
+    let prefills: Vec<(i64, i64, i64)> = [128, 256, 512, 1024].map(|n| (1, n, 0)).to_vec();
+    let planned = measure(&bounded(&cfg, 1, 1024), &device, &prefills);
+    let unplanned = measure(&unplanned_model, &device, &prefills);
     println!("| Llama3-8B Prefill        |    MiB |");
     println!("| ------------------------ | ------ |");
     println!("| Relax w/o planning       | {unplanned:6.1} |");
@@ -69,38 +77,9 @@ fn main() {
     println!("# paper: 192.7 MiB -> 149.7 MiB (22% reduction)\n");
 
     // ---- Decode workload: successive batches at a fixed context. ----
-    let batches = [1i64, 16, 32, 64];
-    let context = 512i64;
-    let planned_dec = {
-        let ir = relax_models::llama::build_decode(&cfg).expect("build");
-        let opts = CompileOptions::default()
-            .with_bound(ir.batch.clone(), 64)
-            .with_bound(ir.seq.clone(), cfg.max_context);
-        let exec = relax_passes::compile(ir.module.clone(), &opts).expect("compile");
-        let model = relax_bench::CompiledModel { exec, ir };
-        let mut mem = MemoryTracker::new();
-        for &b in &batches {
-            let args = sim_args(&model.ir, b, context);
-            simulate_with_memory(&model.exec, &model.ir.func, &args, &device, true, &mut mem)
-                .expect("simulate");
-        }
-        mem.total_bytes() as f64 / MIB
-    };
-    let unplanned_dec = {
-        let opts = CompileOptions {
-            memory_plan: false,
-            graph_capture: false,
-            ..CompileOptions::default()
-        };
-        let model = compile_decode(&cfg, &opts).expect("compile");
-        let mut mem = MemoryTracker::new();
-        for &b in &batches {
-            let args = sim_args(&model.ir, b, context);
-            simulate_with_memory(&model.exec, &model.ir.func, &args, &device, true, &mut mem)
-                .expect("simulate");
-        }
-        mem.total_bytes() as f64 / MIB
-    };
+    let decodes: Vec<(i64, i64, i64)> = [1, 16, 32, 64].map(|b| (b, 1, 512)).to_vec();
+    let planned_dec = measure(&bounded(&cfg, 64, 1), &device, &decodes);
+    let unplanned_dec = measure(&unplanned_model, &device, &decodes);
     println!("| Llama3-8B Decode         |    MiB |");
     println!("| ------------------------ | ------ |");
     println!("| Relax w/o planning       | {unplanned_dec:6.1} |");

@@ -9,10 +9,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-
 use relax_core::{ShapeDesc, StructInfo};
-use relax_models::llama::{build_decode, build_prefill, LlamaConfig, ModelIr};
+use relax_models::llama::{build_decode_paged, LlamaConfig, ModelIr};
 use relax_passes::{compile, CompileOptions};
 use relax_sim::{simulate, DeviceSpec, Profile, SimError, SimValue};
 use relax_vm::Executable;
@@ -25,9 +23,28 @@ pub struct CompiledModel {
     pub exec: Executable,
     /// The model IR description (parameter specs and symbolic variables).
     pub ir: ModelIr,
+    /// The configuration it was built from (the KV cache's geometry).
+    pub config: LlamaConfig,
 }
 
-/// Compiles the decode function of an LLM configuration.
+impl CompiledModel {
+    /// Dry-run arguments of one step: `seq` tokens for each of `batch`
+    /// sequences over a cache whose streams hold `context` tokens. A
+    /// prompt is a `seq = n` step on an empty cache (`context = 0`), a
+    /// decoded token a `seq = 1` step.
+    pub fn step_args(&self, batch: i64, seq: i64, context: i64) -> Vec<SimValue> {
+        let cache = kv_cache(&self.config, batch, context);
+        sim_args(
+            &self.ir.params,
+            &[("batch", batch), ("seq", seq)],
+            Some(&cache),
+        )
+    }
+}
+
+/// Compiles the served step of an LLM configuration: `decode_paged`, whose
+/// prompt and decoded tokens are the same `(batch, seq)` call over one
+/// paged KV cache.
 ///
 /// # Errors
 ///
@@ -36,49 +53,71 @@ pub fn compile_decode(
     config: &LlamaConfig,
     opts: &CompileOptions,
 ) -> Result<CompiledModel, Box<dyn std::error::Error>> {
-    let ir = build_decode(config)?;
+    let ir = build_decode_paged(config)?;
     let exec = compile(ir.module.clone(), opts)?;
-    Ok(CompiledModel { exec, ir })
+    Ok(CompiledModel {
+        exec,
+        ir,
+        config: config.clone(),
+    })
 }
 
-/// Compiles the prefill function of an LLM configuration.
-///
-/// # Errors
-///
-/// Propagates model-construction and pipeline failures.
-pub fn compile_prefill(
-    config: &LlamaConfig,
-    opts: &CompileOptions,
-) -> Result<CompiledModel, Box<dyn std::error::Error>> {
-    let ir = build_prefill(config)?;
-    let exec = compile(ir.module.clone(), opts)?;
-    Ok(CompiledModel { exec, ir })
+/// The shape-level paged KV cache of `batch` sequences, each holding
+/// `context` tokens on every stream (streams `2l`/`2l + 1` hold layer
+/// `l`'s keys and values). `batch` is the summed batch, as
+/// `KvCache::config()` reports it for a stack of per-sequence caches.
+pub fn kv_cache(config: &LlamaConfig, batch: i64, context: i64) -> SimValue {
+    SimValue::KvCache {
+        streams: vec![context; 2 * config.n_layers],
+        batch,
+        heads: config.n_kv_heads,
+        head_dim: config.head_dim,
+        dtype: config.dtype,
+    }
 }
 
-/// Materializes shape-level arguments for a built function, binding its
-/// symbolic batch and sequence variables.
-pub fn sim_args(ir: &ModelIr, batch: i64, seq: i64) -> Vec<SimValue> {
-    let mut env = HashMap::new();
-    env.insert(ir.batch.clone(), batch);
-    env.insert(ir.seq.clone(), seq);
-    ir.params
+/// Materializes shape-level arguments for a built function's `params`:
+/// every symbolic dimension takes its value from `dims` by variable name,
+/// and an `Object` parameter (a KV cache handle) takes `cache`.
+///
+/// # Panics
+///
+/// On a symbolic dimension `dims` does not bind, an `Object` parameter
+/// without a `cache`, or any other parameter annotation.
+pub fn sim_args(
+    params: &[(String, StructInfo)],
+    dims: &[(&str, i64)],
+    cache: Option<&SimValue>,
+) -> Vec<SimValue> {
+    let dim = |param: &str, d: &relax_arith::PrimExpr| -> i64 {
+        d.as_int().unwrap_or_else(|| {
+            let var = d.as_var().map(|v| v.name());
+            let bound = dims.iter().find(|(name, _)| Some(*name) == var);
+            bound
+                .unwrap_or_else(|| panic!("{param}: dimension {d} is unbound"))
+                .1
+        })
+    };
+    params
         .iter()
-        .map(|(_, sinfo)| match sinfo {
+        .map(|(name, sinfo)| match sinfo {
             StructInfo::Tensor {
-                shape: ShapeDesc::Known(dims),
+                shape: ShapeDesc::Known(shape),
                 dtype,
             } => SimValue::tensor(
-                dims.iter()
-                    .map(|d| d.eval(&env).expect("model params bind batch/seq only"))
-                    .collect(),
+                shape.iter().map(|d| dim(name, d)).collect(),
                 dtype.unwrap_or(relax_core::DataType::F32),
             ),
-            other => panic!("unexpected parameter annotation {other}"),
+            StructInfo::Object => cache
+                .unwrap_or_else(|| panic!("{name}: no KV cache given"))
+                .clone(),
+            other => panic!("{name}: unexpected parameter annotation {other}"),
         })
         .collect()
 }
 
-/// Steady-state decode latency of a compiled model (seconds per token).
+/// Steady-state decode latency of a compiled model (seconds per token):
+/// one `seq = 1` step of `batch` sequences over `context` cached tokens.
 ///
 /// # Errors
 ///
@@ -89,7 +128,7 @@ pub fn relax_decode_s(
     batch: i64,
     context: i64,
 ) -> Result<f64, SimError> {
-    let args = sim_args(&model.ir, batch, context);
+    let args = model.step_args(batch, 1, context);
     let report = simulate(&model.exec, &model.ir.func, &args, device, true)?;
     Ok(report.total_s)
 }
@@ -174,6 +213,9 @@ pub fn print_header(first: &str, cols: &[&str]) {
 mod tests {
     use super::*;
 
+    /// The cache holds the figure's batch: a batch-1 cache beside
+    /// `(16, 1)` tokens would charge one sequence's KV reads and make
+    /// b = 16 cheaper than b = 1.
     #[test]
     fn harness_compiles_and_simulates_tiny() {
         let cfg = LlamaConfig::tiny();
@@ -181,8 +223,27 @@ mod tests {
         let d = DeviceSpec::rtx4090();
         let t1 = relax_decode_s(&model, &d, 1, 8).unwrap();
         let t16 = relax_decode_s(&model, &d, 16, 8).unwrap();
-        assert!(t1 > 0.0 && t16 > t1 * 0.5);
-        // Same compilation serves both shapes — the paper's key claim.
+        assert!(t1 > 0.0 && t16 >= t1, "b=1 {t1} s, b=16 {t16} s");
+        // Reading 32 more cached tokens costs only the paged attention's
+        // KV reads (8 -> 9 and 40 -> 41 tokens stay inside their pages, so
+        // the appends charge alike), and those scale with the batch.
+        let bytes = |batch: i64, context: i64| -> f64 {
+            let args = model.step_args(batch, 1, context);
+            simulate(&model.exec, &model.ir.func, &args, &d, true)
+                .unwrap()
+                .bytes
+        };
+        let attention = |batch: i64| bytes(batch, 40) - bytes(batch, 8);
+        assert!(attention(1) > 0.0);
+        assert_eq!(attention(16), 16.0 * attention(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "tokens: dimension seq is unbound")]
+    fn sim_args_panics_on_an_unbound_dimension() {
+        let ir = build_decode_paged(&LlamaConfig::tiny()).unwrap();
+        let cache = kv_cache(&LlamaConfig::tiny(), 1, 0);
+        sim_args(&ir.params, &[("batch", 1)], Some(&cache));
     }
 
     #[test]

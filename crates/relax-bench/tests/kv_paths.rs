@@ -8,8 +8,8 @@
 //! Compiling and dry-running the figure models is shape-level work: the
 //! whole file runs in about 13 s in a debug build, 1.5 s in release.
 
-use relax_core::{ShapeDesc, StructInfo};
-use relax_models::llama::{build_decode, build_decode_paged, LlamaConfig, ModelIr};
+use relax_bench::{kv_cache, sim_args};
+use relax_models::llama::{build_decode, build_decode_paged, LlamaConfig};
 use relax_models::llava::LlavaConfig;
 use relax_passes::{compile, CompileOptions};
 use relax_sim::{simulate, DeviceSpec, SimReport, SimValue};
@@ -25,34 +25,6 @@ const KV_KERNELS: [&str; 4] = [
     "vm.builtin.kv_cache.attention",
     "attention",
 ];
-
-/// Shape-level arguments for `ir` with its symbolic dimensions bound by
-/// name; an object parameter takes `cache`.
-fn args(ir: &ModelIr, dims: &[(&str, i64)], cache: Option<&SimValue>) -> Vec<SimValue> {
-    ir.params
-        .iter()
-        .map(|(name, sinfo)| match sinfo {
-            StructInfo::Tensor {
-                shape: ShapeDesc::Known(shape),
-                dtype,
-            } => SimValue::tensor(
-                shape
-                    .iter()
-                    .map(|d| {
-                        d.as_int().unwrap_or_else(|| {
-                            let var = d.as_var().expect("a dimension is a constant or a variable");
-                            let bound = dims.iter().find(|(n, _)| *n == var.name());
-                            bound.unwrap_or_else(|| panic!("{name}: unbound {var}")).1
-                        })
-                    })
-                    .collect(),
-                dtype.expect("a typed parameter"),
-            ),
-            StructInfo::Object => cache.expect("a KV cache argument").clone(),
-            other => panic!("{name}: unexpected annotation {other}"),
-        })
-        .collect()
-}
 
 /// A steady-state dry run of `func` under a trace capture.
 fn dry_run(exec: &relax_vm::Executable, func: &str, args: &[SimValue]) -> (SimReport, Log) {
@@ -144,15 +116,10 @@ fn check(points: &Points) -> usize {
         for &b in &points.batches {
             for &context in &points.contexts {
                 let at = format!("{} {opts:?} b={b} context={context}", cfg.name);
-                let copy_args = args(&copy, &[("batch", b), ("kv_len", context)], None);
-                let cache = SimValue::KvCache {
-                    streams: vec![context; 2 * cfg.n_layers],
-                    batch: b,
-                    heads: cfg.n_kv_heads,
-                    head_dim: cfg.head_dim,
-                    dtype: cfg.dtype,
-                };
-                let paged_args = args(&paged, &[("batch", b), ("seq", 1)], Some(&cache));
+                let copy_dims = [("batch", b), ("kv_len", context)];
+                let copy_args = sim_args(&copy.params, &copy_dims, None);
+                let cache = kv_cache(cfg, b, context);
+                let paged_args = sim_args(&paged.params, &[("batch", b), ("seq", 1)], Some(&cache));
                 let (copy_report, copy_log) = dry_run(&copy_exec, &copy.func, &copy_args);
                 let (paged_report, paged_log) = dry_run(&paged_exec, &paged.func, &paged_args);
                 let (copy_log, paged_log) = (without_kv(copy_log), without_kv(paged_log));

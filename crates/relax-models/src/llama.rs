@@ -214,8 +214,9 @@ pub struct ModelIr {
     pub params: Vec<(String, StructInfo)>,
     /// The symbolic batch-size variable.
     pub batch: SymVar,
-    /// The symbolic KV-cache length (copy-based decode) or the number of
-    /// tokens fed per sequence (paged decode, prefill).
+    /// The function's other symbolic variable: the KV-cache length
+    /// (copy-based decode), the number of tokens fed per sequence (paged
+    /// decode, prefill) or the audio length (the Whisper functions).
     pub seq: SymVar,
 }
 

@@ -151,13 +151,19 @@ pub fn build_encoder(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     })
 }
 
-/// The one decoder step behind [`build_decoder_step`] and
-/// [`build_decoder_step_paged`]: per layer, causal self-attention over
-/// the KV mode's cache, cross-attention over the precomputed encoder
-/// keys/values, and the GELU MLP; then the tied-embedding LM head.
-fn build_decoder(config: &WhisperConfig, func: &str, cache: KvMode) -> Result<ModelIr, ModelError> {
+/// Builds the decoder step over a **paged** self-attention KV cache: next
+/// token + cache handle + precomputed cross-attention keys/values. Per
+/// layer, causal self-attention whose K/V live in streams `2l`/`2l+1` of
+/// the one cache handle, appended in place via
+/// `vm.builtin.kv_cache.append_paged`; cross-attention over the encoder
+/// keys/values; and the GELU MLP; then the tied-embedding LM head.
+/// Returns `(logits, cache handle)`.
+///
+/// # Errors
+///
+/// Propagates IR construction failures.
+pub fn build_decoder_step_paged(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
     let b = SymVar::new("batch");
-    let kv_len = SymVar::new("kv_len");
     let s_audio = SymVar::new("s_audio");
     let d = config.d_model;
     let nh = config.n_heads;
@@ -167,28 +173,22 @@ fn build_decoder(config: &WhisperConfig, func: &str, cache: KvMode) -> Result<Mo
     let be: PrimExpr = b.clone().into();
     let one: PrimExpr = 1.into();
 
-    let mut params: Vec<(String, StructInfo)> = vec![(
-        "tokens".to_string(),
-        StructInfo::tensor(vec![be.clone(), one.clone()], DataType::I64),
-    )];
-    if matches!(cache, KvMode::Paged) {
-        params.push(("kv_cache".to_string(), StructInfo::Object));
-    }
-    let per_head = |len: &SymVar| {
-        StructInfo::tensor(
-            vec![be.clone(), nh.into(), len.clone().into(), hd.into()],
-            dt,
-        )
-    };
+    let mut params: Vec<(String, StructInfo)> = vec![
+        (
+            "tokens".to_string(),
+            StructInfo::tensor(vec![be.clone(), one.clone()], DataType::I64),
+        ),
+        ("kv_cache".to_string(), StructInfo::Object),
+    ];
+    let per_head = StructInfo::tensor(
+        vec![be.clone(), nh.into(), s_audio.clone().into(), hd.into()],
+        dt,
+    );
     for l in 0..config.dec_layers {
-        if matches!(cache, KvMode::Copy) {
-            params.push((format!("d{l}.k_cache"), per_head(&kv_len)));
-            params.push((format!("d{l}.v_cache"), per_head(&kv_len)));
-        }
         // Cross-attention keys/values are precomputed once per utterance
         // by `build_cross_kv` (as real Whisper deployments do).
-        params.push((format!("d{l}.cross_k"), per_head(&s_audio)));
-        params.push((format!("d{l}.cross_v"), per_head(&s_audio)));
+        params.push((format!("d{l}.cross_k"), per_head.clone()));
+        params.push((format!("d{l}.cross_v"), per_head.clone()));
     }
     params.push(tensor_param("embed".to_string(), &[config.vocab, d], dt));
     for l in 0..config.dec_layers {
@@ -203,11 +203,11 @@ fn build_decoder(config: &WhisperConfig, func: &str, cache: KvMode) -> Result<Mo
     }
     params.push(tensor_param("final_norm".to_string(), &[d], dt));
 
-    let mut mb = ModelBuilder::begin(IRModule::new(), func, params.clone());
+    let mut mb = ModelBuilder::begin(IRModule::new(), "decode_paged", params.clone());
     let tokens = mb.param("tokens")?;
     let embed = mb.param("embed")?;
     let mut x = mb.take(embed.clone(), tokens)?;
-    let mut kv = mb.kv_begin(cache)?;
+    let mut kv = mb.kv_begin(KvMode::Paged)?;
 
     for l in 0..config.dec_layers {
         let p = format!("d{l}");
@@ -238,40 +238,16 @@ fn build_decoder(config: &WhisperConfig, func: &str, cache: KvMode) -> Result<Mo
     let module = mb.finish(Expr::Tuple(ret))?;
     Ok(ModelIr {
         module,
-        func: func.into(),
+        func: "decode_paged".into(),
         params,
         batch: b,
-        seq: kv_len,
+        seq: s_audio,
     })
-}
-
-/// Builds the decoder step: next token + self KV caches + encoder states,
-/// returning `(logits, new self K/V caches...)`. Cross-attention keys and
-/// values are computed from the encoder states.
-///
-/// # Errors
-///
-/// Propagates IR construction failures.
-pub fn build_decoder_step(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
-    build_decoder(config, "decode", KvMode::Copy)
-}
-
-/// Builds the decoder step over a **paged** self-attention KV cache:
-/// like [`build_decoder_step`], but layer `l`'s K/V live in streams
-/// `2l`/`2l+1` of one first-class cache handle, appended in place via
-/// `vm.builtin.kv_cache.append_paged`. Cross-attention keys/values stay
-/// precomputed tensors. Returns `(logits, cache handle)`.
-///
-/// # Errors
-///
-/// Propagates IR construction failures.
-pub fn build_decoder_step_paged(config: &WhisperConfig) -> Result<ModelIr, ModelError> {
-    build_decoder(config, "decode_paged", KvMode::Paged)
 }
 
 /// Builds the once-per-utterance cross-attention projection: encoder
 /// states to the per-layer cross keys and values consumed by
-/// [`build_decoder_step`].
+/// [`build_decoder_step_paged`].
 ///
 /// # Errors
 ///
@@ -323,8 +299,6 @@ mod tests {
         let c = WhisperConfig::tiny();
         let enc = build_encoder(&c).unwrap();
         assert!(relax_core::assert_well_formed(&enc.module).is_ok());
-        let dec = build_decoder_step(&c).unwrap();
-        assert!(relax_core::assert_well_formed(&dec.module).is_ok());
         let paged = build_decoder_step_paged(&c).unwrap();
         assert!(relax_core::assert_well_formed(&paged.module).is_ok());
         let n_appends = paged

@@ -104,7 +104,7 @@ echo "==> kernel-plan differentials, pipeline ablation + paged-attention sweep s
 # on the scalar tape (kernel_plans_e2e), all bitwise; the scheduled
 # matmul's fastest run against the host roofline floor (kernel_roofline);
 # plus the pipeline ablation: 16 configs, each against the interpreter,
-# and the 13 model builders under the 16 configs, each executable against
+# and the 12 model builders under the 16 configs, each executable against
 # its two committed digests (tests/golden/compile_digests.txt over the whole
 # printed executable, tests/golden/compile_digests_name_free.txt over the VM
 # functions with each kernel name replaced by the kernel's canonical print),

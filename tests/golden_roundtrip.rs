@@ -17,7 +17,7 @@ use relax::models::llama::{
 use relax::models::llava::{build_vision_encoder, LlavaConfig};
 use relax::models::moe::{build_dense_ffn, build_dispatch, build_ffn_with_assignments};
 use relax::models::whisper::{
-    build_cross_kv, build_decoder_step, build_decoder_step_paged, build_encoder, WhisperConfig,
+    build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
 };
 use relax::models::MoeConfig;
 
@@ -72,12 +72,6 @@ fn check_roundtrip(name: &str, module: &IRModule) {
 fn llama_decode_roundtrips() {
     let ir = build_decode(&LlamaConfig::tiny()).unwrap();
     check_roundtrip("llama_tiny_decode", &ir.module);
-}
-
-#[test]
-fn whisper_decoder_step_roundtrips() {
-    let ir = build_decoder_step(&WhisperConfig::tiny()).unwrap();
-    check_roundtrip("whisper_tiny_decoder_step", &ir.module);
 }
 
 #[test]

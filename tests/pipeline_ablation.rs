@@ -22,7 +22,7 @@ use relax_models::llama::{
 use relax_models::llava::{build_vision_encoder, LlavaConfig};
 use relax_models::moe::{build_dense_ffn, build_dispatch, build_ffn_with_assignments};
 use relax_models::whisper::{
-    build_cross_kv, build_decoder_step, build_decoder_step_paged, build_encoder, WhisperConfig,
+    build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
 };
 use relax_models::MoeConfig;
 use relax_passes::{compile, CompileOptions};
@@ -201,10 +201,6 @@ fn model_modules() -> Vec<(&'static str, IRModule)> {
         ("moe dense_ffn", build_dense_ffn(&moe).unwrap().module),
         ("whisper encoder", build_encoder(&whisper).unwrap().module),
         (
-            "whisper decoder_step",
-            build_decoder_step(&whisper).unwrap().module,
-        ),
-        (
             "whisper decoder_step_paged",
             build_decoder_step_paged(&whisper).unwrap().module,
         ),
@@ -347,7 +343,7 @@ fn every_executable() -> Vec<(String, Executable)> {
             execs.push((format!("{name}\t{mask:04b}"), exec));
         }
     }
-    assert_eq!(execs.len(), 13 * 16);
+    assert_eq!(execs.len(), 12 * 16);
     execs
 }
 

@@ -36,7 +36,9 @@ use relax::core::{DataType, IRModule, ShapeDesc, StructInfo};
 use relax::models::llama::{build_decode, build_decode_paged, build_prefill, LlamaConfig};
 use relax::models::llava::{build_vision_encoder, LlavaConfig};
 use relax::models::moe::{build_dispatch, MoeConfig};
-use relax::models::whisper::{build_cross_kv, build_decoder_step, build_encoder, WhisperConfig};
+use relax::models::whisper::{
+    build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
+};
 use relax::passes::{compile, CompileOptions};
 use relax::sim::{simulate, simulate_with_memory, DeviceSpec, MemoryTracker, SimError, SimValue};
 use relax::tir::NDArray;
@@ -486,17 +488,37 @@ fn every_ablation_config_launches_alike() {
 #[test]
 fn whisper_launches_alike() {
     let cfg = WhisperConfig::tiny();
-    let env = [("batch", 1), ("s_audio", cfg.audio_ctx), ("kv_len", 3)];
+    let env = [("batch", 1), ("s_audio", cfg.audio_ctx)];
+    let kv = KvCacheConfig {
+        streams: 2 * cfg.dec_layers,
+        batch: 1,
+        heads: cfg.n_heads as usize,
+        head_dim: cfg.head_dim() as usize,
+        dtype: cfg.dtype,
+    };
     let cases: Vec<Case> = [
         build_encoder(&cfg).unwrap(),
         build_cross_kv(&cfg).unwrap(),
-        build_decoder_step(&cfg).unwrap(),
+        build_decoder_step_paged(&cfg).unwrap(),
     ]
     .into_iter()
     .map(|ir| {
         let exec = compiled(ir.module.clone(), &CompileOptions::default());
         let (params, vocab) = (ir.params.clone(), cfg.vocab);
-        let args = move || materialize(&params, &env, vocab);
+        // The decoder step's self-attention cache holds three tokens.
+        let args = move || {
+            let mut args = materialize(&params, &env, vocab);
+            if let Some(slot) = args.iter().position(|a| matches!(a, Value::None)) {
+                let pool = Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS));
+                let cache = KvCache::new(kv, pool);
+                let rows = NDArray::zeros(&[1, kv.heads, 3, kv.head_dim], kv.dtype);
+                for s in 0..kv.streams {
+                    cache.append(s, &rows).unwrap();
+                }
+                args[slot] = Value::KvCache(cache);
+            }
+            args
+        };
         Case::new(format!("whisper {}", ir.func), &exec, &ir.func, args)
     })
     .collect();

@@ -3,13 +3,16 @@
 //! through the full pipeline.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use relax::core::{DataType, ShapeDesc, StructInfo};
 use relax::models::llava::{build_vision_encoder, LlavaConfig};
-use relax::models::whisper::{build_cross_kv, build_decoder_step, build_encoder, WhisperConfig};
+use relax::models::whisper::{
+    build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
+};
 use relax::passes::{compile, CompileOptions};
 use relax::tir::NDArray;
-use relax::vm::{Value, Vm};
+use relax::vm::{KvCache, KvCacheConfig, KvPagePool, Value, Vm, KV_PAGE_TOKENS};
 
 fn random_arr(shape: &[usize], dtype: DataType, seed: &mut u64) -> NDArray {
     let n: usize = shape.iter().product();
@@ -47,6 +50,8 @@ fn materialize(
                         .collect::<Vec<_>>(),
                     dtype.unwrap(),
                 ),
+                // The KV cache handle, supplied by the caller.
+                StructInfo::Object => return Value::None,
                 other => panic!("unexpected annotation {other}"),
             };
             if name == "tokens" {
@@ -100,12 +105,24 @@ fn whisper_encoder_cross_kv_decoder_pipeline() {
         .collect();
     assert_eq!(cross_tensors.len(), 2 * cfg.dec_layers);
 
-    // One decode step with empty-ish self caches (length 1).
-    let dec = build_decoder_step(&cfg).unwrap();
+    // One decode step over a paged self-attention cache holding one token.
+    let dec = build_decoder_step_paged(&cfg).unwrap();
     let dec_exec = compile(dec.module.clone(), &CompileOptions::default()).unwrap();
-    let dec_env: HashMap<&str, i64> =
-        [("batch", 1), ("kv_len", 1), ("s_audio", cfg.audio_ctx)].into();
+    let kv = KvCacheConfig {
+        streams: 2 * cfg.dec_layers,
+        batch: 1,
+        heads: cfg.n_heads as usize,
+        head_dim: cfg.head_dim() as usize,
+        dtype: cfg.dtype,
+    };
+    let cache = KvCache::new(kv, Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS)));
+    for stream in 0..kv.streams {
+        let row = random_arr(&[1, kv.heads, 1, kv.head_dim], kv.dtype, &mut seed);
+        cache.append(stream, &row).unwrap();
+    }
+    let dec_env: HashMap<&str, i64> = [("batch", 1), ("s_audio", cfg.audio_ctx)].into();
     let mut dec_args = materialize(&dec.params, &dec_env, &mut weights, &mut seed);
+    dec_args[1] = Value::KvCache(cache.clone());
     // Patch the cross K/V parameters with the projected values.
     for (i, (name, _)) in dec.params.iter().enumerate() {
         if let Some(rest) = name.strip_prefix('d') {
@@ -120,14 +137,14 @@ fn whisper_encoder_cross_kv_decoder_pipeline() {
         }
     }
     let mut dec_vm = Vm::new(dec_exec);
-    let out = dec_vm.run("decode", &dec_args).unwrap();
+    let out = dec_vm.run("decode_paged", &dec_args).unwrap();
     assert_eq!(dec_vm.telemetry().plan_fallbacks, 0);
     let tuple = out.as_tuple().unwrap();
     let logits = tuple[0].as_tensor().unwrap();
     assert_eq!(logits.shape(), &[1, 1, cfg.vocab as usize]);
     assert!(logits.to_f64_vec().iter().all(|v| v.is_finite()));
-    // Self caches grew by one.
-    assert_eq!(tuple[1].as_tensor().unwrap().shape()[2], 2);
+    // Every self-attention stream grew by one.
+    assert_eq!(cache.lens(), vec![2; kv.streams]);
 }
 
 #[test]
