@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use relax_bench::{compile_decode, CompiledModel};
-use relax_models::llama::{build_decode_paged, LlamaConfig};
+use relax_bench::{compile_decode, compile_decode_bounded};
+use relax_models::llama::LlamaConfig;
 use relax_passes::{plan_memory, CompileOptions};
 use relax_sim::{simulate_with_memory, DeviceSpec, MemoryTracker};
 use relax_vm::Instr;
@@ -75,16 +75,7 @@ fn main() {
     // ---------------------------------------------------------------
     println!("## 2. upper-bound planning: plan size across growing shapes\n");
     {
-        let ir = build_decode_paged(&cfg).expect("build");
-        let bounded = CompileOptions::default()
-            .with_bound(ir.batch.clone(), 8)
-            .with_bound(ir.seq.clone(), 64);
-        let exec_bounded = relax_passes::compile(ir.module.clone(), &bounded).expect("compile");
-        let model_b = CompiledModel {
-            exec: exec_bounded,
-            ir,
-            config: cfg.clone(),
-        };
+        let model_b = compile_decode_bounded(&cfg, 8, 64).expect("compile");
         let model_u = compile_decode(&cfg, &CompileOptions::default()).expect("compile");
         println!("| after prompts     | bounded plan (B) | unbounded plan (B) |");
         println!("| ----------------- | ---------------- | ------------------ |");

@@ -8,9 +8,9 @@
 //! while the unplanned path replays the allocation/free event stream of
 //! the lowered program against the runtime recycling pool.
 
-use relax_bench::{compile_decode, CompiledModel};
-use relax_models::llama::{build_decode_paged, LlamaConfig};
-use relax_passes::{compile, CompileOptions};
+use relax_bench::{compile_decode, compile_decode_bounded, CompiledModel};
+use relax_models::llama::LlamaConfig;
+use relax_passes::CompileOptions;
 use relax_sim::{simulate_with_memory, DeviceSpec, MemoryTracker};
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -25,21 +25,6 @@ fn measure(model: &CompiledModel, device: &DeviceSpec, steps: &[(i64, i64, i64)]
             .expect("simulate");
     }
     mem.total_bytes() as f64 / MIB
-}
-
-/// The served step compiled with a static plan for at most `batch`
-/// sequences of `seq` tokens each.
-fn bounded(cfg: &LlamaConfig, batch: i64, seq: i64) -> CompiledModel {
-    let ir = build_decode_paged(cfg).expect("build");
-    let opts = CompileOptions::default()
-        .with_bound(ir.batch.clone(), batch)
-        .with_bound(ir.seq.clone(), seq);
-    let exec = compile(ir.module.clone(), &opts).expect("compile");
-    CompiledModel {
-        exec,
-        ir,
-        config: cfg.clone(),
-    }
 }
 
 fn main() {
@@ -63,8 +48,12 @@ fn main() {
     .expect("compile");
 
     // ---- Prefill workload: successive lengths, batch 1. ----
-    let prefills: Vec<(i64, i64, i64)> = [128, 256, 512, 1024].map(|n| (1, n, 0)).to_vec();
-    let planned = measure(&bounded(&cfg, 1, 1024), &device, &prefills);
+    let prefills = [128, 256, 512, 1024].map(|n| (1, n, 0));
+    let planned = measure(
+        &compile_decode_bounded(&cfg, 1, 1024).expect("compile"),
+        &device,
+        &prefills,
+    );
     let unplanned = measure(&unplanned_model, &device, &prefills);
     println!("| Llama3-8B Prefill        |    MiB |");
     println!("| ------------------------ | ------ |");
@@ -77,8 +66,12 @@ fn main() {
     println!("# paper: 192.7 MiB -> 149.7 MiB (22% reduction)\n");
 
     // ---- Decode workload: successive batches at a fixed context. ----
-    let decodes: Vec<(i64, i64, i64)> = [1, 16, 32, 64].map(|b| (b, 1, 512)).to_vec();
-    let planned_dec = measure(&bounded(&cfg, 64, 1), &device, &decodes);
+    let decodes = [1, 16, 32, 64].map(|b| (b, 1, 512));
+    let planned_dec = measure(
+        &compile_decode_bounded(&cfg, 64, 1).expect("compile"),
+        &device,
+        &decodes,
+    );
     let unplanned_dec = measure(&unplanned_model, &device, &decodes);
     println!("| Llama3-8B Decode         |    MiB |");
     println!("| ------------------------ | ------ |");

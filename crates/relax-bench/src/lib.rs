@@ -62,6 +62,30 @@ pub fn compile_decode(
     })
 }
 
+/// [`compile_decode`] under the default options with a static memory plan
+/// for at most `batch` sequences of `seq` tokens each (§4.3's upper-bound
+/// planning).
+///
+/// # Errors
+///
+/// Propagates model-construction and pipeline failures.
+pub fn compile_decode_bounded(
+    config: &LlamaConfig,
+    batch: i64,
+    seq: i64,
+) -> Result<CompiledModel, Box<dyn std::error::Error>> {
+    let ir = build_decode_paged(config)?;
+    let opts = CompileOptions::default()
+        .with_bound(ir.batch.clone(), batch)
+        .with_bound(ir.seq.clone(), seq);
+    let exec = compile(ir.module.clone(), &opts)?;
+    Ok(CompiledModel {
+        exec,
+        ir,
+        config: config.clone(),
+    })
+}
+
 /// The shape-level paged KV cache of `batch` sequences, each holding
 /// `context` tokens on every stream (streams `2l`/`2l + 1` hold layer
 /// `l`'s keys and values). `batch` is the summed batch, as
