@@ -45,13 +45,11 @@ fn dry_run(exec: &relax_vm::Executable, func: &str, args: &[SimValue]) -> (SimRe
 /// `log` without its KV-append and attention launches.
 fn without_kv(log: Log) -> Log {
     log.into_iter()
-        .filter(|(_, payload)| match payload {
-            Payload::Kernel { kernel, .. } => !KV_KERNELS.contains(&kernel.as_str()),
-            _ => true,
-        })
+        .filter(|launch| !KV_KERNELS.contains(&kernel(launch)))
         .collect()
 }
 
+/// The kernel a launch ran.
 fn kernel(launch: &(String, Payload)) -> &str {
     match &launch.1 {
         Payload::Kernel { kernel, .. } => kernel,
@@ -123,6 +121,7 @@ fn check(points: &Points) -> usize {
                 let (copy_report, copy_log) = dry_run(&copy_exec, &copy.func, &copy_args);
                 let (paged_report, paged_log) = dry_run(&paged_exec, &paged.func, &paged_args);
                 let (copy_log, paged_log) = (without_kv(copy_log), without_kv(paged_log));
+                assert!(!copy_log.is_empty(), "{at}: nothing launched");
                 let unfused = assert_alike(&at, &copy_log, &paged_log);
                 let want = usize::from(opts.fusion && !opts.dispatch_library);
                 assert_eq!(unfused, want, "{at}: output projections fused apart");
