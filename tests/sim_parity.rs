@@ -19,6 +19,10 @@
 //!   the VM (a constant weight dimension, or a variable an earlier
 //!   argument bound) fails the dry run with the same detail text.
 //!
+//! A refusal table beside them holds one malformed launch per runtime
+//! function (paged KV append and attention, the MoE builtins, the library
+//! kernels), each with the text the VM refuses it with.
+//!
 //! Stated exceptions:
 //!
 //! - `moe_dispatch`: the dry run bounds each expert's data-dependent row
@@ -44,8 +48,8 @@ use relax::sim::{simulate, simulate_with_memory, DeviceSpec, MemoryTracker, SimE
 use relax::tir::NDArray;
 use relax::trace::{Capture, EventKind, Payload};
 use relax::vm::{
-    Executable, KvCache, KvCacheConfig, KvPagePool, Telemetry, Value, Vm, VmError, VmErrorKind,
-    KV_PAGE_TOKENS,
+    Executable, Instr, KvCache, KvCacheConfig, KvPagePool, Telemetry, Value, Vm, VmError,
+    VmErrorKind, VmFunction, KV_PAGE_TOKENS,
 };
 
 /// A plan-cache capacity above every case's distinct kernel keys.
@@ -548,4 +552,227 @@ fn moe_dispatch_launches_are_bounded_by_the_worst_case() {
     let mut case = Case::new("moe_dispatch t=7".into(), &exec, &ir.func, args);
     case.worst_case = true;
     check_all(&[case]);
+}
+
+/// One malformed launch and the `VmErrorKind` text the VM refuses it with.
+struct Refusal {
+    label: &'static str,
+    exec: Executable,
+    func: String,
+    args: Vec<Value>,
+    want: String,
+}
+
+/// `main` over `params` arguments: `body` runs on registers from `params`
+/// on, and the last one it writes is returned.
+fn hand_built(params: usize, body: Vec<Instr>, num_regs: usize) -> Executable {
+    let mut instrs = body;
+    instrs.push(Instr::Ret { src: num_regs - 1 });
+    let mut exec = Executable::new();
+    let main = VmFunction {
+        name: "main".into(),
+        num_params: params,
+        num_regs,
+        instrs,
+    };
+    exec.funcs.insert("main".into(), main);
+    exec
+}
+
+/// `main(args..) = func(args.., shape)`: one builtin launch, its shape
+/// operand (when given) made in place.
+fn builtin_launch(func: &str, params: usize, shape: Option<&[i64]>) -> Executable {
+    let mut body = Vec::new();
+    let mut args: Vec<usize> = (0..params).collect();
+    if let Some(dims) = shape {
+        let dims = dims.iter().map(|&d| d.into()).collect();
+        body.push(Instr::MakeShape { dst: params, dims });
+        args.push(params);
+    }
+    let dst = args.len();
+    body.push(Instr::CallBuiltin {
+        func: func.into(),
+        args,
+        dst,
+    });
+    hand_built(params, body, dst + 1)
+}
+
+/// `main(args..) = func(args..) -> out`: one library launch writing a
+/// fresh f32 tensor of shape `out`.
+fn lib_launch(func: &str, params: usize, out: &[i64]) -> Executable {
+    let body = vec![
+        Instr::AllocTensor {
+            dst: params,
+            shape: out.iter().map(|&d| d.into()).collect(),
+            dtype: DataType::F32,
+        },
+        Instr::CallLib {
+            func: func.into(),
+            args: (0..params).collect(),
+            dsts: vec![params],
+        },
+    ];
+    hand_built(params, body, params + 1)
+}
+
+/// A cache of `heads` KV heads of dim 4, batch 1, two streams holding
+/// three tokens each.
+fn small_cache(heads: usize) -> Value {
+    let kv = KvCacheConfig {
+        streams: 2,
+        batch: 1,
+        heads,
+        head_dim: 4,
+        dtype: DataType::F32,
+    };
+    let cache = KvCache::new(kv, Arc::new(KvPagePool::unbounded(KV_PAGE_TOKENS)));
+    for s in 0..kv.streams {
+        cache
+            .append(s, &NDArray::zeros(&[1, heads, 3, 4], kv.dtype))
+            .unwrap();
+    }
+    Value::KvCache(cache)
+}
+
+fn f32s(dims: &[usize]) -> Value {
+    Value::Tensor(NDArray::zeros(dims, DataType::F32))
+}
+
+fn i64s(dims: &[usize]) -> Value {
+    Value::Tensor(NDArray::zeros(dims, DataType::I64))
+}
+
+/// The refusal table: one malformed launch per runtime function.
+fn refusals() -> Vec<Refusal> {
+    let kernel = |name: &str, detail: &str| format!("kernel `{name}` failed: {detail}");
+    let attention = "vm.builtin.kv_cache.attention";
+    let append = "vm.builtin.kv_cache.append_paged";
+    let (route, gather, scatter) = (
+        "vm.builtin.moe.route",
+        "vm.builtin.moe.gather",
+        "vm.builtin.moe.scatter",
+    );
+    let attend = |shape: &[i64]| builtin_launch(attention, 2, Some(shape));
+    // A batch-1 cache beside (16, 1) tokens: the served step at the wrong
+    // batch, which the dry run once costed as one sequence's KV reads.
+    let cfg = LlamaConfig::tiny();
+    let ir = build_decode_paged(&cfg).unwrap();
+    let mut served = materialize(&ir.params, &[("batch", 16), ("seq", 1)], cfg.vocab);
+    served[1] = Value::KvCache(filled_stack(&cfg, 1, CONTEXT));
+    let mut table = vec![Refusal {
+        label: "decode_paged: batch-1 cache, (16, 1) tokens",
+        exec: compile(ir.module, &CompileOptions::default()).unwrap(),
+        func: ir.func,
+        args: served,
+        want: kernel(
+            append,
+            "appended tensor [16, 1, 1, 32] does not match cache geometry \
+             (batch=1, heads=1, head_dim=32)",
+        ),
+    }];
+    let hand_built = [
+        (
+            "attention: batch mismatch",
+            attend(&[0, 1, 1]),
+            vec![f32s(&[2, 1, 1, 4]), small_cache(1)],
+            kernel(
+                attention,
+                "query [2, 1, 1, 4] does not match cache geometry (batch=1, head_dim=4)",
+            ),
+        ),
+        (
+            "attention: head_dim mismatch",
+            attend(&[0, 1, 1]),
+            vec![f32s(&[1, 1, 1, 5]), small_cache(1)],
+            kernel(
+                attention,
+                "query [1, 1, 1, 5] does not match cache geometry (batch=1, head_dim=4)",
+            ),
+        ),
+        (
+            "attention: query heads not a multiple of KV heads",
+            attend(&[0, 1, 1]),
+            vec![f32s(&[1, 3, 1, 4]), small_cache(2)],
+            kernel(attention, "query heads 3 not a multiple of kv heads 2"),
+        ),
+        (
+            "attention: out-of-range stream",
+            attend(&[0, 9, 1]),
+            vec![f32s(&[1, 1, 1, 4]), small_cache(1)],
+            kernel(attention, "stream 9 out of range (2)"),
+        ),
+        (
+            "append_paged: wrong dtype",
+            builtin_launch(append, 2, Some(&[0])),
+            vec![
+                small_cache(1),
+                Value::Tensor(NDArray::zeros(&[1, 1, 1, 4], DataType::F16)),
+            ],
+            kernel(append, "appended dtype f16 != cache dtype f32"),
+        ),
+        (
+            "moe.route: zero experts",
+            builtin_launch(route, 1, None),
+            vec![f32s(&[3, 0])],
+            kernel(route, "router logits have zero experts"),
+        ),
+        (
+            "moe.gather: uncovered assignment",
+            builtin_launch(gather, 2, Some(&[0])),
+            vec![f32s(&[3, 4]), i64s(&[2])],
+            kernel(gather, "assignment [2] does not cover 3 tokens"),
+        ),
+        (
+            "moe.gather: f32 assignment",
+            builtin_launch(gather, 2, Some(&[0])),
+            vec![f32s(&[3, 4]), f32s(&[3])],
+            kernel(gather, "assignment dtype f32 != i64"),
+        ),
+        (
+            "moe.scatter: negative token count",
+            builtin_launch(scatter, 2, Some(&[0, -1])),
+            vec![f32s(&[2, 4]), i64s(&[3])],
+            kernel(scatter, "negative token count -1"),
+        ),
+        (
+            "cublas.matmul: inner dimension mismatch",
+            lib_launch("cublas.matmul", 2, &[2, 3]),
+            vec![f32s(&[2, 4]), f32s(&[5, 3])],
+            kernel("cublas.matmul", "inner dimension mismatch: 4 vs 5"),
+        ),
+        (
+            "cutlass.rms_norm: wrong weight length",
+            lib_launch("cutlass.rms_norm", 2, &[2, 4]),
+            vec![f32s(&[2, 4]), f32s(&[3])],
+            kernel("cutlass.rms_norm", "weight length 3 != 4"),
+        ),
+        (
+            "vm.builtin.kv_append: wrong output length",
+            lib_launch("vm.builtin.kv_append", 2, &[1, 1, 4, 4]),
+            vec![f32s(&[1, 1, 2, 4]), f32s(&[1, 1, 1, 4])],
+            kernel("vm.builtin.kv_append", "output length 4 != cache 2 + new 1"),
+        ),
+    ];
+    table.extend(
+        hand_built
+            .into_iter()
+            .map(|(label, exec, args, want)| Refusal {
+                label,
+                exec,
+                func: "main".into(),
+                args,
+                want,
+            }),
+    );
+    table
+}
+
+#[test]
+fn malformed_launches_are_refused_with_the_vms_text() {
+    for case in refusals() {
+        let vm = Vm::new(case.exec.clone()).run(&case.func, &case.args);
+        let err = vm.expect_err(case.label);
+        assert_eq!(err.kind.to_string(), case.want, "{}", case.label);
+    }
 }
