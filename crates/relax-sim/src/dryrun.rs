@@ -1,19 +1,27 @@
 //! Shape-level dry run of a compiled executable.
 //!
 //! Walks the VM's instructions at the shape level — no tensor data is
-//! touched — charging each kernel launch to the device cost model, and
-//! applies the VM's own `MatchShape` rule, KV page size and KV dtype codes.
-//! This is how the paper-figure binaries obtain "Relax" numbers for
-//! full-size models: the compiler's actual output (after fusion, library
-//! dispatch, memory planning and graph capture) determines exactly which
-//! kernels launch with which shapes.
+//! touched — charging each kernel launch to the device cost model. This is
+//! how the paper-figure binaries obtain "Relax" numbers for full-size
+//! models: the compiler's actual output (after fusion, library dispatch,
+//! memory planning and graph capture) determines exactly which kernels
+//! launch with which shapes.
 //!
-//! The walk is pinned by `sim_parity` (`tests/sim_parity.rs`): each charged
-//! kernel logs a `sim` trace instant named and shaped like the VM's span
-//! for that launch, and the two logs and launch counters agree on every
-//! model the figures cost. Stated exceptions:
+//! Every runtime rule is `relax-vm`'s own, called here: `match_shape`,
+//! `eval_size` for allocation sizes, each builtin's and library kernel's
+//! argument check (`KvCacheConfig::check_*`, `moe::check_*`,
+//! `registry::check_*`, `check_shape_operand`, `stream_arg`), the KV page
+//! size, the launch log's dims and payload, and the planned-storage
+//! `StorageLedger`. A launch those rules refuse in the VM fails here with
+//! the VM's text (`SimError::ShapeCheck`); the dry run adds only costs.
+//! `sim_parity` (`tests/sim_parity.rs`) pins it: each charged kernel logs
+//! a `sim` trace instant named and shaped like the VM's span for that
+//! launch, the two logs and launch counters agree on every model the
+//! figures cost, and a refusal table holds one malformed launch per
+//! runtime function. Stated exceptions:
 //! - MoE gathers are bounded by the whole token batch (§4.2's worst-case
-//!   rule): launch names match, every dimension is at least the VM's.
+//!   rule): launch names match, every dimension is at least the VM's, and
+//!   a scatter's row count is not checked against its expert's tokens.
 //! - [`MemoryTracker::planned_bytes`] leaves out storages that escape
 //!   through `Ret` (Table 2 counts activations only).
 //! - The plan cache is unbounded: one compile per `(kernel, shapes)` key.
@@ -24,16 +32,19 @@ use std::fmt;
 use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::bind_shapes_dims;
 use relax_trace::CacheOutcome::{self, Hit, Miss};
-use relax_trace::Payload;
-use relax_vm::{Executable, Instr, VmErrorKind, KV_PAGE_TOKENS};
+use relax_vm::moe::{check_gather, check_route, check_scatter};
+use relax_vm::registry::{check_kv_append, check_matmul, check_rms_norm, KernelError};
+use relax_vm::{
+    check_shape_operand, eval_size, launch_payload, stream_arg, Executable, Instr, KvCacheConfig,
+    StorageLedger, VmErrorKind, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
+};
 
 use crate::cost::{kernel_time, KernelClass};
 use crate::device::DeviceSpec;
 
-/// Tokens `len` logical tokens hold in whole pages of the VM's size.
-fn kv_page_rows(len: i64) -> i64 {
-    let page = KV_PAGE_TOKENS as i64;
-    (len.max(0) + page - 1) / page * page
+/// Dimensions as sizes (a negative one reads as 0).
+fn sizes(dims: &[i64]) -> Vec<usize> {
+    dims.iter().map(|&d| d.max(0) as usize).collect()
 }
 
 /// A runtime value tracked at the shape level.
@@ -78,44 +89,55 @@ impl SimValue {
     }
 
     fn byte_size(&self) -> f64 {
+        if let Some((cfg, lens)) = self.kv_cache() {
+            // Resident bytes are whole pages, not logical tokens.
+            let row = (cfg.batch * cfg.heads * cfg.head_dim) as f64 * cfg.dtype.size_bytes() as f64;
+            let pages = |len: usize| len.div_ceil(KV_PAGE_TOKENS) * KV_PAGE_TOKENS;
+            return lens.iter().map(|&len| pages(len) as f64 * row).sum();
+        }
         match self {
             SimValue::Tensor { dims, dtype } => {
                 dims.iter().product::<i64>().max(0) as f64 * dtype.size_bytes() as f64
             }
             SimValue::Tuple(items) => items.iter().map(SimValue::byte_size).sum(),
-            SimValue::KvCache {
-                streams,
-                batch,
-                heads,
-                head_dim,
-                dtype,
-            } => {
-                // Resident bytes are whole pages, not logical tokens.
-                let row = (batch * heads * head_dim).max(0) as f64 * dtype.size_bytes() as f64;
-                streams
-                    .iter()
-                    .map(|&len| kv_page_rows(len) as f64 * row)
-                    .sum()
-            }
             _ => 0.0,
         }
+    }
+
+    /// A cache's geometry and per-stream lengths, as the VM's rules take
+    /// them.
+    fn kv_cache(&self) -> Option<(KvCacheConfig, Vec<usize>)> {
+        let SimValue::KvCache {
+            streams,
+            batch,
+            heads,
+            head_dim,
+            dtype,
+        } = self
+        else {
+            return None;
+        };
+        let size = |d: &i64| (*d).max(0) as usize;
+        let cfg = KvCacheConfig {
+            streams: streams.len(),
+            batch: size(batch),
+            heads: size(heads),
+            head_dim: size(head_dim),
+            dtype: *dtype,
+        };
+        Some((cfg, sizes(streams)))
     }
 
     /// The dimensions the launch log records for this argument, as
     /// `relax_vm::Value::launch_dims` does for the VM's.
     fn launch_dims(&self) -> Vec<usize> {
-        let dims = match self {
-            SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => dims.clone(),
-            SimValue::KvCache {
-                streams,
-                batch,
-                heads,
-                head_dim,
-                ..
-            } => [&[*batch, *heads, *head_dim][..], streams].concat(),
-            _ => Vec::new(),
-        };
-        dims.into_iter().map(|d| d.max(0) as usize).collect()
+        match self {
+            SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => sizes(dims),
+            _ => self
+                .kv_cache()
+                .map(|(cfg, lens)| cfg.launch_dims(lens))
+                .unwrap_or_default(),
+        }
     }
 }
 
@@ -128,15 +150,8 @@ fn log_launch(
     shapes: impl FnOnce() -> Vec<Vec<usize>>,
     cache: Option<CacheOutcome>,
 ) {
-    relax_trace::instant(
-        "sim",
-        || format!("{class}:{func}"),
-        || Payload::Kernel {
-            kernel: func.to_string(),
-            shapes: relax_trace::shape_sig(&shapes()),
-            cache,
-        },
-    );
+    let payload = || launch_payload(func, &shapes(), cache);
+    relax_trace::instant("sim", || format!("{class}:{func}"), payload);
 }
 
 /// The launch-log dimensions of the values in `args`.
@@ -192,6 +207,27 @@ impl std::error::Error for SimError {}
 impl From<EvalError> for SimError {
     fn from(e: EvalError) -> Self {
         SimError::Eval(e)
+    }
+}
+
+/// A VM refusal: a failed shape check or a refused kernel carries the
+/// VM's text.
+impl From<VmErrorKind> for SimError {
+    fn from(e: VmErrorKind) -> Self {
+        match e {
+            VmErrorKind::ShapeCheck { ctx, detail } => {
+                SimError::ShapeCheck(format!("{ctx}: {detail}"))
+            }
+            VmErrorKind::Kernel(k) => SimError::ShapeCheck(k.to_string()),
+            VmErrorKind::Eval(e) => SimError::Eval(e),
+            other => SimError::Type(other.to_string()),
+        }
+    }
+}
+
+impl From<KernelError> for SimError {
+    fn from(e: KernelError) -> Self {
+        VmErrorKind::Kernel(e).into()
     }
 }
 
@@ -280,8 +316,8 @@ impl SimReport {
 pub struct MemoryTracker {
     /// The runtime recycling pool (unplanned path).
     pub pool: relax_vm::memory::PooledAllocator,
-    /// Planned storage sizes by allocation site: (function, pc).
-    planned: HashMap<(String, usize), usize>,
+    /// Planned storage by allocation site, kept as the VM keeps it.
+    planned: StorageLedger,
 }
 
 impl MemoryTracker {
@@ -292,7 +328,7 @@ impl MemoryTracker {
 
     /// Total bytes held by planned static storage.
     pub fn planned_bytes(&self) -> usize {
-        self.planned.values().sum()
+        self.planned.total()
     }
 
     /// Total bytes of distinct blocks the runtime pool ever allocated.
@@ -392,7 +428,7 @@ impl<'a> DryRun<'a> {
         args: &[SimValue],
     ) -> Result<SimReport, SimError> {
         let (report, seen) = (SimReport::default(), HashSet::new());
-        let mut run = DryRun {
+        let mut run = Self {
             exec,
             device,
             warm,
@@ -446,7 +482,7 @@ impl<'a> DryRun<'a> {
             let heap = &mut frame.heap;
             match instr {
                 Instr::AllocTensor { dst, shape, dtype } => {
-                    let val = SimValue::tensor(eval_dims(shape, heap)?, *dtype);
+                    let val = SimValue::tensor(alloc_dims(shape, heap)?, *dtype);
                     if let Some(mem) = self.memory.as_deref_mut() {
                         if !frame.escaping.contains(dst) {
                             let bytes = val.byte_size() as usize;
@@ -459,17 +495,14 @@ impl<'a> DryRun<'a> {
                 }
                 Instr::TensorFromStorage {
                     dst, shape, dtype, ..
-                } => regs[*dst] = SimValue::tensor(eval_dims(shape, heap)?, *dtype),
+                } => regs[*dst] = SimValue::tensor(alloc_dims(shape, heap)?, *dtype),
                 Instr::AllocStorage { dst, bytes } => {
-                    let b = bytes.eval(heap).unwrap_or(0).max(0) as usize;
+                    let b = eval_size(bytes, heap)?;
                     if let Some(mem) = self.memory.as_deref_mut() {
                         if !frame.escaping.contains(dst) {
                             let site = (frame.func.to_string(), idx);
-                            let current = mem.planned.get(&site).copied().unwrap_or(0);
-                            // Only the growth beyond the site's recorded
-                            // maximum is new memory.
-                            mem.check_capacity(device, b.saturating_sub(current))?;
-                            mem.planned.insert(site, current.max(b));
+                            mem.check_capacity(device, mem.planned.growth(&site, b))?;
+                            mem.planned.request(site, b);
                         }
                     }
                     regs[*dst] = SimValue::Storage(b);
@@ -520,18 +553,17 @@ impl<'a> DryRun<'a> {
                 Instr::CallBuiltin { func, args, dst } => {
                     log_launch("builtin", func, || arg_dims(args, regs), None);
                     let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                    let (flops, bytes, out) =
-                        if let Some(op) = func.strip_prefix(relax_vm::KV_CACHE_PREFIX) {
-                            kv_cache_builtin(op, &vals)?
-                        } else if let Some(op) = func.strip_prefix(relax_vm::MOE_PREFIX) {
-                            moe_builtin(op, &vals)?
-                        } else {
-                            // Host-side builtin: charge the data movement
-                            // only; the output is pessimistically as large
-                            // as the input.
-                            let input = vals.into_iter().next().unwrap_or(SimValue::None);
-                            (0.0, 2.0 * input.byte_size(), input)
-                        };
+                    let (flops, bytes, out) = if let Some(op) = func.strip_prefix(KV_CACHE_PREFIX) {
+                        kv_cache_builtin(op, &vals)?
+                    } else if let Some(op) = func.strip_prefix(MOE_PREFIX) {
+                        moe_builtin(op, &vals)?
+                    } else {
+                        // Host-side builtin: charge the data movement
+                        // only; the output is pessimistically as large
+                        // as the input.
+                        let input = vals.into_iter().next().unwrap_or(SimValue::None);
+                        (0.0, 2.0 * input.byte_size(), input)
+                    };
                     self.charge(KernelClass::Generated, flops, bytes, in_replay);
                     regs[*dst] = out;
                 }
@@ -544,13 +576,7 @@ impl<'a> DryRun<'a> {
                         SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => dims,
                         other => return Err(SimError::Type(format!("{ctx}: {other:?}"))),
                     };
-                    relax_vm::match_shape(actual, dims, ctx, heap).map_err(|e| match e {
-                        VmErrorKind::ShapeCheck { ctx, detail } => {
-                            SimError::ShapeCheck(format!("{ctx}: {detail}"))
-                        }
-                        VmErrorKind::Eval(e) => SimError::Eval(e),
-                        other => SimError::Type(other.to_string()),
-                    })?;
+                    relax_vm::match_shape(actual, dims, ctx, heap)?;
                 }
                 Instr::LoadConst { dst, index } => {
                     let c = exec
@@ -573,7 +599,8 @@ impl<'a> DryRun<'a> {
                     })?;
                 }
                 Instr::MakeShape { dst, dims } => {
-                    regs[*dst] = SimValue::Shape(eval_dims(dims, heap)?)
+                    let dims = dims.iter().map(|d| d.eval(heap));
+                    regs[*dst] = SimValue::Shape(dims.collect::<Result<_, _>>()?)
                 }
                 Instr::CaptureRegion { body, .. } => {
                     if self.warm {
@@ -598,8 +625,11 @@ impl<'a> DryRun<'a> {
     }
 }
 
-fn eval_dims(dims: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>, EvalError> {
-    dims.iter().map(|d| d.eval(heap)).collect()
+/// An allocation's dimensions, by the VM's size rule.
+fn alloc_dims(dims: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>, VmErrorKind> {
+    dims.iter()
+        .map(|d| Ok(eval_size(d, heap)? as i64))
+        .collect()
 }
 
 /// Computes the registers whose values escape through the function return
@@ -645,29 +675,26 @@ fn escaping_regs(instrs: &[Instr]) -> HashSet<usize> {
     escaping
 }
 
-/// Analytical flops/bytes for the registered library kernels.
+/// Analytical flops/bytes for the registered library kernels, after the
+/// kernel's own shape rule.
 fn lib_cost(
     func: &str,
     args: &[usize],
     dsts: &[usize],
     regs: &[SimValue],
 ) -> Result<(f64, f64), SimError> {
-    let tensor_dims = |r: usize| match &regs[r] {
-        SimValue::Tensor { dims, .. } => Ok(dims),
+    let dims = |r: usize| match &regs[r] {
+        SimValue::Tensor { dims, .. } => Ok(sizes(dims)),
         other => Err(SimError::Type(format!("lib arg must be tensor: {other:?}"))),
     };
+    let refused = |detail| SimError::from(KernelError::new(func, detail));
     let io_bytes: f64 = args.iter().chain(dsts).map(|&r| regs[r].byte_size()).sum();
     match func {
         "cublas.matmul" | "cublas.matmul_relu" => {
-            let (a, b) = (tensor_dims(args[0])?, tensor_dims(args[1])?);
-            if a.len() < 2 || b.len() < 2 {
-                return Err(SimError::Type("matmul rank".into()));
-            }
-            let k = a[a.len() - 1] as f64;
-            let m = a[a.len() - 2] as f64;
-            let n = b[b.len() - 1] as f64;
-            let batch: f64 = a[..a.len() - 2].iter().product::<i64>().max(1) as f64;
-            Ok((2.0 * batch * m * n * k, io_bytes))
+            let [batch, m, k, n] =
+                check_matmul(&dims(args[0])?, &dims(args[1])?).map_err(refused)?;
+            let flops = 2.0 * batch as f64 * m as f64 * n as f64 * k as f64;
+            Ok((flops, io_bytes))
         }
         "vm.builtin.kv_append" => {
             // Copy-based append: reads the old cache and the new slice,
@@ -675,164 +702,147 @@ fn lib_cost(
             // the full cache size. The in-place paged builtin
             // (`vm.builtin.kv_cache.append_paged`) is costed separately
             // in `kv_cache_builtin` and touches only the appended slice.
+            let (cache, new, out) = (dims(args[0])?, dims(args[1])?, dims(dsts[0])?);
+            check_kv_append(&cache, &new, &out).map_err(refused)?;
             Ok((0.0, io_bytes))
         }
         "cutlass.rms_norm" => {
-            let numel = tensor_dims(args[0])?.iter().product::<i64>().max(0) as f64;
-            Ok((4.0 * numel, io_bytes))
+            let (rows, d) = check_rms_norm(&dims(args[0])?, &dims(args[1])?).map_err(refused)?;
+            Ok((4.0 * (rows * d) as f64, io_bytes))
         }
         _ => Ok((io_bytes, io_bytes)),
     }
 }
 
-/// Builtin `op`'s tensor argument `i`, of rank `rank`.
-fn tensor_arg<'v>(
-    op: &str,
-    args: &'v [SimValue],
-    i: usize,
-    rank: usize,
-) -> Result<(&'v [i64], DataType), SimError> {
-    match args.get(i) {
-        Some(SimValue::Tensor { dims, dtype }) if dims.len() == rank => Ok((dims, *dtype)),
-        other => Err(SimError::Type(format!(
-            "{op}: expected a rank-{rank} tensor argument {i}, got {other:?}"
-        ))),
-    }
-}
+/// A builtin's name and arguments, read for the VM's rules; a wrong kind
+/// of argument is the walk's `SimError::Type`.
+struct Args<'v>(&'v str, &'v [SimValue]);
 
-/// Builtin `op`'s shape argument `i`, of rank `rank`.
-fn shape_arg<'v>(
-    op: &str,
-    args: &'v [SimValue],
-    i: usize,
-    rank: usize,
-) -> Result<&'v [i64], SimError> {
-    match args.get(i) {
-        Some(SimValue::Shape(d)) if d.len() == rank => Ok(d),
-        other => Err(SimError::Type(format!(
-            "{op}: expected a rank-{rank} shape argument {i}, got {other:?}"
-        ))),
+impl<'v> Args<'v> {
+    fn get<T>(
+        &self,
+        i: usize,
+        what: &str,
+        pick: impl FnOnce(&'v SimValue) -> Option<T>,
+    ) -> Result<T, SimError> {
+        let (func, v) = (self.0, self.1.get(i));
+        let wrong = || SimError::Type(format!("{func}: expected a {what} argument {i}, got {v:?}"));
+        v.and_then(pick).ok_or_else(wrong)
+    }
+
+    /// A tensor's dimensions and dtype.
+    fn tensor(&self, i: usize) -> Result<(Vec<usize>, DataType), SimError> {
+        self.get(i, "tensor", |v| match v {
+            SimValue::Tensor { dims, dtype } => Some((sizes(dims), *dtype)),
+            _ => None,
+        })
+    }
+
+    /// A shape operand of `dims` dims.
+    fn shape(&self, i: usize, dims: usize) -> Result<&'v [i64], SimError> {
+        let d = self.get(i, "shape", |v| match v {
+            SimValue::Shape(d) => Some(d.as_slice()),
+            _ => None,
+        })?;
+        check_shape_operand(self.0, d, dims)?;
+        Ok(d)
+    }
+
+    fn cache(&self, i: usize) -> Result<(KvCacheConfig, Vec<usize>), SimError> {
+        self.get(i, "kv_cache", SimValue::kv_cache)
     }
 }
 
 /// Analytical cost and shape-level result of one `vm.builtin.moe.<op>`
-/// builtin. The gather output's leading dim `n_e` is data-dependent
-/// (decided by the router at runtime), so the simulator applies the
-/// worst-case planning rule (§4.2): every expert is costed as if it
-/// received the full token batch. Per-expert times therefore *bound*
-/// the ragged dispatch rather than average it — the same upper bound
-/// the memory planner uses for `match_cast`-refined shapes.
+/// builtin, after the VM's own argument rule. The gather output's leading
+/// dim `n_e` is data-dependent (decided by the router at runtime), so the
+/// simulator applies the worst-case planning rule (§4.2): every expert is
+/// costed as if it received the full token batch. Per-expert times
+/// therefore *bound* the ragged dispatch rather than average it — the same
+/// upper bound the memory planner uses for `match_cast`-refined shapes.
 fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
-    let tensor = |i, rank| tensor_arg(op, args, i, rank);
-    let shape = |i, rank| shape_arg(op, args, i, rank);
+    let func = format!("{MOE_PREFIX}{op}");
+    let (a, i64_bytes) = (Args(&func, args), DataType::I64.size_bytes() as f64);
     match op {
         // route(logits (t, E)) -> (t,) i64: one strict-`>` sweep over
         // the expert axis per token.
         "route" => {
-            let (dims, dtype) = tensor(0, 2)?;
-            let (t, e) = (dims[0].max(0), dims[1].max(0));
-            let out = SimValue::Tensor {
-                dims: vec![t],
-                dtype: DataType::I64,
-            };
-            let bytes = (t * e).max(0) as f64 * dtype.size_bytes() as f64 + out.byte_size();
+            let (logits, dtype) = a.tensor(0)?;
+            let (t, e) = check_route(&logits)?;
+            let out = SimValue::tensor(vec![t as i64], DataType::I64);
+            let bytes = (t * e) as f64 * dtype.size_bytes() as f64 + out.byte_size();
             Ok(((t * e) as f64, bytes, out))
         }
         // gather(tokens (t, d), assign (t,), shape[e]) -> (n_e, d):
         // n_e is unknowable here, so bound it by t.
         "gather" => {
-            let (dims, dtype) = tensor(0, 2)?;
-            shape(2, 1)?;
-            let out = SimValue::tensor(dims.to_vec(), dtype);
-            let assign = dims[0].max(0) as f64 * DataType::I64.size_bytes() as f64;
-            Ok((0.0, 2.0 * out.byte_size() + assign, out))
+            let (tokens, _) = a.tensor(0)?;
+            let (assign, assign_dtype) = a.tensor(1)?;
+            a.shape(2, 1)?;
+            let (t, _) = check_gather(&tokens, &assign, assign_dtype)?;
+            let out = args[0].clone();
+            Ok((0.0, 2.0 * out.byte_size() + t as f64 * i64_bytes, out))
         }
         // scatter(rows (n_e, d), assign (t,), shape[e, t]) -> (t, d):
         // the output is dense again, `t` comes from the shape operand.
         "scatter" => {
-            let (dims, dtype) = tensor(0, 2)?;
-            let et = shape(2, 2)?;
-            let t = et[1].max(0);
-            let out = SimValue::Tensor {
-                dims: vec![t, dims[1]],
-                dtype,
-            };
-            let assign = t as f64 * DataType::I64.size_bytes() as f64;
-            Ok((0.0, out.byte_size() * 2.0 + assign, out))
+            let (rows, dtype) = a.tensor(0)?;
+            let (assign, assign_dtype) = a.tensor(1)?;
+            let et = a.shape(2, 2)?;
+            let (t, d) = check_scatter(&rows, &assign, assign_dtype, et[1])?;
+            let out = SimValue::tensor(vec![t as i64, d as i64], dtype);
+            Ok((0.0, out.byte_size() * 2.0 + t as f64 * i64_bytes, out))
         }
-        other => Err(SimError::Unknown(format!("vm.builtin.moe.{other}"))),
+        _ => Err(SimError::Unknown(func)),
     }
 }
 
 /// Analytical cost and shape-level result of one
-/// `vm.builtin.kv_cache.<op>` builtin. Paged appends are charged for the
-/// appended slice plus the block-table entries they touch — not the
-/// accumulated cache — mirroring the VM's in-place page writes.
+/// `vm.builtin.kv_cache.<op>` builtin, after the VM's own argument rule.
+/// Paged appends are charged for the appended slice plus the block-table
+/// entries they touch — not the accumulated cache — mirroring the VM's
+/// in-place page writes.
 fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
-    let shape = |i, rank| shape_arg(op, args, i, rank);
-    let stream_len = |streams: &[i64], stream: usize| {
-        let n = streams.len();
-        let range = || SimError::Type(format!("{op}: stream {stream} out of range ({n})"));
-        streams.get(stream).copied().ok_or_else(range)
-    };
-    let cache = |i: usize| -> Result<(&Vec<i64>, i64, i64, i64, DataType), SimError> {
-        match args.get(i) {
-            Some(SimValue::KvCache {
-                streams,
-                batch,
-                heads,
-                head_dim,
-                dtype,
-            }) => Ok((streams, *batch, *heads, *head_dim, *dtype)),
-            other => Err(SimError::Type(format!(
-                "kv_cache.{op}: expected kv_cache arg, got {other:?}"
-            ))),
-        }
-    };
-    let stream_bytes = |len: i64, b: i64, h: i64, hd: i64, dt: DataType| -> f64 {
-        (len.max(0) * b * h * hd).max(0) as f64 * dt.size_bytes() as f64
-    };
+    let func = format!("{KV_CACHE_PREFIX}{op}");
+    let a = Args(&func, args);
     match op {
         // append_paged(cache, new, shape[stream]) -> cache
         "append_paged" => {
-            let (streams, b, h, hd, dt) = cache(0)?;
-            let (nd, ndt) = tensor_arg(op, args, 1, 4)?;
-            let stream = shape(2, 1)?[0].max(0) as usize;
-            let len = stream_len(streams, stream)?;
-            let mut streams = streams.clone();
-            let n = nd.get(2).copied().unwrap_or(0).max(0);
+            let (cfg, lens) = a.cache(0)?;
+            let (new, dtype) = a.tensor(1)?;
+            let stream = stream_arg(&func, a.shape(2, 1)?[0], "stream")?;
+            cfg.check_append(stream, &new, dtype)?;
+            let (len, n) = (lens[stream], new[2]);
             // Only the appended slice is read and written in place...
-            let slice = n as f64 * (b * h * hd).max(0) as f64 * ndt.size_bytes() as f64;
+            let row = (cfg.batch * cfg.heads * cfg.head_dim) as f64;
+            let slice = n as f64 * row * dtype.size_bytes() as f64;
             // ...plus one block-table entry per newly referenced page.
-            let page = KV_PAGE_TOKENS as i64;
-            let new_pages = (kv_page_rows(len + n) - kv_page_rows(len)) / page;
-            streams[stream] = len + n;
-            let out = SimValue::KvCache {
-                streams,
-                batch: b,
-                heads: h,
-                head_dim: hd,
-                dtype: dt,
-            };
+            let pages = |len: usize| len.div_ceil(KV_PAGE_TOKENS);
+            let new_pages = pages(len + n) - pages(len);
+            let mut out = args[0].clone();
+            if let SimValue::KvCache { streams, .. } = &mut out {
+                streams[stream] = (len + n) as i64;
+            }
             Ok((0.0, 2.0 * slice + 8.0 * new_pages as f64, out))
         }
         // attention(q, cache, shape[k_stream, v_stream, causal]) -> tensor
         "attention" => {
-            let (qd, qdt) = tensor_arg(op, args, 0, 4)?;
-            let (streams, b, h, hd, dt) = cache(1)?;
-            let d = shape(2, 3)?;
-            let skv = |i: i64| -> i64 { streams.get(i.max(0) as usize).copied().unwrap_or(0) };
-            let (k_len, v_len) = (skv(d[0]), skv(d[1]));
-            let (hq, s) = (qd[1].max(0), qd[2].max(0));
+            let (q, q_dtype) = a.tensor(0)?;
+            let (cfg, lens) = a.cache(1)?;
+            let d = a.shape(2, 3)?;
+            let k = stream_arg(&func, d[0], "k stream")?;
+            let v = stream_arg(&func, d[1], "v stream")?;
+            cfg.check_attention(&q, k, v, lens.get(k).copied().zip(lens.get(v).copied()))?;
+            let stream_bytes = |len: usize| {
+                (len * cfg.batch * cfg.heads * cfg.head_dim) as f64 * cfg.dtype.size_bytes() as f64
+            };
             // QK^T and PV are each 2*b*hq*s*skv*hd flops.
-            let flops = 4.0 * (qd[0].max(0) * hq * s * hd).max(0) as f64 * k_len as f64;
-            let q_bytes = qd.iter().product::<i64>().max(0) as f64 * qdt.size_bytes() as f64;
-            let bytes = 2.0 * q_bytes
-                + stream_bytes(k_len, b, h, hd, dt)
-                + stream_bytes(v_len, b, h, hd, dt);
-            Ok((flops, bytes, SimValue::tensor(qd.to_vec(), qdt)))
+            let flops = 4.0 * (q[0] * q[1] * q[2] * cfg.head_dim) as f64 * lens[k] as f64;
+            let q_bytes = q.iter().product::<usize>() as f64 * q_dtype.size_bytes() as f64;
+            let bytes = 2.0 * q_bytes + stream_bytes(lens[k]) + stream_bytes(lens[v]);
+            Ok((flops, bytes, args[0].clone()))
         }
-        other => Err(SimError::Unknown(format!("vm.builtin.kv_cache.{other}"))),
+        _ => Err(SimError::Unknown(func)),
     }
 }
 
@@ -973,6 +983,35 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::ShapeCheck(_)));
+    }
+
+    #[test]
+    fn allocation_sizes_follow_the_vms_rule() {
+        let n = SymVar::new("n");
+        let mut exec = mm_exec(&n);
+        let f = exec.funcs.get_mut("main").unwrap();
+        // A negative size fails naming its expression, as in the VM.
+        f.instrs[1] = Instr::AllocTensor {
+            dst: 2,
+            shape: vec![PrimExpr::from(n.clone()) - 4.into(), 64.into()],
+            dtype: DataType::F32,
+        };
+        let dev = DeviceSpec::rtx4090();
+        let args = [
+            SimValue::tensor(vec![1, 64], DataType::F32),
+            SimValue::tensor(vec![64, 64], DataType::F32),
+        ];
+        let err = simulate(&exec, "main", &args, &dev, false).unwrap_err();
+        let want = "allocation: size `(n - 4)` = -3 is negative";
+        assert_eq!(err, SimError::ShapeCheck(want.into()));
+        // An unbound variable in a storage size fails evaluation.
+        let f = exec.funcs.get_mut("main").unwrap();
+        f.instrs[1] = Instr::AllocStorage {
+            dst: 2,
+            bytes: SymVar::new("m").into(),
+        };
+        let err = simulate(&exec, "main", &args, &dev, false).unwrap_err();
+        assert!(matches!(err, SimError::Eval(_)), "{err}");
     }
 
     #[test]

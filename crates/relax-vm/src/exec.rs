@@ -191,6 +191,18 @@ pub fn match_shape(
     Ok(())
 }
 
+/// An allocation size (a tensor dimension or a storage's byte count), for
+/// the VM and the dry run alike: an unbound variable fails `Eval`, a
+/// negative size `ShapeCheck` naming the expression. (`MakeShape` values
+/// are values, not sizes, and keep their sign.)
+pub fn eval_size(expr: &PrimExpr, heap: &HashMap<SymVar, i64>) -> Result<usize, VmErrorKind> {
+    let size = expr.eval(heap).map_err(VmErrorKind::Eval)?;
+    usize::try_from(size).map_err(|_| VmErrorKind::ShapeCheck {
+        ctx: "allocation".to_string(),
+        detail: format!("size `{expr}` = {size} is negative"),
+    })
+}
+
 /// A lowered function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmFunction {
@@ -227,11 +239,6 @@ impl Executable {
     pub fn add_constant(&mut self, value: NDArray) -> usize {
         self.constants.push(value);
         self.constants.len() - 1
-    }
-
-    /// Looks up a function.
-    pub fn function(&self, name: &str) -> Option<&VmFunction> {
-        self.funcs.get(name)
     }
 }
 

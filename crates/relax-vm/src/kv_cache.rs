@@ -49,6 +49,9 @@ use crate::value::{want_cache, want_shape, want_tensor, Value};
 /// by it. The VM calls them through the registry like any builtin.
 pub const KV_CACHE_PREFIX: &str = "vm.builtin.kv_cache.";
 
+const APPEND: &str = "vm.builtin.kv_cache.append_paged";
+const ATTENTION: &str = "vm.builtin.kv_cache.attention";
+
 /// Fixed geometry of one cache: every stream holds `(batch, heads,
 /// <tokens>, head_dim)` data paged into `(batch, heads, page_tokens,
 /// head_dim)` blocks.
@@ -130,15 +133,88 @@ impl fmt::Debug for KvCache {
     }
 }
 
-fn stream_in_range(op: &str, stream: usize, cfg: &KvCacheConfig) -> Result<(), KernelError> {
-    if stream < cfg.streams {
-        return Ok(());
+impl KvCacheConfig {
+    /// `append_paged`'s rule, which [`KvCache::append`] and the dry run
+    /// both run: `new` is a `(batch, heads, n, head_dim)` tensor of the
+    /// cache's dtype and `stream` one of its streams; else the VM's error.
+    pub fn check_append(
+        &self,
+        stream: usize,
+        new: &[usize],
+        dt: DataType,
+    ) -> Result<(), KernelError> {
+        let (b, h, hd) = (self.batch, self.heads, self.head_dim);
+        if new.len() != 4 || new[0] != b || new[1] != h || new[3] != hd {
+            let detail = format!(
+                "appended tensor {new:?} does not match cache geometry (batch={b}, heads={h}, head_dim={hd})"
+            );
+            return Err(KernelError::new(APPEND, detail));
+        }
+        if dt != self.dtype {
+            let detail = format!("appended dtype {dt} != cache dtype {}", self.dtype);
+            return Err(KernelError::new(APPEND, detail));
+        }
+        self.check_stream(APPEND, stream)
     }
-    let streams = cfg.streams;
-    Err(KernelError::new(
-        op,
-        format!("stream {stream} out of range ({streams})"),
-    ))
+
+    /// `attention`'s rule, which [`KvCache::attention`] and the dry run both
+    /// run: the query is `(batch, q_heads, s, head_dim)` with `q_heads` a
+    /// multiple of the KV heads, both streams are in range, and each
+    /// member's `(K, V)` lengths in `lens` (read once the streams are
+    /// checked) are equal and non-zero; else the VM's error.
+    pub fn check_attention(
+        &self,
+        q: &[usize],
+        k_stream: usize,
+        v_stream: usize,
+        lens: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<(), KernelError> {
+        let fail = |detail: String| Err(KernelError::new(ATTENTION, detail));
+        let (b, hd, hkv) = (self.batch, self.head_dim, self.heads);
+        if q.len() != 4 || q[0] != b || q[3] != hd {
+            return fail(format!(
+                "query {q:?} does not match cache geometry (batch={b}, head_dim={hd})"
+            ));
+        }
+        if hkv == 0 || !q[1].is_multiple_of(hkv) {
+            return fail(format!(
+                "query heads {} not a multiple of kv heads {hkv}",
+                q[1]
+            ));
+        }
+        self.check_stream(ATTENTION, k_stream)?;
+        self.check_stream(ATTENTION, v_stream)?;
+        for (skv, v_len) in lens {
+            if v_len != skv {
+                return fail(format!("K length {skv} != V length {v_len}"));
+            }
+            if skv == 0 {
+                return fail("attention over empty streams".into());
+            }
+        }
+        Ok(())
+    }
+
+    /// What a launch span records for a cache of this geometry whose
+    /// streams hold `lens` tokens: `[batch, heads, head_dim]`, then `lens`.
+    pub fn launch_dims(&self, lens: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let geometry = [self.batch, self.heads, self.head_dim];
+        geometry.into_iter().chain(lens).collect()
+    }
+
+    fn check_stream(&self, op: &str, stream: usize) -> Result<(), KernelError> {
+        if stream >= self.streams {
+            let detail = format!("stream {stream} out of range ({})", self.streams);
+            return Err(KernelError::new(op, detail));
+        }
+        Ok(())
+    }
+}
+
+/// A stream index from a builtin's shape operand: a negative one is
+/// `op`'s error, naming it as `what`.
+pub fn stream_arg(op: &str, d: i64, what: &str) -> Result<usize, KernelError> {
+    usize::try_from(d).map_err(|_| KernelError::new(op, format!("negative {what}: {d}")))
 }
 
 impl KvCache {
@@ -257,30 +333,9 @@ impl KvCache {
     /// [`KernelError`]; on exhaustion no partial append is left behind, in
     /// any member.
     pub fn append(&self, stream: usize, new: &NDArray) -> Result<(), KernelError> {
-        const OP: &str = "vm.builtin.kv_cache.append_paged";
         let cfg = self.config();
-        let ns = new.shape().to_vec();
-        if ns.len() != 4 || ns[0] != cfg.batch || ns[1] != cfg.heads || ns[3] != cfg.head_dim {
-            return Err(KernelError::new(
-                OP,
-                format!(
-                    "appended tensor {ns:?} does not match cache geometry (batch={}, heads={}, head_dim={})",
-                    cfg.batch, cfg.heads, cfg.head_dim
-                ),
-            ));
-        }
-        if new.dtype() != cfg.dtype {
-            return Err(KernelError::new(
-                OP,
-                format!(
-                    "appended dtype {} != cache dtype {}",
-                    new.dtype(),
-                    cfg.dtype
-                ),
-            ));
-        }
-        stream_in_range(OP, stream, &cfg)?;
-        let n = ns[2];
+        cfg.check_append(stream, new.shape(), new.dtype())?;
+        let n = new.shape()[2];
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let pool = self.pool();
         let p = pool.page_tokens();
@@ -298,7 +353,7 @@ impl KvCache {
                     for page in fresh {
                         pool.release(page);
                     }
-                    let mut err = KernelError::new(OP, e.to_string());
+                    let mut err = KernelError::new(APPEND, e.to_string());
                     err.pool_exhausted = Some(e);
                     return Err(err);
                 }
@@ -320,7 +375,7 @@ impl KvCache {
                         let dst = ((bi * h + hi) * p + row) * hd;
                         let src = (((mi * mb + bi) * h + hi) * n + t) * hd;
                         page.copy_range_from(dst, new, src, run * hd)
-                            .map_err(|e| KernelError::new(OP, e.to_string()))?;
+                            .map_err(|e| KernelError::new(APPEND, e.to_string()))?;
                     }
                 }
                 t += run;
@@ -344,7 +399,7 @@ impl KvCache {
         let cfg = self.config();
         let (mb, h, hd) = (self.members[0].cfg.batch, cfg.heads, cfg.head_dim);
         let p = self.pool().page_tokens();
-        stream_in_range(OP, stream, &cfg)?;
+        cfg.check_stream(OP, stream)?;
         let members = self.lock();
         let len = members[0][stream].len;
         if let Some(other) = members.iter().find(|m| m[stream].len != len) {
@@ -443,47 +498,19 @@ impl KvCache {
         v_stream: usize,
         causal: bool,
     ) -> Result<NDArray, KernelError> {
-        const OP: &str = "vm.builtin.kv_cache.attention";
         let cfg = self.config();
+        let members = self.lock();
+        let lens = members.iter().map(|m| (m[k_stream].len, m[v_stream].len));
+        cfg.check_attention(q.shape(), k_stream, v_stream, lens)?;
         let qs = q.shape().to_vec();
-        if qs.len() != 4 || qs[0] != cfg.batch || qs[3] != cfg.head_dim {
-            return Err(KernelError::new(
-                OP,
-                format!(
-                    "query {qs:?} does not match cache geometry (batch={}, head_dim={})",
-                    cfg.batch, cfg.head_dim
-                ),
-            ));
-        }
         let (b, hq, s, hd) = (qs[0], qs[1], qs[2], qs[3]);
         let (mb, hkv) = (self.members[0].cfg.batch, cfg.heads);
-        if hkv == 0 || hq % hkv != 0 {
-            return Err(KernelError::new(
-                OP,
-                format!("query heads {hq} not a multiple of kv heads {hkv}"),
-            ));
-        }
         let group = hq / hkv;
-        stream_in_range(OP, k_stream, &cfg)?;
-        stream_in_range(OP, v_stream, &cfg)?;
-        let members = self.lock();
-        for streams in &members {
-            let (skv, v_len) = (streams[k_stream].len, streams[v_stream].len);
-            if v_len != skv {
-                return Err(KernelError::new(
-                    OP,
-                    format!("K length {skv} != V length {v_len}"),
-                ));
-            }
-            if skv == 0 {
-                return Err(KernelError::new(OP, "attention over empty streams"));
-            }
-        }
         if hd == 0 {
             return Ok(NDArray::zeros(&qs, q.dtype()));
         }
         let p = self.pool().page_tokens();
-        let page_err = |e: relax_tir::NDArrayError| KernelError::new(OP, e.to_string());
+        let page_err = |e: relax_tir::NDArrayError| KernelError::new(ATTENTION, e.to_string());
         let qv = q.to_f64_vec();
         let scale = 1.0 / (hd as f64).sqrt();
         let r32 = |x: f64| round_to_dtype(x, DataType::F32);
@@ -568,29 +595,24 @@ impl KvCache {
 /// rounding chains, so the count changes no bit of any result.
 const LANES: usize = 8;
 
-fn dim(op: &str, d: i64, what: &str) -> Result<usize, KernelError> {
-    usize::try_from(d).map_err(|_| KernelError::new(op, format!("negative {what}: {d}")))
-}
-
 /// `vm.builtin.kv_cache.append_paged(cache, new, shape[stream]) -> cache`
 /// ([`KvCache::append`]).
 pub(crate) fn builtin_append_paged(args: &[Value]) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.kv_cache.append_paged";
-    let cache = want_cache(OP, args, 0)?;
-    let new = want_tensor(OP, args, 1)?;
-    let d = want_shape(OP, args, 2, 1)?;
-    cache.append(dim(OP, d[0], "stream")?, new)?;
+    let cache = want_cache(APPEND, args, 0)?;
+    let new = want_tensor(APPEND, args, 1)?;
+    let d = want_shape(APPEND, args, 2, 1)?;
+    cache.append(stream_arg(APPEND, d[0], "stream")?, new)?;
     Ok(Value::KvCache(cache.clone()))
 }
 
 /// `vm.builtin.kv_cache.attention(q, cache, shape[k_stream, v_stream,
 /// causal]) -> tensor` ([`KvCache::attention`]).
 pub(crate) fn builtin_attention(args: &[Value]) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.kv_cache.attention";
-    let q = want_tensor(OP, args, 0)?;
-    let cache = want_cache(OP, args, 1)?;
-    let d = want_shape(OP, args, 2, 3)?;
-    let (k, v) = (dim(OP, d[0], "k stream")?, dim(OP, d[1], "v stream")?);
+    let q = want_tensor(ATTENTION, args, 0)?;
+    let cache = want_cache(ATTENTION, args, 1)?;
+    let d = want_shape(ATTENTION, args, 2, 3)?;
+    let k = stream_arg(ATTENTION, d[0], "k stream")?;
+    let v = stream_arg(ATTENTION, d[1], "v stream")?;
     Ok(Value::Tensor(cache.attention(q, k, v, d[2] != 0)?))
 }
 

@@ -43,12 +43,12 @@ mod value;
 pub mod verify;
 mod vm;
 
-pub use exec::{match_shape, Executable, Instr, Reg, VmFunction};
+pub use exec::{eval_size, match_shape, Executable, Instr, Reg, VmFunction};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, FiredFault};
-pub use kv_cache::{KvCache, KvCacheConfig, KV_CACHE_PREFIX};
-pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, KV_PAGE_TOKENS};
+pub use kv_cache::{stream_arg, KvCache, KvCacheConfig, KV_CACHE_PREFIX};
+pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, StorageLedger, KV_PAGE_TOKENS};
 pub use moe::MOE_PREFIX;
 pub use plan_cache::{CachedPlan, PlanCacheStats, SharedPlanCache};
-pub use value::Value;
+pub use value::{check_shape_operand, Value};
 pub use verify::{verify, VerifyError, Violation};
-pub use vm::{FrameEntry, KernelStat, Telemetry, Vm, VmError, VmErrorKind};
+pub use vm::{launch_payload, FrameEntry, KernelStat, Telemetry, Vm, VmError, VmErrorKind};

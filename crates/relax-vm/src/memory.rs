@@ -5,7 +5,7 @@
 //! "Relax w/ planning" (static `AllocStorage`); what it reports is the
 //! *total allocated memory* each strategy ends up holding.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -81,6 +81,32 @@ impl PooledAllocator {
     /// Current statistics.
     pub fn stats(&self) -> MemoryStats {
         self.stats
+    }
+}
+
+/// Planned static storage by allocation site `(function, pc)`, kept alike
+/// by the VM and the dry run's `MemoryTracker`: a site's storage id (in
+/// order of first request) and its bytes, grown to the largest request.
+#[derive(Debug, Default)]
+pub struct StorageLedger(HashMap<(String, usize), (u64, usize)>);
+
+impl StorageLedger {
+    /// Bytes a request of `bytes` at `site` adds beyond what it holds.
+    pub fn growth(&self, site: &(String, usize), bytes: usize) -> usize {
+        bytes.saturating_sub(self.0.get(site).map_or(0, |&(_, held)| held))
+    }
+
+    /// Records a request of `bytes` at `site`; returns its id and bytes.
+    pub fn request(&mut self, site: (String, usize), bytes: usize) -> (u64, usize) {
+        let id = self.0.len() as u64;
+        let entry = self.0.entry(site).or_insert((id, 0));
+        entry.1 = entry.1.max(bytes);
+        *entry
+    }
+
+    /// Total bytes held across sites.
+    pub fn total(&self) -> usize {
+        self.0.values().map(|&(_, held)| held).sum()
     }
 }
 

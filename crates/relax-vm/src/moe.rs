@@ -34,33 +34,77 @@ use crate::value::{want_shape, want_tensor, Value};
 /// The VM calls them through the registry like any builtin.
 pub const MOE_PREFIX: &str = "vm.builtin.moe.";
 
-fn want_rank<'a>(
-    op: &str,
-    t: &'a NDArray,
-    rank: usize,
-    what: &str,
-) -> Result<&'a [usize], KernelError> {
-    let s = t.shape();
+const ROUTE: &str = "vm.builtin.moe.route";
+const GATHER: &str = "vm.builtin.moe.gather";
+const SCATTER: &str = "vm.builtin.moe.scatter";
+
+fn want_rank(op: &str, s: &[usize], rank: usize, what: &str) -> Result<(), KernelError> {
     if s.len() != rank {
-        return Err(KernelError::new(
-            op,
-            format!("{what} must be rank {rank}, got {s:?}"),
-        ));
+        let detail = format!("{what} must be rank {rank}, got {s:?}");
+        return Err(KernelError::new(op, detail));
     }
-    Ok(s)
+    Ok(())
+}
+
+/// `route`'s rule, which the builtin and the dry run both run: the logits
+/// are `(t, E)` with `E > 0`. Returns `(t, E)`, else the VM's error.
+pub fn check_route(logits: &[usize]) -> Result<(usize, usize), KernelError> {
+    want_rank(ROUTE, logits, 2, "router logits")?;
+    if logits[1] == 0 {
+        return Err(KernelError::new(ROUTE, "router logits have zero experts"));
+    }
+    Ok((logits[0], logits[1]))
+}
+
+/// An assignment of `t` tokens: one i64 expert index per token.
+fn check_assignment(op: &str, a: &[usize], dt: DataType, t: usize) -> Result<(), KernelError> {
+    let detail = if a != [t] {
+        format!("assignment {a:?} does not cover {t} tokens")
+    } else if dt != DataType::I64 {
+        format!("assignment dtype {dt} != i64")
+    } else {
+        return Ok(());
+    };
+    Err(KernelError::new(op, detail))
+}
+
+/// `gather`'s rule, which the builtin and the dry run both run: the tokens
+/// are `(t, d)` and the assignment an i64 `(t,)`. Returns `(t, d)`, else
+/// the VM's error.
+pub fn check_gather(
+    tokens: &[usize],
+    assign: &[usize],
+    dt: DataType,
+) -> Result<(usize, usize), KernelError> {
+    want_rank(GATHER, tokens, 2, "token matrix")?;
+    check_assignment(GATHER, assign, dt, tokens[0])?;
+    Ok((tokens[0], tokens[1]))
+}
+
+/// `scatter`'s rule, which the builtin and the dry run both run: the token
+/// count `tokens` from the shape operand is not negative, the rows are
+/// `(n_e, d)` and the assignment an i64 `(tokens,)`. Returns `(tokens,
+/// d)`, else the VM's error. Whether `n_e` rows match the tokens assigned
+/// to the expert is a fact of the data, checked by the builtin alone.
+pub fn check_scatter(
+    rows: &[usize],
+    assign: &[usize],
+    dt: DataType,
+    tokens: i64,
+) -> Result<(usize, usize), KernelError> {
+    let tokens = usize::try_from(tokens)
+        .map_err(|_| KernelError::new(SCATTER, format!("negative token count {tokens}")))?;
+    want_rank(SCATTER, rows, 2, "expert output")?;
+    check_assignment(SCATTER, assign, dt, tokens)?;
+    Ok((tokens, rows[1]))
 }
 
 /// `route(logits)`: per-token argmax over the expert axis; strict `>` so
 /// the first maximum wins and ties are deterministic across runs and
 /// workers.
 pub(crate) fn builtin_route(args: &[Value]) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.moe.route";
-    let logits = want_tensor(OP, args, 0)?;
-    let s = want_rank(OP, logits, 2, "router logits")?;
-    let (t, e) = (s[0], s[1]);
-    if e == 0 {
-        return Err(KernelError::new(OP, "router logits have zero experts"));
-    }
+    let logits = want_tensor(ROUTE, args, 0)?;
+    let (t, e) = check_route(logits.shape())?;
     let v = logits.to_f64_vec();
     let out = NDArray::zeros(&[t], DataType::I64);
     for i in 0..t {
@@ -72,27 +116,16 @@ pub(crate) fn builtin_route(args: &[Value]) -> Result<Value, KernelError> {
             }
         }
         out.set(i, Scalar::I(best as i64))
-            .map_err(|err| KernelError::new(OP, err.to_string()))?;
+            .map_err(|err| KernelError::new(ROUTE, err.to_string()))?;
     }
     Ok(Value::Tensor(out))
 }
 
 /// Positions (token indices, ascending) assigned to expert `e`.
-fn positions(op: &str, assign: &NDArray, expert: i64) -> Result<Vec<usize>, KernelError> {
-    want_rank(op, assign, 1, "assignment vector")?;
-    if assign.dtype() != DataType::I64 {
-        return Err(KernelError::new(
-            op,
-            format!("assignment dtype {} != i64", assign.dtype()),
-        ));
-    }
-    Ok(assign
-        .to_i64_vec()
-        .iter()
-        .enumerate()
-        .filter(|(_, &a)| a == expert)
-        .map(|(i, _)| i)
-        .collect())
+fn positions(assign: &NDArray, expert: i64) -> Vec<usize> {
+    let assign = assign.to_i64_vec();
+    let at = assign.iter().enumerate().filter(|(_, &a)| a == expert);
+    at.map(|(i, _)| i).collect()
 }
 
 /// `gather(tokens, assign, shape[expert])`: the rows of `tokens` assigned
@@ -100,23 +133,15 @@ fn positions(op: &str, assign: &NDArray, expert: i64) -> Result<Vec<usize>, Kern
 /// `MatchShape` that follows this call in lowered code binds it to a fresh
 /// symbolic variable.
 pub(crate) fn builtin_gather(args: &[Value]) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.moe.gather";
-    let tokens = want_tensor(OP, args, 0)?;
-    let assign = want_tensor(OP, args, 1)?;
-    let expert = want_shape(OP, args, 2, 1)?[0];
-    let ts = want_rank(OP, tokens, 2, "token matrix")?;
-    let (t, d) = (ts[0], ts[1]);
-    if assign.shape() != [t] {
-        return Err(KernelError::new(
-            OP,
-            format!("assignment {:?} does not cover {t} tokens", assign.shape()),
-        ));
-    }
-    let pos = positions(OP, assign, expert)?;
+    let tokens = want_tensor(GATHER, args, 0)?;
+    let assign = want_tensor(GATHER, args, 1)?;
+    let expert = want_shape(GATHER, args, 2, 1)?[0];
+    let (_, d) = check_gather(tokens.shape(), assign.shape(), assign.dtype())?;
+    let pos = positions(assign, expert);
     let out = NDArray::zeros(&[pos.len(), d], tokens.dtype());
     for (row, &p) in pos.iter().enumerate() {
         out.copy_range_from(row * d, tokens, p * d, d)
-            .map_err(|e| KernelError::new(OP, e.to_string()))?;
+            .map_err(|e| KernelError::new(GATHER, e.to_string()))?;
     }
     Ok(Value::Tensor(out))
 }
@@ -124,39 +149,24 @@ pub(crate) fn builtin_gather(args: &[Value]) -> Result<Value, KernelError> {
 /// `scatter(rows, assign, shape[expert, tokens])`: expert output rows back
 /// at their token positions; rows not assigned to this expert stay zero.
 pub(crate) fn builtin_scatter(args: &[Value]) -> Result<Value, KernelError> {
-    const OP: &str = "vm.builtin.moe.scatter";
-    let rows = want_tensor(OP, args, 0)?;
-    let assign = want_tensor(OP, args, 1)?;
-    let at = want_shape(OP, args, 2, 2)?;
+    let rows = want_tensor(SCATTER, args, 0)?;
+    let assign = want_tensor(SCATTER, args, 1)?;
+    let at = want_shape(SCATTER, args, 2, 2)?;
     let expert = at[0];
-    let tokens = usize::try_from(at[1])
-        .map_err(|_| KernelError::new(OP, format!("negative token count {}", at[1])))?;
-    let rs = want_rank(OP, rows, 2, "expert output")?;
-    let d = rs[1];
-    if assign.shape() != [tokens] {
-        return Err(KernelError::new(
-            OP,
-            format!(
-                "assignment {:?} does not cover {tokens} tokens",
-                assign.shape()
-            ),
-        ));
-    }
-    let pos = positions(OP, assign, expert)?;
-    if pos.len() != rs[0] {
-        return Err(KernelError::new(
-            OP,
-            format!(
-                "expert {expert} produced {} rows for {} assigned tokens",
-                rs[0],
-                pos.len()
-            ),
-        ));
+    let (tokens, d) = check_scatter(rows.shape(), assign.shape(), assign.dtype(), at[1])?;
+    let pos = positions(assign, expert);
+    let n_e = rows.shape()[0];
+    if pos.len() != n_e {
+        let detail = format!(
+            "expert {expert} produced {n_e} rows for {} assigned tokens",
+            pos.len()
+        );
+        return Err(KernelError::new(SCATTER, detail));
     }
     let out = NDArray::zeros(&[tokens, d], rows.dtype());
     for (row, &p) in pos.iter().enumerate() {
         out.copy_range_from(p * d, rows, row * d, d)
-            .map_err(|e| KernelError::new(OP, e.to_string()))?;
+            .map_err(|e| KernelError::new(SCATTER, e.to_string()))?;
     }
     Ok(Value::Tensor(out))
 }

@@ -38,7 +38,8 @@ pub struct KernelError {
 }
 
 impl KernelError {
-    pub(crate) fn new(kernel: impl Into<String>, detail: impl Into<String>) -> Self {
+    /// `kernel`'s error with `detail`.
+    pub fn new(kernel: impl Into<String>, detail: impl Into<String>) -> Self {
         KernelError {
             kernel: kernel.into(),
             detail: detail.into(),
@@ -142,22 +143,31 @@ impl Registry {
         self.builtins.get(name).map(|&(_, inputs)| inputs)
     }
 
-    /// Invokes a library kernel in destination-passing style.
+    /// Invokes a library kernel in destination-passing style, after
+    /// checking the call against the kernel's signature.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError`] for unknown kernels or kernel failures.
+    /// Returns [`KernelError`] for unknown kernels, a wrong number of
+    /// arguments, or kernel failures.
     pub fn call_lib(
         &self,
         name: &str,
         inputs: &[NDArray],
         outputs: &[NDArray],
     ) -> Result<(), KernelError> {
-        let (kernel, _) = self
+        let fail = |detail| KernelError::new(name, detail);
+        let &(kernel, sig) = self
             .libs
             .get(name)
-            .ok_or_else(|| KernelError::new(name, "not registered"))?;
-        kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
+            .ok_or_else(|| fail("not registered".into()))?;
+        let got = (inputs.len(), outputs.len());
+        if got != sig {
+            return Err(fail(format!(
+                "expected (inputs, outputs) = {sig:?}, got {got:?}"
+            )));
+        }
+        kernel(inputs, outputs).map_err(fail)
     }
 
     /// Invokes a value-returning builtin on register values.
@@ -185,28 +195,28 @@ fn lib_matmul_relu(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String
     matmul_impl(inputs, outputs, true)
 }
 
-fn matmul_impl(inputs: &[NDArray], outputs: &[NDArray], relu: bool) -> Result<(), String> {
-    let [a, b] = inputs else {
-        return Err(format!("expected 2 inputs, got {}", inputs.len()));
-    };
-    let [out] = outputs else {
-        return Err(format!("expected 1 output, got {}", outputs.len()));
-    };
-    let (ashape, bshape) = (a.shape().to_vec(), b.shape().to_vec());
-    if ashape.len() < 2 || bshape.len() < 2 {
+/// The matmul kernels' shape rule, which they and the dry run both run:
+/// `a: [.., m, k]` and `b: [.., k, n]`. Returns `[batch, m, k, n]` (the
+/// batch is `a`'s leading dims), else the detail of the kernel's error.
+pub fn check_matmul(a: &[usize], b: &[usize]) -> Result<[usize; 4], String> {
+    if a.len() < 2 || b.len() < 2 {
         return Err("matmul operands must have rank >= 2".to_string());
     }
-    let k = ashape[ashape.len() - 1];
-    if bshape[bshape.len() - 2] != k {
+    let k = a[a.len() - 1];
+    if b[b.len() - 2] != k {
         return Err(format!(
             "inner dimension mismatch: {k} vs {}",
-            bshape[bshape.len() - 2]
+            b[b.len() - 2]
         ));
     }
-    let m = ashape[ashape.len() - 2];
-    let n = bshape[bshape.len() - 1];
-    let batch: usize = ashape[..ashape.len() - 2].iter().product();
-    let b_batched = bshape.len() == ashape.len();
+    let batch = a[..a.len() - 2].iter().product();
+    Ok([batch, a[a.len() - 2], k, b[b.len() - 1]])
+}
+
+fn matmul_impl(inputs: &[NDArray], outputs: &[NDArray], relu: bool) -> Result<(), String> {
+    let (a, b, out) = (&inputs[0], &inputs[1], &outputs[0]);
+    let [batch, m, k, n] = check_matmul(a.shape(), b.shape())?;
+    let b_batched = b.shape().len() == a.shape().len();
     let av = a.to_f64_vec();
     let bv = b.to_f64_vec();
     // Accumulate with per-step destination-dtype rounding, exactly like
@@ -238,22 +248,24 @@ fn matmul_impl(inputs: &[NDArray], outputs: &[NDArray], relu: bool) -> Result<()
     Ok(())
 }
 
+/// `cutlass.rms_norm`'s shape rule, which it and the dry run both run: `x`
+/// has a last dim `d` and `w` has `d` elements. Returns `(rows, d)`, else
+/// the detail of the kernel's error.
+pub fn check_rms_norm(x: &[usize], w: &[usize]) -> Result<(usize, usize), String> {
+    let d = *x.last().ok_or("rms_norm needs rank >= 1")?;
+    let w_len: usize = w.iter().product();
+    if w_len != d {
+        return Err(format!("weight length {w_len} != {d}"));
+    }
+    Ok((x.iter().product::<usize>() / d.max(1), d))
+}
+
 /// RMS normalization over the last axis: `out = x * w / sqrt(mean(x^2) + eps)`.
 fn lib_rms_norm(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
-    let [x, w] = inputs else {
-        return Err(format!("expected 2 inputs, got {}", inputs.len()));
-    };
-    let [out] = outputs else {
-        return Err(format!("expected 1 output, got {}", outputs.len()));
-    };
-    let shape = x.shape().to_vec();
-    let d = *shape.last().ok_or("rms_norm needs rank >= 1")?;
-    let rows = x.numel() / d.max(1);
+    let (x, w, out) = (&inputs[0], &inputs[1], &outputs[0]);
+    let (rows, d) = check_rms_norm(x.shape(), w.shape())?;
     let xv = x.to_f64_vec();
     let wv = w.to_f64_vec();
-    if wv.len() != d {
-        return Err(format!("weight length {} != {d}", wv.len()));
-    }
     const EPS: f64 = 1e-5;
     for r in 0..rows {
         let row = &xv[r * d..(r + 1) * d];
@@ -274,19 +286,10 @@ fn lib_rms_norm(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
     Ok(())
 }
 
-fn kv_append_validate(
-    inputs: &[NDArray],
-    outputs: &[NDArray],
-) -> Result<(NDArray, NDArray, NDArray), String> {
-    let [cache, new] = inputs else {
-        return Err(format!("expected 2 inputs, got {}", inputs.len()));
-    };
-    let [out] = outputs else {
-        return Err(format!("expected 1 output, got {}", outputs.len()));
-    };
-    let cs = cache.shape();
-    let ns = new.shape();
-    let os = out.shape();
+/// `vm.builtin.kv_append`'s shape rule, which it and the dry run both run:
+/// rank-4 `cache`, `new` and `out` of one `(b, h, _, hd)` geometry, `out`
+/// as long as the other two; else the detail of the kernel's error.
+pub fn check_kv_append(cs: &[usize], ns: &[usize], os: &[usize]) -> Result<(), String> {
     if cs.len() != 4 || ns.len() != 4 || os.len() != 4 {
         return Err("kv_append expects rank-4 tensors".to_string());
     }
@@ -300,7 +303,7 @@ fn kv_append_validate(
     if cs[0] != b || cs[1] != h || cs[3] != hd || ns[0] != b || ns[1] != h || ns[3] != hd {
         return Err("kv_append operand shape mismatch".to_string());
     }
-    Ok((cache.clone(), new.clone(), out.clone()))
+    Ok(())
 }
 
 /// KV-cache append along axis 2: `out[.., 0..s, ..] = cache`,
@@ -312,7 +315,8 @@ fn kv_append_validate(
 /// the whole kernel is `2·b·h` bulk bit copies instead of a 4-deep
 /// scalar loop ([`kv_append_reference`]).
 fn lib_kv_append(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
-    let (cache, new, out) = kv_append_validate(inputs, outputs)?;
+    let (cache, new, out) = (&inputs[0], &inputs[1], &outputs[0]);
+    check_kv_append(cache.shape(), new.shape(), out.shape())?;
     let (cs2, ns2) = (cache.shape()[2], new.shape()[2]);
     let os = out.shape().to_vec();
     if cache.dtype() != out.dtype() || new.dtype() != out.dtype() {
@@ -324,9 +328,9 @@ fn lib_kv_append(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> 
         for hi in 0..h {
             let row = bi * h + hi;
             let dst = row * os[2] * hd;
-            out.copy_range_from(dst, &cache, row * cs2 * hd, cs2 * hd)
+            out.copy_range_from(dst, cache, row * cs2 * hd, cs2 * hd)
                 .map_err(|e| e.to_string())?;
-            out.copy_range_from(dst + cs2 * hd, &new, row * ns2 * hd, ns2 * hd)
+            out.copy_range_from(dst + cs2 * hd, new, row * ns2 * hd, ns2 * hd)
                 .map_err(|e| e.to_string())?;
         }
     }
@@ -339,7 +343,8 @@ fn lib_kv_append(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> 
 /// row-copy path must equal bitwise
 /// (`kv_append_row_copy_matches_scalar_reference`).
 fn kv_append_reference(inputs: &[NDArray], outputs: &[NDArray]) -> Result<(), String> {
-    let (cache, new, out) = kv_append_validate(inputs, outputs)?;
+    let (cache, new, out) = (&inputs[0], &inputs[1], &outputs[0]);
+    check_kv_append(cache.shape(), new.shape(), out.shape())?;
     let (cs2, ns2) = (cache.shape()[2], new.shape()[2]);
     let os = out.shape().to_vec();
     let (b, h, hd) = (os[0], os[1], os[3]);

@@ -73,9 +73,7 @@ impl Value {
             Value::KvCache(c) => {
                 let (cfg, lens) = (c.config(), c.lens());
                 let longest = |s| lens.iter().skip(s).step_by(cfg.streams).max().copied();
-                let mut dims = vec![cfg.batch, cfg.heads, cfg.head_dim];
-                dims.extend((0..cfg.streams).map(|s| longest(s).unwrap_or(0)));
-                dims
+                cfg.launch_dims((0..cfg.streams).map(|s| longest(s).unwrap_or(0)))
             }
             _ => Vec::new(),
         }
@@ -163,11 +161,18 @@ pub(crate) fn want_shape<'a>(
     dims: usize,
 ) -> Result<&'a [i64], KernelError> {
     let d = want(kernel, args, i, "shape", Value::as_shape)?;
+    check_shape_operand(kernel, d, dims)?;
+    Ok(d)
+}
+
+/// A builtin's shape operand has exactly `dims` dims, else `kernel`'s
+/// error: the check the builtins and the dry run both run.
+pub fn check_shape_operand(kernel: &str, d: &[i64], dims: usize) -> Result<(), KernelError> {
     if d.len() != dims {
         let detail = format!("expected a shape of {dims} dims, got {}", d.len());
         return Err(KernelError::new(kernel, detail));
     }
-    Ok(d)
+    Ok(())
 }
 
 #[cfg(test)]

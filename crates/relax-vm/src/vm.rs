@@ -7,10 +7,11 @@ use std::sync::Arc;
 use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
 use relax_tir::interp::{self, InterpError};
 use relax_tir::{NDArray, PlanError};
+use relax_trace::{CacheOutcome, Payload};
 
-use crate::exec::{match_shape, Executable, Instr, Reg, VmFunction};
+use crate::exec::{eval_size, match_shape, Executable, Instr, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
+use crate::memory::{KvPagePool, MemoryStats, PooledAllocator, StorageLedger};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
@@ -146,6 +147,13 @@ impl VmError {
     pub fn origin(&self) -> Option<&FrameEntry> {
         self.trace.first()
     }
+
+    /// This error as it crosses `func`'s `pc`, running `instr`.
+    fn at(mut self, func: &str, pc: usize, instr: &str) -> Self {
+        let (func, instr) = (func.to_string(), instr.to_string());
+        self.trace.push(FrameEntry { func, pc, instr });
+        self
+    }
 }
 
 impl fmt::Display for VmError {
@@ -270,10 +278,8 @@ pub struct Vm {
     telemetry: Telemetry,
     /// Capture regions that have been captured (by region id).
     captured: std::collections::HashSet<(usize, Vec<i64>)>,
-    /// Static storages allocated once ahead of time: (func, instr idx) ->
-    /// (storage id, bytes).
-    static_storage: HashMap<(String, usize), (u64, usize)>,
-    next_storage_id: u64,
+    /// Static storages allocated once ahead of time, by (func, instr idx).
+    static_storage: StorageLedger,
     /// Per-kernel launch counts and compile/run time split.
     kernel_stats: HashMap<String, KernelStat>,
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
@@ -311,8 +317,7 @@ impl Vm {
             pool: PooledAllocator::new(),
             telemetry: Telemetry::default(),
             captured: std::collections::HashSet::new(),
-            static_storage: HashMap::new(),
-            next_storage_id: 0,
+            static_storage: StorageLedger::default(),
             kernel_stats: HashMap::new(),
             plan_cache,
             fault: None,
@@ -371,7 +376,7 @@ impl Vm {
     pub fn telemetry(&self) -> Telemetry {
         let mut t = self.telemetry;
         t.pool = self.pool.stats();
-        t.planned_bytes = self.static_storage.values().map(|(_, b)| *b).sum();
+        t.planned_bytes = self.static_storage.total();
         t
     }
 
@@ -414,39 +419,26 @@ impl Vm {
             .funcs
             .get(func)
             .ok_or_else(|| VmError::new(VmErrorKind::UnknownFunction(func.to_string())))?;
+        let at_entry = |e: VmError| Err(e.at(func, 0, "<function entry>"));
         if args.len() != vmf.num_params {
-            let mut e = VmError::new(VmErrorKind::ArgCount {
+            return at_entry(VmError::new(VmErrorKind::ArgCount {
                 func: func.to_string(),
                 expected: vmf.num_params,
                 actual: args.len(),
-            });
-            e.trace.push(FrameEntry {
-                func: func.to_string(),
-                pc: 0,
-                instr: "<function entry>".to_string(),
-            });
-            return Err(e);
+            }));
         }
         if vmf.num_params > vmf.num_regs {
-            let mut e = VmError::new(VmErrorKind::TypeMismatch {
-                expected: "a frame with registers for every parameter",
-                actual: "out-of-range register",
-            });
-            e.trace.push(FrameEntry {
-                func: func.to_string(),
-                pc: 0,
-                instr: "<function entry>".to_string(),
-            });
-            return Err(e);
+            return at_entry(mismatch(
+                "a frame with registers for every parameter",
+                "out-of-range register",
+            ));
         }
         let mut frame = Frame {
             regs: vec![Value::None; vmf.num_regs],
             heap: HashMap::new(),
             alloc_sizes: HashMap::new(),
         };
-        for (i, a) in args.iter().enumerate() {
-            frame.regs[i] = a.clone();
-        }
+        frame.regs[..args.len()].clone_from_slice(args);
         let result = self.exec_block(vmf, &vmf.instrs, &mut frame, false);
         // Return pool blocks still held by this invocation — on success
         // *and* on error, so a failed run cannot leak pool memory.
@@ -456,13 +448,8 @@ impl Vm {
         match result? {
             Some(v) => Ok(v),
             None => {
-                let mut e = VmError::new(VmErrorKind::NoReturn(func.to_string()));
-                e.trace.push(FrameEntry {
-                    func: func.to_string(),
-                    pc: vmf.instrs.len(),
-                    instr: "<end of function>".to_string(),
-                });
-                Err(e)
+                let e = VmError::new(VmErrorKind::NoReturn(func.to_string()));
+                Err(e.at(func, vmf.instrs.len(), "<end of function>"))
             }
         }
     }
@@ -478,18 +465,37 @@ impl Vm {
         false
     }
 
-    /// Allocates `bytes` from the pool, honouring the fault schedule.
-    /// Returns the granted block size.
-    fn runtime_alloc(&mut self, bytes: usize) -> Result<usize, VmError> {
+    /// Grants register `dst` a pool block of `bytes`, honouring the fault
+    /// schedule; the block it held goes back to the pool.
+    fn grant(&mut self, frame: &mut Frame, dst: Reg, bytes: usize) -> Result<(), VmError> {
+        self.alloc_fault(bytes)?;
+        let (_, granted) = self.pool.alloc(bytes);
+        if let Some(old) = frame.alloc_sizes.insert(dst, granted) {
+            self.pool.free(old);
+        }
+        Ok(())
+    }
+
+    /// Counts one launch of kernel `func` that ran for `dt`.
+    fn count_launch(&mut self, func: &str, dt: std::time::Duration, in_replay: bool) {
+        let stat = self.kernel_stats.entry(func.to_string()).or_default();
+        stat.calls += 1;
+        stat.run_time += dt;
+        if !in_replay {
+            self.telemetry.kernel_launches += 1;
+        }
+    }
+
+    /// Fails an allocation of `bytes` when a scheduled fault fires.
+    fn alloc_fault(&mut self, required: usize) -> Result<(), VmError> {
         if self.fault_fires(FaultSite::Alloc) {
             return Err(VmErrorKind::StorageOverflow {
-                required: bytes,
+                required,
                 available: 0,
             }
             .into());
         }
-        let (_, granted) = self.pool.alloc(bytes);
-        Ok(granted)
+        Ok(())
     }
 
     fn exec_block(
@@ -502,14 +508,7 @@ impl Vm {
         for (idx, instr) in instrs.iter().enumerate() {
             let flow = self
                 .exec_instr(vmf, idx, instr, frame, in_replay)
-                .map_err(|mut e| {
-                    e.trace.push(FrameEntry {
-                        func: vmf.name.clone(),
-                        pc: idx,
-                        instr: render_instr(instr),
-                    });
-                    e
-                })?;
+                .map_err(|e| e.at(&vmf.name, idx, &render_instr(instr)))?;
             if let Some(v) = flow {
                 return Ok(Some(v));
             }
@@ -527,39 +526,16 @@ impl Vm {
     ) -> Result<Option<Value>, VmError> {
         match instr {
             Instr::AllocTensor { dst, shape, dtype } => {
-                let dims = self.eval_dims(shape, &frame.heap)?;
+                let dims = eval_dims(shape, &frame.heap)?;
                 let bytes = checked_tensor_bytes(&dims, *dtype)?;
-                let granted = self.runtime_alloc(bytes)?;
-                if let Some(old) = frame.alloc_sizes.insert(*dst, granted) {
-                    self.pool.free(old);
-                }
+                self.grant(frame, *dst, bytes)?;
                 frame.set(*dst, Value::Tensor(NDArray::zeros(&dims, *dtype)))?;
             }
             Instr::AllocStorage { dst, bytes } => {
-                let size = bytes.eval(&frame.heap)?.max(0) as usize;
-                if self.fault_fires(FaultSite::Alloc) {
-                    return Err(VmErrorKind::StorageOverflow {
-                        required: size,
-                        available: 0,
-                    }
-                    .into());
-                }
-                let key = (vmf.name.clone(), idx);
-                // Grow if a larger dynamic size arrives (static plans with
-                // upper bounds never grow).
-                let entry = self.static_storage.entry(key).or_insert_with(|| {
-                    let id = self.next_storage_id;
-                    self.next_storage_id += 1;
-                    (id, 0)
-                });
-                if size > entry.1 {
-                    entry.1 = size;
-                }
-                let v = Value::Storage {
-                    id: entry.0,
-                    bytes: entry.1,
-                };
-                frame.set(*dst, v)?;
+                let size = eval_size(bytes, &frame.heap)?;
+                self.alloc_fault(size)?;
+                let (id, bytes) = self.static_storage.request((vmf.name.clone(), idx), size);
+                frame.set(*dst, Value::Storage { id, bytes })?;
             }
             Instr::TensorFromStorage {
                 dst,
@@ -569,31 +545,18 @@ impl Vm {
             } => {
                 let avail = match frame.get(*storage)? {
                     Value::Storage { bytes, .. } => *bytes,
-                    other => {
-                        return Err(VmErrorKind::TypeMismatch {
-                            expected: "storage",
-                            actual: other.kind(),
-                        }
-                        .into())
-                    }
+                    other => return Err(mismatch("storage", other.kind())),
                 };
-                let dims = self.eval_dims(shape, &frame.heap)?;
+                let dims = eval_dims(shape, &frame.heap)?;
                 let required = checked_tensor_bytes(&dims, *dtype)?;
                 if required > avail {
                     // Graceful degradation (§4.3): the runtime shape
                     // exceeded its declared upper bound. Instead of
                     // failing the run, take the tensor from the pooled
                     // allocator — the unplanned path — and count it.
-                    let granted = self.runtime_alloc(required)?;
-                    if let Some(old) = frame.alloc_sizes.insert(*dst, granted) {
-                        self.pool.free(old);
-                    }
+                    self.grant(frame, *dst, required)?;
                     self.telemetry.fallback_allocs += 1;
-                    relax_trace::instant(
-                        "vm",
-                        || "alloc_fallback".to_string(),
-                        || relax_trace::Payload::None,
-                    );
+                    relax_trace::instant("vm", || "alloc_fallback".to_string(), || Payload::None);
                 }
                 frame.set(*dst, Value::Tensor(NDArray::zeros(&dims, *dtype)))?;
             }
@@ -615,10 +578,7 @@ impl Vm {
                 if self.fault_fires(FaultSite::Kernel) {
                     return Err(injected_kernel_fault(func));
                 }
-                let mut tensors = Vec::with_capacity(args.len() + dsts.len());
-                for r in args.iter().chain(dsts) {
-                    tensors.push(frame.tensor(*r)?.clone());
-                }
+                let tensors = frame.tensors(args.iter().chain(dsts))?;
                 let shapes: Vec<Vec<usize>> = tensors.iter().map(|t| t.shape().to_vec()).collect();
                 // Resolve a shape-specialized plan through the LRU cache;
                 // a miss compiles once, outside the cache's lock, and is
@@ -628,7 +588,7 @@ impl Vm {
                 // for the kernel stats, so the per-kernel report and the
                 // trace share one clock.
                 let (plan, cache_outcome) = match self.plan_cache.lookup(func, &shapes) {
-                    Some(CachedPlan::Ready(p)) => (Some(p), Some(relax_trace::CacheOutcome::Hit)),
+                    Some(CachedPlan::Ready(p)) => (Some(p), Some(CacheOutcome::Hit)),
                     Some(CachedPlan::Unplannable) => {
                         return Err(not_plannable(func, "a negative cache entry"));
                     }
@@ -636,11 +596,8 @@ impl Vm {
                         let sp = relax_trace::span("vm", || format!("plan:{func}"));
                         let compiled =
                             relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
-                        let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
-                            kernel: func.clone(),
-                            shapes: relax_trace::shape_sig(&shapes),
-                            cache: Some(relax_trace::CacheOutcome::Miss),
-                        });
+                        let miss = Some(CacheOutcome::Miss);
+                        let dt = sp.finish_with(|| launch_payload(func, &shapes, miss));
                         let stat = self.kernel_stats.entry(func.clone()).or_default();
                         stat.plan_compiles += 1;
                         stat.compile_time += dt;
@@ -651,7 +608,7 @@ impl Vm {
                         };
                         self.plan_cache
                             .insert(func, &shapes, CachedPlan::Ready(plan.clone()));
-                        (Some(plan), Some(relax_trace::CacheOutcome::Miss))
+                        (Some(plan), Some(CacheOutcome::Miss))
                     }
                     None => (None, None),
                 };
@@ -665,74 +622,41 @@ impl Vm {
                     }
                     None => interp::run(&self.exec.tir_funcs[func], &tensors)?,
                 }
-                let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
-                    kernel: func.clone(),
-                    shapes: relax_trace::shape_sig(&shapes),
-                    cache: cache_outcome,
-                });
-                let stat = self.kernel_stats.entry(func.clone()).or_default();
-                stat.calls += 1;
-                stat.run_time += dt;
+                let dt = sp.finish_with(|| launch_payload(func, &shapes, cache_outcome));
                 self.telemetry.tir_calls += 1;
-                if !in_replay {
-                    self.telemetry.kernel_launches += 1;
-                }
+                self.count_launch(func, dt, in_replay);
             }
             Instr::CallLib { func, args, dsts } => {
                 if self.fault_fires(FaultSite::Kernel) {
                     return Err(injected_kernel_fault(func));
                 }
-                let tensors = |regs: &[Reg]| -> Result<Vec<_>, VmError> {
-                    regs.iter().map(|r| frame.tensor(*r).cloned()).collect()
-                };
-                let (inputs, outputs) = (tensors(args)?, tensors(dsts)?);
+                let (inputs, outputs) = (frame.tensors(args.iter())?, frame.tensors(dsts.iter())?);
                 let sp = relax_trace::span("vm", || format!("lib:{func}"));
                 self.registry.call_lib(func, &inputs, &outputs)?;
-                let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
-                    kernel: func.clone(),
-                    shapes: relax_trace::shape_sig(
-                        &inputs
-                            .iter()
-                            .map(|t| t.shape().to_vec())
-                            .collect::<Vec<_>>(),
-                    ),
-                    cache: None,
+                let dt = sp.finish_with(|| {
+                    let shapes: Vec<Vec<usize>> =
+                        inputs.iter().map(|t| t.shape().to_vec()).collect();
+                    launch_payload(func, &shapes, None)
                 });
-                let stat = self.kernel_stats.entry(func.clone()).or_default();
-                stat.calls += 1;
-                stat.run_time += dt;
                 self.telemetry.lib_calls += 1;
-                if !in_replay {
-                    self.telemetry.kernel_launches += 1;
-                }
+                self.count_launch(func, dt, in_replay);
             }
             Instr::CallBuiltin { func, args, dst } => {
                 if self.fault_fires(FaultSite::Kernel) {
                     return Err(injected_kernel_fault(func));
                 }
-                let vals = args
-                    .iter()
-                    .map(|r| frame.get(*r).cloned())
-                    .collect::<Result<Vec<_>, _>>()?;
+                let vals = frame.values(args)?;
                 let sp = relax_trace::span("vm", || format!("builtin:{func}"));
                 // The arguments as received: a KV cache appends in place.
                 let shapes =
                     (sp.id() != 0).then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
                 let out = self.registry.call_builtin(func, &vals)?;
-                sp.finish_with(|| relax_trace::Payload::Kernel {
-                    kernel: func.clone(),
-                    shapes: relax_trace::shape_sig(&shapes.unwrap_or_default()),
-                    cache: None,
-                });
+                sp.finish_with(|| launch_payload(func, &shapes.unwrap_or_default(), None));
                 self.telemetry.builtin_calls += 1;
                 frame.set(*dst, out)?;
             }
             Instr::CallFunc { func, args, dst } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for r in args {
-                    vals.push(frame.get(*r)?.clone());
-                }
-                let out = self.run_inner(func, &vals)?;
+                let out = self.run_inner(func, &frame.values(args)?)?;
                 frame.set(*dst, out)?;
             }
             Instr::MatchShape { src, dims, ctx } => {
@@ -746,49 +670,28 @@ impl Vm {
                 let actual: Vec<i64> = match frame.get(*src)? {
                     Value::Tensor(t) => t.shape().iter().map(|&d| d as i64).collect(),
                     Value::Shape(dims) => dims.clone(),
-                    other => {
-                        return Err(VmErrorKind::TypeMismatch {
-                            expected: "tensor or shape",
-                            actual: other.kind(),
-                        }
-                        .into())
-                    }
+                    other => return Err(mismatch("tensor or shape", other.kind())),
                 };
                 self.telemetry.shape_checks += dims.len() as u64;
                 match_shape(&actual, dims, ctx, &mut frame.heap)?;
             }
             Instr::LoadConst { dst, index } => {
                 let c = self.exec.constants.get(*index).cloned().ok_or_else(|| {
-                    VmError::new(VmErrorKind::TypeMismatch {
-                        expected: "a constant-pool entry",
-                        actual: "out-of-range constant index",
-                    })
+                    mismatch("a constant-pool entry", "out-of-range constant index")
                 })?;
                 frame.set(*dst, Value::Tensor(c))?;
             }
             Instr::MakeTuple { dst, items } => {
-                let mut vals = Vec::with_capacity(items.len());
-                for r in items {
-                    vals.push(frame.get(*r)?.clone());
-                }
+                let vals = frame.values(items)?;
                 frame.set(*dst, Value::Tuple(vals))?;
             }
             Instr::GetItem { dst, src, index } => {
                 let items = match frame.get(*src)? {
                     Value::Tuple(items) => items,
-                    other => {
-                        return Err(VmErrorKind::TypeMismatch {
-                            expected: "tuple",
-                            actual: other.kind(),
-                        }
-                        .into())
-                    }
+                    other => return Err(mismatch("tuple", other.kind())),
                 };
                 let item = items.get(*index).cloned().ok_or_else(|| {
-                    VmError::new(VmErrorKind::TypeMismatch {
-                        expected: "a tuple index in range",
-                        actual: "out-of-range tuple index",
-                    })
+                    mismatch("a tuple index in range", "out-of-range tuple index")
                 })?;
                 frame.set(*dst, item)?;
             }
@@ -820,17 +723,10 @@ impl Vm {
         }
         Ok(None)
     }
+}
 
-    fn eval_dims(
-        &self,
-        shape: &[PrimExpr],
-        heap: &HashMap<SymVar, i64>,
-    ) -> Result<Vec<usize>, VmError> {
-        shape
-            .iter()
-            .map(|d| Ok(d.eval(heap)?.max(0) as usize))
-            .collect()
-    }
+fn eval_dims(shape: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<usize>, VmErrorKind> {
+    shape.iter().map(|d| eval_size(d, heap)).collect()
 }
 
 /// Byte size of a tensor, with overflow-checked arithmetic: adversarial
@@ -847,6 +743,18 @@ fn checked_tensor_bytes(dims: &[usize], dtype: DataType) -> Result<usize, VmErro
                 available: 0,
             })
         })
+}
+
+/// The payload of a launch's span, and of the dry run's `sim` instant for
+/// the same launch: the kernel, its arguments' shape signature and the
+/// plan-cache outcome.
+pub fn launch_payload(kernel: &str, shapes: &[Vec<usize>], cache: Option<CacheOutcome>) -> Payload {
+    let (kernel, shapes) = (kernel.to_string(), relax_trace::shape_sig(shapes));
+    Payload::Kernel {
+        kernel,
+        shapes,
+        cache,
+    }
 }
 
 /// An injected kernel failure, attributed to the faulting kernel.
@@ -878,35 +786,39 @@ struct Frame {
     alloc_sizes: HashMap<Reg, usize>,
 }
 
-const OUT_OF_RANGE: VmErrorKind = VmErrorKind::TypeMismatch {
-    expected: "a value in a frame register",
-    actual: "out-of-range register",
-};
+fn mismatch(expected: &'static str, actual: &'static str) -> VmError {
+    VmErrorKind::TypeMismatch { expected, actual }.into()
+}
+
+fn out_of_range() -> VmError {
+    mismatch("a value in a frame register", "out-of-range register")
+}
 
 impl Frame {
     fn get(&self, reg: Reg) -> Result<&Value, VmError> {
-        self.regs.get(reg).ok_or_else(|| VmError::new(OUT_OF_RANGE))
+        self.regs.get(reg).ok_or_else(out_of_range)
     }
 
     fn set(&mut self, reg: Reg, v: Value) -> Result<(), VmError> {
-        match self.regs.get_mut(reg) {
-            Some(slot) => {
-                *slot = v;
-                Ok(())
-            }
-            None => Err(VmError::new(OUT_OF_RANGE)),
-        }
+        *self.regs.get_mut(reg).ok_or_else(out_of_range)? = v;
+        Ok(())
     }
 
-    fn tensor(&self, reg: Reg) -> Result<&NDArray, VmError> {
-        match self.get(reg)? {
-            Value::Tensor(t) => Ok(t),
-            other => Err(VmErrorKind::TypeMismatch {
-                expected: "tensor",
-                actual: other.kind(),
+    /// The tensors in `regs`, in order.
+    fn tensors<'r>(&self, regs: impl Iterator<Item = &'r Reg>) -> Result<Vec<NDArray>, VmError> {
+        let mut tensors = Vec::with_capacity(regs.size_hint().0);
+        for reg in regs {
+            match self.get(*reg)? {
+                Value::Tensor(t) => tensors.push(t.clone()),
+                other => return Err(mismatch("tensor", other.kind())),
             }
-            .into()),
         }
+        Ok(tensors)
+    }
+
+    /// The values in `regs`, in order.
+    fn values(&self, regs: &[Reg]) -> Result<Vec<Value>, VmError> {
+        regs.iter().map(|r| self.get(*r).cloned()).collect()
     }
 }
 

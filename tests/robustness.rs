@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use relax::arith::Var as SymVar;
+use relax::arith::{PrimExpr, Var as SymVar};
 use relax::core::{BlockBuilder, DataType, Expr, IRModule, Op, StructInfo};
 use relax::models::llama::{build_decode_paged, LlamaConfig};
 use relax::passes::{compile, CompileOptions};
@@ -338,6 +338,44 @@ fn unbound_symbolic_var_errors_at_evaluation() {
     let err = vm.run("main", &mlp_args(2)).unwrap_err();
     assert!(matches!(err.kind, VmErrorKind::Eval(_)));
     assert!(err.origin().unwrap().instr.contains("tensor_from"));
+}
+
+#[test]
+fn a_negative_allocation_size_fails_its_shape_check() {
+    // main(x: (n,)) { y = alloc (n - 4,); ret y } at n = 1.
+    let n = SymVar::new("n");
+    let mut exec = Executable::new();
+    let instrs = vec![
+        Instr::MatchShape {
+            src: 0,
+            dims: vec![n.clone().into()],
+            ctx: "x".into(),
+        },
+        Instr::AllocTensor {
+            dst: 1,
+            shape: vec![PrimExpr::from(n) - 4.into()],
+            dtype: DataType::F32,
+        },
+        Instr::Ret { src: 1 },
+    ];
+    let main = VmFunction {
+        name: "main".into(),
+        num_params: 1,
+        num_regs: 2,
+        instrs,
+    };
+    exec.funcs.insert("main".into(), main);
+    let mut vm = Vm::new(exec);
+    let x = Value::Tensor(NDArray::zeros(&[1], DataType::F32));
+    let err = vm.run("main", &[x]).unwrap_err();
+    match &err.kind {
+        VmErrorKind::ShapeCheck { ctx, detail } => {
+            assert_eq!(ctx, "allocation");
+            assert_eq!(detail, "size `(n - 4)` = -3 is negative");
+        }
+        other => panic!("expected ShapeCheck, got {other}"),
+    }
+    assert_eq!(err.origin().unwrap().pc, 1);
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //!
 //! A refusal table beside them holds one malformed launch per runtime
 //! function (paged KV append and attention, the MoE builtins, the library
-//! kernels), each with the text the VM refuses it with.
+//! kernels, a negative allocation size), each with the text the VM
+//! refuses it with; the dry run must refuse every entry with that text,
+//! as `SimError::ShapeCheck`.
 //!
 //! Stated exceptions:
 //!
@@ -36,6 +38,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use relax::arith::{PrimExpr, Var as SymVar};
 use relax::core::{DataType, IRModule, ShapeDesc, StructInfo};
 use relax::models::llama::{build_decode, build_decode_paged, build_prefill, LlamaConfig};
 use relax::models::llava::{build_vision_encoder, LlavaConfig};
@@ -616,6 +619,24 @@ fn lib_launch(func: &str, params: usize, out: &[i64]) -> Executable {
     hand_built(params, body, params + 1)
 }
 
+/// `main(x: (n,)) = alloc (n - 4,)`.
+fn negative_alloc() -> Executable {
+    let n = SymVar::new("n");
+    let body = vec![
+        Instr::MatchShape {
+            src: 0,
+            dims: vec![n.clone().into()],
+            ctx: "x".into(),
+        },
+        Instr::AllocTensor {
+            dst: 1,
+            shape: vec![PrimExpr::from(n) - 4.into()],
+            dtype: DataType::F32,
+        },
+    ];
+    hand_built(1, body, 2)
+}
+
 /// A cache of `heads` KV heads of dim 4, batch 1, two streams holding
 /// three tokens each.
 fn small_cache(heads: usize) -> Value {
@@ -753,6 +774,12 @@ fn refusals() -> Vec<Refusal> {
             vec![f32s(&[1, 1, 2, 4]), f32s(&[1, 1, 1, 4])],
             kernel("vm.builtin.kv_append", "output length 4 != cache 2 + new 1"),
         ),
+        (
+            "alloc_tensor: a negative size",
+            negative_alloc(),
+            vec![f32s(&[1])],
+            "runtime shape check failed at allocation: size `(n - 4)` = -3 is negative".into(),
+        ),
     ];
     table.extend(
         hand_built
@@ -769,10 +796,24 @@ fn refusals() -> Vec<Refusal> {
 }
 
 #[test]
-fn malformed_launches_are_refused_with_the_vms_text() {
+fn malformed_launches_are_refused_alike_with_the_vms_text() {
     for case in refusals() {
         let vm = Vm::new(case.exec.clone()).run(&case.func, &case.args);
         let err = vm.expect_err(case.label);
         assert_eq!(err.kind.to_string(), case.want, "{}", case.label);
+        // The dry run refuses the same launch with the VM's text.
+        let want = match err.kind {
+            VmErrorKind::Kernel(k) => k.to_string(),
+            VmErrorKind::ShapeCheck { ctx, detail } => format!("{ctx}: {detail}"),
+            other => panic!("{}: a {other:?} refusal", case.label),
+        };
+        let args: Vec<SimValue> = case.args.iter().map(sim_value).collect();
+        let sim = simulate(&case.exec, &case.func, &args, &DeviceSpec::rtx4090(), false);
+        assert_eq!(
+            sim.err(),
+            Some(SimError::ShapeCheck(want)),
+            "{}",
+            case.label
+        );
     }
 }
