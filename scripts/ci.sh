@@ -84,7 +84,9 @@ echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (releas
 # dispatch, and the goldens (speculative draft/verify sessions against
 # plain decode run with the relax-serve suite above). sim_parity pins the
 # dry run every figure comes from to the VM: the same launches with the
-# same shape signatures, and the same counters, on every model it costs.
+# same shape signatures, and the same counters, on every model it costs;
+# and the same refusals, with the VM's text, on a table of one malformed
+# launch per runtime function.
 cargo test --release -q --test moe_diff
 cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test sim_parity
