@@ -21,9 +21,13 @@
 //!
 //! A refusal table beside them holds one malformed launch per runtime
 //! function (paged KV append and attention, the MoE builtins, the library
-//! kernels, a negative allocation size), each with the text the VM
-//! refuses it with; the dry run must refuse every entry with that text,
-//! as `SimError::ShapeCheck`.
+//! kernels, an unregistered kernel and builtin, a negative allocation
+//! size) and per frame rule (an out-of-range register, a call with the
+//! wrong argument count), each with the text the VM refuses it with; the
+//! dry run must refuse every entry with that text, a refused launch as
+//! `SimError::ShapeCheck` and a broken frame rule as `SimError::Type`.
+//! Its memory tracker must return a reallocated register's block as the
+//! VM's pool does.
 //!
 //! Stated exceptions:
 //!
@@ -637,6 +641,24 @@ fn negative_alloc() -> Executable {
     hand_built(1, body, 2)
 }
 
+/// `main() = sub()`, where `sub` takes one argument.
+fn call_short() -> Executable {
+    let call = Instr::CallFunc {
+        func: "sub".into(),
+        args: vec![],
+        dst: 0,
+    };
+    let mut exec = hand_built(0, vec![call], 1);
+    let sub = VmFunction {
+        name: "sub".into(),
+        num_params: 1,
+        num_regs: 1,
+        instrs: vec![Instr::Ret { src: 0 }],
+    };
+    exec.funcs.insert("sub".into(), sub);
+    exec
+}
+
 /// A cache of `heads` KV heads of dim 4, batch 1, two streams holding
 /// three tokens each.
 fn small_cache(heads: usize) -> Value {
@@ -780,6 +802,46 @@ fn refusals() -> Vec<Refusal> {
             vec![f32s(&[1])],
             "runtime shape check failed at allocation: size `(n - 4)` = -3 is negative".into(),
         ),
+        (
+            "call_lib: an unregistered kernel",
+            lib_launch("nope.kernel", 2, &[2, 3]),
+            vec![f32s(&[2, 4]), f32s(&[4, 3])],
+            kernel("nope.kernel", "not registered"),
+        ),
+        (
+            "call_builtin: an unregistered builtin",
+            builtin_launch("vm.builtin.nope", 1, None),
+            vec![f32s(&[2, 4])],
+            kernel("vm.builtin.nope", "not registered"),
+        ),
+        (
+            "cublas.matmul: one input",
+            lib_launch("cublas.matmul", 1, &[2, 3]),
+            vec![f32s(&[2, 4])],
+            kernel(
+                "cublas.matmul",
+                "expected (inputs, outputs) = (2, 1), got (1, 1)",
+            ),
+        ),
+        (
+            "make_shape: register 7 of 2",
+            hand_built(
+                0,
+                vec![Instr::MakeShape {
+                    dst: 7,
+                    dims: vec![],
+                }],
+                2,
+            ),
+            vec![],
+            "expected a a value in a frame register value, got out-of-range register".into(),
+        ),
+        (
+            "call_func: one argument short",
+            call_short(),
+            vec![],
+            "`sub` expects 1 args, got 0".into(),
+        ),
     ];
     table.extend(
         hand_built
@@ -803,17 +865,46 @@ fn malformed_launches_are_refused_alike_with_the_vms_text() {
         assert_eq!(err.kind.to_string(), case.want, "{}", case.label);
         // The dry run refuses the same launch with the VM's text.
         let want = match err.kind {
-            VmErrorKind::Kernel(k) => k.to_string(),
-            VmErrorKind::ShapeCheck { ctx, detail } => format!("{ctx}: {detail}"),
+            VmErrorKind::Kernel(k) => SimError::ShapeCheck(k.to_string()),
+            VmErrorKind::ShapeCheck { ctx, detail } => {
+                SimError::ShapeCheck(format!("{ctx}: {detail}"))
+            }
+            other @ (VmErrorKind::TypeMismatch { .. } | VmErrorKind::ArgCount { .. }) => {
+                SimError::Type(other.to_string())
+            }
             other => panic!("{}: a {other:?} refusal", case.label),
         };
         let args: Vec<SimValue> = case.args.iter().map(sim_value).collect();
         let sim = simulate(&case.exec, &case.func, &args, &DeviceSpec::rtx4090(), false);
-        assert_eq!(
-            sim.err(),
-            Some(SimError::ShapeCheck(want)),
-            "{}",
-            case.label
-        );
+        assert_eq!(sim.err(), Some(want), "{}", case.label);
     }
+}
+
+/// Two allocations into register 0, 4 KiB then 8 KiB, and a `Kill`: the
+/// second returns the first's block, so nothing stays in use, in the
+/// dry run's memory tracker as in the VM's pool.
+#[test]
+fn reallocating_a_register_returns_its_block_alike() {
+    let alloc = |n: i64| Instr::AllocTensor {
+        dst: 0,
+        shape: vec![n.into()],
+        dtype: DataType::F32,
+    };
+    let body = vec![
+        alloc(1024),
+        alloc(2048),
+        Instr::Kill { reg: 0 },
+        Instr::MakeShape {
+            dst: 1,
+            dims: vec![],
+        },
+    ];
+    let exec = hand_built(0, body, 2);
+    let mut vm = Vm::new(exec.clone());
+    vm.run("main", &[]).unwrap();
+    assert_eq!(vm.telemetry().pool.in_use, 0, "the VM's pool");
+    let mut mem = MemoryTracker::new();
+    let device = DeviceSpec::rtx4090();
+    simulate_with_memory(&exec, "main", &[], &device, false, &mut mem).unwrap();
+    assert_eq!(mem.pool.stats().in_use, 0, "the dry run's tracker");
 }
