@@ -143,8 +143,36 @@ impl Registry {
         self.builtins.get(name).map(|&(_, inputs)| inputs)
     }
 
+    /// The library kernel registered as `name`, called with `inputs`
+    /// inputs and `outputs` outputs: its registration and signature
+    /// checked without the data, for the VM and the dry run alike.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError`] for an unknown kernel or a wrong number of
+    /// arguments.
+    pub fn check_lib(
+        &self,
+        name: &str,
+        inputs: usize,
+        outputs: usize,
+    ) -> Result<LibKernel, KernelError> {
+        let fail = |detail| KernelError::new(name, detail);
+        let &(kernel, sig) = self
+            .libs
+            .get(name)
+            .ok_or_else(|| fail("not registered".into()))?;
+        let got = (inputs, outputs);
+        if got != sig {
+            return Err(fail(format!(
+                "expected (inputs, outputs) = {sig:?}, got {got:?}"
+            )));
+        }
+        Ok(kernel)
+    }
+
     /// Invokes a library kernel in destination-passing style, after
-    /// checking the call against the kernel's signature.
+    /// [`check_lib`](Self::check_lib).
     ///
     /// # Errors
     ///
@@ -156,18 +184,19 @@ impl Registry {
         inputs: &[NDArray],
         outputs: &[NDArray],
     ) -> Result<(), KernelError> {
-        let fail = |detail| KernelError::new(name, detail);
-        let &(kernel, sig) = self
-            .libs
-            .get(name)
-            .ok_or_else(|| fail("not registered".into()))?;
-        let got = (inputs.len(), outputs.len());
-        if got != sig {
-            return Err(fail(format!(
-                "expected (inputs, outputs) = {sig:?}, got {got:?}"
-            )));
-        }
-        kernel(inputs, outputs).map_err(fail)
+        let kernel = self.check_lib(name, inputs.len(), outputs.len())?;
+        kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
+    }
+
+    /// The builtin registered as `name`, checked without the data, for the
+    /// VM and the dry run alike.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError`] for an unknown builtin.
+    pub fn check_builtin(&self, name: &str) -> Result<BuiltinFn, KernelError> {
+        let builtin = self.builtins.get(name).map(|&(func, _)| func);
+        builtin.ok_or_else(|| KernelError::new(name, "not registered"))
     }
 
     /// Invokes a value-returning builtin on register values.
@@ -176,11 +205,7 @@ impl Registry {
     ///
     /// Returns [`KernelError`] for unknown builtins or failures.
     pub fn call_builtin(&self, name: &str, args: &[Value]) -> Result<Value, KernelError> {
-        let (func, _) = self
-            .builtins
-            .get(name)
-            .ok_or_else(|| KernelError::new(name, "not registered"))?;
-        func(args)
+        self.check_builtin(name)?(args)
     }
 }
 

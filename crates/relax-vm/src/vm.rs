@@ -78,7 +78,7 @@ impl fmt::Display for VmErrorKind {
                 actual,
             } => write!(f, "`{func}` expects {expected} args, got {actual}"),
             VmErrorKind::TypeMismatch { expected, actual } => {
-                write!(f, "expected a {expected} value, got {actual}")
+                write!(f, "expected {expected}, got {actual}")
             }
             VmErrorKind::ShapeCheck { ctx, detail } => {
                 write!(f, "runtime shape check failed at {ctx}: {detail}")

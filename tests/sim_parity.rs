@@ -834,7 +834,7 @@ fn refusals() -> Vec<Refusal> {
                 2,
             ),
             vec![],
-            "expected a a value in a frame register value, got out-of-range register".into(),
+            "expected a value in a frame register, got out-of-range register".into(),
         ),
         (
             "call_func: one argument short",
