@@ -1,145 +1,48 @@
-//! Shape-level dry run of a compiled executable.
+//! Shape-level dry run of a compiled executable: the VM's loop over
+//! shape-level values.
 //!
-//! Walks the VM's instructions at the shape level — no tensor data is
-//! touched — charging each kernel launch to the device cost model. This is
-//! how the paper-figure binaries obtain "Relax" numbers for full-size
-//! models: the compiler's actual output (after fusion, library dispatch,
-//! memory planning and graph capture) determines exactly which kernels
-//! launch with which shapes.
-//!
-//! Every runtime rule is `relax-vm`'s own, called here: `match_shape`,
-//! `eval_size` for allocation sizes, each builtin's and library kernel's
-//! argument check (`KvCacheConfig::check_*`, `moe::check_*`,
-//! `registry::check_*`, `check_shape_operand`, `stream_arg`), the KV page
-//! size, the launch log's dims and payload, and the planned-storage
-//! `StorageLedger`. A launch those rules refuse in the VM fails here with
-//! the VM's text (`SimError::ShapeCheck`); the dry run adds only costs.
-//! `sim_parity` (`tests/sim_parity.rs`) pins it: each charged kernel logs
-//! a `sim` trace instant named and shaped like the VM's span for that
-//! launch, the two logs and launch counters agree on every model the
-//! figures cost, and a refusal table holds one malformed launch per
-//! runtime function. Stated exceptions:
+//! [`simulate`] runs `relax_vm::domain::run`, the one instruction loop the
+//! VM runs, with [`SimValue`]s in the registers: no tensor data is touched,
+//! and each kernel launch is charged to the device cost model. This is how
+//! the paper-figure binaries obtain "Relax" numbers for full-size models:
+//! the compiler's actual output (after fusion, library dispatch, memory
+//! planning and graph capture) determines exactly which kernels launch
+//! with which shapes. Registers, the shape heap, allocation sizes, pool
+//! grants, the planned-storage ledger and calls are the loop's; every
+//! argument rule is `relax-vm`'s (`Registry::check_{lib, builtin}`,
+//! `KvCacheConfig::check_*`, `moe::check_*`, `registry::check_*`), so a
+//! launch the VM refuses fails here with the VM's text. This domain adds
+//! only costs, result shapes and the [`MemoryTracker`]'s accounting, under
+//! four stated policies:
 //! - MoE gathers are bounded by the whole token batch (§4.2's worst-case
 //!   rule): launch names match, every dimension is at least the VM's, and
 //!   a scatter's row count is not checked against its expert's tokens.
-//! - [`MemoryTracker::planned_bytes`] leaves out storages that escape
-//!   through `Ret` (Table 2 counts activations only).
+//! - A value that escapes through `Ret` is no activation: its pool grant
+//!   and its planned storage stay out of the tracker (Table 2).
 //! - The plan cache is unbounded: one compile per `(kernel, shapes)` key.
+//! - `warm` means every capture region replays.
+//!
+//! `sim_parity` (`tests/sim_parity.rs`) pins the launch logs, counters,
+//! refusals and pool accounting against the VM.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
+use relax_arith::{DataType, EvalError};
 use relax_tir::interp::bind_shapes_dims;
+use relax_tir::PrimFunc;
 use relax_trace::CacheOutcome::{self, Hit, Miss};
+use relax_vm::domain::Domain;
 use relax_vm::moe::{check_gather, check_route, check_scatter};
-use relax_vm::registry::{check_kv_append, check_matmul, check_rms_norm, KernelError};
+use relax_vm::registry::{check_kv_append, check_matmul, check_rms_norm, KernelError, Registry};
 use relax_vm::{
-    check_shape_operand, eval_size, launch_payload, stream_arg, Executable, Instr, KvCacheConfig,
-    StorageLedger, VmErrorKind, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
+    check_shape_operand, launch_payload, stream_arg, Executable, Instr, KvCacheConfig, Reg,
+    StorageLedger, VmErrorKind, VmFunction, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
 };
 
 use crate::cost::{kernel_time, KernelClass};
 use crate::device::DeviceSpec;
-
-/// Dimensions as sizes (a negative one reads as 0).
-fn sizes(dims: &[i64]) -> Vec<usize> {
-    dims.iter().map(|&d| d.max(0) as usize).collect()
-}
-
-/// A runtime value tracked at the shape level.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimValue {
-    /// Uninitialized.
-    None,
-    /// A tensor's shape and dtype.
-    Tensor {
-        /// Concrete dimensions.
-        dims: Vec<i64>,
-        /// Element type.
-        dtype: DataType,
-    },
-    /// A tuple.
-    Tuple(Vec<SimValue>),
-    /// A first-class shape.
-    Shape(Vec<i64>),
-    /// A storage block.
-    Storage(usize),
-    /// A paged KV-cache handle: per-stream logical token counts plus
-    /// the fixed geometry, tracked so paged-append builtins can be
-    /// charged for the appended slice only.
-    KvCache {
-        /// Logical token count per stream.
-        streams: Vec<i64>,
-        /// Batch dimension.
-        batch: i64,
-        /// KV head count.
-        heads: i64,
-        /// Head dimension.
-        head_dim: i64,
-        /// Element dtype.
-        dtype: DataType,
-    },
-}
-
-impl SimValue {
-    /// Constructs a tensor shape value.
-    pub fn tensor(dims: Vec<i64>, dtype: DataType) -> Self {
-        SimValue::Tensor { dims, dtype }
-    }
-
-    fn byte_size(&self) -> f64 {
-        if let Some((cfg, lens)) = self.kv_cache() {
-            // Resident bytes are whole pages, not logical tokens.
-            let row = (cfg.batch * cfg.heads * cfg.head_dim) as f64 * cfg.dtype.size_bytes() as f64;
-            let pages = |len: usize| len.div_ceil(KV_PAGE_TOKENS) * KV_PAGE_TOKENS;
-            return lens.iter().map(|&len| pages(len) as f64 * row).sum();
-        }
-        match self {
-            SimValue::Tensor { dims, dtype } => {
-                dims.iter().product::<i64>().max(0) as f64 * dtype.size_bytes() as f64
-            }
-            SimValue::Tuple(items) => items.iter().map(SimValue::byte_size).sum(),
-            _ => 0.0,
-        }
-    }
-
-    /// A cache's geometry and per-stream lengths, as the VM's rules take
-    /// them.
-    fn kv_cache(&self) -> Option<(KvCacheConfig, Vec<usize>)> {
-        let SimValue::KvCache {
-            streams,
-            batch,
-            heads,
-            head_dim,
-            dtype,
-        } = self
-        else {
-            return None;
-        };
-        let size = |d: &i64| (*d).max(0) as usize;
-        let cfg = KvCacheConfig {
-            streams: streams.len(),
-            batch: size(batch),
-            heads: size(heads),
-            head_dim: size(head_dim),
-            dtype: *dtype,
-        };
-        Some((cfg, sizes(streams)))
-    }
-
-    /// The dimensions the launch log records for this argument, as
-    /// `relax_vm::Value::launch_dims` does for the VM's.
-    fn launch_dims(&self) -> Vec<usize> {
-        match self {
-            SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => sizes(dims),
-            _ => self
-                .kv_cache()
-                .map(|(cfg, lens)| cfg.launch_dims(lens))
-                .unwrap_or_default(),
-        }
-    }
-}
+use crate::value::{sizes, SimValue};
 
 /// Logs one charged kernel as the VM logs that launch: an instant named
 /// like the VM's span (`kernel:`, `lib:` or `builtin:` and the function),
@@ -155,8 +58,8 @@ fn log_launch(
 }
 
 /// The launch-log dimensions of the values in `args`.
-fn arg_dims(args: &[usize], regs: &[SimValue]) -> Vec<Vec<usize>> {
-    args.iter().map(|r| regs[*r].launch_dims()).collect()
+fn arg_dims<'r>(args: impl IntoIterator<Item = &'r Reg>, regs: &[SimValue]) -> Vec<Vec<usize>> {
+    args.into_iter().map(|r| regs[*r].launch_dims()).collect()
 }
 
 /// Error raised by the dry run.
@@ -204,14 +107,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-impl From<EvalError> for SimError {
-    fn from(e: EvalError) -> Self {
-        SimError::Eval(e)
-    }
-}
-
-/// A VM refusal: a failed shape check or a refused kernel carries the
-/// VM's text.
+/// A VM refusal, with the VM's text: a failed shape check or a refused
+/// kernel as `ShapeCheck`, a broken frame rule (a register, an argument
+/// count) as `Type`.
 impl From<VmErrorKind> for SimError {
     fn from(e: VmErrorKind) -> Self {
         match e {
@@ -220,6 +118,7 @@ impl From<VmErrorKind> for SimError {
             }
             VmErrorKind::Kernel(k) => SimError::ShapeCheck(k.to_string()),
             VmErrorKind::Eval(e) => SimError::Eval(e),
+            VmErrorKind::UnknownFunction(n) | VmErrorKind::UnknownTir(n) => SimError::Unknown(n),
             other => SimError::Type(other.to_string()),
         }
     }
@@ -275,7 +174,6 @@ impl SimReport {
     fn add_plan_compile(&mut self, device: &DeviceSpec) {
         self.plan_compiles += 1;
         self.compile_s += device.plan_compile_overhead();
-        self.recompute_total();
     }
 
     fn add_kernel(
@@ -291,7 +189,6 @@ impl SimReport {
         self.kernels += 1;
         self.flops += flops;
         self.bytes += bytes;
-        self.recompute_total();
         if charge_launch {
             self.add_launch(device);
         }
@@ -300,7 +197,6 @@ impl SimReport {
     fn add_launch(&mut self, device: &DeviceSpec) {
         self.launch_s += device.launch_overhead;
         self.launches += 1;
-        self.recompute_total();
     }
 }
 
@@ -396,47 +292,41 @@ pub fn simulate_with_memory(
     DryRun::run(exec, device, warm, Some(memory), func, args)
 }
 
-/// One dry run: what it walks, what it has charged, and the plan-cache
-/// keys it has charged a compilation for.
+/// The dry run's domain: shape-level values, launches that charge the
+/// device's costs, and the memory tracker's accounting.
 struct DryRun<'a> {
-    exec: &'a Executable,
     device: &'a DeviceSpec,
+    /// Every capture region replays.
     warm: bool,
     memory: Option<&'a mut MemoryTracker>,
     report: SimReport,
+    /// Plan-cache keys charged a compilation (the cache is unbounded).
     seen: HashSet<(String, Vec<Vec<usize>>)>,
-}
-
-/// One function invocation of a dry run.
-struct Frame<'f> {
-    func: &'f str,
-    regs: Vec<SimValue>,
-    heap: HashMap<SymVar, i64>,
-    /// Pool block sizes granted to registers (for recycling on `Kill`).
-    granted: HashMap<usize, usize>,
-    /// Registers whose values escape through this function's return.
-    escaping: HashSet<usize>,
+    /// Per function, the registers whose values escape through its return.
+    escaping: HashMap<String, HashSet<Reg>>,
+    registry: Registry,
 }
 
 impl<'a> DryRun<'a> {
     fn run(
-        exec: &'a Executable,
+        exec: &Executable,
         device: &'a DeviceSpec,
         warm: bool,
         memory: Option<&'a mut MemoryTracker>,
         func: &str,
         args: &[SimValue],
     ) -> Result<SimReport, SimError> {
-        let (report, seen) = (SimReport::default(), HashSet::new());
         let mut run = Self {
-            exec,
             device,
             warm,
             memory,
-            report,
-            seen,
+            report: SimReport::default(),
+            seen: HashSet::new(),
+            escaping: HashMap::new(),
+            registry: Registry::new(),
         };
-        run.call(func, args)?;
+        relax_vm::domain::run(exec, &mut run, func, args)?;
+        run.report.recompute_total();
         Ok(run.report)
     }
 
@@ -446,190 +336,137 @@ impl<'a> DryRun<'a> {
         report.add_kernel(self.device, class, flops, bytes, !in_replay);
     }
 
-    fn call(&mut self, func: &str, args: &[SimValue]) -> Result<SimValue, SimError> {
-        let vmf = self
-            .exec
-            .funcs
-            .get(func)
-            .ok_or_else(|| SimError::Unknown(func.to_string()))?;
-        let mut regs = vec![SimValue::None; vmf.num_regs];
-        regs[..args.len()].clone_from_slice(args);
-        let mut frame = Frame {
-            func,
-            regs,
-            heap: HashMap::new(),
-            granted: HashMap::new(),
-            escaping: escaping_regs(&vmf.instrs),
-        };
-        let ret = self.block(&vmf.instrs, &mut frame, false)?;
-        if let Some(mem) = self.memory.as_deref_mut() {
-            for (_, size) in frame.granted.drain() {
-                mem.pool.free(size);
-            }
-        }
-        ret.ok_or_else(|| SimError::Unknown(format!("{func} returned nothing")))
-    }
-
-    fn block(
-        &mut self,
-        instrs: &'a [Instr],
-        frame: &mut Frame<'_>,
-        in_replay: bool,
-    ) -> Result<Option<SimValue>, SimError> {
-        let (exec, device) = (self.exec, self.device);
-        for (idx, instr) in instrs.iter().enumerate() {
-            let regs = &mut frame.regs;
-            let heap = &mut frame.heap;
-            match instr {
-                Instr::AllocTensor { dst, shape, dtype } => {
-                    let val = SimValue::tensor(alloc_dims(shape, heap)?, *dtype);
-                    if let Some(mem) = self.memory.as_deref_mut() {
-                        if !frame.escaping.contains(dst) {
-                            let bytes = val.byte_size() as usize;
-                            mem.check_capacity(device, bytes)?;
-                            let (_, size) = mem.pool.alloc(bytes);
-                            frame.granted.insert(*dst, size);
-                        }
-                    }
-                    regs[*dst] = val;
-                }
-                Instr::TensorFromStorage {
-                    dst, shape, dtype, ..
-                } => regs[*dst] = SimValue::tensor(alloc_dims(shape, heap)?, *dtype),
-                Instr::AllocStorage { dst, bytes } => {
-                    let b = eval_size(bytes, heap)?;
-                    if let Some(mem) = self.memory.as_deref_mut() {
-                        if !frame.escaping.contains(dst) {
-                            let site = (frame.func.to_string(), idx);
-                            mem.check_capacity(device, mem.planned.growth(&site, b))?;
-                            mem.planned.request(site, b);
-                        }
-                    }
-                    regs[*dst] = SimValue::Storage(b);
-                }
-                Instr::Kill { reg } => {
-                    if let Some(mem) = self.memory.as_deref_mut() {
-                        if let Some(size) = frame.granted.remove(reg) {
-                            mem.pool.free(size);
-                        }
-                    }
-                    regs[*reg] = SimValue::None;
-                }
-                Instr::CallTir {
-                    func, args, dsts, ..
-                } => {
-                    let prim = exec
-                        .tir_funcs
-                        .get(func)
-                        .ok_or_else(|| SimError::Unknown(func.clone()))?;
-                    let shapes = args.iter().chain(dsts).map(|r| match &regs[*r] {
-                        SimValue::Tensor { .. } => Ok(regs[*r].launch_dims()),
-                        other => Err(SimError::Type(format!(
-                            "call_tir arg must be tensor, got {other:?}"
-                        ))),
-                    });
-                    let shapes: Vec<Vec<usize>> = shapes.collect::<Result<_, _>>()?;
-                    let mut env = HashMap::new();
-                    bind_shapes_dims(prim.params(), &shapes, &mut env)
-                        .map_err(|e| SimError::ShapeCheck(e.to_string()))?;
-                    let cost = relax_tir::analysis::cost_of(prim, &env);
-                    // A cold run pays one plan compilation per distinct
-                    // (function, shapes) key — the VM's shape-keyed cache
-                    // amortizes everything after that. The warm steady
-                    // state launches straight from the cache.
-                    let miss = !self.warm && self.seen.insert((func.clone(), shapes.clone()));
-                    if miss {
-                        self.report.add_plan_compile(device);
-                    }
-                    let cache = Some(if miss { Miss } else { Hit });
-                    log_launch("kernel", func, || shapes, cache);
-                    self.charge(KernelClass::Generated, cost.flops, cost.bytes, in_replay);
-                }
-                Instr::CallLib { func, args, dsts } => {
-                    let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
-                    log_launch("lib", func, || arg_dims(args, regs), None);
-                    self.charge(KernelClass::Library, flops, bytes, in_replay);
-                }
-                Instr::CallBuiltin { func, args, dst } => {
-                    log_launch("builtin", func, || arg_dims(args, regs), None);
-                    let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                    let (flops, bytes, out) = if let Some(op) = func.strip_prefix(KV_CACHE_PREFIX) {
-                        kv_cache_builtin(op, &vals)?
-                    } else if let Some(op) = func.strip_prefix(MOE_PREFIX) {
-                        moe_builtin(op, &vals)?
-                    } else {
-                        // Host-side builtin: charge the data movement
-                        // only; the output is pessimistically as large
-                        // as the input.
-                        let input = vals.into_iter().next().unwrap_or(SimValue::None);
-                        (0.0, 2.0 * input.byte_size(), input)
-                    };
-                    self.charge(KernelClass::Generated, flops, bytes, in_replay);
-                    regs[*dst] = out;
-                }
-                Instr::CallFunc { func, args, dst } => {
-                    let vals: Vec<SimValue> = args.iter().map(|r| regs[*r].clone()).collect();
-                    frame.regs[*dst] = self.call(func, &vals)?;
-                }
-                Instr::MatchShape { src, dims, ctx } => {
-                    let actual = match &regs[*src] {
-                        SimValue::Tensor { dims, .. } | SimValue::Shape(dims) => dims,
-                        other => return Err(SimError::Type(format!("{ctx}: {other:?}"))),
-                    };
-                    relax_vm::match_shape(actual, dims, ctx, heap)?;
-                }
-                Instr::LoadConst { dst, index } => {
-                    let c = exec
-                        .constants
-                        .get(*index)
-                        .ok_or_else(|| SimError::Unknown(format!("const[{index}]")))?;
-                    let dims = c.shape().iter().map(|&d| d as i64).collect();
-                    regs[*dst] = SimValue::tensor(dims, c.dtype());
-                }
-                Instr::MakeTuple { dst, items } => {
-                    regs[*dst] = SimValue::Tuple(items.iter().map(|r| regs[*r].clone()).collect());
-                }
-                Instr::GetItem { dst, src, index } => {
-                    let item = match &regs[*src] {
-                        SimValue::Tuple(items) => items.get(*index).cloned(),
-                        other => return Err(SimError::Type(format!("get_item on {other:?}"))),
-                    };
-                    regs[*dst] = item.ok_or_else(|| {
-                        SimError::Type(format!("get_item index {index} out of range"))
-                    })?;
-                }
-                Instr::MakeShape { dst, dims } => {
-                    let dims = dims.iter().map(|d| d.eval(heap));
-                    regs[*dst] = SimValue::Shape(dims.collect::<Result<_, _>>()?)
-                }
-                Instr::CaptureRegion { body, .. } => {
-                    if self.warm {
-                        // Replay: a single launch for the whole region;
-                        // kernels still execute on-device.
-                        self.report.add_launch(device);
-                    } else {
-                        // First execution: capture while running. Charge a
-                        // modest one-time capture overhead on top of
-                        // normal launches.
-                        self.report.launch_s += 4.0 * device.launch_overhead;
-                        self.report.recompute_total();
-                    }
-                    if let Some(v) = self.block(body, frame, self.warm)? {
-                        return Ok(Some(v));
-                    }
-                }
-                Instr::Ret { src } => return Ok(Some(regs[*src].clone())),
-            }
-        }
-        Ok(None)
+    /// The tracker, when one accounts register `dst` of `vmf`: a value
+    /// that escapes through the return is not an activation.
+    fn tracked(&mut self, vmf: &VmFunction, dst: Reg) -> Option<&mut MemoryTracker> {
+        let mem = self.memory.as_deref_mut()?;
+        let escaping =
+            (self.escaping.entry(vmf.name.clone())).or_insert_with(|| escaping_regs(&vmf.instrs));
+        (!escaping.contains(&dst)).then_some(mem)
     }
 }
 
-/// An allocation's dimensions, by the VM's size rule.
-fn alloc_dims(dims: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>, VmErrorKind> {
-    dims.iter()
-        .map(|d| Ok(eval_size(d, heap)? as i64))
-        .collect()
+impl Domain for DryRun<'_> {
+    type Value = SimValue;
+    type Error = SimError;
+
+    fn grant(
+        &mut self,
+        vmf: &VmFunction,
+        dst: Reg,
+        bytes: usize,
+    ) -> Result<Option<usize>, SimError> {
+        let device = self.device;
+        let Some(mem) = self.tracked(vmf, dst) else {
+            return Ok(None);
+        };
+        mem.check_capacity(device, bytes)?;
+        Ok(Some(mem.pool.alloc(bytes).1))
+    }
+
+    fn free(&mut self, size: usize) {
+        if let Some(mem) = self.memory.as_deref_mut() {
+            mem.pool.free(size);
+        }
+    }
+
+    fn ledger(
+        &mut self,
+        vmf: &VmFunction,
+        dst: Reg,
+        site: &(String, usize),
+        bytes: usize,
+    ) -> Result<Option<&mut StorageLedger>, SimError> {
+        let device = self.device;
+        let Some(mem) = self.tracked(vmf, dst) else {
+            return Ok(None);
+        };
+        mem.check_capacity(device, mem.planned.growth(site, bytes))?;
+        Ok(Some(&mut mem.planned))
+    }
+
+    fn call_tir(
+        &mut self,
+        func: &str,
+        prim: &PrimFunc,
+        regs: &[SimValue],
+        args: &[Reg],
+        dsts: &[Reg],
+        in_replay: bool,
+    ) -> Result<(), SimError> {
+        let shapes = arg_dims(args.iter().chain(dsts), regs);
+        let mut env = HashMap::new();
+        bind_shapes_dims(prim.params(), &shapes, &mut env)
+            .map_err(|e| SimError::ShapeCheck(e.to_string()))?;
+        let cost = relax_tir::analysis::cost_of(prim, &env);
+        // A cold run pays one plan compilation per distinct (function,
+        // shapes) key — the VM's shape-keyed cache amortizes everything
+        // after that. The warm steady state launches straight from the
+        // cache.
+        let miss = !self.warm && self.seen.insert((func.to_string(), shapes.clone()));
+        if miss {
+            self.report.add_plan_compile(self.device);
+        }
+        log_launch(
+            "kernel",
+            func,
+            || shapes,
+            Some(if miss { Miss } else { Hit }),
+        );
+        self.charge(KernelClass::Generated, cost.flops, cost.bytes, in_replay);
+        Ok(())
+    }
+
+    fn call_lib(
+        &mut self,
+        func: &str,
+        regs: &[SimValue],
+        args: &[Reg],
+        dsts: &[Reg],
+        in_replay: bool,
+    ) -> Result<(), SimError> {
+        self.registry.check_lib(func, args.len(), dsts.len())?;
+        let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
+        log_launch("lib", func, || arg_dims(args, regs), None);
+        self.charge(KernelClass::Library, flops, bytes, in_replay);
+        Ok(())
+    }
+
+    fn call_builtin(
+        &mut self,
+        func: &str,
+        args: &[SimValue],
+        in_replay: bool,
+    ) -> Result<SimValue, SimError> {
+        self.registry.check_builtin(func)?;
+        let dims = || args.iter().map(SimValue::launch_dims).collect();
+        log_launch("builtin", func, dims, None);
+        let (flops, bytes, out) = if let Some(op) = func.strip_prefix(KV_CACHE_PREFIX) {
+            kv_cache_builtin(op, args)?
+        } else if let Some(op) = func.strip_prefix(MOE_PREFIX) {
+            moe_builtin(op, args)?
+        } else {
+            // Host-side builtin: charge the data movement only; the output
+            // is pessimistically as large as the input.
+            let input = args.first().cloned().unwrap_or(SimValue::None);
+            (0.0, 2.0 * input.byte_size(), input)
+        };
+        self.charge(KernelClass::Generated, flops, bytes, in_replay);
+        Ok(out)
+    }
+
+    /// `warm` means replay: a single launch for the whole region, whose
+    /// kernels still execute on-device. A cold run captures while
+    /// running: a modest one-time capture overhead on top of the normal
+    /// launches.
+    fn capture(&mut self, _: usize, _: Vec<i64>) -> bool {
+        if self.warm {
+            self.report.add_launch(self.device);
+        } else {
+            self.report.launch_s += 4.0 * self.device.launch_overhead;
+        }
+        self.warm
+    }
 }
 
 /// Computes the registers whose values escape through the function return
@@ -676,23 +513,20 @@ fn escaping_regs(instrs: &[Instr]) -> HashSet<usize> {
 }
 
 /// Analytical flops/bytes for the registered library kernels, after the
-/// kernel's own shape rule.
+/// kernel's own shape rule, of a launch whose arguments the loop checked
+/// are tensors.
 fn lib_cost(
     func: &str,
     args: &[usize],
     dsts: &[usize],
     regs: &[SimValue],
 ) -> Result<(f64, f64), SimError> {
-    let dims = |r: usize| match &regs[r] {
-        SimValue::Tensor { dims, .. } => Ok(sizes(dims)),
-        other => Err(SimError::Type(format!("lib arg must be tensor: {other:?}"))),
-    };
+    let dims = |r: usize| regs[r].launch_dims();
     let refused = |detail| SimError::from(KernelError::new(func, detail));
     let io_bytes: f64 = args.iter().chain(dsts).map(|&r| regs[r].byte_size()).sum();
     match func {
         "cublas.matmul" | "cublas.matmul_relu" => {
-            let [batch, m, k, n] =
-                check_matmul(&dims(args[0])?, &dims(args[1])?).map_err(refused)?;
+            let [batch, m, k, n] = check_matmul(&dims(args[0]), &dims(args[1])).map_err(refused)?;
             let flops = 2.0 * batch as f64 * m as f64 * n as f64 * k as f64;
             Ok((flops, io_bytes))
         }
@@ -702,12 +536,12 @@ fn lib_cost(
             // the full cache size. The in-place paged builtin
             // (`vm.builtin.kv_cache.append_paged`) is costed separately
             // in `kv_cache_builtin` and touches only the appended slice.
-            let (cache, new, out) = (dims(args[0])?, dims(args[1])?, dims(dsts[0])?);
+            let (cache, new, out) = (dims(args[0]), dims(args[1]), dims(dsts[0]));
             check_kv_append(&cache, &new, &out).map_err(refused)?;
             Ok((0.0, io_bytes))
         }
         "cutlass.rms_norm" => {
-            let (rows, d) = check_rms_norm(&dims(args[0])?, &dims(args[1])?).map_err(refused)?;
+            let (rows, d) = check_rms_norm(&dims(args[0]), &dims(args[1])).map_err(refused)?;
             Ok((4.0 * (rows * d) as f64, io_bytes))
         }
         _ => Ok((io_bytes, io_bytes)),
@@ -845,6 +679,10 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         _ => Err(SimError::Unknown(func)),
     }
 }
+
+// The unit tests build symbolic shapes.
+#[cfg(test)]
+use relax_arith::{PrimExpr, Var as SymVar};
 
 #[cfg(test)]
 mod tests {

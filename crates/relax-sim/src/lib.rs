@@ -29,9 +29,11 @@ mod device;
 mod dryrun;
 mod profile;
 mod roofline;
+mod value;
 
 pub use cost::{kernel_time, KernelClass};
 pub use device::DeviceSpec;
-pub use dryrun::{simulate, simulate_with_memory, MemoryTracker, SimError, SimReport, SimValue};
+pub use dryrun::{simulate, simulate_with_memory, MemoryTracker, SimError, SimReport};
 pub use profile::Profile;
 pub use roofline::{KernelProfile, Roofline, RooflineBound};
+pub use value::SimValue;

@@ -6,13 +6,11 @@
 //! memory-planning and graph-capture passes transform instruction
 //! sequences before the VM runs them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use relax_arith::{DataType, PrimExpr, Var as SymVar};
+use relax_arith::{DataType, PrimExpr};
 use relax_tir::{NDArray, PrimFunc};
-
-use crate::vm::VmErrorKind;
 
 /// A virtual register index.
 pub type Reg = usize;
@@ -150,57 +148,6 @@ pub enum Instr {
         /// The returned register.
         src: Reg,
     },
-}
-
-/// [`Instr::MatchShape`]'s rule, for the VM and the dry run alike: a
-/// variable not yet in `heap` binds to its runtime value; any other
-/// dimension must evaluate to it.
-///
-/// # Errors
-///
-/// [`VmErrorKind::ShapeCheck`] citing `ctx`, or [`VmErrorKind::Eval`].
-pub fn match_shape(
-    actual: &[i64],
-    dims: &[PrimExpr],
-    ctx: &str,
-    heap: &mut HashMap<SymVar, i64>,
-) -> Result<(), VmErrorKind> {
-    let mismatch = |detail| VmErrorKind::ShapeCheck {
-        ctx: ctx.to_string(),
-        detail,
-    };
-    if actual.len() != dims.len() {
-        let (want, got) = (dims.len(), actual.len());
-        let detail = format!("rank mismatch: expected {want}, got {got}");
-        return Err(mismatch(detail));
-    }
-    for (expr, &actual) in dims.iter().zip(actual) {
-        match expr {
-            PrimExpr::Var(v) if !heap.contains_key(v) => {
-                heap.insert(v.clone(), actual);
-            }
-            e => {
-                let expected = e.eval(heap).map_err(VmErrorKind::Eval)?;
-                if expected != actual {
-                    let detail = format!("dimension `{e}` = {expected}, runtime value {actual}");
-                    return Err(mismatch(detail));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// An allocation size (a tensor dimension or a storage's byte count), for
-/// the VM and the dry run alike: an unbound variable fails `Eval`, a
-/// negative size `ShapeCheck` naming the expression. (`MakeShape` values
-/// are values, not sizes, and keep their sign.)
-pub fn eval_size(expr: &PrimExpr, heap: &HashMap<SymVar, i64>) -> Result<usize, VmErrorKind> {
-    let size = expr.eval(heap).map_err(VmErrorKind::Eval)?;
-    usize::try_from(size).map_err(|_| VmErrorKind::ShapeCheck {
-        ctx: "allocation".to_string(),
-        detail: format!("size `{expr}` = {size} is negative"),
-    })
 }
 
 /// A lowered function.

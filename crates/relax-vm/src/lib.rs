@@ -5,9 +5,12 @@
 //! mainly of low-level function calls" — this crate defines that lowered
 //! form ([`Instr`] / [`VmFunction`] / [`Executable`]), and interprets it:
 //!
-//! - **Shape heap** ([`Vm`]): runtime values of symbolic variables are
-//!   populated from input tensor shapes (`MatchShape`) and used to evaluate
-//!   symbolic expressions when allocating tensors and constructing shapes.
+//! - **One instruction loop** ([`domain`]): registers and the shape heap,
+//!   whose symbolic values are populated from input tensor shapes
+//!   (`MatchShape`) and used to evaluate symbolic expressions when
+//!   allocating tensors and constructing shapes. It is generic over a
+//!   value domain: the [`Vm`] runs it over runtime values, and
+//!   `relax-sim`'s dry run over shape-level ones.
 //! - **Memory system** ([`memory`]): a [`memory::PooledAllocator`] for the
 //!   unplanned baseline, and planned static storage (`AllocStorage` +
 //!   `TensorFromStorage`) for the memory-planning path of Algorithm 3, with
@@ -32,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod domain;
 mod exec;
 pub mod fault;
 pub mod kv_cache;
@@ -43,7 +47,7 @@ mod value;
 pub mod verify;
 mod vm;
 
-pub use exec::{eval_size, match_shape, Executable, Instr, Reg, VmFunction};
+pub use exec::{Executable, Instr, Reg, VmFunction};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, FiredFault};
 pub use kv_cache::{stream_arg, KvCache, KvCacheConfig, KV_CACHE_PREFIX};
 pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, StorageLedger, KV_PAGE_TOKENS};

@@ -3,8 +3,10 @@
 
 use std::fmt;
 
+use relax_arith::DataType;
 use relax_tir::NDArray;
 
+use crate::domain::RegValue;
 use crate::kv_cache::KvCache;
 use crate::registry::KernelError;
 
@@ -110,6 +112,55 @@ impl fmt::Display for Value {
             Value::Shape(dims) => write!(f, "shape{dims:?}"),
             Value::Storage { id, bytes } => write!(f, "storage#{id}({bytes}B)"),
             Value::KvCache(c) => write!(f, "{c:?}"),
+        }
+    }
+}
+
+impl RegValue for Value {
+    fn none() -> Self {
+        Value::None
+    }
+
+    fn alloc(dims: &[usize], dtype: DataType) -> Self {
+        Value::Tensor(NDArray::zeros(dims, dtype))
+    }
+
+    fn constant(c: &NDArray) -> Self {
+        Value::Tensor(c.clone())
+    }
+
+    fn shape(dims: Vec<i64>) -> Self {
+        Value::Shape(dims)
+    }
+
+    fn tuple(items: Vec<Self>) -> Self {
+        Value::Tuple(items)
+    }
+
+    fn storage(id: u64, bytes: usize) -> Self {
+        Value::Storage { id, bytes }
+    }
+
+    fn kind(&self) -> &'static str {
+        Value::kind(self)
+    }
+
+    fn dims(&self) -> Option<Vec<i64>> {
+        match self {
+            Value::Tensor(t) => Some(t.shape().iter().map(|&d| d as i64).collect()),
+            Value::Shape(dims) => Some(dims.clone()),
+            _ => None,
+        }
+    }
+
+    fn items(&self) -> Option<&[Self]> {
+        self.as_tuple()
+    }
+
+    fn bytes(&self) -> Option<usize> {
+        match self {
+            Value::Storage { bytes, .. } => Some(*bytes),
+            _ => None,
         }
     }
 }

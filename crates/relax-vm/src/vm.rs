@@ -4,12 +4,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use relax_arith::{DataType, EvalError, PrimExpr, Var as SymVar};
+use relax_arith::EvalError;
 use relax_tir::interp::{self, InterpError};
-use relax_tir::{NDArray, PlanError};
+use relax_tir::{NDArray, PlanError, PrimFunc};
 use relax_trace::{CacheOutcome, Payload};
 
-use crate::exec::{eval_size, match_shape, Executable, Instr, Reg, VmFunction};
+use crate::domain::Domain;
+use crate::exec::{Executable, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::memory::{KvPagePool, MemoryStats, PooledAllocator, StorageLedger};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
@@ -398,7 +399,10 @@ impl Vm {
     /// `match_cast` or boundary check fails at runtime. Errors carry a
     /// frame trace (function, pc, instruction).
     pub fn run(&mut self, func: &str, args: &[Value]) -> Result<Value, VmError> {
-        let result = self.run_inner(func, args);
+        // The loop reads the executable while it mutates `self`, its
+        // domain: hold a handle of our own instead of copying the body.
+        let exec = Arc::clone(&self.exec);
+        let result = crate::domain::run(&exec, self, func, args);
         match &result {
             Ok(_) => {
                 if self.poisoned {
@@ -409,49 +413,6 @@ impl Vm {
             Err(_) => self.poisoned = true,
         }
         result
-    }
-
-    fn run_inner(&mut self, func: &str, args: &[Value]) -> Result<Value, VmError> {
-        // Borrow the function through a handle of our own, so the body is
-        // not copied per call while `self` stays free to mutate.
-        let exec = Arc::clone(&self.exec);
-        let vmf = exec
-            .funcs
-            .get(func)
-            .ok_or_else(|| VmError::new(VmErrorKind::UnknownFunction(func.to_string())))?;
-        let at_entry = |e: VmError| Err(e.at(func, 0, "<function entry>"));
-        if args.len() != vmf.num_params {
-            return at_entry(VmError::new(VmErrorKind::ArgCount {
-                func: func.to_string(),
-                expected: vmf.num_params,
-                actual: args.len(),
-            }));
-        }
-        if vmf.num_params > vmf.num_regs {
-            return at_entry(mismatch(
-                "a frame with registers for every parameter",
-                "out-of-range register",
-            ));
-        }
-        let mut frame = Frame {
-            regs: vec![Value::None; vmf.num_regs],
-            heap: HashMap::new(),
-            alloc_sizes: HashMap::new(),
-        };
-        frame.regs[..args.len()].clone_from_slice(args);
-        let result = self.exec_block(vmf, &vmf.instrs, &mut frame, false);
-        // Return pool blocks still held by this invocation — on success
-        // *and* on error, so a failed run cannot leak pool memory.
-        for (_, size) in frame.alloc_sizes.drain() {
-            self.pool.free(size);
-        }
-        match result? {
-            Some(v) => Ok(v),
-            None => {
-                let e = VmError::new(VmErrorKind::NoReturn(func.to_string()));
-                Err(e.at(func, vmf.instrs.len(), "<end of function>"))
-            }
-        }
     }
 
     /// Records a fault-site event; `true` when a scheduled fault fires.
@@ -465,25 +426,13 @@ impl Vm {
         false
     }
 
-    /// Grants register `dst` a pool block of `bytes`, honouring the fault
-    /// schedule; the block it held goes back to the pool.
-    fn grant(&mut self, frame: &mut Frame, dst: Reg, bytes: usize) -> Result<(), VmError> {
-        self.alloc_fault(bytes)?;
-        let (_, granted) = self.pool.alloc(bytes);
-        if let Some(old) = frame.alloc_sizes.insert(dst, granted) {
-            self.pool.free(old);
+    /// Fails a launch of `kernel` when a scheduled fault fires.
+    fn kernel_fault(&mut self, kernel: &str) -> Result<(), VmError> {
+        if self.fault_fires(FaultSite::Kernel) {
+            let e = KernelError::new(kernel, "injected fault");
+            return Err(VmErrorKind::Kernel(e).into());
         }
         Ok(())
-    }
-
-    /// Counts one launch of kernel `func` that ran for `dt`.
-    fn count_launch(&mut self, func: &str, dt: std::time::Duration, in_replay: bool) {
-        let stat = self.kernel_stats.entry(func.to_string()).or_default();
-        stat.calls += 1;
-        stat.run_time += dt;
-        if !in_replay {
-            self.telemetry.kernel_launches += 1;
-        }
     }
 
     /// Fails an allocation of `bytes` when a scheduled fault fires.
@@ -498,251 +447,163 @@ impl Vm {
         Ok(())
     }
 
-    fn exec_block(
-        &mut self,
-        vmf: &VmFunction,
-        instrs: &[Instr],
-        frame: &mut Frame,
-        in_replay: bool,
-    ) -> Result<Option<Value>, VmError> {
-        for (idx, instr) in instrs.iter().enumerate() {
-            let flow = self
-                .exec_instr(vmf, idx, instr, frame, in_replay)
-                .map_err(|e| e.at(&vmf.name, idx, &render_instr(instr)))?;
-            if let Some(v) = flow {
-                return Ok(Some(v));
-            }
+    /// Counts one launch of kernel `func` that ran for `dt`.
+    fn count_launch(&mut self, func: &str, dt: std::time::Duration, in_replay: bool) {
+        let stat = self.kernel_stats.entry(func.to_string()).or_default();
+        stat.calls += 1;
+        stat.run_time += dt;
+        if !in_replay {
+            self.telemetry.kernel_launches += 1;
         }
-        Ok(None)
-    }
-
-    fn exec_instr(
-        &mut self,
-        vmf: &VmFunction,
-        idx: usize,
-        instr: &Instr,
-        frame: &mut Frame,
-        in_replay: bool,
-    ) -> Result<Option<Value>, VmError> {
-        match instr {
-            Instr::AllocTensor { dst, shape, dtype } => {
-                let dims = eval_dims(shape, &frame.heap)?;
-                let bytes = checked_tensor_bytes(&dims, *dtype)?;
-                self.grant(frame, *dst, bytes)?;
-                frame.set(*dst, Value::Tensor(NDArray::zeros(&dims, *dtype)))?;
-            }
-            Instr::AllocStorage { dst, bytes } => {
-                let size = eval_size(bytes, &frame.heap)?;
-                self.alloc_fault(size)?;
-                let (id, bytes) = self.static_storage.request((vmf.name.clone(), idx), size);
-                frame.set(*dst, Value::Storage { id, bytes })?;
-            }
-            Instr::TensorFromStorage {
-                dst,
-                storage,
-                shape,
-                dtype,
-            } => {
-                let avail = match frame.get(*storage)? {
-                    Value::Storage { bytes, .. } => *bytes,
-                    other => return Err(mismatch("storage", other.kind())),
-                };
-                let dims = eval_dims(shape, &frame.heap)?;
-                let required = checked_tensor_bytes(&dims, *dtype)?;
-                if required > avail {
-                    // Graceful degradation (§4.3): the runtime shape
-                    // exceeded its declared upper bound. Instead of
-                    // failing the run, take the tensor from the pooled
-                    // allocator — the unplanned path — and count it.
-                    self.grant(frame, *dst, required)?;
-                    self.telemetry.fallback_allocs += 1;
-                    relax_trace::instant("vm", || "alloc_fallback".to_string(), || Payload::None);
-                }
-                frame.set(*dst, Value::Tensor(NDArray::zeros(&dims, *dtype)))?;
-            }
-            Instr::Kill { reg } => {
-                if let Some(size) = frame.alloc_sizes.remove(reg) {
-                    self.pool.free(size);
-                }
-                frame.set(*reg, Value::None)?;
-            }
-            Instr::CallTir {
-                func,
-                args,
-                dsts,
-                sym_args: _,
-            } => {
-                if !self.exec.tir_funcs.contains_key(func) {
-                    return Err(VmError::new(VmErrorKind::UnknownTir(func.clone())));
-                }
-                if self.fault_fires(FaultSite::Kernel) {
-                    return Err(injected_kernel_fault(func));
-                }
-                let tensors = frame.tensors(args.iter().chain(dsts))?;
-                let shapes: Vec<Vec<usize>> = tensors.iter().map(|t| t.shape().to_vec()).collect();
-                // Resolve a shape-specialized plan through the LRU cache;
-                // a miss compiles once, outside the cache's lock, and is
-                // charged separately from run time; a refusal fails the
-                // launch, uncached. Capacity 0 runs the interpreter (the
-                // oracle mode) instead. The trace spans are the timing source
-                // for the kernel stats, so the per-kernel report and the
-                // trace share one clock.
-                let (plan, cache_outcome) = match self.plan_cache.lookup(func, &shapes) {
-                    Some(CachedPlan::Ready(p)) => (Some(p), Some(CacheOutcome::Hit)),
-                    Some(CachedPlan::Unplannable) => {
-                        return Err(not_plannable(func, "a negative cache entry"));
-                    }
-                    None if self.plan_cache.enabled() => {
-                        let sp = relax_trace::span("vm", || format!("plan:{func}"));
-                        let compiled =
-                            relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
-                        let miss = Some(CacheOutcome::Miss);
-                        let dt = sp.finish_with(|| launch_payload(func, &shapes, miss));
-                        let stat = self.kernel_stats.entry(func.clone()).or_default();
-                        stat.plan_compiles += 1;
-                        stat.compile_time += dt;
-                        let plan = match compiled {
-                            Ok(plan) => Arc::new(plan),
-                            Err(PlanError::Unsupported(r)) => return Err(not_plannable(func, &r)),
-                            Err(PlanError::Interp(e)) => return Err(e.into()),
-                        };
-                        self.plan_cache
-                            .insert(func, &shapes, CachedPlan::Ready(plan.clone()));
-                        (Some(plan), Some(CacheOutcome::Miss))
-                    }
-                    None => (None, None),
-                };
-                let sp = relax_trace::span("vm", || format!("kernel:{func}"));
-                match plan {
-                    Some(plan) => {
-                        if plan.scalar_stores() > 0 {
-                            self.telemetry.scalar_tape_launches += 1;
-                        }
-                        plan.run(&tensors, 1)?;
-                    }
-                    None => interp::run(&self.exec.tir_funcs[func], &tensors)?,
-                }
-                let dt = sp.finish_with(|| launch_payload(func, &shapes, cache_outcome));
-                self.telemetry.tir_calls += 1;
-                self.count_launch(func, dt, in_replay);
-            }
-            Instr::CallLib { func, args, dsts } => {
-                if self.fault_fires(FaultSite::Kernel) {
-                    return Err(injected_kernel_fault(func));
-                }
-                let (inputs, outputs) = (frame.tensors(args.iter())?, frame.tensors(dsts.iter())?);
-                let sp = relax_trace::span("vm", || format!("lib:{func}"));
-                self.registry.call_lib(func, &inputs, &outputs)?;
-                let dt = sp.finish_with(|| {
-                    let shapes: Vec<Vec<usize>> =
-                        inputs.iter().map(|t| t.shape().to_vec()).collect();
-                    launch_payload(func, &shapes, None)
-                });
-                self.telemetry.lib_calls += 1;
-                self.count_launch(func, dt, in_replay);
-            }
-            Instr::CallBuiltin { func, args, dst } => {
-                if self.fault_fires(FaultSite::Kernel) {
-                    return Err(injected_kernel_fault(func));
-                }
-                let vals = frame.values(args)?;
-                let sp = relax_trace::span("vm", || format!("builtin:{func}"));
-                // The arguments as received: a KV cache appends in place.
-                let shapes =
-                    (sp.id() != 0).then(|| vals.iter().map(Value::launch_dims).collect::<Vec<_>>());
-                let out = self.registry.call_builtin(func, &vals)?;
-                sp.finish_with(|| launch_payload(func, &shapes.unwrap_or_default(), None));
-                self.telemetry.builtin_calls += 1;
-                frame.set(*dst, out)?;
-            }
-            Instr::CallFunc { func, args, dst } => {
-                let out = self.run_inner(func, &frame.values(args)?)?;
-                frame.set(*dst, out)?;
-            }
-            Instr::MatchShape { src, dims, ctx } => {
-                if self.fault_fires(FaultSite::ShapeCheck) {
-                    return Err(VmErrorKind::ShapeCheck {
-                        ctx: ctx.clone(),
-                        detail: "injected fault".to_string(),
-                    }
-                    .into());
-                }
-                let actual: Vec<i64> = match frame.get(*src)? {
-                    Value::Tensor(t) => t.shape().iter().map(|&d| d as i64).collect(),
-                    Value::Shape(dims) => dims.clone(),
-                    other => return Err(mismatch("tensor or shape", other.kind())),
-                };
-                self.telemetry.shape_checks += dims.len() as u64;
-                match_shape(&actual, dims, ctx, &mut frame.heap)?;
-            }
-            Instr::LoadConst { dst, index } => {
-                let c = self.exec.constants.get(*index).cloned().ok_or_else(|| {
-                    mismatch("a constant-pool entry", "out-of-range constant index")
-                })?;
-                frame.set(*dst, Value::Tensor(c))?;
-            }
-            Instr::MakeTuple { dst, items } => {
-                let vals = frame.values(items)?;
-                frame.set(*dst, Value::Tuple(vals))?;
-            }
-            Instr::GetItem { dst, src, index } => {
-                let items = match frame.get(*src)? {
-                    Value::Tuple(items) => items,
-                    other => return Err(mismatch("tuple", other.kind())),
-                };
-                let item = items.get(*index).cloned().ok_or_else(|| {
-                    mismatch("a tuple index in range", "out-of-range tuple index")
-                })?;
-                frame.set(*dst, item)?;
-            }
-            Instr::MakeShape { dst, dims } => {
-                let vals: Result<Vec<i64>, EvalError> =
-                    dims.iter().map(|d| d.eval(&frame.heap)).collect();
-                frame.set(*dst, Value::Shape(vals?))?;
-            }
-            Instr::CaptureRegion { id, keys, body } => {
-                let key_vals: Result<Vec<i64>, EvalError> =
-                    keys.iter().map(|k| k.eval(&frame.heap)).collect();
-                let cache_key = (*id, key_vals?);
-                let replaying = self.captured.contains(&cache_key);
-                if replaying {
-                    self.telemetry.replays += 1;
-                    // A replay costs a single launch for the region.
-                    self.telemetry.kernel_launches += 1;
-                } else {
-                    self.captured.insert(cache_key);
-                    self.telemetry.captures += 1;
-                }
-                if let Some(v) = self.exec_block(vmf, body, frame, replaying)? {
-                    return Ok(Some(v));
-                }
-            }
-            Instr::Ret { src } => {
-                return Ok(Some(frame.get(*src)?.clone()));
-            }
-        }
-        Ok(None)
     }
 }
 
-fn eval_dims(shape: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<usize>, VmErrorKind> {
-    shape.iter().map(|d| eval_size(d, heap)).collect()
-}
+/// The concrete domain: runtime values, launches that compute, the pooled
+/// allocator and planned storage, fault injection and telemetry.
+impl Domain for Vm {
+    type Value = Value;
+    type Error = VmError;
 
-/// Byte size of a tensor, with overflow-checked arithmetic: adversarial
-/// shapes whose element count times element size exceeds `usize` must
-/// surface as a [`VmErrorKind::StorageOverflow`], not a debug panic or a
-/// release-mode wraparound that under-allocates.
-fn checked_tensor_bytes(dims: &[usize], dtype: DataType) -> Result<usize, VmError> {
-    dims.iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .and_then(|n| n.checked_mul(dtype.size_bytes()))
-        .ok_or_else(|| {
-            VmError::new(VmErrorKind::StorageOverflow {
-                required: usize::MAX,
-                available: 0,
-            })
-        })
+    fn at(e: VmError, func: &str, pc: usize, instr: &str) -> VmError {
+        e.at(func, pc, instr)
+    }
+
+    fn shape_check(&mut self, ctx: &str, dims: usize) -> Result<(), VmError> {
+        if self.fault_fires(FaultSite::ShapeCheck) {
+            let (ctx, detail) = (ctx.to_string(), "injected fault".to_string());
+            return Err(VmErrorKind::ShapeCheck { ctx, detail }.into());
+        }
+        self.telemetry.shape_checks += dims as u64;
+        Ok(())
+    }
+
+    fn grant(&mut self, _: &VmFunction, _: Reg, bytes: usize) -> Result<Option<usize>, VmError> {
+        self.alloc_fault(bytes)?;
+        Ok(Some(self.pool.alloc(bytes).1))
+    }
+
+    fn free(&mut self, size: usize) {
+        self.pool.free(size);
+    }
+
+    fn ledger(
+        &mut self,
+        _: &VmFunction,
+        _: Reg,
+        _: &(String, usize),
+        bytes: usize,
+    ) -> Result<Option<&mut StorageLedger>, VmError> {
+        self.alloc_fault(bytes)?;
+        Ok(Some(&mut self.static_storage))
+    }
+
+    fn fallback(&mut self) {
+        self.telemetry.fallback_allocs += 1;
+        relax_trace::instant("vm", || "alloc_fallback".to_string(), || Payload::None);
+    }
+
+    fn call_tir(
+        &mut self,
+        func: &str,
+        prim: &PrimFunc,
+        regs: &[Value],
+        args: &[Reg],
+        dsts: &[Reg],
+        in_replay: bool,
+    ) -> Result<(), VmError> {
+        self.kernel_fault(func)?;
+        let tensors = tensors(regs, args.iter().chain(dsts));
+        let shapes: Vec<Vec<usize>> = tensors.iter().map(|t| t.shape().to_vec()).collect();
+        // Resolve a shape-specialized plan through the LRU cache; a miss
+        // compiles once, outside the cache's lock, and is charged
+        // separately from run time; a refusal fails the launch, uncached.
+        // Capacity 0 runs the interpreter (the oracle mode) instead. The
+        // trace spans are the timing source for the kernel stats, so the
+        // per-kernel report and the trace share one clock.
+        let (plan, cache_outcome) = match self.plan_cache.lookup(func, &shapes) {
+            Some(CachedPlan::Ready(p)) => (Some(p), Some(CacheOutcome::Hit)),
+            Some(CachedPlan::Unplannable) => {
+                return Err(not_plannable(func, "a negative cache entry"));
+            }
+            None if self.plan_cache.enabled() => {
+                let sp = relax_trace::span("vm", || format!("plan:{func}"));
+                let compiled = relax_tir::plan::compile(prim, &shapes);
+                let miss = Some(CacheOutcome::Miss);
+                let dt = sp.finish_with(|| launch_payload(func, &shapes, miss));
+                let stat = self.kernel_stats.entry(func.to_string()).or_default();
+                stat.plan_compiles += 1;
+                stat.compile_time += dt;
+                let plan = match compiled {
+                    Ok(plan) => Arc::new(plan),
+                    Err(PlanError::Unsupported(r)) => return Err(not_plannable(func, &r)),
+                    Err(PlanError::Interp(e)) => return Err(e.into()),
+                };
+                self.plan_cache
+                    .insert(func, &shapes, CachedPlan::Ready(plan.clone()));
+                (Some(plan), Some(CacheOutcome::Miss))
+            }
+            None => (None, None),
+        };
+        let sp = relax_trace::span("vm", || format!("kernel:{func}"));
+        match plan {
+            Some(plan) => {
+                if plan.scalar_stores() > 0 {
+                    self.telemetry.scalar_tape_launches += 1;
+                }
+                plan.run(&tensors, 1)?;
+            }
+            None => interp::run(prim, &tensors)?,
+        }
+        let dt = sp.finish_with(|| launch_payload(func, &shapes, cache_outcome));
+        self.telemetry.tir_calls += 1;
+        self.count_launch(func, dt, in_replay);
+        Ok(())
+    }
+
+    fn call_lib(
+        &mut self,
+        func: &str,
+        regs: &[Value],
+        args: &[Reg],
+        dsts: &[Reg],
+        in_replay: bool,
+    ) -> Result<(), VmError> {
+        self.kernel_fault(func)?;
+        let (inputs, outputs) = (tensors(regs, args.iter()), tensors(regs, dsts.iter()));
+        let sp = relax_trace::span("vm", || format!("lib:{func}"));
+        self.registry.call_lib(func, &inputs, &outputs)?;
+        let dt = sp.finish_with(|| {
+            let shapes: Vec<Vec<usize>> = inputs.iter().map(|t| t.shape().to_vec()).collect();
+            launch_payload(func, &shapes, None)
+        });
+        self.telemetry.lib_calls += 1;
+        self.count_launch(func, dt, in_replay);
+        Ok(())
+    }
+
+    fn call_builtin(&mut self, func: &str, args: &[Value], _: bool) -> Result<Value, VmError> {
+        self.kernel_fault(func)?;
+        let sp = relax_trace::span("vm", || format!("builtin:{func}"));
+        // The arguments as received: a KV cache appends in place.
+        let shapes =
+            (sp.id() != 0).then(|| args.iter().map(Value::launch_dims).collect::<Vec<_>>());
+        let out = self.registry.call_builtin(func, args)?;
+        sp.finish_with(|| launch_payload(func, &shapes.unwrap_or_default(), None));
+        self.telemetry.builtin_calls += 1;
+        Ok(out)
+    }
+
+    fn capture(&mut self, id: usize, keys: Vec<i64>) -> bool {
+        let replaying = !self.captured.insert((id, keys));
+        if replaying {
+            self.telemetry.replays += 1;
+            // A replay costs a single launch for the region.
+            self.telemetry.kernel_launches += 1;
+        } else {
+            self.telemetry.captures += 1;
+        }
+        replaying
+    }
 }
 
 /// The payload of a launch's span, and of the dry run's `sim` instant for
@@ -757,75 +618,25 @@ pub fn launch_payload(kernel: &str, shapes: &[Vec<usize>], cache: Option<CacheOu
     }
 }
 
-/// An injected kernel failure, attributed to the faulting kernel.
-fn injected_kernel_fault(kernel: &str) -> VmError {
-    VmErrorKind::Kernel(KernelError::new(kernel, "injected fault")).into()
-}
-
 /// The error of a launch whose kernel the planner refuses.
 fn not_plannable(kernel: &str, reason: &str) -> VmError {
     let detail = format!("kernel not plannable: {reason}");
     VmErrorKind::Kernel(KernelError::new(kernel, detail)).into()
 }
 
-/// Renders an instruction for a frame-trace entry. Capture regions print
-/// a one-line summary instead of their whole body.
-fn render_instr(instr: &Instr) -> String {
-    match instr {
-        Instr::CaptureRegion { id, body, .. } => {
-            format!("capture_region #{id} {{ {} instrs }}", body.len())
-        }
-        other => other.to_string(),
-    }
-}
-
-struct Frame {
-    regs: Vec<Value>,
-    heap: HashMap<SymVar, i64>,
-    /// Pool block sizes granted to registers (for recycling on `Kill`).
-    alloc_sizes: HashMap<Reg, usize>,
-}
-
-fn mismatch(expected: &'static str, actual: &'static str) -> VmError {
-    VmErrorKind::TypeMismatch { expected, actual }.into()
-}
-
-fn out_of_range() -> VmError {
-    mismatch("a value in a frame register", "out-of-range register")
-}
-
-impl Frame {
-    fn get(&self, reg: Reg) -> Result<&Value, VmError> {
-        self.regs.get(reg).ok_or_else(out_of_range)
-    }
-
-    fn set(&mut self, reg: Reg, v: Value) -> Result<(), VmError> {
-        *self.regs.get_mut(reg).ok_or_else(out_of_range)? = v;
-        Ok(())
-    }
-
-    /// The tensors in `regs`, in order.
-    fn tensors<'r>(&self, regs: impl Iterator<Item = &'r Reg>) -> Result<Vec<NDArray>, VmError> {
-        let mut tensors = Vec::with_capacity(regs.size_hint().0);
-        for reg in regs {
-            match self.get(*reg)? {
-                Value::Tensor(t) => tensors.push(t.clone()),
-                other => return Err(mismatch("tensor", other.kind())),
-            }
-        }
-        Ok(tensors)
-    }
-
-    /// The values in `regs`, in order.
-    fn values(&self, regs: &[Reg]) -> Result<Vec<Value>, VmError> {
-        regs.iter().map(|r| self.get(*r).cloned()).collect()
-    }
+/// The tensors in `regs` at `which`, registers the loop checked hold
+/// tensors.
+fn tensors<'r>(regs: &[Value], which: impl Iterator<Item = &'r Reg>) -> Vec<NDArray> {
+    let mut tensors = Vec::with_capacity(which.size_hint().0);
+    tensors.extend(which.filter_map(|&r| regs[r].as_tensor().cloned()));
+    tensors
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relax_arith::DataType;
+    use crate::exec::Instr;
+    use relax_arith::{DataType, PrimExpr, Var as SymVar};
     use relax_tir::{grid, Buffer, PrimFunc, Stmt, TirExpr};
 
     /// Hand-assembles: main(x: (n,)) { y = alloc (n,); relu(x) -> y; ret y }
