@@ -36,13 +36,13 @@ use relax_vm::domain::Domain;
 use relax_vm::moe::{check_gather, check_route, check_scatter};
 use relax_vm::registry::{check_kv_append, check_matmul, check_rms_norm, KernelError, Registry};
 use relax_vm::{
-    check_shape_operand, launch_payload, stream_arg, Executable, Instr, KvCacheConfig, Reg,
-    StorageLedger, VmErrorKind, VmFunction, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
+    launch_payload, stream_arg, want, want_shape, Executable, Instr, Reg, StorageLedger,
+    VmErrorKind, VmFunction, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
 };
 
 use crate::cost::{kernel_time, KernelClass};
 use crate::device::DeviceSpec;
-use crate::value::{sizes, SimValue};
+use crate::value::SimValue;
 
 /// Logs one charged kernel as the VM logs that launch: an instant named
 /// like the VM's span (`kernel:`, `lib:` or `builtin:` and the function),
@@ -548,47 +548,8 @@ fn lib_cost(
     }
 }
 
-/// A builtin's name and arguments, read for the VM's rules; a wrong kind
-/// of argument is the walk's `SimError::Type`.
-struct Args<'v>(&'v str, &'v [SimValue]);
-
-impl<'v> Args<'v> {
-    fn get<T>(
-        &self,
-        i: usize,
-        what: &str,
-        pick: impl FnOnce(&'v SimValue) -> Option<T>,
-    ) -> Result<T, SimError> {
-        let (func, v) = (self.0, self.1.get(i));
-        let wrong = || SimError::Type(format!("{func}: expected a {what} argument {i}, got {v:?}"));
-        v.and_then(pick).ok_or_else(wrong)
-    }
-
-    /// A tensor's dimensions and dtype.
-    fn tensor(&self, i: usize) -> Result<(Vec<usize>, DataType), SimError> {
-        self.get(i, "tensor", |v| match v {
-            SimValue::Tensor { dims, dtype } => Some((sizes(dims), *dtype)),
-            _ => None,
-        })
-    }
-
-    /// A shape operand of `dims` dims.
-    fn shape(&self, i: usize, dims: usize) -> Result<&'v [i64], SimError> {
-        let d = self.get(i, "shape", |v| match v {
-            SimValue::Shape(d) => Some(d.as_slice()),
-            _ => None,
-        })?;
-        check_shape_operand(self.0, d, dims)?;
-        Ok(d)
-    }
-
-    fn cache(&self, i: usize) -> Result<(KvCacheConfig, Vec<usize>), SimError> {
-        self.get(i, "kv_cache", SimValue::kv_cache)
-    }
-}
-
 /// Analytical cost and shape-level result of one `vm.builtin.moe.<op>`
-/// builtin, after the VM's own argument rule. The gather output's leading
+/// builtin, after the VM's own argument reading and rule. The gather output's leading
 /// dim `n_e` is data-dependent (decided by the router at runtime), so the
 /// simulator applies the worst-case planning rule (§4.2): every expert is
 /// costed as if it received the full token batch. Per-expert times
@@ -596,12 +557,13 @@ impl<'v> Args<'v> {
 /// upper bound the memory planner uses for `match_cast`-refined shapes.
 fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
     let func = format!("{MOE_PREFIX}{op}");
-    let (a, i64_bytes) = (Args(&func, args), DataType::I64.size_bytes() as f64);
+    let i64_bytes = DataType::I64.size_bytes() as f64;
+    let tensor = |i| want(&func, args, i, "tensor", SimValue::tensor_arg);
     match op {
         // route(logits (t, E)) -> (t,) i64: one strict-`>` sweep over
         // the expert axis per token.
         "route" => {
-            let (logits, dtype) = a.tensor(0)?;
+            let (logits, dtype) = tensor(0)?;
             let (t, e) = check_route(&logits)?;
             let out = SimValue::tensor(vec![t as i64], DataType::I64);
             let bytes = (t * e) as f64 * dtype.size_bytes() as f64 + out.byte_size();
@@ -610,9 +572,9 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
         // gather(tokens (t, d), assign (t,), shape[e]) -> (n_e, d):
         // n_e is unknowable here, so bound it by t.
         "gather" => {
-            let (tokens, _) = a.tensor(0)?;
-            let (assign, assign_dtype) = a.tensor(1)?;
-            a.shape(2, 1)?;
+            let (tokens, _) = tensor(0)?;
+            let (assign, assign_dtype) = tensor(1)?;
+            want_shape(&func, args, 2, 1)?;
             let (t, _) = check_gather(&tokens, &assign, assign_dtype)?;
             let out = args[0].clone();
             Ok((0.0, 2.0 * out.byte_size() + t as f64 * i64_bytes, out))
@@ -620,9 +582,9 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
         // scatter(rows (n_e, d), assign (t,), shape[e, t]) -> (t, d):
         // the output is dense again, `t` comes from the shape operand.
         "scatter" => {
-            let (rows, dtype) = a.tensor(0)?;
-            let (assign, assign_dtype) = a.tensor(1)?;
-            let et = a.shape(2, 2)?;
+            let (rows, dtype) = tensor(0)?;
+            let (assign, assign_dtype) = tensor(1)?;
+            let et = want_shape(&func, args, 2, 2)?;
             let (t, d) = check_scatter(&rows, &assign, assign_dtype, et[1])?;
             let out = SimValue::tensor(vec![t as i64, d as i64], dtype);
             Ok((0.0, out.byte_size() * 2.0 + t as f64 * i64_bytes, out))
@@ -638,13 +600,14 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
 /// in-place page writes.
 fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
     let func = format!("{KV_CACHE_PREFIX}{op}");
-    let a = Args(&func, args);
+    let tensor = |i| want(&func, args, i, "tensor", SimValue::tensor_arg);
+    let cache = |i| want(&func, args, i, "kv_cache", SimValue::kv_cache);
     match op {
         // append_paged(cache, new, shape[stream]) -> cache
         "append_paged" => {
-            let (cfg, lens) = a.cache(0)?;
-            let (new, dtype) = a.tensor(1)?;
-            let stream = stream_arg(&func, a.shape(2, 1)?[0], "stream")?;
+            let (cfg, lens) = cache(0)?;
+            let (new, dtype) = tensor(1)?;
+            let stream = stream_arg(&func, want_shape(&func, args, 2, 1)?[0], "stream")?;
             cfg.check_append(stream, &new, dtype)?;
             let (len, n) = (lens[stream], new[2]);
             // Only the appended slice is read and written in place...
@@ -661,9 +624,9 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
         }
         // attention(q, cache, shape[k_stream, v_stream, causal]) -> tensor
         "attention" => {
-            let (q, q_dtype) = a.tensor(0)?;
-            let (cfg, lens) = a.cache(1)?;
-            let d = a.shape(2, 3)?;
+            let (q, q_dtype) = tensor(0)?;
+            let (cfg, lens) = cache(1)?;
+            let d = want_shape(&func, args, 2, 3)?;
             let k = stream_arg(&func, d[0], "k stream")?;
             let v = stream_arg(&func, d[1], "v stream")?;
             cfg.check_attention(&q, k, v, lens.get(k).copied().zip(lens.get(v).copied()))?;

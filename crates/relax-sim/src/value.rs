@@ -68,6 +68,14 @@ impl SimValue {
         }
     }
 
+    /// A tensor's dimensions and dtype, as the VM's rules take them.
+    pub(crate) fn tensor_arg(&self) -> Option<(Vec<usize>, DataType)> {
+        match self {
+            SimValue::Tensor { dims, dtype } => Some((sizes(dims), *dtype)),
+            _ => None,
+        }
+    }
+
     /// A cache's geometry and per-stream lengths, as the VM's rules take
     /// them.
     pub(crate) fn kv_cache(&self) -> Option<(KvCacheConfig, Vec<usize>)> {
@@ -151,6 +159,13 @@ impl RegValue for SimValue {
     fn items(&self) -> Option<&[Self]> {
         match self {
             SimValue::Tuple(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    fn as_shape(&self) -> Option<&[i64]> {
+        match self {
+            SimValue::Shape(dims) => Some(dims),
             _ => None,
         }
     }

@@ -38,6 +38,8 @@ pub trait RegValue: Clone {
     fn dims(&self) -> Option<Vec<i64>>;
     /// A tuple's fields.
     fn items(&self) -> Option<&[Self]>;
+    /// A shape's values.
+    fn as_shape(&self) -> Option<&[i64]>;
     /// A storage block's bytes.
     fn bytes(&self) -> Option<usize>;
 }

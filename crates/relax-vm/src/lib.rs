@@ -53,6 +53,6 @@ pub use kv_cache::{stream_arg, KvCache, KvCacheConfig, KV_CACHE_PREFIX};
 pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, StorageLedger, KV_PAGE_TOKENS};
 pub use moe::MOE_PREFIX;
 pub use plan_cache::{CachedPlan, PlanCacheStats, SharedPlanCache};
-pub use value::{check_shape_operand, Value};
+pub use value::{want, want_shape, Value};
 pub use verify::{verify, VerifyError, Violation};
 pub use vm::{launch_payload, FrameEntry, KernelStat, Telemetry, Vm, VmError, VmErrorKind};

@@ -157,6 +157,10 @@ impl RegValue for Value {
         self.as_tuple()
     }
 
+    fn as_shape(&self) -> Option<&[i64]> {
+        Value::as_shape(self)
+    }
+
     fn bytes(&self) -> Option<usize> {
         match self {
             Value::Storage { bytes, .. } => Some(*bytes),
@@ -172,14 +176,19 @@ impl From<NDArray> for Value {
 }
 
 /// Argument `i` of the builtin `kernel`, as the `what` that `pick` selects;
-/// anything else is the builtin's [`KernelError`].
-fn want<'a, T: ?Sized>(
+/// anything else is the builtin's [`KernelError`]. The VM's builtins and
+/// the dry run read their arguments through it, so both refuse alike.
+///
+/// # Errors
+///
+/// A missing argument, or one `pick` does not select.
+pub fn want<'a, V: RegValue, T>(
     kernel: &str,
-    args: &'a [Value],
+    args: &'a [V],
     i: usize,
     what: &str,
-    pick: fn(&'a Value) -> Option<&'a T>,
-) -> Result<&'a T, KernelError> {
+    pick: impl FnOnce(&'a V) -> Option<T>,
+) -> Result<T, KernelError> {
     let v = args
         .get(i)
         .ok_or_else(|| KernelError::new(kernel, format!("missing {what} argument")))?;
@@ -204,26 +213,24 @@ pub(crate) fn want_cache<'a>(
     want(kernel, args, i, "kv_cache", Value::as_kv_cache)
 }
 
-/// Argument `i` of the builtin `kernel` as a shape of exactly `dims` dims.
-pub(crate) fn want_shape<'a>(
+/// Argument `i` of the builtin `kernel` as a shape of exactly `dims` dims,
+/// for the VM's builtins and the dry run alike.
+///
+/// # Errors
+///
+/// As [`want`], or a shape of another length.
+pub fn want_shape<'a, V: RegValue>(
     kernel: &str,
-    args: &'a [Value],
+    args: &'a [V],
     i: usize,
     dims: usize,
 ) -> Result<&'a [i64], KernelError> {
-    let d = want(kernel, args, i, "shape", Value::as_shape)?;
-    check_shape_operand(kernel, d, dims)?;
-    Ok(d)
-}
-
-/// A builtin's shape operand has exactly `dims` dims, else `kernel`'s
-/// error: the check the builtins and the dry run both run.
-pub fn check_shape_operand(kernel: &str, d: &[i64], dims: usize) -> Result<(), KernelError> {
+    let d = want(kernel, args, i, "shape", V::as_shape)?;
     if d.len() != dims {
         let detail = format!("expected a shape of {dims} dims, got {}", d.len());
         return Err(KernelError::new(kernel, detail));
     }
-    Ok(())
+    Ok(d)
 }
 
 #[cfg(test)]
