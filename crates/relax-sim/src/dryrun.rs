@@ -340,8 +340,10 @@ impl<'a> DryRun<'a> {
     /// that escapes through the return is not an activation.
     fn tracked(&mut self, vmf: &VmFunction, dst: Reg) -> Option<&mut MemoryTracker> {
         let mem = self.memory.as_deref_mut()?;
-        let escaping =
-            (self.escaping.entry(vmf.name.clone())).or_insert_with(|| escaping_regs(&vmf.instrs));
+        let escaping = self
+            .escaping
+            .entry(vmf.name.clone())
+            .or_insert_with(|| escaping_regs(&vmf.instrs));
         (!escaping.contains(&dst)).then_some(mem)
     }
 }

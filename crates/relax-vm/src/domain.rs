@@ -150,16 +150,17 @@ struct Frame<V> {
 
 impl<'e, D: Domain> Machine<'e, '_, D> {
     fn call(&mut self, func: &str, args: &[D::Value]) -> Result<D::Value, D::Error> {
-        let vmf = (self.exec.funcs.get(func))
+        let vmf = self
+            .exec
+            .funcs
+            .get(func)
             .ok_or_else(|| VmErrorKind::UnknownFunction(func.to_string()))?;
         let at_entry = |e: VmErrorKind| Err(D::at(e.into(), func, 0, "<function entry>"));
         if args.len() != vmf.num_params {
-            let (expected, actual) = (vmf.num_params, args.len());
-            let func = func.to_string();
             return at_entry(VmErrorKind::ArgCount {
-                func,
-                expected,
-                actual,
+                func: func.to_string(),
+                expected: vmf.num_params,
+                actual: args.len(),
             });
         }
         if vmf.num_params > vmf.num_regs {
@@ -168,11 +169,10 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
         }
         let mut regs = vec![D::Value::none(); vmf.num_regs];
         regs[..args.len()].clone_from_slice(args);
-        let (heap, granted) = (HashMap::new(), HashMap::new());
         let mut frame = Frame {
             regs,
-            heap,
-            granted,
+            heap: HashMap::new(),
+            granted: HashMap::new(),
         };
         let result = self.block(vmf, &vmf.instrs, &mut frame, false);
         // Return the blocks this invocation still holds, on success and on
@@ -255,7 +255,9 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
                 dtype,
             } => {
                 let storage = frame.get(*storage)?;
-                let avail = (storage.bytes()).ok_or_else(|| mismatch("storage", storage.kind()))?;
+                let avail = storage
+                    .bytes()
+                    .ok_or_else(|| mismatch("storage", storage.kind()))?;
                 let dims = eval_dims(shape, &frame.heap)?;
                 let required = tensor_bytes(&dims, *dtype)?;
                 if required > avail {
@@ -277,14 +279,19 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
             Instr::CallTir {
                 func, args, dsts, ..
             } => {
-                let prim = (self.exec.tir_funcs.get(func))
+                let prim = self
+                    .exec
+                    .tir_funcs
+                    .get(func)
                     .ok_or_else(|| VmErrorKind::UnknownTir(func.clone()))?;
                 frame.check_tensors(args.iter().chain(dsts))?;
-                (self.domain).call_tir(func, prim, &frame.regs, args, dsts, replay)?;
+                self.domain
+                    .call_tir(func, prim, &frame.regs, args, dsts, replay)?;
             }
             Instr::CallLib { func, args, dsts } => {
                 frame.check_tensors(args.iter().chain(dsts))?;
-                (self.domain).call_lib(func, &frame.regs, args, dsts, replay)?;
+                self.domain
+                    .call_lib(func, &frame.regs, args, dsts, replay)?;
             }
             Instr::CallBuiltin { func, args, dst } => {
                 let out = self
@@ -298,7 +305,9 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
             }
             Instr::MatchShape { src, dims, ctx } => {
                 let src = frame.get(*src)?;
-                let actual = (src.dims()).ok_or_else(|| mismatch("tensor or shape", src.kind()))?;
+                let actual = src
+                    .dims()
+                    .ok_or_else(|| mismatch("tensor or shape", src.kind()))?;
                 self.domain.shape_check(ctx, dims.len())?;
                 match_shape(&actual, dims, ctx, &mut frame.heap)?;
             }
@@ -314,7 +323,7 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
             }
             Instr::GetItem { dst, src, index } => {
                 let src = frame.get(*src)?;
-                let items = (src.items()).ok_or_else(|| mismatch("tuple", src.kind()))?;
+                let items = src.items().ok_or_else(|| mismatch("tuple", src.kind()))?;
                 let item = items.get(*index).cloned().ok_or_else(|| {
                     mismatch("a tuple index in range", "out-of-range tuple index")
                 })?;

@@ -82,13 +82,17 @@ echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (releas
 # match_cast-mediated MoE dispatch against its pure-Rust oracle across
 # ragged token counts, the worst-case dry-run costing of the ragged
 # dispatch, and the goldens (speculative draft/verify sessions against
-# plain decode run with the relax-serve suite above). sim_parity pins the
-# dry run every figure comes from to the VM: the same launches with the
-# same shape signatures, and the same counters, on every model it costs;
-# and the same refusals, with the VM's text, on a table of one malformed
-# launch per runtime function.
+# plain decode run with the relax-serve suite above). The dry run every
+# figure comes from is the VM's one instruction loop over a second,
+# shape-level domain; sim_parity pins the two domains to each other: the
+# same launches with the same shape signatures, and the same counters, on
+# every model it costs; the same refusals, with the VM's text, on a table
+# of one malformed launch per runtime function and per frame rule; and
+# the same pool accounting. The shape domain's own cost and memory-tracker
+# unit tests run here under the release build the figures use.
 cargo test --release -q --test moe_diff
 cargo test -p relax-sim --release -q --test moe_cost
+cargo test -p relax-sim --release -q --lib
 cargo test --release -q --test sim_parity
 cargo test --release -q --test golden_roundtrip
 
