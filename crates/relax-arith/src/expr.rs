@@ -106,6 +106,8 @@ pub enum EvalError {
     UnboundVar(String),
     /// Division or modulo by zero.
     DivisionByZero,
+    /// An intermediate value overflowed `i64`.
+    Overflow,
 }
 
 impl fmt::Display for EvalError {
@@ -113,6 +115,7 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::UnboundVar(name) => write!(f, "unbound symbolic variable `{name}`"),
             EvalError::DivisionByZero => write!(f, "division by zero in shape expression"),
+            EvalError::Overflow => write!(f, "shape expression overflows i64"),
         }
     }
 }
@@ -181,7 +184,9 @@ impl PrimExpr {
     /// # Errors
     ///
     /// Returns [`EvalError::UnboundVar`] if a variable is missing from `env`
-    /// and [`EvalError::DivisionByZero`] for a zero divisor.
+    /// [`EvalError::DivisionByZero`] for a zero divisor and
+    /// [`EvalError::Overflow`] when a sum, difference or product leaves
+    /// `i64`: a shape never wraps.
     ///
     /// # Examples
     ///
@@ -202,9 +207,9 @@ impl PrimExpr {
                 .copied()
                 .ok_or_else(|| EvalError::UnboundVar(v.name().to_string())),
             PrimExpr::Int(v) => Ok(*v),
-            PrimExpr::Add(a, b) => Ok(a.eval(env)?.wrapping_add(b.eval(env)?)),
-            PrimExpr::Sub(a, b) => Ok(a.eval(env)?.wrapping_sub(b.eval(env)?)),
-            PrimExpr::Mul(a, b) => Ok(a.eval(env)?.wrapping_mul(b.eval(env)?)),
+            PrimExpr::Add(a, b) => checked(a.eval(env)?.checked_add(b.eval(env)?)),
+            PrimExpr::Sub(a, b) => checked(a.eval(env)?.checked_sub(b.eval(env)?)),
+            PrimExpr::Mul(a, b) => checked(a.eval(env)?.checked_mul(b.eval(env)?)),
             PrimExpr::FloorDiv(a, b) => {
                 let (a, b) = (a.eval(env)?, b.eval(env)?);
                 if b == 0 {
@@ -223,6 +228,10 @@ impl PrimExpr {
             PrimExpr::Max(a, b) => Ok(a.eval(env)?.max(b.eval(env)?)),
         }
     }
+}
+
+fn checked(v: Option<i64>) -> Result<i64, EvalError> {
+    v.ok_or(EvalError::Overflow)
 }
 
 impl From<i64> for PrimExpr {
@@ -354,6 +363,19 @@ mod tests {
             PrimExpr::from(1i64).floor_div(0.into()).eval(&env),
             Err(EvalError::DivisionByZero)
         );
+    }
+
+    #[test]
+    fn eval_refuses_overflow_instead_of_wrapping() {
+        let n = Var::new("n");
+        let env = HashMap::from([(n.clone(), 1i64 << 62)]);
+        let times = |k: i64| PrimExpr::from(n.clone()) * k.into();
+        assert_eq!(times(4).eval(&env), Err(EvalError::Overflow));
+        assert_eq!(times(-2).eval(&env), Ok(i64::MIN));
+        let sum = PrimExpr::from(n.clone()) + n.clone().into();
+        assert_eq!(sum.eval(&env), Err(EvalError::Overflow));
+        let diff = PrimExpr::from(i64::MIN) - n.into();
+        assert_eq!(diff.eval(&env), Err(EvalError::Overflow));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use relax_core::{ShapeDesc, StructInfo};
 use relax_models::llama::{build_decode_paged, LlamaConfig, ModelIr};
 use relax_passes::{compile, CompileOptions};
-use relax_sim::{simulate, DeviceSpec, Profile, SimError, SimValue};
-use relax_vm::Executable;
+use relax_sim::{simulate, DeviceSpec, Profile, SimValue};
+use relax_vm::{Executable, VmError};
 
 /// A model compiled once and reusable across batch sizes and sequence
 /// lengths ("Relax compiles models only once for arbitrary batch sizes and
@@ -151,7 +151,7 @@ pub fn relax_decode_s(
     device: &DeviceSpec,
     batch: i64,
     context: i64,
-) -> Result<f64, SimError> {
+) -> Result<f64, VmError> {
     let args = model.step_args(batch, 1, context);
     let report = simulate(&model.exec, &model.ir.func, &args, device, true)?;
     Ok(report.total_s)
@@ -192,7 +192,7 @@ impl RelaxAdaptive {
     /// # Errors
     ///
     /// Propagates dry-run failures.
-    pub fn decode_s(&self, device: &DeviceSpec, batch: i64, context: i64) -> Result<f64, SimError> {
+    pub fn decode_s(&self, device: &DeviceSpec, batch: i64, context: i64) -> Result<f64, VmError> {
         let a = relax_decode_s(&self.with_lib, device, batch, context)?;
         let b = relax_decode_s(&self.without_lib, device, batch, context)?;
         Ok(a.min(b))

@@ -7,18 +7,22 @@
 //! the paper-figure binaries obtain "Relax" numbers for full-size models:
 //! the compiler's actual output (after fusion, library dispatch, memory
 //! planning and graph capture) determines exactly which kernels launch
-//! with which shapes. Registers, the shape heap, allocation sizes, pool
-//! grants, the planned-storage ledger and calls are the loop's; every
-//! argument rule is `relax-vm`'s (`Registry::check_{lib, builtin}`,
-//! `KvCacheConfig::check_*`, `moe::check_*`, `registry::check_*`), so a
-//! launch the VM refuses fails here with the VM's text. This domain adds
-//! only costs, result shapes and the [`MemoryTracker`]'s accounting, under
-//! four stated policies:
+//! with which shapes. Registers, the shape heap, allocation sizes, the
+//! memory account (pool blocks, the planned-storage ledger, fallbacks),
+//! calls and errors are the loop's; every argument rule is `relax-vm`'s
+//! (`Registry::check_{lib, builtin}`, `KvCacheConfig::check_*`,
+//! `moe::check_*`, `registry::check_*`), and every byte size the loop's
+//! checked `tensor_bytes`. So a run the VM refuses fails here with the
+//! VM's [`VmError`]: the same kind, text and frame trace. This domain adds
+//! only costs, result shapes and which allocations its [`MemoryTracker`]
+//! admits, under five stated policies:
 //! - MoE gathers are bounded by the whole token batch (§4.2's worst-case
 //!   rule): launch names match, every dimension is at least the VM's, and
 //!   a scatter's row count is not checked against its expert's tokens.
-//! - A value that escapes through `Ret` is no activation: its pool grant
+//! - A value that escapes through `Ret` is no activation: its pool block
 //!   and its planned storage stay out of the tracker (Table 2).
+//! - An allocation that would take the tracker past the device's memory
+//!   fails `StorageOverflow`, where the VM fails only an injected fault.
 //! - The plan cache is unbounded: one compile per `(kernel, shapes)` key.
 //! - `warm` means every capture region replays.
 //!
@@ -26,17 +30,17 @@
 //! refusals and pool accounting against the VM.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::ops::Deref;
 
-use relax_arith::{DataType, EvalError};
+use relax_arith::DataType;
 use relax_tir::interp::bind_shapes_dims;
 use relax_tir::PrimFunc;
 use relax_trace::CacheOutcome::{self, Hit, Miss};
-use relax_vm::domain::Domain;
+use relax_vm::domain::{tensor_bytes, Domain};
 use relax_vm::moe::{check_gather, check_route, check_scatter};
 use relax_vm::registry::{check_kv_append, check_matmul, check_rms_norm, KernelError, Registry};
 use relax_vm::{
-    launch_payload, stream_arg, want, want_shape, Executable, Instr, Reg, StorageLedger,
+    launch_payload, stream_arg, want, want_shape, Executable, Instr, Memory, Reg, VmError,
     VmErrorKind, VmFunction, KV_CACHE_PREFIX, KV_PAGE_TOKENS, MOE_PREFIX,
 };
 
@@ -60,74 +64,6 @@ fn log_launch(
 /// The launch-log dimensions of the values in `args`.
 fn arg_dims<'r>(args: impl IntoIterator<Item = &'r Reg>, regs: &[SimValue]) -> Vec<Vec<usize>> {
     args.into_iter().map(|r| regs[*r].launch_dims()).collect()
-}
-
-/// Error raised by the dry run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// Unknown function or tensor program.
-    Unknown(String),
-    /// Shape evaluation failed.
-    Eval(EvalError),
-    /// A register held the wrong kind of value.
-    Type(String),
-    /// A runtime shape check would fail.
-    ShapeCheck(String),
-    /// An allocation would exceed the device's memory capacity (checked
-    /// when a [`MemoryTracker`] is attached — deployment feasibility).
-    OutOfMemory {
-        /// Bytes the allocation needs.
-        required: usize,
-        /// Bytes already held (pool in-use plus planned storage).
-        in_use: usize,
-        /// The device's capacity in bytes.
-        capacity: u64,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::Unknown(n) => write!(f, "unknown symbol `{n}`"),
-            SimError::Eval(e) => write!(f, "shape evaluation failed: {e}"),
-            SimError::Type(d) => write!(f, "type mismatch: {d}"),
-            SimError::ShapeCheck(d) => write!(f, "shape check failed: {d}"),
-            SimError::OutOfMemory {
-                required,
-                in_use,
-                capacity,
-            } => write!(
-                f,
-                "allocation of {required} bytes exceeds device memory \
-                 ({in_use} in use of {capacity})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// A VM refusal, with the VM's text: a failed shape check or a refused
-/// kernel as `ShapeCheck`, a broken frame rule (a register, an argument
-/// count) as `Type`.
-impl From<VmErrorKind> for SimError {
-    fn from(e: VmErrorKind) -> Self {
-        match e {
-            VmErrorKind::ShapeCheck { ctx, detail } => {
-                SimError::ShapeCheck(format!("{ctx}: {detail}"))
-            }
-            VmErrorKind::Kernel(k) => SimError::ShapeCheck(k.to_string()),
-            VmErrorKind::Eval(e) => SimError::Eval(e),
-            VmErrorKind::UnknownFunction(n) | VmErrorKind::UnknownTir(n) => SimError::Unknown(n),
-            other => SimError::Type(other.to_string()),
-        }
-    }
-}
-
-impl From<KernelError> for SimError {
-    fn from(e: KernelError) -> Self {
-        VmErrorKind::Kernel(e).into()
-    }
 }
 
 /// Result of simulating one function invocation.
@@ -176,24 +112,6 @@ impl SimReport {
         self.compile_s += device.plan_compile_overhead();
     }
 
-    fn add_kernel(
-        &mut self,
-        device: &DeviceSpec,
-        class: KernelClass,
-        flops: f64,
-        bytes: f64,
-        charge_launch: bool,
-    ) {
-        let t = kernel_time(device, class, flops, bytes);
-        self.kernel_s += t;
-        self.kernels += 1;
-        self.flops += flops;
-        self.bytes += bytes;
-        if charge_launch {
-            self.add_launch(device);
-        }
-    }
-
     fn add_launch(&mut self, device: &DeviceSpec) {
         self.launch_s += device.launch_overhead;
         self.launches += 1;
@@ -201,19 +119,22 @@ impl SimReport {
 }
 
 /// Tracks memory behaviour across successive simulated invocations —
-/// the measurement behind the Table 2 experiment. The pooled allocator
-/// mirrors the runtime pool used when planning is off; `planned` records
-/// the static storages sized by Algorithm 3, keyed by site as the VM
-/// keys them. Values that escape through a function's return (model
-/// outputs such as KV caches and logits) are left out of this
-/// *activation* accounting, like the runtime-managed KV cache in the
-/// paper's Table 2.
+/// the measurement behind the Table 2 experiment. It is the VM's
+/// [`Memory`] account, kept by the same loop: the pooled allocator mirrors
+/// the runtime pool used when planning is off, and the ledger records the
+/// static storages sized by Algorithm 3, keyed by site as the VM keys
+/// them. Values that escape through a function's return (model outputs
+/// such as KV caches and logits) are left out of this *activation*
+/// accounting, like the runtime-managed KV cache in the paper's Table 2.
 #[derive(Debug, Default)]
-pub struct MemoryTracker {
-    /// The runtime recycling pool (unplanned path).
-    pub pool: relax_vm::memory::PooledAllocator,
-    /// Planned storage by allocation site, kept as the VM keeps it.
-    planned: StorageLedger,
+pub struct MemoryTracker(Memory);
+
+impl Deref for MemoryTracker {
+    type Target = Memory;
+
+    fn deref(&self) -> &Memory {
+        &self.0
+    }
 }
 
 impl MemoryTracker {
@@ -224,7 +145,7 @@ impl MemoryTracker {
 
     /// Total bytes held by planned static storage.
     pub fn planned_bytes(&self) -> usize {
-        self.planned.total()
+        self.0.planned.total()
     }
 
     /// Total bytes of distinct blocks the runtime pool ever allocated.
@@ -235,20 +156,6 @@ impl MemoryTracker {
     /// Total activation bytes currently attributed (planned + pool).
     pub fn total_bytes(&self) -> usize {
         self.planned_bytes() + self.pool_footprint()
-    }
-
-    /// Fails when allocating `required` more bytes would exceed the
-    /// device's memory capacity.
-    fn check_capacity(&self, device: &DeviceSpec, required: usize) -> Result<(), SimError> {
-        let in_use = self.pool.stats().in_use + self.planned_bytes();
-        if (in_use + required) as u64 > device.memory_capacity {
-            return Err(SimError::OutOfMemory {
-                required,
-                in_use,
-                capacity: device.memory_capacity,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -261,15 +168,15 @@ impl MemoryTracker {
 ///
 /// # Errors
 ///
-/// Fails on unknown functions, unbound shapes, or checks that would fail
-/// at runtime.
+/// The [`VmError`] the VM fails the same run with (a refused shape check,
+/// launch, register or allocation), with its frame trace.
 pub fn simulate(
     exec: &Executable,
     func: &str,
     args: &[SimValue],
     device: &DeviceSpec,
     warm: bool,
-) -> Result<SimReport, SimError> {
+) -> Result<SimReport, VmError> {
     DryRun::run(exec, device, warm, None, func, args)
 }
 
@@ -280,7 +187,8 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Same as [`simulate`].
+/// Same as [`simulate`]; an allocation beyond the device's memory fails
+/// `StorageOverflow`, with the bytes the device has left as `available`.
 pub fn simulate_with_memory(
     exec: &Executable,
     func: &str,
@@ -288,8 +196,8 @@ pub fn simulate_with_memory(
     device: &DeviceSpec,
     warm: bool,
     memory: &mut MemoryTracker,
-) -> Result<SimReport, SimError> {
-    DryRun::run(exec, device, warm, Some(memory), func, args)
+) -> Result<SimReport, VmError> {
+    DryRun::run(exec, device, warm, Some(&mut memory.0), func, args)
 }
 
 /// The dry run's domain: shape-level values, launches that charge the
@@ -298,7 +206,7 @@ struct DryRun<'a> {
     device: &'a DeviceSpec,
     /// Every capture region replays.
     warm: bool,
-    memory: Option<&'a mut MemoryTracker>,
+    memory: Option<&'a mut Memory>,
     report: SimReport,
     /// Plan-cache keys charged a compilation (the cache is unbounded).
     seen: HashSet<(String, Vec<Vec<usize>>)>,
@@ -312,10 +220,10 @@ impl<'a> DryRun<'a> {
         exec: &Executable,
         device: &'a DeviceSpec,
         warm: bool,
-        memory: Option<&'a mut MemoryTracker>,
+        memory: Option<&'a mut Memory>,
         func: &str,
         args: &[SimValue],
-    ) -> Result<SimReport, SimError> {
+    ) -> Result<SimReport, VmError> {
         let mut run = Self {
             device,
             warm,
@@ -333,58 +241,52 @@ impl<'a> DryRun<'a> {
     /// Charges one kernel; a replayed one launches with its region.
     fn charge(&mut self, class: KernelClass, flops: f64, bytes: f64, in_replay: bool) {
         let report = &mut self.report;
-        report.add_kernel(self.device, class, flops, bytes, !in_replay);
-    }
-
-    /// The tracker, when one accounts register `dst` of `vmf`: a value
-    /// that escapes through the return is not an activation.
-    fn tracked(&mut self, vmf: &VmFunction, dst: Reg) -> Option<&mut MemoryTracker> {
-        let mem = self.memory.as_deref_mut()?;
-        let escaping = self
-            .escaping
-            .entry(vmf.name.clone())
-            .or_insert_with(|| escaping_regs(&vmf.instrs));
-        (!escaping.contains(&dst)).then_some(mem)
+        report.kernel_s += kernel_time(self.device, class, flops, bytes);
+        report.kernels += 1;
+        report.flops += flops;
+        report.bytes += bytes;
+        if !in_replay {
+            report.add_launch(self.device);
+        }
     }
 }
 
 impl Domain for DryRun<'_> {
     type Value = SimValue;
-    type Error = SimError;
 
-    fn grant(
+    fn memory(&mut self) -> Option<&mut Memory> {
+        self.memory.as_deref_mut()
+    }
+
+    /// Admits what fits the device into the tracker, but no value that
+    /// escapes through the return: that is not an activation.
+    fn admit(
         &mut self,
         vmf: &VmFunction,
         dst: Reg,
         bytes: usize,
-    ) -> Result<Option<usize>, SimError> {
-        let device = self.device;
-        let Some(mem) = self.tracked(vmf, dst) else {
-            return Ok(None);
+        site: Option<&(String, usize)>,
+    ) -> Result<bool, VmError> {
+        let Some(mem) = self.memory.as_deref() else {
+            return Ok(false);
         };
-        mem.check_capacity(device, bytes)?;
-        Ok(Some(mem.pool.alloc(bytes).1))
-    }
-
-    fn free(&mut self, size: usize) {
-        if let Some(mem) = self.memory.as_deref_mut() {
-            mem.pool.free(size);
+        let escaping = self
+            .escaping
+            .entry(vmf.name.clone())
+            .or_insert_with(|| escaping_regs(&vmf.instrs));
+        if escaping.contains(&dst) {
+            return Ok(false);
         }
-    }
-
-    fn ledger(
-        &mut self,
-        vmf: &VmFunction,
-        dst: Reg,
-        site: &(String, usize),
-        bytes: usize,
-    ) -> Result<Option<&mut StorageLedger>, SimError> {
-        let device = self.device;
-        let Some(mem) = self.tracked(vmf, dst) else {
-            return Ok(None);
-        };
-        mem.check_capacity(device, mem.planned.growth(site, bytes))?;
-        Ok(Some(&mut mem.planned))
+        let required = site.map_or(bytes, |site| mem.planned.growth(site, bytes));
+        let available = (self.device.memory_capacity as usize).saturating_sub(mem.in_use());
+        if required > available {
+            return Err(VmErrorKind::StorageOverflow {
+                required,
+                available,
+            }
+            .into());
+        }
+        Ok(true)
     }
 
     fn call_tir(
@@ -395,11 +297,10 @@ impl Domain for DryRun<'_> {
         args: &[Reg],
         dsts: &[Reg],
         in_replay: bool,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), VmError> {
         let shapes = arg_dims(args.iter().chain(dsts), regs);
         let mut env = HashMap::new();
-        bind_shapes_dims(prim.params(), &shapes, &mut env)
-            .map_err(|e| SimError::ShapeCheck(e.to_string()))?;
+        bind_shapes_dims(prim.params(), &shapes, &mut env)?;
         let cost = relax_tir::analysis::cost_of(prim, &env);
         // A cold run pays one plan compilation per distinct (function,
         // shapes) key — the VM's shape-keyed cache amortizes everything
@@ -426,7 +327,7 @@ impl Domain for DryRun<'_> {
         args: &[Reg],
         dsts: &[Reg],
         in_replay: bool,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), VmError> {
         self.registry.check_lib(func, args.len(), dsts.len())?;
         let (flops, bytes) = lib_cost(func, args, dsts, regs)?;
         log_launch("lib", func, || arg_dims(args, regs), None);
@@ -439,8 +340,8 @@ impl Domain for DryRun<'_> {
         func: &str,
         args: &[SimValue],
         in_replay: bool,
-    ) -> Result<SimValue, SimError> {
-        self.registry.check_builtin(func)?;
+    ) -> Result<SimValue, VmError> {
+        self.registry.check_builtin(func, args.len())?;
         let dims = || args.iter().map(SimValue::launch_dims).collect();
         log_launch("builtin", func, dims, None);
         let (flops, bytes, out) = if let Some(op) = func.strip_prefix(KV_CACHE_PREFIX) {
@@ -448,10 +349,12 @@ impl Domain for DryRun<'_> {
         } else if let Some(op) = func.strip_prefix(MOE_PREFIX) {
             moe_builtin(op, args)?
         } else {
-            // Host-side builtin: charge the data movement only; the output
-            // is pessimistically as large as the input.
-            let input = args.first().cloned().unwrap_or(SimValue::None);
-            (0.0, 2.0 * input.byte_size(), input)
+            // Host-side builtin (`builtin.unique`, on a tensor): charge the
+            // data movement only; the output is pessimistically as large
+            // as the input.
+            let (dims, dtype) = want(func, args, 0, "tensor", SimValue::tensor_arg)?;
+            let bytes = 2.0 * tensor_bytes(&dims, dtype)? as f64;
+            (0.0, bytes, args[0].clone())
         };
         self.charge(KernelClass::Generated, flops, bytes, in_replay);
         Ok(out)
@@ -522,10 +425,14 @@ fn lib_cost(
     args: &[usize],
     dsts: &[usize],
     regs: &[SimValue],
-) -> Result<(f64, f64), SimError> {
+) -> Result<(f64, f64), VmError> {
     let dims = |r: usize| regs[r].launch_dims();
-    let refused = |detail| SimError::from(KernelError::new(func, detail));
-    let io_bytes: f64 = args.iter().chain(dsts).map(|&r| regs[r].byte_size()).sum();
+    let refused = |detail| VmError::from(KernelError::new(func, detail));
+    let io_bytes = args
+        .iter()
+        .chain(dsts)
+        .map(|&r| regs[r].byte_size().map(|b| b as f64));
+    let io_bytes = io_bytes.sum::<Result<f64, _>>()?;
     match func {
         "cublas.matmul" | "cublas.matmul_relu" => {
             let [batch, m, k, n] = check_matmul(&dims(args[0]), &dims(args[1])).map_err(refused)?;
@@ -557,7 +464,7 @@ fn lib_cost(
 /// costed as if it received the full token batch. Per-expert times
 /// therefore *bound* the ragged dispatch rather than average it — the same
 /// upper bound the memory planner uses for `match_cast`-refined shapes.
-fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
+fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), VmError> {
     let func = format!("{MOE_PREFIX}{op}");
     let i64_bytes = DataType::I64.size_bytes() as f64;
     let tensor = |i| want(&func, args, i, "tensor", SimValue::tensor_arg);
@@ -568,8 +475,8 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
             let (logits, dtype) = tensor(0)?;
             let (t, e) = check_route(&logits)?;
             let out = SimValue::tensor(vec![t as i64], DataType::I64);
-            let bytes = (t * e) as f64 * dtype.size_bytes() as f64 + out.byte_size();
-            Ok(((t * e) as f64, bytes, out))
+            let bytes = tensor_bytes(&logits, dtype)? + out.byte_size()?;
+            Ok(((t * e) as f64, bytes as f64, out))
         }
         // gather(tokens (t, d), assign (t,), shape[e]) -> (n_e, d):
         // n_e is unknowable here, so bound it by t.
@@ -579,7 +486,11 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
             want_shape(&func, args, 2, 1)?;
             let (t, _) = check_gather(&tokens, &assign, assign_dtype)?;
             let out = args[0].clone();
-            Ok((0.0, 2.0 * out.byte_size() + t as f64 * i64_bytes, out))
+            Ok((
+                0.0,
+                2.0 * out.byte_size()? as f64 + t as f64 * i64_bytes,
+                out,
+            ))
         }
         // scatter(rows (n_e, d), assign (t,), shape[e, t]) -> (t, d):
         // the output is dense again, `t` comes from the shape operand.
@@ -589,9 +500,13 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
             let et = want_shape(&func, args, 2, 2)?;
             let (t, d) = check_scatter(&rows, &assign, assign_dtype, et[1])?;
             let out = SimValue::tensor(vec![t as i64, d as i64], dtype);
-            Ok((0.0, out.byte_size() * 2.0 + t as f64 * i64_bytes, out))
+            Ok((
+                0.0,
+                out.byte_size()? as f64 * 2.0 + t as f64 * i64_bytes,
+                out,
+            ))
         }
-        _ => Err(SimError::Unknown(func)),
+        _ => Err(KernelError::new(func, "not registered").into()),
     }
 }
 
@@ -600,7 +515,7 @@ fn moe_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimE
 /// Paged appends are charged for the appended slice plus the block-table
 /// entries they touch — not the accumulated cache — mirroring the VM's
 /// in-place page writes.
-fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), SimError> {
+fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue), VmError> {
     let func = format!("{KV_CACHE_PREFIX}{op}");
     let tensor = |i| want(&func, args, i, "tensor", SimValue::tensor_arg);
     let cache = |i| want(&func, args, i, "kv_cache", SimValue::kv_cache);
@@ -613,8 +528,7 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
             cfg.check_append(stream, &new, dtype)?;
             let (len, n) = (lens[stream], new[2]);
             // Only the appended slice is read and written in place...
-            let row = (cfg.batch * cfg.heads * cfg.head_dim) as f64;
-            let slice = n as f64 * row * dtype.size_bytes() as f64;
+            let slice = tensor_bytes(&new, dtype)? as f64;
             // ...plus one block-table entry per newly referenced page.
             let pages = |len: usize| len.div_ceil(KV_PAGE_TOKENS);
             let new_pages = pages(len + n) - pages(len);
@@ -633,15 +547,16 @@ fn kv_cache_builtin(op: &str, args: &[SimValue]) -> Result<(f64, f64, SimValue),
             let v = stream_arg(&func, d[1], "v stream")?;
             cfg.check_attention(&q, k, v, lens.get(k).copied().zip(lens.get(v).copied()))?;
             let stream_bytes = |len: usize| {
-                (len * cfg.batch * cfg.heads * cfg.head_dim) as f64 * cfg.dtype.size_bytes() as f64
+                let dims = [len, cfg.batch, cfg.heads, cfg.head_dim];
+                tensor_bytes(&dims, cfg.dtype).map(|b| b as f64)
             };
+            let q_bytes = tensor_bytes(&q, q_dtype)? as f64;
             // QK^T and PV are each 2*b*hq*s*skv*hd flops.
             let flops = 4.0 * (q[0] * q[1] * q[2] * cfg.head_dim) as f64 * lens[k] as f64;
-            let q_bytes = q.iter().product::<usize>() as f64 * q_dtype.size_bytes() as f64;
-            let bytes = 2.0 * q_bytes + stream_bytes(lens[k]) + stream_bytes(lens[v]);
+            let bytes = 2.0 * q_bytes + stream_bytes(lens[k])? + stream_bytes(lens[v])?;
             Ok((flops, bytes, args[0].clone()))
         }
-        _ => Err(SimError::Unknown(func)),
+        _ => Err(KernelError::new(func, "not registered").into()),
     }
 }
 
@@ -785,7 +700,7 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert!(matches!(err, SimError::ShapeCheck(_)));
+        assert!(matches!(err.kind, VmErrorKind::ShapeCheck { .. }), "{err}");
     }
 
     #[test]
@@ -805,8 +720,8 @@ mod tests {
             SimValue::tensor(vec![64, 64], DataType::F32),
         ];
         let err = simulate(&exec, "main", &args, &dev, false).unwrap_err();
-        let want = "allocation: size `(n - 4)` = -3 is negative";
-        assert_eq!(err, SimError::ShapeCheck(want.into()));
+        let want = "runtime shape check failed at allocation: size `(n - 4)` = -3 is negative";
+        assert_eq!(err.kind.to_string(), want);
         // An unbound variable in a storage size fails evaluation.
         let f = exec.funcs.get_mut("main").unwrap();
         f.instrs[1] = Instr::AllocStorage {
@@ -814,7 +729,7 @@ mod tests {
             bytes: SymVar::new("m").into(),
         };
         let err = simulate(&exec, "main", &args, &dev, false).unwrap_err();
-        assert!(matches!(err, SimError::Eval(_)), "{err}");
+        assert!(matches!(err.kind, VmErrorKind::Eval(_)), "{err}");
     }
 
     #[test]
@@ -842,12 +757,47 @@ mod tests {
         assert!(warm.launch_s < cold.launch_s);
         assert_eq!(warm.kernel_s, cold.kernel_s);
     }
+
+    /// A library launch on `[2^40, 2^40]` operands: their byte sizes
+    /// overflow `usize`, which refuses the launch by the loop's checked
+    /// rule instead of panicking (debug) or wrapping (release).
+    #[test]
+    fn byte_sizes_that_overflow_refuse_the_launch() {
+        let mut exec = Executable::new();
+        let instrs = vec![
+            Instr::CallLib {
+                func: "cublas.matmul".into(),
+                args: vec![0, 1],
+                dsts: vec![2],
+            },
+            Instr::Ret { src: 2 },
+        ];
+        let (num_params, num_regs) = (3, 3);
+        let name = "main".to_string();
+        exec.funcs.insert(
+            name.clone(),
+            VmFunction {
+                name,
+                num_params,
+                num_regs,
+                instrs,
+            },
+        );
+        let huge = SimValue::tensor(vec![1 << 40, 1 << 40], DataType::F32);
+        let args = [huge.clone(), huge.clone(), huge];
+        let err = simulate(&exec, "main", &args, &DeviceSpec::rtx4090(), true).unwrap_err();
+        assert!(
+            matches!(err.kind, VmErrorKind::StorageOverflow { .. }),
+            "{err}"
+        );
+        assert_eq!(err.origin().map(|f| f.pc), Some(0));
+    }
 }
 
 #[cfg(test)]
 mod memory_tracker_tests {
     use super::*;
-    use relax_vm::{Instr, VmFunction};
+    use relax_vm::{FrameEntry, Instr, VmFunction};
 
     fn exec_with(instrs: Vec<Instr>, num_regs: usize) -> Executable {
         let mut exec = Executable::new();
@@ -946,7 +896,10 @@ mod memory_tracker_tests {
             3,
         );
         let err = simulate(&exec, "f", &[], &DeviceSpec::rtx4090(), true).unwrap_err();
-        assert!(matches!(err, SimError::Type(_)), "{err}");
+        assert!(
+            matches!(err.kind, VmErrorKind::TypeMismatch { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1105,6 +1058,16 @@ mod memory_tracker_tests {
         assert_eq!(mem.pool_footprint(), 16);
     }
 
+    /// The frame of `f`'s instruction `pc`, which refused the run.
+    fn refusing(exec: &Executable, pc: usize) -> FrameEntry {
+        let instr = exec.funcs["f"].instrs[pc].to_string();
+        FrameEntry {
+            func: "f".into(),
+            pc,
+            instr,
+        }
+    }
+
     fn tiny_device(capacity: u64) -> DeviceSpec {
         DeviceSpec {
             memory_capacity: capacity,
@@ -1135,15 +1098,15 @@ mod memory_tracker_tests {
         let err = simulate_with_memory(&exec, "f", &[], &device, true, &mut mem).unwrap_err();
         assert!(
             matches!(
-                err,
-                SimError::OutOfMemory {
+                err.kind,
+                VmErrorKind::StorageOverflow {
                     required: 256,
-                    capacity: 128,
-                    ..
+                    available: 128,
                 }
             ),
             "{err}"
         );
+        assert_eq!(err.trace, [refusing(&exec, 0)]);
         // The same workload fits a larger device.
         let device = tiny_device(1024);
         let mut mem = MemoryTracker::new();
@@ -1197,7 +1160,17 @@ mod memory_tracker_tests {
             &mut mem,
         )
         .unwrap_err();
-        assert!(matches!(err, SimError::OutOfMemory { .. }), "{err}");
+        assert!(
+            matches!(
+                err.kind,
+                VmErrorKind::StorageOverflow {
+                    required: 224,
+                    available: 68,
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(err.trace, [refusing(&exec, 1)]);
         // Re-running the small shape still works: the tracker was not
         // corrupted by the failure.
         simulate_with_memory(

@@ -33,7 +33,7 @@ mod value;
 
 pub use cost::{kernel_time, KernelClass};
 pub use device::DeviceSpec;
-pub use dryrun::{simulate, simulate_with_memory, MemoryTracker, SimError, SimReport};
+pub use dryrun::{simulate, simulate_with_memory, MemoryTracker, SimReport};
 pub use profile::Profile;
 pub use roofline::{KernelProfile, Roofline, RooflineBound};
 pub use value::SimValue;

@@ -3,8 +3,8 @@
 
 use relax_arith::DataType;
 use relax_tir::NDArray;
-use relax_vm::domain::RegValue;
-use relax_vm::{KvCacheConfig, KV_PAGE_TOKENS};
+use relax_vm::domain::{tensor_bytes, RegValue};
+use relax_vm::{KvCacheConfig, VmErrorKind};
 
 /// Dimensions as sizes (a negative one reads as 0).
 pub(crate) fn sizes(dims: &[i64]) -> Vec<usize> {
@@ -52,20 +52,11 @@ impl SimValue {
         SimValue::Tensor { dims, dtype }
     }
 
-    pub(crate) fn byte_size(&self) -> f64 {
-        if let Some((cfg, lens)) = self.kv_cache() {
-            // Resident bytes are whole pages, not logical tokens.
-            let row = (cfg.batch * cfg.heads * cfg.head_dim) as f64 * cfg.dtype.size_bytes() as f64;
-            let pages = |len: usize| len.div_ceil(KV_PAGE_TOKENS) * KV_PAGE_TOKENS;
-            return lens.iter().map(|&len| pages(len) as f64 * row).sum();
-        }
-        match self {
-            SimValue::Tensor { dims, dtype } => {
-                dims.iter().product::<i64>().max(0) as f64 * dtype.size_bytes() as f64
-            }
-            SimValue::Tuple(items) => items.iter().map(SimValue::byte_size).sum(),
-            _ => 0.0,
-        }
+    /// A tensor's bytes by the loop's checked `tensor_bytes` (a size beyond
+    /// `usize` fails `StorageOverflow`, as in the VM); 0 for other values.
+    pub(crate) fn byte_size(&self) -> Result<usize, VmErrorKind> {
+        let tensor = self.tensor_arg();
+        tensor.map_or(Ok(0), |(dims, dtype)| tensor_bytes(&dims, dtype))
     }
 
     /// A tensor's dimensions and dtype, as the VM's rules take them.

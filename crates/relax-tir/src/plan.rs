@@ -90,7 +90,9 @@ impl std::error::Error for PlanError {}
 /// An affine combination of loop counters: `base + Σ coeff·iter[slot]`.
 ///
 /// Terms are sorted by slot, merged, and non-zero, so the representation is
-/// canonical. Arithmetic wraps exactly like [`PrimExpr::eval`].
+/// canonical. Arithmetic wraps, where [`PrimExpr::eval`] fails with
+/// `EvalError::Overflow`: the two agree on every index whose intermediate
+/// values stay within `i64`.
 #[derive(Debug, Clone, PartialEq)]
 struct Affine {
     base: i64,
@@ -183,8 +185,8 @@ impl Affine {
 
 /// A lowered index expression: affine fast path, or a residual tree for
 /// non-affine arithmetic (`//`, `%`, `min`, `max` over loop counters),
-/// evaluated with exactly the semantics of [`PrimExpr::eval`] but against a
-/// flat counter array instead of a hash map.
+/// evaluated with the semantics of [`PrimExpr::eval`] (but wrapping, as
+/// [`Affine`] does) against a flat counter array instead of a hash map.
 #[derive(Debug, Clone)]
 enum IdxExpr {
     Aff(Affine),

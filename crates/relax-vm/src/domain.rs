@@ -3,20 +3,22 @@
 //! [`Vm`](crate::Vm) runs it over runtime values, and `relax-sim`'s dry
 //! run over shape-level ones, each monomorphised. The loop owns what the
 //! two share: registers (a read or write out of range fails
-//! `TypeMismatch`), the shape heap (`match_shape`, `eval_size`), each
-//! register's pool grant, the planned-storage ledger, a storage's size
-//! check, tuples, shapes, calls and the frame trace. A [`Domain`] supplies
-//! only what differs: what a value is, what a launch does, how an
-//! allocation is accounted and what entering a capture region means.
+//! `TypeMismatch`), the shape heap (`match_shape`, `eval_size`), the
+//! [`Memory`] account (each register's pool block, the planned-storage
+//! ledger, fallbacks), a storage's size check, tuples, shapes, calls, and
+//! every error with its frame trace. A [`Domain`] supplies only what
+//! differs: what a value is, what a launch does, which allocations it
+//! admits and what entering a capture region means.
 
 use std::collections::HashMap;
 
 use relax_arith::{DataType, PrimExpr, Var as SymVar};
 use relax_tir::{NDArray, PrimFunc};
+use relax_trace::Payload;
 
 use crate::exec::{Executable, Instr, Reg, VmFunction};
-use crate::memory::StorageLedger;
-use crate::vm::VmErrorKind;
+use crate::memory::Memory;
+use crate::vm::{VmError, VmErrorKind};
 
 /// A register value of a domain.
 pub trait RegValue: Clone {
@@ -48,43 +50,27 @@ pub trait RegValue: Clone {
 pub trait Domain {
     /// What a register holds.
     type Value: RegValue;
-    /// What a run fails with.
-    type Error: From<VmErrorKind>;
-
-    /// `e` as it leaves `func`'s `pc`, running `instr`.
-    fn at(e: Self::Error, _func: &str, _pc: usize, _instr: &str) -> Self::Error {
-        e
-    }
 
     /// Before a `MatchShape` of `dims` dimensions, labelled `ctx`.
-    fn shape_check(&mut self, _ctx: &str, _dims: usize) -> Result<(), Self::Error> {
+    fn shape_check(&mut self, _ctx: &str, _dims: usize) -> Result<(), VmError> {
         Ok(())
     }
 
-    /// Grants register `dst` of `func` a pool block of `bytes`: the
-    /// block's size, or `None` where this domain does not account it.
-    fn grant(
+    /// The memory account the loop keeps, or `None` where this domain
+    /// keeps none.
+    fn memory(&mut self) -> Option<&mut Memory>;
+
+    /// Admits an allocation of `bytes` into register `dst` of `func`: a
+    /// pool block, or planned storage at `site`, which grows the account
+    /// by what the site does not already hold. `true` accounts it, `false`
+    /// leaves it out, an error refuses it.
+    fn admit(
         &mut self,
         func: &VmFunction,
         dst: Reg,
         bytes: usize,
-    ) -> Result<Option<usize>, Self::Error>;
-
-    /// Returns a granted block of `size` bytes.
-    fn free(&mut self, size: usize);
-
-    /// The ledger that records `bytes` of planned storage at `site` (into
-    /// `dst` of `func`), or `None` where this domain does not account it.
-    fn ledger(
-        &mut self,
-        func: &VmFunction,
-        dst: Reg,
-        site: &(String, usize),
-        bytes: usize,
-    ) -> Result<Option<&mut StorageLedger>, Self::Error>;
-
-    /// A tensor outgrew its planned storage and took a pool block instead.
-    fn fallback(&mut self) {}
+        site: Option<&(String, usize)>,
+    ) -> Result<bool, VmError>;
 
     /// Launches tensor program `prim` (named `func`) on the tensors in
     /// `args` and `dsts`; `replay` inside a replayed capture region.
@@ -96,7 +82,7 @@ pub trait Domain {
         args: &[Reg],
         dsts: &[Reg],
         replay: bool,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<(), VmError>;
 
     /// Launches library kernel `func` on the tensors in `args` and `dsts`.
     fn call_lib(
@@ -106,7 +92,7 @@ pub trait Domain {
         args: &[Reg],
         dsts: &[Reg],
         replay: bool,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<(), VmError>;
 
     /// Runs builtin `func` on `args`; returns its result.
     fn call_builtin(
@@ -114,7 +100,7 @@ pub trait Domain {
         func: &str,
         args: &[Self::Value],
         replay: bool,
-    ) -> Result<Self::Value, Self::Error>;
+    ) -> Result<Self::Value, VmError>;
 
     /// Enters capture region `id` at `keys`; `true` when it replays.
     fn capture(&mut self, id: usize, keys: Vec<i64>) -> bool;
@@ -124,13 +110,14 @@ pub trait Domain {
 ///
 /// # Errors
 ///
-/// A rule of the loop or of the domain refused the run.
+/// A rule of the loop or of the domain refused the run; the error's trace
+/// names the refusing instruction and every call that reached it.
 pub fn run<D: Domain>(
     exec: &Executable,
     domain: &mut D,
     func: &str,
     args: &[D::Value],
-) -> Result<D::Value, D::Error> {
+) -> Result<D::Value, VmError> {
     Machine { exec, domain }.call(func, args)
 }
 
@@ -149,13 +136,13 @@ struct Frame<V> {
 }
 
 impl<'e, D: Domain> Machine<'e, '_, D> {
-    fn call(&mut self, func: &str, args: &[D::Value]) -> Result<D::Value, D::Error> {
+    fn call(&mut self, func: &str, args: &[D::Value]) -> Result<D::Value, VmError> {
         let vmf = self
             .exec
             .funcs
             .get(func)
             .ok_or_else(|| VmErrorKind::UnknownFunction(func.to_string()))?;
-        let at_entry = |e: VmErrorKind| Err(D::at(e.into(), func, 0, "<function entry>"));
+        let at_entry = |e: VmErrorKind| Err(VmError::from(e).at(func, 0, "<function entry>"));
         if args.len() != vmf.num_params {
             return at_entry(VmErrorKind::ArgCount {
                 func: func.to_string(),
@@ -178,13 +165,13 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
         // Return the blocks this invocation still holds, on success and on
         // error alike: a failed run leaks no pool memory.
         for (_, size) in frame.granted.drain() {
-            self.domain.free(size);
+            self.free(Some(size));
         }
         match result? {
             Some(v) => Ok(v),
             None => {
-                let e = VmErrorKind::NoReturn(func.to_string()).into();
-                Err(D::at(e, func, vmf.instrs.len(), "<end of function>"))
+                let e = VmError::from(VmErrorKind::NoReturn(func.to_string()));
+                Err(e.at(func, vmf.instrs.len(), "<end of function>"))
             }
         }
     }
@@ -195,11 +182,11 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
         instrs: &'e [Instr],
         frame: &mut Frame<D::Value>,
         replay: bool,
-    ) -> Result<Option<D::Value>, D::Error> {
+    ) -> Result<Option<D::Value>, VmError> {
         for (idx, instr) in instrs.iter().enumerate() {
             let flow = self
                 .step(vmf, idx, instr, frame, replay)
-                .map_err(|e| D::at(e, &vmf.name, idx, &render_instr(instr)))?;
+                .map_err(|e| e.at(&vmf.name, idx, &render_instr(instr)))?;
             if flow.is_some() {
                 return Ok(flow);
             }
@@ -214,15 +201,22 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
         frame: &mut Frame<D::Value>,
         dst: Reg,
         bytes: usize,
-    ) -> Result<(), D::Error> {
-        let old = match self.domain.grant(vmf, dst, bytes)? {
+    ) -> Result<(), VmError> {
+        let admitted = self.domain.admit(vmf, dst, bytes, None)?;
+        let account = self.domain.memory().filter(|_| admitted);
+        let old = match account.map(|mem| mem.pool.alloc(bytes)) {
             Some(size) => frame.granted.insert(dst, size),
             None => frame.granted.remove(&dst),
         };
-        if let Some(old) = old {
-            self.domain.free(old);
-        }
+        self.free(old);
         Ok(())
+    }
+
+    /// Returns a granted block to the pool.
+    fn free(&mut self, block: Option<usize>) {
+        if let (Some(size), Some(mem)) = (block, self.domain.memory()) {
+            mem.pool.free(size);
+        }
     }
 
     fn step(
@@ -232,7 +226,7 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
         instr: &'e Instr,
         frame: &mut Frame<D::Value>,
         replay: bool,
-    ) -> Result<Option<D::Value>, D::Error> {
+    ) -> Result<Option<D::Value>, VmError> {
         match instr {
             Instr::AllocTensor { dst, shape, dtype } => {
                 let dims = eval_dims(shape, &frame.heap)?;
@@ -242,8 +236,9 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
             Instr::AllocStorage { dst, bytes } => {
                 let size = eval_size(bytes, &frame.heap)?;
                 let site = (vmf.name.clone(), idx);
-                let (id, bytes) = match self.domain.ledger(vmf, *dst, &site, size)? {
-                    Some(ledger) => ledger.request(site, size),
+                let admitted = self.domain.admit(vmf, *dst, size, Some(&site))?;
+                let (id, bytes) = match self.domain.memory().filter(|_| admitted) {
+                    Some(mem) => mem.planned.request(site, size),
                     None => (0, size),
                 };
                 frame.set(*dst, D::Value::storage(id, bytes))?;
@@ -266,14 +261,16 @@ impl<'e, D: Domain> Machine<'e, '_, D> {
                     // failing the run, take the tensor from the pool — the
                     // unplanned path.
                     self.grant(vmf, frame, *dst, required)?;
-                    self.domain.fallback();
+                    if let Some(mem) = self.domain.memory() {
+                        mem.fallbacks += 1;
+                        let name = || "alloc_fallback".to_string();
+                        relax_trace::instant("vm", name, || Payload::None);
+                    }
                 }
                 frame.set(*dst, D::Value::alloc(&dims, *dtype))?;
             }
             Instr::Kill { reg } => {
-                if let Some(size) = frame.granted.remove(reg) {
-                    self.domain.free(size);
-                }
+                self.free(frame.granted.remove(reg));
                 frame.set(*reg, D::Value::none())?;
             }
             Instr::CallTir {
@@ -439,8 +436,9 @@ fn eval_all(exprs: &[PrimExpr], heap: &HashMap<SymVar, i64>) -> Result<Vec<i64>,
 /// Byte size of a tensor, with overflow-checked arithmetic: adversarial
 /// shapes whose element count times element size exceeds `usize` must
 /// surface as a [`VmErrorKind::StorageOverflow`], not a debug panic or a
-/// release-mode wraparound that under-allocates.
-fn tensor_bytes(dims: &[usize], dtype: DataType) -> Result<usize, VmErrorKind> {
+/// release-mode wraparound that under-allocates. The dry run sizes its
+/// costs by the same rule.
+pub fn tensor_bytes(dims: &[usize], dtype: DataType) -> Result<usize, VmErrorKind> {
     dims.iter()
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .and_then(|n| n.checked_mul(dtype.size_bytes()))

@@ -1114,6 +1114,14 @@ mod tests {
         assert_eq!(call("nope", &[]).unwrap_err().detail, "not registered");
         let err = call("append_paged", &[Value::Shape(vec![3])]).unwrap_err();
         assert_eq!(err.kernel, "vm.builtin.kv_cache.append_paged");
+        assert_eq!(err.detail, "expected inputs = 3, got 1");
+        let misplaced = [
+            Value::Shape(vec![3]),
+            Value::Tensor(new),
+            Value::Shape(vec![0]),
+        ];
+        let err = call("append_paged", &misplaced).unwrap_err();
+        assert_eq!(err.kernel, "vm.builtin.kv_cache.append_paged");
         assert_eq!(err.detail, "expected a kv_cache, got shape");
     }
 }

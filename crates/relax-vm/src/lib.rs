@@ -11,10 +11,10 @@
 //!   allocating tensors and constructing shapes. It is generic over a
 //!   value domain: the [`Vm`] runs it over runtime values, and
 //!   `relax-sim`'s dry run over shape-level ones.
-//! - **Memory system** ([`memory`]): a [`memory::PooledAllocator`] for the
-//!   unplanned baseline, and planned static storage (`AllocStorage` +
-//!   `TensorFromStorage`) for the memory-planning path of Algorithm 3, with
-//!   byte-level telemetry that the Table 2 experiment reads.
+//! - **Memory system** ([`memory`]): the loop's one [`Memory`] account: a
+//!   [`memory::PooledAllocator`] for the unplanned baseline, and planned
+//!   static storage (`AllocStorage` + `TensorFromStorage`) for Algorithm 3's
+//!   memory-planning path, whose bytes the Table 2 experiment reads.
 //! - **Tensor programs**: generated kernels run as shape-specialized
 //!   kernel plans ([`relax_tir::plan`]) from a shared LRU cache. A kernel
 //!   the planner refuses fails its launch with a typed error. The
@@ -50,7 +50,7 @@ mod vm;
 pub use exec::{Executable, Instr, Reg, VmFunction};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, FiredFault};
 pub use kv_cache::{stream_arg, KvCache, KvCacheConfig, KV_CACHE_PREFIX};
-pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, StorageLedger, KV_PAGE_TOKENS};
+pub use memory::{KvPagePool, KvPageStats, KvPoolExhausted, Memory, StorageLedger, KV_PAGE_TOKENS};
 pub use moe::MOE_PREFIX;
 pub use plan_cache::{CachedPlan, PlanCacheStats, SharedPlanCache};
 pub use value::{want, want_shape, Value};

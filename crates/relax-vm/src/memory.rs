@@ -34,7 +34,6 @@ pub struct MemoryStats {
 pub struct PooledAllocator {
     // free blocks: size -> count
     free: BTreeMap<usize, usize>,
-    next_id: u64,
     stats: MemoryStats,
 }
 
@@ -45,10 +44,8 @@ impl PooledAllocator {
     }
 
     /// Requests a block of at least `bytes`; recycles a free block when one
-    /// fits, else grows the footprint.
-    pub fn alloc(&mut self, bytes: usize) -> (u64, usize) {
-        let id = self.next_id;
-        self.next_id += 1;
+    /// fits, else grows the footprint. Returns the block's size.
+    pub fn alloc(&mut self, bytes: usize) -> usize {
         // Smallest free block with size >= bytes.
         let candidate = self.free.range(bytes..).next().map(|(size, _)| *size);
         let size = match candidate {
@@ -69,7 +66,7 @@ impl PooledAllocator {
         };
         self.stats.in_use += size;
         self.stats.peak_in_use = self.stats.peak_in_use.max(self.stats.in_use);
-        (id, size)
+        size
     }
 
     /// Returns a block of the given size to the pool.
@@ -84,9 +81,30 @@ impl PooledAllocator {
     }
 }
 
-/// Planned static storage by allocation site `(function, pc)`, kept alike
-/// by the VM and the dry run's `MemoryTracker`: a site's storage id (in
-/// order of first request) and its bytes, grown to the largest request.
+/// The memory account of the one instruction loop ([`crate::domain`]),
+/// kept alike by the VM and the dry run's `MemoryTracker`: only the loop
+/// allocates, frees, requests storage and counts fallbacks.
+#[derive(Debug, Default)]
+pub struct Memory {
+    /// The recycling pool (the unplanned path, and tensors that outgrew
+    /// their planned storage).
+    pub pool: PooledAllocator,
+    /// Planned static storage by allocation site.
+    pub planned: StorageLedger,
+    /// Tensors that outgrew their planned storage and took a pool block.
+    pub fallbacks: u64,
+}
+
+impl Memory {
+    /// Bytes held: the pool's blocks in use plus planned storage.
+    pub fn in_use(&self) -> usize {
+        self.pool.stats().in_use + self.planned.total()
+    }
+}
+
+/// Planned static storage by allocation site `(function, pc)`: a site's
+/// storage id (in order of first request) and its bytes, grown to the
+/// largest request.
 #[derive(Debug, Default)]
 pub struct StorageLedger(HashMap<(String, usize), (u64, usize)>);
 
@@ -318,10 +336,10 @@ mod tests {
     #[test]
     fn fresh_then_reuse() {
         let mut pool = PooledAllocator::new();
-        let (_, s1) = pool.alloc(100);
+        let s1 = pool.alloc(100);
         assert_eq!(s1, 100);
         pool.free(100);
-        let (_, s2) = pool.alloc(80); // fits in the 100-byte block
+        let s2 = pool.alloc(80); // fits in the 100-byte block
         assert_eq!(s2, 100);
         let st = pool.stats();
         assert_eq!(st.footprint, 100);

@@ -157,18 +157,7 @@ impl Registry {
         inputs: usize,
         outputs: usize,
     ) -> Result<LibKernel, KernelError> {
-        let fail = |detail| KernelError::new(name, detail);
-        let &(kernel, sig) = self
-            .libs
-            .get(name)
-            .ok_or_else(|| fail("not registered".into()))?;
-        let got = (inputs, outputs);
-        if got != sig {
-            return Err(fail(format!(
-                "expected (inputs, outputs) = {sig:?}, got {got:?}"
-            )));
-        }
-        Ok(kernel)
+        signed(&self.libs, name, "(inputs, outputs)", (inputs, outputs))
     }
 
     /// Invokes a library kernel in destination-passing style, after
@@ -188,25 +177,45 @@ impl Registry {
         kernel(inputs, outputs).map_err(|detail| KernelError::new(name, detail))
     }
 
-    /// The builtin registered as `name`, checked without the data, for the
-    /// VM and the dry run alike.
+    /// The builtin registered as `name`, called with `inputs` arguments:
+    /// its registration and arity checked without the data, for the VM and
+    /// the dry run alike.
     ///
     /// # Errors
     ///
-    /// [`KernelError`] for an unknown builtin.
-    pub fn check_builtin(&self, name: &str) -> Result<BuiltinFn, KernelError> {
-        let builtin = self.builtins.get(name).map(|&(func, _)| func);
-        builtin.ok_or_else(|| KernelError::new(name, "not registered"))
+    /// [`KernelError`] for an unknown builtin or a wrong number of
+    /// arguments.
+    pub fn check_builtin(&self, name: &str, inputs: usize) -> Result<BuiltinFn, KernelError> {
+        signed(&self.builtins, name, "inputs", inputs)
     }
 
     /// Invokes a value-returning builtin on register values.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError`] for unknown builtins or failures.
+    /// Returns [`KernelError`] for unknown builtins, a wrong number of
+    /// arguments, or failures.
     pub fn call_builtin(&self, name: &str, args: &[Value]) -> Result<Value, KernelError> {
-        self.check_builtin(name)?(args)
+        self.check_builtin(name, args.len())?(args)
     }
+}
+
+/// The function registered as `name` in `table`, called with signature
+/// `got` (the `what` of the refusal's text).
+fn signed<F: Copy, S: Copy + PartialEq + fmt::Debug>(
+    table: &HashMap<String, (F, S)>,
+    name: &str,
+    what: &str,
+    got: S,
+) -> Result<F, KernelError> {
+    let fail = |detail| KernelError::new(name, detail);
+    let &(func, sig) = table
+        .get(name)
+        .ok_or_else(|| fail("not registered".into()))?;
+    if got != sig {
+        return Err(fail(format!("expected {what} = {sig:?}, got {got:?}")));
+    }
+    Ok(func)
 }
 
 /// `out = a @ b` with `a: [.., m, k]` and `b: [k, n]` or equal-rank batched.

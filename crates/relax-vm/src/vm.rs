@@ -12,7 +12,7 @@ use relax_trace::{CacheOutcome, Payload};
 use crate::domain::Domain;
 use crate::exec::{Executable, Reg, VmFunction};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::memory::{KvPagePool, MemoryStats, PooledAllocator, StorageLedger};
+use crate::memory::{KvPagePool, Memory, MemoryStats};
 use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
@@ -150,7 +150,7 @@ impl VmError {
     }
 
     /// This error as it crosses `func`'s `pc`, running `instr`.
-    fn at(mut self, func: &str, pc: usize, instr: &str) -> Self {
+    pub(crate) fn at(mut self, func: &str, pc: usize, instr: &str) -> Self {
         let (func, instr) = (func.to_string(), instr.to_string());
         self.trace.push(FrameEntry { func, pc, instr });
         self
@@ -275,12 +275,12 @@ pub struct KernelStat {
 pub struct Vm {
     exec: Arc<Executable>,
     registry: Arc<Registry>,
-    pool: PooledAllocator,
+    /// The pooled allocator, the static storages allocated once ahead of
+    /// time (by function and pc) and the fallbacks: the loop's account.
+    memory: Memory,
     telemetry: Telemetry,
     /// Capture regions that have been captured (by region id).
     captured: std::collections::HashSet<(usize, Vec<i64>)>,
-    /// Static storages allocated once ahead of time, by (func, instr idx).
-    static_storage: StorageLedger,
     /// Per-kernel launch counts and compile/run time split.
     kernel_stats: HashMap<String, KernelStat>,
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
@@ -315,10 +315,9 @@ impl Vm {
         Vm {
             exec,
             registry,
-            pool: PooledAllocator::new(),
+            memory: Memory::default(),
             telemetry: Telemetry::default(),
             captured: std::collections::HashSet::new(),
-            static_storage: StorageLedger::default(),
             kernel_stats: HashMap::new(),
             plan_cache,
             fault: None,
@@ -376,8 +375,9 @@ impl Vm {
     /// VM's plan compiles are [`KernelStat::plan_compiles`].
     pub fn telemetry(&self) -> Telemetry {
         let mut t = self.telemetry;
-        t.pool = self.pool.stats();
-        t.planned_bytes = self.static_storage.total();
+        t.pool = self.memory.pool.stats();
+        t.planned_bytes = self.memory.planned.total();
+        t.fallback_allocs = self.memory.fallbacks;
         t
     }
 
@@ -435,18 +435,6 @@ impl Vm {
         Ok(())
     }
 
-    /// Fails an allocation of `bytes` when a scheduled fault fires.
-    fn alloc_fault(&mut self, required: usize) -> Result<(), VmError> {
-        if self.fault_fires(FaultSite::Alloc) {
-            return Err(VmErrorKind::StorageOverflow {
-                required,
-                available: 0,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
     /// Counts one launch of kernel `func` that ran for `dt`.
     fn count_launch(&mut self, func: &str, dt: std::time::Duration, in_replay: bool) {
         let stat = self.kernel_stats.entry(func.to_string()).or_default();
@@ -458,15 +446,10 @@ impl Vm {
     }
 }
 
-/// The concrete domain: runtime values, launches that compute, the pooled
-/// allocator and planned storage, fault injection and telemetry.
+/// The concrete domain: runtime values, launches that compute, an account
+/// that admits every allocation but an injected fault, and telemetry.
 impl Domain for Vm {
     type Value = Value;
-    type Error = VmError;
-
-    fn at(e: VmError, func: &str, pc: usize, instr: &str) -> VmError {
-        e.at(func, pc, instr)
-    }
 
     fn shape_check(&mut self, ctx: &str, dims: usize) -> Result<(), VmError> {
         if self.fault_fires(FaultSite::ShapeCheck) {
@@ -477,29 +460,25 @@ impl Domain for Vm {
         Ok(())
     }
 
-    fn grant(&mut self, _: &VmFunction, _: Reg, bytes: usize) -> Result<Option<usize>, VmError> {
-        self.alloc_fault(bytes)?;
-        Ok(Some(self.pool.alloc(bytes).1))
+    fn memory(&mut self) -> Option<&mut Memory> {
+        Some(&mut self.memory)
     }
 
-    fn free(&mut self, size: usize) {
-        self.pool.free(size);
-    }
-
-    fn ledger(
+    fn admit(
         &mut self,
         _: &VmFunction,
         _: Reg,
-        _: &(String, usize),
-        bytes: usize,
-    ) -> Result<Option<&mut StorageLedger>, VmError> {
-        self.alloc_fault(bytes)?;
-        Ok(Some(&mut self.static_storage))
-    }
-
-    fn fallback(&mut self) {
-        self.telemetry.fallback_allocs += 1;
-        relax_trace::instant("vm", || "alloc_fallback".to_string(), || Payload::None);
+        required: usize,
+        _: Option<&(String, usize)>,
+    ) -> Result<bool, VmError> {
+        if self.fault_fires(FaultSite::Alloc) {
+            return Err(VmErrorKind::StorageOverflow {
+                required,
+                available: 0,
+            }
+            .into());
+        }
+        Ok(true)
     }
 
     fn call_tir(

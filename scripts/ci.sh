@@ -27,6 +27,10 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
 done
 [ "$missing" -eq 0 ]
 
+echo "==> non-test source lines per crate (informational)"
+# The count every line target in ROADMAP.md uses; nothing is checked.
+scripts/src_lines.sh
+
 echo "==> cargo fmt --all --check"
 # The workspace only; benchmark/ is its own workspace with its own
 # rustfmt.toml.
@@ -86,8 +90,9 @@ echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (releas
 # figure comes from is the VM's one instruction loop over a second,
 # shape-level domain; sim_parity pins the two domains to each other: the
 # same launches with the same shape signatures, and the same counters, on
-# every model it costs; the same refusals, with the VM's text, on a table
-# of one malformed launch per runtime function and per frame rule; and
+# every model it costs; the same errors (one VmError type: the same kind,
+# text and frame trace) on a table of one malformed launch per runtime
+# function and per frame rule, and on every argument one row too long; and
 # the same pool accounting. The shape domain's own cost and memory-tracker
 # unit tests run here under the release build the figures use.
 cargo test --release -q --test moe_diff

@@ -17,17 +17,18 @@
 //!   first run, and neither warm run compiles;
 //! - every tensor argument, one row longer, that breaks a `MatchShape` in
 //!   the VM (a constant weight dimension, or a variable an earlier
-//!   argument bound) fails the dry run with the same detail text.
+//!   argument bound) fails the dry run with the VM's error.
 //!
 //! A refusal table beside them holds one malformed launch per runtime
 //! function (paged KV append and attention, the MoE builtins, the library
-//! kernels, an unregistered kernel and builtin, a negative allocation
-//! size) and per frame rule (an out-of-range register, a call with the
-//! wrong argument count), each with the text the VM refuses it with; the
-//! dry run must refuse every entry with that text, a refused launch as
-//! `SimError::ShapeCheck` and a broken frame rule as `SimError::Type`.
-//! Its memory tracker must return a reallocated register's block as the
-//! VM's pool does.
+//! kernels, an unregistered kernel and builtin, a builtin's argument
+//! count, a negative allocation size and one that overflows `i64`) and per
+//! frame rule (an out-of-range register, a call with the wrong argument
+//! count), each with the text the VM refuses it with; the dry run must
+//! refuse every entry with the VM's error. The VM and the dry run run one
+//! loop and fail with one error type: "the VM's error" is the same kind,
+//! the same text and the same frame trace. The dry run's memory tracker
+//! must return a reallocated register's block as the VM's pool does.
 //!
 //! Stated exceptions:
 //!
@@ -51,7 +52,7 @@ use relax::models::whisper::{
     build_cross_kv, build_decoder_step_paged, build_encoder, WhisperConfig,
 };
 use relax::passes::{compile, CompileOptions};
-use relax::sim::{simulate, simulate_with_memory, DeviceSpec, MemoryTracker, SimError, SimValue};
+use relax::sim::{simulate, simulate_with_memory, DeviceSpec, MemoryTracker, SimValue};
 use relax::tir::NDArray;
 use relax::trace::{Capture, EventKind, Payload};
 use relax::vm::{
@@ -213,6 +214,7 @@ fn sim_value(v: &Value) -> SimValue {
                 dtype: cfg.dtype,
             }
         }
+        Value::Shape(dims) => SimValue::Shape(dims.clone()),
         other => panic!("no shape-level twin for a {} argument", other.kind()),
     }
 }
@@ -374,7 +376,7 @@ fn check(case: &Case) -> (usize, i64) {
 
 /// Each tensor argument in turn, one row longer: wherever that breaks a
 /// `MatchShape` in the VM (a constant weight dimension, or a variable an
-/// earlier argument bound), the dry run fails with the same detail.
+/// earlier argument bound), the dry run fails with the VM's error.
 /// Returns how many arguments did.
 fn check_shape_failures(case: &Case) -> usize {
     let label = &case.label;
@@ -388,10 +390,12 @@ fn check_shape_failures(case: &Case) -> usize {
         dims[0] += 1;
         args[i] = Value::Tensor(NDArray::zeros(&dims, dtype));
         let vm = Vm::new((*case.exec).clone()).run(&case.func, &args);
-        let Err(VmError {
-            kind: VmErrorKind::ShapeCheck { ctx, detail },
-            ..
-        }) = vm
+        let Err(
+            vm @ VmError {
+                kind: VmErrorKind::ShapeCheck { .. },
+                ..
+            },
+        ) = vm
         else {
             continue;
         };
@@ -403,16 +407,25 @@ fn check_shape_failures(case: &Case) -> usize {
             &DeviceSpec::rtx4090(),
             false,
         );
-        let want = SimError::ShapeCheck(format!("{ctx}: {detail}"));
-        assert_eq!(
-            sim.err(),
-            Some(want),
-            "{label}: argument {i} one row longer"
-        );
+        let label = format!("{label}: argument {i} one row longer");
+        assert_same_error(sim.expect_err(&label), &vm, &label);
         failures += 1;
     }
     assert!(failures > 0, "{label}: no argument broke a MatchShape");
     failures
+}
+
+/// The dry run failed with the VM's error: the same kind, the same text
+/// and the same frame trace.
+fn assert_same_error(sim: VmError, vm: &VmError, label: &str) {
+    let same_kind = std::mem::discriminant(&sim.kind) == std::mem::discriminant(&vm.kind);
+    assert!(
+        same_kind,
+        "{label}: dry run {:?}, VM {:?}",
+        sim.kind, vm.kind
+    );
+    assert_eq!(sim.kind.to_string(), vm.kind.to_string(), "{label}: text");
+    assert_eq!(sim.trace, vm.trace, "{label}: frame trace");
 }
 
 fn check_all(cases: &[Case]) {
@@ -623,8 +636,8 @@ fn lib_launch(func: &str, params: usize, out: &[i64]) -> Executable {
     hand_built(params, body, params + 1)
 }
 
-/// `main(x: (n,)) = alloc (n - 4,)`.
-fn negative_alloc() -> Executable {
+/// `main(x: (n,)) = alloc (size(n),)`.
+fn alloc_of(size: fn(PrimExpr) -> PrimExpr) -> Executable {
     let n = SymVar::new("n");
     let body = vec![
         Instr::MatchShape {
@@ -634,7 +647,7 @@ fn negative_alloc() -> Executable {
         },
         Instr::AllocTensor {
             dst: 1,
-            shape: vec![PrimExpr::from(n) - 4.into()],
+            shape: vec![size(n.into())],
             dtype: DataType::F32,
         },
     ];
@@ -798,9 +811,21 @@ fn refusals() -> Vec<Refusal> {
         ),
         (
             "alloc_tensor: a negative size",
-            negative_alloc(),
+            alloc_of(|n| n - 4.into()),
             vec![f32s(&[1])],
             "runtime shape check failed at allocation: size `(n - 4)` = -3 is negative".into(),
+        ),
+        (
+            "alloc_tensor: a size that overflows i64",
+            alloc_of(|n| n * 4.into()),
+            vec![Value::Shape(vec![1 << 62])],
+            "shape evaluation failed: shape expression overflows i64".into(),
+        ),
+        (
+            "builtin.unique: two arguments",
+            builtin_launch("builtin.unique", 2, None),
+            vec![f32s(&[3]), f32s(&[3])],
+            kernel("builtin.unique", "expected inputs = 1, got 2"),
         ),
         (
             "call_lib: an unregistered kernel",
@@ -863,20 +888,10 @@ fn malformed_launches_are_refused_alike_with_the_vms_text() {
         let vm = Vm::new(case.exec.clone()).run(&case.func, &case.args);
         let err = vm.expect_err(case.label);
         assert_eq!(err.kind.to_string(), case.want, "{}", case.label);
-        // The dry run refuses the same launch with the VM's text.
-        let want = match err.kind {
-            VmErrorKind::Kernel(k) => SimError::ShapeCheck(k.to_string()),
-            VmErrorKind::ShapeCheck { ctx, detail } => {
-                SimError::ShapeCheck(format!("{ctx}: {detail}"))
-            }
-            other @ (VmErrorKind::TypeMismatch { .. } | VmErrorKind::ArgCount { .. }) => {
-                SimError::Type(other.to_string())
-            }
-            other => panic!("{}: a {other:?} refusal", case.label),
-        };
+        // The dry run refuses the same launch with the VM's error.
         let args: Vec<SimValue> = case.args.iter().map(sim_value).collect();
         let sim = simulate(&case.exec, &case.func, &args, &DeviceSpec::rtx4090(), false);
-        assert_eq!(sim.err(), Some(want), "{}", case.label);
+        assert_same_error(sim.expect_err(case.label), &err, case.label);
     }
 }
 
