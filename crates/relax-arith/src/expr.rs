@@ -183,8 +183,8 @@ impl PrimExpr {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::UnboundVar`] if a variable is missing from `env`
-    /// [`EvalError::DivisionByZero`] for a zero divisor and
+    /// Returns [`EvalError::UnboundVar`] if a variable is missing from
+    /// `env`, [`EvalError::DivisionByZero`] for a zero divisor, and
     /// [`EvalError::Overflow`] when a sum, difference or product leaves
     /// `i64`: a shape never wraps.
     ///
@@ -230,6 +230,7 @@ impl PrimExpr {
     }
 }
 
+/// A checked sum, difference or product: `None` is an overflow.
 fn checked(v: Option<i64>) -> Result<i64, EvalError> {
     v.ok_or(EvalError::Overflow)
 }
